@@ -551,10 +551,10 @@ func BenchmarkMarshalAppend(b *testing.B) {
 	}
 }
 
-// benchHotPathCodec is the full datagram round trip as the node loop
+// benchHotPathCodec is the full datagram round trip as a shard loop
 // runs it: pooled buffer out of pdu.GetDatagram, MarshalAppend into it,
 // UnmarshalFrom into a scratch PDU, buffer back to the pool. When lm/tm
-// are non-nil it also pays the per-datagram bookkeeping the wireLink and
+// are non-nil it also pays the per-datagram bookkeeping wireFrames and
 // udpnet add around the codec (experiment E11).
 func benchHotPathCodec(b *testing.B, lm *obsv.LinkMetrics, tm *obsv.TransportMetrics) {
 	p := &pdu.PDU{
@@ -735,7 +735,7 @@ func benchHotPathPipeline(b *testing.B, metrics func() *obsv.EntityMetrics) {
 
 // BenchmarkFrameCodec measures the batch-frame layer on top of the PDU
 // codec: encode a k-PDU batch into one frame and decode it back through
-// a scratch PDU, as the wireLink does per datagram. Reported per PDU;
+// a scratch PDU, as wireFrames does per datagram. Reported per PDU;
 // steady state must show 0 allocs/op.
 func BenchmarkFrameCodec(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
@@ -839,7 +839,7 @@ func newBenchUDPMesh(b *testing.B, n int, opts ...udpnet.Option) []*udpnet.Trans
 // path. The sender hot loop must stay at 0 allocs/op on every shape.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	// frameGroup mirrors the frames a multi-frame flush stages before
-	// handing them to BroadcastBatch (see wireLink.sendStaged).
+	// handing them to BroadcastBatch (see wireFrames.sendStaged).
 	const frameGroup = 4
 	for _, mode := range []struct {
 		name  string

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"cobcast/internal/groups"
 	"cobcast/internal/network"
-	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
 
@@ -47,13 +45,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{net: memnet, nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
-		ep := memnet.Endpoint(pdu.EntityID(i))
-		nd, err := newNode(i, n, o, newMemLink(ep),
-			func(shard int, lm *obsv.LinkMetrics) groups.Frames {
-				// Shards share the node's port: BroadcastGroup is safe for
-				// concurrent use and tags PDUs at the network boundary.
-				return newMemGroupFrames(ep, lm)
-			})
+		nd, err := newNode(i, n, o, memSubstrate(memnet.Endpoint(pdu.EntityID(i))))
 		if err != nil {
 			c.Close()
 			return nil, err

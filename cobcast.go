@@ -361,11 +361,12 @@ func WithFlightRecorder(events int) Option {
 	})
 }
 
-// WithGroupShards sets how many shard goroutines the multi-group
-// runtime runs; each group is hash-assigned to one shard, which owns
-// its engine (the single-writer invariant, per group). n <= 0 (the
-// default) derives the count from GOMAXPROCS. The default group is
-// unaffected — it stays on the node's own protocol loop.
+// WithGroupShards sets how many shard goroutines the node's runtime
+// runs; each group is hash-assigned to one shard, which owns its engine
+// (the single-writer invariant, per group). n <= 0 (the default)
+// derives the count from GOMAXPROCS. The default group is group 0 on
+// the same runtime, so it too is owned by one of these shards; shards
+// that own no engine stay parked.
 func WithGroupShards(n int) Option {
 	return optionFunc(func(o *options) { o.groupShards = n })
 }
@@ -373,7 +374,8 @@ func WithGroupShards(n int) Option {
 // WithMaxGroups bounds how many groups a node will lazily instantiate
 // (each costs O(cluster size) state plus logs). Submits past the bound
 // fail; inbound frames for groups past it are dropped and counted as
-// unknown-group loss. n <= 0 selects the default (1024).
+// unknown-group loss. The default group is always open and does not
+// count toward the bound. n <= 0 selects the default (1024).
 func WithMaxGroups(n int) Option {
 	return optionFunc(func(o *options) { o.maxGroups = n })
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,9 +19,10 @@ import (
 
 // TestTracezLiveScrape hammers /tracez while a lossy cluster is under
 // load. Under -race this is the seqlock check for the flight rings: the
-// node loops (and producer goroutines) record concurrently with the
+// shard loops (and producer goroutines) record concurrently with the
 // scrapers' snapshots, and every scrape must decode to a consistent
-// document.
+// document. One non-default group rides along: its engines run the same
+// loop, so their "<id>/g<N>" rings must carry the wire events too.
 func TestTracezLiveScrape(t *testing.T) {
 	const (
 		nodes = 3
@@ -105,6 +107,22 @@ func TestTracezLiveScrape(t *testing.T) {
 			}
 		}()
 	}
+	side := cobcast.Group("side")
+	for i := 0; i < nodes; i++ {
+		port := cluster.Group(i, side)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			select {
+			case <-port.Deliveries():
+			case <-time.After(time.Minute):
+				t.Errorf("group %d: no delivery", side)
+			}
+		}()
+	}
+	if err := cluster.Group(0, side).Broadcast([]byte("flight")); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < msgs; i++ {
 		if err := cluster.Broadcast(i%nodes, []byte("flight")); err != nil {
 			t.Fatal(err)
@@ -119,11 +137,22 @@ func TestTracezLiveScrape(t *testing.T) {
 	// The final dump must hold every node's ring with the full lifecycle
 	// vocabulary present somewhere.
 	doc := reg.Tracez()
-	if len(doc.Nodes) != nodes {
-		t.Fatalf("tracez has %d rings, want %d", len(doc.Nodes), nodes)
+	if len(doc.Nodes) != 2*nodes {
+		t.Fatalf("tracez has %d rings, want %d (one per node and group)", len(doc.Nodes), 2*nodes)
 	}
 	seenTypes := map[string]bool{}
 	for _, nf := range doc.Nodes {
+		if strings.HasSuffix(nf.Node, fmt.Sprintf("/g%d", side)) {
+			groupTypes := map[string]bool{}
+			for _, ev := range nf.Events {
+				groupTypes[ev.TypeName] = true
+			}
+			if !groupTypes["wire-in"] || !groupTypes["wire-out"] {
+				t.Errorf("group ring %s holds wire-in=%v wire-out=%v, want both",
+					nf.Node, groupTypes["wire-in"], groupTypes["wire-out"])
+			}
+			continue
+		}
 		if nf.Recorded == 0 {
 			t.Errorf("node %s recorded nothing", nf.Node)
 		}

@@ -34,43 +34,47 @@ func (tr *nullBatchTransport) BroadcastBatch(b [][]byte) error {
 func (tr *nullBatchTransport) Recv() <-chan []byte { return nil }
 func (tr *nullBatchTransport) Close() error        { return nil }
 
-// TestGroupFramesSteadyStateAllocs requires the multi-group send hot
-// path — Append onto per-group in-progress frames, Flush sealing one
-// frame per group into one staged batch — to be allocation-free once
-// the per-group states and build buffers exist. This is the group-path
-// analogue of the wireLink/mmsg zero-alloc pins: the public Broadcast
+// TestGroupFramesSteadyStateAllocs requires the wire send hot path —
+// Append onto per-group in-progress frames, Flush sealing one frame per
+// group into one staged batch — to be allocation-free once the per-group
+// states and build buffers exist, for group 0 (the single-group path,
+// v1/v2 headers) as for v3-addressed groups. The public Broadcast
 // necessarily copies its payload, but from the shard goroutine down to
 // the transport no allocation may remain.
 func TestGroupFramesSteadyStateAllocs(t *testing.T) {
-	for _, version := range []uint8{pdu.WireVersion, pdu.WireVersion2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			tr := &nullBatchTransport{}
-			f := newWireGroupFrames(tr, version, 0, obsv.NewLinkMetrics())
-			p := &pdu.PDU{
-				Kind: pdu.KindData, CID: 1, Src: 0, SEQ: 0,
-				ACK: make([]pdu.Seq, 4), LSrc: pdu.NoEntity,
-				Data: make([]byte, 64),
-			}
-			groups := []uint32{7, 9, 400}
-			step := func() {
-				for _, g := range groups {
-					p.SEQ++
-					f.Append(g, p)
+	for _, groups := range [][]uint32{{7, 9, 400}, {0}} {
+		for _, version := range []uint8{pdu.WireVersion, pdu.WireVersion2} {
+			t.Run(fmt.Sprintf("groups%v/v%d", groups, version), func(t *testing.T) {
+				tr := &nullBatchTransport{}
+				f := newWireFrames(tr, version, 0, obsv.NewLinkMetrics())
+				p := &pdu.PDU{
+					Kind: pdu.KindData, CID: 1, Src: 0, SEQ: 0,
+					ACK: make([]pdu.Seq, 4), LSrc: pdu.NoEntity,
+					Data: make([]byte, 64),
 				}
-				f.Flush()
-			}
-			// Warm up: instantiate per-group send states, grow the build
-			// buffers and the staged slice to their steady-state sizes.
-			for i := 0; i < 8; i++ {
-				step()
-			}
-			if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
-				t.Errorf("v%d Append+Flush allocates %.2f per op in steady state, want 0", version, allocs)
-			}
-			if tr.batches == 0 {
-				t.Fatal("staged-batch path never taken")
-			}
-		})
+				step := func() {
+					for _, g := range groups {
+						p.SEQ++
+						f.Append(g, p)
+					}
+					f.Flush()
+				}
+				// Warm up: instantiate per-group send states, grow the build
+				// buffers and the staged slice to their steady-state sizes.
+				for i := 0; i < 8; i++ {
+					step()
+				}
+				if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+					t.Errorf("v%d Append+Flush allocates %.2f per op in steady state, want 0", version, allocs)
+				}
+				if len(groups) > 1 && tr.batches == 0 {
+					t.Fatal("staged-batch path never taken")
+				}
+				if len(groups) == 1 && tr.broadcasts == 0 {
+					t.Fatal("single-frame path never taken")
+				}
+			})
+		}
 	}
 }
 

@@ -1059,6 +1059,11 @@ func (e *Entity) fl(t flight.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.
 	e.cfg.Flight.Record(t, uint8(kind), int32(src), uint64(seq), int32(peer), int64(now))
 }
 
+// Flight returns the entity's flight recorder (nil when recording is
+// off), so the runtime that moves its PDUs can add the wire-in/wire-out
+// events the engine itself cannot see.
+func (e *Entity) Flight() *flight.Ring { return e.cfg.Flight }
+
 func (e *Entity) trace(t trace.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.Kind, now time.Duration) {
 	if e.cfg.Tracer == nil {
 		return

@@ -112,7 +112,7 @@ func (e *Entity) publishStats() {
 
 // Snapshot copies the entity's live protocol state for /statez and the
 // depth gauges. Like every other method it must run on the entity's
-// owner goroutine (the node loop services snapshot requests between
+// owner goroutine (its shard runs snapshot requests between
 // inputs; the sim takes them between virtual-time steps); the returned
 // value is plain data, safe to hand to any goroutine.
 func (e *Entity) Snapshot() obsv.StateSnapshot {

@@ -1,5 +1,5 @@
 // Package flight is a lock-free, bounded flight recorder for protocol
-// events on the real wire path. Each entity (node loop or group shard)
+// events on the real wire path. Each entity (one per group, on its shard)
 // owns one Ring and records a fixed vocabulary of lifecycle events —
 // submit, sequence, wire-out/in, accept, commit, deliver, retransmit
 // request/serve, park/unpark, backpressure block/shed, suspicion — each

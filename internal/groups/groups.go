@@ -1,7 +1,8 @@
-// Package groups is the multi-group sharded runtime: it multiplexes many
+// Package groups is the node's one runtime path: it multiplexes
 // independent causally/totally ordered groups — each its own core.Entity
 // with its own sequence space, message log and ready queues — over one
-// shared transport.
+// shared transport. A single-group node is the degenerate case of one
+// group (group 0) on one shard.
 //
 // The paper's engine is single-writer by construction: every input to an
 // entity must be serialized on one goroutine. Instead of one goroutine
@@ -19,11 +20,12 @@
 //
 // Each shard also owns a Frames adapter — the link-layer seam supplied
 // by the embedding runtime — and flushes it once per input burst
-// (flush-on-loop-idle, as the node loop does), so PDUs from many groups
-// coalesce into the same staged-batch/sendmmsg path.
+// (flush-on-loop-idle), so everything one burst produces, across groups,
+// coalesces into the same staged-batch/sendmmsg path.
 package groups
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -48,39 +51,40 @@ var ErrClosed = errors.New("groups: closed")
 // MaxGroups bound.
 var ErrTooManyGroups = errors.New("groups: too many groups")
 
+// errNoEngine answers a query about a group that has no engine on this
+// node: never instantiated, or its construction failed earlier.
+var errNoEngine = errors.New("groups: no engine")
+
 // Inbound is one received wire unit addressed to a group, in exactly one
-// representation: Raw for substrates that move encoded v3 frames, PDUs
-// for substrates that move decoded PDU pointers (the in-memory network).
-// The shard's Frames adapter interprets its own inbounds.
+// representation: Raw for substrates that move encoded frames, PDUs for
+// substrates that move decoded PDU pointers (the in-memory network). The
+// shard's Frames adapter interprets its own inbounds.
 type Inbound struct {
 	Raw  []byte
 	PDUs []*pdu.PDU
 }
 
-// Frames is a shard's attachment to the wire: the multi-group analogue
-// of the node's link. One Frames exists per shard and is used only from
-// that shard's goroutine, so implementations need no locking of their
-// own (the transport underneath must accept concurrent sends, as the
-// UDP transport does).
+// Frames is a shard's attachment to the wire. One Frames exists per
+// shard and is used only from that shard's goroutine, so implementations
+// need no locking of their own (the transport underneath must accept
+// concurrent sends, as the UDP transport does).
 //
-// Append stages p on group g's in-progress frame for the next Flush;
-// Deliver decodes one inbound for group g and hands each PDU to fn in
-// order under the entity Receive contract (sequenced PDUs owned by the
-// callee, unsequenced ones may be scratch), then releases the inbound's
-// resources.
+// Append stages p on group g's in-progress frame for the next Flush (it
+// may send earlier to respect substrate limits); Deliver decodes one
+// inbound for group g and hands each PDU to fn in order under the entity
+// Receive contract (sequenced PDUs owned by the callee, unsequenced ones
+// may be scratch), then releases the inbound's resources.
 type Frames interface {
 	Append(g uint32, p *pdu.PDU)
 	Flush()
 	Deliver(g uint32, in Inbound, fn func(p *pdu.PDU))
-	Close()
 }
 
 // Config assembles a Registry. NewEntity, NewFrames and Deliver are the
 // seams to the embedding runtime and must all be set.
 type Config struct {
-	// Shards is the number of owner goroutines; <= 0 derives it from
-	// GOMAXPROCS (capped at 8: shards beyond the parallelism actually
-	// available only add channels).
+	// Shards is the number of owner goroutines; <= 0 selects
+	// GOMAXPROCS.
 	Shards int
 	// MaxGroups bounds lazily instantiated engines; <= 0 selects
 	// DefaultMaxGroups.
@@ -99,23 +103,26 @@ type Config struct {
 	// unknown-group reason (over the MaxGroups bound, failed engine
 	// construction, closed registry).
 	DroppedUnknown func()
-	// Tick is the per-shard protocol tick interval driving timeouts and
-	// deferred ACKs for every engine the shard owns.
+	// Tick is the protocol tick interval driving timeouts and deferred
+	// ACKs for every engine a shard owns.
 	Tick time.Duration
 	// Now is the shared protocol clock (time since the node started).
 	Now func() time.Duration
 }
 
-// Registry is the multi-group runtime: the lazy group table plus the
-// shard goroutines that own the engines. All methods are safe for
-// concurrent use.
+// Registry is the runtime: the lazy group table plus the shard
+// goroutines that own the engines. All methods are safe for concurrent
+// use.
 type Registry struct {
 	cfg    Config
 	shards []*shard
 
-	mu     sync.Mutex
-	known  map[uint32]struct{}
-	closed bool
+	mu    sync.Mutex
+	known map[uint32]struct{}
+	// evicted is every peer Evict has removed; engines built later start
+	// with the same quorum as the ones that were running at the time.
+	evicted []pdu.EntityID
+	closed  bool
 }
 
 // New starts a registry with its shard goroutines. The configuration's
@@ -125,12 +132,11 @@ func New(cfg Config) (*Registry, error) {
 		return nil, errors.New("groups: incomplete config")
 	}
 	if cfg.Shards <= 0 {
-		// One shard goroutine per schedulable CPU. The heuristic is
-		// capped at GOMAXPROCS(0), not a fixed constant: shards run
-		// mailbox loops that park when idle, so extra shards on a big
-		// machine cost nothing while letting group traffic spread across
-		// every core the scheduler can actually use. An explicit
-		// cfg.Shards always wins.
+		// One shard goroutine per schedulable CPU: shards run mailbox
+		// loops that park when idle (and tick only once they own an
+		// engine), so extra shards on a big machine cost nothing while
+		// letting group traffic spread across every core the scheduler
+		// can actually use.
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxGroups <= 0 {
@@ -147,13 +153,13 @@ func New(cfg Config) (*Registry, error) {
 	for i := range r.shards {
 		s := &shard{
 			reg:    r,
-			idx:    i,
 			in:     make(chan shardMsg, shardInboxCap),
 			groups: make(map[uint32]*core.Entity),
 			frames: cfg.NewFrames(i),
 			stop:   make(chan struct{}),
 			done:   make(chan struct{}),
 		}
+		s.recv = s.receive
 		r.shards[i] = s
 		go s.loop()
 	}
@@ -167,11 +173,10 @@ func (r *Registry) shardOf(g uint32) *shard {
 	return r.shards[h%uint32(len(r.shards))]
 }
 
-// Shards reports the number of shard goroutines.
-func (r *Registry) Shards() int { return len(r.shards) }
-
-// open reserves g in the group table, enforcing the MaxGroups bound.
-func (r *Registry) open(g uint32) error {
+// Open makes g known (reserving a MaxGroups slot) without yet building
+// its engine; the owning shard instantiates lazily on first input.
+// Opening an already-known group is a no-op.
+func (r *Registry) Open(g uint32) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -187,19 +192,28 @@ func (r *Registry) open(g uint32) error {
 	return nil
 }
 
-// Open makes g known (reserving a MaxGroups slot) without yet building
-// its engine; the owning shard instantiates lazily on first input.
-// Opening an already-known group is a no-op.
-func (r *Registry) Open(g uint32) error { return r.open(g) }
+// Start opens g and builds its engine now instead of at first input,
+// returning the construction error — for a group whose configuration
+// the caller wants validated before any traffic flows.
+func (r *Registry) Start(g uint32) error {
+	if err := r.Open(g); err != nil {
+		return err
+	}
+	return r.shardOf(g).ask(context.Background(), func(s *shard) error {
+		_, err := s.engine(g)
+		return err
+	})
+}
 
 // Submit broadcasts data on group g, instantiating the group if needed.
 // data is retained by the engine (callers pass an owned copy). It blocks
-// only while the owning shard's inbox is full (backpressure).
-func (r *Registry) Submit(g uint32, data []byte) error {
-	if err := r.open(g); err != nil {
+// only while the owning shard's inbox is full (backpressure), returning
+// ctx.Err() if ctx ends first.
+func (r *Registry) Submit(ctx context.Context, g uint32, data []byte) error {
+	if err := r.Open(g); err != nil {
 		return err
 	}
-	return r.shardOf(g).send(shardMsg{kind: msgSubmit, group: g, data: data})
+	return r.shardOf(g).send(ctx, shardMsg{kind: msgSubmit, group: g, data: data})
 }
 
 // Inbound routes one received wire unit to group g's owner shard,
@@ -208,11 +222,11 @@ func (r *Registry) Submit(g uint32, data []byte) error {
 // via DroppedUnknown: unknown-group loss, repaired (or not) like any
 // other transport loss, never a crash.
 func (r *Registry) Inbound(g uint32, in Inbound) {
-	if err := r.open(g); err != nil {
-		r.dropUnknown(in)
-		return
+	err := r.Open(g)
+	if err == nil {
+		err = r.shardOf(g).send(context.Background(), shardMsg{kind: msgInbound, group: g, in: in})
 	}
-	if err := r.shardOf(g).send(shardMsg{kind: msgInbound, group: g, in: in}); err != nil {
+	if err != nil {
 		r.dropUnknown(in)
 	}
 }
@@ -226,16 +240,39 @@ func (r *Registry) dropUnknown(in Inbound) {
 	}
 }
 
-// Groups snapshots the known group IDs (reserved or instantiated), in
-// arbitrary order.
-func (r *Registry) Groups() []uint32 {
+// Evict removes peer k from the confirmation quorum of every
+// instantiated engine on every shard, and of every engine built
+// afterwards: a crashed peer stalls each group it is a member of, and it
+// is a member of all of them. It returns the engines' validation error
+// (self-evict, out-of-range ID), in which case nothing is remembered.
+func (r *Registry) Evict(k pdu.EntityID) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint32, 0, len(r.known))
-	for g := range r.known {
-		out = append(out, g)
+	if r.closed {
+		r.mu.Unlock()
+		return ErrClosed
 	}
-	return out
+	// Remember before fanning out, so an engine built concurrently either
+	// starts without k or is there when its shard handles the message.
+	r.evicted = append(r.evicted, k)
+	r.mu.Unlock()
+	var first error
+	for _, s := range r.shards {
+		err := s.ask(context.Background(), func(s *shard) error { return s.evict(k) })
+		if first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		r.mu.Lock()
+		for i, e := range r.evicted {
+			if e == k {
+				r.evicted = append(r.evicted[:i], r.evicted[i+1:]...)
+				break
+			}
+		}
+		r.mu.Unlock()
+	}
+	return first
 }
 
 // GroupCount reports how many groups are known.
@@ -245,68 +282,84 @@ func (r *Registry) GroupCount() int {
 	return len(r.known)
 }
 
-// statsTimeout bounds how long introspection waits for a busy shard; a
-// scrape that misses simply reports absence rather than stalling.
-const statsTimeout = 100 * time.Millisecond
+// scrapeTimeout bounds how long a scraper waits for a busy shard to
+// accept its request; a scrape that misses simply reports absence rather
+// than stalling the endpoint.
+const scrapeTimeout = 100 * time.Millisecond
 
-// Stats returns group g's protocol counters, or ok=false if the group
-// has no engine (never instantiated) or its shard stayed busy past an
-// internal timeout.
-func (r *Registry) Stats(g uint32) (core.Stats, bool) {
-	reply := make(chan statsReply, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgStats, group: g, statsC: reply}) {
-		return core.Stats{}, false
+// query runs read on group g's engine between inputs on the owning
+// shard; ok is false if the group has no engine. With scrape set it also
+// gives up (ok false) when the shard stays busy past scrapeTimeout. Once
+// the registry is closed the engines are frozen and are read directly.
+func (r *Registry) query(g uint32, scrape bool, read func(eng *core.Entity, now time.Duration)) bool {
+	ctx := context.Background()
+	if scrape {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, scrapeTimeout)
+		defer cancel()
 	}
-	rep := <-reply
-	return rep.stats, rep.ok
+	s := r.shardOf(g)
+	q := func(s *shard) error {
+		eng := s.groups[g]
+		if eng == nil {
+			return errNoEngine
+		}
+		read(eng, r.cfg.Now())
+		return nil
+	}
+	err := s.ask(ctx, q)
+	if errors.Is(err, ErrClosed) {
+		<-s.done // the owner goroutine is gone: nothing mutates its engines
+		err = q(s)
+	}
+	return err == nil
 }
 
-// SnapshotInto fills dst with group g's live protocol state, taken
-// between inputs on the owning shard. ok=false as for Stats; on false
-// dst is untouched.
+// Stats returns group g's protocol counters; ok is false if the group
+// has no engine.
+func (r *Registry) Stats(g uint32) (st core.Stats, ok bool) {
+	ok = r.query(g, false, func(eng *core.Entity, _ time.Duration) { st = eng.Stats() })
+	return st, ok
+}
+
+// SnapshotInto fills dst with group g's live protocol state. ok is false
+// if the group has no engine or its shard stayed busy past an internal
+// timeout; dst is then untouched.
 func (r *Registry) SnapshotInto(g uint32, dst *obsv.StateSnapshot) bool {
-	reply := make(chan bool, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgSnap, group: g, snap: dst, okC: reply}) {
-		return false
-	}
-	return <-reply
+	return r.query(g, true, func(eng *core.Entity, _ time.Duration) { eng.SnapshotInto(dst) })
 }
 
-// Stalls fills dst with group g's stall-analyzer verdicts, taken
-// between inputs on the owning shard. ok=false as for Stats; on false
-// dst is untouched.
+// Stalls fills dst with group g's stall-analyzer verdicts; ok as for
+// SnapshotInto.
 func (r *Registry) Stalls(g uint32, dst *[]obsv.Stall) bool {
-	reply := make(chan bool, 1)
-	if !r.shardOf(g).request(shardMsg{kind: msgStalls, group: g, stalls: dst, okC: reply}) {
-		return false
-	}
-	return <-reply
+	return r.query(g, true, func(eng *core.Entity, now time.Duration) { *dst = eng.Stalls(now, 0) })
 }
+
+// errBusy is a shard's answer to "are you quiescent?" when it is not.
+var errBusy = errors.New("groups: not quiescent")
 
 // Quiescent reports whether every instantiated engine on every shard
 // owes the cluster nothing. It blocks until each shard answers between
-// inputs (or returns false if the registry is closing).
+// inputs, and is false once the registry is closing.
 func (r *Registry) Quiescent() bool {
 	for _, s := range r.shards {
-		reply := make(chan bool, 1)
-		if err := s.send(shardMsg{kind: msgQuiescent, okC: reply}); err != nil {
-			return false
-		}
-		select {
-		case q := <-reply:
-			if !q {
-				return false
+		err := s.ask(context.Background(), func(s *shard) error {
+			for _, eng := range s.groups {
+				if eng != nil && !eng.Quiescent() {
+					return errBusy
+				}
 			}
-		case <-s.done:
+			return nil
+		})
+		if err != nil {
 			return false
 		}
 	}
 	return true
 }
 
-// Close stops every shard goroutine and closes their Frames adapters.
-// Pending inputs may be dropped — indistinguishable from loss. It is
-// idempotent.
+// Close stops every shard goroutine. Pending inputs may be dropped —
+// indistinguishable from loss. It is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -325,32 +378,26 @@ func (r *Registry) Close() {
 
 // shardInboxCap is each shard's input queue depth. Full inboxes apply
 // backpressure to submitters and to the inbound router (which in turn
-// slows the transport pump — the receive socket buffer absorbs bursts).
+// slows the transport — the receive socket buffer absorbs bursts).
 const shardInboxCap = 256
 
 const (
 	msgSubmit = iota
 	msgInbound
-	msgStats
-	msgSnap
-	msgStalls
-	msgQuiescent
+	msgQuery
 )
 
-type statsReply struct {
-	stats core.Stats
-	ok    bool
-}
-
+// shardMsg is one shard input. Submissions and inbounds, the hot kinds,
+// travel as plain fields; everything else (introspection, eviction,
+// eager start) is a query: a function run on the shard goroutine between
+// inputs, whose result goes to reply.
 type shardMsg struct {
-	kind   int
-	group  uint32
-	data   []byte
-	in     Inbound
-	statsC chan statsReply
-	snap   *obsv.StateSnapshot
-	stalls *[]obsv.Stall
-	okC    chan bool
+	kind  int
+	group uint32
+	data  []byte
+	in    Inbound
+	query func(s *shard) error
+	reply chan error
 }
 
 // shard is one owner goroutine and the engines hash-assigned to it.
@@ -358,20 +405,29 @@ type shardMsg struct {
 // the single-writer invariant, per group, by construction.
 type shard struct {
 	reg *Registry
-	idx int
 	in  chan shardMsg
 	// groups maps group ID -> engine; a nil engine is a tombstone for a
 	// group whose construction failed (inputs drop as unknown-group loss
 	// instead of retrying construction per datagram).
 	groups map[uint32]*core.Entity
 	frames Frames
-	stop   chan struct{}
-	done   chan struct{}
+	// ticker drives Tick for the shard's engines; it starts with the
+	// first engine, so a shard that owns none never wakes.
+	ticker *time.Ticker
+	tickC  <-chan time.Time
+	// cur and curGroup name the engine an inbound is being delivered to;
+	// recv is s.receive bound once, so Deliver takes no per-datagram
+	// closure.
+	cur      *core.Entity
+	curGroup uint32
+	recv     func(p *pdu.PDU)
+	stop     chan struct{}
+	done     chan struct{}
 }
 
-// send enqueues m, blocking while the inbox is full; it fails only once
-// the registry is closing.
-func (s *shard) send(m shardMsg) error {
+// send enqueues m, blocking while the inbox is full; it fails once the
+// registry is closing or ctx ends.
+func (s *shard) send(ctx context.Context, m shardMsg) error {
 	select {
 	case <-s.stop:
 		return ErrClosed
@@ -380,58 +436,52 @@ func (s *shard) send(m shardMsg) error {
 	select {
 	case s.in <- m:
 		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	case <-s.stop:
-		return ErrClosed
-	case <-s.done:
 		return ErrClosed
 	}
 }
 
-// request enqueues an introspection message, giving up after
-// statsTimeout instead of blocking a scraper behind a busy shard.
-func (s *shard) request(m shardMsg) bool {
-	timer := time.NewTimer(statsTimeout)
-	defer timer.Stop()
+// ask runs q on the shard goroutine between inputs and returns its
+// result; ctx bounds only the wait for the shard to accept the request.
+func (s *shard) ask(ctx context.Context, q func(s *shard) error) error {
+	reply := make(chan error, 1)
+	if err := s.send(ctx, shardMsg{kind: msgQuery, query: q, reply: reply}); err != nil {
+		return err
+	}
 	select {
-	case s.in <- m:
-		return true
-	case <-s.stop:
-		return false
+	case err := <-reply:
+		return err
 	case <-s.done:
-		return false
-	case <-timer.C:
-		return false
+		return ErrClosed
 	}
 }
 
-// loop is the shard's owner goroutine: block for one input, drain
-// whatever else is pending without blocking, then flush — so the PDUs
-// every engine produced for one burst ride out together, across groups,
-// in one staged-batch send.
+// loop is the shard's owner goroutine, and the runtime's one event loop:
+// block for one input, drain whatever else is pending without blocking,
+// then flush — so the PDUs every engine produced for one burst ride out
+// together, across groups, in one staged-batch send.
 func (s *shard) loop() {
 	defer close(s.done)
-	defer s.frames.Close()
-	ticker := time.NewTicker(s.reg.cfg.Tick)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-s.stop:
-			s.drainOnStop()
+			s.shutdown()
 			return
 		case m := <-s.in:
 			s.handle(m)
-		case <-ticker.C:
+		case <-s.tickC:
 			s.tickAll()
 		}
-		drained := false
-		for !drained {
+		for drained := false; !drained; {
 			select {
 			case <-s.stop:
-				s.drainOnStop()
+				s.shutdown()
 				return
 			case m := <-s.in:
 				s.handle(m)
-			case <-ticker.C:
+			case <-s.tickC:
 				s.tickAll()
 			default:
 				drained = true
@@ -441,20 +491,21 @@ func (s *shard) loop() {
 	}
 }
 
-// drainOnStop releases resources queued behind the stop signal so pooled
-// datagram buffers are not leaked at close.
-func (s *shard) drainOnStop() {
+// shutdown stops the ticker and releases what is queued behind the stop
+// signal, so pooled datagram buffers are not leaked at close and no
+// asker waits for a reply that will never come.
+func (s *shard) shutdown() {
+	if s.ticker != nil {
+		s.ticker.Stop()
+	}
 	for {
 		select {
 		case m := <-s.in:
 			if m.in.Raw != nil {
 				pdu.PutDatagram(m.in.Raw)
 			}
-			if m.statsC != nil {
-				m.statsC <- statsReply{}
-			}
-			if m.okC != nil {
-				m.okC <- false
+			if m.reply != nil {
+				m.reply <- ErrClosed
 			}
 		default:
 			return
@@ -465,88 +516,113 @@ func (s *shard) drainOnStop() {
 func (s *shard) handle(m shardMsg) {
 	switch m.kind {
 	case msgSubmit:
-		eng := s.engine(m.group)
-		if eng == nil {
-			return
+		if eng, _ := s.engine(m.group); eng != nil {
+			s.dispatch(m.group, eng, eng.Submit(m.data, s.reg.cfg.Now()))
 		}
-		s.dispatch(m.group, eng.Submit(m.data, s.reg.cfg.Now()))
 	case msgInbound:
-		eng := s.engine(m.group)
+		eng, _ := s.engine(m.group)
 		if eng == nil {
 			s.reg.dropUnknown(m.in)
 			return
 		}
-		s.frames.Deliver(m.group, m.in, func(p *pdu.PDU) {
-			// Receive errors mark malformed or foreign PDUs; the engine
-			// counts them in InvalidPDUs and the protocol carries on.
-			out, _ := eng.Receive(p, s.reg.cfg.Now())
-			s.dispatch(m.group, out)
-		})
-	case msgStats:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.statsC <- statsReply{}
-			return
-		}
-		m.statsC <- statsReply{stats: eng.Stats(), ok: true}
-	case msgSnap:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.okC <- false
-			return
-		}
-		eng.SnapshotInto(m.snap)
-		m.okC <- true
-	case msgStalls:
-		eng, ok := s.groups[m.group]
-		if !ok || eng == nil {
-			m.okC <- false
-			return
-		}
-		*m.stalls = eng.Stalls(s.reg.cfg.Now(), 0)
-		m.okC <- true
-	case msgQuiescent:
-		for _, eng := range s.groups {
-			if eng != nil && !eng.Quiescent() {
-				m.okC <- false
-				return
-			}
-		}
-		m.okC <- true
+		s.cur, s.curGroup = eng, m.group
+		s.frames.Deliver(m.group, m.in, s.recv)
+	case msgQuery:
+		m.reply <- m.query(s)
 	}
 }
 
-// engine returns group g's engine, instantiating it on first input. A
+// receive feeds one decoded PDU to the engine an inbound is addressed to.
+func (s *shard) receive(p *pdu.PDU) {
+	now := s.reg.cfg.Now()
+	recordWire(s.cur.Flight(), flight.EvWireIn, p, now)
+	// Receive errors mark malformed or foreign PDUs; the engine counts
+	// them in InvalidPDUs and the protocol carries on.
+	out, _ := s.cur.Receive(p, now)
+	s.dispatch(s.curGroup, s.cur, out)
+}
+
+// engine returns group g's engine, instantiating it on first use. A
 // failed construction is tombstoned so later inputs drop cheaply.
-func (s *shard) engine(g uint32) *core.Entity {
-	eng, ok := s.groups[g]
-	if ok {
-		return eng
+func (s *shard) engine(g uint32) (*core.Entity, error) {
+	if eng, ok := s.groups[g]; ok {
+		if eng == nil {
+			return nil, errNoEngine
+		}
+		return eng, nil
 	}
 	eng, err := s.reg.cfg.NewEntity(g)
 	if err != nil {
-		eng = nil
+		s.groups[g] = nil
+		return nil, err
 	}
 	s.groups[g] = eng
-	return eng
+	if s.ticker == nil {
+		s.ticker = time.NewTicker(s.reg.cfg.Tick)
+		s.tickC = s.ticker.C
+	}
+	s.reg.mu.Lock()
+	evicted := append([]pdu.EntityID(nil), s.reg.evicted...)
+	s.reg.mu.Unlock()
+	for _, k := range evicted {
+		// Evict validated k against an identically configured engine.
+		out, _ := eng.Evict(k, s.reg.cfg.Now())
+		s.dispatch(g, eng, out)
+	}
+	return eng, nil
+}
+
+// evict removes peer k from every engine the shard owns, returning the
+// first validation error.
+func (s *shard) evict(k pdu.EntityID) error {
+	var first error
+	for g, eng := range s.groups {
+		if eng == nil {
+			continue
+		}
+		out, err := eng.Evict(k, s.reg.cfg.Now())
+		if first == nil {
+			first = err
+		}
+		s.dispatch(g, eng, out)
+	}
+	return first
 }
 
 func (s *shard) tickAll() {
 	now := s.reg.cfg.Now()
 	for g, eng := range s.groups {
 		if eng != nil {
-			s.dispatch(g, eng.Tick(now))
+			s.dispatch(g, eng, eng.Tick(now))
 		}
 	}
 }
 
 // dispatch stages an engine's output PDUs on the shard's frames (sent at
 // the next flush) and hands its deliveries to the embedding runtime.
-func (s *shard) dispatch(g uint32, out core.Output) {
+func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
+	if ring := eng.Flight(); ring != nil && len(out.PDUs) > 0 {
+		now := s.reg.cfg.Now()
+		for _, p := range out.PDUs {
+			recordWire(ring, flight.EvWireOut, p, now)
+		}
+	}
 	for _, p := range out.PDUs {
 		s.frames.Append(g, p)
 	}
 	for _, d := range out.Deliveries {
 		s.reg.cfg.Deliver(g, d)
 	}
+}
+
+// recordWire notes one PDU crossing the node/network boundary. A RET
+// identifies itself by the PDU it chases (LSrc#LSeq), so that is what
+// the span assembler needs in the Src/Seq slots; Peer then carries the
+// requester-visible source for cross-referencing.
+func recordWire(ring *flight.Ring, t flight.EventType, p *pdu.PDU, now time.Duration) {
+	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
+	if p.Kind == pdu.KindRet {
+		src, seq, peer = p.LSrc, p.LSeq, p.Src
+	}
+	ring.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
 }

@@ -65,12 +65,12 @@ type LinkMetrics struct {
 	// Flushes counts flush operations that put at least one PDU on
 	// the wire; FlushedPDUs sums the PDUs across them. EarlyFlushes
 	// counts flushes forced mid-batch because the next PDU would
-	// have overflowed the datagram (wireLink) or batch cap (memLink).
+	// have overflowed the datagram (wireFrames) or batch cap (memFrames).
 	Flushes, FlushedPDUs, EarlyFlushes Counter
 
 	// BytesOutV1/V2 count encoded frame bytes sent and BytesInV1/V2
 	// frame bytes received, attributed to the entry codec version of
-	// the frame (wire links only: memLinks move decoded PDUs). The
+	// the frame (wire substrate only: memFrames moves decoded PDUs). The
 	// per-version split is what experiment E12 reads to compare v1's
 	// fixed-width encoding against v2's delta stamps.
 	BytesOutV1, BytesOutV2, BytesInV1, BytesInV2 Counter

@@ -137,7 +137,7 @@ func LatencyBucketsUS() []uint64 {
 }
 
 // BatchBuckets are the default boundaries for link flush batch sizes
-// (PDUs per datagram/flush), powers of two up to the memLink cap.
+// (PDUs per datagram/flush), powers of two up to the memFrames cap.
 func BatchBuckets() []uint64 {
 	return []uint64{1, 2, 4, 8, 16, 32, 64, 128}
 }

@@ -2,340 +2,330 @@ package cobcast
 
 import (
 	"errors"
-	"sync"
 
+	"cobcast/internal/groups"
 	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
 
-// inbound is one received datagram, in exactly one representation: pdus
-// for links whose substrate moves decoded PDUs (in-memory network), raw
-// for links whose substrate moves encoded batch frames (Transport). The
-// owning link interprets its own inbounds in deliver.
-type inbound struct {
-	pdus []*pdu.PDU
-	raw  []byte
-	// group is the addressed group for substrates that tag at the
-	// transport boundary (the in-memory network); wire links carry the
-	// group inside the v3 frame header instead and peek it in route.
-	group uint32
+// substrate is everything that differs between a node on the in-memory
+// network and a node on a Transport: the frames adapter each shard sends
+// and decodes through, the body of the node's router goroutine, and what
+// Close releases last.
+type substrate struct {
+	newFrames func(lm *obsv.LinkMetrics) groups.Frames
+	route     func(nd *Node)
+	close     func() error
 }
 
-// link is the node's single attachment point to whatever moves PDUs —
-// the layer that collapses the old port/trans duality. The loop
-// goroutine owns the send side: it stages outgoing PDUs with append and
-// coalesces them into one datagram per flush, which it calls whenever
-// its input queue goes idle, so every PDU produced by one input burst
-// rides together. A link must preserve per-sender datagram order, which
-// with the frame ordering contract preserves per-sender PDU order within
-// and across batches (the MC service contract).
-//
-// Ownership: append borrows the PDU pointer until the next flush; entity
-// output PDUs are immutable after creation (the sendlog retransmits them
-// bit-identically), so staging them is safe. deliver hands PDUs to fn
-// under the entity Receive contract: sequenced PDUs are owned by the
-// callee, unsequenced ones may be link scratch reused after fn returns.
-type link interface {
-	// append stages p for the next flush. It may flush early to respect
-	// substrate limits (datagram size, batch cap).
-	append(p *pdu.PDU)
-	// flush sends everything staged since the last flush as one
-	// datagram per destination. Send failures are dropped datagrams —
-	// indistinguishable from network loss, repaired by the protocol.
-	flush()
-	// recv is the unified inbox: one entry per arriving datagram. It is
-	// closed when the link or its substrate closes.
-	recv() <-chan inbound
-	// deliver decodes one inbound datagram and hands each PDU to fn in
-	// batch order, then releases the datagram's resources.
-	deliver(in inbound, fn func(p *pdu.PDU))
-	// route classifies one inbound before decode: the group it is
-	// addressed to (0 = the default group, handled by the node loop's
-	// own deliver path) and whether the link already dropped it (an
-	// out-of-range group ID — counted as unknown-group loss, resources
-	// released). group > 0 hands ownership to the multi-group runtime.
-	route(in inbound) (group uint32, drop bool)
-	// close stops the link's pump goroutine and closes a transport the
-	// link owns. It is idempotent.
-	close() error
-	// instrument attaches flush metrics. Must be called before the loop
-	// goroutine starts using the link (node construction); nil detaches.
-	instrument(m *obsv.LinkMetrics)
-}
-
-// memBatchMax bounds how many PDUs a memLink stages before flushing
-// early; it plays the role MaxDatagram plays for wire links and keeps a
-// long drain from growing the staging slice without bound.
-const memBatchMax = 128
-
-// memLink attaches a node to the in-memory network. PDUs move as
-// pointers: append stages them (the network clones at its boundary on
-// flush) and deliver's PDUs arrive already cloned and owned.
-type memLink struct {
-	port  *network.Port
-	batch []*pdu.PDU
-	lm    *obsv.LinkMetrics // nil unless instrumented
-	in    chan inbound
-	stop  chan struct{}
-	done  chan struct{}
-	once  sync.Once
-}
-
-func newMemLink(port *network.Port) *memLink {
-	l := &memLink{
-		port:  port,
-		batch: make([]*pdu.PDU, 0, memBatchMax),
-		in:    make(chan inbound),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go l.pump()
-	return l
-}
-
-func (l *memLink) append(p *pdu.PDU) {
-	l.batch = append(l.batch, p)
-	if len(l.batch) >= memBatchMax {
-		l.flushBatch(true)
-	}
-}
-
-func (l *memLink) flush() { l.flushBatch(false) }
-
-func (l *memLink) flushBatch(early bool) {
-	if len(l.batch) == 0 {
-		return
-	}
-	l.lm.Flush(len(l.batch), early)
-	_ = l.port.Broadcast(l.batch...) // fails only on Close
-	for i := range l.batch {
-		l.batch[i] = nil
-	}
-	l.batch = l.batch[:0]
-}
-
-func (l *memLink) instrument(m *obsv.LinkMetrics) { l.lm = m }
-
-func (l *memLink) recv() <-chan inbound { return l.in }
-
-// pump forwards the port inbox onto the unified inbound channel until
-// the network or the link closes.
-func (l *memLink) pump() {
-	defer close(l.done)
+// route is the body of a node's single inbound goroutine: it takes each
+// arriving datagram off the substrate, classifies it by group without
+// decoding it, and enqueues it straight on the owner shard's inbox — one
+// hop from transport to the loop that owns the engine, for every group.
+// classify returns false for a datagram it already dropped. When the
+// substrate closes underneath the node, the runtime stops with it.
+func route[T any](nd *Node, recv <-chan T, classify func(T) (uint32, groups.Inbound, bool)) {
 	for {
 		select {
-		case <-l.stop:
+		case <-nd.stop:
 			return
-		case in, ok := <-l.port.Recv():
+		case x, ok := <-recv:
 			if !ok {
-				close(l.in)
+				nd.halt()
+				nd.rt.Close()
 				return
 			}
-			select {
-			case l.in <- inbound{pdus: in.PDUs, group: in.Group}:
-			case <-l.stop:
-				return
+			if g, in, ok := classify(x); ok {
+				nd.rt.Inbound(g, in)
 			}
 		}
 	}
 }
 
-func (l *memLink) deliver(in inbound, fn func(p *pdu.PDU)) {
-	for _, p := range in.pdus {
+// memSubstrate attaches a node to the in-memory network. Shards share
+// the node's port: BroadcastGroup is safe for concurrent use, and the
+// network tags each datagram with its group at the boundary, so the
+// router has nothing to peek.
+func memSubstrate(port *network.Port) substrate {
+	return substrate{
+		newFrames: func(lm *obsv.LinkMetrics) groups.Frames {
+			return &memFrames{port: port, lm: lm, staged: make(map[uint32][]*pdu.PDU)}
+		},
+		route: func(nd *Node) {
+			route(nd, port.Recv(), func(in network.Inbound) (uint32, groups.Inbound, bool) {
+				return in.Group, groups.Inbound{PDUs: in.PDUs}, true
+			})
+		},
+		close: func() error { return nil },
+	}
+}
+
+// wireSubstrate attaches a node to a Transport, which the node owns and
+// closes. The router peeks each frame header's group address without
+// decoding the body: v1/v2 frames are group 0; a v3 group ID past
+// pdu.MaxGroupID (a corrupted or hostile header) is dropped whole and
+// counted as unknown-group loss. Headers too mangled to classify go to
+// group 0, whose decoder rejects them as generic loss.
+func wireSubstrate(trans Transport, version uint8, stampK int) substrate {
+	return substrate{
+		newFrames: func(lm *obsv.LinkMetrics) groups.Frames {
+			return newWireFrames(trans, version, stampK, lm)
+		},
+		route: func(nd *Node) {
+			route(nd, trans.Recv(), func(b []byte) (uint32, groups.Inbound, bool) {
+				g, ok := pdu.FrameGroup(b)
+				if ok && g > pdu.MaxGroupID {
+					nd.lm.UnknownGroup()
+					pdu.PutDatagram(b)
+					return 0, groups.Inbound{}, false
+				}
+				return g, groups.Inbound{Raw: b}, true
+			})
+		},
+		close: trans.Close,
+	}
+}
+
+// memBatchMax bounds how many PDUs memFrames stages per group before
+// sending early; it plays the role MaxDatagram plays on the wire and
+// keeps a long drain from growing the staging slice without bound.
+const memBatchMax = 128
+
+// memFrames is one shard's groups.Frames over the in-memory network.
+// PDUs move as pointers: Append stages them per group, the network
+// clones at its boundary on send, and Deliver's PDUs arrive already
+// cloned and owned.
+type memFrames struct {
+	port *network.Port
+	lm   *obsv.LinkMetrics // nil unless instrumented
+	// staged holds each group's batch, its backing array kept across
+	// flushes; order lists the groups that have one, in first-append
+	// order.
+	staged map[uint32][]*pdu.PDU
+	order  []uint32
+}
+
+func (f *memFrames) Append(g uint32, p *pdu.PDU) {
+	batch := f.staged[g]
+	if len(batch) == 0 {
+		f.order = append(f.order, g)
+	}
+	batch = append(batch, p)
+	if len(batch) >= memBatchMax {
+		batch = f.send(g, batch, true)
+	}
+	f.staged[g] = batch
+}
+
+func (f *memFrames) Flush() {
+	for _, g := range f.order {
+		f.staged[g] = f.send(g, f.staged[g], false)
+	}
+	f.order = f.order[:0]
+}
+
+// send broadcasts group g's batch as one datagram and returns it
+// emptied for reuse.
+func (f *memFrames) send(g uint32, batch []*pdu.PDU, early bool) []*pdu.PDU {
+	if len(batch) == 0 {
+		return batch
+	}
+	f.lm.Flush(len(batch), early)
+	_ = f.port.BroadcastGroup(g, batch...) // fails only on Close
+	clear(batch)
+	return batch[:0]
+}
+
+func (f *memFrames) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
+	for _, p := range in.PDUs {
 		fn(p)
 	}
 }
 
-// route passes through the network boundary's group tag; the in-memory
-// network cannot produce out-of-range IDs, so nothing drops here.
-func (l *memLink) route(in inbound) (uint32, bool) { return in.group, false }
-
-func (l *memLink) close() error {
-	l.once.Do(func() {
-		close(l.stop)
-		<-l.done
-	})
-	return nil
-}
-
-// wireBatchMax bounds how many sealed frames a wireLink stages before
+// wireBatchMax bounds how many sealed frames wireFrames stages before
 // sending them mid-drain; it keeps one very long input burst from
 // growing the staging buffers without bound while still letting the
 // common burst ride down in a single BroadcastBatch call.
 const wireBatchMax = 16
 
-// wireLink attaches a node to a Transport. append marshals each PDU
-// straight into an in-progress batch frame (sealing it into the staged
-// set first if the PDU would push the frame past MaxDatagram), flush
-// seals the last frame and hands the whole staged set to the transport —
-// in one BroadcastBatch call when the transport implements
+// wireFrames is one shard's groups.Frames over a Transport. Append
+// marshals each PDU straight into its group's in-progress batch frame
+// (sealing it into the staged set first if the PDU would push the frame
+// past MaxDatagram); Flush seals every open frame — one per group that
+// spoke since the last flush — and hands the whole staged set to the
+// transport, in one BroadcastBatch call when the transport implements
 // BatchTransport (the UDP transport's sendmmsg path turns that into one
-// syscall per flush), else one Broadcast per frame. deliver decodes
-// arriving frames into a reused scratch PDU — so the whole encode/decode
-// hot path is allocation-free in steady state, reusing a small set of
-// grown frame buffers and the transport's datagram pool.
+// syscall per flush, shared by all the shard's groups), else one
+// Broadcast per frame. Deliver decodes arriving frames into a reused
+// scratch PDU — so the whole encode/decode hot path is allocation-free
+// in steady state, reusing a small set of grown frame buffers and the
+// transport's datagram pool.
 //
-// The entry codec version is a send-side choice: reception accepts v1
-// and v2 frames alike (the per-source stamp cache resolves v2 delta
-// entries whatever this node emits), so a mixed-version cluster
-// interoperates and the version can roll node by node.
-type wireLink struct {
+// Each group is an independent sequence space, and v2 delta stamps
+// reference per-source, per-group streams, so encoder, decoder and stamp
+// state are all per group. The entry codec version is a send-side
+// choice: reception accepts v1 and v2 entries alike, so a mixed-version
+// cluster interoperates and the version can roll node by node.
+//
+// Only the owning shard goroutine touches a wireFrames; the transport
+// underneath accepts concurrent sends from all shards.
+type wireFrames struct {
 	trans Transport
 	// bt is trans's batched-send extension, nil when unimplemented.
 	bt      BatchTransport
 	version uint8
-	enc     pdu.FrameEncoder
+	stampK  int
+	lm      *obsv.LinkMetrics // nil unless instrumented
+
+	chans map[uint32]*wireChan
+	// open lists the groups with a frame in progress, in first-append
+	// order. staged holds sealed frames awaiting send, in seal order —
+	// which keeps each group's frames, and so each sender's PDUs, in
+	// order on the wire. free holds build buffers between uses, so each
+	// grows once.
+	open    []*wireChan
+	staged  [][]byte
+	free    [][]byte
+	scratch pdu.PDU
+}
+
+// wireChan is one group's framing state on one shard.
+type wireChan struct {
+	group uint32
+	enc   pdu.FrameEncoder
 	// stamps is the v2 reference-stamp state threaded through every
-	// frame this link sends; nil for a v1 link.
+	// frame this group sends; nil under codec v1.
 	stamps *pdu.StampEncoder
-	// bufs are the frame build buffers, retained across flushes so each
-	// grows once: bufs[:nframes] hold sealed frames awaiting send,
-	// bufs[nframes] is the in-progress frame the encoder writes into.
-	// Only the loop goroutine touches them. Staged frames are sent in
-	// seal order, preserving the per-sender PDU order across frames.
-	bufs    [][]byte
-	nframes int
-	dec     pdu.FrameDecoder
+	active bool // enc has a frame in progress
+	dec    pdu.FrameDecoder
 	// sdec caches the last stamp decoded per source, mirroring each
 	// sender's stream across frames (see pdu.StampDecoder).
-	sdec    pdu.StampDecoder
-	scratch pdu.PDU
-	lm      *obsv.LinkMetrics // nil unless instrumented
-	in      chan inbound
-	stop    chan struct{}
-	done    chan struct{}
-	once    sync.Once
+	sdec pdu.StampDecoder
 }
 
-// newWireLink attaches trans using entry codec version (pdu.WireVersion
-// or pdu.WireVersion2). stampK is v2's full-stamp sync interval; <= 0
-// selects pdu.DefaultStampInterval.
-func newWireLink(trans Transport, version uint8, stampK int) *wireLink {
-	l := &wireLink{
+// newWireFrames attaches trans using entry codec version
+// (pdu.WireVersion or pdu.WireVersion2). stampK is v2's full-stamp sync
+// interval; <= 0 selects pdu.DefaultStampInterval.
+func newWireFrames(trans Transport, version uint8, stampK int, lm *obsv.LinkMetrics) *wireFrames {
+	f := &wireFrames{
 		trans:   trans,
 		version: version,
-		bufs:    [][]byte{make([]byte, 0, 4096)},
-		in:      make(chan inbound),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		stampK:  stampK,
+		lm:      lm,
+		chans:   make(map[uint32]*wireChan),
 	}
-	if bt, ok := trans.(BatchTransport); ok {
-		l.bt = bt
-	}
-	if version == pdu.WireVersion2 {
-		l.stamps = pdu.NewStampEncoder(stampK)
-	}
-	l.dec.SetStampDecoder(&l.sdec)
-	l.begin()
-	go l.pump()
-	return l
+	f.bt, _ = trans.(BatchTransport)
+	return f
 }
 
-// begin opens the next outgoing frame with the link's entry codec,
-// writing into the first unsealed build buffer.
-func (l *wireLink) begin() {
-	if l.nframes == len(l.bufs) {
-		l.bufs = append(l.bufs, make([]byte, 0, 4096))
+func (f *wireFrames) channel(g uint32) *wireChan {
+	c, ok := f.chans[g]
+	if !ok {
+		c = &wireChan{group: g}
+		if f.version == pdu.WireVersion2 {
+			c.stamps = pdu.NewStampEncoder(f.stampK)
+		}
+		c.dec.SetStampDecoder(&c.sdec)
+		f.chans[g] = c
 	}
-	buf := l.bufs[l.nframes][:0]
-	if l.version == pdu.WireVersion2 {
-		l.enc.BeginV2(buf, l.stamps)
+	return c
+}
+
+// begin opens c's next outgoing frame in a free build buffer: the v1/v2
+// header for group 0 — a single-group node's datagrams carry no trace of
+// the multi-group runtime — and the group-addressed v3 header otherwise.
+func (f *wireFrames) begin(c *wireChan) {
+	var buf []byte
+	if n := len(f.free); n > 0 {
+		buf, f.free = f.free[n-1], f.free[:n-1]
 	} else {
-		l.enc.Begin(buf)
+		buf = make([]byte, 0, 4096)
+	}
+	switch {
+	case c.group != 0:
+		c.enc.BeginGroup(buf, c.group, f.version, c.stamps)
+	case f.version == pdu.WireVersion2:
+		c.enc.BeginV2(buf, c.stamps)
+	default:
+		c.enc.Begin(buf)
 	}
 }
 
-// entryBound returns an upper bound on p's encoded size under the
-// link's entry codec, for the early-flush datagram budget.
-func (l *wireLink) entryBound(p *pdu.PDU) int {
-	if l.version == pdu.WireVersion2 {
+// entryBound returns an upper bound on p's encoded size under the entry
+// codec, for the early-flush datagram budget.
+func (f *wireFrames) entryBound(p *pdu.PDU) int {
+	if f.version == pdu.WireVersion2 {
 		return p.EncodedSizeV2Bound()
 	}
 	return p.EncodedSize()
 }
 
-func (l *wireLink) append(p *pdu.PDU) {
-	if l.enc.Count() > 0 && l.enc.Size()+pdu.FrameEntrySize+l.entryBound(p) > MaxDatagram {
-		l.seal(true)
-		if l.nframes >= wireBatchMax {
-			l.sendStaged()
+func (f *wireFrames) Append(g uint32, p *pdu.PDU) {
+	c := f.channel(g)
+	switch {
+	case !c.active:
+		c.active = true
+		f.open = append(f.open, c)
+		f.begin(c)
+	case c.enc.Count() > 0 && c.enc.Size()+pdu.FrameEntrySize+f.entryBound(p) > MaxDatagram:
+		f.seal(c, true)
+		if len(f.staged) >= wireBatchMax {
+			f.sendStaged()
 		}
-		l.begin()
+		f.begin(c)
 	}
 	// An Append error means the PDU itself cannot be encoded (field
 	// overflow); dropping it is indistinguishable from transport loss.
-	_ = l.enc.Append(p)
+	_ = c.enc.Append(p)
 }
 
-func (l *wireLink) flush() {
-	l.seal(false)
-	if l.nframes == 0 {
+func (f *wireFrames) Flush() {
+	for _, c := range f.open {
+		f.seal(c, false)
+		c.active = false
+	}
+	f.open = f.open[:0]
+	f.sendStaged()
+}
+
+// seal closes c's in-progress frame into the staged set (or, if every
+// PDU appended to it failed to encode, just reclaims its buffer).
+func (f *wireFrames) seal(c *wireChan, early bool) {
+	b := c.enc.Bytes()
+	if c.enc.Count() == 0 {
+		f.free = append(f.free, b[:0])
 		return
 	}
-	l.sendStaged()
-	l.begin()
+	f.lm.Flush(c.enc.Count(), early)
+	f.lm.FlushBytes(len(b), f.version)
+	f.staged = append(f.staged, b)
 }
 
-// seal closes the in-progress frame, if non-empty, into the staged set.
-// The encoder is left un-begun; callers begin() the next frame after
-// any staged send so the build buffer index is stable.
-func (l *wireLink) seal(early bool) {
-	if l.enc.Count() == 0 {
-		return
-	}
-	l.lm.Flush(l.enc.Count(), early)
-	b := l.enc.Bytes()
-	l.lm.FlushBytes(len(b), l.version)
-	l.bufs[l.nframes] = b
-	l.nframes++
-}
-
-// sendStaged hands every sealed frame to the transport and resets the
-// staged set. Loss and oversize are the transport's to count; the
-// protocol repairs both via selective retransmission.
-func (l *wireLink) sendStaged() {
+// sendStaged hands every sealed frame to the transport and reclaims the
+// buffers. Loss and oversize are the transport's to count; the protocol
+// repairs both via selective retransmission.
+func (f *wireFrames) sendStaged() {
 	switch {
-	case l.nframes == 1:
-		_ = l.trans.Broadcast(l.bufs[0])
-	case l.bt != nil:
-		_ = l.bt.BroadcastBatch(l.bufs[:l.nframes])
+	case len(f.staged) == 0:
+		return
+	case len(f.staged) == 1:
+		_ = f.trans.Broadcast(f.staged[0])
+	case f.bt != nil:
+		_ = f.bt.BroadcastBatch(f.staged)
 	default:
-		for _, b := range l.bufs[:l.nframes] {
-			_ = l.trans.Broadcast(b)
+		for _, b := range f.staged {
+			_ = f.trans.Broadcast(b)
 		}
 	}
-	l.nframes = 0
-}
-
-func (l *wireLink) instrument(m *obsv.LinkMetrics) { l.lm = m }
-
-func (l *wireLink) recv() <-chan inbound { return l.in }
-
-// pump forwards raw datagrams from the transport onto the unified
-// inbound channel until the transport or the link closes.
-func (l *wireLink) pump() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case b, ok := <-l.trans.Recv():
-			if !ok {
-				close(l.in)
-				return
-			}
-			select {
-			case l.in <- inbound{raw: b}:
-			case <-l.stop:
-				pdu.PutDatagram(b)
-				return
-			}
-		}
+	for _, b := range f.staged {
+		f.free = append(f.free, b[:0])
 	}
+	f.staged = f.staged[:0]
 }
 
-func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
+func (f *wireFrames) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
+	c := f.channel(g)
 	// A decode error means a truncated or corrupt frame tail: PDUs
 	// decoded before it stand, the rest are lost datagram content the
 	// protocol recovers via RET. A delta entry whose reference stamp
@@ -344,13 +334,13 @@ func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
 	// remainder is dropped as loss too, repaired by retransmission or
 	// the sender's next full-stamp sync point; it is counted separately
 	// from genuinely invalid input.
-	err := l.dec.Reset(in.raw)
+	err := c.dec.Reset(in.Raw)
 	if err == nil {
-		l.lm.RecvBytes(len(in.raw), l.dec.Version())
+		f.lm.RecvBytes(len(in.Raw), c.dec.Version())
 	}
 	for err == nil {
 		var ok bool
-		ok, err = l.dec.Next(&l.scratch)
+		ok, err = c.dec.Next(&f.scratch)
 		if !ok {
 			break
 		}
@@ -358,43 +348,14 @@ func (l *wireLink) deliver(in inbound, fn func(p *pdu.PDU)) {
 		// out of scratch; control PDUs are only read during Receive.
 		// Clone shares Delta, which aliases the stamp decoder's scratch
 		// here, so the retained copy takes ownership via OwnDelta.
-		if l.scratch.Kind.Sequenced() {
-			fn(l.scratch.Clone().OwnDelta())
+		if f.scratch.Kind.Sequenced() {
+			fn(f.scratch.Clone().OwnDelta())
 		} else {
-			fn(&l.scratch)
+			fn(&f.scratch)
 		}
 	}
 	if errors.Is(err, pdu.ErrDeltaDesync) {
-		l.lm.StampDesync()
+		f.lm.StampDesync()
 	}
-	pdu.PutDatagram(in.raw)
-}
-
-// route peeks the frame header's group address without decoding the
-// body. v1/v2 frames and v3 frames addressed to group 0 stay on the
-// node loop's path; a v3 group ID past pdu.MaxGroupID (a corrupted or
-// hostile header) is dropped whole here and counted as unknown-group
-// loss. Headers too mangled to classify fall through to deliver, whose
-// decoder rejects them as generic loss.
-func (l *wireLink) route(in inbound) (uint32, bool) {
-	g, ok := pdu.FrameGroup(in.raw)
-	if !ok {
-		return 0, false
-	}
-	if g > pdu.MaxGroupID {
-		l.lm.UnknownGroup()
-		pdu.PutDatagram(in.raw)
-		return 0, true
-	}
-	return g, false
-}
-
-func (l *wireLink) close() error {
-	var err error
-	l.once.Do(func() {
-		close(l.stop)
-		<-l.done
-		err = l.trans.Close()
-	})
-	return err
+	pdu.PutDatagram(in.Raw)
 }

@@ -57,58 +57,39 @@ var ErrClosed = errors.New("cobcast: closed")
 var ErrOverBudget = errors.New("cobcast: memory budget exhausted")
 
 // Node is one cluster member. Create nodes with NewCluster (in-process)
-// or NewNode (custom transport); a node runs its protocol loop on a
-// dedicated goroutine until Close.
+// or NewNode (custom transport). A node is a façade over its runtime
+// (internal/groups): every ordered group it speaks on — the default
+// group included, as group 0 — is an engine owned by one of the
+// runtime's shard goroutines, and the node's own Broadcast, Deliveries,
+// Stats and snapshots are group 0's.
 type Node struct {
-	id  int
-	n   int
-	ent *core.Entity
-
-	// ledger is the default engine's memory ledger (nil without
-	// WithMemoryBudget); producers consult it before submitting, the
-	// entity (on the loop goroutine) is its only writer. shed selects
-	// the producer behaviour at an exhausted budget.
-	ledger *core.Ledger
-	shed   bool
-
-	// lk is the node's sole attachment to the outside: a memLink for
-	// in-process clusters (PDUs move as pointers, no serialization) or a
-	// wireLink for external transports (PDUs move as batch frames). The
-	// loop goroutine stages outgoing PDUs on it and flushes once per
-	// input burst, so every PDU produced while draining the queue
-	// coalesces into one datagram.
-	lk link
-
-	// Multi-group state (see group.go): the sharded runtime starts
-	// lazily on the first non-default Group() call or the first
-	// group-addressed inbound frame, so single-group nodes pay nothing.
-	groupsMu         sync.Mutex
-	groupRT          *groups.Registry
-	groupPorts       map[GroupID]*GroupPort
-	groupLedgers     map[GroupID]*core.Ledger
-	groupMetricsUsed int
-	gseed            groupSeed
-
-	// flight is the node's flight recorder (nil when disabled): the
-	// core entity records lifecycle events into it, the loop adds
-	// wire-in/out, producers add backpressure block/shed, and /tracez
-	// scrapes it concurrently.
+	id int
+	n  int
+	// o is what every group's engine is built from (see newEntity).
+	o options
+	// lm counts frame flushes and receive-side drops for the whole node,
+	// across groups and shards; nil without WithObservability.
+	lm *obsv.LinkMetrics
+	// flight is group 0's flight recorder (nil when disabled), set when
+	// its engine is built. Producers on any port record backpressure
+	// block/shed into it.
 	flight *flight.Ring
 
-	submits  chan []byte
-	evicts   chan evictReq
-	statsReq chan chan core.Stats
-	idleReq  chan chan bool
-	snapReq  chan snapRequest
-	deliver  chan Message
-	queue    deliveryQueue
-	start    time.Time
-	tick     time.Duration
+	rt   *groups.Registry
+	main *GroupPort // group 0's port
 
-	stop      chan struct{}
-	loopDone  chan struct{}
-	pumpDone  chan struct{}
-	closeOnce sync.Once
+	groupsMu         sync.Mutex
+	groupPorts       map[GroupID]*GroupPort
+	groupMetricsUsed int
+
+	start time.Time
+	tick  time.Duration
+
+	sub        substrate
+	stop       chan struct{}
+	stopOnce   sync.Once
+	routerDone chan struct{}
+	closeOnce  sync.Once
 }
 
 // NewNode creates a standalone node that exchanges PDUs through the given
@@ -130,10 +111,7 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 	default:
 		return nil, fmt.Errorf("cobcast: unsupported wire codec version %d", o.wireVersion)
 	}
-	nd, err := newNode(id, n, o, newWireLink(trans, version, o.stampInterval),
-		func(shard int, lm *obsv.LinkMetrics) groups.Frames {
-			return newWireGroupFrames(trans, version, o.stampInterval, lm)
-		})
+	nd, err := newNode(id, n, o, wireSubstrate(trans, version, o.stampInterval))
 	if err != nil {
 		return nil, err
 	}
@@ -155,61 +133,52 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 	return nd, nil
 }
 
-// newNode assembles a node over its link. newFrames is the substrate's
-// multi-group wire factory, invoked once per shard if (and only if) the
-// node's group runtime starts; it receives the node's link metrics so
-// group traffic shares the node's flush counters.
-func newNode(id, n int, o options, lk link, newFrames func(shard int, lm *obsv.LinkMetrics) groups.Frames) (*Node, error) {
-	cfg := o.coreConfig(id, n)
-	cfg.Ledger = o.newLedger()
-	var em *obsv.EntityMetrics
-	var lm *obsv.LinkMetrics
-	if o.registry != nil {
-		em = obsv.NewEntityMetrics()
-		lm = obsv.NewLinkMetrics()
-		cfg.Metrics = em
-		lk.instrument(lm)
-	}
-	fr := o.newFlightRing()
-	cfg.Flight = fr
-	ent, err := core.New(cfg)
-	if err != nil {
-		_ = lk.close()
-		return nil, fmt.Errorf("cobcast: node %d: %w", id, err)
-	}
+// newNode assembles a node over its substrate: it starts the runtime,
+// builds group 0's engine (so an invalid configuration fails here, not
+// at the first broadcast) and starts the router.
+func newNode(id, n int, o options, sub substrate) (*Node, error) {
 	nd := &Node{
-		id:       id,
-		n:        n,
-		ent:      ent,
-		flight:   fr,
-		ledger:   cfg.Ledger,
-		shed:     o.backpressure == BackpressureShed,
-		lk:       lk,
-		submits:  make(chan []byte, 64),
-		evicts:   make(chan evictReq),
-		statsReq: make(chan chan core.Stats),
-		idleReq:  make(chan chan bool),
-		snapReq:  make(chan snapRequest),
-		deliver:  make(chan Message),
-		start:    time.Now(),
-		tick:     o.tick(),
-		stop:     make(chan struct{}),
-		loopDone: make(chan struct{}),
-		pumpDone: make(chan struct{}),
+		id:         id,
+		n:          n,
+		o:          o,
+		start:      time.Now(),
+		tick:       o.tick(),
+		sub:        sub,
+		stop:       make(chan struct{}),
+		routerDone: make(chan struct{}),
 	}
-	nd.gseed = groupSeed{
-		o:  o,
-		lm: lm,
-		newFrames: func(shard int) groups.Frames {
-			return newFrames(shard, lm)
-		},
-	}
-	go nd.loop()
-	go nd.pump()
 	if o.registry != nil {
-		label := o.registry.RegisterNode(strconv.Itoa(id), em, lm, nd.StateSnapshot)
-		o.registry.RegisterFlight(label, fr, nd.start.UnixNano())
-		o.registry.RegisterStalls(label, nd.Stalls)
+		nd.lm = obsv.NewLinkMetrics()
+	}
+	maxGroups := o.maxGroups
+	if maxGroups <= 0 {
+		maxGroups = MaxGroups
+	}
+	rt, err := groups.New(groups.Config{
+		Shards: o.groupShards,
+		// Group 0 is always open; its slot is not one of the caller's.
+		MaxGroups:      maxGroups + 1,
+		NewEntity:      nd.newEntity,
+		NewFrames:      func(int) groups.Frames { return sub.newFrames(nd.lm) },
+		Deliver:        nd.deliverGroup,
+		DroppedUnknown: nd.lm.UnknownGroup,
+		Tick:           nd.tick,
+		Now:            nd.now,
+	})
+	if err != nil {
+		// The config is complete by construction; an error here is a
+		// programming error, not a runtime condition.
+		panic(fmt.Sprintf("cobcast: group runtime: %v", err))
+	}
+	nd.rt = rt
+	nd.main = nd.Group(DefaultGroup)
+	go func() {
+		defer close(nd.routerDone)
+		sub.route(nd)
+	}()
+	if err := rt.Start(uint32(DefaultGroup)); err != nil {
+		_ = nd.Close()
+		return nil, err
 	}
 	return nd, nil
 }
@@ -223,7 +192,7 @@ func (nd *Node) ID() int { return nd.id }
 // BackpressureBlock mode it blocks while the budget is exhausted; use
 // BroadcastContext for a cancellable wait.
 func (nd *Node) Broadcast(data []byte) error {
-	return nd.BroadcastContext(context.Background(), data)
+	return nd.main.BroadcastContext(context.Background(), data)
 }
 
 // BroadcastContext is Broadcast bounded by a context: cancellation
@@ -233,28 +202,7 @@ func (nd *Node) Broadcast(data []byte) error {
 // check happens before anything is sequenced, so a cancelled or shed
 // broadcast leaves no trace in protocol state.
 func (nd *Node) BroadcastContext(ctx context.Context, data []byte) error {
-	if err := nd.admit(ctx, nd.ledger); err != nil {
-		return err
-	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	// Check for shutdown first: with a buffered submit channel the
-	// select below could otherwise pick the send case even after Close.
-	select {
-	case <-nd.stop:
-		return ErrClosed
-	default:
-	}
-	select {
-	case nd.submits <- buf:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-nd.stop:
-		return ErrClosed
-	case <-nd.loopDone:
-		return ErrClosed
-	}
+	return nd.main.BroadcastContext(ctx, data)
 }
 
 // admit applies producer-side backpressure against a memory ledger: nil
@@ -265,7 +213,7 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 	if l == nil || !l.OverBudget() {
 		return nil
 	}
-	if nd.shed {
+	if nd.o.backpressure == BackpressureShed {
 		l.NoteShed()
 		nd.flight.Record(flight.EvShed, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
 		return ErrOverBudget
@@ -285,8 +233,6 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 			return ctx.Err()
 		case <-nd.stop:
 			return ErrClosed
-		case <-nd.loopDone:
-			return ErrClosed
 		}
 	}
 }
@@ -294,47 +240,34 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 // Deliveries returns the stream of causally ordered messages. The channel
 // is closed by Close. Consumers should drain it promptly; undelivered
 // messages are buffered without bound.
-func (nd *Node) Deliveries() <-chan Message { return nd.deliver }
-
-type evictReq struct {
-	id    int
-	reply chan error
-}
+func (nd *Node) Deliveries() <-chan Message { return nd.main.deliver }
 
 // Evict removes a crashed or unreachable node from this node's
-// confirmation quorum so acknowledgment progress no longer waits for it.
-// Every surviving node must evict the same member. See DESIGN.md for the
+// confirmation quorum — in every group, those instantiated later
+// included — so acknowledgment progress no longer waits for it. Every
+// surviving node must evict the same member. See DESIGN.md for the
 // extension's guarantees and limitations (no virtual synchrony, no
 // rejoin); WithSuspectTimeout automates the decision.
 func (nd *Node) Evict(id int) error {
-	req := evictReq{id: id, reply: make(chan error, 1)}
-	select {
-	case nd.evicts <- req:
-		return <-req.reply
-	case <-nd.stop:
-		return ErrClosed
-	case <-nd.loopDone:
+	if nd.stopped() {
 		return ErrClosed
 	}
+	return nd.runtimeErr(DefaultGroup, nd.rt.Evict(pdu.EntityID(id)))
 }
 
 // WaitIdle blocks until this node owes the cluster nothing — every
-// message it submitted or accepted has been fully acknowledged and
-// delivered — or the timeout passes. It is a local view: other nodes may
-// still be catching up. Useful to flush before shutdown.
+// message it submitted or accepted, on any group, has been fully
+// acknowledged and delivered — or the timeout passes. It is a local
+// view: other nodes may still be catching up. Useful to flush before
+// shutdown.
 func (nd *Node) WaitIdle(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		reply := make(chan bool, 1)
-		select {
-		case nd.idleReq <- reply:
-			if <-reply && nd.groupsIdle() {
-				return nil
-			}
-		case <-nd.stop:
+		if nd.stopped() {
 			return ErrClosed
-		case <-nd.loopDone:
-			return ErrClosed
+		}
+		if nd.rt.Quiescent() {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("cobcast: node %d not idle after %v", nd.id, timeout)
@@ -343,70 +276,29 @@ func (nd *Node) WaitIdle(timeout time.Duration) error {
 	}
 }
 
-// Stats returns a snapshot of the node's protocol counters.
+// Stats returns a snapshot of the node's default-group protocol
+// counters. It stays readable after Close.
 func (nd *Node) Stats() Stats {
-	reply := make(chan core.Stats, 1)
-	select {
-	case nd.statsReq <- reply:
-		return fromCoreStats(<-reply)
-	case <-nd.loopDone:
-		// Loop exited: the entity is no longer mutated, read directly.
-		return fromCoreStats(nd.ent.Stats())
-	}
-}
-
-// snapshotTimeout bounds how long a scraper waits for the loop to
-// service a state-snapshot request; a loop busy past it simply drops
-// off that scrape rather than stalling the endpoint.
-const snapshotTimeout = 100 * time.Millisecond
-
-// snapRequest asks the protocol loop to fill dst with the entity's
-// state (and/or stalls with its stall-analyzer report) between inputs;
-// done (buffered) is signaled once the requested fields are valid.
-type snapRequest struct {
-	dst    *obsv.StateSnapshot
-	stalls *[]obsv.Stall
-	done   chan struct{}
-}
-
-// handleSnap services one snapshot/stall request on the loop goroutine.
-func (nd *Node) handleSnap(req snapRequest) {
-	if req.dst != nil {
-		nd.ent.SnapshotInto(req.dst)
-	}
-	if req.stalls != nil {
-		*req.stalls = nd.ent.Stalls(nd.now(), 0)
-	}
-	req.done <- struct{}{}
+	s, _ := nd.main.Stats()
+	return s
 }
 
 // Stalls returns the stall-analyzer verdicts for every undelivered
-// message this node is holding: the pipeline stage, the unmet flow-
-// condition term, and the peers whose confirmations are missing. Empty
-// when nothing is stuck. ok is false if the loop stayed busy past the
-// snapshot timeout. It is the node's obsv.StallsFunc; /statez includes
-// the report on every scrape.
+// default-group message this node is holding: the pipeline stage, the
+// unmet flow-condition term, and the peers whose confirmations are
+// missing. Empty when nothing is stuck. ok is false if the owning shard
+// stayed busy past the scrape timeout. /statez includes the report on
+// every scrape.
 func (nd *Node) Stalls() ([]obsv.Stall, bool) {
 	var sts []obsv.Stall
-	req := snapRequest{stalls: &sts, done: make(chan struct{}, 1)}
-	timer := time.NewTimer(snapshotTimeout)
-	defer timer.Stop()
-	select {
-	case nd.snapReq <- req:
-		<-req.done
-		return sts, true
-	case <-nd.loopDone:
-		return nd.ent.Stalls(nd.now(), 0), true
-	case <-timer.C:
-		return nil, false
-	}
+	ok := nd.rt.Stalls(uint32(DefaultGroup), &sts)
+	return sts, ok
 }
 
-// StateSnapshot returns a consistent copy of the node's live protocol
-// state (sequence numbers, confirmation minima, log depths, buffer
-// occupancy), taken between inputs on the protocol loop. ok is false
-// if the loop stayed busy past an internal timeout. It is the node's
-// obsv.SnapshotFunc; the registry and /statez call it on scrapes.
+// StateSnapshot returns a consistent copy of the node's live
+// default-group protocol state (sequence numbers, confirmation minima,
+// log depths, buffer occupancy), taken between inputs on the owning
+// shard. ok is false if the shard stayed busy past an internal timeout.
 func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) {
 	var s obsv.StateSnapshot
 	ok := nd.StateSnapshotInto(&s)
@@ -416,181 +308,54 @@ func (nd *Node) StateSnapshot() (obsv.StateSnapshot, bool) {
 // StateSnapshotInto is StateSnapshot writing into a caller-owned value
 // whose slice capacity is reused (see core.Entity.SnapshotInto), so a
 // poller that keeps one scratch snapshot avoids the five O(n) slice
-// allocations a fresh snapshot costs. On false (loop busy past the
-// timeout) dst is untouched. dst must not be scraped into again while
-// a previous fill is still being read elsewhere.
+// allocations a fresh snapshot costs. On false dst is untouched. dst
+// must not be scraped into again while a previous fill is still being
+// read elsewhere.
 func (nd *Node) StateSnapshotInto(dst *obsv.StateSnapshot) bool {
-	req := snapRequest{dst: dst, done: make(chan struct{}, 1)}
-	timer := time.NewTimer(snapshotTimeout)
-	defer timer.Stop()
-	select {
-	case nd.snapReq <- req:
-		// Accepted: the loop owns dst until done fires, so wait without
-		// a timeout (abandoning dst here would race the loop's write).
-		<-req.done
-		return true
-	case <-nd.loopDone:
-		// Loop exited: the entity is no longer mutated, read directly.
-		nd.ent.SnapshotInto(dst)
-		return true
-	case <-timer.C:
-		return false
-	}
+	return nd.rt.SnapshotInto(uint32(DefaultGroup), dst)
 }
 
 // Close stops the node's goroutines, closes its transport (when created
-// via NewNode) and closes the delivery channel.
+// via NewNode) and closes every delivery channel.
 func (nd *Node) Close() error {
 	var err error
 	nd.closeOnce.Do(func() {
-		close(nd.stop)
-		<-nd.loopDone
-		// Group runtime first: stopping the shards ends group-port queue
-		// pushes before those queues close.
-		nd.closeGroups()
-		nd.queue.close()
-		<-nd.pumpDone
-		close(nd.deliver)
-		err = nd.lk.close()
+		nd.halt()
+		<-nd.routerDone
+		// Runtime first: stopping the shards ends port queue pushes
+		// before those queues close.
+		nd.rt.Close()
+		nd.groupsMu.Lock()
+		ports := make([]*GroupPort, 0, len(nd.groupPorts))
+		for _, p := range nd.groupPorts {
+			ports = append(ports, p)
+		}
+		nd.groupsMu.Unlock()
+		for _, p := range ports {
+			p.queue.close()
+			<-p.pumpDone
+			close(p.deliver)
+		}
+		err = nd.sub.close()
 	})
 	return err
 }
 
+// halt signals every producer, pump and the router to stop; Close does
+// the waiting.
+func (nd *Node) halt() { nd.stopOnce.Do(func() { close(nd.stop) }) }
+
+func (nd *Node) stopped() bool {
+	select {
+	case <-nd.stop:
+		return true
+	default:
+		return false
+	}
+}
+
 // now is the node's protocol clock: time since the node started.
 func (nd *Node) now() time.Duration { return time.Since(nd.start) }
-
-// loop serializes every entity input on one goroutine. Outgoing PDUs are
-// staged on the link as they are produced; the loop flushes them as one
-// batched datagram only when its input queue goes idle, so a burst of
-// arrivals (or one input producing several PDUs) coalesces into a single
-// frame — flush-on-loop-idle batching.
-func (nd *Node) loop() {
-	defer close(nd.loopDone)
-	ticker := time.NewTicker(nd.tick)
-	defer ticker.Stop()
-	in := nd.lk.recv()
-
-	for {
-		// Block for the next input…
-		select {
-		case <-nd.stop:
-			return
-		case data := <-nd.submits:
-			nd.dispatch(nd.ent.Submit(data, nd.now()))
-		case req := <-nd.evicts:
-			nd.handleEvict(req)
-		case b, ok := <-in:
-			if !ok {
-				return
-			}
-			nd.routeInbound(b)
-		case <-ticker.C:
-			nd.dispatch(nd.ent.Tick(nd.now()))
-		case reply := <-nd.statsReq:
-			reply <- nd.ent.Stats()
-		case reply := <-nd.idleReq:
-			reply <- nd.ent.Quiescent()
-		case req := <-nd.snapReq:
-			nd.handleSnap(req)
-		}
-		// …then drain everything already pending without blocking, so
-		// the PDUs all of it produces share one flush.
-		drained := false
-		for !drained {
-			select {
-			case <-nd.stop:
-				return
-			case data := <-nd.submits:
-				nd.dispatch(nd.ent.Submit(data, nd.now()))
-			case req := <-nd.evicts:
-				nd.handleEvict(req)
-			case b, ok := <-in:
-				if !ok {
-					return
-				}
-				nd.routeInbound(b)
-			case <-ticker.C:
-				nd.dispatch(nd.ent.Tick(nd.now()))
-			case reply := <-nd.statsReq:
-				reply <- nd.ent.Stats()
-			case reply := <-nd.idleReq:
-				reply <- nd.ent.Quiescent()
-			case req := <-nd.snapReq:
-				nd.handleSnap(req)
-			default:
-				drained = true
-			}
-		}
-		nd.lk.flush()
-	}
-}
-
-func (nd *Node) handleEvict(req evictReq) {
-	out, err := nd.ent.Evict(pdu.EntityID(req.id), nd.now())
-	req.reply <- err
-	nd.dispatch(out)
-}
-
-func (nd *Node) receive(p *pdu.PDU) {
-	now := nd.now()
-	nd.recordWire(flight.EvWireIn, p, now)
-	out, err := nd.ent.Receive(p, now)
-	// Receive errors mark malformed or foreign PDUs; the entity counts
-	// them in InvalidPDUs and the protocol carries on.
-	_ = err
-	nd.dispatch(out)
-}
-
-// recordWire notes one PDU crossing the node/network boundary. A RET
-// identifies itself by the PDU it chases (LSrc#LSeq), so that is what
-// the span assembler needs in the Src/Seq slots; Peer then carries the
-// requester-visible source for cross-referencing.
-func (nd *Node) recordWire(t flight.EventType, p *pdu.PDU, now time.Duration) {
-	if nd.flight == nil {
-		return
-	}
-	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
-	if p.Kind == pdu.KindRet {
-		src, seq, peer = p.LSrc, p.LSeq, p.Src
-	}
-	nd.flight.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
-}
-
-// dispatch stages an entity's output PDUs on the link (sent at the next
-// flush) and queues its deliveries.
-func (nd *Node) dispatch(out core.Output) {
-	if nd.flight != nil && len(out.PDUs) > 0 {
-		now := nd.now()
-		for _, p := range out.PDUs {
-			nd.recordWire(flight.EvWireOut, p, now)
-		}
-	}
-	for _, p := range out.PDUs {
-		nd.lk.append(p)
-	}
-	for _, d := range out.Deliveries {
-		nd.queue.push(Message{Src: int(d.Src), Seq: uint64(d.SEQ), Data: d.Data, LTime: d.LTime})
-	}
-}
-
-// pump moves messages from the unbounded queue to the delivery channel so
-// a slow consumer never stalls the protocol loop.
-func (nd *Node) pump() {
-	defer close(nd.pumpDone)
-	for {
-		m, ok := nd.queue.pop()
-		if !ok {
-			return
-		}
-		select {
-		case nd.deliver <- m:
-		case <-nd.stop:
-			// Drain the rest so close is prompt; consumers that closed
-			// early asked for this.
-			return
-		}
-	}
-}
 
 // deliveryQueue is an unbounded FIFO with blocking pop.
 type deliveryQueue struct {

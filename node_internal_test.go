@@ -1,9 +1,18 @@
 package cobcast
 
 import (
+	"bufio"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"cobcast/internal/core"
+	"cobcast/internal/groups"
 	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
@@ -97,7 +106,7 @@ func TestDeliveryQueueConcurrentPushPopClose(t *testing.T) {
 	}
 }
 
-// --- link layer ---
+// --- frames adapters (group 0: the single-group wire path) ---
 
 // chanTransport is an in-process Transport capturing broadcast frames.
 type chanTransport struct {
@@ -161,15 +170,14 @@ func decodeAll(t *testing.T, d *pdu.FrameDecoder, frame []byte) []*pdu.PDU {
 	}
 }
 
-func TestWireLinkCoalescesAppendsIntoOneFrame(t *testing.T) {
+func TestWireFramesCoalesceAppendsIntoOneFrame(t *testing.T) {
 	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion2, 0)
-	defer l.close()
+	f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
 	for i := 1; i <= 5; i++ {
-		l.append(seqPDU(3, pdu.Seq(i)))
+		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
-	l.flush()
-	l.flush() // empty flush must not emit a frame
+	f.Flush()
+	f.Flush() // empty flush must not emit a frame
 	got := decodeAll(t, streamDecoder(), <-tr.frames)
 	if len(got) != 5 {
 		t.Fatalf("frame carries %d PDUs, want 5", len(got))
@@ -186,54 +194,65 @@ func TestWireLinkCoalescesAppendsIntoOneFrame(t *testing.T) {
 	}
 }
 
-func TestWireLinkFlushesBeforeExceedingMaxDatagram(t *testing.T) {
-	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion2, 0)
-	defer l.close()
-	// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but not four.
-	big := func(seq pdu.Seq) *pdu.PDU {
-		p := seqPDU(3, seq)
-		p.Kind = pdu.KindData
-		p.Data = make([]byte, 15*1024)
-		return p
-	}
-	for i := 1; i <= 4; i++ {
-		l.append(big(pdu.Seq(i)))
-	}
-	l.flush()
-	rawFirst, rawSecond := <-tr.frames, <-tr.frames
-	for _, raw := range [][]byte{rawFirst, rawSecond} {
-		if len(raw) > MaxDatagram {
-			t.Errorf("frame of %d bytes exceeds MaxDatagram", len(raw))
+func TestWireFramesFlushBeforeExceedingMaxDatagram(t *testing.T) {
+	// Group 0 and a v3-addressed group alike: the early seal stages the
+	// full frame (it is sent with the flush, not on overflow) and order
+	// holds across the resulting datagrams.
+	for _, g := range []uint32{0, 7} {
+		tr := newChanTransport()
+		f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
+		// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but not four.
+		big := func(seq pdu.Seq) *pdu.PDU {
+			p := seqPDU(3, seq)
+			p.Kind = pdu.KindData
+			p.Data = make([]byte, 15*1024)
+			return p
 		}
-	}
-	d := streamDecoder()
-	first, second := decodeAll(t, d, rawFirst), decodeAll(t, d, rawSecond)
-	if len(first) != 3 || len(second) != 1 {
-		t.Fatalf("split %d+%d PDUs, want 3+1 (early flush at size bound)", len(first), len(second))
-	}
-	for i, p := range append(first, second...) {
-		if p.SEQ != pdu.Seq(i+1) {
-			t.Errorf("position %d: seq %d, want %d (order across frames)", i, p.SEQ, i+1)
+		for i := 1; i <= 4; i++ {
+			f.Append(g, big(pdu.Seq(i)))
+		}
+		select {
+		case <-tr.frames:
+			t.Fatalf("group %d: overflow sent a frame before the flush", g)
+		default:
+		}
+		f.Flush()
+		rawFirst, rawSecond := <-tr.frames, <-tr.frames
+		for _, raw := range [][]byte{rawFirst, rawSecond} {
+			if len(raw) > MaxDatagram {
+				t.Errorf("group %d: frame of %d bytes exceeds MaxDatagram", g, len(raw))
+			}
+			if fg, ok := pdu.FrameGroup(raw); !ok || fg != g {
+				t.Errorf("group %d: frame addressed to group %d (ok=%v)", g, fg, ok)
+			}
+		}
+		d := streamDecoder()
+		first, second := decodeAll(t, d, rawFirst), decodeAll(t, d, rawSecond)
+		if len(first) != 3 || len(second) != 1 {
+			t.Fatalf("group %d: split %d+%d PDUs, want 3+1 (early flush at size bound)", g, len(first), len(second))
+		}
+		for i, p := range append(first, second...) {
+			if p.SEQ != pdu.Seq(i+1) {
+				t.Errorf("group %d position %d: seq %d, want %d (order across frames)", g, i, p.SEQ, i+1)
+			}
 		}
 	}
 }
 
-func TestMemLinkAutoFlushCapsBatch(t *testing.T) {
-	// memLink must not stage unboundedly during a long drain: it flushes
-	// on its own once the batch hits memBatchMax, and the early flush
-	// preserves append order across the resulting datagrams.
+func TestMemFramesAutoFlushCapsBatch(t *testing.T) {
+	// memFrames must not stage unboundedly during a long drain: it sends
+	// on its own once a group's batch hits memBatchMax, and the early
+	// send preserves append order across the resulting datagrams.
 	net := network.New(2)
 	defer net.Close()
-	l := newMemLink(net.Endpoint(0))
-	defer l.close()
+	f := memSubstrate(net.Endpoint(0)).newFrames(nil).(*memFrames)
 	for i := 1; i <= memBatchMax+1; i++ {
-		l.append(seqPDU(2, pdu.Seq(i)))
+		f.Append(0, seqPDU(2, pdu.Seq(i)))
 	}
-	if len(l.batch) != 1 {
-		t.Fatalf("staged %d PDUs after auto-flush, want 1", len(l.batch))
+	if len(f.staged[0]) != 1 {
+		t.Fatalf("staged %d PDUs after auto-flush, want 1", len(f.staged[0]))
 	}
-	l.flush()
+	f.Flush()
 	var got []pdu.Seq
 	for len(got) < memBatchMax+1 {
 		in := <-net.Endpoint(1).Recv()
@@ -248,14 +267,13 @@ func TestMemLinkAutoFlushCapsBatch(t *testing.T) {
 	}
 }
 
-func TestWireLinkV1EmitsVersion1Frames(t *testing.T) {
+func TestWireFramesV1EmitsVersion1FramesForGroup0(t *testing.T) {
 	tr := newChanTransport()
-	l := newWireLink(tr, pdu.WireVersion, 0)
-	defer l.close()
+	f := newWireFrames(tr, pdu.WireVersion, 0, nil)
 	for i := 1; i <= 3; i++ {
-		l.append(seqPDU(3, pdu.Seq(i)))
+		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
-	l.flush()
+	f.Flush()
 	raw := <-tr.frames
 	if raw[2] != pdu.FrameVersion {
 		t.Fatalf("frame version %d, want %d", raw[2], pdu.FrameVersion)
@@ -265,20 +283,18 @@ func TestWireLinkV1EmitsVersion1Frames(t *testing.T) {
 	}
 }
 
-func TestWireLinkV2FramesSmallerThanV1(t *testing.T) {
-	// The same contiguous stream, sent through a v1 and a v2 link; the
-	// v2 per-version byte counter must come out well below v1's.
+func TestWireFramesV2SmallerThanV1(t *testing.T) {
+	// The same contiguous stream, sent under codec v1 and v2; the v2
+	// per-version byte counter must come out well below v1's.
 	send := func(version uint8) uint64 {
 		tr := newChanTransport()
-		l := newWireLink(tr, version, 0)
-		defer l.close()
 		lm := obsv.NewLinkMetrics()
-		l.instrument(lm)
+		f := newWireFrames(tr, version, 0, lm)
 		for i := 1; i <= 20; i++ {
 			p := seqPDU(64, pdu.Seq(i))
 			p.ACK[0] = pdu.Seq(i)
-			l.append(p)
-			l.flush()
+			f.Append(0, p)
+			f.Flush()
 			raw := <-tr.frames
 			if raw[2] != version {
 				t.Fatalf("frame version %d, want %d", raw[2], version)
@@ -286,12 +302,12 @@ func TestWireLinkV2FramesSmallerThanV1(t *testing.T) {
 		}
 		if version == pdu.WireVersion2 {
 			if v1 := lm.BytesOutV1.Load(); v1 != 0 {
-				t.Fatalf("v2 link counted %d bytes as v1", v1)
+				t.Fatalf("v2 frames counted %d bytes as v1", v1)
 			}
 			return lm.BytesOutV2.Load()
 		}
 		if v2 := lm.BytesOutV2.Load(); v2 != 0 {
-			t.Fatalf("v1 link counted %d bytes as v2", v2)
+			t.Fatalf("v1 frames counted %d bytes as v2", v2)
 		}
 		return lm.BytesOutV1.Load()
 	}
@@ -304,14 +320,12 @@ func TestWireLinkV2FramesSmallerThanV1(t *testing.T) {
 	}
 }
 
-func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
+func TestWireFramesDeliverDesyncCountedAndRecovered(t *testing.T) {
 	// A receiver that missed the frame carrying a delta's reference must
 	// drop the delta as counted loss, then recover from the full stamp
 	// once the missing frame is (re)delivered.
-	l := newWireLink(newChanTransport(), pdu.WireVersion2, 0)
-	defer l.close()
 	lm := obsv.NewLinkMetrics()
-	l.instrument(lm)
+	f := newWireFrames(newChanTransport(), pdu.WireVersion2, 0, lm)
 
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		p := seqPDU(3, seq)
@@ -330,12 +344,12 @@ func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
 	recv := func(frame []byte) (seqs []pdu.Seq) {
 		b := make([]byte, len(frame))
 		copy(b, frame)
-		l.deliver(inbound{raw: b}, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
+		f.Deliver(0, groups.Inbound{Raw: b}, func(p *pdu.PDU) { seqs = append(seqs, p.SEQ) })
 		return
 	}
 
 	if got := recv(f2); len(got) != 0 { // f1 lost: delta has no reference
-		t.Fatalf("desynchronized link delivered %v", got)
+		t.Fatalf("desynchronized frames delivered %v", got)
 	}
 	if n := lm.StampDesyncs.Load(); n != 1 {
 		t.Fatalf("StampDesyncs = %d, want 1", n)
@@ -352,5 +366,78 @@ func TestWireLinkDeliverDesyncCountedAndRecovered(t *testing.T) {
 	if lm.BytesInV2.Load() == 0 || lm.BytesInV1.Load() != 0 {
 		t.Fatalf("inbound byte counters v1=%d v2=%d, want all under v2",
 			lm.BytesInV1.Load(), lm.BytesInV2.Load())
+	}
+}
+
+// TestSingleGroupWireBytesGolden pins a single-group node's datagrams to
+// the bytes the pre-shard runtime (Node.loop + wireLink, PR 11) emitted
+// for the same seeded run: one node of three over a chanTransport, fed a
+// peer engine's DATA frames between its own broadcasts, with every timer
+// parked so each Broadcast yields exactly one datagram. The golden file
+// was captured at that commit; group 0 riding a shard must not change a
+// byte under either codec.
+func TestSingleGroupWireBytesGolden(t *testing.T) {
+	golden := map[string][]string{}
+	file, err := os.Open("testdata/golden_group0_datagrams.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	for sc := bufio.NewScanner(file); sc.Scan(); {
+		codec, frame, _ := strings.Cut(sc.Text(), " ")
+		golden[codec] = append(golden[codec], frame)
+	}
+	for _, codec := range []int{1, 2} {
+		t.Run(fmt.Sprintf("codec%d", codec), func(t *testing.T) {
+			const n = 3
+			want := golden[fmt.Sprintf("codec%d", codec)]
+			if len(want) == 0 {
+				t.Fatal("no golden datagrams")
+			}
+			tr := newChanTransport()
+			nd, err := NewNode(0, n, tr, WithWireCodec(codec),
+				WithDeferredAckInterval(time.Hour), WithRetransmitTimeout(time.Hour), WithTickInterval(time.Hour))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nd.Close()
+			peer, err := core.New(core.Config{ID: 1, N: n, Window: core.DefaultWindow,
+				BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1994))
+			payload := func() []byte {
+				b := make([]byte, 8+rng.Intn(40))
+				rng.Read(b)
+				return b
+			}
+			recvd := uint64(0)
+			for i := range want {
+				if i%3 == 1 {
+					out := peer.Submit(payload(), time.Duration(i)*time.Millisecond)
+					frame, err := pdu.EncodeFrame(out.PDUs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr.recv <- frame
+					recvd += uint64(len(out.PDUs))
+					for nd.Stats().DataRecv < recvd {
+						time.Sleep(time.Millisecond)
+					}
+				}
+				if err := nd.Broadcast(payload()); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case f := <-tr.frames:
+					if got := hex.EncodeToString(f); got != want[i] {
+						t.Fatalf("datagram %d differs from the parent's:\n got %s\nwant %s", i, got, want[i])
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("no datagram for broadcast %d", i)
+				}
+			}
+		})
 	}
 }

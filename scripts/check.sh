@@ -17,6 +17,13 @@ go build ./...
 echo '>> go test -race ./...'
 go test -race ./...
 
+# bench/ is a nested module importing cobcast/internal/...: the root
+# ./... patterns above never compile it, so a runtime refactor could
+# break the end-to-end benchmark's build unnoticed.
+echo '>> bench module: go vet + short tests'
+go -C bench vet ./...
+go -C bench test -short ./...
+
 echo '>> benchmark smoke (BenchmarkFig8Tco, 100 iterations)'
 go test . -run '^$' -bench 'BenchmarkFig8Tco' -benchtime=100x -benchmem
 
