@@ -149,6 +149,9 @@ func sweep(o options, stdout, stderr io.Writer) int {
 		codecDropped                uint64
 		dataSent, syncSent          uint64
 	}
+	// regimes counts the seeds by the kind of run FromSeed expanded them
+	// to, so a sweep log shows what it exercised.
+	var regimes struct{ classic, stalled, multiGroup int }
 	var wg sync.WaitGroup
 	for w := 0; w < o.par; w++ {
 		wg.Add(1)
@@ -159,6 +162,14 @@ func sweep(o options, stdout, stderr io.Writer) int {
 				cfg.WireVersion = o.codec
 				res, err := chaos.Run(cfg)
 				mu.Lock()
+				switch {
+				case cfg.Groups >= 2:
+					regimes.multiGroup++
+				case cfg.StalledPeers > 0:
+					regimes.stalled++
+				default:
+					regimes.classic++
+				}
 				if err == nil {
 					passed++
 					agg.submitted += res.Submitted
@@ -205,6 +216,8 @@ func sweep(o options, stdout, stderr io.Writer) int {
 	if o.verbose || len(failures) == 0 {
 		fmt.Fprintf(stdout, "coverage: %d submissions, %d datagram PDUs dropped, %d retransmitted, %d parked, %d duplicate discards, %d DATA + %d SYNC/ACKONLY sends\n",
 			agg.submitted, agg.dropped, agg.retx, agg.parked, agg.dups, agg.dataSent, agg.syncSent)
+		fmt.Fprintf(stdout, "regimes: %d classic, %d stalled, %d multi-group seeds\n",
+			regimes.classic, regimes.stalled, regimes.multiGroup)
 		if o.codec != 0 {
 			fmt.Fprintf(stdout, "codec v%d: %d PDUs dropped by delta-stamp desync\n", o.codec, agg.codecDropped)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,6 +21,28 @@ func TestSweepPasses(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "coverage:") {
 		t.Fatalf("missing coverage summary: %s", out.String())
+	}
+}
+
+// TestSweepReportsRegimes pins the regimes line: the seed counts by kind
+// of run add up to the sweep, and 60 seeds reach all three kinds.
+func TestSweepReportsRegimes(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-sweep", "60", "-par", "2", "-start", "1"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	var classic, stalled, multi int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "regimes:") {
+			if _, err := fmt.Sscanf(line, "regimes: %d classic, %d stalled, %d multi-group seeds",
+				&classic, &stalled, &multi); err != nil {
+				t.Fatalf("malformed regimes line %q: %v", line, err)
+			}
+		}
+	}
+	if classic+stalled+multi != 60 || classic == 0 || stalled == 0 || multi == 0 {
+		t.Fatalf("regimes %d classic + %d stalled + %d multi-group, want all three and 60 in total:\n%s",
+			classic, stalled, multi, out.String())
 	}
 }
 

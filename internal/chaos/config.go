@@ -95,31 +95,39 @@ type Config struct {
 	// WireVersion routes every simulated datagram through the real wire
 	// codec (1 = fixed-width v1, 2 = delta-stamp v2), so loss and
 	// duplication exercise the codec's per-source stamp caches; 0 keeps
-	// the historical PDU-pointer path and its pinned trace digests. The
-	// codec changes only the byte representation in flight, never the
-	// PDU sequence a fault-free channel delivers, so 0/1/2 runs of one
-	// seed share a trace digest when no delta loses its reference.
+	// the historical PDU-pointer path and its pinned trace digests
+	// (with Groups >= 2 it means 1: several groups always ride real
+	// frames). The codec changes only the byte representation in flight,
+	// never the PDU sequence a fault-free channel delivers, so 0/1/2
+	// runs of one seed share a trace digest when no delta loses its
+	// reference.
 	WireVersion int `json:"wire_version,omitempty"`
 
-	// Groups >= 2 runs that many independent ordered groups over the one
-	// faulty network: every group's datagrams ride v3 group-addressed
-	// frames on the same per-link loss/delay/partition schedule, and
-	// every safety and liveness predicate is checked per group (see
-	// multigroup.go). 0 or 1 is the classic single-group run.
+	// Groups is the number of independent ordered groups the run drives
+	// over the one faulty network; 0 or 1 is the classic single-group
+	// run. There is one runner: each group is an ordinary simrun.Cluster
+	// on the shared simulator and network, so every other field means
+	// per group what it means for one — the same per-link
+	// loss/delay/partition schedule hits every group's datagrams (v3
+	// group-addressed frames for groups other than 0), each submission
+	// draws its group, and every safety and liveness predicate is
+	// checked per group.
 	Groups int `json:"groups,omitempty"`
 
 	// StalledPeers freezes that many entities at a random point mid-run:
-	// they stop reading, acking and submitting — permanently, while
-	// their links stay up (distinct from a partition or pause, which
-	// heal). Stalled runs derive a suspicion timeout spanning the fault
-	// horizon so survivors evict the frozen peers, and every predicate
-	// is checked over the survivors. Lossy faults are rejected alongside
-	// stalls: a frozen source can never serve retransmissions
+	// they stop reading, acking and submitting — permanently and in
+	// every group (the process stalled, not one engine), while their
+	// links stay up (distinct from a partition or pause, which heal).
+	// Stalled runs derive a suspicion timeout spanning the fault horizon
+	// so each group's survivors evict the frozen peers, and every
+	// predicate is checked over the survivors. Lossy faults are rejected
+	// alongside stalls: a frozen source can never serve retransmissions
 	// (source-only repair, see internal/core/evict.go), so any loss of
 	// its pre-freeze messages would be unrecoverable by design.
 	StalledPeers int `json:"stalled_peers,omitempty"`
-	// MemBudgetBytes gives every entity a memory ledger with this byte
-	// budget; Shed additionally sheds application submissions at an
+	// MemBudgetBytes gives every entity of every group its own memory
+	// ledger with this byte budget (the node runtime's per-group
+	// ledgers); Shed additionally sheds application submissions at an
 	// over-budget sender (the node runtime's BackpressureShed
 	// admission). Shed requires a budget.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
@@ -173,9 +181,6 @@ func (c Config) Validate() error {
 		if c.N-c.StalledPeers < 2 {
 			return fmt.Errorf("%w: stalled_peers=%d with n=%d (need 2 survivors)",
 				ErrBadConfig, c.StalledPeers, c.N)
-		}
-		if c.Groups >= 2 {
-			return fmt.Errorf("%w: stalled_peers with groups", ErrBadConfig)
 		}
 		if c.Loss > 0 || c.BurstProb > 0 || c.Partitions > 0 || c.Pauses > 0 {
 			return fmt.Errorf("%w: stalled_peers with lossy faults (a frozen source cannot serve retransmissions)",

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"cobcast/internal/flight"
 )
 
 // pinnedMultiGroup is the fixed scenario whose per-group digests are
@@ -153,6 +155,91 @@ func TestMultiGroupTotalOrder(t *testing.T) {
 	cfg.TotalOrder = true
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMultiGroupLedgerSheds pins the bounded-memory regime on several
+// groups: every group's entities get their own ledger, so a budget far
+// below the offered load must shed at the producers. (The separate
+// multi-group runner this harness once had accepted mem_budget_bytes and
+// shed and silently ignored both: this config shed 0 and delivered all
+// 1600 copies.)
+func TestMultiGroupLedgerSheds(t *testing.T) {
+	cfg := Config{
+		Seed: 5, N: 4, Groups: 2,
+		Workload: WorkloadContinuous, Messages: 400, PayloadSize: 512,
+		DelayBaseUS: 500, MemBudgetBytes: 8 << 10, Shed: true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ShedSubmits == 0 {
+		t.Fatal("an 8 KiB budget under 400 × 512 B shed nothing: ledgers not attached to group engines")
+	}
+	// Shed submissions never became broadcasts; every executed one is
+	// delivered by all N engines of its group.
+	if want := uint64((cfg.Messages - res.ShedSubmits) * cfg.N); res.Stats.Delivered != want {
+		t.Fatalf("delivered %d engine-deliveries with %d shed, want %d", res.Stats.Delivered, res.ShedSubmits, want)
+	}
+}
+
+// TestMultiGroupStalledPeer replays the stalled-single-source corpus
+// reproducer on two groups: the freeze stops the peer's engine in every
+// group, so each group's survivors must evict it on their own — groups
+// share links, never protocol state — and every predicate must hold over
+// the survivors of each group.
+func TestMultiGroupStalledPeer(t *testing.T) {
+	entries, err := LoadCorpus("corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfg Config
+	for _, e := range entries {
+		if e.Name == "stalled-single-source" {
+			cfg = e.Config
+		}
+	}
+	if cfg.StalledPeers != 1 {
+		t.Fatal("corpus entry stalled-single-source missing or no longer stalled")
+	}
+	cfg.Groups = 2
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stalled) != 1 || len(res.GroupDigests) != 2 {
+		t.Fatalf("stalled %v over %d groups, want 1 entity over 2", res.Stalled, len(res.GroupDigests))
+	}
+	// Each engine's flight ring (attributed "i/gG", far from wrapping on
+	// this run) records its evictions: every surviving engine of every
+	// group must have evicted the frozen peer, and the frozen peer's own
+	// engines nothing.
+	frozen := res.Stalled[0]
+	if want := cfg.Groups * cfg.N; len(res.Flight) != want {
+		t.Fatalf("%d flight dumps, want %d", len(res.Flight), want)
+	}
+	for _, nf := range res.Flight {
+		if nf.Recorded > uint64(nf.Capacity) {
+			t.Fatalf("%s: flight ring wrapped (%d > %d); evictions may be lost", nf.Node, nf.Recorded, nf.Capacity)
+		}
+		evictedFrozen, evictions := false, 0
+		for _, ev := range nf.Events {
+			if ev.Type == flight.EvEvict {
+				evictions++
+				evictedFrozen = evictedFrozen || int(ev.Peer) == frozen
+			}
+		}
+		if strings.HasPrefix(nf.Node, fmt.Sprintf("%d/", frozen)) {
+			if evictions != 0 {
+				t.Errorf("%s is frozen yet evicted %d peers", nf.Node, evictions)
+			}
+		} else if !evictedFrozen {
+			t.Errorf("%s never evicted frozen peer %d", nf.Node, frozen)
+		}
+	}
+	if res.ShedSubmits == 0 {
+		t.Error("reproducer shed no submissions; budget too large to bite")
 	}
 }
 

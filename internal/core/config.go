@@ -261,3 +261,38 @@ type Stats struct {
 	AutoSuspected   uint64
 	PressureEvicted uint64
 }
+
+// Add accumulates o into s: every counter by sum, MaxResident by maximum
+// (a peak, not a flow). It is the one aggregator for cluster-wide and
+// cross-group totals, so a counter added to Stats is added here once.
+func (s *Stats) Add(o Stats) {
+	s.DataSent += o.DataSent
+	s.SyncSent += o.SyncSent
+	s.AckOnlySent += o.AckOnlySent
+	s.RetSent += o.RetSent
+	s.DataRecv += o.DataRecv
+	s.SyncRecv += o.SyncRecv
+	s.AckOnlyRecv += o.AckOnlyRecv
+	s.RetRecv += o.RetRecv
+	s.Accepted += o.Accepted
+	s.Duplicates += o.Duplicates
+	s.Parked += o.Parked
+	s.F1Detections += o.F1Detections
+	s.F2Detections += o.F2Detections
+	s.Retransmitted += o.Retransmitted
+	s.Preacked += o.Preacked
+	s.Acked += o.Acked
+	s.Committed += o.Committed
+	s.Delivered += o.Delivered
+	s.CPIDisplaced += o.CPIDisplaced
+	s.CPIDisplacement += o.CPIDisplacement
+	s.DeferredConfirms += o.DeferredConfirms
+	s.FlowBlocked += o.FlowBlocked
+	s.InvalidPDUs += o.InvalidPDUs
+	s.Evicted += o.Evicted
+	s.AutoSuspected += o.AutoSuspected
+	s.PressureEvicted += o.PressureEvicted
+	if o.MaxResident > s.MaxResident {
+		s.MaxResident = o.MaxResident
+	}
+}

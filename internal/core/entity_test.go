@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -686,5 +687,38 @@ func TestRetForUnknownRangeIgnored(t *testing.T) {
 	}
 	if len(out.PDUs) != 0 {
 		t.Fatalf("retransmitted nonexistent PDUs: %v", out.PDUs)
+	}
+}
+
+// TestStatsAddCoversEveryField sets every Stats field by reflection and
+// checks Add accumulated it: counters by sum, MaxResident by maximum. A
+// counter added to Stats but not to Add — the drift that made two
+// hand-written aggregators disagree — fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one core.Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(1)
+		case reflect.Int:
+			f.SetInt(1)
+		default:
+			t.Fatalf("Stats.%s has kind %v: teach Add and this test about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var sum core.Stats
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if name == "MaxResident" {
+			if sum.MaxResident != 1 {
+				t.Errorf("MaxResident = %d after adding two peaks of 1, want the maximum 1", sum.MaxResident)
+			}
+		} else if n := got.Field(i).Uint(); n != 2 {
+			t.Errorf("%s = %d after adding 1 twice, want 2", name, n)
+		}
 	}
 }

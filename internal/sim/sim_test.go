@@ -241,3 +241,54 @@ func TestNetDuplicateRate(t *testing.T) {
 		}
 	}
 }
+
+// TestNetGroupTagRoutes pins the group tag: a datagram reaches only the
+// handler attached for its group, every group shares the directed
+// channel's FIFO horizon and fault rolls, and the codec hooks see the tag.
+func TestNetGroupTagRoutes(t *testing.T) {
+	s := New()
+	calls := 0
+	var encoded, decoded []uint32
+	net := NewNet(s, 2,
+		NetDelay(func(_, _ pdu.EntityID, _ *rand.Rand) time.Duration {
+			calls++
+			return time.Duration(4-calls) * time.Millisecond // later sends draw shorter delays
+		}),
+		NetCodec(
+			func(_ pdu.EntityID, group uint32, batch []*pdu.PDU) []byte {
+				encoded = append(encoded, group)
+				return []byte{byte(batch[0].SEQ)}
+			},
+			func(_, _ pdu.EntityID, group uint32, frame []byte) []*pdu.PDU {
+				decoded = append(decoded, group)
+				return []*pdu.PDU{{Kind: pdu.KindSync, SEQ: pdu.Seq(frame[0])}}
+			}))
+	type arrival struct {
+		group uint32
+		seq   pdu.Seq
+	}
+	var got []arrival
+	for _, g := range []uint32{0, 7} {
+		g := g
+		net.AttachGroup(g, 1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, arrival{g, p.SEQ}) })
+	}
+	mk := func(seq pdu.Seq) *pdu.PDU {
+		return &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: seq, ACK: []pdu.Seq{1, 1}}
+	}
+	net.BroadcastGroup(0, 7, mk(1))
+	net.Broadcast(0, mk(2))
+	net.BroadcastGroup(0, 9, mk(3)) // no handler for group 9: transported, then unheard
+	s.Run()
+	want := []arrival{{7, 1}, {0, 2}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("arrivals %v, want %v: one channel FIFO across groups, each to its own handler", got, want)
+	}
+	for i, g := range []uint32{7, 0, 9} {
+		if encoded[i] != g || decoded[i] != g {
+			t.Fatalf("codec saw groups %v / %v, want [7 0 9] both", encoded, decoded)
+		}
+	}
+	if st := net.Stats(); st.Sent != 3 || st.Delivered != 3 {
+		t.Errorf("stats %+v, want 3 sent and 3 delivered", st)
+	}
+}

@@ -20,8 +20,8 @@ type netConfig struct {
 	seed          int64
 	drop          func(from, to pdu.EntityID, p *pdu.PDU) bool
 	dropDatagram  func(from, to pdu.EntityID, pdus int) bool
-	encode        func(from pdu.EntityID, batch []*pdu.PDU) []byte
-	decode        func(from, to pdu.EntityID, frame []byte) []*pdu.PDU
+	encode        func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte
+	decode        func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU
 }
 
 // NetDelay sets a per-channel propagation-delay model; the RNG allows
@@ -71,9 +71,11 @@ func NetDatagramFilter(fn func(from, to pdu.EntityID, pdus int) bool) NetOption 
 // a short result models codec-level loss (a delta stamp whose
 // reference datagram was dropped) and is counted in CodecDropped. The
 // returned frame and PDUs must be freshly owned (the network schedules
-// and replays them). Direct Send calls bypass the codec.
-func NetCodec(encode func(from pdu.EntityID, batch []*pdu.PDU) []byte,
-	decode func(from, to pdu.EntityID, frame []byte) []*pdu.PDU) NetOption {
+// and replays them). Both see the datagram's group tag: each ordered
+// group is its own sequence space, so codec state must be kept per
+// (channel, group). Direct Send calls bypass the codec.
+func NetCodec(encode func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte,
+	decode func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU) NetOption {
 	return func(c *netConfig) { c.encode, c.decode = encode, decode }
 }
 
@@ -92,11 +94,19 @@ type NetStats struct {
 // directed channel, arbitrary interleaving across senders, optional loss.
 // Attach one handler per entity, then Broadcast from inside or outside
 // event callbacks; deliveries are scheduled as simulator events.
+//
+// Every datagram carries an ordered-group tag (the virtual-time twin of
+// network.Port.BroadcastGroup): all groups share the links — one fault
+// roll, one delay draw and one FIFO horizon per directed channel,
+// whatever the group — and the tag only selects which of the receiving
+// entity's handlers the datagram reaches.
 type Net struct {
-	sim      *Sim
-	cfg      netConfig
-	rng      *rand.Rand
-	handlers []Handler
+	sim  *Sim
+	cfg  netConfig
+	rng  *rand.Rand
+	size int
+	// handlers[group][entity]; group 0 is the default group.
+	handlers map[uint32][]Handler
 	// lastAt[from][to] is the latest scheduled arrival on the channel,
 	// used to keep the MC service local-order-preserved under jitter.
 	lastAt  [][]time.Duration
@@ -121,7 +131,8 @@ func NewNet(s *Sim, n int, opts ...NetOption) *Net {
 		sim:      s,
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.seed)),
-		handlers: make([]Handler, n),
+		size:     n,
+		handlers: make(map[uint32][]Handler),
 		lastAt:   last,
 		blocked:  make(map[[2]pdu.EntityID]bool),
 	}
@@ -135,7 +146,7 @@ func (n *Net) Unblock(from, to pdu.EntityID) { delete(n.blocked, [2]pdu.EntityID
 
 // Isolate blocks every channel to and from entity i.
 func (n *Net) Isolate(i pdu.EntityID) {
-	for j := range n.handlers {
+	for j := 0; j < n.size; j++ {
 		if pdu.EntityID(j) != i {
 			n.Block(i, pdu.EntityID(j))
 			n.Block(pdu.EntityID(j), i)
@@ -145,7 +156,7 @@ func (n *Net) Isolate(i pdu.EntityID) {
 
 // Rejoin heals every channel to and from entity i.
 func (n *Net) Rejoin(i pdu.EntityID) {
-	for j := range n.handlers {
+	for j := 0; j < n.size; j++ {
 		if pdu.EntityID(j) != i {
 			n.Unblock(i, pdu.EntityID(j))
 			n.Unblock(pdu.EntityID(j), i)
@@ -153,31 +164,47 @@ func (n *Net) Rejoin(i pdu.EntityID) {
 	}
 }
 
-// Attach registers the handler invoked when PDUs arrive at entity i.
-func (n *Net) Attach(i pdu.EntityID, h Handler) { n.handlers[i] = h }
+// Attach registers the handler invoked when default-group PDUs arrive at
+// entity i.
+func (n *Net) Attach(i pdu.EntityID, h Handler) { n.AttachGroup(0, i, h) }
+
+// AttachGroup registers the handler invoked when PDUs tagged with group
+// arrive at entity i.
+func (n *Net) AttachGroup(group uint32, i pdu.EntityID, h Handler) {
+	if n.handlers[group] == nil {
+		n.handlers[group] = make([]Handler, n.size)
+	}
+	n.handlers[group][i] = h
+}
 
 // Size returns the number of entities.
-func (n *Net) Size() int { return len(n.handlers) }
+func (n *Net) Size() int { return n.size }
 
 // Stats returns a snapshot of the counters.
 func (n *Net) Stats() NetStats { return n.stats }
 
-// Broadcast schedules delivery of a batch (one datagram) from one entity
-// to every other. With a NetCodec installed the batch is encoded here,
-// once, and the same frame bytes fan out to every receiver.
+// Broadcast schedules delivery of a default-group batch (one datagram)
+// from one entity to every other.
 func (n *Net) Broadcast(from pdu.EntityID, batch ...*pdu.PDU) {
+	n.BroadcastGroup(from, 0, batch...)
+}
+
+// BroadcastGroup is Broadcast for a datagram of the given ordered group.
+// With a NetCodec installed the batch is encoded here, once, and the same
+// frame bytes fan out to every receiver.
+func (n *Net) BroadcastGroup(from pdu.EntityID, group uint32, batch ...*pdu.PDU) {
 	if len(batch) == 0 {
 		return
 	}
 	var frame []byte
 	if n.cfg.encode != nil {
-		frame = n.cfg.encode(from, batch)
+		frame = n.cfg.encode(from, group, batch)
 	}
-	for to := range n.handlers {
+	for to := 0; to < n.size; to++ {
 		if pdu.EntityID(to) == from {
 			continue
 		}
-		n.send(from, pdu.EntityID(to), batch, frame)
+		n.send(from, pdu.EntityID(to), group, batch, frame)
 	}
 }
 
@@ -186,12 +213,12 @@ func (n *Net) Broadcast(from pdu.EntityID, batch ...*pdu.PDU) {
 // one simulator event, and its PDUs reach the handler in append order —
 // so per-sender order holds within and across batches. Stats count PDUs.
 func (n *Net) Send(from, to pdu.EntityID, batch ...*pdu.PDU) {
-	n.send(from, to, batch, nil)
+	n.send(from, to, 0, batch, nil)
 }
 
 // send is the shared channel path; a non-nil frame carries the encoded
 // datagram for the NetCodec byte path.
-func (n *Net) send(from, to pdu.EntityID, batch []*pdu.PDU, frame []byte) {
+func (n *Net) send(from, to pdu.EntityID, group uint32, batch []*pdu.PDU, frame []byte) {
 	if len(batch) == 0 {
 		return
 	}
@@ -233,18 +260,11 @@ func (n *Net) send(from, to pdu.EntityID, batch []*pdu.PDU, frame []byte) {
 			// the channel delivered (losses, duplicates and all).
 			sent := len(batch)
 			n.sim.At(at, func() {
-				pdus := n.cfg.decode(from, to, frame)
-				n.stats.Delivered += uint64(len(pdus))
+				pdus := n.cfg.decode(from, to, group, frame)
 				if len(pdus) < sent {
 					n.stats.CodecDropped += uint64(sent - len(pdus))
 				}
-				h := n.handlers[to]
-				if h == nil {
-					return
-				}
-				for _, p := range pdus {
-					h(from, p)
-				}
+				n.arrive(from, to, group, pdus)
 			})
 			continue
 		}
@@ -252,15 +272,17 @@ func (n *Net) send(from, to pdu.EntityID, batch []*pdu.PDU, frame []byte) {
 		for i, p := range batch {
 			clones[i] = p.Clone()
 		}
-		n.sim.At(at, func() {
-			n.stats.Delivered += uint64(len(clones))
-			h := n.handlers[to]
-			if h == nil {
-				return
-			}
-			for _, p := range clones {
-				h(from, p)
-			}
-		})
+		n.sim.At(at, func() { n.arrive(from, to, group, clones) })
+	}
+}
+
+// arrive hands one delivered datagram's PDUs to the receiving entity's
+// handler for the datagram's group, if one is attached.
+func (n *Net) arrive(from, to pdu.EntityID, group uint32, pdus []*pdu.PDU) {
+	n.stats.Delivered += uint64(len(pdus))
+	if hs := n.handlers[group]; hs != nil && hs[to] != nil {
+		for _, p := range pdus {
+			hs[to](from, p)
+		}
 	}
 }

@@ -78,7 +78,9 @@ type Options struct {
 	FlightEvents int
 }
 
-// Cluster is a simulated CO-protocol cluster.
+// Cluster is a simulated CO-protocol cluster: one ordered group's N
+// entities. Clusters built together by NewGroups share Sim, Net and
+// StepLock; everything else is the group's own.
 type Cluster struct {
 	Sim      *sim.Sim
 	Net      *sim.Net
@@ -98,9 +100,14 @@ type Cluster struct {
 
 	// StepLock serializes virtual-time stepping against concurrent
 	// state-snapshot scrapes; RunToQuiescence holds it across each step.
-	StepLock sync.Mutex
+	StepLock *sync.Mutex
 
-	n         int
+	n int
+	// group is the tag this cluster's datagrams carry on Net; suffix is
+	// appended to the entity index in node names ("" for a lone cluster,
+	// "/g<group>" among several, as the node runtime labels group engines).
+	group     uint32
+	suffix    string
 	tickEvery time.Duration
 	submitted int
 	// frozen[i] marks entity i stalled: it stops reading, ticking and
@@ -121,8 +128,31 @@ type Cluster struct {
 
 // New builds a simulated cluster of n entities.
 func New(opts Options) (*Cluster, error) {
+	cs, err := NewGroups(opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return cs[0], nil
+}
+
+// NewGroups builds groups clusters from one Options — ordered groups
+// 0..groups-1, each with its own engines, sequence space, recorder,
+// ledgers and flight rings — on ONE simulator and ONE network, the way a
+// node runtime multiplexes its groups over one socket. The network's
+// delays, loss, duplication, partitions and Options.Net hooks hit every
+// group's datagrams alike (the groups share the links); ordering state
+// never crosses groups, because each datagram carries its group tag and,
+// under Options.WireVersion, the codec keeps stamp state per (channel,
+// group). The protocol configuration is identical for every group:
+// isolation comes from datagram routing, never from the entity
+// configuration. Stepping any one cluster (RunUntil, RunToQuiescence)
+// advances them all.
+func NewGroups(opts Options, groups int) ([]*Cluster, error) {
 	if opts.N < 2 {
 		return nil, fmt.Errorf("simrun: need at least 2 entities, got %d", opts.N)
+	}
+	if groups < 1 {
+		return nil, fmt.Errorf("simrun: need at least 1 group, got %d", groups)
 	}
 	s := sim.New()
 	netOpts := opts.Net
@@ -134,6 +164,25 @@ func New(opts Options) (*Cluster, error) {
 		netOpts = append(append([]sim.NetOption{}, opts.Net...), codec)
 	}
 	net := sim.NewNet(s, opts.N, netOpts...)
+	lock := new(sync.Mutex)
+	cs := make([]*Cluster, groups)
+	for g := range cs {
+		suffix := ""
+		if groups > 1 {
+			suffix = "/g" + strconv.Itoa(g)
+		}
+		c, err := newCluster(opts, s, net, lock, uint32(g), suffix)
+		if err != nil {
+			return nil, err
+		}
+		cs[g] = c
+	}
+	return cs, nil
+}
+
+// newCluster builds one group's entities and attaches them to net under
+// the group's tag.
+func newCluster(opts Options, s *sim.Sim, net *sim.Net, lock *sync.Mutex, group uint32, suffix string) (*Cluster, error) {
 	c := &Cluster{
 		Sim:         s,
 		Net:         net,
@@ -141,7 +190,10 @@ func New(opts Options) (*Cluster, error) {
 		Ledgers:     make([]*core.Ledger, opts.N),
 		Flights:     make([]*flight.Ring, opts.N),
 		Delivered:   make([][]core.Delivery, opts.N),
+		StepLock:    lock,
 		n:           opts.N,
+		group:       group,
+		suffix:      suffix,
 		frozen:      make([]bool, opts.N),
 		submittedBy: make([]int, opts.N),
 		shed:        opts.Shed,
@@ -174,14 +226,16 @@ func New(opts Options) (*Cluster, error) {
 		}
 		ent, err := core.New(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("simrun: entity %d: %w", i, err)
+			return nil, fmt.Errorf("simrun: entity %s: %w", c.node(i), err)
 		}
 		c.Entities[i] = ent
 		if opts.Registry != nil {
-			opts.Registry.RegisterNode(strconv.Itoa(i), cfg.Metrics, nil, func() (obsv.StateSnapshot, bool) {
+			opts.Registry.RegisterNode(c.node(i), cfg.Metrics, nil, func() (obsv.StateSnapshot, bool) {
 				c.StepLock.Lock()
 				defer c.StepLock.Unlock()
-				return ent.Snapshot(), true
+				snap := ent.Snapshot()
+				snap.Group = group
+				return snap, true
 			})
 		}
 	}
@@ -195,7 +249,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	for i := 0; i < opts.N; i++ {
 		id := pdu.EntityID(i)
-		net.Attach(id, func(from pdu.EntityID, p *pdu.PDU) {
+		net.AttachGroup(group, id, func(from pdu.EntityID, p *pdu.PDU) {
 			if c.frozen[id] {
 				// The stalled process never reads: the datagram reached
 				// its socket but is dropped unprocessed.
@@ -208,7 +262,7 @@ func New(opts Options) (*Cluster, error) {
 			if err != nil {
 				// Simulated networks deliver only valid PDUs; an error
 				// here is a harness bug worth surfacing loudly.
-				panic(fmt.Sprintf("simrun: entity %d receive: %v", id, err))
+				panic(fmt.Sprintf("simrun: entity %s receive: %v", c.node(int(id)), err))
 			}
 			c.dispatch(id, out)
 		})
@@ -217,62 +271,84 @@ func New(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// wireCodec builds the sim.NetCodec for a cluster of n entities: one
-// frame/stamp encoder per sender (its reference advances once per
-// datagram, like a real link's) and one frame/stamp decoder per directed
-// channel (mirroring the per-sender FIFO cache a receiving link keeps).
+// node is entity i's name in registries, flight dumps and stall reports.
+func (c *Cluster) node(i int) string { return strconv.Itoa(i) + c.suffix }
+
+// wireCodec builds the sim.NetCodec for clusters of n entities: one frame
+// encoder per sender and one frame decoder per directed channel, plus —
+// per ordered group, allocated at the group's first datagram — one stamp
+// encoder per sender (its reference advances once per datagram, like a
+// real link's) and one stamp decoder per directed channel (mirroring the
+// per-sender FIFO cache a receiving link keeps). Each group is its own
+// sequence space, so a delta reference must never resolve across groups.
 func wireCodec(n, version, stampK int) (sim.NetOption, error) {
 	if version != 1 && version != 2 {
 		return nil, fmt.Errorf("simrun: unsupported wire version %d", version)
 	}
-	encs := make([]pdu.FrameEncoder, n)
-	var stamps []*pdu.StampEncoder
-	if version == 2 {
-		stamps = make([]*pdu.StampEncoder, n)
-		for i := range stamps {
-			stamps[i] = pdu.NewStampEncoder(stampK)
-		}
+	type groupStamps struct {
+		enc []*pdu.StampEncoder  // enc[from]; nil entries under v1
+		dec [][]pdu.StampDecoder // dec[to][from]
 	}
+	stamps := make(map[uint32]*groupStamps)
+	stampsOf := func(group uint32) *groupStamps {
+		gs := stamps[group]
+		if gs == nil {
+			gs = &groupStamps{enc: make([]*pdu.StampEncoder, n), dec: make([][]pdu.StampDecoder, n)}
+			for i := 0; i < n; i++ {
+				gs.dec[i] = make([]pdu.StampDecoder, n)
+				if version == 2 {
+					gs.enc[i] = pdu.NewStampEncoder(stampK)
+				}
+			}
+			stamps[group] = gs
+		}
+		return gs
+	}
+	encs := make([]pdu.FrameEncoder, n)
 	decs := make([][]pdu.FrameDecoder, n) // decs[to][from]
-	sdecs := make([][]pdu.StampDecoder, n)
 	for to := range decs {
 		decs[to] = make([]pdu.FrameDecoder, n)
-		sdecs[to] = make([]pdu.StampDecoder, n)
-		for from := range decs[to] {
-			decs[to][from].SetStampDecoder(&sdecs[to][from])
-		}
 	}
-	encode := func(from pdu.EntityID, batch []*pdu.PDU) []byte {
+	encode := func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte {
 		e := &encs[from]
-		if version == 2 {
-			e.BeginV2(nil, stamps[from])
-		} else {
+		// The v1/v2 header for group 0 and the group-addressed v3 header
+		// otherwise, exactly as the node runtime's wireFrames.begin.
+		switch st := stampsOf(group).enc[from]; {
+		case group != 0:
+			e.BeginGroup(nil, group, uint8(version), st)
+		case version == 2:
+			e.BeginV2(nil, st)
+		default:
 			e.Begin(nil)
 		}
 		for _, p := range batch {
 			if err := e.Append(p); err != nil {
 				// Entities only emit encodable PDUs; failing to encode
 				// one is a harness bug worth surfacing loudly.
-				panic(fmt.Sprintf("simrun: encode from %d: %v", from, err))
+				panic(fmt.Sprintf("simrun: encode group %d from %d: %v", group, from, err))
 			}
 		}
 		return e.Bytes()
 	}
-	decode := func(from, to pdu.EntityID, frame []byte) []*pdu.PDU {
+	decode := func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU {
 		d := &decs[to][from]
 		if err := d.Reset(frame); err != nil {
 			panic(fmt.Sprintf("simrun: frame %d->%d: %v", from, to, err))
 		}
+		if d.Group() != group {
+			panic(fmt.Sprintf("simrun: frame %d->%d of group %d names group %d", from, to, group, d.Group()))
+		}
+		d.SetStampDecoder(&stampsOf(group).dec[to][from])
 		var out []*pdu.PDU
 		var p pdu.PDU
 		for {
 			ok, err := d.Next(&p)
 			if err != nil {
 				if errors.Is(err, pdu.ErrDeltaDesync) {
-					// A delta whose reference this channel lost (or a
-					// duplicated delivery replaying one): the datagram's
-					// remainder is dropped like loss, exactly as the
-					// link layer treats it.
+					// A delta whose reference this (channel, group) lost
+					// (or a duplicated delivery replaying one): the
+					// datagram's remainder is dropped like loss, exactly
+					// as the link layer treats it.
 					return out
 				}
 				panic(fmt.Sprintf("simrun: decode %d->%d: %v", from, to, err))
@@ -324,7 +400,7 @@ func (c *Cluster) dispatch(id pdu.EntityID, out core.Output) {
 			}
 		}
 	}
-	c.Net.Broadcast(id, out.PDUs...)
+	c.Net.BroadcastGroup(id, c.group, out.PDUs...)
 	for _, d := range out.Deliveries {
 		c.Delivered[id] = append(c.Delivered[id], d)
 		if sent, ok := c.sendTimes[trace.MsgID{Src: d.Src, Seq: d.SEQ}]; ok {
@@ -483,7 +559,7 @@ func (c *Cluster) FlightDumps() []obsv.NodeFlight {
 			continue
 		}
 		out = append(out, obsv.NodeFlight{
-			Node:     strconv.Itoa(i),
+			Node:     c.node(i),
 			Recorded: fr.Recorded(),
 			Capacity: fr.Cap(),
 			Events:   fr.Snapshot(nil),
@@ -499,7 +575,7 @@ func (c *Cluster) StallReport() []obsv.Stall {
 	var out []obsv.Stall
 	for i, e := range c.Entities {
 		for _, st := range e.Stalls(c.Sim.Now(), 0) {
-			st.Node = strconv.Itoa(i)
+			st.Node = c.node(i)
 			out = append(out, st)
 		}
 	}
@@ -519,36 +595,7 @@ func (c *Cluster) Analyze() (*trace.Analysis, error) {
 func (c *Cluster) TotalStats() core.Stats {
 	var t core.Stats
 	for _, e := range c.Entities {
-		s := e.Stats()
-		t.DataSent += s.DataSent
-		t.SyncSent += s.SyncSent
-		t.AckOnlySent += s.AckOnlySent
-		t.RetSent += s.RetSent
-		t.DataRecv += s.DataRecv
-		t.SyncRecv += s.SyncRecv
-		t.AckOnlyRecv += s.AckOnlyRecv
-		t.RetRecv += s.RetRecv
-		t.Accepted += s.Accepted
-		t.Duplicates += s.Duplicates
-		t.Parked += s.Parked
-		t.F1Detections += s.F1Detections
-		t.F2Detections += s.F2Detections
-		t.Retransmitted += s.Retransmitted
-		t.Preacked += s.Preacked
-		t.Acked += s.Acked
-		t.Committed += s.Committed
-		t.Delivered += s.Delivered
-		t.CPIDisplaced += s.CPIDisplaced
-		t.CPIDisplacement += s.CPIDisplacement
-		t.DeferredConfirms += s.DeferredConfirms
-		t.FlowBlocked += s.FlowBlocked
-		t.InvalidPDUs += s.InvalidPDUs
-		t.Evicted += s.Evicted
-		t.AutoSuspected += s.AutoSuspected
-		t.PressureEvicted += s.PressureEvicted
-		if s.MaxResident > t.MaxResident {
-			t.MaxResident = s.MaxResident
-		}
+		t.Add(e.Stats())
 	}
 	return t
 }

@@ -336,3 +336,65 @@ func TestTotalOrderWithDuplication(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewGroupsIsolatesGroups runs three groups over one lossy network on
+// the pointer path and under both codecs: each group delivers exactly its
+// own submissions everywhere, the CO service holds per group, and node
+// names carry the group.
+func TestNewGroupsIsolatesGroups(t *testing.T) {
+	for _, wire := range []int{0, 1, 2} {
+		cs, err := NewGroups(Options{
+			N: 3,
+			Net: []sim.NetOption{
+				sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.1), sim.NetSeed(7),
+			},
+			Trace:        true,
+			WireVersion:  wire,
+			FlightEvents: 64,
+		}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, c := range cs {
+			for k := 0; k < 5+g; k++ {
+				c.SubmitAt(pdu.EntityID(k%3), []byte{byte(g)}, time.Duration(k)*time.Millisecond)
+			}
+		}
+		// Stepping one cluster advances the shared simulator for all.
+		if _, err := cs[0].RunUntil(func() bool {
+			for _, c := range cs {
+				if !c.AllDelivered() || !c.Quiescent() {
+					return false
+				}
+			}
+			return true
+		}, virtualDeadline); err != nil {
+			t.Fatalf("wire %d: %v", wire, err)
+		}
+		if cs[0].Net.Stats().Dropped == 0 {
+			t.Errorf("wire %d: no loss injected", wire)
+		}
+		for g, c := range cs {
+			for i, ds := range c.Delivered {
+				if len(ds) != 5+g {
+					t.Fatalf("wire %d group %d entity %d delivered %d, want %d", wire, g, i, len(ds), 5+g)
+				}
+				for _, d := range ds {
+					if len(d.Data) != 1 || int(d.Data[0]) != g {
+						t.Fatalf("wire %d group %d entity %d delivered another group's payload %v", wire, g, i, d.Data)
+					}
+				}
+			}
+			a, err := c.Analyze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.CheckCOService(); err != nil {
+				t.Fatalf("wire %d group %d: %v", wire, g, err)
+			}
+			if got, want := c.FlightDumps()[1].Node, "1/g"+string(rune('0'+g)); got != want {
+				t.Errorf("wire %d: node name %q, want %q", wire, got, want)
+			}
+		}
+	}
+}
