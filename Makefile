@@ -1,8 +1,9 @@
 GO ?= go
 
-# The benchmarks pinned by the latest BENCH_PR*.json "benchmarks" map;
-# benchdiff reruns exactly these. SnapshotInto lives in internal/core.
-BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$|MultiGroupThroughput
+# The root-package benchmarks bench_pins.json pins; benchdiff reruns
+# exactly these, plus SnapshotInto (internal/core) and Record
+# (internal/flight).
+BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$
 
 .PHONY: check vet build test race bench benchdiff
 
@@ -22,16 +23,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: every paper table/figure benchmark with allocation stats
+## bench: every table and figure of the paper's evaluation (the
+## end-to-end runtime benchmark is `bash bench/run.sh`)
 bench:
-	$(GO) test . -run '^$$' -bench . -benchmem
+	$(GO) run ./cmd/cobench
 
 ## benchdiff: opt-in perf gate — rerun the pinned hot-path benchmarks
-## and diff against the latest BENCH_PR*.json baseline; >10% ns/op or
-## any allocs/op growth fails. Also reachable via BENCHDIFF=1 make check.
+## five times and diff their medians against bench_pins.json; a median
+## more than 10% (or the row's own run-to-run spread, if wider) over
+## its pin, or any allocs/op growth, fails. Also reachable via
+## BENCHDIFF=1 make check.
 benchdiff:
 	@tmp=$$(mktemp); trap "rm -f $$tmp" EXIT; \
-	$(GO) test . -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -benchtime 0.5s -benchmem > $$tmp && \
-	$(GO) test ./internal/core -run '^$$' -bench 'SnapshotInto' -benchtime 0.5s -benchmem >> $$tmp && \
-	$(GO) test ./internal/flight -run '^$$' -bench 'Record' -benchtime 0.5s -benchmem >> $$tmp && \
+	$(GO) test . -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -benchtime 0.5s -benchmem -count 5 > $$tmp && \
+	$(GO) test ./internal/core -run '^$$' -bench 'SnapshotInto' -benchtime 0.5s -benchmem -count 5 >> $$tmp && \
+	$(GO) test ./internal/flight -run '^$$' -bench 'Record' -benchtime 0.5s -benchmem -count 5 >> $$tmp && \
 	$(GO) run ./scripts/benchdiff -input $$tmp

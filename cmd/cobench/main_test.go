@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
 
 func TestUnknownExperimentRejected(t *testing.T) {
 	if err := run("no-such-experiment", true); err == nil {
@@ -30,5 +37,86 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 	if err := run("all", true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEveryDocumentedReproducerExists holds EXPERIMENTS.md and the
+// DESIGN.md §3 index to the promise that every E-number is reproducible
+// by one command: each experiment section header and index row names a
+// reproducer, every `-exp NAME` in either file is a registered runner,
+// and every Benchmark… they mention is still defined somewhere in the
+// tree.
+func TestEveryDocumentedReproducerExists(t *testing.T) {
+	root := filepath.Join("..", "..")
+	registered := make(map[string]bool)
+	for _, e := range experimentRunners {
+		registered[e.name] = true
+	}
+	defined := make(map[string]bool)
+	benchFunc := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != root {
+			return filepath.SkipDir // .git, .bench_build
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range benchFunc.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	expFlag := regexp.MustCompile("-exp ([a-z0-9-]+)")
+	benchName := regexp.MustCompile(`Benchmark\w+`)
+	otherTool := regexp.MustCompile("`cmd/(cochaos|cosoak)`")
+	for _, doc := range []struct {
+		file string
+		// entry matches the lines that must each name a reproducer;
+		// want is how many of them the file has today.
+		entry *regexp.Regexp
+		want  int
+	}{
+		{"EXPERIMENTS.md", regexp.MustCompile(`^## (E\d|A\d|§)`), 19}, // E1–E17, §2.3, A1–A3
+		{"DESIGN.md", regexp.MustCompile(`^\| (E|A)\d`), 13},          // the §3 index rows
+	} {
+		text, err := os.ReadFile(filepath.Join(root, doc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		for i, line := range strings.Split(string(text), "\n") {
+			exps := expFlag.FindAllStringSubmatch(line, -1)
+			benches := benchName.FindAllString(line, -1)
+			for _, m := range exps {
+				if !registered[m[1]] {
+					t.Errorf("%s:%d: `-exp %s` is not a cobench experiment", doc.file, i+1, m[1])
+				}
+			}
+			for _, b := range benches {
+				if !defined[b] {
+					t.Errorf("%s:%d: %s is not defined in any _test.go", doc.file, i+1, b)
+				}
+			}
+			if doc.entry.MatchString(line) {
+				entries++
+				if len(exps) == 0 && len(benches) == 0 && !otherTool.MatchString(line) {
+					t.Errorf("%s:%d: names no reproducer: %s", doc.file, i+1, line)
+				}
+			}
+		}
+		if entries != doc.want {
+			t.Errorf("%s: found %d experiment entries, want %d: header or row format changed?", doc.file, entries, doc.want)
+		}
 	}
 }

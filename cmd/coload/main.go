@@ -6,20 +6,17 @@
 //	coload -n 4 -msgs 2000 -rate 5000 -size 128 -loss 0.05
 //	coload -n 3 -msgs 500 -total        # total-order mode
 //	coload -n 4 -msgs 4000 -groups 8    # spread over 8 ordered groups
-//	coload -n 4 -msgs 1e9 -obsv 127.0.0.1:9090   # watch /metrics live
+//	coload -n 4 -msgs 600000 -obsv 127.0.0.1:9090   # 5 min at the default rate: watch /metrics live
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"cobcast"
 	"cobcast/internal/experiments"
-	"cobcast/internal/metrics"
 	"cobcast/obsv"
 )
 
@@ -77,94 +74,14 @@ func run(n, msgs int, rate float64, size int, loss float64, seed int64, total bo
 	}
 	defer cluster.Close()
 
-	if size < 12 {
-		size = 12
-	}
-	var (
-		mu        sync.Mutex
-		sendTimes = make(map[uint64]time.Time, msgs)
-		lat       metrics.Histogram
-	)
-	key := func(src int, idx uint64) uint64 { return uint64(src)<<40 | idx }
-
 	// One port per (node, group); with -groups 1 these are the nodes'
 	// default ports and the run is byte-identical to the classic
 	// single-group load test.
 	ports := experiments.MultiGroupPorts(cluster, n, groups)
-	perGroup := make([]int, groups)
-	for i := 0; i < msgs; i++ {
-		perGroup[i%groups]++
+	res, err := experiments.RunLoad(ports, experiments.LoadSpec{Msgs: msgs, Rate: rate, Size: size}, wait)
+	if err != nil {
+		return err
 	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, n*groups)
-	for i := 0; i < n; i++ {
-		for g := 0; g < groups; g++ {
-			i, g := i, g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seen := 0
-				deadline := time.After(wait)
-				for seen < perGroup[g] {
-					select {
-					case m, ok := <-ports[i][g].Deliveries():
-						if !ok {
-							errs <- fmt.Errorf("node %d group %d: closed at %d/%d", i, g, seen, perGroup[g])
-							return
-						}
-						now := time.Now()
-						idx := binary.BigEndian.Uint64(m.Data[4:])
-						mu.Lock()
-						if at, ok := sendTimes[key(m.Src, idx)]; ok {
-							lat.Record(float64(now.Sub(at).Microseconds()))
-						}
-						mu.Unlock()
-						seen++
-					case <-deadline:
-						errs <- fmt.Errorf("node %d group %d: timeout at %d/%d (stats %+v)",
-							i, g, seen, perGroup[g], cluster.Node(i).Stats())
-						return
-					}
-				}
-				errs <- nil
-			}()
-		}
-	}
-
-	payload := make([]byte, size)
-	start := time.Now()
-	var interval time.Duration
-	if rate > 0 {
-		interval = time.Duration(float64(time.Second) / rate)
-	}
-	next := start
-	for i := 0; i < msgs; i++ {
-		src := i % n
-		binary.BigEndian.PutUint32(payload, uint32(src))
-		binary.BigEndian.PutUint64(payload[4:], uint64(i))
-		mu.Lock()
-		sendTimes[key(src, uint64(i))] = time.Now()
-		mu.Unlock()
-		if err := ports[src][i%groups].Broadcast(payload); err != nil {
-			return err
-		}
-		if interval > 0 {
-			next = next.Add(interval)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-	}
-	submitted := time.Since(start)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
 
 	mode := "causal order"
 	if total {
@@ -174,28 +91,14 @@ func run(n, msgs int, rate float64, size int, loss float64, seed int64, total bo
 		mode = fmt.Sprintf("%s, %d groups", mode, groups)
 	}
 	fmt.Printf("%d messages × %d nodes (%s, %.0f%% loss) in %v (submit phase %v)\n",
-		msgs, n, mode, loss*100, elapsed.Round(time.Millisecond), submitted.Round(time.Millisecond))
+		msgs, n, mode, loss*100, res.Wall.Round(time.Millisecond), res.Submit.Round(time.Millisecond))
 	fmt.Printf("delivery throughput: %.0f msg/s per node (%.0f deliveries/s cluster-wide)\n",
-		float64(msgs)/elapsed.Seconds(), float64(msgs*n)/elapsed.Seconds())
-	fmt.Printf("end-to-end latency (µs): p50=%.0f p95=%.0f p99=%.0f max=%.0f (n=%d samples)\n",
-		lat.Percentile(50), lat.Percentile(95), lat.Percentile(99), lat.Max(), lat.Count())
+		float64(msgs)/res.Wall.Seconds(), float64(msgs*n)/res.Wall.Seconds())
+	fmt.Printf("end-to-end latency (µs): p50=%d p95=%d p99=%d max=%d (n=%d samples)\n",
+		res.Percentile(50).Microseconds(), res.Percentile(95).Microseconds(),
+		res.Percentile(99).Microseconds(), res.Percentile(100).Microseconds(), len(res.Latencies))
 
-	var agg cobcast.Stats
-	for i := 0; i < n; i++ {
-		for g := 0; g < groups; g++ {
-			s, ok := ports[i][g].Stats()
-			if !ok {
-				continue
-			}
-			agg.DataSent += s.DataSent
-			agg.SyncSent += s.SyncSent
-			agg.AckOnlySent += s.AckOnlySent
-			agg.RetSent += s.RetSent
-			agg.Retransmitted += s.Retransmitted
-			agg.Duplicates += s.Duplicates
-			agg.FlowBlocked += s.FlowBlocked
-		}
-	}
+	agg := experiments.PortStats(ports)
 	fmt.Printf("protocol: data=%d sync=%d ackonly=%d ret=%d retx=%d dup=%d flow-blocked=%d\n",
 		agg.DataSent, agg.SyncSent, agg.AckOnlySent, agg.RetSent,
 		agg.Retransmitted, agg.Duplicates, agg.FlowBlocked)

@@ -61,94 +61,12 @@ type Message struct {
 	LTime uint64
 }
 
-// Stats is a snapshot of one node's protocol counters. See the field
-// descriptions on the corresponding experiment metrics in EXPERIMENTS.md.
-type Stats struct {
-	// DataSent, SyncSent, AckOnlySent, RetSent count broadcast PDUs by
-	// kind: application data, deferred-confirmation syncs, unsequenced
-	// control acks, and retransmission requests.
-	DataSent    uint64
-	SyncSent    uint64
-	AckOnlySent uint64
-	RetSent     uint64
-	// DataRecv, SyncRecv, AckOnlyRecv, RetRecv count valid received
-	// PDUs by kind.
-	DataRecv    uint64
-	SyncRecv    uint64
-	AckOnlyRecv uint64
-	RetRecv     uint64
-	// Accepted counts in-order PDU acceptances; Duplicates and Parked
-	// count duplicate and out-of-order arrivals.
-	Accepted   uint64
-	Duplicates uint64
-	Parked     uint64
-	// F1Detections and F2Detections count loss detections by failure
-	// condition: a sequence gap revealed by a sequenced PDU (F1) versus
-	// by an acknowledgment vector (F2).
-	F1Detections uint64
-	F2Detections uint64
-	// Retransmitted counts own PDUs rebroadcast on request.
-	Retransmitted uint64
-	// Preacked, Acked, Committed and Delivered count pipeline progress.
-	Preacked  uint64
-	Acked     uint64
-	Committed uint64
-	Delivered uint64
-	// CPIDisplaced counts causality-preserved insertions that had to
-	// reorder (not tail appends); CPIDisplacement sums the entries each
-	// one bypassed.
-	CPIDisplaced    uint64
-	CPIDisplacement uint64
-	// DeferredConfirms counts confirmations emitted by the deferred
-	// confirmation timer/all-heard rule.
-	DeferredConfirms uint64
-	// FlowBlocked counts broadcasts that waited for the flow-control
-	// window.
-	FlowBlocked uint64
-	// MaxResident is the peak number of PDUs buffered by the node.
-	MaxResident int
-	// InvalidPDUs counts rejected datagrams.
-	InvalidPDUs uint64
-	// Evicted counts peers removed from this node's confirmation quorum;
-	// AutoSuspected counts those removed by the suspect timeout, and
-	// PressureEvicted the subset evicted early because the memory ledger
-	// was under pressure (WithMemoryBudget + WithSuspectTimeout).
-	Evicted         uint64
-	AutoSuspected   uint64
-	PressureEvicted uint64
-}
-
-func fromCoreStats(s core.Stats) Stats {
-	return Stats{
-		DataSent:         s.DataSent,
-		SyncSent:         s.SyncSent,
-		AckOnlySent:      s.AckOnlySent,
-		RetSent:          s.RetSent,
-		DataRecv:         s.DataRecv,
-		SyncRecv:         s.SyncRecv,
-		AckOnlyRecv:      s.AckOnlyRecv,
-		RetRecv:          s.RetRecv,
-		Accepted:         s.Accepted,
-		Duplicates:       s.Duplicates,
-		Parked:           s.Parked,
-		F1Detections:     s.F1Detections,
-		F2Detections:     s.F2Detections,
-		Retransmitted:    s.Retransmitted,
-		Preacked:         s.Preacked,
-		Acked:            s.Acked,
-		Committed:        s.Committed,
-		Delivered:        s.Delivered,
-		CPIDisplaced:     s.CPIDisplaced,
-		CPIDisplacement:  s.CPIDisplacement,
-		DeferredConfirms: s.DeferredConfirms,
-		FlowBlocked:      s.FlowBlocked,
-		MaxResident:      s.MaxResident,
-		InvalidPDUs:      s.InvalidPDUs,
-		Evicted:          s.Evicted,
-		AutoSuspected:    s.AutoSuspected,
-		PressureEvicted:  s.PressureEvicted,
-	}
-}
+// Stats is a snapshot of one engine's protocol counters — a node's
+// default group (Node.Stats) or one group on one node (GroupPort.Stats).
+// It is the engine's own counter set, so the field documentation and
+// the Add method (every counter by sum, MaxResident by maximum) that
+// builds cluster-wide and cross-group totals are core.Stats'.
+type Stats = core.Stats
 
 // options collects configuration shared by clusters and nodes.
 type options struct {

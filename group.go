@@ -118,8 +118,7 @@ func (p *GroupPort) Deliveries() <-chan Message { return p.deliver }
 // Stats returns the group's protocol counters; ok is false if the group
 // has no engine on this node yet.
 func (p *GroupPort) Stats() (Stats, bool) {
-	s, ok := p.nd.rt.Stats(uint32(p.id))
-	return fromCoreStats(s), ok
+	return p.nd.rt.Stats(uint32(p.id))
 }
 
 // pump moves messages from the unbounded queue to the delivery channel so

@@ -30,32 +30,14 @@ type WindowRow struct {
 func AblationWindow(n int, ws []int, perSender int) ([]WindowRow, error) {
 	rows := make([]WindowRow, 0, len(ws))
 	for _, w := range ws {
-		c, err := simrun.New(simrun.Options{
-			N:    n,
-			Core: core.Config{Window: pdu.Seq(w)},
-			Net:  []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.LoadWorkload(workload.NewContinuous(n, perSender, 32))
-		done, err := c.RunToQuiescence(deadline)
+		c, done, err := runContinuous(simrun.Options{N: n, Core: core.Config{Window: pdu.Seq(w)}}, perSender, 32)
 		if err != nil {
 			return nil, fmt.Errorf("ablation window=%d: %w", w, err)
-		}
-		samples := c.TapSamples()
-		var sum time.Duration
-		for _, d := range samples {
-			sum += d
-		}
-		var mean time.Duration
-		if len(samples) > 0 {
-			mean = sum / time.Duration(len(samples))
 		}
 		rows = append(rows, WindowRow{
 			W:                 w,
 			CompletionVirtual: done,
-			TapMean:           mean,
+			TapMean:           mean(c.TapSamples()),
 			FlowBlocked:       c.TotalStats().FlowBlocked,
 		})
 	}
@@ -128,54 +110,19 @@ func AblationBuffer(n int, caps []int, msgs int) ([]BufferAblRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		for i := 0; i < msgs; i++ {
-			if err := c.Broadcast(i%n, make([]byte, 32)); err != nil {
-				c.Close()
-				return nil, err
-			}
+		ports := MultiGroupPorts(c, n, 1)
+		res, err := RunLoad(ports, LoadSpec{Msgs: msgs, Size: 32}, realtimeTimeout)
+		if err != nil {
+			c.Close()
+			return nil, fmt.Errorf("ablation inbox=%d: %w", cap, err)
 		}
-		ok := make(chan error, n)
-		for i := 0; i < n; i++ {
-			nd := c.Node(i)
-			go func() {
-				count := 0
-				timeout := time.After(60 * time.Second)
-				for count < msgs {
-					select {
-					case _, open := <-nd.Deliveries():
-						if !open {
-							ok <- fmt.Errorf("deliveries closed at %d/%d", count, msgs)
-							return
-						}
-						count++
-					case <-timeout:
-						ok <- fmt.Errorf("timeout at %d/%d (stats %+v)", count, msgs, nd.Stats())
-						return
-					}
-				}
-				ok <- nil
-			}()
-		}
-		for i := 0; i < n; i++ {
-			if err := <-ok; err != nil {
-				c.Close()
-				return nil, fmt.Errorf("ablation inbox=%d: %w", cap, err)
-			}
-		}
-		wall := time.Since(start)
-		var retx uint64
-		for i := 0; i < n; i++ {
-			retx += c.Node(i).Stats().Retransmitted
-		}
-		net := c.NetworkStats()
-		c.Close()
 		rows = append(rows, BufferAblRow{
 			InboxCap:      cap,
-			Overruns:      net.DroppedOverrun,
-			Retransmitted: retx,
-			Wall:          wall,
+			Overruns:      c.NetworkStats().DroppedOverrun,
+			Retransmitted: PortStats(ports).Retransmitted,
+			Wall:          res.Wall,
 		})
+		c.Close()
 	}
 	return rows, nil
 }

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5, plus the worked example of Section 4). Each
 // experiment is a plain function returning structured rows so that both
-// the cmd/cobench harness (which renders them as tables) and the root
-// benchmark suite (which asserts their shapes) share one implementation.
+// the cmd/cobench harness (which renders them as tables) and this
+// package's tests (which assert their shapes) share one implementation.
 // The experiment identifiers (E1..E8, A1..A3) are indexed in DESIGN.md
 // and the results are recorded against the paper in EXPERIMENTS.md.
 package experiments
@@ -26,61 +26,86 @@ import (
 // deadline bounds every simulated run's virtual time.
 const deadline = 120 * time.Second
 
-// stream is a captured sequence of PDUs arriving at one entity during a
-// realistic protocol run, used to replay-measure pure processing cost.
-type stream struct {
-	n    int
-	pdus []*pdu.PDU
+// runContinuous runs the paper's workload — every entity sending
+// perSender messages of size bytes back to back, "like the file
+// transfer" — to quiescence on a simulated cluster built from opts, and
+// returns the cluster with its virtual completion time. The network is
+// a uniform 1 ms propagation delay unless opts.Net says otherwise.
+func runContinuous(opts simrun.Options, perSender, size int) (*simrun.Cluster, time.Duration, error) {
+	if opts.Net == nil {
+		opts.Net = []sim.NetOption{sim.NetUniformDelay(time.Millisecond)}
+	}
+	c, err := simrun.New(opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	c.LoadWorkload(workload.NewContinuous(opts.N, perSender, size))
+	done, err := c.RunToQuiescence(deadline)
+	return c, done, err
 }
 
-// captureStream runs an n-entity continuous workload and records every
+// Stream is a captured sequence of PDUs arriving at one entity during a
+// realistic protocol run, used to replay-measure pure processing cost —
+// by Fig. 8's Tco and E7a here, and by the pinned Fig8Tco benchmarks.
+type Stream struct {
+	N    int
+	PDUs []*pdu.PDU
+}
+
+// CaptureStream runs an n-entity continuous workload and records every
 // PDU arriving at entity 0.
-func captureStream(n, perSender int) (*stream, error) {
-	st := &stream{n: n}
-	c, err := simrun.New(simrun.Options{
-		N:   n,
-		Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+func CaptureStream(n, perSender int) (*Stream, error) {
+	st := &Stream{N: n}
+	_, _, err := runContinuous(simrun.Options{
+		N: n,
 		PDUTap: func(to, _ pdu.EntityID, p *pdu.PDU) {
 			if to == 0 {
-				st.pdus = append(st.pdus, p.Clone())
+				st.PDUs = append(st.PDUs, p.Clone())
 			}
 		},
-	})
+	}, perSender, 64)
 	if err != nil {
 		return nil, err
 	}
-	c.LoadWorkload(workload.NewContinuous(n, perSender, 64))
-	if _, err := c.RunToQuiescence(deadline); err != nil {
-		return nil, err
+	if len(st.PDUs) == 0 {
+		return nil, fmt.Errorf("experiments: empty stream")
 	}
 	return st, nil
 }
 
-// replayTco times Receive over the captured stream against fresh
-// entities, returning nanoseconds of protocol processing per PDU (the
-// paper's Tco, Figure 8). The minimum over repetitions is reported — the
-// standard noise-robust estimator for short wall-clock measurements.
-func (st *stream) replayTco(reps int) (float64, error) {
-	if len(st.pdus) == 0 {
-		return 0, fmt.Errorf("experiments: empty stream")
+// Replay feeds the first limit PDUs of the stream (all of it if limit
+// is larger) to ent, a fresh entity 0 of an N-entity cluster, 10 µs of
+// protocol time apart, and returns how many it fed. Receive errors are
+// ignored: the stream is replayed to a cold engine for its cost, not
+// its output.
+func (st *Stream) Replay(ent *core.Entity, limit int) int {
+	pdus := st.PDUs[:min(limit, len(st.PDUs))]
+	now := time.Duration(0)
+	for _, p := range pdus {
+		now += 10 * time.Microsecond
+		_, _ = ent.Receive(p, now)
 	}
+	return len(pdus)
+}
+
+// replayTco times Replay over the whole stream against fresh entities,
+// returning nanoseconds of protocol processing per PDU (the paper's
+// Tco, Figure 8). The minimum over repetitions is reported — the
+// standard noise-robust estimator for short wall-clock measurements.
+func (st *Stream) replayTco(reps int) (float64, error) {
 	best := time.Duration(math.MaxInt64)
 	for r := 0; r < reps; r++ {
-		ent, err := core.New(core.Config{ID: 0, N: st.n})
+		ent, err := core.New(core.Config{ID: 0, N: st.N})
 		if err != nil {
 			return 0, err
 		}
-		now := time.Duration(0)
 		start := time.Now()
-		for _, p := range st.pdus {
-			now += 10 * time.Microsecond
-			_, _ = ent.Receive(p, now)
-		}
+		st.Replay(ent, len(st.PDUs))
 		if d := time.Since(start); d < best {
 			best = d
 		}
 	}
-	return float64(best.Nanoseconds()) / float64(len(st.pdus)), nil
+	return float64(best.Nanoseconds()) / float64(len(st.PDUs)), nil
 }
 
 // Fig8Row is one point of Figure 8: protocol processing time per PDU
@@ -107,7 +132,7 @@ type Fig8Row struct {
 func Fig8(ns []int, perSender int) ([]Fig8Row, error) {
 	rows := make([]Fig8Row, 0, len(ns))
 	for _, n := range ns {
-		st, err := captureStream(n, perSender)
+		st, err := CaptureStream(n, perSender)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 n=%d: %w", n, err)
 		}
@@ -115,38 +140,13 @@ func Fig8(ns []int, perSender int) ([]Fig8Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig8 n=%d: %w", n, err)
 		}
-		tap, err := MeasureTapRealtime(n, perSender)
+		tap, err := tapRealtime(n, perSender)
 		if err != nil {
 			return nil, fmt.Errorf("fig8 n=%d: %w", n, err)
 		}
 		rows = append(rows, Fig8Row{N: n, TcoNsPerPDU: tco, TapMean: tap})
 	}
 	return rows, nil
-}
-
-// MeasureTap runs a continuous workload at cluster size n with uniform
-// propagation delay r and returns the mean broadcast-to-delivery delay.
-func MeasureTap(n, perSender int, r time.Duration) (time.Duration, error) {
-	c, err := simrun.New(simrun.Options{
-		N:   n,
-		Net: []sim.NetOption{sim.NetUniformDelay(r)},
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.LoadWorkload(workload.NewContinuous(n, perSender, 64))
-	if _, err := c.RunToQuiescence(deadline); err != nil {
-		return 0, err
-	}
-	samples := c.TapSamples()
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("experiments: no Tap samples")
-	}
-	var sum time.Duration
-	for _, d := range samples {
-		sum += d
-	}
-	return sum / time.Duration(len(samples)), nil
 }
 
 // AckLatencyRow is one point of experiment E3 (the 2R claim of Section
@@ -232,16 +232,8 @@ func BufferOccupancy(ns, ws []int, perSender int) ([]BufferRow, error) {
 	var rows []BufferRow
 	for _, n := range ns {
 		for _, w := range ws {
-			c, err := simrun.New(simrun.Options{
-				N:    n,
-				Core: core.Config{Window: pdu.Seq(w)},
-				Net:  []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
-			})
+			c, _, err := runContinuous(simrun.Options{N: n, Core: core.Config{Window: pdu.Seq(w)}}, perSender, 32)
 			if err != nil {
-				return nil, err
-			}
-			c.LoadWorkload(workload.NewContinuous(n, perSender, 32))
-			if _, err := c.RunToQuiescence(deadline); err != nil {
 				return nil, fmt.Errorf("buffer n=%d w=%d: %w", n, w, err)
 			}
 			rows = append(rows, BufferRow{
@@ -319,9 +311,8 @@ func WireBytes(ns []int, perSender, stampK int) ([]WireBytesRow, error) {
 		var dts, fulls int
 		var buf []byte
 		var tapErr error
-		c, err := simrun.New(simrun.Options{
-			N:   n,
-			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		_, _, err := runContinuous(simrun.Options{
+			N: n,
 			PDUTap: func(to, from pdu.EntityID, p *pdu.PDU) {
 				// One copy per transmitted PDU: watch a single outgoing
 				// link per sender. Uniform delay keeps each link FIFO,
@@ -345,12 +336,8 @@ func WireBytes(ns []int, perSender, stampK int) ([]WireBytesRow, error) {
 					fulls++
 				}
 			},
-		})
+		}, perSender, 64)
 		if err != nil {
-			return nil, err
-		}
-		c.LoadWorkload(workload.NewContinuous(n, perSender, 64))
-		if _, err := c.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("wirebytes n=%d: %w", n, err)
 		}
 		if tapErr != nil {
@@ -392,19 +379,15 @@ type RetxRow struct {
 func RetxComparison(n, msgs int, losses []float64, seed int64) ([]RetxRow, error) {
 	rows := make([]RetxRow, 0, len(losses))
 	for _, loss := range losses {
-		c, err := simrun.New(simrun.Options{
+		c, _, err := runContinuous(simrun.Options{
 			N: n,
 			Net: []sim.NetOption{
 				sim.NetUniformDelay(time.Millisecond),
 				sim.NetLossRate(loss),
 				sim.NetSeed(seed),
 			},
-		})
+		}, (msgs+n-1)/n, 32)
 		if err != nil {
-			return nil, err
-		}
-		c.LoadWorkload(workload.NewContinuous(n, (msgs+n-1)/n, 32))
-		if _, err := c.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("retx loss=%v: %w", loss, err)
 		}
 		st := c.TotalStats()
@@ -447,7 +430,7 @@ type ISISCostRow struct {
 func ISISCost(ns []int, perSender int) ([]ISISCostRow, error) {
 	rows := make([]ISISCostRow, 0, len(ns))
 	for _, n := range ns {
-		st, err := captureStream(n, perSender)
+		st, err := CaptureStream(n, perSender)
 		if err != nil {
 			return nil, err
 		}
@@ -657,15 +640,8 @@ type MsgComplexityRow struct {
 func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 	rows := make([]MsgComplexityRow, 0, len(ns))
 	for _, n := range ns {
-		c, err := simrun.New(simrun.Options{
-			N:   n,
-			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
-		})
+		c, _, err := runContinuous(simrun.Options{N: n}, perSender, 32)
 		if err != nil {
-			return nil, err
-		}
-		c.LoadWorkload(workload.NewContinuous(n, perSender, 32))
-		if _, err := c.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("msgs n=%d: %w", n, err)
 		}
 		st := c.TotalStats()

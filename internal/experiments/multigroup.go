@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"cobcast"
@@ -52,8 +51,8 @@ func MultiGroupSweep(ns, groupCounts []int, rates []float64, msgs, size int) ([]
 
 // MultiGroupPorts opens the same groups ports on every node of a
 // cluster: the default group when groups == 1, distinctly named groups
-// otherwise. Shared by the E14 cell, coload and the throughput
-// benchmark so they all drive the identical runtime surface.
+// otherwise. Shared by every RunLoad caller (the E14 cell, Fig. 8's
+// Tap, coload) so they all drive the identical runtime surface.
 func MultiGroupPorts(c *cobcast.Cluster, n, groups int) [][]*cobcast.GroupPort {
 	ports := make([][]*cobcast.GroupPort, n)
 	for i := 0; i < n; i++ {
@@ -69,6 +68,20 @@ func MultiGroupPorts(c *cobcast.Cluster, n, groups int) [][]*cobcast.GroupPort {
 	return ports
 }
 
+// PortStats totals the protocol counters of every engine behind a port
+// matrix (ports with no engine yet contribute nothing).
+func PortStats(ports [][]*cobcast.GroupPort) cobcast.Stats {
+	var total cobcast.Stats
+	for i := range ports {
+		for _, p := range ports[i] {
+			if s, ok := p.Stats(); ok {
+				total.Add(s)
+			}
+		}
+	}
+	return total
+}
+
 func multiGroupCell(n, groups int, rate float64, msgs, size int) (*MultiGroupRow, error) {
 	c, err := cobcast.NewCluster(n,
 		cobcast.WithDeferredAckInterval(time.Millisecond),
@@ -80,94 +93,17 @@ func multiGroupCell(n, groups int, rate float64, msgs, size int) (*MultiGroupRow
 	defer c.Close()
 
 	ports := MultiGroupPorts(c, n, groups)
-	perGroup := make([]int, groups)
-	for i := 0; i < msgs; i++ {
-		perGroup[i%groups]++
-	}
-
-	// One drain per (node, group): a group's deliveries arrive on its
-	// own port channel, so draining them all concurrently is the
-	// multi-consumer shape a broker would run.
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		lastAt time.Time
-	)
-	errs := make(chan error, n*groups)
-	for i := 0; i < n; i++ {
-		for g := 0; g < groups; g++ {
-			i, g := i, g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seen := 0
-				timeout := time.After(60 * time.Second)
-				for seen < perGroup[g] {
-					select {
-					case _, ok := <-ports[i][g].Deliveries():
-						if !ok {
-							errs <- fmt.Errorf("node %d group %d: closed at %d/%d", i, g, seen, perGroup[g])
-							return
-						}
-						seen++
-					case <-timeout:
-						errs <- fmt.Errorf("node %d group %d: timeout at %d/%d", i, g, seen, perGroup[g])
-						return
-					}
-				}
-				now := time.Now()
-				mu.Lock()
-				if now.After(lastAt) {
-					lastAt = now
-				}
-				mu.Unlock()
-				errs <- nil
-			}()
-		}
-	}
-
-	payload := make([]byte, size)
-	var interval time.Duration
-	if rate > 0 {
-		interval = time.Duration(float64(time.Second) / rate)
-	}
-	start := time.Now()
-	next := start
-	for i := 0; i < msgs; i++ {
-		if err := ports[i%n][i%groups].Broadcast(payload); err != nil {
-			return nil, err
-		}
-		if interval > 0 {
-			next = next.Add(interval)
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
-			}
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	wall := lastAt.Sub(start)
-	var flowBlocked uint64
-	for i := 0; i < n; i++ {
-		for g := 0; g < groups; g++ {
-			if s, ok := ports[i][g].Stats(); ok {
-				flowBlocked += s.FlowBlocked
-			}
-		}
+	res, err := RunLoad(ports, LoadSpec{Msgs: msgs, Rate: rate, Size: size}, realtimeTimeout)
+	if err != nil {
+		return nil, err
 	}
 	return &MultiGroupRow{
 		N:             n,
 		Groups:        groups,
 		RateMsgs:      rate,
 		Messages:      msgs,
-		Wall:          wall,
-		DeliveredKpps: float64(msgs*n) / wall.Seconds() / 1000,
-		FlowBlocked:   flowBlocked,
+		Wall:          res.Wall,
+		DeliveredKpps: float64(msgs*n) / res.Wall.Seconds() / 1000,
+		FlowBlocked:   PortStats(ports).FlowBlocked,
 	}, nil
 }

@@ -10,11 +10,14 @@ import (
 	"cobcast/internal/udpnet"
 )
 
-// SyscallRow is one (cluster size, wire path) cell of the syscall
-// amortization experiment [E13].
+// SyscallRow is one (cluster size, wire shape) cell of the wire-path
+// experiments [E9, E13].
 type SyscallRow struct {
-	N    int
-	Mmsg bool
+	N int
+	// Batch is PDUs per frame (one frame per datagram); Mmsg selects
+	// the sendmmsg/recvmmsg path over per-datagram sendto/recvfrom.
+	Batch int
+	Mmsg  bool
 	// PDUs is the number of PDU broadcasts the sender issued.
 	PDUs int
 	// SendSyscalls and RecvSyscalls count the syscalls that carried
@@ -34,17 +37,23 @@ type SyscallRow struct {
 }
 
 // SyscallAmortization replays the Fig. 8-shaped blast workload — one
-// sender, frames of batch PDUs staged four deep, n-1 decoding receivers
-// — over a real UDP loopback mesh, once per wire path, and reports how
-// many syscalls carried each PDU. On the batched path one staged flush
+// sender, frames×batch PDUs in frames staged four deep, n-1 decoding
+// receivers — over a real UDP loopback mesh, once per wire shape, and
+// reports how many syscalls carried each PDU. "Per-datagram" is the
+// seed's wire behaviour, one PDU per datagram (E9's baseline); framing
+// batch PDUs per datagram divides the portable path's one syscall per
+// datagram per peer by batch (E9); on the mmsg path one staged flush
 // toward all peers is a single sendmmsg and receivers drain a ring per
-// recvmmsg, so syscalls/PDU falls by roughly batch×peers on the send
-// side; the portable path pays one syscall per datagram per peer.
+// recvmmsg, so syscalls/PDU falls by a further ~4×peers on the send
+// side (E13).
 func SyscallAmortization(ns []int, frames, batch int) ([]SyscallRow, error) {
 	var rows []SyscallRow
 	for _, n := range ns {
-		for _, mmsg := range []bool{false, true} {
-			row, err := syscallCell(n, frames, batch, mmsg)
+		for _, shape := range []struct {
+			frames, batch int
+			mmsg          bool
+		}{{frames * batch, 1, false}, {frames, batch, false}, {frames, batch, true}} {
+			row, err := syscallCell(n, shape.frames, shape.batch, shape.mmsg)
 			if err != nil {
 				return nil, err
 			}
@@ -165,6 +174,7 @@ func syscallCell(n, frames, batch int, mmsg bool) (*SyscallRow, error) {
 	}
 	return &SyscallRow{
 		N:              n,
+		Batch:          batch,
 		Mmsg:           mmsg,
 		PDUs:           pdus,
 		SendSyscalls:   sendCalls,

@@ -1,132 +1,13 @@
-// Package metrics provides the small statistics toolkit used by the
-// benchmark harness: histograms with percentiles, counters, and aligned
-// text tables for rendering the paper's figures and tables as terminal
-// output.
+// Package metrics renders the paper's figures and tables as aligned
+// text tables on a terminal. (Latency distributions live elsewhere:
+// internal/obsv.Histogram is the repository's one histogram type.)
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
-	"sync"
 	"text/tabwriter"
 )
-
-// Histogram accumulates float64 samples. The zero value is ready to use.
-// It is safe for concurrent use.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
-}
-
-// Record adds a sample.
-func (h *Histogram) Record(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.samples = append(h.samples, v)
-	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
-}
-
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	return sum / float64(len(h.samples))
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	m := h.samples[0]
-	for _, v := range h.samples[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	m := h.samples[0]
-	for _, v := range h.samples[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// StdDev returns the population standard deviation, or 0 with fewer than
-// two samples.
-func (h *Histogram) StdDev() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, v := range h.samples {
-		sum += v
-	}
-	mean := sum / float64(len(h.samples))
-	var ss float64
-	for _, v := range h.samples {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(h.samples)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) using
-// nearest-rank, or 0 with no samples.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.samples[rank-1]
-}
 
 // Table accumulates rows and renders them with aligned columns. Used by
 // cmd/cobench to print each experiment in the shape of the paper's

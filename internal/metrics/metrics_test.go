@@ -1,79 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"strings"
-	"sync"
 	"testing"
 )
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 ||
-		h.StdDev() != 0 || h.Percentile(50) != 0 {
-		t.Error("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	var h Histogram
-	for _, v := range []float64{4, 2, 8, 6} {
-		h.Record(v)
-	}
-	if h.Count() != 4 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if got := h.Mean(); got != 5 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-	if h.Min() != 2 || h.Max() != 8 {
-		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if got, want := h.StdDev(), math.Sqrt(5); math.Abs(got-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", got, want)
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 100; i++ {
-		h.Record(float64(i))
-	}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {1, 1}, {50, 50}, {95, 95}, {99, 99}, {100, 100}, {150, 100},
-	}
-	for _, tt := range tests {
-		if got := h.Percentile(tt.p); got != tt.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	// Recording after a percentile query must re-sort.
-	h.Record(0.5)
-	if got := h.Percentile(0); got != 0.5 {
-		t.Errorf("Percentile(0) after Record = %v, want 0.5", got)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Record(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Errorf("Count = %d, want 8000", h.Count())
-	}
-}
 
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Figure 8", "n", "Tco", "Tap")

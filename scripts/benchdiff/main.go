@@ -1,27 +1,32 @@
-// Command benchdiff compares `go test -bench` output against the most
-// recent BENCH_*.json baseline recorded in the repository root, and
-// fails (exit 1) on a >10% ns/op regression or any allocs/op growth on
-// a benchmark the baseline pins.
+// Command benchdiff compares `go test -bench` output against the pinned
+// micro contracts in bench_pins.json at the repository root, and fails
+// (exit 1) on an ns/op regression or any allocs/op growth on a benchmark
+// the file pins.
 //
-// The baseline is the highest-numbered BENCH_PR<n>.json containing a
-// top-level "benchmarks" map:
+// The pins file is one top-level "benchmarks" map:
 //
 //	"benchmarks": {
 //	  "BenchmarkHotPathPipeline/n=64": {
-//	    "ns_per_op": 123.4, "bytes_per_op": 0, "allocs_per_op": 0
+//	    "ns_per_op": 123.4, "allocs_per_op": 0
 //	  }
 //	}
 //
 // Benchmark names are matched after stripping the -GOMAXPROCS suffix;
-// output benchmarks absent from the baseline are listed as new and do
-// not fail the run. Timing on shared CI runners is noisy, so the CI
-// bench-smoke job passes -allocs-only and gates only on allocation
-// regressions; the full ns/op gate is the opt-in `make benchdiff`
-// target (or BENCHDIFF=1 make check) on a quiet machine.
+// output benchmarks absent from the pins are listed as new and do not
+// fail the run. With `go test -count k` each name appears k times: the
+// row's value is the median of its samples, and its ns/op tolerance is
+// the larger of -max-ns-pct and the row's own (max−min)/median over
+// those k samples — the noise floor of this host, taken on the spot, so
+// a row that cannot repeat itself to within 10% is not failed for 11%.
+// Timing on shared CI runners is noisier still, so the CI bench-smoke
+// job passes -allocs-only and gates only on allocation regressions; the
+// full ns/op gate is the opt-in `make benchdiff` target (or BENCHDIFF=1
+// make check) on a quiet machine. The end-to-end gate is bench/ with
+// BENCHMARK.json, not this tool.
 //
 // Usage:
 //
-//	go test . -run '^$' -bench . -benchmem | go run ./scripts/benchdiff
+//	go test . -run '^$' -bench . -benchmem -count 5 | go run ./scripts/benchdiff
 //	go run ./scripts/benchdiff -input bench.out -allocs-only
 package main
 
@@ -31,71 +36,35 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one benchmark's measured metrics, from either side of the
-// comparison. Allocs is -1 when the line carried no -benchmem columns.
+// result is one benchmark's metrics: a pin, one measured sample, or the
+// median of a row's samples. Allocs is -1 when the line carried no
+// -benchmem columns.
 type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// baselineFile is the subset of a BENCH_PR<n>.json that benchdiff
-// consumes.
-type baselineFile struct {
-	PR         int               `json:"pr"`
-	Benchmarks map[string]result `json:"benchmarks"`
-}
-
-var benchFile = regexp.MustCompile(`^BENCH_PR(\d+)\.json$`)
-
-// latestBaseline picks the highest-PR BENCH_PR<n>.json in dir that has
-// a non-empty "benchmarks" map.
-func latestBaseline(dir string) (string, *baselineFile, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", nil, err
-	}
-	type cand struct {
-		pr   int
-		path string
-	}
-	var cands []cand
-	for _, e := range entries {
-		if m := benchFile.FindStringSubmatch(e.Name()); m != nil {
-			pr, _ := strconv.Atoi(m[1])
-			cands = append(cands, cand{pr, filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].pr > cands[j].pr })
-	for _, c := range cands {
-		b, err := loadBaseline(c.path)
-		if err != nil {
-			return "", nil, fmt.Errorf("%s: %w", c.path, err)
-		}
-		if len(b.Benchmarks) > 0 {
-			return c.path, b, nil
-		}
-	}
-	return "", nil, fmt.Errorf("no BENCH_PR*.json with a \"benchmarks\" map under %s", dir)
-}
-
-func loadBaseline(path string) (*baselineFile, error) {
+// loadPins reads the "benchmarks" map of a pins file.
+func loadPins(path string) (map[string]result, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var b baselineFile
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return nil, err
+	var f struct {
+		Benchmarks map[string]result `json:"benchmarks"`
 	}
-	return &b, nil
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(f.Benchmarks) == 0 {
+		return nil, fmt.Errorf("%s has no \"benchmarks\" map", path)
+	}
+	return f.Benchmarks, nil
 }
 
 // stripProcs removes go test's -GOMAXPROCS benchmark-name suffix.
@@ -110,9 +79,10 @@ func stripProcs(name string) string {
 
 // parseBench extracts benchmark results from `go test -bench` text.
 // A result line is "BenchmarkName-P  iters  v1 unit1  v2 unit2 ...";
-// only the ns/op, B/op and allocs/op units are kept.
-func parseBench(r *bufio.Scanner) (map[string]result, []string, error) {
-	out := make(map[string]result)
+// only the ns/op and allocs/op units are kept. Every repeat of a
+// name (-count k) is kept, in order of appearance.
+func parseBench(r *bufio.Scanner) (map[string][]result, []string, error) {
+	out := make(map[string][]result)
 	var order []string
 	for r.Scan() {
 		fields := strings.Fields(r.Text())
@@ -131,8 +101,6 @@ func parseBench(r *bufio.Scanner) (map[string]result, []string, error) {
 			switch fields[i+1] {
 			case "ns/op":
 				res.NsPerOp = v
-			case "B/op":
-				res.BytesPerOp = v
 			case "allocs/op":
 				res.AllocsPerOp = v
 			}
@@ -141,43 +109,52 @@ func parseBench(r *bufio.Scanner) (map[string]result, []string, error) {
 		if _, dup := out[name]; !dup {
 			order = append(order, name)
 		}
-		out[name] = res
+		out[name] = append(out[name], res)
 	}
 	return out, order, r.Err()
 }
 
+// summarize reduces a row's samples to its median per metric and its
+// ns/op spread, (max−min)/median in percent — 0 for a single sample.
+func summarize(samples []result) (med result, spreadPct float64) {
+	sorted := func(get func(result) float64) []float64 {
+		vs := make([]float64, len(samples))
+		for i, s := range samples {
+			vs[i] = get(s)
+		}
+		sort.Float64s(vs)
+		return vs
+	}
+	mid := func(vs []float64) float64 { return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2 }
+	ns := sorted(func(r result) float64 { return r.NsPerOp })
+	med = result{
+		NsPerOp:     mid(ns),
+		AllocsPerOp: mid(sorted(func(r result) float64 { return r.AllocsPerOp })),
+	}
+	if med.NsPerOp > 0 {
+		spreadPct = 100 * (ns[len(ns)-1] - ns[0]) / med.NsPerOp
+	}
+	return med, spreadPct
+}
+
 func main() {
-	dir := flag.String("dir", ".", "directory holding the BENCH_PR*.json baselines")
-	baselinePath := flag.String("baseline", "", "explicit baseline file (default: latest BENCH_PR*.json with a benchmarks map)")
+	pinsPath := flag.String("baseline", "bench_pins.json", "pins file to gate against")
 	input := flag.String("input", "-", "go test -bench output to check ('-' = stdin)")
-	maxNsPct := flag.Float64("max-ns-pct", 10, "ns/op regression tolerance in percent")
+	maxNsPct := flag.Float64("max-ns-pct", 10, "ns/op regression tolerance in percent (widened per row to its own spread across -count repeats)")
 	allocsOnly := flag.Bool("allocs-only", false, "gate only on allocs/op (for noisy CI timing)")
 	flag.Parse()
 
-	if err := run(*dir, *baselinePath, *input, *maxNsPct, *allocsOnly); err != nil {
+	if err := run(*pinsPath, *input, *maxNsPct, *allocsOnly); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dir, baselinePath, input string, maxNsPct float64, allocsOnly bool) error {
-	var (
-		base *baselineFile
-		path string
-		err  error
-	)
-	if baselinePath != "" {
-		path = baselinePath
-		if base, err = loadBaseline(path); err != nil {
-			return err
-		}
-		if len(base.Benchmarks) == 0 {
-			return fmt.Errorf("%s has no \"benchmarks\" map", path)
-		}
-	} else if path, base, err = latestBaseline(dir); err != nil {
+func run(pinsPath, input string, maxNsPct float64, allocsOnly bool) error {
+	pins, err := loadPins(pinsPath)
+	if err != nil {
 		return err
 	}
-
 	in := os.Stdin
 	if input != "-" {
 		f, err := os.Open(input)
@@ -192,20 +169,21 @@ func run(dir, baselinePath, input string, maxNsPct float64, allocsOnly bool) err
 		return err
 	}
 
-	fmt.Printf("benchdiff: baseline %s (%d pinned benchmarks)\n", path, len(base.Benchmarks))
+	fmt.Printf("benchdiff: pins %s (%d pinned benchmarks)\n", pinsPath, len(pins))
 	matched, regressions := 0, 0
 	for _, name := range order {
-		now := got[name]
-		ref, ok := base.Benchmarks[name]
+		now, spread := summarize(got[name])
+		ref, ok := pins[name]
 		if !ok {
-			fmt.Printf("  new      %-52s %12.1f ns/op (no baseline)\n", name, now.NsPerOp)
+			fmt.Printf("  new      %-52s %12.1f ns/op (no pin)\n", name, now.NsPerOp)
 			continue
 		}
 		matched++
+		limit := max(maxNsPct, spread)
 		bad := ""
-		if !allocsOnly && ref.NsPerOp > 0 && now.NsPerOp > ref.NsPerOp*(1+maxNsPct/100) {
+		if !allocsOnly && ref.NsPerOp > 0 && now.NsPerOp > ref.NsPerOp*(1+limit/100) {
 			bad = fmt.Sprintf("ns/op +%.1f%% (limit +%.0f%%)",
-				100*(now.NsPerOp/ref.NsPerOp-1), maxNsPct)
+				100*(now.NsPerOp/ref.NsPerOp-1), limit)
 		}
 		if now.AllocsPerOp > ref.AllocsPerOp {
 			if bad != "" {
@@ -217,12 +195,12 @@ func run(dir, baselinePath, input string, maxNsPct float64, allocsOnly bool) err
 			regressions++
 			fmt.Printf("  REGRESS  %-52s %12.1f ns/op vs %.1f — %s\n", name, now.NsPerOp, ref.NsPerOp, bad)
 		} else {
-			fmt.Printf("  ok       %-52s %12.1f ns/op vs %.1f (%+.1f%%), %.0f allocs/op\n",
-				name, now.NsPerOp, ref.NsPerOp, 100*(now.NsPerOp/ref.NsPerOp-1), now.AllocsPerOp)
+			fmt.Printf("  ok       %-52s %12.1f ns/op vs %.1f (%+.1f%%, median of %d, spread %.0f%%), %.0f allocs/op\n",
+				name, now.NsPerOp, ref.NsPerOp, 100*(now.NsPerOp/ref.NsPerOp-1), len(got[name]), spread, now.AllocsPerOp)
 		}
 	}
 	if matched == 0 {
-		return fmt.Errorf("no benchmark in the input matches the baseline — wrong -bench pattern?")
+		return fmt.Errorf("no benchmark in the input matches the pins — wrong -bench pattern?")
 	}
 	if regressions > 0 {
 		return fmt.Errorf("%d of %d pinned benchmarks regressed", regressions, matched)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,81 +28,119 @@ func TestParseBench(t *testing.T) {
 	if len(order) != 3 {
 		t.Fatalf("parsed %d benchmarks, want 3: %v", len(order), order)
 	}
-	r, ok := got["BenchmarkHotPathPipeline/n=64"]
+	rs, ok := got["BenchmarkHotPathPipeline/n=64"]
 	if !ok {
 		t.Fatalf("missing sub-benchmark (procs suffix not stripped?): %v", order)
 	}
-	if r.NsPerOp != 100000 || r.BytesPerOp != 10 || r.AllocsPerOp != 0 {
-		t.Errorf("wrong metrics: %+v", r)
+	if want := (result{NsPerOp: 100000, AllocsPerOp: 0}); len(rs) != 1 || rs[0] != want {
+		t.Errorf("wrong metrics: %+v", rs)
 	}
 }
 
-// writeBaseline drops a BENCH_PR<n>.json into dir.
-func writeBaseline(t *testing.T, dir, name, body string) {
+// writePins writes a pins file holding the given "benchmarks" map body
+// and returns its path.
+func writePins(t *testing.T, benchmarks string) string {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func writeInput(t *testing.T, dir string) string {
-	t.Helper()
-	path := filepath.Join(dir, "bench.out")
-	if err := os.WriteFile(path, []byte(sampleOutput), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "pins.json")
+	if err := os.WriteFile(path, []byte(`{"benchmarks": {`+benchmarks+`}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-func TestRunPicksLatestBaselineAndPasses(t *testing.T) {
-	dir := t.TempDir()
-	// PR4 has no benchmarks map (the historical format); PR5 does. The
-	// tool must skip PR4 and gate against PR5.
-	writeBaseline(t, dir, "BENCH_PR4.json", `{"pr": 4}`)
-	writeBaseline(t, dir, "BENCH_PR5.json", `{"pr": 5, "benchmarks": {
+// writeInput writes go test -bench output and returns its path.
+func writeInput(t *testing.T, output string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bench.out")
+	if err := os.WriteFile(path, []byte(output), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestRepoPinsLoad keeps the default -baseline pointing at a real file:
+// the repository's one pins file parses and is not empty.
+func TestRepoPinsLoad(t *testing.T) {
+	pins, err := loadPins(filepath.Join("..", "..", "bench_pins.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := pins["BenchmarkFig8Tco/n=16"]; !ok {
+		t.Errorf("bench_pins.json (%d rows) does not pin BenchmarkFig8Tco/n=16", len(pins))
+	}
+}
+
+func TestRunPassesWithinTolerance(t *testing.T) {
+	pins := writePins(t, `
 		"BenchmarkHotPathCodec":           {"ns_per_op": 290, "allocs_per_op": 0},
-		"BenchmarkHotPathPipeline/n=64":   {"ns_per_op": 99000, "allocs_per_op": 0}
-	}}`)
-	in := writeInput(t, dir)
-	if err := run(dir, "", in, 10, false); err != nil {
+		"BenchmarkHotPathPipeline/n=64":   {"ns_per_op": 99000, "allocs_per_op": 0}`)
+	if err := run(pins, writeInput(t, sampleOutput), 10, false); err != nil {
 		t.Errorf("within tolerance (+3.4%%, +1.0%%) but failed: %v", err)
 	}
 }
 
+// repeats is `go test -count 3` output for one name: samples a, b, c in
+// the order given.
+func repeats(a, b, c float64) string {
+	var sb strings.Builder
+	for _, ns := range []float64{a, b, c} {
+		fmt.Fprintf(&sb, "BenchmarkHotPathCodec-8 \t 4000000\t %.1f ns/op\t 0 B/op\t 0 allocs/op\n", ns)
+	}
+	return sb.String()
+}
+
+// TestRunGatesOnMedianOfRepeats: with -count k a row is judged by the
+// median of its samples, not by whichever came last, and its tolerance
+// widens to the spread those samples show.
+func TestRunGatesOnMedianOfRepeats(t *testing.T) {
+	pins := writePins(t, `"BenchmarkHotPathCodec": {"ns_per_op": 205, "allocs_per_op": 0}`)
+	for _, tc := range []struct {
+		name    string
+		a, b, c float64
+		wantErr bool
+	}{
+		// Median 210 is +2.4%; a last-sample-wins parse sees +95%.
+		{"slow outlier last", 200, 210, 400, false},
+		// Median 400 is +95%, past even the 52% spread; a
+		// last-sample-wins parse sees −2.4% and passes.
+		{"fast outlier last", 400, 410, 200, true},
+		// Median 230 is +12.2%, over the 10% flag but inside the row's
+		// own 26% spread: this host cannot resolve it.
+		{"inside own noise floor", 200, 230, 260, false},
+		// The same +12.2% from samples that agree to 1% is a regression.
+		{"tight samples", 229, 230, 231, true},
+	} {
+		err := run(pins, writeInput(t, repeats(tc.a, tc.b, tc.c)), 10, false)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: samples %v/%v/%v vs pin 205: err = %v, want error = %v",
+				tc.name, tc.a, tc.b, tc.c, err, tc.wantErr)
+		}
+	}
+}
+
 func TestRunFailsOnNsRegression(t *testing.T) {
-	dir := t.TempDir()
-	writeBaseline(t, dir, "BENCH_PR5.json", `{"pr": 5, "benchmarks": {
-		"BenchmarkHotPathCodec": {"ns_per_op": 200, "allocs_per_op": 0}
-	}}`)
-	in := writeInput(t, dir)
-	if err := run(dir, "", in, 10, false); err == nil {
+	pins := writePins(t, `"BenchmarkHotPathCodec": {"ns_per_op": 200, "allocs_per_op": 0}`)
+	in := writeInput(t, sampleOutput)
+	if err := run(pins, in, 10, false); err == nil {
 		t.Error("+50% ns/op accepted")
 	}
 	// The same regression passes the allocation-only CI gate.
-	if err := run(dir, "", in, 10, true); err != nil {
+	if err := run(pins, in, 10, true); err != nil {
 		t.Errorf("-allocs-only rejected a pure timing regression: %v", err)
 	}
 }
 
 func TestRunFailsOnAllocRegression(t *testing.T) {
-	dir := t.TempDir()
-	writeBaseline(t, dir, "BENCH_PR5.json", `{"pr": 5, "benchmarks": {
-		"BenchmarkHotPathPipeline/n=64": {"ns_per_op": 100000, "allocs_per_op": -1}
-	}}`)
-	in := writeInput(t, dir)
-	// Baseline pinned -1 (no benchmem data) vs measured 0: growth.
-	if err := run(dir, "", in, 10, true); err == nil {
+	pins := writePins(t, `"BenchmarkHotPathPipeline/n=64": {"ns_per_op": 100000, "allocs_per_op": -1}`)
+	// Pinned -1 (no benchmem data) vs measured 0: growth.
+	if err := run(pins, writeInput(t, sampleOutput), 10, true); err == nil {
 		t.Error("allocs/op growth accepted under -allocs-only")
 	}
 }
 
 func TestRunFailsWithNoOverlap(t *testing.T) {
-	dir := t.TempDir()
-	writeBaseline(t, dir, "BENCH_PR5.json", `{"pr": 5, "benchmarks": {
-		"BenchmarkElsewhere": {"ns_per_op": 1, "allocs_per_op": 0}
-	}}`)
-	in := writeInput(t, dir)
-	if err := run(dir, "", in, 10, false); err == nil {
+	pins := writePins(t, `"BenchmarkElsewhere": {"ns_per_op": 1, "allocs_per_op": 0}`)
+	if err := run(pins, writeInput(t, sampleOutput), 10, false); err == nil {
 		t.Error("disjoint benchmark sets must fail loudly, not pass vacuously")
 	}
 }

@@ -40,11 +40,12 @@ go run ./cmd/cochaos -sweep 60 -par 4
 echo '>> chaos sweep smoke under wire codec v2 (60 seeds)'
 go run ./cmd/cochaos -sweep 60 -par 4 -codec 2
 
-# Opt-in perf gate: rerun the benchmarks pinned by the latest
-# BENCH_PR*.json and fail on >10% ns/op or any allocs/op growth.
-# Off by default because ns/op needs a quiet machine to mean anything.
+# Opt-in perf gate: rerun the benchmarks bench_pins.json pins and fail
+# on a median >10% (or the row's own spread) over its pin, or any
+# allocs/op growth. Off by default because ns/op needs a quiet machine
+# to mean anything.
 if [ "${BENCHDIFF:-0}" = 1 ]; then
-	echo '>> benchdiff against latest BENCH_PR*.json'
+	echo '>> benchdiff against bench_pins.json'
 	make benchdiff
 fi
 
