@@ -3,7 +3,7 @@ GO ?= go
 # The root-package benchmarks bench_pins.json pins; benchdiff reruns
 # exactly these, plus SnapshotInto (internal/core) and Record
 # (internal/flight).
-BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec|MarshalAppend$$
+BENCHDIFF_PATTERN = HotPath|Fig8Tco|FrameCodec
 
 .PHONY: check vet build test race bench benchdiff
 
@@ -35,7 +35,7 @@ bench:
 ## BENCHDIFF=1 make check.
 benchdiff:
 	@tmp=$$(mktemp); trap "rm -f $$tmp" EXIT; \
-	$(GO) test . -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -benchtime 0.5s -benchmem -count 5 > $$tmp && \
+	$(GO) test . -timeout 60m -run '^$$' -bench '$(BENCHDIFF_PATTERN)' -benchtime 0.5s -benchmem -count 5 > $$tmp && \
 	$(GO) test ./internal/core -run '^$$' -bench 'SnapshotInto' -benchtime 0.5s -benchmem -count 5 >> $$tmp && \
 	$(GO) test ./internal/flight -run '^$$' -bench 'Record' -benchtime 0.5s -benchmem -count 5 >> $$tmp && \
 	$(GO) run ./scripts/benchdiff -input $$tmp

@@ -197,7 +197,7 @@ func wireBytes(quick bool) error {
 		return err
 	}
 	tbl := metrics.NewTable(
-		"[E12] Wire bytes per DT PDU under the Fig. 8 workload: v1 fixed stamps vs v2 delta stamps",
+		"[E12] Wire bytes per DT PDU under the Fig. 8 workload: fixed-width size model (v1) vs v2 delta stamps",
 		"n", "DT PDUs", "v1 (B/PDU)", "v2 (B/PDU)", "v2 full stamps", "saved")
 	for _, r := range rows {
 		tbl.AddRow(r.N, r.DTPDUs,

@@ -120,3 +120,39 @@ func TestEveryDocumentedReproducerExists(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryOptionHasACaller holds the public surface to the rule that a
+// knob exists because something sets it: every exported With* option in
+// cobcast.go and transport.go must be called from a non-test file of an
+// example, a tool, an experiment or the end-to-end benchmark. Deployment
+// settings — values only a real installation can know — are exempt.
+func TestEveryOptionHasACaller(t *testing.T) {
+	root := filepath.Join("..", "..")
+	deployment := map[string]bool{"WithClusterID": true, "WithSocketBuffers": true}
+	var callers strings.Builder
+	for _, dir := range []string{"examples", "cmd", filepath.Join("internal", "experiments"), "bench"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			callers.Write(src)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	optionFunc := regexp.MustCompile(`(?m)^func (With\w+)\(`)
+	for _, file := range []string{"cobcast.go", "transport.go"} {
+		src, err := os.ReadFile(filepath.Join(root, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range optionFunc.FindAllSubmatch(src, -1) {
+			if name := string(m[1]); !deployment[name] && !strings.Contains(callers.String(), "."+name+"(") {
+				t.Errorf("%s: %s has no caller outside tests: delete it, or give it an example, tool, experiment or bench workload", file, name)
+			}
+		}
+	}
+}

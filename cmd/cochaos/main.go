@@ -7,7 +7,7 @@
 //
 //	cochaos -sweep 500 -par 4 -shrink -faildir chaos-failures
 //
-// Sweep the same seeds with wire codec v2 in the loop (every simulated
+// Sweep the same seeds with the wire codec in the loop (every simulated
 // datagram round-trips through the delta-stamp byte codec):
 //
 //	cochaos -sweep 500 -par 4 -codec 2
@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&o.start, "start", 1, "first seed of the sweep")
 	fs.IntVar(&o.par, "par", 4, "parallel workers for the sweep")
 	fs.Int64Var(&o.seed, "seed", 0, "replay this single seed (replay mode)")
-	fs.IntVar(&o.codec, "codec", 0, "force a wire codec for every run: 1 (fixed-width v1) or 2 (delta-stamp v2); 0 keeps the PDU-pointer path")
+	fs.IntVar(&o.codec, "codec", 0, "2 routes every run's datagrams through the wire codec (delta-stamp v2); 0 keeps the PDU-pointer path")
 	fs.BoolVar(&o.shrink, "shrink", false, "shrink failing configs to minimal form")
 	fs.BoolVar(&o.verbose, "v", false, "print per-run statistics")
 	fs.StringVar(&o.trace, "trace", "", "replay mode: write the run's JSON-lines trace here")
@@ -86,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if o.codec < 0 || o.codec > 2 {
-		fmt.Fprintln(stderr, "cochaos: -codec must be 0, 1 or 2")
+	if o.codec != 0 && o.codec != 2 {
+		fmt.Fprintln(stderr, "cochaos: -codec must be 0 or 2")
 		return 2
 	}
 	switch {

@@ -72,18 +72,12 @@ type Stats = core.Stats
 type options struct {
 	clusterID           uint32
 	window              int
-	bufferUnits         uint32
-	unitsPerPDU         uint32
 	deferredAckInterval time.Duration
 	retransmitTimeout   time.Duration
-	tickInterval        time.Duration
 	totalOrder          bool
 	suspectAfter        time.Duration
 	registry            *obsv.Registry
-	wireVersion         int
-	stampInterval       int
 	groupShards         int
-	maxGroups           int
 	memBudgetBytes      int64
 	backpressure        BackpressureMode
 	flightEvents        int
@@ -98,8 +92,6 @@ type options struct {
 func defaultOptions() options {
 	return options{
 		window:      core.DefaultWindow,
-		bufferUnits: core.DefaultBufferUnits,
-		unitsPerPDU: core.DefaultUnitsPerPDU,
 		netSeed:     1,
 		netInboxCap: 1024,
 	}
@@ -111,8 +103,6 @@ func (o options) coreConfig(id, n int) core.Config {
 		ID:                  pdu.EntityID(id),
 		N:                   n,
 		Window:              pdu.Seq(o.window),
-		BufferUnits:         o.bufferUnits,
-		UnitsPerPDU:         o.unitsPerPDU,
 		DeferredAckInterval: o.deferredAckInterval,
 		RetransmitTimeout:   o.retransmitTimeout,
 		TotalOrder:          o.totalOrder,
@@ -145,10 +135,8 @@ func (o options) newFlightRing() *flight.Ring {
 	return flight.NewRing(o.flightEvents)
 }
 
+// tick is the node's timer resolution: the deferred-ack interval.
 func (o options) tick() time.Duration {
-	if o.tickInterval > 0 {
-		return o.tickInterval
-	}
 	if o.deferredAckInterval > 0 {
 		return o.deferredAckInterval
 	}
@@ -177,18 +165,6 @@ func WithWindow(w int) Option {
 	return optionFunc(func(o *options) { o.window = w })
 }
 
-// WithBufferUnits sets the receive-buffer capacity advertised in the BUF
-// field and used by the flow condition. The default is 4096.
-func WithBufferUnits(units uint32) Option {
-	return optionFunc(func(o *options) { o.bufferUnits = units })
-}
-
-// WithUnitsPerPDU sets the paper's H constant: buffer units one PDU
-// occupies. The default is 1.
-func WithUnitsPerPDU(h uint32) Option {
-	return optionFunc(func(o *options) { o.unitsPerPDU = h })
-}
-
 // WithDeferredAckInterval sets how often an otherwise idle node emits
 // receipt confirmations. The default is 5ms.
 func WithDeferredAckInterval(d time.Duration) Option {
@@ -199,12 +175,6 @@ func WithDeferredAckInterval(d time.Duration) Option {
 // rebroadcasts. The default is 20ms.
 func WithRetransmitTimeout(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.retransmitTimeout = d })
-}
-
-// WithTickInterval sets the node's internal timer resolution. The default
-// is the deferred-ack interval.
-func WithTickInterval(d time.Duration) Option {
-	return optionFunc(func(o *options) { o.tickInterval = d })
 }
 
 // WithTotalOrder upgrades the service from causal order (CO) to total
@@ -223,30 +193,6 @@ func WithTotalOrder() Option {
 // for the extension's limitations.
 func WithSuspectTimeout(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.suspectAfter = d })
-}
-
-// WithWireCodec selects the PDU wire encoding a node created with
-// NewNode sends: 1 is the fixed-width v1 codec, 2 (the default) the
-// varint + delta-ACK-stamp v2 codec, whose steady-state datagrams stay
-// near-constant in cluster size instead of growing O(n) with the
-// acknowledgment vector. The choice is send-side only — every node
-// decodes both versions — so a cluster may mix codecs and roll the
-// version one node at a time. NewNode rejects other values. In-process
-// clusters (NewCluster) move decoded PDUs and take no codec.
-func WithWireCodec(version int) Option {
-	return optionFunc(func(o *options) { o.wireVersion = version })
-}
-
-// WithStampInterval sets the v2 wire codec's full-stamp sync interval
-// K: every PDU whose sequence number is a multiple of K carries the
-// full acknowledgment vector even when a delta would be smaller,
-// bounding how long a receiver that missed a delta's reference PDU
-// stays desynchronized (dropping deltas as loss) before it re-anchors.
-// K = 1 full-stamps every PDU, degenerating v2 to v1-equivalent
-// stamps; k <= 0 selects the default (32). Only meaningful with wire
-// codec v2.
-func WithStampInterval(k int) Option {
-	return optionFunc(func(o *options) { o.stampInterval = k })
 }
 
 // WithObservability attaches live instrumentation: every node created
@@ -287,15 +233,6 @@ func WithFlightRecorder(events int) Option {
 // that own no engine stay parked.
 func WithGroupShards(n int) Option {
 	return optionFunc(func(o *options) { o.groupShards = n })
-}
-
-// WithMaxGroups bounds how many groups a node will lazily instantiate
-// (each costs O(cluster size) state plus logs). Submits past the bound
-// fail; inbound frames for groups past it are dropped and counted as
-// unknown-group loss. The default group is always open and does not
-// count toward the bound. n <= 0 selects the default (1024).
-func WithMaxGroups(n int) Option {
-	return optionFunc(func(o *options) { o.maxGroups = n })
 }
 
 // BackpressureMode selects what a producer experiences when the memory

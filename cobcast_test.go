@@ -144,9 +144,6 @@ func TestClusterValidation(t *testing.T) {
 	if _, err := cobcast.NewCluster(1); err == nil {
 		t.Error("1-node cluster accepted")
 	}
-	if _, err := cobcast.NewCluster(4, cobcast.WithBufferUnits(3)); err == nil {
-		t.Error("invalid buffer config accepted")
-	}
 }
 
 func TestNodeCloseSemantics(t *testing.T) {

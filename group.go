@@ -24,12 +24,16 @@ type GroupID uint32
 // wire traffic is byte-identical to a single-group node's.
 const DefaultGroup GroupID = 0
 
-// MaxGroups is the default bound on lazily instantiated groups per node;
-// see WithMaxGroups.
+// MaxGroups bounds how many groups a node will lazily instantiate (each
+// costs O(cluster size) state plus logs), so a peer minting group IDs
+// cannot exhaust memory. Submits past the bound fail with
+// ErrTooManyGroups; inbound frames for groups past it are dropped and
+// counted as unknown-group loss. The default group is always open and
+// does not count toward the bound.
 const MaxGroups = groups.DefaultMaxGroups
 
 // ErrTooManyGroups is returned by GroupPort.Broadcast when the node's
-// group bound (WithMaxGroups) is exhausted.
+// group bound (MaxGroups) is exhausted.
 var ErrTooManyGroups = errors.New("cobcast: too many groups")
 
 // Group derives a GroupID from a name: FNV-1a, folded into the wire
@@ -77,7 +81,7 @@ func (p *GroupPort) ID() GroupID { return p.id }
 
 // Broadcast submits data for ordered broadcast on this group. The data
 // is copied. The first send on a group lazily instantiates its engine
-// on every receiving node, up to the WithMaxGroups bound. With
+// on every receiving node, up to the MaxGroups bound. With
 // WithMemoryBudget it blocks or sheds (per WithBackpressure) against
 // this group's own budget.
 func (p *GroupPort) Broadcast(data []byte) error {

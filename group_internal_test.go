@@ -38,43 +38,41 @@ func (tr *nullBatchTransport) Close() error        { return nil }
 // Append onto per-group in-progress frames, Flush sealing one frame per
 // group into one staged batch — to be allocation-free once the per-group
 // states and build buffers exist, for group 0 (the single-group path,
-// v1/v2 headers) as for v3-addressed groups. The public Broadcast
+// v2 header) as for v3-addressed groups. The public Broadcast
 // necessarily copies its payload, but from the shard goroutine down to
 // the transport no allocation may remain.
 func TestGroupFramesSteadyStateAllocs(t *testing.T) {
 	for _, groups := range [][]uint32{{7, 9, 400}, {0}} {
-		for _, version := range []uint8{pdu.WireVersion, pdu.WireVersion2} {
-			t.Run(fmt.Sprintf("groups%v/v%d", groups, version), func(t *testing.T) {
-				tr := &nullBatchTransport{}
-				f := newWireFrames(tr, version, 0, obsv.NewLinkMetrics())
-				p := &pdu.PDU{
-					Kind: pdu.KindData, CID: 1, Src: 0, SEQ: 0,
-					ACK: make([]pdu.Seq, 4), LSrc: pdu.NoEntity,
-					Data: make([]byte, 64),
+		t.Run(fmt.Sprintf("groups%v/v2", groups), func(t *testing.T) {
+			tr := &nullBatchTransport{}
+			f := newWireFrames(tr, obsv.NewLinkMetrics())
+			p := &pdu.PDU{
+				Kind: pdu.KindData, CID: 1, Src: 0, SEQ: 0,
+				ACK: make([]pdu.Seq, 4), LSrc: pdu.NoEntity,
+				Data: make([]byte, 64),
+			}
+			step := func() {
+				for _, g := range groups {
+					p.SEQ++
+					f.Append(g, p)
 				}
-				step := func() {
-					for _, g := range groups {
-						p.SEQ++
-						f.Append(g, p)
-					}
-					f.Flush()
-				}
-				// Warm up: instantiate per-group send states, grow the build
-				// buffers and the staged slice to their steady-state sizes.
-				for i := 0; i < 8; i++ {
-					step()
-				}
-				if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
-					t.Errorf("v%d Append+Flush allocates %.2f per op in steady state, want 0", version, allocs)
-				}
-				if len(groups) > 1 && tr.batches == 0 {
-					t.Fatal("staged-batch path never taken")
-				}
-				if len(groups) == 1 && tr.broadcasts == 0 {
-					t.Fatal("single-frame path never taken")
-				}
-			})
-		}
+				f.Flush()
+			}
+			// Warm up: instantiate per-group send states, grow the build
+			// buffers and the staged slice to their steady-state sizes.
+			for i := 0; i < 8; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
+				t.Errorf("Append+Flush allocates %.2f per op in steady state, want 0", allocs)
+			}
+			if len(groups) > 1 && tr.batches == 0 {
+				t.Fatal("staged-batch path never taken")
+			}
+			if len(groups) == 1 && tr.broadcasts == 0 {
+				t.Fatal("single-frame path never taken")
+			}
+		})
 	}
 }
 

@@ -160,23 +160,19 @@ func TestDefaultGroupPortDelegates(t *testing.T) {
 }
 
 func TestMaxGroupsBound(t *testing.T) {
-	c, err := cobcast.NewCluster(2,
-		cobcast.WithDeferredAckInterval(time.Millisecond),
-		cobcast.WithMaxGroups(2),
-	)
+	c, err := cobcast.NewCluster(2, cobcast.WithDeferredAckInterval(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Group(0, 1).Broadcast([]byte("g1")); err != nil {
-		t.Fatal(err)
+	for g := 1; g <= cobcast.MaxGroups; g++ {
+		if err := c.Group(0, cobcast.GroupID(g)).Broadcast([]byte("g")); err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
 	}
-	if err := c.Group(0, 2).Broadcast([]byte("g2")); err != nil {
-		t.Fatal(err)
-	}
-	err = c.Group(0, 3).Broadcast([]byte("g3"))
+	err = c.Group(0, cobcast.MaxGroups+1).Broadcast([]byte("one too many"))
 	if !errors.Is(err, cobcast.ErrTooManyGroups) {
-		t.Fatalf("third group error = %v, want ErrTooManyGroups", err)
+		t.Fatalf("group past the bound: error = %v, want ErrTooManyGroups", err)
 	}
 	// The default group rides outside the bound.
 	if err := c.Broadcast(0, []byte("default-still-fine")); err != nil {

@@ -221,12 +221,11 @@ func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) {
 		return d
 	}
 
-	// Several groups always ride real frames — the v3 group-addressed
-	// header is what such a run exists to exercise — so the pointer path
-	// (wire version 0) means fixed-width v1 entries there.
+	// Several groups always ride real frames: the v3 group-addressed
+	// header is what such a run exists to exercise.
 	wire := cfg.WireVersion
-	if groups > 1 && wire == 0 {
-		wire = 1
+	if groups > 1 {
+		wire = 2
 	}
 	clusters, err := simrun.NewGroups(simrun.Options{
 		N: cfg.N,

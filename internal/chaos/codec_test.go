@@ -3,19 +3,21 @@ package chaos
 import (
 	"errors"
 	"testing"
+	"time"
+
+	"cobcast/internal/pdu"
+	"cobcast/internal/sim"
+	"cobcast/internal/simrun"
+	"cobcast/internal/trace"
 )
 
 // TestWireVersionDeterminism extends the determinism contract to the
-// codec byte path: same Config ⇒ same trace digest for each wire
-// version, and the v1 round trip — which is lossless per PDU — must be
-// trace-identical to the historical pointer path, pinning that the
-// codec layer changes only the representation in flight.
+// codec byte path: same Config ⇒ same trace digest and network counters
+// under either wire version.
 func TestWireVersionDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42} {
-		base := FromSeed(seed)
-		digests := map[int]string{}
-		for _, v := range []int{0, 1, 2} {
-			cfg := base
+		for _, v := range []int{0, 2} {
+			cfg := FromSeed(seed)
 			cfg.WireVersion = v
 			a, errA := Run(cfg)
 			b, errB := Run(cfg)
@@ -28,10 +30,49 @@ func TestWireVersionDeterminism(t *testing.T) {
 			if a.Net != b.Net {
 				t.Fatalf("seed %d v%d: net stats differ: %+v vs %+v", seed, v, a.Net, b.Net)
 			}
-			digests[v] = a.TraceDigest
 		}
-		if digests[0] != digests[1] {
-			t.Fatalf("seed %d: v1 codec changed the trace: %s vs %s", seed, digests[0], digests[1])
+	}
+}
+
+// TestStampIntervals runs one lossy, duplicating workload under the
+// codec's full-stamp sync intervals K. At K=1 every PDU is full-stamped,
+// so the round trip is lossless per PDU and the run must be
+// trace-identical to the pointer path — the codec layer changes only the
+// representation in flight. At K=2 and the default, loss strands deltas
+// (CodecDropped > 0) and the CO service must hold regardless.
+func TestStampIntervals(t *testing.T) {
+	run := func(wire, k int) (string, uint64) {
+		c, err := simrun.New(simrun.Options{
+			N: 4,
+			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond),
+				sim.NetLossRate(0.15), sim.NetDuplicateRate(0.05), sim.NetSeed(9)},
+			Trace: true, WireVersion: wire, StampInterval: k,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 60; i++ {
+			c.SubmitAt(pdu.EntityID(i%4), []byte{byte(i)}, time.Duration(i)*300*time.Microsecond)
+		}
+		if _, err := c.RunToQuiescence(time.Minute); err != nil {
+			t.Fatalf("wire %d K=%d: %v", wire, k, err)
+		}
+		if a, err := c.Analyze(); err != nil || a.CheckCOService() != nil {
+			t.Fatalf("wire %d K=%d: CO service violated (analysis error %v)", wire, k, err)
+		}
+		digest, err := trace.DigestEvents(c.Recorder.Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest, c.Net.Stats().CodecDropped
+	}
+	pointer, _ := run(0, 0)
+	if full, dropped := run(2, 1); full != pointer || dropped != 0 {
+		t.Errorf("K=1 (full stamps only): digest %s, %d codec drops; want the pointer path's %s and none", full, dropped, pointer)
+	}
+	for _, k := range []int{2, 0} {
+		if _, dropped := run(2, k); dropped == 0 {
+			t.Errorf("K=%d: 15%% loss stranded no delta stamp", k)
 		}
 	}
 }
@@ -96,11 +137,14 @@ func TestCorpusReplayUnderV2(t *testing.T) {
 	}
 }
 
-// TestBadWireVersionRejected pins config validation for the codec knob.
+// TestBadWireVersionRejected pins config validation for the codec knob:
+// 1 named the fixed-width codec until it was deleted.
 func TestBadWireVersionRejected(t *testing.T) {
-	cfg := FromSeed(1)
-	cfg.WireVersion = 3
-	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("wire_version=3: got %v, want ErrBadConfig", err)
+	for _, v := range []int{-1, 1, 3} {
+		cfg := FromSeed(1)
+		cfg.WireVersion = v
+		if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("wire_version=%d: got %v, want ErrBadConfig", v, err)
+		}
 	}
 }

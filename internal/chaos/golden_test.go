@@ -35,10 +35,13 @@ func goldenLine(seed int64, wire int) string {
 // digests of FromSeed(1..64) under the pointer path and codec v2 must
 // equal the ones captured at PR 12, when single-group seeds ran on
 // simrun.Cluster and multi-group seeds on a separate hand-rolled runner.
-// Every other determinism test compares a run with itself; this one
-// catches a harness change that shifts both runs alike (event order, RNG
-// draw order, which faults bite). After an intentional protocol change,
-// re-capture: the failure message prints each replacement line.
+// Multi-group seeds ride codec v2 under either wire version, so the two
+// lines of such a seed must agree (their wire-0 lines held v1-entry
+// digests until that codec was deleted). Every other determinism test
+// compares a run with itself; this one catches a harness change that
+// shifts both runs alike (event order, RNG draw order, which faults
+// bite). After an intentional protocol change, re-capture: the failure
+// message prints each replacement line.
 func TestGoldenSweepDigests(t *testing.T) {
 	file, err := os.Open("testdata/golden_sweep_digests.txt")
 	if err != nil {
@@ -46,16 +49,29 @@ func TestGoldenSweepDigests(t *testing.T) {
 	}
 	defer file.Close()
 	lines := 0
+	pointer := map[int64]string{} // multi-group seeds' wire-0 digests
 	for sc := bufio.NewScanner(file); sc.Scan(); lines++ {
 		want := sc.Text()
 		var seed int64
 		var wire int
-		if _, err := fmt.Sscan(want, &seed, &wire); err != nil {
+		var trace, groups, outcome string
+		if _, err := fmt.Sscan(want, &seed, &wire, &trace, &groups, &outcome); err != nil {
 			t.Fatalf("golden line %q: %v", want, err)
 		}
 		if got := goldenLine(seed, wire); got != want {
 			t.Errorf("seed %d wire %d drifted:\n got  %s\n want %s", seed, wire, got, want)
 		}
+		if groups == "-" {
+			continue
+		}
+		if rest := trace + " " + groups + " " + outcome; wire == 0 {
+			pointer[seed] = rest
+		} else if pointer[seed] != rest {
+			t.Errorf("multi-group seed %d: wire 0 pinned as %q, wire 2 as %q", seed, pointer[seed], rest)
+		}
+	}
+	if len(pointer) == 0 {
+		t.Error("golden file holds no multi-group seed")
 	}
 	if lines != 128 {
 		t.Fatalf("golden file holds %d runs, want 64 seeds × 2 wire versions", lines)

@@ -15,14 +15,14 @@ import (
 func FuzzReceiveWire(f *testing.F) {
 	good := &pdu.PDU{Kind: pdu.KindData, CID: 7, Src: 1, SEQ: 1,
 		ACK: []pdu.Seq{1, 1, 1}, BUF: 100, LSrc: pdu.NoEntity, Data: []byte("hi")}
-	b, err := good.Marshal()
+	b, err := good.MarshalV2(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(b)
 	ret := &pdu.PDU{Kind: pdu.KindRet, CID: 7, Src: 2,
 		ACK: []pdu.Seq{1, 1, 1}, LSrc: 0, LSeq: 5}
-	b2, err := ret.Marshal()
+	b2, err := ret.MarshalV2(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func FuzzReceiveWire(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := pdu.Unmarshal(data)
+		p, err := pdu.UnmarshalV2(data, new(pdu.StampDecoder))
 		if err != nil {
 			return // the runtime drops undecodable datagrams
 		}

@@ -31,11 +31,13 @@ func (q *timeQueue) pop() (time.Duration, bool) {
 	case q.head == len(q.ts):
 		q.ts = q.ts[:0]
 		q.head = 0
-	case q.head >= 64 && q.head*2 >= len(q.ts):
+	case q.head*2 >= len(q.ts):
 		// Compact once the consumed prefix dominates. Resetting only on
 		// empty is not enough: under sustained load the queue never
 		// fully drains, so without this the slice grows append-only for
 		// the life of the entity (cosoak's heap trend check catches it).
+		// No minimum size: of an entity's n queues each is a few
+		// timestamps deep and must settle there, not regrow through 128.
 		n := copy(q.ts, q.ts[q.head:])
 		q.ts = q.ts[:n]
 		q.head = 0

@@ -236,21 +236,20 @@ func appendStep(prev any, ts float64) any {
 	return ts
 }
 
-// kindName reports the message's PDU kind as seen in its events.
-// Retransmission events carry kind RET describing the chase, not the
-// message, so they only count when nothing better was recorded (a node
-// that requested a PDU it never received).
+// kindName reports the message's PDU kind as seen in its events. Events
+// of kind RET — the request and the RET PDU's own wire crossings —
+// describe the chase, not the message, so they only count when nothing
+// better was recorded (a node that requested a PDU it never received).
 func kindName(events []flight.Event) string {
 	fallback := "?"
 	for _, ev := range events {
-		if ev.Kind == 0 {
-			continue
+		switch k := pdu.Kind(ev.Kind); k {
+		case 0:
+		case pdu.KindRet:
+			fallback = k.String()
+		default:
+			return k.String()
 		}
-		if ev.Type == flight.EvRetRequest || ev.Type == flight.EvRetServe {
-			fallback = pdu.Kind(ev.Kind).String()
-			continue
-		}
-		return pdu.Kind(ev.Kind).String()
 	}
 	return fallback
 }

@@ -157,3 +157,22 @@ func TestAssembleFromSimulatedRun(t *testing.T) {
 		t.Fatalf("round-trip lost events: %d != %d", len(doc.TraceEvents), len(events))
 	}
 }
+
+// TestChasedMessageKeepsItsKind: a node that first hears of a message by
+// chasing it records RET-kind events — the request, the RET PDU's own
+// wire-out — before any event of the message itself; the slice is still
+// the message's, and only a chase that never succeeded reads RET.
+func TestChasedMessageKeepsItsKind(t *testing.T) {
+	chased := []flight.Event{
+		mkEvent(flight.EvRetRequest, pdu.KindRet, 0, 1, 0, 1000),
+		mkEvent(flight.EvWireOut, pdu.KindRet, 0, 1, 1, 1100),
+		mkEvent(flight.EvWireIn, pdu.KindData, 0, 1, -1, 2000),
+		mkEvent(flight.EvAccept, pdu.KindData, 0, 1, -1, 2100),
+	}
+	if got := kindName(chased); got != "DATA" {
+		t.Errorf("chased and received: kind %q, want DATA", got)
+	}
+	if got := kindName(chased[:2]); got != "RET" {
+		t.Errorf("chased, never received: kind %q, want RET", got)
+	}
+}

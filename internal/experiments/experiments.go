@@ -275,14 +275,15 @@ func PDULength(ns []int) []PDULenRow {
 
 // WireBytesRow is one point of experiment E12 (the E5 redo at the byte
 // level): mean encoded bytes per DT PDU under the Fig. 8 continuous
-// workload, fixed-width v1 codec against v2 delta stamps.
+// workload, the fixed-width size model (pdu.EncodedSize, the layout the
+// deleted v1 codec wrote) against v2 delta stamps.
 type WireBytesRow struct {
 	N int
 	// DTPDUs counts sequenced DATA PDUs encoded: one copy per broadcast,
 	// as a sender's link encodes them, not one per receiver.
 	DTPDUs int
-	// V1BytesPerDT and V2BytesPerDT are mean encoded bytes per DT PDU
-	// under each codec.
+	// V1BytesPerDT is the mean fixed-width size per DT PDU, V2BytesPerDT
+	// the mean bytes the codec encoded.
 	V1BytesPerDT float64
 	V2BytesPerDT float64
 	// V2FullStamps counts the DT PDUs the v2 encoder full-stamped (sync
@@ -293,10 +294,10 @@ type WireBytesRow struct {
 	Reduction float64
 }
 
-// WireBytes measures both wire codecs over identical Fig. 8 PDU
-// streams: every PDU each sender transmits is encoded once with the v1
-// codec and once against a per-sender v2 stamp chain, in transmit
-// order, exactly as a live link would. stampK is the v2 sync-point
+// WireBytes measures the wire codec against the size model over Fig. 8
+// PDU streams: every PDU each sender transmits is priced at fixed width
+// and encoded against a per-sender v2 stamp chain, in transmit order,
+// exactly as a live link would. stampK is the v2 sync-point
 // interval (0 selects pdu.DefaultStampInterval). Byte totals are
 // accumulated for DATA PDUs only, but every PDU passes through the
 // stamp chain so sync points land where a real link's would.

@@ -120,7 +120,7 @@ func syscallCell(n, frames, batch int, mmsg bool) (*SyscallRow, error) {
 	for f := 0; f < frames; {
 		staged = staged[:0]
 		for g := 0; g < group && f < frames; g, f = g+1, f+1 {
-			enc.Begin(bufs[g][:0])
+			enc.BeginV2(bufs[g][:0], nil) // full stamps: a lost datagram strands no delta
 			for j := 0; j < batch; j++ {
 				p.SEQ = pdu.Seq(pdus + 1)
 				if err := enc.Append(p); err != nil {

@@ -615,14 +615,16 @@ func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 	}
 }
 
-// recordWire notes one PDU crossing the node/network boundary. A RET
-// identifies itself by the PDU it chases (LSrc#LSeq), so that is what
-// the span assembler needs in the Src/Seq slots; Peer then carries the
-// requester-visible source for cross-referencing.
+// recordWire notes one PDU crossing the node/network boundary. A RET is
+// filed under the PDU it chases — the first its sender misses from LSrc,
+// ACK[LSrc], as core's ret-request event is — with the requester in
+// Peer. (LSeq is the gap's exclusive end: a PDU the requester holds or
+// one LSrc has yet to send, in whose span a RET does not belong.) An
+// inbound PDU is not validated yet, hence the range check.
 func recordWire(ring *flight.Ring, t flight.EventType, p *pdu.PDU, now time.Duration) {
 	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
-	if p.Kind == pdu.KindRet {
-		src, seq, peer = p.LSrc, p.LSeq, p.Src
+	if p.Kind == pdu.KindRet && p.LSrc >= 0 && int(p.LSrc) < len(p.ACK) {
+		src, seq, peer = p.LSrc, p.ACK[p.LSrc], p.Src
 	}
 	ring.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
 }

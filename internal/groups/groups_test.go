@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
 )
 
@@ -339,5 +340,25 @@ func TestShardWithoutEngineRunsNoTicker(t *testing.T) {
 		if ticking != (s == owner) {
 			t.Errorf("shard %d: ticking=%v, owner=%v", i, ticking, s == owner)
 		}
+	}
+}
+
+// TestRecordWireFilesRetUnderChasedPDU: a RET's wire crossings belong to
+// the first PDU its sender misses (ACK[LSrc]) — never to LSeq, the gap's
+// exclusive end, which may be a later message with a span of its own —
+// and a hostile inbound RET whose LSrc falls outside its ACK vector must
+// not index out of range.
+func TestRecordWireFilesRetUnderChasedPDU(t *testing.T) {
+	ring := flight.NewRing(8)
+	ret := &pdu.PDU{Kind: pdu.KindRet, Src: 2, ACK: []pdu.Seq{4, 9, 9}, LSrc: 0, LSeq: 7}
+	recordWire(ring, flight.EvWireOut, ret, time.Millisecond)
+	ret.LSrc = 3
+	recordWire(ring, flight.EvWireIn, ret, time.Millisecond)
+	evs := ring.Snapshot(nil)
+	if len(evs) != 2 || evs[0].Src != 0 || evs[0].Seq != 4 || evs[0].Peer != 2 {
+		t.Fatalf("RET filed as %+v, want src 0 seq 4 (first missing) peer 2", evs)
+	}
+	if ev := evs[1]; ev.Src != 2 || ev.Seq != 0 {
+		t.Errorf("out-of-range RET filed as %+v, want its own src 2 seq 0", ev)
 	}
 }

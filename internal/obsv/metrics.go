@@ -68,14 +68,12 @@ type LinkMetrics struct {
 	// have overflowed the datagram (wireFrames) or batch cap (memFrames).
 	Flushes, FlushedPDUs, EarlyFlushes Counter
 
-	// BytesOutV1/V2 count encoded frame bytes sent and BytesInV1/V2
-	// frame bytes received, attributed to the entry codec version of
-	// the frame (wire substrate only: memFrames moves decoded PDUs). The
-	// per-version split is what experiment E12 reads to compare v1's
-	// fixed-width encoding against v2's delta stamps.
-	BytesOutV1, BytesOutV2, BytesInV1, BytesInV2 Counter
+	// BytesOut counts encoded frame bytes sent and BytesIn frame bytes
+	// received and accepted (wire substrate only: memFrames moves decoded
+	// PDUs).
+	BytesOut, BytesIn Counter
 
-	// StampDesyncs counts inbound v2 delta entries dropped because
+	// StampDesyncs counts inbound delta entries dropped because
 	// this receiver had no reference stamp for them (pdu.ErrDeltaDesync)
 	// — a loss-amplification event repaired by retransmission or the
 	// next full-stamp sync point, not a protocol error.
@@ -111,30 +109,19 @@ func (m *LinkMetrics) Flush(n int, early bool) {
 	m.FlushBatch.Observe(uint64(n))
 }
 
-// FlushBytes records one encoded frame of n bytes leaving the link,
-// attributed to the entry codec version that built it. Safe on a nil
-// receiver.
-func (m *LinkMetrics) FlushBytes(n int, version uint8) {
-	if m == nil || n <= 0 {
-		return
-	}
-	if version == 2 {
-		m.BytesOutV2.Add(uint64(n))
-	} else {
-		m.BytesOutV1.Add(uint64(n))
+// FlushBytes records one encoded frame of n bytes leaving the link.
+// Safe on a nil receiver.
+func (m *LinkMetrics) FlushBytes(n int) {
+	if m != nil {
+		m.BytesOut.Add(uint64(n))
 	}
 }
 
-// RecvBytes records one received frame of n bytes, attributed to its
-// entry codec version. Safe on a nil receiver.
-func (m *LinkMetrics) RecvBytes(n int, version uint8) {
-	if m == nil || n <= 0 {
-		return
-	}
-	if version == 2 {
-		m.BytesInV2.Add(uint64(n))
-	} else {
-		m.BytesInV1.Add(uint64(n))
+// RecvBytes records one received frame of n bytes. Safe on a nil
+// receiver.
+func (m *LinkMetrics) RecvBytes(n int) {
+	if m != nil {
+		m.BytesIn.Add(uint64(n))
 	}
 }
 

@@ -30,8 +30,6 @@ type Registry struct {
 	start time.Time
 	// rt accumulates GC pause observations across scrapes (runtime.go).
 	rt runtimeTracker
-	// buildLabels are extra cobcast_build_info labels (SetBuildLabel).
-	buildLabels map[string]string
 }
 
 type nodeEntry struct {
@@ -237,40 +235,17 @@ var entityCounterFamilies = []entityFamily{
 	}},
 }
 
-// linkSample mirrors entitySample for LinkMetrics families with a
-// version label (per-codec byte counters).
-type linkSample struct {
-	extra string
-	get   func(*LinkMetrics) *Counter
-}
-
 var linkCounterFamilies = []struct {
 	name, help string
-	samples    []linkSample
+	get        func(*LinkMetrics) *Counter
 }{
-	{"cobcast_link_flushes_total", "Link flushes that put at least one PDU on the wire.", []linkSample{
-		{"", func(m *LinkMetrics) *Counter { return &m.Flushes }},
-	}},
-	{"cobcast_link_flushed_pdus_total", "PDUs flushed by the link layer.", []linkSample{
-		{"", func(m *LinkMetrics) *Counter { return &m.FlushedPDUs }},
-	}},
-	{"cobcast_link_early_flushes_total", "Flushes forced mid-batch by the datagram/batch cap.", []linkSample{
-		{"", func(m *LinkMetrics) *Counter { return &m.EarlyFlushes }},
-	}},
-	{"cobcast_link_bytes_sent_total", "Encoded frame bytes sent, by entry codec version.", []linkSample{
-		{`,version="1"`, func(m *LinkMetrics) *Counter { return &m.BytesOutV1 }},
-		{`,version="2"`, func(m *LinkMetrics) *Counter { return &m.BytesOutV2 }},
-	}},
-	{"cobcast_link_bytes_received_total", "Frame bytes received, by entry codec version.", []linkSample{
-		{`,version="1"`, func(m *LinkMetrics) *Counter { return &m.BytesInV1 }},
-		{`,version="2"`, func(m *LinkMetrics) *Counter { return &m.BytesInV2 }},
-	}},
-	{"cobcast_link_stamp_desyncs_total", "Inbound v2 delta entries dropped for a missing reference stamp (treated as loss).", []linkSample{
-		{"", func(m *LinkMetrics) *Counter { return &m.StampDesyncs }},
-	}},
-	{"cobcast_link_unknown_group_frames_total", "Inbound group-addressed frames dropped for an unknown or out-of-range group ID (treated as loss).", []linkSample{
-		{"", func(m *LinkMetrics) *Counter { return &m.UnknownGroups }},
-	}},
+	{"cobcast_link_flushes_total", "Link flushes that put at least one PDU on the wire.", func(m *LinkMetrics) *Counter { return &m.Flushes }},
+	{"cobcast_link_flushed_pdus_total", "PDUs flushed by the link layer.", func(m *LinkMetrics) *Counter { return &m.FlushedPDUs }},
+	{"cobcast_link_early_flushes_total", "Flushes forced mid-batch by the datagram/batch cap.", func(m *LinkMetrics) *Counter { return &m.EarlyFlushes }},
+	{"cobcast_link_bytes_sent_total", "Encoded frame bytes sent.", func(m *LinkMetrics) *Counter { return &m.BytesOut }},
+	{"cobcast_link_bytes_received_total", "Frame bytes received.", func(m *LinkMetrics) *Counter { return &m.BytesIn }},
+	{"cobcast_link_stamp_desyncs_total", "Inbound delta entries dropped for a missing reference stamp (treated as loss).", func(m *LinkMetrics) *Counter { return &m.StampDesyncs }},
+	{"cobcast_link_unknown_group_frames_total", "Inbound group-addressed frames dropped for an unknown or out-of-range group ID (treated as loss).", func(m *LinkMetrics) *Counter { return &m.UnknownGroups }},
 }
 
 var transportCounterFamilies = []struct {
@@ -325,9 +300,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 				bw.printf("# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
 				wroteHeader = true
 			}
-			for _, s := range fam.samples {
-				bw.printf("%s{node=%q%s} %d\n", fam.name, n.label, s.extra, s.get(n.lm).Load())
-			}
+			bw.printf("%s{node=%q} %d\n", fam.name, n.label, fam.get(n.lm).Load())
 		}
 	}
 	{

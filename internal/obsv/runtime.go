@@ -5,10 +5,8 @@
 package obsv
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 )
@@ -81,21 +79,6 @@ var buildIdentity = sync.OnceValue(func() (id struct{ version, goVersion string 
 	return
 })
 
-// SetBuildLabel attaches an extra label (for example the default wire
-// codec) to the cobcast_build_info gauge, so scrapes from mixed
-// clusters stay attributable. Later writes to the same key win.
-func (r *Registry) SetBuildLabel(key, value string) {
-	if r == nil || key == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.buildLabels == nil {
-		r.buildLabels = make(map[string]string)
-	}
-	r.buildLabels[key] = value
-}
-
 // writeRuntimeMetrics renders process-wide Go runtime health, build
 // identity and uptime. Called from WriteMetrics on every scrape.
 func (r *Registry) writeRuntimeMetrics(bw *errWriter) {
@@ -124,17 +107,6 @@ func (r *Registry) writeRuntimeMetrics(bw *errWriter) {
 	}
 
 	id := buildIdentity()
-	labels := fmt.Sprintf("version=%q,go=%q", id.version, id.goVersion)
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.buildLabels))
-	for k := range r.buildLabels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		labels += fmt.Sprintf(",%s=%q", k, r.buildLabels[k])
-	}
-	r.mu.Unlock()
 	bw.printf("# HELP cobcast_build_info Build identity; value is always 1.\n# TYPE cobcast_build_info gauge\n")
-	bw.printf("cobcast_build_info{%s} 1\n", labels)
+	bw.printf("cobcast_build_info{version=%q,go=%q} 1\n", id.version, id.goVersion)
 }

@@ -9,7 +9,6 @@ import (
 
 func TestRuntimeMetricsOnScrape(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetBuildLabel("codec", "v2")
 
 	// Force at least one GC cycle so the pause histogram has content.
 	runtime.GC()
@@ -32,15 +31,11 @@ func TestRuntimeMetricsOnScrape(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-	// Build identity: version + toolchain always present, extra labels
-	// appended in sorted order, value pinned at 1.
+	// Build identity: version + toolchain, value pinned at 1.
 	if !strings.Contains(out, "cobcast_build_info{version=") {
 		t.Errorf("metrics missing build_info gauge:\n%s", out)
 	}
-	if !strings.Contains(out, `,codec="v2"} 1`) {
-		t.Errorf("build_info missing codec label: %s", grepLine(out, "cobcast_build_info{"))
-	}
-	if !strings.Contains(out, "go=\""+runtime.Version()+"\"") {
+	if !strings.Contains(out, "go=\""+runtime.Version()+"\"} 1") {
 		t.Errorf("build_info missing toolchain version: %s", grepLine(out, "cobcast_build_info{"))
 	}
 }

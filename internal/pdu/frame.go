@@ -5,17 +5,16 @@
 // hop) instead of one datagram each:
 //
 //	magic   uint16  0xC0BF
-//	version uint8   1
+//	version uint8   2
 //	count   uint16  number of PDUs
 //	count × {
 //	  plen  uint32  length of the PDU encoding
-//	  pdu   plen bytes (Marshal output, self-checksummed)
+//	  pdu   plen bytes (MarshalV2 output, self-checksummed)
 //	}
 //
-// Version 2 keeps this layout with v2 PDU entries; version 3 widens the
-// header with an entry-codec byte and a uint32 group ID (see
-// FrameVersion3) so one transport can carry many independent ordered
-// groups.
+// That is the default group's header; version 3 widens it with an
+// entry-codec byte and a uint32 group ID (see FrameVersion3) so one
+// transport can carry many independent ordered groups.
 //
 // All integers are big-endian. Frames carry no checksum of their own:
 // each entry is integrity-protected by the PDU codec's CRC-32 trailer,
@@ -38,32 +37,23 @@ import (
 const (
 	// FrameMagic identifies cobcast batch frames on the wire.
 	FrameMagic uint16 = 0xC0BF
-	// FrameVersion is the frame-encoding version emitted by
-	// FrameEncoder.Begin; its entries are v1 PDU datagrams.
-	FrameVersion uint8 = 1
-	// FrameVersion2 marks frames whose entries are wire codec v2
-	// datagrams (varint fields, delta-encoded ACK stamps). The frame
-	// version is the negotiation point: decoders accept both versions
-	// and dispatch each entry to the matching PDU codec, so a v2 entry
-	// inside a v1 frame (or vice versa) fails with the entry codec's
-	// typed ErrBadVersion.
+	// FrameVersion2 marks the default group's frames (emitted by
+	// FrameEncoder.BeginV2): the five-byte header above, entries in wire
+	// codec v2, group 0 implied.
 	FrameVersion2 uint8 = 2
 	// FrameVersion3 marks group-addressed frames. A v3 header widens to
 	//
 	//	magic   uint16  0xC0BF
 	//	version uint8   3
-	//	ecodec  uint8   entry codec: 1 (v1 PDUs) or 2 (v2 delta-stamp PDUs)
+	//	ecodec  uint8   entry codec: WireVersion2, the only one there is
 	//	group   uint32  group ID, 1..MaxGroupID (0 = default group)
 	//	count   uint16  number of PDUs
 	//
-	// separating the frame layout version from the entry codec (v1/v2
-	// frames conflate them). Like v1/v2 the version is negotiated
-	// per-frame: every decoder accepts all three, so single-group v1/v2
-	// traffic — which is what the default group keeps emitting — decodes
-	// unchanged and maps to group 0.
+	// Every decoder accepts both headers, so the default group's v2
+	// frames and other groups' v3 frames share one socket stream.
 	FrameVersion3 uint8 = 3
 
-	// FrameHeaderSize is the fixed v1/v2 frame header length in bytes.
+	// FrameHeaderSize is the fixed v2 frame header length in bytes.
 	FrameHeaderSize = 2 + 1 + 2
 	// FrameHeaderSizeV3 is the group-addressed frame header length.
 	FrameHeaderSizeV3 = 2 + 1 + 1 + 4 + 2
@@ -90,90 +80,66 @@ var (
 	// ErrBadFrameGroup marks a v3 frame whose group ID exceeds
 	// MaxGroupID; receivers count it as an unknown-group drop.
 	ErrBadFrameGroup = errors.New("pdu: frame group ID out of range")
-	// ErrBadEntryCodec marks a v3 frame whose entry-codec byte names
-	// neither wire codec v1 nor v2.
+	// ErrBadEntryCodec marks a v3 frame whose entry-codec byte is not
+	// WireVersion2: from Reset for such a header, from Append after a
+	// BeginGroup that asked for one.
 	ErrBadEntryCodec = errors.New("pdu: unsupported frame entry codec")
 )
 
 // FrameEncoder builds a batch frame by appending PDUs into a caller-owned
 // buffer. With a buffer of sufficient capacity the steady-state encode
-// path allocates nothing. The zero value is ready for Begin.
+// path allocates nothing. The zero value is ready for BeginV2 or
+// BeginGroup.
 type FrameEncoder struct {
-	buf   []byte
-	start int
-	count int
-	// frame is the header layout version (1, 2 or 3); version is the
-	// entry codec (WireVersion or WireVersion2). For v1/v2 frames the
-	// two coincide; a v3 header carries the entry codec explicitly.
-	frame   uint8
-	version uint8
-	stamps  *StampEncoder
+	buf      []byte
+	start    int
+	countOff int // where Bytes patches the entry count into the header
+	count    int
+	ecodec   uint8 // the entry codec begun with, checked by Append
+	stamps   *StampEncoder
 }
 
-// Begin starts a new v1 frame, appending its header to buf. Any frame in
-// progress is discarded.
-func (e *FrameEncoder) Begin(buf []byte) {
-	e.beginVersion(buf, FrameVersion)
-	e.stamps = nil
-}
-
-// BeginV2 starts a new v2 frame whose entries are encoded with wire
-// codec v2 against st's reference stamp. st persists across frames (it
-// tracks the sender's whole outgoing stream); nil st forces a full stamp
-// on every entry.
+// BeginV2 starts a new default-group (v2) frame, appending its header to
+// buf; entries are encoded against st's reference stamp. st persists
+// across frames (it tracks the sender's whole outgoing stream); nil st
+// forces a full stamp on every entry. Any frame in progress is discarded.
 func (e *FrameEncoder) BeginV2(buf []byte, st *StampEncoder) {
-	e.beginVersion(buf, FrameVersion2)
-	e.stamps = st
+	e.start = len(buf)
+	buf = binary.BigEndian.AppendUint16(buf, FrameMagic)
+	e.begin(append(buf, FrameVersion2), WireVersion2, st)
 }
 
-// BeginGroup starts a new v3 group-addressed frame carrying entries in
-// the given codec (WireVersion or WireVersion2; anything else is encoded
-// as WireVersion). group must be <= MaxGroupID — each group is its own
-// sequence space, so for codec v2 the stamp encoder st must be dedicated
-// to this group's stream (nil st: all entries full-stamped).
+// BeginGroup starts a new v3 group-addressed frame. ecodec must be
+// WireVersion2: any other value is written to the header as given and
+// every Append then fails with ErrBadEntryCodec. group must be <=
+// MaxGroupID — each group is its own sequence space, so the stamp encoder
+// st must be dedicated to this group's stream (nil st: all entries
+// full-stamped).
 func (e *FrameEncoder) BeginGroup(buf []byte, group uint32, ecodec uint8, st *StampEncoder) {
 	e.start = len(buf)
 	buf = binary.BigEndian.AppendUint16(buf, FrameMagic)
-	if ecodec != WireVersion2 {
-		ecodec = WireVersion
-	}
 	buf = append(buf, FrameVersion3, ecodec)
-	buf = binary.BigEndian.AppendUint32(buf, group)
-	e.buf = append(buf, 0, 0) // count patched by Bytes
-	e.count = 0
-	e.frame = FrameVersion3
-	e.version = ecodec
-	if ecodec == WireVersion2 {
-		e.stamps = st
-	} else {
-		e.stamps = nil
-	}
+	e.begin(binary.BigEndian.AppendUint32(buf, group), ecodec, st)
 }
 
-func (e *FrameEncoder) beginVersion(buf []byte, v uint8) {
-	e.start = len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, FrameMagic)
-	e.buf = append(buf, v, 0, 0) // count patched by Bytes
-	e.count = 0
-	e.frame = v
-	e.version = v
+// begin completes a header with its count field and resets entry state.
+func (e *FrameEncoder) begin(hdr []byte, ecodec uint8, st *StampEncoder) {
+	e.countOff = len(hdr)
+	e.buf = append(hdr, 0, 0)
+	e.count, e.ecodec, e.stamps = 0, ecodec, st
 }
 
-// Append encodes p as the frame's next entry, with the entry codec the
-// frame was begun with. On error the frame (and, for v2, the stamp
-// encoder) is left exactly as before the call.
+// Append encodes p as the frame's next entry. On error the frame and the
+// stamp encoder are left exactly as before the call.
 func (e *FrameEncoder) Append(p *PDU) error {
+	if e.ecodec != WireVersion2 {
+		return fmt.Errorf("%w: %d", ErrBadEntryCodec, e.ecodec)
+	}
 	if e.count >= MaxFramePDUs {
 		return ErrFrameFull
 	}
 	lenOff := len(e.buf)
-	buf := append(e.buf, 0, 0, 0, 0)
-	var err error
-	if e.version == FrameVersion2 {
-		buf, err = p.MarshalAppendV2(buf, e.stamps)
-	} else {
-		buf, err = p.MarshalAppend(buf)
-	}
+	buf, err := p.MarshalAppendV2(append(e.buf, 0, 0, 0, 0), e.stamps)
 	if err != nil {
 		return err
 	}
@@ -183,55 +149,39 @@ func (e *FrameEncoder) Append(p *PDU) error {
 	return nil
 }
 
-// Count returns the number of PDUs appended since Begin.
+// Count returns the number of PDUs appended since the frame was begun.
 func (e *FrameEncoder) Count() int { return e.count }
 
 // Size returns the frame's current encoded size in bytes.
 func (e *FrameEncoder) Size() int { return len(e.buf) - e.start }
 
 // Bytes seals the frame (patching the entry count into the header) and
-// returns the buffer passed to Begin extended with the complete frame.
-// The encoder may be reused with Begin afterwards.
+// returns the buffer the frame was begun in, extended with the complete
+// frame.
+// The encoder may be reused with BeginV2 or BeginGroup afterwards.
 func (e *FrameEncoder) Bytes() []byte {
-	countOff := e.start + 3
-	if e.frame == FrameVersion3 {
-		countOff = e.start + FrameHeaderSizeV3 - 2
-	}
-	binary.BigEndian.PutUint16(e.buf[countOff:], uint16(e.count))
+	binary.BigEndian.PutUint16(e.buf[e.countOff:], uint16(e.count))
 	return e.buf
 }
 
-// EncodeFrame is a convenience wrapper marshaling a batch into one frame.
-func EncodeFrame(batch []*PDU) ([]byte, error) {
-	var e FrameEncoder
-	e.Begin(nil)
-	for _, p := range batch {
-		if err := e.Append(p); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
-}
-
-// EncodeFrameV2 marshals a batch into one v2 frame against st's
-// reference stamp (nil st: all entries full-stamped).
+// EncodeFrameV2 is a convenience wrapper marshaling a batch into one
+// default-group frame against st's reference stamp (nil st: all entries
+// full-stamped).
 func EncodeFrameV2(batch []*PDU, st *StampEncoder) ([]byte, error) {
 	var e FrameEncoder
 	e.BeginV2(nil, st)
-	for _, p := range batch {
-		if err := e.Append(p); err != nil {
-			return nil, err
-		}
-	}
-	return e.Bytes(), nil
+	return e.appendAll(batch)
 }
 
 // EncodeFrameGroup marshals a batch into one v3 group-addressed frame
-// with the given entry codec (st as in EncodeFrameV2, used only for
-// codec v2).
+// (ecodec as in BeginGroup, st as in EncodeFrameV2).
 func EncodeFrameGroup(batch []*PDU, group uint32, ecodec uint8, st *StampEncoder) ([]byte, error) {
 	var e FrameEncoder
 	e.BeginGroup(nil, group, ecodec, st)
+	return e.appendAll(batch)
+}
+
+func (e *FrameEncoder) appendAll(batch []*PDU) ([]byte, error) {
 	for _, p := range batch {
 		if err := e.Append(p); err != nil {
 			return nil, err
@@ -241,7 +191,7 @@ func EncodeFrameGroup(batch []*PDU, group uint32, ecodec uint8, st *StampEncoder
 }
 
 // FrameGroup peeks the group ID out of an encoded frame without decoding
-// it: v1/v2 frames are the default group (0, true), v3 frames return
+// it: v2 frames are the default group (0, true), v3 frames return
 // their header's group field unvalidated — callers treat IDs above
 // MaxGroupID as unknown-group drops. ok is false when b is too short or
 // not a frame at all; such datagrams belong on the default decode path,
@@ -250,13 +200,10 @@ func FrameGroup(b []byte) (group uint32, ok bool) {
 	if len(b) < FrameHeaderSize || binary.BigEndian.Uint16(b) != FrameMagic {
 		return 0, false
 	}
-	switch b[2] {
-	case FrameVersion, FrameVersion2:
+	switch {
+	case b[2] == FrameVersion2:
 		return 0, true
-	case FrameVersion3:
-		if len(b) < FrameHeaderSizeV3 {
-			return 0, false
-		}
+	case b[2] == FrameVersion3 && len(b) >= FrameHeaderSizeV3:
 		return binary.BigEndian.Uint32(b[4:8]), true
 	}
 	return 0, false
@@ -271,22 +218,22 @@ type FrameDecoder struct {
 	rest      []byte
 	remaining int
 	err       error
-	version   uint8
 	group     uint32
 	stamps    *StampDecoder
 }
 
 // SetStampDecoder attaches the per-source stamp cache used to resolve
-// delta-encoded entries of v2 frames. The cache persists across Reset
+// delta-encoded entries. The cache persists across Reset
 // calls — it mirrors the senders' streams, not one frame. Without it,
 // delta entries fail with ErrDeltaDesync (full-stamp entries still
 // decode).
 func (d *FrameDecoder) SetStampDecoder(sd *StampDecoder) { d.stamps = sd }
 
 // Reset points the decoder at frame b, validating the header. Frame
-// versions 1, 2 and 3 are all accepted; the version (for v3, the entry
-// codec byte) selects the entry codec for Next. The decoder reads from b
-// in place, so b must stay alive and unmodified until the last Next.
+// versions 2 and 3 are accepted — a v3 header only with entry codec
+// WireVersion2 — and anything else, the retired version 1 included,
+// fails ErrBadFrameVersion. The decoder reads from b in place, so b must
+// stay alive and unmodified until the last Next.
 func (d *FrameDecoder) Reset(b []byte) error {
 	d.rest, d.remaining, d.group = nil, 0, 0
 	if len(b) < FrameHeaderSize {
@@ -298,8 +245,7 @@ func (d *FrameDecoder) Reset(b []byte) error {
 		return d.err
 	}
 	switch v := b[2]; v {
-	case FrameVersion, FrameVersion2:
-		d.version = v
+	case FrameVersion2:
 		d.remaining = int(binary.BigEndian.Uint16(b[3:5]))
 		d.rest = b[FrameHeaderSize:]
 	case FrameVersion3:
@@ -307,7 +253,7 @@ func (d *FrameDecoder) Reset(b []byte) error {
 			d.err = fmt.Errorf("%w: %d header bytes for v3", ErrFrameTruncated, len(b))
 			return d.err
 		}
-		if ec := b[3]; ec != WireVersion && ec != WireVersion2 {
+		if ec := b[3]; ec != WireVersion2 {
 			d.err = fmt.Errorf("%w: %d", ErrBadEntryCodec, ec)
 			return d.err
 		}
@@ -315,7 +261,6 @@ func (d *FrameDecoder) Reset(b []byte) error {
 			d.err = fmt.Errorf("%w: %d", ErrBadFrameGroup, g)
 			return d.err
 		}
-		d.version = b[3]
 		d.group = binary.BigEndian.Uint32(b[4:8])
 		d.remaining = int(binary.BigEndian.Uint16(b[8:10]))
 		d.rest = b[FrameHeaderSizeV3:]
@@ -327,13 +272,8 @@ func (d *FrameDecoder) Reset(b []byte) error {
 	return nil
 }
 
-// Version reports the entry codec version of the frame last Reset
-// (WireVersion or WireVersion2 — for v3 frames, the header's entry-codec
-// byte), 0 if none was accepted yet.
-func (d *FrameDecoder) Version() uint8 { return d.version }
-
 // Group reports the group ID of the frame last Reset: the v3 header
-// field, or 0 (the default group) for v1/v2 frames.
+// field, or 0 (the default group) for v2 frames.
 func (d *FrameDecoder) Group() uint32 { return d.group }
 
 // Next decodes the frame's next PDU into p (overwriting every field and
@@ -363,14 +303,7 @@ func (d *FrameDecoder) Next(p *PDU) (bool, error) {
 	entry := d.rest[FrameEntrySize : FrameEntrySize+plen]
 	d.rest = d.rest[FrameEntrySize+plen:]
 	d.remaining--
-	var err error
-	if d.version == FrameVersion2 {
-		err = p.UnmarshalFromV2(entry, d.stamps)
-	} else {
-		err = p.UnmarshalFrom(entry)
-	}
-	if err != nil {
-		d.err = err
+	if d.err = p.UnmarshalFromV2(entry, d.stamps); d.err != nil {
 		return false, d.err
 	}
 	return true, nil

@@ -41,7 +41,7 @@ func decodeFrame(t *testing.T, b []byte) []*PDU {
 // back identical PDUs in append order.
 func TestFrameRoundTrip(t *testing.T) {
 	batch := frameBatch()
-	b, err := EncodeFrame(batch)
+	b, err := EncodeFrameV2(batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d PDUs, want %d", len(got), len(batch))
 	}
 	for i, p := range batch {
-		want, _ := p.Marshal()
-		have, _ := got[i].Marshal()
-		if !bytes.Equal(want, have) {
+		if !wireEqual(p, got[i]) {
 			t.Errorf("PDU %d mismatch:\n want %v\n got  %v", i, p, got[i])
 		}
 	}
@@ -62,7 +60,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // emits one, but the decoder must not choke on it).
 func TestFrameEmpty(t *testing.T) {
 	var e FrameEncoder
-	e.Begin(nil)
+	e.BeginV2(nil, nil)
 	b := e.Bytes()
 	if len(b) != FrameHeaderSize {
 		t.Fatalf("empty frame is %d bytes, want %d", len(b), FrameHeaderSize)
@@ -72,21 +70,21 @@ func TestFrameEmpty(t *testing.T) {
 	}
 }
 
-// TestFrameEncoderReuse checks Begin resets state and the appended-to
+// TestFrameEncoderReuse checks BeginV2 resets state and the appended-to
 // buffer convention works (frame appended after a prefix).
 func TestFrameEncoderReuse(t *testing.T) {
 	batch := frameBatch()
 	var e FrameEncoder
-	e.Begin(nil)
+	e.BeginV2(nil, nil)
 	if err := e.Append(batch[0]); err != nil {
 		t.Fatal(err)
 	}
 	first := append([]byte(nil), e.Bytes()...)
 
 	prefix := []byte("xx")
-	e.Begin(prefix)
+	e.BeginV2(prefix, nil)
 	if e.Count() != 0 {
-		t.Fatalf("Count after Begin = %d", e.Count())
+		t.Fatalf("Count after BeginV2 = %d", e.Count())
 	}
 	if err := e.Append(batch[0]); err != nil {
 		t.Fatal(err)
@@ -106,7 +104,7 @@ func TestFrameEncoderReuse(t *testing.T) {
 // TestFrameDecodeMalformed feeds the decoder truncated and corrupt frames:
 // each must surface an error (never panic), and the error must be terminal.
 func TestFrameDecodeMalformed(t *testing.T) {
-	good, err := EncodeFrame(frameBatch())
+	good, err := EncodeFrameV2(frameBatch(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +120,7 @@ func TestFrameDecodeMalformed(t *testing.T) {
 		{"short header", good[:FrameHeaderSize-1], ErrFrameTruncated},
 		{"bad magic", corrupt(func(b []byte) []byte { b[0] ^= 0xFF; return b }), ErrBadFrameMagic},
 		{"bad version", corrupt(func(b []byte) []byte { b[2] = 99; return b }), ErrBadFrameVersion},
+		{"retired version 1", corrupt(func(b []byte) []byte { b[2] = 1; return b }), ErrBadFrameVersion},
 		{"truncated entry prefix", good[:FrameHeaderSize+2], ErrFrameTruncated},
 		{"truncated entry body", good[:len(good)-1], ErrFrameTruncated},
 		{"oversized entry length", corrupt(func(b []byte) []byte {
@@ -171,7 +170,7 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 	var d FrameDecoder
 	var scratch PDU
 	// Warm the scratch PDU's ACK/Data capacity.
-	e.Begin(buf)
+	e.BeginV2(buf, nil)
 	for _, p := range batch {
 		if err := e.Append(p); err != nil {
 			t.Fatal(err)
@@ -192,7 +191,7 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Begin(buf)
+		e.BeginV2(buf, nil)
 		for _, p := range batch {
 			if err := e.Append(p); err != nil {
 				t.Fatal(err)
@@ -217,13 +216,13 @@ func TestFrameCodecZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFrameGroupRoundTrip encodes a batch as v3 group-addressed frames
-// under both entry codecs and checks the decoder reports the group and
-// entry codec and hands back identical PDUs.
+// TestFrameGroupRoundTrip encodes a batch as a v3 group-addressed frame,
+// full-stamped and along a live delta chain, and checks the decoder
+// reports the group and hands back identical PDUs.
 func TestFrameGroupRoundTrip(t *testing.T) {
 	batch := frameBatch()
-	for _, ecodec := range []uint8{WireVersion, WireVersion2} {
-		b, err := EncodeFrameGroup(batch, 42, ecodec, nil)
+	for _, st := range []*StampEncoder{nil, NewStampEncoder(64)} {
+		b, err := EncodeFrameGroup(batch, 42, WireVersion2, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,9 +235,6 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 		if d.Group() != 42 {
 			t.Fatalf("Group = %d, want 42", d.Group())
 		}
-		if d.Version() != ecodec {
-			t.Fatalf("Version = %d, want entry codec %d", d.Version(), ecodec)
-		}
 		var got []*PDU
 		for {
 			var p PDU
@@ -249,27 +245,23 @@ func TestFrameGroupRoundTrip(t *testing.T) {
 			if !ok {
 				break
 			}
-			got = append(got, &p)
+			got = append(got, p.Clone())
 		}
 		if len(got) != len(batch) {
 			t.Fatalf("decoded %d PDUs, want %d", len(got), len(batch))
 		}
 		for i, p := range batch {
-			want, _ := p.Marshal()
-			have, _ := got[i].Marshal()
-			if !bytes.Equal(want, have) {
-				t.Errorf("ecodec %d PDU %d mismatch:\n want %v\n got  %v", ecodec, i, p, got[i])
+			if !wireEqual(p, got[i]) {
+				t.Errorf("stamps %v PDU %d mismatch:\n want %v\n got  %v", st != nil, i, p, got[i])
 			}
 		}
 	}
 }
 
-// TestFrameGroupDefaultZero checks v1/v2 frames decode as the default
-// group and the FrameGroup peek agrees with the full decoder on every
-// layout.
+// TestFrameGroupDefaultZero checks v2 frames decode as the default group
+// and the FrameGroup peek agrees with the full decoder on every layout.
 func TestFrameGroupDefaultZero(t *testing.T) {
 	batch := frameBatch()
-	v1, _ := EncodeFrame(batch)
 	v2, _ := EncodeFrameV2(batch, nil)
 	v3, _ := EncodeFrameGroup(batch, 7, WireVersion2, nil)
 	for _, tc := range []struct {
@@ -277,7 +269,7 @@ func TestFrameGroupDefaultZero(t *testing.T) {
 		frame []byte
 		group uint32
 	}{
-		{"v1", v1, 0}, {"v2", v2, 0}, {"v3", v3, 7},
+		{"v2", v2, 0}, {"v3", v3, 7},
 	} {
 		var d FrameDecoder
 		if err := d.Reset(tc.frame); err != nil {
@@ -291,8 +283,9 @@ func TestFrameGroupDefaultZero(t *testing.T) {
 			t.Fatalf("%s FrameGroup = %d,%v, want %d,true", tc.name, g, ok, tc.group)
 		}
 	}
-	// Non-frames and truncated v3 headers are not routable.
-	for _, b := range [][]byte{nil, {0xC0}, {0xBE, 0xEF, 0x01, 0x00, 0x00}, v3[:FrameHeaderSizeV3-1], {0xC0, 0xBF, 0x99}} {
+	// Non-frames, retired v1 frames and truncated v3 headers are not
+	// routable.
+	for _, b := range [][]byte{nil, {0xC0}, {0xBE, 0xEF, 0x02, 0x00, 0x00}, {0xC0, 0xBF, 0x01, 0x00, 0x00}, v3[:FrameHeaderSizeV3-1], {0xC0, 0xBF, 0x99}} {
 		if g, ok := FrameGroup(b); ok {
 			t.Fatalf("FrameGroup(%x) = %d,true, want not-ok", b, g)
 		}
@@ -313,7 +306,7 @@ func TestFrameGroupDefaultZero(t *testing.T) {
 // TestFrameGroupMalformed feeds the decoder malformed v3 headers: each
 // must surface its typed error terminally, never panic.
 func TestFrameGroupMalformed(t *testing.T) {
-	good, err := EncodeFrameGroup(frameBatch(), 9, WireVersion, nil)
+	good, err := EncodeFrameGroup(frameBatch(), 9, WireVersion2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +321,7 @@ func TestFrameGroupMalformed(t *testing.T) {
 		{"truncated group id", good[:6], ErrFrameTruncated},
 		{"truncated v3 header", good[:FrameHeaderSizeV3-1], ErrFrameTruncated},
 		{"bad entry codec", corrupt(func(b []byte) []byte { b[3] = 9; return b }), ErrBadEntryCodec},
+		{"retired entry codec 1", corrupt(func(b []byte) []byte { b[3] = 1; return b }), ErrBadEntryCodec},
 		{"group out of range", corrupt(func(b []byte) []byte {
 			binary.BigEndian.PutUint32(b[4:8], 0xFFFFFFFF)
 			return b
@@ -360,7 +354,7 @@ func TestFrameGroupMalformed(t *testing.T) {
 }
 
 // TestFrameGroupZeroAlloc proves the v3 encode/decode path stays
-// allocation-free in steady state like v1/v2.
+// allocation-free in steady state like v2.
 func TestFrameGroupZeroAlloc(t *testing.T) {
 	batch := frameBatch()
 	var e FrameEncoder
@@ -368,7 +362,7 @@ func TestFrameGroupZeroAlloc(t *testing.T) {
 	var d FrameDecoder
 	var scratch PDU
 	run := func() {
-		e.BeginGroup(buf, 3, WireVersion, nil)
+		e.BeginGroup(buf, 3, WireVersion2, nil)
 		for _, p := range batch {
 			if err := e.Append(p); err != nil {
 				t.Fatal(err)

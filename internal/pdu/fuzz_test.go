@@ -8,18 +8,22 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal throws arbitrary bytes at the wire decoder: it must never
-// panic, and everything it accepts must re-encode to the identical
-// datagram (the codec is canonical).
+// seedPDUs holds one PDU of each kind, the seed of both whole-datagram
+// decoder targets.
+var seedPDUs = []*PDU{
+	{Kind: KindData, CID: 1, Src: 0, SEQ: 1, ACK: []Seq{1, 1}, LSrc: NoEntity, Data: []byte("seed")},
+	{Kind: KindSync, CID: 9, Src: 2, SEQ: 7, ACK: []Seq{3, 2, 9}, BUF: 44, NeedAck: true, LSrc: NoEntity},
+	{Kind: KindAckOnly, Src: 1, ACK: []Seq{5, 5}, LSrc: NoEntity},
+	{Kind: KindRet, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
+}
+
+// FuzzUnmarshal throws arbitrary bytes at the stateless wire decoder (no
+// stamp cache, so only full stamps can be accepted): it must never panic,
+// and everything it accepts must re-encode to the identical datagram —
+// the codec is canonical, which is also what rejects unknown flag bits.
 func FuzzUnmarshal(f *testing.F) {
-	seedPDUs := []*PDU{
-		{Kind: KindData, CID: 1, Src: 0, SEQ: 1, ACK: []Seq{1, 1}, LSrc: NoEntity, Data: []byte("seed")},
-		{Kind: KindSync, CID: 9, Src: 2, SEQ: 7, ACK: []Seq{3, 2, 9}, BUF: 44, NeedAck: true, LSrc: NoEntity},
-		{Kind: KindAckOnly, Src: 1, ACK: []Seq{5, 5}, LSrc: NoEntity},
-		{Kind: KindRet, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
-	}
 	for _, p := range seedPDUs {
-		b, err := p.Marshal()
+		b, err := p.MarshalV2(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -27,20 +31,7 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xC0, 0xBC}, 40))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		out, err := p.Marshal()
-		if err != nil {
-			t.Fatalf("accepted PDU failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("codec not canonical:\n in  %x\n out %x", data, out)
-		}
-	})
+	f.Fuzz(fuzzDatagram)
 }
 
 // FuzzFrameDecode throws arbitrary bytes at the batch-frame decoder: it
@@ -58,29 +49,30 @@ func FuzzFrameDecode(f *testing.F) {
 		},
 	}
 	for _, batch := range seedBatches {
-		b, err := EncodeFrame(batch)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-		// The same batches as v2 frames: once full-stamped (nil encoder)
-		// and once with a live delta chain.
+		// Each batch as a v2 frame: once full-stamped (nil encoder), once
+		// with a live delta chain, and once under the retired header
+		// version 1, which must be rejected whole.
 		b2, err := EncodeFrameV2(batch, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
+		b1 := bytes.Clone(b2)
+		b1[2] = 1
+		f.Add(b1)
 		f.Add(b2)
 		b2d, err := EncodeFrameV2(batch, NewStampEncoder(64))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b2d)
-		// The same batches as v3 group-addressed frames: default group
-		// with v1 entries, a high-but-valid group with a live delta chain.
-		b3, err := EncodeFrameGroup(batch, 7, WireVersion, nil)
+		// The same batches as v3 group-addressed frames: a low group
+		// naming the retired entry codec 1 (rejected), a high-but-valid
+		// group with a live delta chain.
+		b3, err := EncodeFrameGroup(batch, 7, WireVersion2, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
+		b3[3] = 1
 		f.Add(b3)
 		b3d, err := EncodeFrameGroup(batch, MaxGroupID, WireVersion2, NewStampEncoder(64))
 		if err != nil {
@@ -131,151 +123,133 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		// Reset accepted the header, so the layout bytes below exist. The
 		// re-encoder mirrors the accepted frame's layout: v3 frames carry
-		// their entry codec and group explicitly, v1/v2 conflate them.
-		ecodec := data[2]
-		reencode := func(b []*PDU) ([]byte, error) { return EncodeFrame(b) }
-		switch data[2] {
-		case FrameVersion2:
-			reencode = func(b []*PDU) ([]byte, error) { return EncodeFrameV2(b, nil) }
-		case FrameVersion3:
-			ecodec = data[3]
+		// their group explicitly, v2 frames imply group 0.
+		reencode := func(b []*PDU) ([]byte, error) { return EncodeFrameV2(b, nil) }
+		if data[2] == FrameVersion3 {
 			group := binary.BigEndian.Uint32(data[4:8])
 			reencode = func(b []*PDU) ([]byte, error) {
-				return EncodeFrameGroup(b, group, ecodec, nil)
+				return EncodeFrameGroup(b, group, WireVersion2, nil)
 			}
 		}
-		if ecodec == WireVersion2 {
-			sawDelta := false
-			for _, p := range batch {
-				if p.Delta != nil {
-					sawDelta = true
-				}
+		sawDelta := false
+		for _, p := range batch {
+			if p.Delta != nil {
+				sawDelta = true
 			}
-			if !sawDelta {
-				// Full-stamp-only v2-entry frames are canonical:
-				// re-encoding with a stampless encoder reproduces the
-				// input.
-				out, err := reencode(batch)
-				if err != nil {
-					t.Fatalf("accepted v2 frame failed to re-encode: %v", err)
-				}
-				if !bytes.Equal(out, data) {
-					t.Fatalf("v2 frame codec not canonical:\n in  %x\n out %x", data, out)
-				}
-				return
+		}
+		if !sawDelta {
+			// Full-stamp-only frames are canonical: re-encoding with a
+			// stampless encoder reproduces the input.
+			out, err := reencode(batch)
+			if err != nil {
+				t.Fatalf("accepted frame failed to re-encode: %v", err)
 			}
-			// Delta entries depend on the sender's stamp state, so byte
-			// identity is out of reach; the decode itself must still be
-			// deterministic and each reconstructed PDU must survive a
-			// stampless v2 round trip.
-			again, ok := decodeAll()
-			if !ok || len(again) != len(batch) {
-				t.Fatalf("v2 frame decode not deterministic: %d vs %d PDUs", len(batch), len(again))
-			}
-			for i, p := range batch {
-				if !wireEqual(p, again[i]) {
-					t.Fatalf("v2 frame decode not deterministic at entry %d", i)
-				}
-				b, err := p.MarshalV2(nil)
-				if err != nil {
-					t.Fatalf("reconstructed PDU failed to re-encode: %v", err)
-				}
-				q, err := UnmarshalV2(b, nil)
-				if err != nil {
-					t.Fatalf("re-encoded reconstruction rejected: %v", err)
-				}
-				if !wireEqual(p, q) {
-					t.Fatalf("reconstruction round trip changed PDU %d", i)
-				}
+			if !bytes.Equal(out, data) {
+				t.Fatalf("frame codec not canonical:\n in  %x\n out %x", data, out)
 			}
 			return
 		}
-		out, err := reencode(batch)
-		if err != nil {
-			t.Fatalf("accepted frame failed to re-encode: %v", err)
+		// Delta entries depend on the sender's stamp state, so byte
+		// identity is out of reach; the decode itself must still be
+		// deterministic and each reconstructed PDU must survive a
+		// stampless round trip.
+		again, ok := decodeAll()
+		if !ok || len(again) != len(batch) {
+			t.Fatalf("frame decode not deterministic: %d vs %d PDUs", len(batch), len(again))
 		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("frame codec not canonical:\n in  %x\n out %x", data, out)
+		for i, p := range batch {
+			if !wireEqual(p, again[i]) {
+				t.Fatalf("frame decode not deterministic at entry %d", i)
+			}
+			b, err := p.MarshalV2(nil)
+			if err != nil {
+				t.Fatalf("reconstructed PDU failed to re-encode: %v", err)
+			}
+			q, err := UnmarshalV2(b, nil)
+			if err != nil {
+				t.Fatalf("re-encoded reconstruction rejected: %v", err)
+			}
+			if !wireEqual(p, q) {
+				t.Fatalf("reconstruction round trip changed PDU %d", i)
+			}
 		}
 	})
 }
 
-// fuzzDatagram is the shared body of the per-kind decoder fuzz targets.
+// fuzzDatagram is the shared body of the stateless decoder fuzz targets.
 // Accepted datagrams must re-encode canonically, survive a double decode
 // with identity fields intact, and decode identically into a dirty
 // scratch PDU (slice reuse cannot leak state between datagrams).
 // Rejected datagrams must fail in both decoders and leave the scratch
 // usable for the next datagram (the terminal-error contract).
-func fuzzDatagram(f *testing.F, seeds []*PDU) {
+func fuzzDatagram(t *testing.T, data []byte) {
+	scratch := &PDU{ACK: []Seq{9, 9, 9}, Delta: []Seq{2}, Data: []byte("dirty-scratch-bytes")}
+	fresh, err := UnmarshalV2(data, nil)
+	if err != nil {
+		if err2 := scratch.UnmarshalFromV2(data, nil); err2 == nil {
+			t.Fatalf("UnmarshalFromV2 accepted what UnmarshalV2 rejected (%v)", err)
+		}
+		good, _ := (&PDU{Kind: KindData, CID: 7, Src: 1, SEQ: 3,
+			ACK: []Seq{2, 4}, LSrc: NoEntity, Data: []byte("known-good")}).MarshalV2(nil)
+		if err := scratch.UnmarshalFromV2(good, nil); err != nil {
+			t.Fatalf("scratch poisoned by failed decode: %v", err)
+		}
+		return
+	}
+	out, err := fresh.MarshalV2(nil)
+	if err != nil {
+		t.Fatalf("accepted PDU failed to re-encode: %v", err)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatalf("codec not canonical:\n in  %x\n out %x", data, out)
+	}
+	q, err := UnmarshalV2(out, nil)
+	if err != nil {
+		t.Fatalf("re-encoded datagram rejected: %v", err)
+	}
+	if q.Kind != fresh.Kind || q.Src != fresh.Src || q.SEQ != fresh.SEQ ||
+		q.LSrc != fresh.LSrc || q.LSeq != fresh.LSeq || q.CID != fresh.CID {
+		t.Fatalf("round trip changed identity fields:\n %+v\n %+v", fresh, q)
+	}
+	if err := scratch.UnmarshalFromV2(data, nil); err != nil {
+		t.Fatalf("dirty-scratch decode disagreed with fresh decode: %v", err)
+	}
+	out2, err := scratch.MarshalAppendV2(nil, nil)
+	if err != nil {
+		t.Fatalf("scratch re-encode: %v", err)
+	}
+	if !bytes.Equal(out2, data) {
+		t.Fatalf("dirty-scratch decode not canonical:\n in  %x\n out %x", data, out2)
+	}
+}
+
+// fuzzKind seeds a per-kind target and runs fuzzDatagram over it.
+func fuzzKind(f *testing.F, seeds []*PDU) {
 	for _, p := range seeds {
-		b, err := p.Marshal()
+		b, err := p.MarshalV2(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
-		// Corrupted and truncated siblings seed the reject path.
-		bad := append([]byte(nil), b...)
+		// Corrupted and truncated siblings seed the reject path, as does
+		// the same datagram under the retired version byte 1.
+		bad := bytes.Clone(b)
 		bad[len(bad)-1] ^= 0xFF
 		f.Add(bad)
 		f.Add(b[:len(b)-3])
-		// The v2 encoding of the same PDU seeds the cross-version
-		// rejection path (the v1 decoder must fail it cleanly).
-		b2, err := p.MarshalV2(nil)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b2)
+		v1 := bytes.Clone(b)
+		v1[2] = 1
+		refreshCRC(v1)
+		f.Add(v1)
 	}
-	good, err := (&PDU{Kind: KindData, CID: 7, Src: 1, SEQ: 3,
-		ACK: []Seq{2, 4}, LSrc: NoEntity, Data: []byte("known-good")}).Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		scratch := &PDU{ACK: []Seq{9, 9, 9}, Data: []byte("dirty-scratch-bytes")}
-		fresh, err := Unmarshal(data)
-		if err != nil {
-			if err2 := scratch.UnmarshalFrom(data); err2 == nil {
-				t.Fatalf("UnmarshalFrom accepted what Unmarshal rejected (%v)", err)
-			}
-			if err := scratch.UnmarshalFrom(good); err != nil {
-				t.Fatalf("scratch poisoned by failed decode: %v", err)
-			}
-			return
-		}
-		out, err := fresh.Marshal()
-		if err != nil {
-			t.Fatalf("accepted PDU failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("codec not canonical:\n in  %x\n out %x", data, out)
-		}
-		q, err := Unmarshal(out)
-		if err != nil {
-			t.Fatalf("re-encoded datagram rejected: %v", err)
-		}
-		if q.Kind != fresh.Kind || q.Src != fresh.Src || q.SEQ != fresh.SEQ ||
-			q.LSrc != fresh.LSrc || q.LSeq != fresh.LSeq || q.CID != fresh.CID {
-			t.Fatalf("round trip changed identity fields:\n %+v\n %+v", fresh, q)
-		}
-		if err := scratch.UnmarshalFrom(data); err != nil {
-			t.Fatalf("dirty-scratch decode disagreed with fresh decode: %v", err)
-		}
-		out2, err := scratch.MarshalAppend(nil)
-		if err != nil {
-			t.Fatalf("scratch re-encode: %v", err)
-		}
-		if !bytes.Equal(out2, data) {
-			t.Fatalf("dirty-scratch decode not canonical:\n in  %x\n out %x", data, out2)
-		}
-	})
+	f.Fuzz(fuzzDatagram)
 }
 
 // FuzzDTUnmarshal focuses the wire decoder on DT (data transmission)
 // datagrams: empty and large payloads, wide ACK vectors, flow-control and
 // confirmation flags.
 func FuzzDTUnmarshal(f *testing.F) {
-	fuzzDatagram(f, []*PDU{
+	fuzzKind(f, []*PDU{
 		{Kind: KindData, CID: 1, Src: 0, SEQ: 1, ACK: []Seq{1, 1}, LSrc: NoEntity, Data: []byte("dt")},
 		{Kind: KindData, CID: 2, Src: 3, SEQ: 900, ACK: []Seq{5, 0, 17, 2}, BUF: 4096,
 			NeedAck: true, LSrc: NoEntity},
@@ -288,24 +262,19 @@ func FuzzDTUnmarshal(f *testing.F) {
 // request) datagrams, whose LSrc/LSeq fields address the lost PDU; the
 // shared body asserts those survive the round trip.
 func FuzzRETUnmarshal(f *testing.F) {
-	fuzzDatagram(f, []*PDU{
+	fuzzKind(f, []*PDU{
 		{Kind: KindRet, CID: 1, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
 		{Kind: KindRet, CID: 5, Src: 0, SEQ: 12, ACK: []Seq{8, 11}, LSrc: 0, LSeq: 1, NeedAck: true},
 		{Kind: KindRet, CID: 9, Src: 2, ACK: []Seq{0, 0, 0}, LSrc: 2, LSeq: 1 << 40},
 	})
 }
 
-// FuzzV2Unmarshal throws arbitrary bytes at the v2 decoder: it must
-// never panic, accepted full-stamp datagrams must re-encode to the
-// identical bytes, and neither failure nor success may poison the
-// per-source stamp cache for a subsequent known-good stream.
+// FuzzV2Unmarshal throws arbitrary bytes at the decoder with a stamp
+// cache attached: it must never panic, must reject unknown flag bits,
+// accepted full-stamp datagrams must re-encode to the identical bytes,
+// and neither failure nor success may poison the per-source stamp cache
+// for a subsequent known-good stream.
 func FuzzV2Unmarshal(f *testing.F) {
-	seedPDUs := []*PDU{
-		{Kind: KindData, CID: 1, Src: 0, SEQ: 1, ACK: []Seq{1, 1}, LSrc: NoEntity, Data: []byte("seed")},
-		{Kind: KindSync, CID: 9, Src: 2, SEQ: 7, ACK: []Seq{3, 2, 9}, BUF: 44, NeedAck: true, LSrc: NoEntity},
-		{Kind: KindAckOnly, Src: 1, ACK: []Seq{5, 5}, LSrc: NoEntity},
-		{Kind: KindRet, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
-	}
 	enc := NewStampEncoder(4)
 	chain := []*PDU{
 		{Kind: KindData, CID: 2, Src: 1, SEQ: 1, ACK: []Seq{0, 1, 4}, LSrc: NoEntity, Data: []byte("a")},
@@ -345,6 +314,9 @@ func FuzzV2Unmarshal(f *testing.F) {
 		scratch := &PDU{ACK: []Seq{9, 9, 9}, Delta: []Seq{2}, Data: []byte("dirty")}
 		fresh, err := UnmarshalV2(data, &dec)
 		if err == nil {
+			if extra := data[4] &^ (flagNeedAck | flagFullStamp); extra != 0 {
+				t.Fatalf("accepted unknown flag bits %02x", extra)
+			}
 			if fresh.Delta == nil {
 				out, err := fresh.MarshalV2(nil)
 				if err != nil {
@@ -383,7 +355,10 @@ func FuzzV2Unmarshal(f *testing.F) {
 // sequenced stream (arbitrary stamp movement, retransmissions, sync
 // interval) encoded with a StampEncoder and decoded through a lossy
 // channel must reconstruct bit-exact stamps, and every desync must be
-// exactly predicted by the reference-chain oracle.
+// exactly predicted by the reference-chain oracle. On a lossless channel
+// the codec is canonical for delta stamps too: re-encoding each decoded
+// PDU, Delta annotation and all, along a mirror chain reproduces the
+// received bytes.
 func FuzzV2StreamRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint8(4), uint8(8))
 	f.Add(int64(2), uint64(0xAAAA), uint8(64), uint8(1))
@@ -392,7 +367,7 @@ func FuzzV2StreamRoundTrip(f *testing.F) {
 		n := int(nRaw)%128 + 2
 		k := int(kRaw)%40 + 1
 		rng := rand.New(rand.NewSource(seed))
-		enc := NewStampEncoder(k)
+		enc, mirror := NewStampEncoder(k), NewStampEncoder(k)
 		var dec StampDecoder
 		src := EntityID(rng.Intn(n))
 		stream := seqStream(src, n, 48, rng)
@@ -417,6 +392,11 @@ func FuzzV2StreamRoundTrip(f *testing.F) {
 			case err == nil:
 				if !wireEqual(got, p) {
 					t.Fatalf("PDU %d (seq %d) reconstructed wrong:\n got %v\nwant %v", i, p.SEQ, got, p)
+				}
+				if lossMask == 0 {
+					if out, err := got.MarshalV2(mirror); err != nil || !bytes.Equal(out, b) {
+						t.Fatalf("PDU %d (seq %d) not canonical (err %v):\n in  %x\n out %x", i, p.SEQ, err, b, out)
+					}
 				}
 				if full {
 					if p.SEQ > cacheSeq {

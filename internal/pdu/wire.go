@@ -1,42 +1,22 @@
-// Wire encoding for PDUs. The format is a fixed header followed by the
-// variable-length ACK vector and payload, integrity-protected by a CRC-32
-// trailer so the UDP transport can reject corrupted datagrams:
+// Constants and errors of the wire codec (wirev2.go), and the paper's
+// size model: the paper fixes the PDU's fields (Fig. 4/5), not a byte
+// layout, and EncodedSize prices them at fixed width —
 //
-//	magic   uint16  0xC0BC
-//	version uint8   1
-//	kind    uint8
-//	flags   uint8   bit0 = NeedAck
-//	cid     uint32
-//	src     int32
-//	seq     uint64
-//	buf     uint32
-//	lsrc    int32
-//	lseq    uint64
-//	nack    uint16
-//	ack     nack × uint64
-//	dlen    uint32
-//	data    dlen bytes
-//	crc     uint32  (IEEE, over everything before it)
+//	magic u16 ‖ version u8 ‖ kind u8 ‖ flags u8 ‖ cid u32 ‖ src i32 ‖
+//	seq u64 ‖ buf u32 ‖ lsrc i32 ‖ lseq u64 ‖ nack u16 ‖ nack × u64 ‖
+//	dlen u32 ‖ data ‖ crc u32
 //
-// All integers are big-endian.
+// — a layout nothing encodes any more.
 package pdu
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"math"
-)
+import "errors"
 
 const (
 	// Magic identifies cobcast datagrams on the wire.
 	Magic uint16 = 0xC0BC
-	// WireVersion is the encoding version emitted by Marshal.
-	WireVersion uint8 = 1
 
-	headerSize  = 2 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 2
-	trailerSize = 4
+	fixedHeaderSize = 2 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 2
+	trailerSize     = 4
 
 	flagNeedAck = 1 << 0
 )
@@ -51,121 +31,9 @@ var (
 	ErrTooLong     = errors.New("pdu: field too long to encode")
 )
 
-// EncodedSize returns the exact number of bytes Marshal will produce.
-// It grows linearly with the cluster size via the ACK vector (experiment
-// E5 measures this O(n) growth).
+// EncodedSize returns the PDU's length under the fixed-width size model
+// above: linear in the cluster size via the ACK vector, the O(n) PDU
+// length of Section 5 (experiment E5; E12 compares the codec against it).
 func (p *PDU) EncodedSize() int {
-	return headerSize + 8*len(p.ACK) + 4 + len(p.Data) + trailerSize
-}
-
-// Marshal encodes the PDU into a self-contained datagram.
-func (p *PDU) Marshal() ([]byte, error) {
-	return p.MarshalAppend(make([]byte, 0, p.EncodedSize()))
-}
-
-// MarshalAppend encodes the PDU as Marshal does, appending the datagram
-// to buf and returning the extended slice. With a buf of sufficient
-// capacity the steady-state send path allocates nothing.
-func (p *PDU) MarshalAppend(buf []byte) ([]byte, error) {
-	if len(p.ACK) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: ACK vector %d entries", ErrTooLong, len(p.ACK))
-	}
-	if len(p.Data) > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: data %d bytes", ErrTooLong, len(p.Data))
-	}
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint16(buf, Magic)
-	buf = append(buf, WireVersion, byte(p.Kind))
-	var flags byte
-	if p.NeedAck {
-		flags |= flagNeedAck
-	}
-	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint32(buf, p.CID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.Src))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.SEQ))
-	buf = binary.BigEndian.AppendUint32(buf, p.BUF)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(p.LSrc))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(p.LSeq))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.ACK)))
-	for _, a := range p.ACK {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(a))
-	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Data)))
-	buf = append(buf, p.Data...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	return buf, nil
-}
-
-// Unmarshal decodes a datagram produced by Marshal. The returned PDU owns
-// freshly allocated ACK and Data slices.
-func Unmarshal(b []byte) (*PDU, error) {
-	p := new(PDU)
-	if err := p.UnmarshalFrom(b); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-// UnmarshalFrom decodes a datagram produced by Marshal into p, reusing
-// the capacity of p.ACK and p.Data — a scratch PDU decoded in a loop
-// allocates nothing once its slices have grown. Every field of p is
-// overwritten; on error p's contents are unspecified. The decoded slices
-// copy out of b, so b may be recycled as soon as the call returns.
-func (p *PDU) UnmarshalFrom(b []byte) error {
-	// Magic and version are checked before anything else so that a
-	// datagram from a peer speaking another codec version fails with
-	// the typed ErrBadVersion whatever its length.
-	if len(b) >= 3 {
-		if m := binary.BigEndian.Uint16(b[0:2]); m != Magic {
-			return fmt.Errorf("%w: %04x", ErrBadMagic, m)
-		}
-		if v := b[2]; v != WireVersion {
-			return fmt.Errorf("%w: %d", ErrBadVersion, v)
-		}
-	}
-	if len(b) < headerSize+4+trailerSize {
-		return fmt.Errorf("%w: %d bytes", ErrTruncated, len(b))
-	}
-	body, crcBytes := b[:len(b)-trailerSize], b[len(b)-trailerSize:]
-	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(crcBytes); got != want {
-		return fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
-	}
-	p.Kind = Kind(body[3])
-	// Unknown flag bits are rejected (not silently dropped) so that
-	// every accepted datagram re-encodes bit-identically.
-	if extra := body[4] &^ flagNeedAck; extra != 0 {
-		return fmt.Errorf("%w: %02x", ErrBadFlags, extra)
-	}
-	p.NeedAck = body[4]&flagNeedAck != 0
-	// v1 stamps are always full: a scratch PDU reused across codec
-	// versions must not keep a stale v2 delta annotation.
-	p.Delta = nil
-	p.CID = binary.BigEndian.Uint32(body[5:9])
-	p.Src = EntityID(int32(binary.BigEndian.Uint32(body[9:13])))
-	p.SEQ = Seq(binary.BigEndian.Uint64(body[13:21]))
-	p.BUF = binary.BigEndian.Uint32(body[21:25])
-	p.LSrc = EntityID(int32(binary.BigEndian.Uint32(body[25:29])))
-	p.LSeq = Seq(binary.BigEndian.Uint64(body[29:37]))
-	nack := int(binary.BigEndian.Uint16(body[37:39]))
-	rest := body[headerSize:]
-	if len(rest) < 8*nack+4 {
-		return fmt.Errorf("%w: ACK vector", ErrTruncated)
-	}
-	if p.ACK == nil || cap(p.ACK) < nack {
-		p.ACK = make([]Seq, nack)
-	} else {
-		p.ACK = p.ACK[:nack]
-	}
-	for i := range p.ACK {
-		p.ACK[i] = Seq(binary.BigEndian.Uint64(rest[8*i:]))
-	}
-	rest = rest[8*nack:]
-	dlen := int(binary.BigEndian.Uint32(rest[:4]))
-	rest = rest[4:]
-	if len(rest) != dlen {
-		return fmt.Errorf("%w: data (have %d want %d)", ErrTruncated, len(rest), dlen)
-	}
-	p.Data = append(p.Data[:0], rest...)
-	return nil
+	return fixedHeaderSize + 8*len(p.ACK) + 4 + len(p.Data) + trailerSize
 }

@@ -1,11 +1,12 @@
-// Wire codec v2: varint header fields and a delta-encoded ACK stamp.
-// Consecutive sequenced PDUs from one source differ in only a few ACK
-// entries, so v2 encodes just the changed (index, increment) pairs
+// Wire codec v2 — the one byte codec: varint header fields and a
+// delta-encoded ACK stamp. Consecutive sequenced PDUs from one source
+// differ in only a few ACK entries, so it encodes just the changed
+// (index, increment) pairs
 // against the source's previous sequenced PDU instead of the full O(n)
 // vector, with a full-stamp escape at sync points so a receiver can
 // resynchronize after loss without waiting for a RET round trip:
 //
-//	magic   uint16  0xC0BC (big-endian, shared with v1)
+//	magic   uint16  0xC0BC (big-endian)
 //	version uint8   2
 //	kind    uint8
 //	flags   uint8   bit0 = NeedAck, bit1 = full stamp
@@ -65,8 +66,8 @@ const (
 	v2MinSize = 5 + 7 + 1 + 4
 )
 
-// V2 decoding errors (v2 shares ErrTruncated, ErrBadMagic, ErrBadVersion
-// and ErrBadChecksum with the v1 codec).
+// Decoding errors specific to varints and delta stamps (the rest are in
+// wire.go).
 var (
 	// ErrBadVarint marks a varint field that is overlong, non-minimal or
 	// out of range for its destination.
@@ -96,8 +97,7 @@ type StampEncoder struct {
 
 // NewStampEncoder returns an encoder with sync interval k (every PDU
 // with SEQ%k == 0 is full-stamped). k <= 0 selects
-// DefaultStampInterval; k == 1 forces a full stamp on every PDU,
-// degenerating v2 to v1-equivalent stamps.
+// DefaultStampInterval; k == 1 forces a full stamp on every PDU.
 func NewStampEncoder(k int) *StampEncoder {
 	e := &StampEncoder{}
 	if k > 0 {
@@ -352,16 +352,20 @@ func readUvarintMax(b []byte, max uint64) (uint64, []byte, error) {
 }
 
 // UnmarshalFromV2 decodes a datagram produced by MarshalV2 into p,
-// reusing the capacity of p.ACK, p.Delta and p.Data as UnmarshalFrom
-// does. Delta stamps are resolved against dec's per-source cache: the
+// reusing the capacity of p.ACK and p.Data — a scratch PDU decoded in a
+// loop allocates nothing once its slices have grown. Every field of p is
+// overwritten; on error p's contents are unspecified. The decoded slices
+// copy out of b, so b may be recycled as soon as the call returns. Delta
+// stamps are resolved against dec's per-source cache: the
 // reconstructed p.ACK is bit-exact with the sender's stamp and p.Delta
 // lists the changed indices for the engine's fold fast path (nil after a
 // full stamp). dec is only advanced by a fully valid datagram, and only
 // forward, so corrupt or replayed input can never poison the cache. A
 // nil dec accepts full stamps only.
 func (p *PDU) UnmarshalFromV2(b []byte, dec *StampDecoder) error {
-	// Magic/version first, as in UnmarshalFrom: cross-version input
-	// fails with ErrBadVersion whatever its length.
+	// Magic and version are checked before anything else so that a
+	// datagram from a peer speaking another codec version fails with
+	// the typed ErrBadVersion whatever its length.
 	if len(b) >= 3 {
 		if m := binary.BigEndian.Uint16(b[0:2]); m != Magic {
 			return fmt.Errorf("%w: %04x", ErrBadMagic, m)

@@ -263,43 +263,51 @@ func TestV2DuplicateDeltaDropsDuplicateFullDecodes(t *testing.T) {
 	}
 }
 
+// TestV2CrossVersionRejection: a datagram or frame in the retired version
+// 1 (or any other) fails with a typed error on the decode side, and the
+// encoder refuses to build a frame around an entry codec it cannot write.
 func TestV2CrossVersionRejection(t *testing.T) {
 	p := &PDU{Kind: KindData, CID: 1, Src: 0, SEQ: 1, ACK: []Seq{1, 0}, LSrc: NoEntity}
-	v1b, err := p.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
 	v2b, err := p.MarshalV2(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Unmarshal(v2b); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v1 decoder on v2 datagram: err = %v, want ErrBadVersion", err)
-	}
+	v1b := append([]byte(nil), v2b...)
+	v1b[2] = 1
+	refreshCRC(v1b)
 	var dec StampDecoder
 	if _, err := UnmarshalV2(v1b, &dec); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v2 decoder on v1 datagram: err = %v, want ErrBadVersion", err)
+		t.Fatalf("version-1 datagram: err = %v, want ErrBadVersion", err)
 	}
 
-	// Frame-level cross wiring: entries must match the frame version.
 	var d FrameDecoder
 	d.SetStampDecoder(&dec)
 	var scratch PDU
-
-	v1frame := mixedFrame(t, FrameVersion, v2b)
-	if err := d.Reset(v1frame); err != nil {
-		t.Fatalf("Reset(v1 frame): %v", err)
+	if err := d.Reset(mixedFrame(t, 1, v2b)); !errors.Is(err, ErrBadFrameVersion) {
+		t.Fatalf("Reset(v1 frame) = %v, want ErrBadFrameVersion", err)
 	}
-	if _, err := d.Next(&scratch); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v2 entry in v1 frame: err = %v, want ErrBadVersion", err)
+	if _, err := d.Next(&scratch); !errors.Is(err, ErrBadFrameVersion) {
+		t.Fatalf("Next after rejected v1 frame = %v, want the same terminal error", err)
 	}
-
-	v2frame := mixedFrame(t, FrameVersion2, v1b)
-	if err := d.Reset(v2frame); err != nil {
+	if err := d.Reset(mixedFrame(t, FrameVersion2, v1b)); err != nil {
 		t.Fatalf("Reset(v2 frame): %v", err)
 	}
 	if _, err := d.Next(&scratch); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("v1 entry in v2 frame: err = %v, want ErrBadVersion", err)
+		t.Fatalf("version-1 entry in v2 frame: err = %v, want ErrBadVersion", err)
+	}
+
+	for _, ecodec := range []uint8{0, 1, 3} {
+		var e FrameEncoder
+		e.BeginGroup(nil, 7, ecodec, nil)
+		if err := e.Append(p); !errors.Is(err, ErrBadEntryCodec) {
+			t.Fatalf("Append under entry codec %d = %v, want ErrBadEntryCodec", ecodec, err)
+		}
+		if e.Count() != 0 {
+			t.Fatalf("rejected Append counted an entry under codec %d", ecodec)
+		}
+		if err := d.Reset(e.Bytes()); !errors.Is(err, ErrBadEntryCodec) {
+			t.Fatalf("Reset(v3 frame, entry codec %d) = %v, want ErrBadEntryCodec", ecodec, err)
+		}
 	}
 }
 
@@ -431,25 +439,22 @@ func TestV2MarshalAllocBound(t *testing.T) {
 }
 
 // TestV2WireSavings pins the headline property: under a contiguous
-// stream, v2 bytes per DT PDU are far below v1 at large n.
+// stream, bytes per DT PDU are far below the fixed-width size model
+// (EncodedSize) at large n.
 func TestV2WireSavings(t *testing.T) {
 	n := 64
 	enc := NewStampEncoder(int(DefaultStampInterval))
 	rng := rand.New(rand.NewSource(13))
 	v1, v2 := 0, 0
 	for _, p := range seqStream(0, n, 200, rng) {
-		b1, err := p.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
 		b2, err := p.MarshalV2(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 += len(b1)
+		v1 += p.EncodedSize()
 		v2 += len(b2)
 	}
 	if v2*2 > v1 {
-		t.Fatalf("v2 bytes %d not <= 50%% of v1 bytes %d at n=%d", v2, v1, n)
+		t.Fatalf("encoded bytes %d not <= 50%% of the fixed-width model's %d at n=%d", v2, v1, n)
 	}
 }

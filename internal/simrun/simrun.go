@@ -48,18 +48,18 @@ type Options struct {
 	// RunToQuiescence via the cluster's step mutex; callers stepping
 	// c.Sim directly while a scraper is live should hold c.StepLock.
 	Registry *obsv.Registry
-	// WireVersion, when nonzero, routes every broadcast datagram through
-	// the real wire codec (1 = fixed-width v1, 2 = delta-stamp v2): each
-	// datagram is encoded once at the sender and decoded per delivered
-	// copy, so simulated loss and duplication exercise the v2 per-source
-	// stamp caches exactly as on a lossy wire. Zero keeps the historical
-	// PDU-pointer path (and its pinned trace digests). Delta stamps
-	// rejected for a lost reference are dropped like lost PDUs and show
-	// up in the network's CodecDropped counter; the protocol recovers
-	// them by retransmission or the next full-stamp sync point.
+	// WireVersion 2 routes every broadcast datagram through the real
+	// wire codec: each datagram is encoded once at the sender and decoded
+	// per delivered copy, so simulated loss and duplication exercise the
+	// per-source stamp caches exactly as on a lossy wire. Zero keeps the
+	// PDU-pointer path (and its pinned trace digests); NewGroups rejects
+	// any other value. Delta stamps rejected for a lost reference are
+	// dropped like lost PDUs and show up in the network's CodecDropped
+	// counter; the protocol recovers them by retransmission or the next
+	// full-stamp sync point.
 	WireVersion int
-	// StampInterval is the v2 full-stamp sync interval K (0 selects the
-	// codec default; 1 full-stamps every PDU). Ignored unless
+	// StampInterval is the codec's full-stamp sync interval K (0 selects
+	// the codec default; 1 full-stamps every PDU). Ignored unless
 	// WireVersion is 2.
 	StampInterval int
 	// MemBudgetBytes, when > 0, gives every entity its own memory ledger
@@ -156,12 +156,12 @@ func NewGroups(opts Options, groups int) ([]*Cluster, error) {
 	}
 	s := sim.New()
 	netOpts := opts.Net
-	if opts.WireVersion != 0 {
-		codec, err := wireCodec(opts.N, opts.WireVersion, opts.StampInterval)
-		if err != nil {
-			return nil, err
-		}
-		netOpts = append(append([]sim.NetOption{}, opts.Net...), codec)
+	switch opts.WireVersion {
+	case 0:
+	case 2:
+		netOpts = append(append([]sim.NetOption{}, opts.Net...), wireCodec(opts.N, opts.StampInterval))
+	default:
+		return nil, fmt.Errorf("simrun: unsupported wire version %d", opts.WireVersion)
 	}
 	net := sim.NewNet(s, opts.N, netOpts...)
 	lock := new(sync.Mutex)
@@ -281,12 +281,9 @@ func (c *Cluster) node(i int) string { return strconv.Itoa(i) + c.suffix }
 // real link's) and one stamp decoder per directed channel (mirroring the
 // per-sender FIFO cache a receiving link keeps). Each group is its own
 // sequence space, so a delta reference must never resolve across groups.
-func wireCodec(n, version, stampK int) (sim.NetOption, error) {
-	if version != 1 && version != 2 {
-		return nil, fmt.Errorf("simrun: unsupported wire version %d", version)
-	}
+func wireCodec(n, stampK int) sim.NetOption {
 	type groupStamps struct {
-		enc []*pdu.StampEncoder  // enc[from]; nil entries under v1
+		enc []*pdu.StampEncoder  // enc[from]
 		dec [][]pdu.StampDecoder // dec[to][from]
 	}
 	stamps := make(map[uint32]*groupStamps)
@@ -296,9 +293,7 @@ func wireCodec(n, version, stampK int) (sim.NetOption, error) {
 			gs = &groupStamps{enc: make([]*pdu.StampEncoder, n), dec: make([][]pdu.StampDecoder, n)}
 			for i := 0; i < n; i++ {
 				gs.dec[i] = make([]pdu.StampDecoder, n)
-				if version == 2 {
-					gs.enc[i] = pdu.NewStampEncoder(stampK)
-				}
+				gs.enc[i] = pdu.NewStampEncoder(stampK)
 			}
 			stamps[group] = gs
 		}
@@ -311,15 +306,12 @@ func wireCodec(n, version, stampK int) (sim.NetOption, error) {
 	}
 	encode := func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte {
 		e := &encs[from]
-		// The v1/v2 header for group 0 and the group-addressed v3 header
+		// The v2 header for group 0 and the group-addressed v3 header
 		// otherwise, exactly as the node runtime's wireFrames.begin.
-		switch st := stampsOf(group).enc[from]; {
-		case group != 0:
-			e.BeginGroup(nil, group, uint8(version), st)
-		case version == 2:
+		if st := stampsOf(group).enc[from]; group != 0 {
+			e.BeginGroup(nil, group, pdu.WireVersion2, st)
+		} else {
 			e.BeginV2(nil, st)
-		default:
-			e.Begin(nil)
 		}
 		for _, p := range batch {
 			if err := e.Append(p); err != nil {
@@ -363,7 +355,7 @@ func wireCodec(n, version, stampK int) (sim.NetOption, error) {
 			out = append(out, p.Clone().OwnDelta())
 		}
 	}
-	return sim.NetCodec(encode, decode), nil
+	return sim.NetCodec(encode, decode)
 }
 
 // scheduleTick arms a self-rescheduling virtual timer for one entity.

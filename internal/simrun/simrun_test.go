@@ -338,11 +338,11 @@ func TestTotalOrderWithDuplication(t *testing.T) {
 }
 
 // TestNewGroupsIsolatesGroups runs three groups over one lossy network on
-// the pointer path and under both codecs: each group delivers exactly its
+// the pointer path and under the wire codec: each group delivers exactly its
 // own submissions everywhere, the CO service holds per group, and node
 // names carry the group.
 func TestNewGroupsIsolatesGroups(t *testing.T) {
-	for _, wire := range []int{0, 1, 2} {
+	for _, wire := range []int{0, 2} {
 		cs, err := NewGroups(Options{
 			N: 3,
 			Net: []sim.NetOption{

@@ -63,14 +63,14 @@ func memSubstrate(port *network.Port) substrate {
 
 // wireSubstrate attaches a node to a Transport, which the node owns and
 // closes. The router peeks each frame header's group address without
-// decoding the body: v1/v2 frames are group 0; a v3 group ID past
+// decoding the body: v2 frames are group 0; a v3 group ID past
 // pdu.MaxGroupID (a corrupted or hostile header) is dropped whole and
 // counted as unknown-group loss. Headers too mangled to classify go to
 // group 0, whose decoder rejects them as generic loss.
-func wireSubstrate(trans Transport, version uint8, stampK int) substrate {
+func wireSubstrate(trans Transport) substrate {
 	return substrate{
 		newFrames: func(lm *obsv.LinkMetrics) groups.Frames {
-			return newWireFrames(trans, version, stampK, lm)
+			return newWireFrames(trans, lm)
 		},
 		route: func(nd *Node) {
 			route(nd, trans.Recv(), func(b []byte) (uint32, groups.Inbound, bool) {
@@ -162,21 +162,17 @@ const wireBatchMax = 16
 // in steady state, reusing a small set of grown frame buffers and the
 // transport's datagram pool.
 //
-// Each group is an independent sequence space, and v2 delta stamps
+// Each group is an independent sequence space, and delta stamps
 // reference per-source, per-group streams, so encoder, decoder and stamp
-// state are all per group. The entry codec version is a send-side
-// choice: reception accepts v1 and v2 entries alike, so a mixed-version
-// cluster interoperates and the version can roll node by node.
+// state are all per group.
 //
 // Only the owning shard goroutine touches a wireFrames; the transport
 // underneath accepts concurrent sends from all shards.
 type wireFrames struct {
 	trans Transport
 	// bt is trans's batched-send extension, nil when unimplemented.
-	bt      BatchTransport
-	version uint8
-	stampK  int
-	lm      *obsv.LinkMetrics // nil unless instrumented
+	bt BatchTransport
+	lm *obsv.LinkMetrics // nil unless instrumented
 
 	chans map[uint32]*wireChan
 	// open lists the groups with a frame in progress, in first-append
@@ -194,9 +190,9 @@ type wireFrames struct {
 type wireChan struct {
 	group uint32
 	enc   pdu.FrameEncoder
-	// stamps is the v2 reference-stamp state threaded through every
-	// frame this group sends; nil under codec v1.
-	stamps *pdu.StampEncoder
+	// stamps is the reference-stamp state threaded through every frame
+	// this group sends.
+	stamps pdu.StampEncoder
 	active bool // enc has a frame in progress
 	dec    pdu.FrameDecoder
 	// sdec caches the last stamp decoded per source, mirroring each
@@ -204,17 +200,8 @@ type wireChan struct {
 	sdec pdu.StampDecoder
 }
 
-// newWireFrames attaches trans using entry codec version
-// (pdu.WireVersion or pdu.WireVersion2). stampK is v2's full-stamp sync
-// interval; <= 0 selects pdu.DefaultStampInterval.
-func newWireFrames(trans Transport, version uint8, stampK int, lm *obsv.LinkMetrics) *wireFrames {
-	f := &wireFrames{
-		trans:   trans,
-		version: version,
-		stampK:  stampK,
-		lm:      lm,
-		chans:   make(map[uint32]*wireChan),
-	}
+func newWireFrames(trans Transport, lm *obsv.LinkMetrics) *wireFrames {
+	f := &wireFrames{trans: trans, lm: lm, chans: make(map[uint32]*wireChan)}
 	f.bt, _ = trans.(BatchTransport)
 	return f
 }
@@ -223,16 +210,13 @@ func (f *wireFrames) channel(g uint32) *wireChan {
 	c, ok := f.chans[g]
 	if !ok {
 		c = &wireChan{group: g}
-		if f.version == pdu.WireVersion2 {
-			c.stamps = pdu.NewStampEncoder(f.stampK)
-		}
 		c.dec.SetStampDecoder(&c.sdec)
 		f.chans[g] = c
 	}
 	return c
 }
 
-// begin opens c's next outgoing frame in a free build buffer: the v1/v2
+// begin opens c's next outgoing frame in a free build buffer: the v2
 // header for group 0 — a single-group node's datagrams carry no trace of
 // the multi-group runtime — and the group-addressed v3 header otherwise.
 func (f *wireFrames) begin(c *wireChan) {
@@ -242,23 +226,11 @@ func (f *wireFrames) begin(c *wireChan) {
 	} else {
 		buf = make([]byte, 0, 4096)
 	}
-	switch {
-	case c.group != 0:
-		c.enc.BeginGroup(buf, c.group, f.version, c.stamps)
-	case f.version == pdu.WireVersion2:
-		c.enc.BeginV2(buf, c.stamps)
-	default:
-		c.enc.Begin(buf)
+	if c.group != 0 {
+		c.enc.BeginGroup(buf, c.group, pdu.WireVersion2, &c.stamps)
+	} else {
+		c.enc.BeginV2(buf, &c.stamps)
 	}
-}
-
-// entryBound returns an upper bound on p's encoded size under the entry
-// codec, for the early-flush datagram budget.
-func (f *wireFrames) entryBound(p *pdu.PDU) int {
-	if f.version == pdu.WireVersion2 {
-		return p.EncodedSizeV2Bound()
-	}
-	return p.EncodedSize()
 }
 
 func (f *wireFrames) Append(g uint32, p *pdu.PDU) {
@@ -268,7 +240,7 @@ func (f *wireFrames) Append(g uint32, p *pdu.PDU) {
 		c.active = true
 		f.open = append(f.open, c)
 		f.begin(c)
-	case c.enc.Count() > 0 && c.enc.Size()+pdu.FrameEntrySize+f.entryBound(p) > MaxDatagram:
+	case c.enc.Count() > 0 && c.enc.Size()+pdu.FrameEntrySize+p.EncodedSizeV2Bound() > MaxDatagram:
 		f.seal(c, true)
 		if len(f.staged) >= wireBatchMax {
 			f.sendStaged()
@@ -298,7 +270,7 @@ func (f *wireFrames) seal(c *wireChan, early bool) {
 		return
 	}
 	f.lm.Flush(c.enc.Count(), early)
-	f.lm.FlushBytes(len(b), f.version)
+	f.lm.FlushBytes(len(b))
 	f.staged = append(f.staged, b)
 }
 
@@ -328,15 +300,16 @@ func (f *wireFrames) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
 	c := f.channel(g)
 	// A decode error means a truncated or corrupt frame tail: PDUs
 	// decoded before it stand, the rest are lost datagram content the
-	// protocol recovers via RET. A delta entry whose reference stamp
-	// this receiver never saw (pdu.ErrDeltaDesync) is the same thing one
-	// level up — the reference was lost in transit — so the frame
-	// remainder is dropped as loss too, repaired by retransmission or
-	// the sender's next full-stamp sync point; it is counted separately
-	// from genuinely invalid input.
+	// protocol recovers via RET (a header Reset rejects — a retired v1
+	// frame, say — loses the frame whole). A delta entry whose reference
+	// stamp this receiver never saw (pdu.ErrDeltaDesync) is the same
+	// thing one level up — the reference was lost in transit — so the
+	// frame remainder is dropped as loss too, repaired by retransmission
+	// or the sender's next full-stamp sync point; it is counted
+	// separately from genuinely invalid input.
 	err := c.dec.Reset(in.Raw)
 	if err == nil {
-		f.lm.RecvBytes(len(in.Raw), c.dec.Version())
+		f.lm.RecvBytes(len(in.Raw))
 	}
 	for err == nil {
 		var ok bool

@@ -103,30 +103,19 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	version := uint8(pdu.WireVersion2)
-	switch o.wireVersion {
-	case 0, 2: // default: the delta-stamp codec
-	case 1:
-		version = pdu.WireVersion
-	default:
-		return nil, fmt.Errorf("cobcast: unsupported wire codec version %d", o.wireVersion)
-	}
-	nd, err := newNode(id, n, o, wireSubstrate(trans, version, o.stampInterval))
+	nd, err := newNode(id, n, o, wireSubstrate(trans))
 	if err != nil {
 		return nil, err
 	}
 	if o.registry != nil {
-		// Stamp the send-side wire codec on cobcast_build_info so scrapes
-		// from mixed-codec clusters stay attributable.
-		o.registry.SetBuildLabel("codec", fmt.Sprintf("v%d", version))
 		// A transport that exposes live counters (UDPTransport does)
 		// publishes them alongside the node's metrics; one that also
 		// reports its wire-path configuration (batched syscalls, socket
 		// buffer sizes) gets that attached for /statez.
 		if tm, ok := trans.(interface{ Metrics() *obsv.TransportMetrics }); ok {
 			lbl := o.registry.RegisterTransport(strconv.Itoa(id), tm.Metrics())
-			if ts, ok := trans.(interface{ TransportState() obsv.TransportState }); ok {
-				o.registry.SetTransportState(lbl, ts.TransportState())
+			if ts, ok := trans.(interface{ State() obsv.TransportState }); ok {
+				o.registry.SetTransportState(lbl, ts.State())
 			}
 		}
 	}
@@ -150,14 +139,10 @@ func newNode(id, n int, o options, sub substrate) (*Node, error) {
 	if o.registry != nil {
 		nd.lm = obsv.NewLinkMetrics()
 	}
-	maxGroups := o.maxGroups
-	if maxGroups <= 0 {
-		maxGroups = MaxGroups
-	}
 	rt, err := groups.New(groups.Config{
 		Shards: o.groupShards,
 		// Group 0 is always open; its slot is not one of the caller's.
-		MaxGroups:      maxGroups + 1,
+		MaxGroups:      MaxGroups + 1,
 		NewEntity:      nd.newEntity,
 		NewFrames:      func(int) groups.Frames { return sub.newFrames(nd.lm) },
 		Deliver:        nd.deliverGroup,

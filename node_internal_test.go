@@ -3,9 +3,10 @@ package cobcast
 import (
 	"bufio"
 	"encoding/hex"
-	"fmt"
+	"errors"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -172,7 +173,7 @@ func decodeAll(t *testing.T, d *pdu.FrameDecoder, frame []byte) []*pdu.PDU {
 
 func TestWireFramesCoalesceAppendsIntoOneFrame(t *testing.T) {
 	tr := newChanTransport()
-	f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
+	f := newWireFrames(tr, nil)
 	for i := 1; i <= 5; i++ {
 		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
@@ -200,7 +201,7 @@ func TestWireFramesFlushBeforeExceedingMaxDatagram(t *testing.T) {
 	// holds across the resulting datagrams.
 	for _, g := range []uint32{0, 7} {
 		tr := newChanTransport()
-		f := newWireFrames(tr, pdu.WireVersion2, 0, nil)
+		f := newWireFrames(tr, nil)
 		// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but not four.
 		big := func(seq pdu.Seq) *pdu.PDU {
 			p := seqPDU(3, seq)
@@ -267,56 +268,73 @@ func TestMemFramesAutoFlushCapsBatch(t *testing.T) {
 	}
 }
 
-func TestWireFramesV1EmitsVersion1FramesForGroup0(t *testing.T) {
-	tr := newChanTransport()
-	f := newWireFrames(tr, pdu.WireVersion, 0, nil)
-	for i := 1; i <= 3; i++ {
-		f.Append(0, seqPDU(3, pdu.Seq(i)))
+// TestWireFramesDropV1FrameAsLoss feeds Deliver a frame under the retired
+// header version 1: it must be rejected with ErrBadFrameVersion, deliver
+// nothing, count no accepted bytes, hand its pooled buffer back (a leak
+// would allocate a fresh 64 KiB buffer per frame) and leave the channel
+// decoding good frames.
+func TestWireFramesDropV1FrameAsLoss(t *testing.T) {
+	lm := obsv.NewLinkMetrics()
+	f := newWireFrames(newChanTransport(), lm)
+	good, err := pdu.EncodeFrameV2([]*pdu.PDU{seqPDU(3, 1)}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.Flush()
-	raw := <-tr.frames
-	if raw[2] != pdu.FrameVersion {
-		t.Fatalf("frame version %d, want %d", raw[2], pdu.FrameVersion)
+	v1 := append([]byte(nil), good...)
+	v1[2] = 1
+	if err := new(pdu.FrameDecoder).Reset(v1); !errors.Is(err, pdu.ErrBadFrameVersion) {
+		t.Fatalf("Reset(v1 frame) = %v, want ErrBadFrameVersion", err)
 	}
-	if got := decodeAll(t, streamDecoder(), raw); len(got) != 3 {
-		t.Fatalf("decoded %d PDUs, want 3", len(got))
+	// Unroutable, so the router hands it to group 0's decoder.
+	if g, ok := pdu.FrameGroup(v1); ok {
+		t.Fatalf("FrameGroup(v1 frame) = %d,true, want not-ok", g)
+	}
+	delivered := 0
+	deliver := func(frame []byte) {
+		f.Deliver(0, groups.Inbound{Raw: append(pdu.GetDatagram(), frame...)}, func(*pdu.PDU) { delivered++ })
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		deliver(v1)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > runs*pdu.DatagramBufCap/2 {
+		t.Fatalf("%d rejected frames allocated %d bytes: buffers not returned to the pool", runs, got)
+	}
+	if delivered != 0 || lm.BytesIn.Load() != 0 {
+		t.Fatalf("v1 frames delivered %d PDUs, counted %d bytes; want none", delivered, lm.BytesIn.Load())
+	}
+	if deliver(good); delivered != 1 {
+		t.Fatalf("good frame after rejected ones delivered %d PDUs, want 1", delivered)
 	}
 }
 
 func TestWireFramesV2SmallerThanV1(t *testing.T) {
-	// The same contiguous stream, sent under codec v1 and v2; the v2
-	// per-version byte counter must come out well below v1's.
-	send := func(version uint8) uint64 {
-		tr := newChanTransport()
-		lm := obsv.NewLinkMetrics()
-		f := newWireFrames(tr, version, 0, lm)
-		for i := 1; i <= 20; i++ {
-			p := seqPDU(64, pdu.Seq(i))
-			p.ACK[0] = pdu.Seq(i)
-			f.Append(0, p)
-			f.Flush()
-			raw := <-tr.frames
-			if raw[2] != version {
-				t.Fatalf("frame version %d, want %d", raw[2], version)
-			}
+	// A contiguous n=64 stream: the bytes the link counts out must come
+	// to well under the fixed-width size model (the retired v1 layout,
+	// pdu.EncodedSize) of the same PDUs.
+	tr := newChanTransport()
+	lm := obsv.NewLinkMetrics()
+	f := newWireFrames(tr, lm)
+	v1 := uint64(0)
+	for i := 1; i <= 20; i++ {
+		p := seqPDU(64, pdu.Seq(i))
+		p.ACK[0] = pdu.Seq(i)
+		v1 += uint64(pdu.FrameHeaderSize + pdu.FrameEntrySize + p.EncodedSize())
+		f.Append(0, p)
+		f.Flush()
+		if raw := <-tr.frames; raw[2] != pdu.FrameVersion2 {
+			t.Fatalf("frame version %d, want %d", raw[2], pdu.FrameVersion2)
 		}
-		if version == pdu.WireVersion2 {
-			if v1 := lm.BytesOutV1.Load(); v1 != 0 {
-				t.Fatalf("v2 frames counted %d bytes as v1", v1)
-			}
-			return lm.BytesOutV2.Load()
-		}
-		if v2 := lm.BytesOutV2.Load(); v2 != 0 {
-			t.Fatalf("v1 frames counted %d bytes as v2", v2)
-		}
-		return lm.BytesOutV1.Load()
 	}
-	v1, v2 := send(pdu.WireVersion), send(pdu.WireVersion2)
-	if v1 == 0 || v2 == 0 {
-		t.Fatalf("byte counters not populated: v1=%d v2=%d", v1, v2)
+	v2 := lm.BytesOut.Load()
+	if v2 == 0 {
+		t.Fatal("byte counter not populated")
 	}
 	if v2*2 > v1 {
-		t.Fatalf("v2 sent %d bytes, not under half of v1's %d (n=64 stream)", v2, v1)
+		t.Fatalf("sent %d bytes, not under half of the fixed-width %d (n=64 stream)", v2, v1)
 	}
 }
 
@@ -325,7 +343,7 @@ func TestWireFramesDeliverDesyncCountedAndRecovered(t *testing.T) {
 	// drop the delta as counted loss, then recover from the full stamp
 	// once the missing frame is (re)delivered.
 	lm := obsv.NewLinkMetrics()
-	f := newWireFrames(newChanTransport(), pdu.WireVersion2, 0, lm)
+	f := newWireFrames(newChanTransport(), lm)
 
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		p := seqPDU(3, seq)
@@ -363,9 +381,8 @@ func TestWireFramesDeliverDesyncCountedAndRecovered(t *testing.T) {
 	if n := lm.StampDesyncs.Load(); n != 1 {
 		t.Fatalf("StampDesyncs = %d after recovery, want 1", n)
 	}
-	if lm.BytesInV2.Load() == 0 || lm.BytesInV1.Load() != 0 {
-		t.Fatalf("inbound byte counters v1=%d v2=%d, want all under v2",
-			lm.BytesInV1.Load(), lm.BytesInV2.Load())
+	if lm.BytesIn.Load() == 0 {
+		t.Fatal("inbound byte counter not populated")
 	}
 }
 
@@ -374,8 +391,8 @@ func TestWireFramesDeliverDesyncCountedAndRecovered(t *testing.T) {
 // for the same seeded run: one node of three over a chanTransport, fed a
 // peer engine's DATA frames between its own broadcasts, with every timer
 // parked so each Broadcast yields exactly one datagram. The golden file
-// was captured at that commit; group 0 riding a shard must not change a
-// byte under either codec.
+// was captured at that commit (its codec-v1 rows went with that codec);
+// group 0 riding a shard must not change a byte.
 func TestSingleGroupWireBytesGolden(t *testing.T) {
 	golden := map[string][]string{}
 	file, err := os.Open("testdata/golden_group0_datagrams.txt")
@@ -387,57 +404,54 @@ func TestSingleGroupWireBytesGolden(t *testing.T) {
 		codec, frame, _ := strings.Cut(sc.Text(), " ")
 		golden[codec] = append(golden[codec], frame)
 	}
-	for _, codec := range []int{1, 2} {
-		t.Run(fmt.Sprintf("codec%d", codec), func(t *testing.T) {
-			const n = 3
-			want := golden[fmt.Sprintf("codec%d", codec)]
-			if len(want) == 0 {
-				t.Fatal("no golden datagrams")
-			}
-			tr := newChanTransport()
-			nd, err := NewNode(0, n, tr, WithWireCodec(codec),
-				WithDeferredAckInterval(time.Hour), WithRetransmitTimeout(time.Hour), WithTickInterval(time.Hour))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nd.Close()
-			peer, err := core.New(core.Config{ID: 1, N: n, Window: core.DefaultWindow,
-				BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(1994))
-			payload := func() []byte {
-				b := make([]byte, 8+rng.Intn(40))
-				rng.Read(b)
-				return b
-			}
-			recvd := uint64(0)
-			for i := range want {
-				if i%3 == 1 {
-					out := peer.Submit(payload(), time.Duration(i)*time.Millisecond)
-					frame, err := pdu.EncodeFrame(out.PDUs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr.recv <- frame
-					recvd += uint64(len(out.PDUs))
-					for nd.Stats().DataRecv < recvd {
-						time.Sleep(time.Millisecond)
-					}
-				}
-				if err := nd.Broadcast(payload()); err != nil {
+	t.Run("codec2", func(t *testing.T) {
+		const n = 3
+		want := golden["codec2"]
+		if len(want) == 0 {
+			t.Fatal("no golden datagrams")
+		}
+		tr := newChanTransport()
+		nd, err := NewNode(0, n, tr, WithDeferredAckInterval(time.Hour), WithRetransmitTimeout(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nd.Close()
+		peer, err := core.New(core.Config{ID: 1, N: n, Window: core.DefaultWindow,
+			BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1994))
+		payload := func() []byte {
+			b := make([]byte, 8+rng.Intn(40))
+			rng.Read(b)
+			return b
+		}
+		recvd := uint64(0)
+		for i := range want {
+			if i%3 == 1 {
+				out := peer.Submit(payload(), time.Duration(i)*time.Millisecond)
+				frame, err := pdu.EncodeFrameV2(out.PDUs, nil)
+				if err != nil {
 					t.Fatal(err)
 				}
-				select {
-				case f := <-tr.frames:
-					if got := hex.EncodeToString(f); got != want[i] {
-						t.Fatalf("datagram %d differs from the parent's:\n got %s\nwant %s", i, got, want[i])
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("no datagram for broadcast %d", i)
+				tr.recv <- frame
+				recvd += uint64(len(out.PDUs))
+				for nd.Stats().DataRecv < recvd {
+					time.Sleep(time.Millisecond)
 				}
 			}
-		})
-	}
+			if err := nd.Broadcast(payload()); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case f := <-tr.frames:
+				if got := hex.EncodeToString(f); got != want[i] {
+					t.Fatalf("datagram %d differs from the parent's:\n got %s\nwant %s", i, got, want[i])
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no datagram for broadcast %d", i)
+			}
+		}
+	})
 }

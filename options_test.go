@@ -59,48 +59,6 @@ func TestOptionsApply(t *testing.T) {
 		}
 	})
 
-	t.Run("buffer and units options validated", func(t *testing.T) {
-		if _, err := cobcast.NewCluster(4,
-			cobcast.WithBufferUnits(16),
-			cobcast.WithUnitsPerPDU(4)); err == nil {
-			t.Error("config with zero flow credit accepted")
-		}
-		c, err := cobcast.NewCluster(2,
-			cobcast.WithBufferUnits(64),
-			cobcast.WithUnitsPerPDU(2),
-			cobcast.WithDeferredAckInterval(time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Broadcast(0, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-c.Node(1).Deliveries():
-		case <-time.After(30 * time.Second):
-			t.Fatal("stalled")
-		}
-	})
-
-	t.Run("tick interval", func(t *testing.T) {
-		c, err := cobcast.NewCluster(2,
-			cobcast.WithTickInterval(500*time.Microsecond),
-			cobcast.WithDeferredAckInterval(2*time.Millisecond))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Broadcast(0, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-c.Node(1).Deliveries():
-		case <-time.After(30 * time.Second):
-			t.Fatal("stalled")
-		}
-	})
-
 	t.Run("network delay", func(t *testing.T) {
 		c, err := cobcast.NewCluster(2,
 			cobcast.WithNetworkDelay(2*time.Millisecond),

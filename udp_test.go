@@ -13,13 +13,12 @@ import (
 // newUDPCluster starts n nodes over UDP loopback with ephemeral ports.
 func newUDPCluster(t *testing.T, n int, opts ...cobcast.Option) []*cobcast.Node {
 	t.Helper()
-	return newUDPClusterPerNode(t, n, func(int) []cobcast.Option { return opts })
+	return newUDPClusterOn(t, n, nil, opts...)
 }
 
-// newUDPClusterPerNode is newUDPCluster with per-node options, for
-// clusters whose members are configured differently (mixed wire codecs).
-// Trailing transport options apply to every member's UDP transport.
-func newUDPClusterPerNode(t *testing.T, n int, optsFor func(i int) []cobcast.Option, topts ...cobcast.TransportOption) []*cobcast.Node {
+// newUDPClusterOn is newUDPCluster with transport options applied to
+// every member's UDP transport.
+func newUDPClusterOn(t *testing.T, n int, topts []cobcast.TransportOption, opts ...cobcast.Option) []*cobcast.Node {
 	t.Helper()
 	// Discover n free ports first (bind :0, note the address, release),
 	// then re-bind each with the full peer list. Mildly racy, but fine on
@@ -47,7 +46,7 @@ func newUDPClusterPerNode(t *testing.T, n int, optsFor func(i int) []cobcast.Opt
 		if err != nil {
 			t.Fatalf("rebind %d: %v", i, err)
 		}
-		nd, err := cobcast.NewNode(i, n, tr, optsFor(i)...)
+		nd, err := cobcast.NewNode(i, n, tr, opts...)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -86,50 +85,6 @@ func TestUDPClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestUDPMixedCodecClusterConverges runs a rolling-upgrade shape: one
-// node still speaking wire codec v1, the rest v2 with different
-// full-stamp intervals (including K=1, which full-stamps every PDU).
-// Reception is version-agnostic, so the cluster must converge to the
-// same causally ordered deliveries regardless of the codec mix.
-func TestUDPMixedCodecClusterConverges(t *testing.T) {
-	common := []cobcast.Option{cobcast.WithDeferredAckInterval(2 * time.Millisecond)}
-	perNode := [][]cobcast.Option{
-		{cobcast.WithWireCodec(1)},
-		{cobcast.WithWireCodec(2)},
-		{cobcast.WithWireCodec(2), cobcast.WithStampInterval(1)},
-		{cobcast.WithWireCodec(2), cobcast.WithStampInterval(2)},
-	}
-	n := len(perNode)
-	nodes := newUDPClusterPerNode(t, n, func(i int) []cobcast.Option {
-		return append(append([]cobcast.Option{}, common...), perNode[i]...)
-	})
-	const msgs = 20
-	for i := 0; i < msgs; i++ {
-		if err := nodes[i%n].Broadcast([]byte(fmt.Sprintf("mixed-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, nd := range nodes {
-		var got []cobcast.Message
-		deadline := time.After(30 * time.Second)
-		for len(got) < msgs {
-			select {
-			case m := <-nd.Deliveries():
-				got = append(got, m)
-			case <-deadline:
-				t.Fatalf("node %d delivered %d/%d (stats %+v)", i, len(got), msgs, nd.Stats())
-			}
-		}
-		last := map[int]uint64{}
-		for _, m := range got {
-			if prev, ok := last[m.Src]; ok && m.Seq <= prev {
-				t.Errorf("node %d: source %d out of order", i, m.Src)
-			}
-			last[m.Src] = m.Seq
-		}
-	}
-}
-
 // TestUDPWirePathEquivalence runs the same workload over two clusters —
 // one forced onto the batched sendmmsg/recvmmsg wire path, one forced
 // onto the portable per-datagram path — and requires the protocol
@@ -139,11 +94,8 @@ func TestUDPMixedCodecClusterConverges(t *testing.T) {
 func TestUDPWirePathEquivalence(t *testing.T) {
 	const n, msgs = 3, 24
 	digest := func(batch bool) string {
-		nodes := newUDPClusterPerNode(t, n,
-			func(int) []cobcast.Option {
-				return []cobcast.Option{cobcast.WithDeferredAckInterval(2 * time.Millisecond)}
-			},
-			cobcast.WithBatchSyscalls(batch))
+		nodes := newUDPClusterOn(t, n, []cobcast.TransportOption{cobcast.WithBatchSyscalls(batch)},
+			cobcast.WithDeferredAckInterval(2*time.Millisecond))
 		for i := 0; i < msgs; i++ {
 			if err := nodes[i%n].Broadcast([]byte(fmt.Sprintf("wirepath-%d", i))); err != nil {
 				t.Fatal(err)
@@ -185,17 +137,6 @@ func TestUDPWirePathEquivalence(t *testing.T) {
 	}
 	if a, b := digest(true), digest(false); a != b {
 		t.Errorf("clusters diverged across wire paths:\nmmsg: %s\nper-datagram: %s", a, b)
-	}
-}
-
-func TestNewNodeRejectsUnknownWireCodec(t *testing.T) {
-	tr, err := cobcast.NewUDPTransport("127.0.0.1:0", []string{"127.0.0.1:1"}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if _, err := cobcast.NewNode(0, 2, tr, cobcast.WithWireCodec(3)); err == nil {
-		t.Fatal("wire codec version 3 accepted")
 	}
 }
 
