@@ -163,11 +163,9 @@ func TestShedModeReturnsTypedError(t *testing.T) {
 		if last := ms[len(ms)-1]; string(last.Data) != "after-shed" {
 			t.Fatalf("node %d final delivery = %q, want the post-shed message", i, last.Data)
 		}
-		for j := 1; j < len(ms); j++ {
-			if ms[j].Seq <= ms[j-1].Seq {
-				t.Fatalf("node %d: per-source order violated: %d after %d", i, ms[j].Seq, ms[j-1].Seq)
-			}
-		}
+		// The shed backlog rode packed: messages share a Seq there, and
+		// Index orders them inside it.
+		checkSourceOrder(t, fmt.Sprintf("node %d", i), ms)
 	}
 }
 

@@ -158,6 +158,12 @@ func BenchmarkHotPathPipelineInstrumented(b *testing.B) {
 	benchHotPathPipeline(b, obsv.NewEntityMetrics)
 }
 
+// envelope is one PDU in flight on a benchmark mesh, with its sender.
+type envelope struct {
+	src int
+	p   *pdu.PDU
+}
+
 // benchHotPathPipeline builds each mesh once and keeps it running across
 // the benchmark's b.N trials, after three warm-up rounds of n messages:
 // confirmations ride only on DATA here, so nothing commits until every
@@ -165,10 +171,6 @@ func BenchmarkHotPathPipelineInstrumented(b *testing.B) {
 // Timing those cheaper rounds (≈3n against ≈4n allocs) made ns/op and
 // allocs/op depend on how b.N compared with n.
 func benchHotPathPipeline(b *testing.B, metrics func() *obsv.EntityMetrics) {
-	type envelope struct {
-		src int
-		p   *pdu.PDU
-	}
 	for _, n := range hotSizes {
 		n := n
 		var step func(b *testing.B) // one iteration on the warmed mesh
@@ -225,6 +227,74 @@ func benchHotPathPipeline(b *testing.B, metrics func() *obsv.EntityMetrics) {
 				step(b)
 			}
 		})
+	}
+}
+
+// BenchmarkHotPathBacklogDrain is the saturation regime in miniature:
+// entity 0 of a lossless 4-entity mesh submits a burst of 64 128-byte
+// messages against a W = 16 window, and every induced PDU is relayed
+// (ticking the deferred-confirmation timers whenever the mesh falls
+// silent) until all four entities have delivered the burst. The first
+// 16 messages find the window open and leave one per PDU; the other 48
+// queue behind it and ride packed when it reopens (DESIGN.md §2n). One
+// op is one message, so ns/op is ns/msg across the whole cluster.
+func BenchmarkHotPathBacklogDrain(b *testing.B) {
+	const n, burst = 4, 64
+	ents := make([]*core.Entity, n)
+	for i := range ents {
+		ent, err := core.New(core.Config{ID: pdu.EntityID(i), N: n, Window: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ents[i] = ent
+	}
+	payload := make([]byte, 128)
+	queue := make([]envelope, 0, 256)
+	var now time.Duration
+	delivered := 0
+	emit := func(src int, out core.Output) {
+		for _, p := range out.PDUs {
+			queue = append(queue, envelope{src, p})
+		}
+		delivered += len(out.Deliveries)
+	}
+	round := func() {
+		delivered = 0
+		for i := 0; i < burst; i++ {
+			now += time.Microsecond
+			emit(0, ents[0].Submit(payload, now))
+		}
+		for head := 0; delivered < burst*n || head < len(queue); {
+			now += time.Microsecond
+			if head == len(queue) {
+				now += core.DefaultDeferredAckInterval
+				for j, e := range ents {
+					emit(j, e.Tick(now))
+				}
+				continue
+			}
+			ev := queue[head]
+			head++
+			for j, e := range ents {
+				if j == ev.src {
+					continue
+				}
+				out, err := e.Receive(ev.p.Clone(), now)
+				if err != nil {
+					b.Fatal(err)
+				}
+				emit(j, out)
+			}
+		}
+		queue = queue[:0]
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += burst {
+		round()
 	}
 }
 

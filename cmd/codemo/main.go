@@ -57,8 +57,8 @@ func run(n int, loss float64, seed int64, auto int, delay time.Duration) error {
 			for m := range cluster.Node(i).Deliveries() {
 				mu.Lock()
 				counts[i]++
-				fmt.Printf("node %d delivered #%d: [from %d seq %d] %q\n",
-					i, counts[i], m.Src, m.Seq, m.Data)
+				fmt.Printf("node %d delivered #%d: [from %d seq %d.%d] %q\n",
+					i, counts[i], m.Src, m.Seq, m.Index, m.Data)
 				mu.Unlock()
 			}
 		}()

@@ -99,8 +99,9 @@ func run(n, msgs int, rate float64, size int, loss float64, seed int64, total bo
 		res.Percentile(99).Microseconds(), res.Percentile(100).Microseconds(), len(res.Latencies))
 
 	agg := experiments.PortStats(ports)
-	fmt.Printf("protocol: data=%d sync=%d ackonly=%d ret=%d retx=%d dup=%d flow-blocked=%d\n",
-		agg.DataSent, agg.SyncSent, agg.AckOnlySent, agg.RetSent,
+	fmt.Printf("protocol: msgs=%d data=%d (%.2f msgs/DATA) sync=%d ackonly=%d ret=%d retx=%d dup=%d flow-blocked=%d\n",
+		agg.MsgsSent, agg.DataSent, float64(agg.MsgsSent)/float64(agg.DataSent),
+		agg.SyncSent, agg.AckOnlySent, agg.RetSent,
 		agg.Retransmitted, agg.Duplicates, agg.FlowBlocked)
 	ns := cluster.NetworkStats()
 	fmt.Printf("network: sent=%d delivered=%d lost=%d overrun=%d\n",

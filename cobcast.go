@@ -49,15 +49,23 @@ type Message struct {
 	Group GroupID
 	// Src is the node that broadcast the message.
 	Src int
-	// Seq is the per-source sequence number (starting at 1). Sequence
-	// numbers are shared with the protocol's internal confirmation PDUs,
-	// so consecutive application messages from one node may have gaps.
+	// Seq is the per-source sequence number (starting at 1) of the PDU
+	// that carried the message. Sequence numbers are shared with the
+	// protocol's internal confirmation PDUs, so consecutive application
+	// messages from one node may have gaps — and consecutive messages may
+	// share a Seq: a backlog queued behind the flow window rides one PDU,
+	// and Index orders the messages inside it.
 	Seq uint64
+	// Index is the message's position within its Seq: 0 unless the PDU
+	// carried several messages, which count up from 0. (Src, Seq, Index)
+	// identifies a message.
+	Index int
 	// Data is the application payload.
 	Data []byte
 	// LTime is the message's cluster-wide logical time when the cluster
 	// runs in total-order mode (WithTotalOrder); 0 otherwise. Deliveries
-	// are then sorted by (LTime, Src, Seq), identically at every node.
+	// are then sorted by (LTime, Src, Seq, Index), identically at every
+	// node.
 	LTime uint64
 }
 

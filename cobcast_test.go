@@ -58,13 +58,21 @@ func TestClusterBroadcastDeliversEverywhere(t *testing.T) {
 	// Every node, including each sender, delivers all messages exactly
 	// once; per-source order must hold everywhere.
 	for i, ms := range got {
-		last := map[int]uint64{}
-		for _, m := range ms {
-			if prev, ok := last[m.Src]; ok && m.Seq <= prev {
-				t.Errorf("node %d: source %d out of order", i, m.Src)
-			}
-			last[m.Src] = m.Seq
+		checkSourceOrder(t, fmt.Sprintf("node %d", i), ms)
+	}
+}
+
+// checkSourceOrder asserts that each source's messages in ms rise
+// strictly in (Seq, Index): a backlog that rode one packed PDU shares
+// its Seq, and Index orders the messages inside it.
+func checkSourceOrder(t *testing.T, where string, ms []cobcast.Message) {
+	t.Helper()
+	last := map[int]cobcast.Message{}
+	for _, m := range ms {
+		if prev, ok := last[m.Src]; ok && (m.Seq < prev.Seq || (m.Seq == prev.Seq && m.Index <= prev.Index)) {
+			t.Errorf("%s: source %d out of order: %d.%d after %d.%d", where, m.Src, m.Seq, m.Index, prev.Seq, prev.Index)
 		}
+		last[m.Src] = m
 	}
 }
 

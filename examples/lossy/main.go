@@ -83,12 +83,14 @@ func main() {
 
 	// Verify exactly-once, per-source-ordered delivery at every node.
 	for i := 0; i < nodes; i++ {
-		last := make(map[int]uint64)
+		// (Seq, Index) orders one source's messages: a backlog that
+		// rode one packed PDU shares its Seq.
+		last := make(map[int]cobcast.Message)
 		for _, m := range orders[i] {
-			if prev, ok := last[m.Src]; ok && m.Seq <= prev {
+			if prev, ok := last[m.Src]; ok && (m.Seq < prev.Seq || (m.Seq == prev.Seq && m.Index <= prev.Index)) {
 				log.Fatalf("node %d delivered source %d out of order", i, m.Src)
 			}
-			last[m.Src] = m.Seq
+			last[m.Src] = m
 		}
 		if len(orders[i]) != total {
 			log.Fatalf("node %d delivered %d/%d", i, len(orders[i]), total)

@@ -33,7 +33,7 @@ func main() {
 			seen := 0
 			for m := range cluster.Node(i).Deliveries() {
 				mu.Lock()
-				fmt.Printf("node %d delivered: [from %d #%d] %s\n", i, m.Src, m.Seq, m.Data)
+				fmt.Printf("node %d delivered: [from %d #%d.%d] %s\n", i, m.Src, m.Seq, m.Index, m.Data)
 				mu.Unlock()
 				if seen++; seen == total {
 					return

@@ -249,6 +249,7 @@ func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
 		Group: GroupID(g),
 		Src:   int(d.Src),
 		Seq:   uint64(d.SEQ),
+		Index: d.Index,
 		Data:  d.Data,
 		LTime: d.LTime,
 	})

@@ -37,16 +37,12 @@ func drainGroup(t *testing.T, p *cobcast.GroupPort, want int) []cobcast.Message 
 // node's deliveries for one group.
 func checkGroupStream(t *testing.T, node int, g cobcast.GroupID, got []cobcast.Message) {
 	t.Helper()
-	last := map[int]uint64{}
 	for _, m := range got {
 		if m.Group != g {
 			t.Errorf("node %d: message tagged group %d on group %d's stream", node, m.Group, g)
 		}
-		if prev, ok := last[m.Src]; ok && m.Seq <= prev {
-			t.Errorf("node %d group %d: source %d out of order", node, g, m.Src)
-		}
-		last[m.Src] = m.Seq
 	}
+	checkSourceOrder(t, fmt.Sprintf("node %d group %d", node, g), got)
 }
 
 func TestGroupNameDerivation(t *testing.T) {

@@ -42,6 +42,7 @@ const (
 	PredCausalOrder       = "causality-preserved"
 	PredTotalOrder        = "total-order-preserved"
 	PredCOService         = "co-service"
+	PredMessageOrder      = "message-order"
 	PredLivenessDrain     = "liveness-drain"
 )
 
@@ -403,7 +404,8 @@ func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) {
 }
 
 // checkGroup runs the safety battery over one group's trace, each
-// predicate reported under its own name, then the drain check. With
+// predicate reported under its own name, then the message-level order
+// check and the drain check. With
 // stalled entities it uses the survivor-restricted information and
 // total-order forms; local and causal order are prefix-safe, so a frozen
 // entity's truncated delivery sequence is checked like any other.
@@ -437,6 +439,10 @@ func checkGroup(c *simrun.Cluster, totalOrder bool, alive []pdu.EntityID, stalle
 		}
 	}
 
+	if err := checkMessageOrder(c, alive); err != nil {
+		return err
+	}
+
 	// Liveness: no DATA PDU stuck anywhere. Trailing SYNCs legitimately
 	// remain in the logs (needsToSpeak tracks only data obligations), so
 	// only the data-specific drain fields must be zero. A frozen entity
@@ -456,6 +462,35 @@ func checkGroup(c *simrun.Cluster, totalOrder bool, alive []pdu.EntityID, stalle
 			return drainViolation(i, "unconfirmed DATA in sendlog", d.SendLogData)
 		case d.ReleasePending != 0:
 			return drainViolation(i, "PDUs held by TO release stage", d.ReleasePending)
+		}
+	}
+	return nil
+}
+
+// checkMessageOrder is the message-level predicate beside the PDU-level
+// ones above (the trace records PDUs, and a backlog rides several
+// messages to a PDU): at every live entity the payloads delivered from a
+// source are that source's executed submissions in order — ordinals 1, 2,
+// 3, … with no gap and no repeat — and complete for every live source. A
+// frozen entity's own stream may stop short at the survivors (it froze
+// with submissions unsent or unrepaired) but never skips or repeats.
+func checkMessageOrder(c *simrun.Cluster, alive []pdu.EntityID) *Violation {
+	for _, i := range alive {
+		next := make([]int, len(c.Entities))
+		for _, d := range c.Delivered[i] {
+			sent := c.SentBy(d.Src)
+			if k := next[d.Src]; k >= len(sent) || !bytes.Equal(d.Data, sent[k]) {
+				return &Violation{Predicate: PredMessageOrder, Detail: fmt.Sprintf(
+					"entity %d: s%d#%d.%d is not source %d's message of ordinal %d (of %d)",
+					i, d.Src, d.SEQ, d.Index, d.Src, k+1, len(sent))}
+			}
+			next[d.Src]++
+		}
+		for _, src := range alive {
+			if sent := c.SentBy(src); next[src] != len(sent) {
+				return &Violation{Predicate: PredMessageOrder, Detail: fmt.Sprintf(
+					"entity %d delivered ordinals 1..%d of source %d's %d messages", i, next[src], src, len(sent))}
+			}
 		}
 	}
 	return nil

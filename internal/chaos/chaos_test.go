@@ -4,6 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
+
+	"cobcast/internal/core"
+	"cobcast/internal/pdu"
+	"cobcast/internal/simrun"
+	"cobcast/internal/workload"
 )
 
 // TestFromSeedStaysInBounds checks the exploration distribution honors
@@ -311,5 +317,41 @@ func TestBadConfigRejected(t *testing.T) {
 	var v *Violation
 	if errors.As(err, &v) {
 		t.Fatal("config error misreported as a Violation")
+	}
+}
+
+// TestMessageOrderPredicate shows the message-level predicate is not
+// vacuous: on a converged cluster whose backlog rode packed it holds,
+// and a repeat, a gap or a swap in one entity's delivery sequence each
+// break it — faults the PDU-level trace predicates cannot see inside a
+// pack.
+func TestMessageOrderPredicate(t *testing.T) {
+	c, err := simrun.New(simrun.Options{N: 3, Core: core.Config{Window: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadWorkload(workload.NewSingleSource(1, 40, 24))
+	if _, err := c.RunToQuiescence(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.TotalStats(); st.MsgsSent <= st.DataSent {
+		t.Fatalf("%d messages rode %d DATA PDUs: nothing packed", st.MsgsSent, st.DataSent)
+	}
+	alive := []pdu.EntityID{0, 1, 2}
+	if v := checkMessageOrder(c, alive); v != nil {
+		t.Fatalf("clean run: %v", v)
+	}
+	clean := c.Delivered[2]
+	doctored := map[string][]core.Delivery{
+		"repeat": append(append([]core.Delivery{}, clean[:6]...), clean[5:]...),
+		"gap":    append(append([]core.Delivery{}, clean[:5]...), clean[6:]...),
+		"swap":   append(append(append([]core.Delivery{}, clean[:5]...), clean[6], clean[5]), clean[7:]...),
+		"short":  clean[:len(clean)-1],
+	}
+	for name, ds := range doctored {
+		c.Delivered[2] = ds
+		if v := checkMessageOrder(c, alive); v == nil || v.Predicate != PredMessageOrder {
+			t.Errorf("%s: got %v, want a %s violation", name, v, PredMessageOrder)
+		}
 	}
 }

@@ -179,13 +179,17 @@ func (c Config) Validate() error {
 type Delivery struct {
 	// Src is the original broadcaster.
 	Src pdu.EntityID
-	// SEQ is the source-assigned sequence number.
-	SEQ pdu.Seq
+	// SEQ is the source-assigned sequence number of the PDU that carried
+	// the message, and Index the message's position inside it: 0 unless
+	// the PDU was a pack, whose messages share the SEQ and count up from
+	// 0. (Src, SEQ, Index) identifies a message.
+	SEQ   pdu.Seq
+	Index int
 	// Data is the application payload.
 	Data []byte
 	// LTime is the message's logical time in TotalOrder mode (0 in CO
-	// mode). Deliveries are totally ordered by (LTime, Src, SEQ) and the
-	// order is identical at every entity.
+	// mode). Deliveries are totally ordered by (LTime, Src, SEQ, Index)
+	// and the order is identical at every entity.
 	LTime uint64
 }
 
@@ -203,8 +207,11 @@ func (o *Output) Empty() bool { return len(o.PDUs) == 0 && len(o.Deliveries) == 
 // Stats counts protocol events at one entity since creation.
 type Stats struct {
 	// DataSent, SyncSent, AckOnlySent and RetSent count broadcast PDUs by
-	// kind.
+	// kind; MsgsSent counts the application messages sequenced into the
+	// DATA PDUs, so MsgsSent ÷ DataSent is messages per DATA PDU (1 until
+	// a backlog packs).
 	DataSent    uint64
+	MsgsSent    uint64
 	SyncSent    uint64
 	AckOnlySent uint64
 	RetSent     uint64
@@ -230,8 +237,8 @@ type Stats struct {
 	// Retransmitted counts own PDUs rebroadcast in response to RET.
 	Retransmitted uint64
 	// Preacked and Acked count pipeline progress; Committed counts PDUs
-	// through the causal-closure commit stage; Delivered counts DATA
-	// PDUs handed to the application.
+	// through the causal-closure commit stage; Delivered counts
+	// messages handed to the application.
 	Preacked  uint64
 	Acked     uint64
 	Committed uint64
@@ -267,6 +274,7 @@ type Stats struct {
 // cross-group totals, so a counter added to Stats is added here once.
 func (s *Stats) Add(o Stats) {
 	s.DataSent += o.DataSent
+	s.MsgsSent += o.MsgsSent
 	s.SyncSent += o.SyncSent
 	s.AckOnlySent += o.AckOnlySent
 	s.RetSent += o.RetSent

@@ -730,12 +730,7 @@ func (e *Entity) commitReady(now time.Duration, out *Output) {
 						continue
 					}
 					if p.Kind == pdu.KindData {
-						e.dataResident--
-						e.stats.Delivered++
-						e.observeDeliverLatency(p, now)
-						out.Deliveries = append(out.Deliveries, Delivery{Src: p.Src, SEQ: p.SEQ, Data: p.Data})
-						e.fl(flight.EvDeliver, p.Src, p.SEQ, p.Kind, pdu.NoEntity, now)
-						e.trace(trace.Deliver, p.Src, p.SEQ, p.Kind, now)
+						e.deliver(p, 0, now, out)
 					}
 				}
 				if e.ackedQ[k].Len() == 0 {
@@ -784,15 +779,59 @@ func (e *Entity) depsCommitted(p *pdu.PDU) bool {
 }
 
 // drainSubmits broadcasts queued application data while the flow condition
-// holds.
+// holds. A backlog rides packed: when two or more queued messages fit
+// pdu.MaxPackBytes they share one DATA PDU — one SEQ, one ACK vector, one
+// window slot, one confirmation round (DESIGN.md §2n). A lone message, or
+// one too large to share, goes out as its own unpacked PDU; nothing ever
+// waits to be packed.
 func (e *Entity) drainSubmits(now time.Duration, out *Output) {
 	for len(e.pendingSubmits) > 0 && e.windowOpen() {
-		data := e.pendingSubmits[0]
-		e.pendingSubmits[0] = nil
-		e.pendingSubmits = e.pendingSubmits[1:]
-		e.releaseSubmit(len(data))
-		e.broadcastSequenced(pdu.KindData, data, now, out)
+		k, size := 0, 0
+		for ; k < len(e.pendingSubmits); k++ {
+			s := pdu.PackedSize(len(e.pendingSubmits[k]))
+			if size+s > pdu.MaxPackBytes {
+				break
+			}
+			size += s
+		}
+		data, packed := e.pendingSubmits[0], k >= 2
+		if packed {
+			data = make([]byte, 0, size)
+		} else {
+			k = 1
+		}
+		for i, m := range e.pendingSubmits[:k] {
+			if packed {
+				data = pdu.AppendMessage(data, m)
+			}
+			e.releaseSubmit(len(m))
+			e.pendingSubmits[i] = nil
+		}
+		e.pendingSubmits = e.pendingSubmits[k:]
+		e.stats.MsgsSent += uint64(k)
+		e.broadcastSequenced(pdu.KindData, data, packed, now, out)
 	}
+}
+
+// deliver hands committed (CO) or stable (TO, lt its logical time) DATA
+// PDU p to the application: one Delivery, or one per message of a pack
+// in pack order. Validate vouched for the pack on the way in.
+func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) {
+	e.dataResident--
+	e.observeDeliverLatency(p, now)
+	had := len(out.Deliveries)
+	if !p.Packed {
+		out.Deliveries = append(out.Deliveries, Delivery{Src: p.Src, SEQ: p.SEQ, Data: p.Data, LTime: lt})
+	} else {
+		for i, rest := 0, p.Data; len(rest) > 0; i++ {
+			var msg []byte
+			msg, rest, _ = pdu.NextMessage(rest)
+			out.Deliveries = append(out.Deliveries, Delivery{Src: p.Src, SEQ: p.SEQ, Index: i, Data: msg, LTime: lt})
+		}
+	}
+	e.stats.Delivered += uint64(len(out.Deliveries) - had)
+	e.fl(flight.EvDeliver, p.Src, p.SEQ, p.Kind, pdu.NoEntity, now)
+	e.trace(trace.Deliver, p.Src, p.SEQ, p.Kind, now)
 }
 
 // maybeConfirm implements deferred confirmation (§5): once we have heard
@@ -819,7 +858,7 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	}
 	e.stats.DeferredConfirms++
 	if e.windowOpen() {
-		e.broadcastSequenced(pdu.KindSync, nil, now, out)
+		e.broadcastSequenced(pdu.KindSync, nil, false, now, out)
 		return
 	}
 	e.sendAckOnly(now, out)
@@ -828,9 +867,12 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 // needsToSpeak reports whether this entity owes the cluster confirmations:
 // it holds undelivered data, has data waiting to send, or was asked for
 // help by a NeedAck PDU.
-func (e *Entity) needsToSpeak() bool {
-	return e.dataResident > 0 || e.parkedData > 0 ||
-		len(e.pendingSubmits) > 0 || e.needRespond
+func (e *Entity) needsToSpeak() bool { return e.owesData() || e.needRespond }
+
+// owesData reports whether this entity still holds undelivered or unsent
+// data — the NeedAck bit of every PDU it sends.
+func (e *Entity) owesData() bool {
+	return e.dataResident > 0 || e.parkedData > 0 || len(e.pendingSubmits) > 0
 }
 
 // broadcastSequenced performs the transmission action of §4.2: stamp SEQ
@@ -845,38 +887,26 @@ func (e *Entity) needsToSpeak() bool {
 // single slab so the annotation adds no allocation; the epoch resets
 // (ClearDirty) before the self-accept so the own column — which changes
 // on every send — lands in the next PDU's dirty set.
-func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, now time.Duration, out *Output) {
+func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed bool, now time.Duration, out *Output) {
 	c := 0
 	annotate := e.seq > 1 && !e.cfg.DenseFold && !e.reqStamp.Dense()
 	if annotate {
 		c = e.reqStamp.NDirty()
 	}
-	slab := make([]pdu.Seq, e.n+c)
-	ack := slab[:e.n:e.n]
-	copy(ack, e.req)
-	var delta []pdu.Seq
+	p, spare := e.newPDU(kind, c)
 	if annotate {
-		delta = slab[e.n:e.n]
+		p.Delta = spare[:0]
 		for wi, w := range e.reqStamp.Dirty() {
 			for w != 0 {
-				delta = append(delta, pdu.Seq(wi<<6+bits.TrailingZeros64(w)))
+				p.Delta = append(p.Delta, pdu.Seq(wi<<6+bits.TrailingZeros64(w)))
 				w &= w - 1
 			}
 		}
 	}
 	e.reqStamp.ClearDirty()
-	p := &pdu.PDU{
-		Kind:    kind,
-		CID:     e.cfg.ClusterID,
-		Src:     e.me,
-		SEQ:     e.seq,
-		ACK:     ack,
-		BUF:     e.availBuf(),
-		NeedAck: kind == pdu.KindData || e.dataResident > 0 || e.parkedData > 0 || len(e.pendingSubmits) > 0,
-		LSrc:    pdu.NoEntity,
-		Data:    data,
-		Delta:   delta,
-	}
+	p.SEQ = e.seq
+	p.NeedAck = kind == pdu.KindData || e.owesData()
+	p.Data, p.Packed = data, packed
 	e.seq++
 	e.sendlog[p.SEQ] = p
 	e.chargePDU(p)
@@ -898,20 +928,25 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, now time.Duratio
 	out.PDUs = append(out.PDUs, p)
 }
 
+// newPDU allocates an outgoing PDU of the given kind carrying what every
+// kind carries — CID, SRC, the ACK vector as a snapshot of REQ, BUF —
+// and returns it with spare stamp storage of the given length, carved
+// from the same allocation as the ACK vector (and, in a small cluster,
+// as the PDU itself: pdu.New).
+func (e *Entity) newPDU(kind pdu.Kind, spare int) (*pdu.PDU, []pdu.Seq) {
+	p, slab := pdu.New(e.n + spare)
+	p.Kind, p.CID, p.Src, p.LSrc = kind, e.cfg.ClusterID, e.me, pdu.NoEntity
+	p.ACK = slab[:e.n:e.n]
+	copy(p.ACK, e.req)
+	p.BUF = e.availBuf()
+	return p, slab[e.n:]
+}
+
 // sendAckOnly emits the unsequenced control PDU that keeps receipt
 // confirmations moving when the flow window is closed.
 func (e *Entity) sendAckOnly(now time.Duration, out *Output) {
-	ack := make([]pdu.Seq, e.n)
-	copy(ack, e.req)
-	p := &pdu.PDU{
-		Kind:    pdu.KindAckOnly,
-		CID:     e.cfg.ClusterID,
-		Src:     e.me,
-		ACK:     ack,
-		BUF:     e.availBuf(),
-		NeedAck: e.dataResident > 0 || e.parkedData > 0 || len(e.pendingSubmits) > 0,
-		LSrc:    pdu.NoEntity,
-	}
+	p, _ := e.newPDU(pdu.KindAckOnly, 0)
+	p.NeedAck = e.owesData()
 	e.stats.AckOnlySent++
 	// The ACKONLY's ACK vector discharges the confirmation obligation of
 	// everything received so far, exactly like a sequenced send — without
@@ -954,17 +989,9 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 				continue
 			}
 			e.lastRetReq[j] = now
-			ack := make([]pdu.Seq, e.n)
-			copy(ack, e.req)
-			out.PDUs = append(out.PDUs, &pdu.PDU{
-				Kind: pdu.KindRet,
-				CID:  e.cfg.ClusterID,
-				Src:  e.me,
-				ACK:  ack,
-				BUF:  e.availBuf(),
-				LSrc: src,
-				LSeq: lseq,
-			})
+			p, _ := e.newPDU(pdu.KindRet, 0)
+			p.LSrc, p.LSeq = src, lseq
+			out.PDUs = append(out.PDUs, p)
 			e.stats.RetSent++
 			// Src/Seq name the first missing PDU in the gap being chased.
 			e.fl(flight.EvRetRequest, src, e.req[j], pdu.KindRet, src, now)

@@ -88,6 +88,7 @@ func (e *Entity) publishStats() {
 		}
 	}
 	pub(&m.DataSent, s.DataSent, &p.DataSent)
+	pub(&m.MsgsSent, s.MsgsSent, &p.MsgsSent)
 	pub(&m.SyncSent, s.SyncSent, &p.SyncSent)
 	pub(&m.AckOnlySent, s.AckOnlySent, &p.AckOnlySent)
 	pub(&m.RetSent, s.RetSent, &p.RetSent)

@@ -27,9 +27,7 @@ import (
 	"fmt"
 	"time"
 
-	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
-	"cobcast/internal/trace"
 	"cobcast/internal/vclock"
 )
 
@@ -189,16 +187,8 @@ func (e *Entity) releaseTotal(now time.Duration, out *Output) {
 		}
 		s.unsatValid = false // the head is about to change
 		heap.Pop(&s.pending)
-		p := head.p
-		e.releasePDU(p)
-		e.dataResident--
-		e.stats.Delivered++
-		e.observeDeliverLatency(p, now)
-		out.Deliveries = append(out.Deliveries, Delivery{
-			Src: p.Src, SEQ: p.SEQ, Data: p.Data, LTime: head.key.lt,
-		})
-		e.fl(flight.EvDeliver, p.Src, p.SEQ, p.Kind, pdu.NoEntity, now)
-		e.trace(trace.Deliver, p.Src, p.SEQ, p.Kind, now)
+		e.releasePDU(head.p)
+		e.deliver(head.p, head.key.lt, now, out)
 	}
 }
 

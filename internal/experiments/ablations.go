@@ -75,7 +75,7 @@ func AblationDeferredAck(n int, intervals []time.Duration, msgs int) ([]DeferRow
 		st := c.TotalStats()
 		rows = append(rows, DeferRow{
 			Interval:          iv,
-			TotalPDUs:         st.DataSent + st.SyncSent + st.AckOnlySent + st.RetSent,
+			TotalPDUs:         originated(st),
 			CompletionVirtual: done,
 		})
 	}

@@ -408,7 +408,7 @@ func RetxComparison(n, msgs int, losses []float64, seed int64) ([]RetxRow, error
 			Loss:               loss,
 			Messages:           c.Submitted(),
 			CORetransmitted:    st.Retransmitted,
-			COPDUsTotal:        st.DataSent + st.SyncSent + st.AckOnlySent + st.RetSent + st.Retransmitted,
+			COPDUsTotal:        originated(st) + st.Retransmitted,
 			GBNRetransmissions: bst.Retransmissions,
 			GBNTransmissions:   bst.Transmissions,
 		})
@@ -628,12 +628,24 @@ type MsgComplexityRow struct {
 	// workload, where piggybacking amortizes confirmations (measured
 	// even better than the paper's O(n): near-constant).
 	PerMessage float64
+	// BacklogPerMessage is the same ratio when every sender submits 20×
+	// as much at once, far more than the W = 16 window admits: the
+	// window-bound regime, where the queued backlog rides packed and
+	// BacklogMsgsPerData messages share each DATA PDU (DESIGN.md §2n).
+	BacklogPerMessage  float64
+	BacklogMsgsPerData float64
 	// SoloPDUs counts the cluster-wide PDUs needed to fully acknowledge
 	// one message in an otherwise idle cluster — the O(n) case the
 	// deferred-confirmation argument describes.
 	SoloPDUs uint64
 	// NSquared is the O(n²) reference point.
 	NSquared int
+}
+
+// originated sums the PDUs st's engines put on the wire as originals:
+// DATA, SYNC, ACKONLY and RET, not the rebroadcasts that answer a RET.
+func originated(st core.Stats) uint64 {
+	return st.DataSent + st.SyncSent + st.AckOnlySent + st.RetSent
 }
 
 // MessageComplexity counts cluster-wide PDU traffic per delivered
@@ -645,8 +657,13 @@ func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("msgs n=%d: %w", n, err)
 		}
-		st := c.TotalStats()
-		total := st.DataSent + st.SyncSent + st.AckOnlySent + st.RetSent
+		total := originated(c.TotalStats())
+
+		b, _, err := runContinuous(simrun.Options{N: n}, 20*perSender, 32)
+		if err != nil {
+			return nil, fmt.Errorf("msgs backlog n=%d: %w", n, err)
+		}
+		bst := b.TotalStats()
 
 		solo, err := simrun.New(simrun.Options{
 			N:   n,
@@ -659,15 +676,16 @@ func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 		if _, err := solo.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("msgs solo n=%d: %w", n, err)
 		}
-		sst := solo.TotalStats()
 
 		rows = append(rows, MsgComplexityRow{
-			N:          n,
-			Messages:   c.Submitted(),
-			TotalPDUs:  total,
-			PerMessage: float64(total) / float64(c.Submitted()),
-			SoloPDUs:   sst.DataSent + sst.SyncSent + sst.AckOnlySent + sst.RetSent,
-			NSquared:   n * n,
+			N:                  n,
+			Messages:           c.Submitted(),
+			TotalPDUs:          total,
+			PerMessage:         float64(total) / float64(c.Submitted()),
+			BacklogPerMessage:  float64(originated(bst)) / float64(b.Submitted()),
+			BacklogMsgsPerData: float64(bst.MsgsSent) / float64(bst.DataSent),
+			SoloPDUs:           originated(solo.TotalStats()),
+			NSquared:           n * n,
 		})
 	}
 	return rows, nil

@@ -180,13 +180,14 @@ func TestMultiGroupConverges(t *testing.T) {
 		for _, col := range []*collector{ca, cb} {
 			ds := col.get(g)
 			// Sequence numbers are shared with the engine's own SYNC PDUs
-			// (a tick can slip one in under -race), so they need only rise.
-			var last pdu.Seq
+			// (a tick can slip one in under -race), so they need only rise
+			// — and a packed backlog shares one, ordered by Index.
+			last := core.Delivery{Index: -1}
 			for i, d := range ds {
-				if d.Src != 0 || d.SEQ <= last {
-					t.Fatalf("group %d delivery %d = src %d seq %d after seq %d, want src 0 in sequence order", g, i, d.Src, d.SEQ, last)
+				if d.Src != 0 || d.SEQ < last.SEQ || (d.SEQ == last.SEQ && d.Index <= last.Index) {
+					t.Fatalf("group %d delivery %d = src %d seq %d.%d after seq %d.%d, want src 0 in (SEQ, Index) order", g, i, d.Src, d.SEQ, d.Index, last.SEQ, last.Index)
 				}
-				last = d.SEQ
+				last = d
 				if want := fmt.Sprintf("g%d-m%d", g, i); string(d.Data) != want {
 					t.Fatalf("group %d delivery %d data = %q, want %q", g, i, d.Data, want)
 				}

@@ -7,8 +7,11 @@ package obsv
 type EntityMetrics struct {
 	// PDUs sent, by kind. DataSent counts sequenced DT broadcasts,
 	// SyncSent sequenced no-payload confirmations, AckOnlySent
-	// unsequenced ACKONLY PDUs, RetSent RET requests issued.
+	// unsequenced ACKONLY PDUs, RetSent RET requests issued. MsgsSent
+	// counts the application messages those DATA PDUs carried:
+	// MsgsSent ÷ DataSent is messages per DATA PDU.
 	DataSent, SyncSent, AckOnlySent, RetSent Counter
+	MsgsSent                                 Counter
 
 	// PDUs received, by kind (before any validity/duplicate checks).
 	DataRecv, SyncRecv, AckOnlyRecv, RetRecv Counter

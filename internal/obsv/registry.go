@@ -184,6 +184,9 @@ var entityCounterFamilies = []entityFamily{
 		{`,kind="ackonly"`, func(m *EntityMetrics) *Counter { return &m.AckOnlySent }},
 		{`,kind="ret"`, func(m *EntityMetrics) *Counter { return &m.RetSent }},
 	}},
+	{"cobcast_msgs_sent_total", "Application messages sequenced into DATA PDUs (divide by pdus_sent{kind=\"data\"} for messages per DATA PDU).", []entitySample{
+		{"", func(m *EntityMetrics) *Counter { return &m.MsgsSent }},
+	}},
 	{"cobcast_pdus_received_total", "PDUs received by this entity, by kind.", []entitySample{
 		{`,kind="data"`, func(m *EntityMetrics) *Counter { return &m.DataRecv }},
 		{`,kind="sync"`, func(m *EntityMetrics) *Counter { return &m.SyncRecv }},

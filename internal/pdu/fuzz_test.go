@@ -15,6 +15,32 @@ var seedPDUs = []*PDU{
 	{Kind: KindSync, CID: 9, Src: 2, SEQ: 7, ACK: []Seq{3, 2, 9}, BUF: 44, NeedAck: true, LSrc: NoEntity},
 	{Kind: KindAckOnly, Src: 1, ACK: []Seq{5, 5}, LSrc: NoEntity},
 	{Kind: KindRet, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
+	// Packed DATA, then the malformed packs Validate must reject: the
+	// codec carries all of them (the bit is not its to judge).
+	{Kind: KindData, CID: 1, Src: 1, SEQ: 4, ACK: []Seq{2, 4}, LSrc: NoEntity, Data: pack("one", "", "three"), Packed: true},
+	{Kind: KindSync, CID: 1, Src: 1, SEQ: 5, ACK: []Seq{2, 5}, LSrc: NoEntity, Packed: true},
+	{Kind: KindData, CID: 1, Src: 1, SEQ: 6, ACK: []Seq{2, 6}, LSrc: NoEntity, Data: pack("solo"), Packed: true},
+	{Kind: KindData, CID: 1, Src: 1, SEQ: 7, ACK: []Seq{2, 7}, LSrc: NoEntity, Data: append(pack("one", "two"), 0x09, 'x'), Packed: true},
+}
+
+// checkPackJudged is the pack half of every decoder fuzz target: Validate
+// must judge whatever the codec accepted without panicking, and a Packed
+// PDU it passes must split cleanly into at least two messages — the walk
+// the delivery path makes unchecked.
+func checkPackJudged(t *testing.T, p *PDU) {
+	if err := p.Validate(len(p.ACK)); err != nil || !p.Packed {
+		return
+	}
+	k := 0
+	for rest := p.Data; len(rest) > 0; k++ {
+		var ok bool
+		if _, rest, ok = NextMessage(rest); !ok {
+			t.Fatalf("Validate passed a pack that breaks at message %d: %x", k, p.Data)
+		}
+	}
+	if k < 2 || p.Kind != KindData || len(p.Data) > MaxPackBytes {
+		t.Fatalf("Validate passed a %s pack of %d messages, %d bytes", p.Kind, k, len(p.Data))
+	}
 }
 
 // FuzzUnmarshal throws arbitrary bytes at the stateless wire decoder (no
@@ -46,6 +72,11 @@ func FuzzFrameDecode(f *testing.F) {
 			{Kind: KindSync, CID: 3, Src: 1, SEQ: 5, ACK: []Seq{2, 6, 1}, NeedAck: true, LSrc: NoEntity},
 			{Kind: KindAckOnly, CID: 3, Src: 1, ACK: []Seq{2, 6, 2}, LSrc: NoEntity},
 			{Kind: KindRet, CID: 3, Src: 1, ACK: []Seq{2, 6, 2}, LSrc: 0, LSeq: 2},
+		},
+		{
+			{Kind: KindData, CID: 3, Src: 2, SEQ: 8, ACK: []Seq{2, 6, 8}, LSrc: NoEntity, Data: pack("p", "q"), Packed: true},
+			{Kind: KindData, CID: 3, Src: 2, SEQ: 9, ACK: []Seq{2, 7, 9}, LSrc: NoEntity, Data: []byte("unpacked")},
+			{Kind: KindData, CID: 3, Src: 2, SEQ: 10, ACK: []Seq{2, 7, 10}, LSrc: NoEntity, Data: pack("short")[:3], Packed: true},
 		},
 	}
 	for _, batch := range seedBatches {
@@ -113,6 +144,7 @@ func FuzzFrameDecode(f *testing.F) {
 				if !ok {
 					break
 				}
+				checkPackJudged(t, &p)
 				batch = append(batch, p.Clone())
 			}
 			return batch, true
@@ -196,6 +228,7 @@ func fuzzDatagram(t *testing.T, data []byte) {
 		}
 		return
 	}
+	checkPackJudged(t, fresh)
 	out, err := fresh.MarshalV2(nil)
 	if err != nil {
 		t.Fatalf("accepted PDU failed to re-encode: %v", err)
@@ -314,9 +347,10 @@ func FuzzV2Unmarshal(f *testing.F) {
 		scratch := &PDU{ACK: []Seq{9, 9, 9}, Delta: []Seq{2}, Data: []byte("dirty")}
 		fresh, err := UnmarshalV2(data, &dec)
 		if err == nil {
-			if extra := data[4] &^ (flagNeedAck | flagFullStamp); extra != 0 {
+			if extra := data[4] &^ (flagNeedAck | flagFullStamp | flagPacked); extra != 0 {
 				t.Fatalf("accepted unknown flag bits %02x", extra)
 			}
+			checkPackJudged(t, fresh)
 			if fresh.Delta == nil {
 				out, err := fresh.MarshalV2(nil)
 				if err != nil {
@@ -371,6 +405,13 @@ func FuzzV2StreamRoundTrip(f *testing.F) {
 		var dec StampDecoder
 		src := EntityID(rng.Intn(n))
 		stream := seqStream(src, n, 48, rng)
+		for _, p := range stream {
+			// A third of the stream rides packed: the bit must survive
+			// delta stamps, sync points and retransmission alike.
+			if rng.Intn(3) == 0 {
+				p.Data, p.Packed = pack("a", "", "bc"), true
+			}
+		}
 		// Splice in a retransmission at a random point: an old PDU
 		// re-encoded mid-stream, as the send log does on a RET.
 		if len(stream) > 10 {

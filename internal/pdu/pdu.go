@@ -100,13 +100,18 @@ type PDU struct {
 	// respond to NeedAck PDUs so the two-phase acknowledgment keeps
 	// making progress after data traffic stops.
 	NeedAck bool
+	// Packed marks a DATA PDU whose Data carries two or more application
+	// messages in the pack form of pack.go; they are delivered in pack
+	// order under this PDU's one SEQ.
+	Packed bool
 	// LSrc is, on RET PDUs, the source whose PDUs were detected lost.
 	LSrc EntityID
 	// LSeq is, on RET PDUs, the exclusive upper bound of the missing
 	// sequence range (F condition (1): the SEQ of the PDU that revealed
 	// the gap; F condition (2): the ACK entry that revealed it).
 	LSeq Seq
-	// Data is the application payload (KindData only).
+	// Data is the application payload (KindData only): one message, or
+	// a pack of them when Packed is set.
 	Data []byte
 	// Delta, when non-nil, lists in ascending order the ACK indices that
 	// changed relative to the same source's previous sequenced PDU
@@ -199,21 +204,42 @@ func Compare(p, q *PDU) Relation {
 // CausallyPrecedes reports whether p ≺ q under Theorem 4.1.
 func CausallyPrecedes(p, q *PDU) bool { return Compare(p, q) == Precedes }
 
+// inlineStamp is the longest stamp New allocates inside the PDU's own
+// object: an ACK vector plus a full Delta annotation at n = 4, the size
+// every bench workload runs at.
+const inlineStamp = 8
+
+// New allocates a zero PDU together with zeroed storage for its stamp —
+// the ACK vector, plus the Delta annotation when the sender attaches one.
+// A stamp of up to inlineStamp entries shares the PDU's allocation, so a
+// small cluster's send or clone costs one object where it cost two.
+func New(stamp int) (*PDU, []Seq) {
+	if stamp <= inlineStamp {
+		sp := new(struct {
+			PDU
+			stamp [inlineStamp]Seq
+		})
+		return &sp.PDU, sp.stamp[:stamp]
+	}
+	return new(PDU), make([]Seq, stamp)
+}
+
 // Clone returns a deep copy of the PDU. Networks clone PDUs at the
 // boundary so that entities never share backing arrays. Delta is shared,
 // not copied — it is immutable once attached; call OwnDelta on the clone
 // when the source's Delta storage will be reused (decoder scratch).
 func (p *PDU) Clone() *PDU {
-	q := *p
+	q, ack := New(len(p.ACK))
+	*q = *p
 	if p.ACK != nil {
-		q.ACK = make([]Seq, len(p.ACK))
+		q.ACK = ack
 		copy(q.ACK, p.ACK)
 	}
 	if p.Data != nil {
 		q.Data = make([]byte, len(p.Data))
 		copy(q.Data, p.Data)
 	}
-	return &q
+	return q
 }
 
 // OwnDelta replaces a shared Delta annotation with an owned copy and
@@ -264,6 +290,11 @@ func (p *PDU) Validate(n int) error {
 			return fmt.Errorf("%w: delta index %d n=%d", ErrBadACKLen, k, n)
 		}
 	}
+	if p.Packed {
+		if err := p.validatePack(); err != nil {
+			return err
+		}
+	}
 	if p.Kind == KindRet {
 		if p.LSrc < 0 || int(p.LSrc) >= n {
 			return fmt.Errorf("%w: lsrc=%d n=%d", ErrBadRet, p.LSrc, n)
@@ -297,6 +328,9 @@ func (p *PDU) String() string {
 	}
 	if len(p.Data) > 0 {
 		fmt.Fprintf(&b, " len=%d", len(p.Data))
+	}
+	if p.Packed {
+		b.WriteString(" packed")
 	}
 	if p.NeedAck {
 		b.WriteString(" need")

@@ -9,7 +9,8 @@
 //	magic   uint16  0xC0BC (big-endian)
 //	version uint8   2
 //	kind    uint8
-//	flags   uint8   bit0 = NeedAck, bit1 = full stamp
+//	flags   uint8   bit0 = NeedAck, bit1 = full stamp, bit2 = packed
+//	                (data is a message pack, see pack.go)
 //	cid     uvarint
 //	src     uvarint src+1 (so NoEntity encodes as 0)
 //	seq     uvarint
@@ -53,6 +54,7 @@ const (
 	WireVersion2 uint8 = 2
 
 	flagFullStamp = 1 << 1
+	flagPacked    = 1 << 2
 
 	// DefaultStampInterval is the default sync-point spacing K: every
 	// PDU whose SEQ is a multiple of K carries a full stamp even when a
@@ -233,6 +235,9 @@ func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 	if !delta {
 		flags |= flagFullStamp
 	}
+	if p.Packed {
+		flags |= flagPacked
+	}
 	buf = append(buf, WireVersion2, byte(p.Kind), flags)
 	buf = binary.AppendUvarint(buf, uint64(p.CID))
 	buf = binary.AppendUvarint(buf, uint64(p.Src+1))
@@ -383,10 +388,12 @@ func (p *PDU) UnmarshalFromV2(b []byte, dec *StampDecoder) error {
 	}
 	p.Kind = Kind(body[3])
 	flags := body[4]
-	if extra := flags &^ (flagNeedAck | flagFullStamp); extra != 0 {
+	if extra := flags &^ (flagNeedAck | flagFullStamp | flagPacked); extra != 0 {
 		return fmt.Errorf("%w: %02x", ErrBadFlags, extra)
 	}
 	p.NeedAck = flags&flagNeedAck != 0
+	// Carried, not judged: Validate walks the pack before acceptance.
+	p.Packed = flags&flagPacked != 0
 	full := flags&flagFullStamp != 0
 	rest := body[5:]
 	var v uint64

@@ -111,16 +111,16 @@ type Cluster struct {
 	tickEvery time.Duration
 	submitted int
 	// frozen[i] marks entity i stalled: it stops reading, ticking and
-	// submitting, permanently, while its links stay up. submittedBy[i]
-	// counts submissions entity i actually executed (scheduled ones
-	// skipped by a freeze or shed by the ledger are counted in skipped
-	// and shedCount instead).
-	frozen      []bool
-	submittedBy []int
-	skipped     int
-	shedCount   int
-	shed        bool
-	sendTimes   map[trace.MsgID]time.Duration
+	// submitting, permanently, while its links stay up. sent[i] lists, in
+	// order, the payloads of the submissions entity i actually executed
+	// (scheduled ones skipped by a freeze or shed by the ledger are
+	// counted in skipped and shedCount instead).
+	frozen    []bool
+	sent      [][][]byte
+	skipped   int
+	shedCount int
+	shed      bool
+	sendTimes map[trace.MsgID]time.Duration
 	// Tap[i] per-message application-to-application delay samples for
 	// deliveries at entity i (Figure 8's Tap).
 	tapSamples []time.Duration
@@ -184,20 +184,20 @@ func NewGroups(opts Options, groups int) ([]*Cluster, error) {
 // the group's tag.
 func newCluster(opts Options, s *sim.Sim, net *sim.Net, lock *sync.Mutex, group uint32, suffix string) (*Cluster, error) {
 	c := &Cluster{
-		Sim:         s,
-		Net:         net,
-		Entities:    make([]*core.Entity, opts.N),
-		Ledgers:     make([]*core.Ledger, opts.N),
-		Flights:     make([]*flight.Ring, opts.N),
-		Delivered:   make([][]core.Delivery, opts.N),
-		StepLock:    lock,
-		n:           opts.N,
-		group:       group,
-		suffix:      suffix,
-		frozen:      make([]bool, opts.N),
-		submittedBy: make([]int, opts.N),
-		shed:        opts.Shed,
-		sendTimes:   make(map[trace.MsgID]time.Duration),
+		Sim:       s,
+		Net:       net,
+		Entities:  make([]*core.Entity, opts.N),
+		Ledgers:   make([]*core.Ledger, opts.N),
+		Flights:   make([]*flight.Ring, opts.N),
+		Delivered: make([][]core.Delivery, opts.N),
+		StepLock:  lock,
+		n:         opts.N,
+		group:     group,
+		suffix:    suffix,
+		frozen:    make([]bool, opts.N),
+		sent:      make([][][]byte, opts.N),
+		shed:      opts.Shed,
+		sendTimes: make(map[trace.MsgID]time.Duration),
 	}
 	if opts.Trace {
 		c.Recorder = &trace.Recorder{}
@@ -419,7 +419,7 @@ func (c *Cluster) SubmitAt(sender pdu.EntityID, data []byte, at time.Duration) {
 			c.shedCount++
 			return
 		}
-		c.submittedBy[sender]++
+		c.sent[sender] = append(c.sent[sender], data)
 		out := c.Entities[sender].Submit(data, c.Sim.Now())
 		c.dispatch(sender, out)
 	})
@@ -446,9 +446,16 @@ func (c *Cluster) Submitted() int { return c.submitted }
 // (scheduled minus frozen-skipped minus shed).
 func (c *Cluster) SubmittedBy() []int {
 	out := make([]int, c.n)
-	copy(out, c.submittedBy)
+	for i, sent := range c.sent {
+		out[i] = len(sent)
+	}
 	return out
 }
+
+// SentBy returns the payloads of the submissions sender actually
+// executed, in submission order: the k-th is the sender's message of
+// ordinal k+1, whatever PDU it later rode.
+func (c *Cluster) SentBy(sender pdu.EntityID) [][]byte { return c.sent[sender] }
 
 // ShedCount returns the number of submissions shed by producer-side
 // ledger admission; Skipped additionally includes submissions skipped

@@ -61,16 +61,16 @@ func TestClusterTotalOrderIdenticalSequences(t *testing.T) {
 	for i := 1; i < 3; i++ {
 		for pos := range orders[0] {
 			a, b := orders[0][pos], orders[i][pos]
-			if a.Src != b.Src || a.Seq != b.Seq {
-				t.Fatalf("position %d: node 0 got s%d#%d, node %d got s%d#%d",
-					pos, a.Src, a.Seq, i, b.Src, b.Seq)
+			if a.Src != b.Src || a.Seq != b.Seq || a.Index != b.Index {
+				t.Fatalf("position %d: node 0 got s%d#%d.%d, node %d got s%d#%d.%d",
+					pos, a.Src, a.Seq, a.Index, i, b.Src, b.Seq, b.Index)
 			}
 			if a.LTime != b.LTime || a.LTime == 0 {
 				t.Fatalf("position %d: ltimes %d vs %d", pos, a.LTime, b.LTime)
 			}
 		}
 	}
-	// The sequence is sorted by (LTime, Src, Seq).
+	// The sequence is sorted by (LTime, Src, Seq, Index).
 	for pos := 1; pos < msgs; pos++ {
 		p, q := orders[0][pos-1], orders[0][pos]
 		if q.LTime < p.LTime ||
