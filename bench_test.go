@@ -10,9 +10,12 @@ package cobcast_test
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"cobcast"
 	"cobcast/internal/core"
 	"cobcast/internal/experiments"
 	"cobcast/internal/flight"
@@ -295,6 +298,55 @@ func BenchmarkHotPathBacklogDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += burst {
 		round()
+	}
+}
+
+// BenchmarkHotPathDeliveryHandoff is the path a committed message takes
+// from the engine's output to the application (DESIGN.md §2o): one
+// producer standing in for the shard hands a port engine-shaped batches
+// — 1 delivery, what a paced cluster commits per input, and 43, PR 22's
+// measured messages per DATA PDU at saturation — and one consumer ranges
+// over Deliveries(). One op is one message through queue, pump and
+// channel. The producer stays within 1024 messages of the consumer, as
+// the flow window keeps an engine near its application, so the row
+// times the hand-off and not the growth of an unbounded backlog.
+func BenchmarkHotPathDeliveryHandoff(b *testing.B) {
+	for _, k := range []int{1, 43} {
+		k := k
+		b.Run(fmt.Sprintf("batch=%d", k), func(b *testing.B) {
+			c, err := cobcast.NewCluster(2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			nd, g := c.Node(0), cobcast.GroupID(7)
+			batch := make([]core.Delivery, k)
+			for i := range batch {
+				batch[i] = core.Delivery{Src: 1, SEQ: 1, Index: i, Data: make([]byte, 128)}
+			}
+			var consumed atomic.Int64
+			go func() {
+				for range nd.Group(g).Deliveries() {
+					consumed.Add(1)
+				}
+			}()
+			pushed := int64(0)
+			run := func(msgs int) {
+				for target := pushed + int64(msgs); pushed < target; pushed += int64(k) {
+					for pushed-consumed.Load() > 1024 {
+						runtime.Gosched()
+					}
+					nd.DeliverForTest(g, batch)
+				}
+				for consumed.Load() < pushed {
+					runtime.Gosched()
+				}
+			}
+			run(8192) // queue, swap buffer and channel at their steady sizes
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b.N)
+		})
 	}
 }
 

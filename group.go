@@ -70,11 +70,27 @@ type GroupPort struct {
 
 	// Each port runs its own unbounded queue + pump so a slow consumer of
 	// one group never stalls the shard that feeds it (or any other
-	// group).
-	queue    deliveryQueue
+	// group). The shard pushes one batch per engine output, the pump
+	// takes the whole backlog at once and feeds the buffered deliver
+	// channel (DESIGN.md §2o).
+	queue    *deliveryQueue
 	deliver  chan Message
 	pumpDone chan struct{}
 }
+
+// deliverChanCap is the capacity of every port's Deliveries channel. The
+// buffer lets the pump run ahead of the consumer, so the two park on each
+// other once per fill or drain instead of once per message. 256 (16 KiB
+// per port) is the smallest value on the measured plateau, of 16, 64,
+// 256 and 1024: BenchmarkHotPathDeliveryHandoff/batch=43 reads 252, 197,
+// 179 and 182 ns per message, and mem-steady's sat_msgs_per_s is flat
+// from 16 up (DESIGN.md §2o has the table).
+const deliverChanCap = 256
+
+// maxRecycledBatch bounds the batch buffer (in Messages, 64 bytes each)
+// the pump hands back to the queue: a slow consumer's high-water backlog
+// is released to the collector instead of staying pinned by the port.
+const maxRecycledBatch = 4096
 
 // ID returns the port's group.
 func (p *GroupPort) ID() GroupID { return p.id }
@@ -115,8 +131,9 @@ func (nd *Node) runtimeErr(g GroupID, err error) error {
 }
 
 // Deliveries returns the group's ordered message stream. The channel is
-// closed by Node.Close. Consumers should drain promptly; undelivered
-// messages buffer without bound.
+// buffered (a fixed few hundred messages) and closed by Node.Close.
+// Consumers should drain promptly; undelivered messages queue behind the
+// channel without bound.
 func (p *GroupPort) Deliveries() <-chan Message { return p.deliver }
 
 // Stats returns the group's protocol counters; ok is false if the group
@@ -129,17 +146,27 @@ func (p *GroupPort) Stats() (Stats, bool) {
 // a slow consumer never stalls the shard that owns the group's engine.
 func (p *GroupPort) pump() {
 	defer close(p.pumpDone)
+	var spare []Message
 	for {
-		m, ok := p.queue.pop()
+		batch, ok := p.queue.popAll(spare)
 		if !ok {
 			return
 		}
-		select {
-		case p.deliver <- m:
-		case <-p.nd.stop:
-			// Drop the rest so close is prompt; consumers that closed
-			// early asked for this.
-			return
+		for i := range batch {
+			select {
+			case p.deliver <- batch[i]:
+			case <-p.nd.stop:
+				// Drop the rest so close is prompt; consumers that closed
+				// early asked for this.
+				return
+			}
+			// The consumer owns the message now: a Data left behind
+			// would pin its PDU until the slot is next overwritten.
+			batch[i] = Message{}
+		}
+		spare = batch
+		if cap(spare) > maxRecycledBatch {
+			spare = nil
 		}
 	}
 }
@@ -158,7 +185,8 @@ func (nd *Node) Group(g GroupID) *GroupPort {
 		nd:       nd,
 		id:       g,
 		ledger:   nd.o.newLedger(),
-		deliver:  make(chan Message),
+		queue:    newDeliveryQueue(),
+		deliver:  make(chan Message, deliverChanCap),
 		pumpDone: make(chan struct{}),
 	}
 	// Reserve the group so its engine can be built on first input; past
@@ -241,16 +269,10 @@ func (nd *Node) groupMetricsSlot() bool {
 	return true
 }
 
-// deliverGroup routes one delivery (on its shard goroutine) to the
-// group's port, creating the port on first delivery so messages for
-// groups the application has not opened yet are queued, not lost.
-func (nd *Node) deliverGroup(g uint32, d core.Delivery) {
-	nd.Group(GroupID(g)).queue.push(Message{
-		Group: GroupID(g),
-		Src:   int(d.Src),
-		Seq:   uint64(d.SEQ),
-		Index: d.Index,
-		Data:  d.Data,
-		LTime: d.LTime,
-	})
+// deliverGroup routes one engine output's deliveries (on its shard
+// goroutine) to the group's port, creating the port on first delivery so
+// messages for groups the application has not opened yet are queued, not
+// lost.
+func (nd *Node) deliverGroup(g uint32, batch []core.Delivery) {
+	nd.Group(GroupID(g)).queue.push(GroupID(g), batch)
 }

@@ -33,6 +33,19 @@ func drainGroup(t *testing.T, p *cobcast.GroupPort, want int) []cobcast.Message 
 	return got
 }
 
+// waitDelivered polls until the engine behind stats has handed want
+// messages to its port's queue, whether or not anyone reads them.
+func waitDelivered(t *testing.T, who string, stats func() cobcast.Stats, want int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for stats().Delivered < uint64(want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: engine handed over %d of %d messages", who, stats().Delivered, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // checkGroupStream asserts per-source ordering and the group tag on one
 // node's deliveries for one group.
 func checkGroupStream(t *testing.T, node int, g cobcast.GroupID, got []cobcast.Message) {
@@ -333,5 +346,104 @@ func TestGroupStatezSections(t *testing.T) {
 			t.Fatal("no per-group statez section appeared")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStalledConsumerNeverStallsItsShard: while one port's consumer reads
+// nothing, more than four channel-fuls of its group's deliveries — some
+// that rode packed PDUs, some that rode alone — queue behind the port's
+// channel, and the shard that owns the group (the node's only shard)
+// keeps serving a second group. When the consumer resumes it reads every
+// (Src, Seq, Index) exactly once, each source's messages in submission
+// order.
+func TestStalledConsumerNeverStallsItsShard(t *testing.T) {
+	const nodes, sources = 3, 2
+	c, err := cobcast.NewCluster(nodes,
+		cobcast.WithDeferredAckInterval(time.Millisecond),
+		cobcast.WithWindow(4), // closes under a burst, so backlogs ride packed
+		cobcast.WithGroupShards(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stalled, lively := cobcast.Group("stalled"), cobcast.Group("lively")
+	port := c.Group(0, stalled)
+	chanCap := cap(port.Deliveries())
+	if chanCap == 0 {
+		t.Fatal("the Deliveries channel is unbuffered")
+	}
+	perSource := 2*chanCap + chanCap/4
+	total := sources * perSource // 4.5 channel-fuls
+
+	// Everyone but node 0's stalled port consumes.
+	for i := 1; i < nodes; i++ {
+		for _, g := range []cobcast.GroupID{stalled, lively} {
+			go func(ch <-chan cobcast.Message) {
+				for range ch {
+				}
+			}(c.Group(i, g).Deliveries())
+		}
+	}
+	var senders sync.WaitGroup
+	for src := 0; src < sources; src++ {
+		senders.Add(1)
+		go func(src int) {
+			defer senders.Done()
+			for k := 0; k < perSource; k++ {
+				if err := c.Group(src, stalled).Broadcast([]byte(fmt.Sprintf("%d/%d", src, k))); err != nil {
+					t.Errorf("source %d message %d: %v", src, k, err)
+					return
+				}
+			}
+		}(src)
+	}
+	senders.Wait()
+	waitDelivered(t, "node 0, consumer stalled", func() cobcast.Stats { st, _ := port.Stats(); return st }, total)
+	// The whole stream now waits on node 0's port; its shard is free.
+	if err := c.Group(1, lively).Broadcast([]byte("still here")); err != nil {
+		t.Fatal(err)
+	}
+	if got := drainGroup(t, c.Group(0, lively), 1); string(got[0].Data) != "still here" {
+		t.Fatalf("second group delivered %q", got[0].Data)
+	}
+
+	got := drainGroup(t, port, total)
+	checkGroupStream(t, 0, stalled, got)
+	type id struct {
+		src   int
+		seq   uint64
+		index int
+	}
+	seen := make(map[id]bool, total)
+	perSeq := make(map[id]int)
+	next := make([]int, sources)
+	for _, m := range got {
+		k := id{m.Src, m.Seq, m.Index}
+		if seen[k] {
+			t.Fatalf("message %d#%d.%d delivered twice", m.Src, m.Seq, m.Index)
+		}
+		seen[k] = true
+		perSeq[id{src: m.Src, seq: m.Seq}]++
+		if want := fmt.Sprintf("%d/%d", m.Src, next[m.Src]); string(m.Data) != want {
+			t.Fatalf("source %d: got payload %q where %q was due", m.Src, m.Data, want)
+		}
+		next[m.Src]++
+	}
+	alone, packed := 0, 0
+	for _, k := range perSeq {
+		if k == 1 {
+			alone++
+		} else {
+			packed++
+		}
+	}
+	if alone == 0 || packed == 0 {
+		t.Fatalf("%d PDUs carried one message, %d several: the backlog must hold both kinds", alone, packed)
+	}
+	select {
+	case m := <-port.Deliveries():
+		t.Fatalf("extra delivery %d#%d.%d %q", m.Src, m.Seq, m.Index, m.Data)
+	case <-time.After(20 * time.Millisecond):
 	}
 }

@@ -196,6 +196,13 @@ type Delivery struct {
 // Output collects the externally visible effects of one input: PDUs to
 // broadcast (in order) and deliveries to the application (in causal
 // order).
+//
+// Ownership: PDUs belongs to the caller. Deliveries is the entity's own
+// buffer, valid until the next Submit, SubmitOwned, Receive, Tick or
+// Evict on that entity, which clears and refills it: consume or copy the
+// values (not the slice) before then. Each Delivery's Data stays valid
+// for good, it aliases the delivered PDU, not the buffer. An input that
+// delivers nothing returns an empty Deliveries.
 type Output struct {
 	PDUs       []*pdu.PDU
 	Deliveries []Delivery

@@ -138,10 +138,14 @@ type Entity struct {
 	heardOnce []bool
 
 	pendingSubmits [][]byte
-	parkedTotal    int
-	parkedData     int
-	rrlTotal       int
-	dataResident   int
+	// delivered backs Output.Deliveries, reused from input to input: its
+	// length is what the previous input delivered — the prefix finish
+	// must clear before reuse (config.go states the ownership rule).
+	delivered    []Delivery
+	parkedTotal  int
+	parkedData   int
+	rrlTotal     int
+	dataResident int
 
 	stats Stats
 
@@ -251,8 +255,16 @@ func (e *Entity) Stats() Stats { return e.stats }
 func (e *Entity) Submit(data []byte, now time.Duration) Output {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	e.pendingSubmits = append(e.pendingSubmits, buf)
-	e.chargeSubmit(len(buf))
+	return e.SubmitOwned(buf, now)
+}
+
+// SubmitOwned is Submit without the copy: the entity keeps data (it
+// becomes a PDU's payload, or is copied into a pack), so the caller must
+// not touch it again. The runtime's shard calls it with the copy
+// Broadcast already made.
+func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
+	e.pendingSubmits = append(e.pendingSubmits, data)
+	e.chargeSubmit(len(data))
 	e.fl(flight.EvSubmit, e.me, 0, pdu.KindData, pdu.NoEntity, now)
 	if !e.windowOpen() {
 		e.stats.FlowBlocked++
@@ -344,12 +356,27 @@ func (e *Entity) Tick(now time.Duration) Output {
 // submissions, pre-acknowledge, acknowledge/deliver, and emit deferred
 // confirmations.
 func (e *Entity) finish(now time.Duration, out *Output) {
+	// The previous input's deliveries are the caller's no longer. Clear
+	// what was used — never up to cap: one commit burst would otherwise
+	// tax every later input — so no Data keeps a PDU alive.
+	clear(e.delivered)
+	out.Deliveries = e.delivered[:0]
 	e.drainSubmits(now, out)
 	e.runPack()
 	e.runAck(now, out)
 	e.maybeConfirm(now, out)
+	e.delivered = out.Deliveries
+	if cap(e.delivered) > maxKeptDeliveries {
+		e.delivered = nil // this burst's buffer is the caller's to drop
+	}
 	e.publishStats()
 }
+
+// maxKeptDeliveries bounds the delivery buffer an entity keeps between
+// inputs (in entries, 56 bytes each): far above a saturated commit burst
+// (a few hundred messages), far below what a window of hostile packs of
+// empty messages could pin for good.
+const maxKeptDeliveries = 1 << 14
 
 // foldInfo merges the PDU's receipt confirmations into AL and BUF. ACK
 // vectors are truthful snapshots of the sender's REQ, so folding them from

@@ -41,6 +41,12 @@ func (m *packMesh) route(from int, out Output) {
 			}
 		}
 	}
+	// Consumed at once, as shard.dispatch does: the entity reuses the
+	// slice at its next input. An input that delivered nothing must show
+	// none of the previous input's deliveries.
+	if fresh := int(m.ents[from].Stats().Delivered) - len(m.got[from]); len(out.Deliveries) != fresh {
+		m.t.Fatalf("seed %d: entity %d returned %d deliveries from an input that made %d", m.seed, from, len(out.Deliveries), fresh)
+	}
 	m.got[from] = append(m.got[from], out.Deliveries...)
 }
 
@@ -289,5 +295,90 @@ func TestHostilePackRejectedBeforeAcceptance(t *testing.T) {
 	p := &pdu.PDU{Kind: pdu.KindData, Src: 1, SEQ: 1, ACK: []pdu.Seq{1, 1}, LSrc: pdu.NoEntity, Data: good, Packed: true}
 	if _, err := e.Receive(p, 0); err != nil || e.REQ()[1] != 2 {
 		t.Fatalf("honest pack after the hostile ones: err %v req %v", err, e.REQ())
+	}
+}
+
+// TestOutputDeliveriesValidUntilNextInput pins Output's ownership rule
+// (config.go): Deliveries is the entity's buffer — whole while the
+// caller consumes it, reused by the next input. The next input clears
+// exactly the prefix the previous one used: less would leave a Data
+// pinning its PDU, more (up to cap) would make every input pay for the
+// largest commit burst the entity ever saw.
+func TestOutputDeliveriesValidUntilNextInput(t *testing.T) {
+	const msgs = 40
+	ents := make([]*Entity, 2)
+	for i := range ents {
+		e, err := New(Config{ID: pdu.EntityID(i), N: 2, Window: 2, DeferredAckInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents[i] = e
+	}
+	var (
+		now      time.Duration
+		inbox    [2][]*pdu.PDU
+		consumed []Delivery // entity 1's deliveries, copied out per output
+		reused   bool
+		prev     []Delivery
+	)
+	emit := func(from int, out Output) {
+		inbox[1-from] = append(inbox[1-from], out.PDUs...)
+		if from != 1 {
+			return
+		}
+		if len(prev) > 0 && len(out.Deliveries) > 0 && &prev[0] == &out.Deliveries[0] {
+			reused = true
+		}
+		consumed = append(consumed, out.Deliveries...)
+		prev = out.Deliveries
+	}
+	for i := 1; i <= msgs; i++ {
+		emit(0, ents[0].Submit([]byte{byte(i)}, now))
+	}
+	for round := 0; len(consumed) < msgs; round++ {
+		if round == 1000 {
+			t.Fatalf("entity 1 delivered %d of %d", len(consumed), msgs)
+		}
+		now += time.Millisecond
+		for to := range ents {
+			batch := inbox[to]
+			inbox[to] = nil
+			for _, p := range batch {
+				out, err := ents[to].Receive(p.Clone(), now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				emit(to, out)
+			}
+			emit(to, ents[to].Tick(now))
+		}
+	}
+	for i, d := range consumed {
+		if len(d.Data) != 1 || int(d.Data[0]) != i+1 {
+			t.Fatalf("delivery %d carries %v after later inputs reused the buffer, want [%d]", i, d.Data, i+1)
+		}
+	}
+	if !reused {
+		t.Fatal("no two outputs shared a buffer: the entity allocates Deliveries per input again")
+	}
+
+	// An input that delivers nothing after one that used part of the
+	// buffer: the used prefix is cleared, the rest is not touched.
+	e := ents[1]
+	whole := e.delivered[:cap(e.delivered)]
+	if len(whole) < 2 {
+		t.Fatalf("the burst left a buffer of %d", len(whole))
+	}
+	last := len(whole) - 1
+	whole[0], whole[last] = consumed[0], consumed[1]
+	e.delivered = whole[:1]
+	if out := e.Tick(now); len(out.Deliveries) != 0 {
+		t.Fatalf("idle tick delivered %v", out.Deliveries)
+	}
+	if whole[0].Data != nil {
+		t.Fatal("the used prefix still holds a payload after the next input")
+	}
+	if whole[last].Data == nil {
+		t.Fatal("the next input cleared the buffer beyond the used prefix")
 	}
 }

@@ -95,10 +95,12 @@ type Config struct {
 	// NewFrames builds shard s's wire adapter; it is owned by that
 	// shard's goroutine for the registry's lifetime.
 	NewFrames func(shard int) Frames
-	// Deliver receives group g's causally ordered deliveries, on the
-	// owning shard goroutine; it must hand off quickly (the embedding
-	// runtime queues to its consumers).
-	Deliver func(g uint32, d core.Delivery)
+	// Deliver receives what one engine output delivered on group g — a
+	// non-empty batch in causal order — on the owning shard goroutine.
+	// The batch is the engine's buffer (core.Output): Deliver must copy
+	// the values out before it returns, and hand off quickly (the
+	// embedding runtime queues to its consumers).
+	Deliver func(g uint32, batch []core.Delivery)
 	// DroppedUnknown, if set, is called once per inbound dropped for an
 	// unknown-group reason (over the MaxGroups bound, failed engine
 	// construction, closed registry).
@@ -206,9 +208,9 @@ func (r *Registry) Start(g uint32) error {
 }
 
 // Submit broadcasts data on group g, instantiating the group if needed.
-// data is retained by the engine (callers pass an owned copy). It blocks
-// only while the owning shard's inbox is full (backpressure), returning
-// ctx.Err() if ctx ends first.
+// data is retained by the engine, uncopied (callers pass an owned copy).
+// It blocks only while the owning shard's inbox is full (backpressure),
+// returning ctx.Err() if ctx ends first.
 func (r *Registry) Submit(ctx context.Context, g uint32, data []byte) error {
 	if err := r.Open(g); err != nil {
 		return err
@@ -517,7 +519,7 @@ func (s *shard) handle(m shardMsg) {
 	switch m.kind {
 	case msgSubmit:
 		if eng, _ := s.engine(m.group); eng != nil {
-			s.dispatch(m.group, eng, eng.Submit(m.data, s.reg.cfg.Now()))
+			s.dispatch(m.group, eng, eng.SubmitOwned(m.data, s.reg.cfg.Now()))
 		}
 	case msgInbound:
 		eng, _ := s.engine(m.group)
@@ -599,7 +601,8 @@ func (s *shard) tickAll() {
 }
 
 // dispatch stages an engine's output PDUs on the shard's frames (sent at
-// the next flush) and hands its deliveries to the embedding runtime.
+// the next flush) and hands its deliveries to the embedding runtime, one
+// call per output — before the engine's next input reuses their buffer.
 func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 	if ring := eng.Flight(); ring != nil && len(out.PDUs) > 0 {
 		now := s.reg.cfg.Now()
@@ -610,8 +613,8 @@ func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 	for _, p := range out.PDUs {
 		s.frames.Append(g, p)
 	}
-	for _, d := range out.Deliveries {
-		s.reg.cfg.Deliver(g, d)
+	if len(out.Deliveries) > 0 {
+		s.reg.cfg.Deliver(g, out.Deliveries)
 	}
 }
 

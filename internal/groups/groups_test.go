@@ -72,13 +72,13 @@ type collector struct {
 	msgs map[uint32][]core.Delivery
 }
 
-func (c *collector) add(g uint32, d core.Delivery) {
+func (c *collector) add(g uint32, batch []core.Delivery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.msgs == nil {
 		c.msgs = make(map[uint32][]core.Delivery)
 	}
-	c.msgs[g] = append(c.msgs[g], d)
+	c.msgs[g] = append(c.msgs[g], batch...)
 }
 
 func (c *collector) count(g uint32) int {
@@ -220,7 +220,7 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 			})
 		},
 		NewFrames:      func(int) Frames { return &pipeFrames{pp: &pipe{}, staged: make(map[uint32][]*pdu.PDU)} },
-		Deliver:        func(uint32, core.Delivery) {},
+		Deliver:        func(uint32, []core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})
@@ -263,7 +263,7 @@ func TestEngineFailureTombstoned(t *testing.T) {
 			return nil, errors.New("boom")
 		},
 		NewFrames:      func(int) Frames { return &pipeFrames{pp: &pipe{}, staged: make(map[uint32][]*pdu.PDU)} },
-		Deliver:        func(uint32, core.Delivery) {},
+		Deliver:        func(uint32, []core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})
@@ -298,7 +298,7 @@ func TestCloseDropsInbound(t *testing.T) {
 			})
 		},
 		NewFrames:      func(int) Frames { return &pipeFrames{pp: &pipe{}, staged: make(map[uint32][]*pdu.PDU)} },
-		Deliver:        func(uint32, core.Delivery) {},
+		Deliver:        func(uint32, []core.Delivery) {},
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})

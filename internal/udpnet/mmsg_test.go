@@ -11,30 +11,6 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// pairOpts is pair with transport options applied to both ends.
-func pairOpts(t *testing.T, inboxCap int, opts ...Option) (*Transport, *Transport) {
-	t.Helper()
-	a, err := New("127.0.0.1:0", []string{"127.0.0.1:1"}, inboxCap, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aAddr := a.LocalAddr()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New("127.0.0.1:0", []string{aAddr}, inboxCap, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err = New(aAddr, []string{b.LocalAddr()}, inboxCap, opts...)
-	if err != nil {
-		b.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
-}
-
 // seededWorkload builds count datagrams of varying size from a fixed
 // seed, so the exact same byte sequence can be replayed over both wire
 // paths.
@@ -101,7 +77,7 @@ func TestWirePathEquivalence(t *testing.T) {
 	work := seededWorkload(42, 400)
 	var digests [2][32]byte
 	for i, on := range []bool{true, false} {
-		a, b := pairOpts(t, 4096, WithBatchSyscalls(on))
+		a, b := pair(t, 4096, WithBatchSyscalls(on))
 		if on && !a.BatchSyscalls() {
 			t.Skip("batched syscalls unsupported on this platform")
 		}
@@ -118,7 +94,7 @@ func TestWirePathEquivalence(t *testing.T) {
 // TestBroadcastBatchOrderAndCounters sends one multi-datagram batch and
 // checks arrival order, content, and the syscall-amortization counters.
 func TestBroadcastBatchOrderAndCounters(t *testing.T) {
-	a, b := pairOpts(t, 4096)
+	a, b := pair(t, 4096)
 	const count = 32
 	batch := make([][]byte, count)
 	for i := range batch {
@@ -163,7 +139,7 @@ func TestBroadcastBatchOrderAndCounters(t *testing.T) {
 // TestBroadcastBatchOversizeMixed checks that an oversize datagram in a
 // batch is rejected and counted while the rest still go out.
 func TestBroadcastBatchOversizeMixed(t *testing.T) {
-	a, b := pairOpts(t, 64)
+	a, b := pair(t, 64)
 	batch := [][]byte{
 		[]byte("fine-1"),
 		make([]byte, MaxDatagram+1),
@@ -286,7 +262,7 @@ func TestBatchedSendSteadyStateAllocs(t *testing.T) {
 // recvmmsg ring in bursts (run it with -race to exercise the slot
 // ownership protocol) and checks nothing is lost, reordered or torn.
 func TestBatchedReceiveSoak(t *testing.T) {
-	a, b := pairOpts(t, 8192, WithBatchSyscalls(true))
+	a, b := pair(t, 8192, WithBatchSyscalls(true))
 	if !a.BatchSyscalls() {
 		t.Skip("batched syscalls unsupported on this platform")
 	}

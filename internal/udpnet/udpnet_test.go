@@ -7,28 +7,45 @@ import (
 	"time"
 )
 
+// mesh binds n loopback transports, each with the other n-1 as peers:
+// it probes n free ports with throw-away transports, then binds the real
+// ones to them.
+func mesh(tb testing.TB, n, inboxCap int, opts ...Option) []*Transport {
+	tb.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		probe, err := New("127.0.0.1:0", []string{"127.0.0.1:1"}, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		addrs[i] = probe.LocalAddr()
+		if err := probe.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	trs := make([]*Transport, n)
+	for i := range trs {
+		var peers []string
+		for j, a := range addrs {
+			if j != i {
+				peers = append(peers, a)
+			}
+		}
+		tr, err := New(addrs[i], peers, inboxCap, opts...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { tr.Close() })
+		trs[i] = tr
+	}
+	return trs
+}
+
 // pair binds two loopback transports pointed at each other.
-func pair(t *testing.T, inboxCap int) (*Transport, *Transport) {
+func pair(t *testing.T, inboxCap int, opts ...Option) (*Transport, *Transport) {
 	t.Helper()
-	a, err := New("127.0.0.1:0", []string{"127.0.0.1:1"}, inboxCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aAddr := a.LocalAddr()
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, err := New("127.0.0.1:0", []string{aAddr}, inboxCap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err = New(aAddr, []string{b.LocalAddr()}, inboxCap)
-	if err != nil {
-		b.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
+	trs := mesh(t, 2, inboxCap, opts...)
+	return trs[0], trs[1]
 }
 
 func recvOne(t *testing.T, tr *Transport) []byte {

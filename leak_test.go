@@ -1,6 +1,7 @@
 package cobcast_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -47,6 +48,38 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := waitGoroutines(baseline+2, 5*time.Second); got > baseline+2 {
+		t.Errorf("goroutines leaked: baseline %d, now %d", baseline, got)
+	}
+}
+
+// TestCloseWithBacklogAndIdleConsumer: Close must not wait for an
+// application that never reads. Every node's delivery queue holds
+// several channel-fuls, every pump is parked on its full channel, and
+// Close still returns promptly and takes the pumps with it.
+func TestCloseWithBacklogAndIdleConsumer(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const nodes = 3
+	c, err := cobcast.NewCluster(nodes, cobcast.WithDeferredAckInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 5 * cap(c.Node(0).Deliveries())
+	for i := 0; i < total; i++ {
+		if err := c.Broadcast(i%nodes, []byte("unread")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		waitDelivered(t, fmt.Sprintf("node %d", i), c.Node(i).Stats, total)
+	}
+	start := time.Now()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Close took %v with unread backlogs", d)
 	}
 	if got := waitGoroutines(baseline+2, 5*time.Second); got > baseline+2 {
 		t.Errorf("goroutines leaked: baseline %d, now %d", baseline, got)

@@ -342,7 +342,10 @@ func (nd *Node) stopped() bool {
 // now is the node's protocol clock: time since the node started.
 func (nd *Node) now() time.Duration { return time.Since(nd.start) }
 
-// deliveryQueue is an unbounded FIFO with blocking pop.
+// deliveryQueue is a port's unbounded FIFO between the shard that owns
+// the group's engine (push, never blocks) and the port's pump (popAll,
+// blocks while empty). Both move whole batches, so a commit burst costs
+// one lock and at most one wake-up however many messages it carries.
 type deliveryQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -350,45 +353,61 @@ type deliveryQueue struct {
 	closed bool
 }
 
-func (q *deliveryQueue) push(m Message) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.cond == nil {
-		q.cond = sync.NewCond(&q.mu)
-	}
-	if q.closed {
-		return
-	}
-	q.items = append(q.items, m)
-	q.cond.Signal()
+func newDeliveryQueue() *deliveryQueue {
+	q := &deliveryQueue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
 }
 
-// pop blocks until an item is available or the queue closes; ok is false
-// only when the queue is closed and drained.
-func (q *deliveryQueue) pop() (Message, bool) {
+// push appends one engine output's deliveries on group g as Messages; it
+// copies the values, so batch may be reused once push returns. After
+// close it drops them.
+func (q *deliveryQueue) push(g GroupID, batch []core.Delivery) {
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return
+	}
+	wasEmpty := len(q.items) == 0
+	for _, d := range batch {
+		q.items = append(q.items, Message{
+			Group: g,
+			Src:   int(d.Src),
+			Seq:   uint64(d.SEQ),
+			Index: d.Index,
+			Data:  d.Data,
+			LTime: d.LTime,
+		})
+	}
+	q.mu.Unlock()
+	// popAll waits only on an empty queue, so only the push that ends
+	// the emptiness can have a waiter to wake.
+	if wasEmpty {
+		q.cond.Signal()
+	}
+}
+
+// popAll blocks until the queue holds messages or closes, then takes the
+// whole backlog in order; ok is false only when the queue is closed and
+// drained. spare — the caller's previous batch, zeroed, or nil — becomes
+// the queue's next backing array, so pump and shard trade two buffers
+// instead of allocating.
+func (q *deliveryQueue) popAll(spare []Message) (batch []Message, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.cond == nil {
-		q.cond = sync.NewCond(&q.mu)
-	}
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if len(q.items) == 0 {
-		return Message{}, false
+		return nil, false
 	}
-	m := q.items[0]
-	q.items[0] = Message{}
-	q.items = q.items[1:]
-	return m, true
+	batch, q.items = q.items, spare[:0]
+	return batch, true
 }
 
 func (q *deliveryQueue) close() {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.cond == nil {
-		q.cond = sync.NewCond(&q.mu)
-	}
 	q.closed = true
+	q.mu.Unlock()
 	q.cond.Broadcast()
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
@@ -19,91 +20,120 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// --- deliveryQueue close/pop interleavings ---
+// --- deliveryQueue close/popAll interleavings ---
+
+// seqBatch is an engine-shaped batch: one source's SEQs from..to.
+func seqBatch(src pdu.EntityID, from, to pdu.Seq) []core.Delivery {
+	var b []core.Delivery
+	for s := from; s <= to; s++ {
+		b = append(b, core.Delivery{Src: src, SEQ: s})
+	}
+	return b
+}
 
 func TestDeliveryQueuePopAfterCloseDrained(t *testing.T) {
-	var q deliveryQueue
+	q := newDeliveryQueue()
 	q.close()
-	if m, ok := q.pop(); ok {
-		t.Fatalf("pop on closed empty queue returned %v", m)
+	if b, ok := q.popAll(nil); ok {
+		t.Fatalf("popAll on closed empty queue returned %v", b)
 	}
-	// pop stays terminal.
-	if _, ok := q.pop(); ok {
-		t.Fatal("second pop on closed empty queue succeeded")
+	// popAll stays terminal.
+	if _, ok := q.popAll(nil); ok {
+		t.Fatal("second popAll on closed empty queue succeeded")
 	}
 }
 
 func TestDeliveryQueuePopAfterCloseNonEmpty(t *testing.T) {
-	// Close must not discard queued messages: consumers drain the
-	// remainder, then see ok=false.
-	var q deliveryQueue
-	q.push(Message{Seq: 1})
-	q.push(Message{Seq: 2})
+	// Close must not discard queued messages: the pump takes the
+	// remainder — every batch pushed, in order — then sees ok=false.
+	q := newDeliveryQueue()
+	q.push(7, seqBatch(1, 1, 2))
+	q.push(7, seqBatch(1, 3, 3))
 	q.close()
-	for want := uint64(1); want <= 2; want++ {
-		m, ok := q.pop()
-		if !ok || m.Seq != want {
-			t.Fatalf("pop = %v,%v, want seq %d", m, ok, want)
+	b, ok := q.popAll(nil)
+	if !ok || len(b) != 3 {
+		t.Fatalf("popAll = %v,%v, want the 3 queued messages", b, ok)
+	}
+	for i, m := range b {
+		if m.Group != 7 || m.Src != 1 || m.Seq != uint64(i+1) {
+			t.Fatalf("message %d = %+v, want group 7 src 1 seq %d", i, m, i+1)
 		}
 	}
-	if _, ok := q.pop(); ok {
-		t.Fatal("pop after draining closed queue succeeded")
+	if _, ok := q.popAll(b); ok {
+		t.Fatal("popAll after draining closed queue succeeded")
 	}
 }
 
 func TestDeliveryQueuePushAfterCloseDropped(t *testing.T) {
-	var q deliveryQueue
+	q := newDeliveryQueue()
 	q.close()
-	q.push(Message{Seq: 1})
-	if _, ok := q.pop(); ok {
+	q.push(0, seqBatch(0, 1, 1))
+	if _, ok := q.popAll(nil); ok {
 		t.Fatal("push after close was accepted")
 	}
 }
 
 func TestDeliveryQueueCloseUnblocksPop(t *testing.T) {
-	var q deliveryQueue
+	q := newDeliveryQueue()
 	done := make(chan bool)
 	go func() {
-		_, ok := q.pop() // blocks: queue empty
+		_, ok := q.popAll(nil) // blocks: queue empty
 		done <- ok
 	}()
 	q.close()
 	if ok := <-done; ok {
-		t.Fatal("blocked pop returned ok=true on close")
+		t.Fatal("blocked popAll returned ok=true on close")
 	}
 }
 
 func TestDeliveryQueueConcurrentPushPopClose(t *testing.T) {
-	// Hammer push/pop/close from separate goroutines; under -race this
-	// checks the queue's locking, and the counts check no message is
-	// both delivered and lost.
-	var q deliveryQueue
-	const pushers, perPusher = 4, 1000
+	// Hammer push/popAll/close from separate goroutines; under -race
+	// this checks the queue's locking and the buffer swap, and the
+	// per-pusher sequence check that no message is lost, duplicated or
+	// reordered — in particular that the signal-on-empty rule never
+	// leaves the popper asleep beside a backlog.
+	q := newDeliveryQueue()
+	const pushers, perPusher, batchLen = 4, 1000, 5
 	var pushed sync.WaitGroup
 	for g := 0; g < pushers; g++ {
 		pushed.Add(1)
 		go func(g int) {
 			defer pushed.Done()
-			for i := 0; i < perPusher; i++ {
-				q.push(Message{Src: g, Seq: uint64(i)})
+			for i := 1; i <= perPusher; i += batchLen {
+				q.push(0, seqBatch(pdu.EntityID(g), pdu.Seq(i), pdu.Seq(i+batchLen-1)))
 			}
 		}(g)
 	}
-	got := make(chan int)
+	got := make(chan string)
 	go func() {
-		count := 0
+		var next [pushers]uint64
+		var spare []Message
 		for {
-			if _, ok := q.pop(); !ok {
-				got <- count
+			b, ok := q.popAll(spare)
+			if !ok {
+				for g, n := range next {
+					if n != perPusher {
+						got <- fmt.Sprintf("pusher %d: popped %d of %d before close", g, n, perPusher)
+						return
+					}
+				}
+				got <- ""
 				return
 			}
-			count++
+			for i, m := range b {
+				if next[m.Src]++; m.Seq != next[m.Src] {
+					got <- fmt.Sprintf("pusher %d: seq %d where %d was due", m.Src, m.Seq, next[m.Src])
+					return
+				}
+				b[i] = Message{}
+			}
+			spare = b
 		}
 	}()
 	pushed.Wait()
 	q.close()
-	if count := <-got; count != pushers*perPusher {
-		t.Fatalf("popped %d of %d pushed before close", count, pushers*perPusher)
+	if msg := <-got; msg != "" {
+		t.Fatal(msg)
 	}
 }
 
