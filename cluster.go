@@ -29,17 +29,12 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	netOpts := []network.Option{
+	memnet := network.New(n,
 		network.WithSeed(o.netSeed),
 		network.WithInboxCapacity(o.netInboxCap),
-	}
-	if o.netLossRate > 0 {
-		netOpts = append(netOpts, network.WithLossRate(o.netLossRate))
-	}
-	if o.netDelay > 0 {
-		netOpts = append(netOpts, network.WithUniformDelay(o.netDelay))
-	}
-	memnet := network.New(n, netOpts...)
+		network.WithLossRate(o.netLossRate),
+		network.WithUniformDelay(o.netDelay),
+	)
 	if o.registry != nil {
 		o.registry.RegisterNetwork("memnet", memnet.Metrics())
 	}

@@ -60,7 +60,10 @@ type Message struct {
 	// carried several messages, which count up from 0. (Src, Seq, Index)
 	// identifies a message.
 	Index int
-	// Data is the application payload.
+	// Data is the application payload. It is read-only: it aliases the
+	// PDU that carried the message, which the node retains for
+	// retransmission and which, on a Cluster, every node shares. Copy it
+	// before modifying it; appending to it copies by itself.
 	Data []byte
 	// LTime is the message's cluster-wide logical time when the cluster
 	// runs in total-order mode (WithTotalOrder); 0 otherwise. Deliveries

@@ -127,7 +127,11 @@ func Run(cfg Config) (*Result, error) { return RunWithRegistry(cfg, nil) }
 // (the groups share the links), a stall freezes the entity in every
 // group (the process stopped, not one engine), and every predicate is
 // checked per group. The classic run is the one-group case.
-func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) {
+func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) { return run(cfg, reg, nil) }
+
+// run is RunWithRegistry with tap, when non-nil, observing every PDU as
+// it arrives at an entity (simrun.Options.PDUTap).
+func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.PDU)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -249,6 +253,7 @@ func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) {
 			sim.NetDatagramFilter(dropDatagram),
 		},
 		Trace:          true,
+		PDUTap:         tap,
 		Registry:       reg,
 		WireVersion:    wire,
 		MemBudgetBytes: cfg.MemBudgetBytes,

@@ -185,7 +185,9 @@ type Delivery struct {
 	// 0. (Src, SEQ, Index) identifies a message.
 	SEQ   pdu.Seq
 	Index int
-	// Data is the application payload.
+	// Data is the application payload. It is read-only: it aliases the
+	// delivered PDU, which the entity retains (and may serve again in a
+	// retransmission) and which other receivers may share.
 	Data []byte
 	// LTime is the message's logical time in TotalOrder mode (0 in CO
 	// mode). Deliveries are totally ordered by (LTime, Src, SEQ, Index)

@@ -275,11 +275,12 @@ func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
 	return out
 }
 
-// Receive processes one PDU from the network. The entity takes ownership
-// of sequenced PDUs (KindData/KindSync): they may be retained in the
-// receipt logs, so callers must not reuse p or its ACK/Data afterwards.
-// Control PDUs (KindAckOnly/KindRet) are only read during the call and
-// may live in caller-owned scratch storage.
+// Receive processes one PDU from the network. It retains sequenced PDUs
+// (KindData/KindSync) in the receipt logs and never writes any PDU, so
+// one PDU may be handed to every receiver of a broadcast, but callers
+// must not reuse or write p or its ACK/Data/Delta afterwards. Control
+// PDUs (KindAckOnly/KindRet) are only read during the call and may live
+// in caller-owned scratch storage.
 func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	var out Output
 	if p == nil {
@@ -549,12 +550,14 @@ func (e *Entity) noteGap(j int) {
 // receiveSequenced applies the acceptance condition p.SEQ == REQ (§4.2),
 // parking out-of-order PDUs and draining repairs in order.
 func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
-	if e.cfg.DenseFold {
-		// The entity owns sequenced PDUs: dropping the annotation here
-		// keeps every later stage (PAL fold, commit closure, TO stamp,
-		// log bounds) on the dense scans. Clone shares Delta by field,
-		// so siblings of a fanned-out PDU are unaffected.
-		p.Delta = nil
+	if e.cfg.DenseFold && p.Delta != nil {
+		// Retaining a copy without the annotation keeps every later
+		// stage (PAL fold, commit closure, TO stamp, log bounds) on the
+		// dense scans. p itself is shared with the other receivers and
+		// must not be written.
+		q := *p
+		q.Delta = nil
+		p = &q
 	}
 	src := p.Src
 	switch {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -48,17 +49,16 @@ func FuzzReceiveWire(f *testing.F) {
 }
 
 // FuzzReceiveCrafted builds structurally valid but adversarial PDUs
-// (wild sequence numbers, huge ACK entries, inconsistent RET ranges) and
-// checks the entity neither panics nor violates basic invariants.
+// (wild sequence numbers, huge ACK entries, inconsistent RET ranges, any
+// Delta annotation) and checks the entity neither panics nor violates
+// basic invariants. It hands the entity the same PDU three times, as a
+// shared network does, and checks Receive never wrote it — with the
+// sparse fold and with DenseFold.
 func FuzzReceiveCrafted(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint64(1), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false)
-	f.Add(uint8(2), uint8(4), uint64(1<<60), uint64(9), uint64(0), uint64(1<<62), uint8(1), uint64(1<<61), true)
+	f.Add(uint8(1), uint8(1), uint64(1), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false, uint8(0))
+	f.Add(uint8(2), uint8(4), uint64(1<<60), uint64(9), uint64(0), uint64(1<<62), uint8(1), uint64(1<<61), true, uint8(0x15))
 	f.Fuzz(func(t *testing.T, srcRaw, kindRaw uint8, seq, a0, a1, a2 uint64,
-		lsrcRaw uint8, lseq uint64, need bool) {
-		e, err := core.New(core.Config{ID: 0, N: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		lsrcRaw uint8, lseq uint64, need bool, deltaRaw uint8) {
 		kinds := []pdu.Kind{pdu.KindData, pdu.KindSync, pdu.KindAckOnly, pdu.KindRet}
 		p := &pdu.PDU{
 			Kind:    kinds[int(kindRaw)%len(kinds)],
@@ -74,15 +74,35 @@ func FuzzReceiveCrafted(f *testing.F) {
 			p.LSrc = pdu.EntityID(lsrcRaw % 3)
 			p.LSeq = pdu.Seq(lseq | 1)
 		}
-		for i := 0; i < 3; i++ {
-			_, _ = e.Receive(p.Clone(), time.Duration(i)*time.Millisecond)
+		// Bit 4 attaches a Delta; bits 0–3 pick its indices, index 3
+		// being out of range for n = 3.
+		if deltaRaw&0x10 != 0 {
+			p.Delta = []pdu.Seq{}
+			for k := pdu.Seq(0); k < 4; k++ {
+				if deltaRaw&(1<<k) != 0 {
+					p.Delta = append(p.Delta, k)
+				}
+			}
 		}
-		// Ticks after adversarial input must not panic either.
-		for i := 0; i < 3; i++ {
-			e.Tick(time.Duration(10+i) * 10 * time.Millisecond)
-		}
-		if e.Resident() < 0 {
-			t.Fatal("negative residency")
+		want := p.Clone().OwnDelta()
+		for _, dense := range []bool{false, true} {
+			e, err := core.New(core.Config{ID: 0, N: 3, DenseFold: dense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				_, _ = e.Receive(p, time.Duration(i)*time.Millisecond)
+			}
+			// Ticks after adversarial input must not panic either.
+			for i := 0; i < 3; i++ {
+				e.Tick(time.Duration(10+i) * 10 * time.Millisecond)
+			}
+			if e.Resident() < 0 {
+				t.Fatal("negative residency")
+			}
+			if !reflect.DeepEqual(p, want) {
+				t.Fatalf("DenseFold=%v: Receive wrote the PDU: %+v, was %+v", dense, p, want)
+			}
 		}
 	})
 }

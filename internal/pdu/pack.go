@@ -47,13 +47,15 @@ func AppendMessage(pack, msg []byte) []byte {
 
 // NextMessage splits the first message off pack. ok is false when the
 // pack is malformed at this point: a bad or padded length varint, or a
-// length that overruns what is left. msg aliases pack.
+// length that overruns what is left. msg aliases pack, capped at its own
+// length, so appending to it copies instead of overwriting the next
+// message.
 func NextMessage(pack []byte) (msg, rest []byte, ok bool) {
 	n, rest, err := readUvarint(pack)
 	if err != nil || n > uint64(len(rest)) {
 		return nil, nil, false
 	}
-	return rest[:n], rest[n:], true
+	return rest[:n:n], rest[n:], true
 }
 
 // validatePack checks the Packed bit against kind and Data: DATA only,

@@ -154,28 +154,23 @@ func TestNetLossAndStats(t *testing.T) {
 	}
 }
 
-func TestNetBroadcastSkipsSelfAndClones(t *testing.T) {
+func TestNetBroadcastSkipsSelfAndShares(t *testing.T) {
 	s := New()
-	net := NewNet(s, 3)
-	heard := make(map[pdu.EntityID]*pdu.PDU)
+	net := NewNet(s, 3, NetDuplicateRate(1.0))
+	heard := make(map[pdu.EntityID][]*pdu.PDU)
 	for i := 0; i < 3; i++ {
 		id := pdu.EntityID(i)
-		net.Attach(id, func(from pdu.EntityID, p *pdu.PDU) { heard[id] = p })
+		net.Attach(id, func(from pdu.EntityID, p *pdu.PDU) { heard[id] = append(heard[id], p) })
 	}
 	p := &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 1, ACK: []pdu.Seq{1, 1, 1}}
 	net.Broadcast(0, p)
-	p.ACK[0] = 99
 	s.Run()
 	if _, ok := heard[0]; ok {
 		t.Error("sender heard its own broadcast")
 	}
 	for _, id := range []pdu.EntityID{1, 2} {
-		q, ok := heard[id]
-		if !ok {
-			t.Fatalf("entity %d heard nothing", id)
-		}
-		if q.ACK[0] == 99 {
-			t.Error("simnet delivered aliased PDU")
+		if got := heard[id]; len(got) != 2 || got[0] != p || got[1] != p {
+			t.Errorf("entity %d heard %p: want the sent PDU %p, once per duplicate", id, got, p)
 		}
 	}
 }

@@ -212,6 +212,10 @@ func (n *Net) BroadcastGroup(from pdu.EntityID, group uint32, batch ...*pdu.PDU)
 // one datagram: it is delayed, lost, and duplicated as a unit, arrives as
 // one simulator event, and its PDUs reach the handler in append order —
 // so per-sender order holds within and across batches. Stats count PDUs.
+//
+// The network keeps the batch slice and hands the same PDUs to every
+// receiver and every duplicate, so once sent neither may be reused or
+// written. Broadcast and BroadcastGroup share them the same way.
 func (n *Net) Send(from, to pdu.EntityID, batch ...*pdu.PDU) {
 	n.send(from, to, 0, batch, nil)
 }
@@ -268,11 +272,7 @@ func (n *Net) send(from, to pdu.EntityID, group uint32, batch []*pdu.PDU, frame 
 			})
 			continue
 		}
-		clones := make([]*pdu.PDU, len(batch))
-		for i, p := range batch {
-			clones[i] = p.Clone()
-		}
-		n.sim.At(at, func() { n.arrive(from, to, group, clones) })
+		n.sim.At(at, func() { n.arrive(from, to, group, batch) })
 	}
 }
 

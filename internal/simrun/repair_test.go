@@ -1,0 +1,51 @@
+package simrun
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"cobcast/internal/pdu"
+	"cobcast/internal/sim"
+	"cobcast/internal/workload"
+)
+
+// TestZeroLossSkewRepairs reproduces the spurious repair of ROADMAP item
+// 1 deterministically: with no loss at all, one slow link (0→3 at
+// 2.5 ms, every other link 500 µs) lets the other entities' ACK vectors
+// name entity 0's PDUs before those PDUs reach entity 3, which counts
+// each as an F2 detection and asks entity 0 to retransmit PDUs that are
+// still in flight. With a uniform delay the same workload repairs
+// nothing. The counts are pinned as the engine stands; item 1's fix —
+// no first RET while the named source's PDU can still be in flight —
+// drives RetSent, and with it Retransmitted and Duplicates, to 0.
+func TestZeroLossSkewRepairs(t *testing.T) {
+	skewed := func(from, to pdu.EntityID, _ *rand.Rand) time.Duration {
+		if from == 0 && to == 3 {
+			return 2500 * time.Microsecond
+		}
+		return 500 * time.Microsecond
+	}
+	for _, tc := range []struct {
+		name                                   string
+		delay                                  sim.NetOption
+		f2, retSent, retransmitted, duplicates uint64
+	}{
+		{"skewed", sim.NetDelay(skewed), 18, 1, 1, 3},
+		{"uniform", sim.NetUniformDelay(500 * time.Microsecond), 0, 0, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := run(t, Options{N: 4, Net: []sim.NetOption{tc.delay}}, workload.NewContinuous(4, 40, 32))
+			if lost := c.Net.Stats().Dropped; lost != 0 {
+				t.Fatalf("zero-loss network dropped %d PDUs", lost)
+			}
+			st := c.TotalStats()
+			if st.F2Detections != tc.f2 || st.RetSent != tc.retSent ||
+				st.Retransmitted != tc.retransmitted || st.Duplicates != tc.duplicates {
+				t.Errorf("F2Detections %d, RetSent %d, Retransmitted %d, Duplicates %d; pinned %d, %d, %d, %d",
+					st.F2Detections, st.RetSent, st.Retransmitted, st.Duplicates,
+					tc.f2, tc.retSent, tc.retransmitted, tc.duplicates)
+			}
+		})
+	}
+}

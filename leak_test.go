@@ -54,6 +54,22 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestIdleClusterGoroutinesLinear: an idle n-node Cluster runs a few
+// goroutines per node — router, shard, the network's delivery goroutine
+// — not one per pair of nodes.
+func TestIdleClusterGoroutinesLinear(t *testing.T) {
+	const n, perNode = 16, 8
+	baseline := runtime.NumGoroutine()
+	c, err := cobcast.NewCluster(n, cobcast.WithGroupShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if grew := runtime.NumGoroutine() - baseline; grew > perNode*n {
+		t.Errorf("an idle %d-node cluster runs %d goroutines, want at most %d per node", n, grew, perNode)
+	}
+}
+
 // TestCloseWithBacklogAndIdleConsumer: Close must not wait for an
 // application that never reads. Every node's delivery queue holds
 // several channel-fuls, every pump is parked on its full channel, and

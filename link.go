@@ -93,9 +93,9 @@ func wireSubstrate(trans Transport) substrate {
 const memBatchMax = 128
 
 // memFrames is one shard's groups.Frames over the in-memory network.
-// PDUs move as pointers: Append stages them per group, the network
-// clones at its boundary on send, and Deliver's PDUs arrive already
-// cloned and owned.
+// PDUs move as pointers: Append stages them per group, and every
+// receiver's Deliver gets the sender's own PDUs, shared and never
+// written (see core.Entity.Receive).
 type memFrames struct {
 	port *network.Port
 	lm   *obsv.LinkMetrics // nil unless instrumented

@@ -33,6 +33,9 @@ for target in FuzzUnmarshal FuzzFrameDecode FuzzCompare FuzzDTUnmarshal FuzzRETU
 	go test ./internal/pdu -run '^$' -fuzz "^${target}\$" -fuzztime 1s
 done
 go test ./internal/vclock -run '^$' -fuzz '^FuzzSparseStamp$' -fuzztime 1s
+for target in FuzzReceiveWire FuzzReceiveCrafted; do
+	go test ./internal/core -run '^$' -fuzz "^${target}\$" -fuzztime 1s
+done
 
 echo '>> chaos sweep smoke (60 seeds)'
 go run ./cmd/cochaos -sweep 60 -par 4
