@@ -124,13 +124,13 @@ type failure struct {
 func perEntityTable(per []core.Stats) string {
 	t := metrics.NewTable("per-entity protocol counters",
 		"node", "data", "sync", "ackonly", "ret", "recv", "accepted", "dup", "parked",
-		"f1", "f2", "retx", "committed", "delivered", "cpi", "cpi-pos", "deferred")
+		"f1", "f2", "retx", "committed", "delivered", "cpi", "cpi-pos", "deferred", "late")
 	for i, s := range per {
 		t.AddRow(i, s.DataSent, s.SyncSent, s.AckOnlySent, s.RetSent,
 			s.DataRecv+s.SyncRecv+s.AckOnlyRecv+s.RetRecv,
 			s.Accepted, s.Duplicates, s.Parked,
 			s.F1Detections, s.F2Detections, s.Retransmitted,
-			s.Committed, s.Delivered, s.CPIDisplaced, s.CPIDisplacement, s.DeferredConfirms)
+			s.Committed, s.Delivered, s.CPIDisplaced, s.CPIDisplacement, s.DeferredConfirms, s.LateConfirms)
 	}
 	return t.String()
 }

@@ -36,6 +36,7 @@ func (v *Violation) Error() string {
 
 // Predicate names checked by Run, in checking order.
 const (
+	PredScheduleExecuted  = "schedule-executed"
 	PredLivenessDelivered = "liveness-delivered"
 	PredInformation       = "information-preserved"
 	PredLocalOrder        = "local-order-preserved"
@@ -50,7 +51,7 @@ const (
 // returns a Violation, so failures still carry their evidence).
 type Result struct {
 	Config Config
-	// Submitted is the number of application broadcasts actually issued.
+	// Submitted is the number of application broadcasts scheduled.
 	Submitted int
 	// VirtualElapsed is the virtual time at quiescence (or at abandonment).
 	VirtualElapsed time.Duration
@@ -328,12 +329,10 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	deadline := faultEnd + 3*time.Second
 	_, liveErr := clusters[0].RunUntil(func() bool {
 		// Before the last submission fires, "everything executed so far is
-		// delivered" must not end the run. Stalled and shedding runs have
-		// never had this guard and keep their pinned behaviour here: a lull
-		// longer than the time to quiesce ends them early (seeds 208, 308
-		// and 398 of the CI sweep) — a known gap, recorded in ROADMAP
-		// under Robustness; closing it re-pins those seeds' digests.
-		if len(stalls) == 0 && !cfg.Shed && s.Now() < submitEnd {
+		// delivered" must not end the run — in every regime: a lull longer
+		// than the time to quiesce would otherwise cut a stalled or
+		// shedding run short of its schedule.
+		if s.Now() < submitEnd {
 			return false
 		}
 		for _, c := range clusters {
@@ -351,6 +350,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	res.PerEntity = make([]core.Stats, cfg.N)
 	res.Net = net.Stats()
 	digests := make([]string, groups)
+	unfired := 0 // scheduled submissions the run ended before
 	var events []trace.Event
 	var buf bytes.Buffer
 	for g, c := range clusters {
@@ -366,6 +366,10 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		events = append(events, ge...)
 		_ = c.Recorder.WriteJSON(&buf) // a bytes.Buffer cannot fail a write
 		res.ShedSubmits += c.ShedCount()
+		unfired += c.Submitted() - c.Skipped()
+		for _, k := range c.SubmittedBy() {
+			unfired -= k
+		}
 		res.Flight = append(res.Flight, c.FlightDumps()...)
 		res.Stalls = append(res.Stalls, c.StallReport()...)
 	}
@@ -381,6 +385,11 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		res.TraceDigest = hex.EncodeToString(sum[:])
 	}
 
+	if unfired > 0 {
+		return res, &Violation{Predicate: PredScheduleExecuted, Detail: fmt.Sprintf(
+			"run ended at %v with %d of %d scheduled submissions not yet due (last at %v)",
+			res.VirtualElapsed, unfired, res.Submitted, submitEnd)}
+	}
 	if liveErr != nil {
 		detail := liveErr.Error()
 		for g, c := range clusters {

@@ -123,6 +123,23 @@ func TestStalledPeerRuns(t *testing.T) {
 	}
 }
 
+// TestLullDoesNotEndRunEarly: a submission lull longer than the time to
+// quiesce must not end a stalled or shedding run before its schedule has
+// come due. These three sweep seeds once did — 308 ran none of its 35
+// submissions and passed every predicate vacuously — and Run now reports
+// such a run under schedule-executed.
+func TestLullDoesNotEndRunEarly(t *testing.T) {
+	for _, seed := range []int64{208, 308, 398} {
+		cfg := FromSeed(seed)
+		if cfg.StalledPeers == 0 && !cfg.Shed {
+			t.Fatalf("seed %d no longer draws a stalled or shedding run", seed)
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
 // TestStalledDeterminism extends the determinism contract to the stall
 // machinery: the first expansion-drawn stalled seed must replay to a
 // byte-identical trace with identical shed and eviction counts.

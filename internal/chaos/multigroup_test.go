@@ -23,13 +23,12 @@ var pinnedMultiGroup = Config{
 
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
-// after an intentional protocol change). They were captured with
-// WireVersion = 2 at the commit before the fixed-width codec was deleted,
-// when wire_version 0 still meant v1 entries for several groups.
+// after an intentional protocol change). They were last re-captured when
+// the two-round confirmation rule changed what every group emits.
 var pinnedMultiGroupDigests = []string{
-	"3af3f36ef814d47f71613748b5a264cb792253550da422bfec08e921fd51cd92",
-	"24f7cdb6d7cd70eb9647696e5d87794bb5c63d835802b6de3269d4672b2e3591",
-	"9b88169b028defc5c6921ddc30519cd1ba1a95aeb7008233fc17f9c533753190",
+	"76a48cef7e842b440b22dee162b3cde7b8032b698990775e6683d3820a53b5ee",
+	"586b98ce2e3f44158a6729452412357f1677398e4a305823f30efa53b5df093e",
+	"6f030611622ebcbfa726caedbab97b6aa447d52b66fe956eb9a8b1889077db84",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network and

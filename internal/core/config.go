@@ -20,9 +20,10 @@
 //   - p is acknowledged (and delivered) once min_j PAL[k][j] passes p.SEQ,
 //     where PAL folds the ACK vectors of pre-acknowledged PDUs (§4.5).
 //   - Flow control: minAL_i ≤ SEQ < minAL_i + min(W, minBUF/(H·2n)) (§4.2).
-//   - Deferred confirmation: an idle entity emits an empty SYNC PDU after
-//     hearing from every peer or after a timeout, keeping confirmation
-//     traffic at O(n) PDUs (§5).
+//   - Deferred confirmation: an entity owes two confirmation rounds per
+//     accepted DATA — an empty SYNC after hearing from every peer (or a
+//     timeout), then one more once every peer's first round is in —
+//     and is then silent, so a message costs 2n+1 PDUs (§5).
 package core
 
 import (
@@ -258,9 +259,11 @@ type Stats struct {
 	CPIDisplaced    uint64
 	CPIDisplacement uint64
 	// DeferredConfirms counts confirmations emitted by the deferred
-	// confirmation rule (§5): SYNC or ACKONLY PDUs sent because the
-	// all-heard condition or the deferred-ack timer fired.
+	// confirmation rule (§5): SYNC or ACKONLY PDUs sent because a round,
+	// a NeedAck answer or the deferred-ack timer fell due. LateConfirms
+	// is the subset the timer fired.
 	DeferredConfirms uint64
+	LateConfirms     uint64
 	// FlowBlocked counts submissions that had to wait for the window.
 	FlowBlocked uint64
 	// MaxResident is the peak number of PDUs simultaneously held in the
@@ -304,6 +307,7 @@ func (s *Stats) Add(o Stats) {
 	s.CPIDisplaced += o.CPIDisplaced
 	s.CPIDisplacement += o.CPIDisplacement
 	s.DeferredConfirms += o.DeferredConfirms
+	s.LateConfirms += o.LateConfirms
 	s.FlowBlocked += o.FlowBlocked
 	s.InvalidPDUs += o.InvalidPDUs
 	s.Evicted += o.Evicted

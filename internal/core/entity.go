@@ -78,6 +78,18 @@ type Entity struct {
 	// accept and on eviction.
 	unheard     vclock.Bits
 	needRespond bool // accepted a NeedAck PDU since our last send
+	// rounds counts the confirmation rounds still owed for accepted
+	// DATA: accepting one sets 2; the next sequenced send is round 1;
+	// the first send once uncovered is empty is round 2, and then the
+	// entity is silent. dataHi[k] is the newest DATA SEQ accepted from
+	// k (0: none), lastACK[k] the ACK vector of the newest sequenced PDU
+	// accepted from k, and uncovered the live peers whose lastACK does
+	// not yet pass dataHi in every live column — the peers whose round 1
+	// this entity has not accepted.
+	rounds    int
+	dataHi    []pdu.Seq
+	lastACK   [][]pdu.Seq
+	uncovered vclock.Bits
 	// owed/speakDeadline implement the "or some predefined time units"
 	// half of the deferred confirmation rule: the deadline arms when an
 	// obligation appears and is pushed back by every send.
@@ -192,6 +204,9 @@ func New(cfg Config) (*Entity, error) {
 		reqStamp:   vclock.NewStamp(n),
 		gapBits:    vclock.NewBits(n),
 		unheard:    vclock.NewBits(n),
+		dataHi:     make([]pdu.Seq, n),
+		lastACK:    make([][]pdu.Seq, n),
+		uncovered:  vclock.NewBits(n),
 		ackedBits:  vclock.NewBits(n),
 		alive:      vclock.NewBits(n),
 		ackedQ:     make([]msglog.Log, n),
@@ -205,7 +220,12 @@ func New(cfg Config) (*Entity, error) {
 		lastHeard:  make([]time.Duration, n),
 		heardOnce:  make([]bool, n),
 	}
+	// Until k sends, its vector is the initial all-ones one; one shared
+	// (never written) slice stands in for every source.
+	ones := make([]pdu.Seq, n)
 	for j := 0; j < n; j++ {
+		ones[j] = 1
+		e.lastACK[j] = ones
 		e.req[j] = 1
 		e.known[j] = 1
 		e.buf[j] = cfg.BufferUnits
@@ -616,14 +636,20 @@ func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 	// The freshly enqueued PDU may already satisfy the PACK condition
 	// (minAL can sit past SEQ when the repair of an old gap arrives late).
 	e.markPackDirty(src)
-	if e.to != nil {
-		e.to.lastAcc[src] = p.ACK
-	}
+	e.lastACK[src] = p.ACK
 	if p.Kind == pdu.KindData {
 		e.dataResident++
+		e.dataHi[src] = p.SEQ
+		e.rounds = 2
+		if !e.evicted[src] {
+			e.raiseCoverBar(int(src), p.SEQ)
+		}
 	}
 	if src != e.me {
 		e.unheard.Clear(int(src))
+		if e.uncovered.Test(int(src)) {
+			e.noteCoverage(int(src))
+		}
 	}
 	e.stats.Accepted++
 	if e.m != nil {
@@ -839,7 +865,7 @@ func (e *Entity) drainSubmits(now time.Duration, out *Output) {
 		}
 		e.pendingSubmits = e.pendingSubmits[k:]
 		e.stats.MsgsSent += uint64(k)
-		e.broadcastSequenced(pdu.KindData, data, packed, now, out)
+		e.broadcastSequenced(pdu.KindData, data, packed, false, now, out)
 	}
 }
 
@@ -864,12 +890,19 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 	e.trace(trace.Deliver, p.Src, p.SEQ, p.Kind, now)
 }
 
-// maybeConfirm implements deferred confirmation (§5): once we have heard
-// from every peer since our last sequenced send — or the deferred-ack
-// timer expires — and we have a reason to speak (undelivered data
-// anywhere we can see, or a NeedAck PDU to answer), emit a SYNC. If the
-// flow window is closed, fall back to an unsequenced ACKONLY so
-// confirmations still flow (liveness amendment, DESIGN.md §2).
+// maybeConfirm implements deferred confirmation (§5) as exactly two
+// confirmation rounds per accepted DATA (DESIGN.md §2). Round 1 is the
+// first sequenced PDU after accepting a DATA, sent once we have heard
+// from every peer since our last send; PACK needs its ACK vector. Round 2
+// goes as soon as every live peer's round 1 has been accepted here; its
+// vector lets everyone pre-acknowledge those rounds, which is what ACK
+// needs. Then the entity is silent. Answering a NeedAck PDU, a
+// flow-blocked backlog and a held total-order release wait for all-heard
+// too. Data that is merely still resident waits for the deferred-ack
+// timer, which also fires whichever trigger above is slow to come: a
+// late confirmation. If the flow window is closed, an unsequenced
+// ACKONLY goes instead (liveness amendment, DESIGN.md §2); it can serve
+// as round 2 only, because PAL folds from sequenced PDUs alone.
 func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	if e.cfg.DisableDeferredConfirm {
 		return
@@ -883,26 +916,106 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 		e.owedSince = now
 		e.speakDeadline = now + e.cfg.DeferredAckInterval
 	}
-	if !e.unheard.Empty() && now < e.speakDeadline {
-		return
+	// At most two sends: round 1 may find round 2 due at once (the last
+	// entity to speak has every peer's round 1 already). A send pushes
+	// the deadline back, so only a due confirmation follows it.
+	for sends := 0; sends < 2; sends++ {
+		late := !e.confirmDue()
+		if late && now < e.speakDeadline {
+			return
+		}
+		e.stats.DeferredConfirms++
+		if late {
+			e.stats.LateConfirms++
+		}
+		if e.windowOpen() {
+			e.broadcastSequenced(pdu.KindSync, nil, false, late, now, out)
+		} else {
+			e.sendAckOnly(late, now, out)
+		}
 	}
-	e.stats.DeferredConfirms++
-	if e.windowOpen() {
-		e.broadcastSequenced(pdu.KindSync, nil, false, now, out)
-		return
+}
+
+// confirmDue reports whether a confirmation is due before the deferred-ack
+// timer: round 1 once every peer has been heard from since our last send,
+// round 2 once no live peer is uncovered, and an answer to NeedAck, a
+// flow-blocked backlog or a held total-order release once every peer has
+// been heard from. Resident data alone is never due: it waits for the
+// timer.
+func (e *Entity) confirmDue() bool {
+	switch {
+	case e.rounds == 2:
+		return e.unheard.Empty()
+	case e.rounds == 1:
+		return e.uncovered.Empty()
+	case e.needRespond || len(e.pendingSubmits) > 0 || e.to != nil && e.to.pending.Len() > 0:
+		return e.unheard.Empty()
 	}
-	e.sendAckOnly(now, out)
+	return false
 }
 
 // needsToSpeak reports whether this entity owes the cluster confirmations:
-// it holds undelivered data, has data waiting to send, or was asked for
-// help by a NeedAck PDU.
-func (e *Entity) needsToSpeak() bool { return e.owesData() || e.needRespond }
+// it owes rounds for accepted data, holds undelivered data, has data
+// waiting to send, or was asked for help by a NeedAck PDU.
+func (e *Entity) needsToSpeak() bool { return e.rounds > 0 || e.needRespond || e.owesData() }
 
 // owesData reports whether this entity still holds undelivered or unsent
-// data — the NeedAck bit of every PDU it sends.
+// data.
 func (e *Entity) owesData() bool {
 	return e.dataResident > 0 || e.parkedData > 0 || len(e.pendingSubmits) > 0
+}
+
+// solicits is the NeedAck bit of a confirmation, read after discharge:
+// set while rounds are still owed or submissions wait for the window,
+// and on a late confirmation while data is still held — the liveness
+// fallback for a peer whose round 1 crossed the DATA in flight, or data
+// that two rounds left blocked behind a concurrent PDU.
+func (e *Entity) solicits(late bool) bool {
+	return e.rounds > 0 || len(e.pendingSubmits) > 0 ||
+		late && (e.dataResident > 0 || e.parkedData > 0)
+}
+
+// discharge credits a send against the rounds owed: any sequenced PDU is
+// round 1; round 2 is the first send, an ACKONLY included, once no live
+// peer is uncovered.
+func (e *Entity) discharge(sequenced bool) {
+	switch {
+	case e.rounds == 2 && sequenced:
+		e.rounds = 1
+	case e.rounds == 1 && e.uncovered.Empty():
+		e.rounds = 0
+	}
+}
+
+// raiseCoverBar records the acceptance of DATA (k, s): every live peer
+// whose newest accepted vector has not passed it is uncovered again.
+func (e *Entity) raiseCoverBar(k int, s pdu.Seq) {
+	for wi, w := range e.alive {
+		for w != 0 {
+			j := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if j != int(e.me) && e.lastACK[j][k] <= s {
+				e.uncovered.Set(j)
+			}
+		}
+	}
+}
+
+// noteCoverage clears peer j from uncovered once its newest accepted
+// vector passes dataHi in every live column. ACK vectors only grow per
+// source, so a covered peer stays covered until raiseCoverBar.
+func (e *Entity) noteCoverage(j int) {
+	ack := e.lastACK[j]
+	for wi, w := range e.alive {
+		for w != 0 {
+			k := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			if ack[k] <= e.dataHi[k] {
+				return
+			}
+		}
+	}
+	e.uncovered.Clear(j)
 }
 
 // broadcastSequenced performs the transmission action of §4.2: stamp SEQ
@@ -916,8 +1029,9 @@ func (e *Entity) owesData() bool {
 // which is the annotation's contract. ACK and Delta are carved from a
 // single slab so the annotation adds no allocation; the epoch resets
 // (ClearDirty) before the self-accept so the own column — which changes
-// on every send — lands in the next PDU's dirty set.
-func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed bool, now time.Duration, out *Output) {
+// on every send — lands in the next PDU's dirty set. late marks a
+// confirmation the deferred-ack timer fired.
+func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late bool, now time.Duration, out *Output) {
 	c := 0
 	annotate := e.seq > 1 && !e.cfg.DenseFold && !e.reqStamp.Dense()
 	if annotate {
@@ -935,7 +1049,10 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed bool, now
 	}
 	e.reqStamp.ClearDirty()
 	p.SEQ = e.seq
-	p.NeedAck = kind == pdu.KindData || e.owesData()
+	// Discharge before the self-accept, so that an own DATA owes its two
+	// rounds afresh.
+	e.discharge(true)
+	p.NeedAck = kind == pdu.KindData || e.solicits(late)
 	p.Data, p.Packed = data, packed
 	e.seq++
 	e.sendlog[p.SEQ] = p
@@ -974,9 +1091,10 @@ func (e *Entity) newPDU(kind pdu.Kind, spare int) (*pdu.PDU, []pdu.Seq) {
 
 // sendAckOnly emits the unsequenced control PDU that keeps receipt
 // confirmations moving when the flow window is closed.
-func (e *Entity) sendAckOnly(now time.Duration, out *Output) {
+func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 	p, _ := e.newPDU(pdu.KindAckOnly, 0)
-	p.NeedAck = e.owesData()
+	e.discharge(false)
+	p.NeedAck = e.solicits(late)
 	e.stats.AckOnlySent++
 	// The ACKONLY's ACK vector discharges the confirmation obligation of
 	// everything received so far, exactly like a sequenced send — without

@@ -68,11 +68,18 @@ func (e *Entity) Evicted(k pdu.EntityID) bool { return e.evicted[k] }
 // leaves the alive set (quorum scans), stops counting toward the
 // deferred-confirmation rule, is no longer a RET candidate, and the
 // total-order stability cache — whose membership just changed — is
-// recomputed at the next release probe.
+// recomputed at the next release probe. Round-2 coverage drops k's
+// column too, so its unrepairable DATA cannot hold anyone uncovered.
 func (e *Entity) dropFromQuorum(k int) {
 	e.alive.Clear(k)
 	e.unheard.Clear(k)
 	e.gapBits.Clear(k)
+	e.uncovered.Clear(k)
+	for j := 0; j < e.n; j++ {
+		if e.uncovered.Test(j) {
+			e.noteCoverage(j)
+		}
+	}
 	if e.to != nil {
 		e.to.unsatValid = false
 	}

@@ -162,3 +162,38 @@ func TestNoSuspicionWhenQuiescent(t *testing.T) {
 		t.Error("quiescent entity suspected its peers")
 	}
 }
+
+// TestEvictedSourceDoesNotHoldRoundTwo: round 2 waits until every live
+// peer's vector passes the newest accepted DATA of every source. A DATA
+// from a source that is then evicted may never reach the other peers,
+// so the eviction drops that column from the test and round 2 goes out
+// at once instead of on the deferred-ack timer.
+func TestEvictedSourceDoesNotHoldRoundTwo(t *testing.T) {
+	e0, err := core.New(core.Config{ID: 0, N: 3, DeferredAckInterval: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := &pdu.PDU{Kind: pdu.KindData, Src: 2, SEQ: 1, ACK: []pdu.Seq{1, 1, 1},
+		NeedAck: true, LSrc: pdu.NoEntity, Data: []byte("x"), BUF: 4096}
+	if out, err := e0.Receive(data, 0); err != nil || len(out.PDUs) != 0 {
+		t.Fatalf("DATA from 2: %v, %v (want silence until 1 is heard)", out.PDUs, err)
+	}
+	// Entity 1 speaks without having seen entity 2's DATA: all-heard fires
+	// round 1, but 1 stays uncovered in column 2.
+	sync := &pdu.PDU{Kind: pdu.KindSync, Src: 1, SEQ: 1, ACK: []pdu.Seq{1, 1, 1},
+		LSrc: pdu.NoEntity, BUF: 4096}
+	out, err := e0.Receive(sync, time.Millisecond)
+	if err != nil || len(out.PDUs) != 1 || out.PDUs[0].Kind != pdu.KindSync {
+		t.Fatalf("round 1: %v, %v (want one SYNC)", out.PDUs, err)
+	}
+	out, err = e0.Evict(2, 2*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.PDUs) != 1 || out.PDUs[0].Kind != pdu.KindSync || out.PDUs[0].NeedAck {
+		t.Fatalf("after evicting 2: %v, want round 2 (one SYNC, no NeedAck)", out.PDUs)
+	}
+	if s := e0.Stats(); s.DeferredConfirms != 2 || s.LateConfirms != 0 {
+		t.Errorf("DeferredConfirms %d, LateConfirms %d; want 2 rounds, none late", s.DeferredConfirms, s.LateConfirms)
+	}
+}

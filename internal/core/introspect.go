@@ -109,6 +109,7 @@ func (e *Entity) publishStats() {
 	pub(&m.CPIDisplaced, s.CPIDisplaced, &p.CPIDisplaced)
 	pub(&m.CPIDisplacement, s.CPIDisplacement, &p.CPIDisplacement)
 	pub(&m.DeferredConfirms, s.DeferredConfirms, &p.DeferredConfirms)
+	pub(&m.LateConfirms, s.LateConfirms, &p.LateConfirms)
 	pub(&m.FlowBlocked, s.FlowBlocked, &p.FlowBlocked)
 	pub(&m.InvalidPDUs, s.InvalidPDUs, &p.InvalidPDUs)
 }

@@ -225,6 +225,18 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 		if e.unheard.Test(k) && (k == int(e.me) || e.evicted[k]) {
 			fail("unheard[%d] set for self/evicted", k)
 		}
+		// uncovered marks exactly the live peers whose newest accepted
+		// vector trails the newest accepted DATA in some live column.
+		uncovered := false
+		for c := 0; c < e.n && k != int(e.me) && !e.evicted[k]; c++ {
+			uncovered = uncovered || !e.evicted[c] && e.lastACK[k][c] <= e.dataHi[c]
+		}
+		if got := e.uncovered.Test(k); got != uncovered {
+			fail("uncovered[%d]=%v, want %v (lastACK %v, dataHi %v)", k, got, uncovered, e.lastACK[k], e.dataHi)
+		}
+	}
+	if e.rounds < 0 || e.rounds > 2 {
+		fail("rounds=%d", e.rounds)
 	}
 	// When the total-order head cache is armed it matches a fresh
 	// recomputation of the unsatisfied-source set for its key.

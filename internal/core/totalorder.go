@@ -14,10 +14,11 @@ package core
 //   - DATA PDUs are released to the application in (ltime, src, seq)
 //     order once *stable*: a PDU m is released when every other source
 //     has committed something with a larger key, so nothing that could
-//     sort before m can still commit. Keys grow strictly per source,
-//     and the deferred-confirmation gossip keeps committing fresh SYNC
-//     keys while any entity still holds unreleased data, so release is
-//     live.
+//     sort before m can still commit. Keys grow strictly per source.
+//     The two confirmation rounds commit the DATA but not the rounds'
+//     own SYNCs, so an entity holding a release keeps confirming on
+//     every all-heard (confirmDue): each such round commits the SYNCs
+//     of the one before, and release is live.
 //
 // The result: all entities deliver the identical sequence, which is also
 // causality-preserving (p ≺ q ⇒ ltime(p) < ltime(q)).
@@ -62,9 +63,6 @@ type toState struct {
 	hasKey  []bool
 	// pending holds committed DATA PDUs awaiting stable release.
 	pending toHeap
-	// lastAcc[j] is the ACK vector of the newest accepted sequenced PDU
-	// from j, used as the pruning floor for ltimes.
-	lastAcc [][]pdu.Seq
 	// Stability cache for releaseTotal: while the pending head stays the
 	// same, unsat holds the sources still blocking its release
 	// (unsatValid marks the cache live, unsatFor the head it describes).
@@ -88,7 +86,6 @@ func newTOState(n int) *toState {
 		base:    make([]pdu.Seq, n),
 		lastKey: make([]toKey, n),
 		hasKey:  make([]bool, n),
-		lastAcc: make([][]pdu.Seq, n),
 		unsat:   vclock.NewBits(n),
 	}
 	for k := range s.base {
@@ -212,15 +209,9 @@ func (e *Entity) pruneLTimes() {
 		}
 	}
 	for j := 0; j < e.n; j++ {
-		if s.lastAcc[j] != nil {
-			consider(s.lastAcc[j])
-		} else {
-			// Nothing accepted from j yet: its future PDUs may reference
-			// anything; keep everything.
-			for k := range floor {
-				floor[k] = 1
-			}
-		}
+		// Nothing accepted from j yet leaves the all-ones vector: its
+		// future PDUs may reference anything, so everything is kept.
+		consider(e.lastACK[j])
 	}
 	for k := 0; k < e.n; k++ {
 		for i := 0; i < e.rrl[k].Len(); i++ {

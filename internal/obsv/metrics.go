@@ -38,9 +38,10 @@ type EntityMetrics struct {
 	CPIDisplaced, CPIDisplacement Counter
 
 	// DeferredConfirms counts deferred-confirmation firings (§5):
-	// SYNC or ACKONLY PDUs emitted by the confirmation timer because
-	// the entity had been silent.
-	DeferredConfirms Counter
+	// SYNC or ACKONLY PDUs emitted because a confirmation round, a
+	// NeedAck answer or the deferred-ack timer fell due; LateConfirms
+	// is the subset the timer fired.
+	DeferredConfirms, LateConfirms Counter
 
 	// FlowBlocked counts submissions stalled by the flow window;
 	// InvalidPDUs counts malformed or mis-addressed receptions.

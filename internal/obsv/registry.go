@@ -227,8 +227,11 @@ var entityCounterFamilies = []entityFamily{
 	{"cobcast_cpi_displacement_positions_total", "Total list positions bypassed by displaced CPI insertions.", []entitySample{
 		{"", func(m *EntityMetrics) *Counter { return &m.CPIDisplacement }},
 	}},
-	{"cobcast_deferred_confirms_total", "Deferred-confirmation timer firings (SYNC/ACKONLY emitted).", []entitySample{
+	{"cobcast_deferred_confirms_total", "Deferred confirmations emitted (SYNC/ACKONLY).", []entitySample{
 		{"", func(m *EntityMetrics) *Counter { return &m.DeferredConfirms }},
+	}},
+	{"cobcast_late_confirms_total", "Deferred confirmations fired by the deferred-ack timer (a subset of cobcast_deferred_confirms_total).", []entitySample{
+		{"", func(m *EntityMetrics) *Counter { return &m.LateConfirms }},
 	}},
 	{"cobcast_flow_blocked_total", "Submissions stalled by the flow window.", []entitySample{
 		{"", func(m *EntityMetrics) *Counter { return &m.FlowBlocked }},

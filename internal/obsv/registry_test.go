@@ -35,6 +35,7 @@ func populateEntity(m *obsv.EntityMetrics) {
 	m.DeferredConfirms.Add(21)
 	m.FlowBlocked.Add(22)
 	m.InvalidPDUs.Add(23)
+	m.LateConfirms.Add(24)
 	m.DeliverLatencyUS.Observe(120)
 	m.AckWaitUS.Observe(3000)
 }
@@ -99,6 +100,7 @@ func TestWriteMetricsIsValidPrometheusText(t *testing.T) {
 		{"cobcast_cpi_displaced_total", nil, 19},
 		{"cobcast_cpi_displacement_positions_total", nil, 20},
 		{"cobcast_deferred_confirms_total", nil, 21},
+		{"cobcast_late_confirms_total", nil, 24},
 		{"cobcast_link_flushed_pdus_total", nil, 5},
 		{"cobcast_link_early_flushes_total", nil, 1},
 		{"cobcast_transport_datagrams_sent_total", map[string]string{"transport": "0"}, 100},

@@ -87,6 +87,7 @@ func TestRegistryCountersMatchEntityStats(t *testing.T) {
 			{"cobcast_cpi_displaced_total", node, s.CPIDisplaced},
 			{"cobcast_cpi_displacement_positions_total", node, s.CPIDisplacement},
 			{"cobcast_deferred_confirms_total", node, s.DeferredConfirms},
+			{"cobcast_late_confirms_total", node, s.LateConfirms},
 			{"cobcast_flow_blocked_total", node, s.FlowBlocked},
 			{"cobcast_invalid_pdus_total", node, s.InvalidPDUs},
 		}

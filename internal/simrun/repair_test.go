@@ -16,22 +16,18 @@ import (
 // name entity 0's PDUs before those PDUs reach entity 3, which counts
 // each as an F2 detection and asks entity 0 to retransmit PDUs that are
 // still in flight. With a uniform delay the same workload repairs
-// nothing. The counts are pinned as the engine stands; item 1's fix —
-// no first RET while the named source's PDU can still be in flight —
-// drives RetSent, and with it Retransmitted and Duplicates, to 0.
+// nothing. The counts are pinned as the engine stands (the two-round
+// confirmation rule sends fewer SYNCs, and one fewer ACK vector names a
+// PDU still in flight: F2Detections 18 → 17); item 1's fix — no first
+// RET while the named source's PDU can still be in flight — drives
+// RetSent, and with it Retransmitted and Duplicates, to 0.
 func TestZeroLossSkewRepairs(t *testing.T) {
-	skewed := func(from, to pdu.EntityID, _ *rand.Rand) time.Duration {
-		if from == 0 && to == 3 {
-			return 2500 * time.Microsecond
-		}
-		return 500 * time.Microsecond
-	}
 	for _, tc := range []struct {
 		name                                   string
 		delay                                  sim.NetOption
 		f2, retSent, retransmitted, duplicates uint64
 	}{
-		{"skewed", sim.NetDelay(skewed), 18, 1, 1, 3},
+		{"skewed", sim.NetDelay(skewedLink), 17, 1, 1, 3},
 		{"uniform", sim.NetUniformDelay(500 * time.Microsecond), 0, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,4 +44,12 @@ func TestZeroLossSkewRepairs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// skewedLink delays 0→3 by 2.5 ms and every other link by 500 µs.
+func skewedLink(from, to pdu.EntityID, _ *rand.Rand) time.Duration {
+	if from == 0 && to == 3 {
+		return 2500 * time.Microsecond
+	}
+	return 500 * time.Microsecond
 }
