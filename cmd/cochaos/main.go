@@ -8,7 +8,8 @@
 //	cochaos -sweep 500 -par 4 -shrink -faildir chaos-failures
 //
 // Sweep the same seeds with the wire codec in the loop (every simulated
-// datagram round-trips through the delta-stamp byte codec):
+// datagram is a frame through the runtime's delta-stamp link layer, and
+// seeds that draw it corrupt some frames in flight):
 //
 //	cochaos -sweep 500 -par 4 -codec 2
 //
@@ -146,7 +147,7 @@ func sweep(o options, stdout, stderr io.Writer) int {
 	var agg struct {
 		submitted                   int
 		dropped, retx, parked, dups uint64
-		codecDropped                uint64
+		desyncs, decodeDrops        uint64
 		dataSent, syncSent          uint64
 	}
 	// regimes counts the seeds by the kind of run FromSeed expanded them
@@ -174,7 +175,8 @@ func sweep(o options, stdout, stderr io.Writer) int {
 					passed++
 					agg.submitted += res.Submitted
 					agg.dropped += res.Net.Dropped
-					agg.codecDropped += res.Net.CodecDropped
+					agg.desyncs += res.Link.StampDesyncs.Load()
+					agg.decodeDrops += res.Link.DecodeDrops.Load()
 					agg.retx += res.Stats.Retransmitted
 					agg.parked += res.Stats.Parked
 					agg.dups += res.Stats.Duplicates
@@ -214,13 +216,10 @@ func sweep(o options, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "cochaos: %d/%d seeds passed (seeds %d..%d)\n",
 		passed, o.sweep, o.start, o.start+int64(o.sweep)-1)
 	if o.verbose || len(failures) == 0 {
-		fmt.Fprintf(stdout, "coverage: %d submissions, %d datagram PDUs dropped, %d retransmitted, %d parked, %d duplicate discards, %d DATA + %d SYNC/ACKONLY sends\n",
-			agg.submitted, agg.dropped, agg.retx, agg.parked, agg.dups, agg.dataSent, agg.syncSent)
+		fmt.Fprintf(stdout, "coverage: %d submissions, %d datagrams dropped, %d retransmitted, %d parked, %d duplicate discards, %d DATA + %d SYNC/ACKONLY sends, %d stamp desyncs, %d frame decode drops\n",
+			agg.submitted, agg.dropped, agg.retx, agg.parked, agg.dups, agg.dataSent, agg.syncSent, agg.desyncs, agg.decodeDrops)
 		fmt.Fprintf(stdout, "regimes: %d classic, %d stalled, %d multi-group seeds\n",
 			regimes.classic, regimes.stalled, regimes.multiGroup)
-		if o.codec != 0 {
-			fmt.Fprintf(stdout, "codec v%d: %d PDUs dropped by delta-stamp desync\n", o.codec, agg.codecDropped)
-		}
 	}
 	for _, f := range failures {
 		fmt.Fprintf(stderr, "FAIL seed %d: [%s] %s\n", f.Seed, f.Predicate, f.Detail)
@@ -270,13 +269,11 @@ func replay(o options, stdout, stderr io.Writer) int {
 		if o.verbose {
 			fmt.Fprintf(stdout, "submitted %d, delivered %d, virtual elapsed %v (faults ceased at %v)\n",
 				res.Submitted, res.Stats.Delivered, res.VirtualElapsed, res.FaultEnd)
-			fmt.Fprintf(stdout, "net: %d sent, %d delivered, %d dropped; retransmitted %d, parked %d, duplicates %d\n",
+			fmt.Fprintf(stdout, "net: %d datagrams sent, %d delivered, %d dropped; retransmitted %d, parked %d, duplicates %d\n",
 				res.Net.Sent, res.Net.Delivered, res.Net.Dropped,
 				res.Stats.Retransmitted, res.Stats.Parked, res.Stats.Duplicates)
-			if o.codec != 0 {
-				fmt.Fprintf(stdout, "codec v%d: %d PDUs dropped by delta-stamp desync\n",
-					o.codec, res.Net.CodecDropped)
-			}
+			fmt.Fprintf(stdout, "link: %d stamp desyncs, %d frame decode drops (%d frames corrupted)\n",
+				res.Link.StampDesyncs.Load(), res.Link.DecodeDrops.Load(), res.Corrupted)
 		}
 		if o.verbose || o.trace != "" {
 			fmt.Fprintln(stdout, perEntityTable(res.PerEntity))

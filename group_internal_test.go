@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cobcast/internal/groups"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -42,17 +43,17 @@ func (tr *nullBatchTransport) Close() error        { return nil }
 // necessarily copies its payload, but from the shard goroutine down to
 // the transport no allocation may remain.
 func TestGroupFramesSteadyStateAllocs(t *testing.T) {
-	for _, groups := range [][]uint32{{7, 9, 400}, {0}} {
-		t.Run(fmt.Sprintf("groups%v/v2", groups), func(t *testing.T) {
+	for _, gs := range [][]uint32{{7, 9, 400}, {0}} {
+		t.Run(fmt.Sprintf("groups%v/v2", gs), func(t *testing.T) {
 			tr := &nullBatchTransport{}
-			f := newWireFrames(tr, obsv.NewLinkMetrics())
+			f := groups.NewWireFrames(tr, obsv.NewLinkMetrics(), 0)
 			p := &pdu.PDU{
 				Kind: pdu.KindData, CID: 1, Src: 0, SEQ: 0,
 				ACK: make([]pdu.Seq, 4), LSrc: pdu.NoEntity,
 				Data: make([]byte, 64),
 			}
 			step := func() {
-				for _, g := range groups {
+				for _, g := range gs {
 					p.SEQ++
 					f.Append(g, p)
 				}
@@ -66,10 +67,10 @@ func TestGroupFramesSteadyStateAllocs(t *testing.T) {
 			if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
 				t.Errorf("Append+Flush allocates %.2f per op in steady state, want 0", allocs)
 			}
-			if len(groups) > 1 && tr.batches == 0 {
+			if len(gs) > 1 && tr.batches == 0 {
 				t.Fatal("staged-batch path never taken")
 			}
-			if len(groups) == 1 && tr.broadcasts == 0 {
+			if len(gs) == 1 && tr.broadcasts == 0 {
 				t.Fatal("single-frame path never taken")
 			}
 		})

@@ -37,6 +37,7 @@ func (v *Violation) Error() string {
 // Predicate names checked by Run, in checking order.
 const (
 	PredScheduleExecuted  = "schedule-executed"
+	PredLinkIntegrity     = "link-integrity"
 	PredLivenessDelivered = "liveness-delivered"
 	PredInformation       = "information-preserved"
 	PredLocalOrder        = "local-order-preserved"
@@ -64,6 +65,11 @@ type Result struct {
 	Stats     core.Stats
 	PerEntity []core.Stats
 	Net       sim.NetStats
+	// Link is the processes' link-layer counters (simrun.Cluster.Link);
+	// Corrupted counts the frame copies the corrupt fault mangled, the
+	// most Link.DecodeDrops may be.
+	Link      *obsv.LinkMetrics
+	Corrupted uint64
 	// Summary aggregates the recorded trace.
 	Summary trace.Summary
 	// TraceJSON is the full JSON-lines trace; TraceDigest its SHA-256.
@@ -131,8 +137,9 @@ func Run(cfg Config) (*Result, error) { return RunWithRegistry(cfg, nil) }
 func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) { return run(cfg, reg, nil) }
 
 // run is RunWithRegistry with tap, when non-nil, observing every PDU as
-// it arrives at an entity (simrun.Options.PDUTap).
-func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.PDU)) (*Result, error) {
+// it arrives at an entity (simrun.Options.PDUTap), and extra applied
+// after the harness's own network options (a test's fault of its own).
+func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.PDU), extra ...sim.NetOption) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,7 +206,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	// exists; capture through a pointer filled in below.
 	var s *sim.Sim
 	burstLeft := make([]int, cfg.N)
-	dropDatagram := func(from, to pdu.EntityID, _ int) bool {
+	dropDatagram := func(from, to pdu.EntityID, _ sim.Datagram) bool {
 		if s.Now() >= faultEnd {
 			return false
 		}
@@ -227,6 +234,25 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		return d
 	}
 
+	// Frame corruption: one byte past the header flipped, or the frame
+	// cut short past its header, on the receiver's own copy.
+	var corrupted uint64
+	corrupt := func(_, _ pdu.EntityID, frame []byte) []byte {
+		hdr := pdu.FrameHeaderSize
+		if g, _ := pdu.FrameGroup(frame); g != 0 {
+			hdr = pdu.FrameHeaderSizeV3
+		}
+		if cfg.Corrupt == 0 || s.Now() >= faultEnd || len(frame) <= hdr || rng.Float64() >= cfg.Corrupt {
+			return frame
+		}
+		corrupted++
+		if rng.Intn(2) == 0 {
+			frame[hdr+rng.Intn(len(frame)-hdr)] ^= byte(1 + rng.Intn(255))
+			return frame
+		}
+		return frame[:hdr+rng.Intn(len(frame)-hdr)]
+	}
+
 	// Several groups always ride real frames: the v3 group-addressed
 	// header is what such a run exists to exercise.
 	wire := cfg.WireVersion
@@ -247,12 +273,13 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 			PressureSuspectAfter: suspectAfter / 4,
 			Ledger:               nil, // per-entity ledgers: MemBudgetBytes below
 		},
-		Net: []sim.NetOption{
+		Net: append([]sim.NetOption{
 			sim.NetSeed(cfg.Seed),
 			sim.NetDelay(delay),
 			sim.NetDuplicateRate(cfg.Duplicate),
-			sim.NetDatagramFilter(dropDatagram),
-		},
+			sim.NetDropFilter(dropDatagram),
+			sim.NetCorrupt(corrupt),
+		}, extra...),
 		Trace:          true,
 		PDUTap:         tap,
 		Registry:       reg,
@@ -283,12 +310,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	res := &Result{Config: cfg, Submitted: len(subs), FaultEnd: faultEnd}
 	stalled := make(map[pdu.EntityID]bool, len(stalls))
 	for _, st := range stalls {
-		st := st
-		s.At(st.at, func() {
-			for _, c := range clusters {
-				c.Freeze(st.id)
-			}
-		})
+		s.At(st.at, func() { clusters[0].Freeze(st.id) })
 		res.Stalled = append(res.Stalled, int(st.id))
 		stalled[st.id] = true
 	}
@@ -349,6 +371,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	res.VirtualElapsed = s.Now()
 	res.PerEntity = make([]core.Stats, cfg.N)
 	res.Net = net.Stats()
+	res.Link, res.Corrupted = clusters[0].Link, corrupted
 	digests := make([]string, groups)
 	unfired := 0 // scheduled submissions the run ended before
 	var events []trace.Event
@@ -390,6 +413,9 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 			"run ended at %v with %d of %d scheduled submissions not yet due (last at %v)",
 			res.VirtualElapsed, unfired, res.Submitted, submitEnd)}
 	}
+	if v := checkLink(res); v != nil {
+		return res, v
+	}
 	if liveErr != nil {
 		detail := liveErr.Error()
 		for g, c := range clusters {
@@ -415,6 +441,32 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		}
 	}
 	return res, nil
+}
+
+// checkLink fails a run whose datagrams the runtime could not handle.
+// The simulated network hands over only what an entity sent, so every
+// PDU must encode, every frame must decode unless the corrupt fault
+// mangled it, every datagram must name a group of the run, and every
+// entity must accept every PDU. RET would repair any of these as loss
+// and let the ordering predicates pass; this one does not.
+func checkLink(res *Result) *Violation {
+	bad := func(format string, a ...any) *Violation {
+		return &Violation{Predicate: PredLinkIntegrity, Detail: fmt.Sprintf(format, a...)}
+	}
+	switch l := res.Link; {
+	case l.EncodeDrops.Load() > 0:
+		return bad("%d PDUs failed to encode", l.EncodeDrops.Load())
+	case l.DecodeDrops.Load() > res.Corrupted:
+		return bad("%d frames failed to decode, %d were corrupted", l.DecodeDrops.Load(), res.Corrupted)
+	case l.UnknownGroups.Load() > 0:
+		return bad("%d datagrams named an unknown group", l.UnknownGroups.Load())
+	}
+	for i, st := range res.PerEntity {
+		if st.InvalidPDUs > 0 {
+			return bad("entity %d rejected %d PDUs", i, st.InvalidPDUs)
+		}
+	}
+	return nil
 }
 
 // checkGroup runs the safety battery over one group's trace, each

@@ -39,9 +39,10 @@ func TestWireVersionDeterminism(t *testing.T) {
 // so the round trip is lossless per PDU and the run must be
 // trace-identical to the pointer path — the codec layer changes only the
 // representation in flight. At K=2 and the default, loss strands deltas
-// (CodecDropped > 0) and the CO service must hold regardless.
+// (the link layer's stamp desyncs > 0) and the CO service must hold
+// regardless.
 func TestStampIntervals(t *testing.T) {
-	run := func(wire, k int) (string, uint64) {
+	run := func(wire, k int) (digest string, desyncs uint64) {
 		c, err := simrun.New(simrun.Options{
 			N: 4,
 			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond),
@@ -60,18 +61,21 @@ func TestStampIntervals(t *testing.T) {
 		if a, err := c.Analyze(); err != nil || a.CheckCOService() != nil {
 			t.Fatalf("wire %d K=%d: CO service violated (analysis error %v)", wire, k, err)
 		}
-		digest, err := trace.DigestEvents(c.Recorder.Events())
+		digest, err = trace.DigestEvents(c.Recorder.Events())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return digest, c.Net.Stats().CodecDropped
+		if n := c.Link.DecodeDrops.Load(); n != 0 {
+			t.Fatalf("wire %d K=%d: %d frames failed to decode on a network that corrupts nothing", wire, k, n)
+		}
+		return digest, c.Link.StampDesyncs.Load()
 	}
 	pointer, _ := run(0, 0)
-	if full, dropped := run(2, 1); full != pointer || dropped != 0 {
-		t.Errorf("K=1 (full stamps only): digest %s, %d codec drops; want the pointer path's %s and none", full, dropped, pointer)
+	if full, desyncs := run(2, 1); full != pointer || desyncs != 0 {
+		t.Errorf("K=1 (full stamps only): digest %s, %d stamp desyncs; want the pointer path's %s and none", full, desyncs, pointer)
 	}
 	for _, k := range []int{2, 0} {
-		if _, dropped := run(2, k); dropped == 0 {
+		if _, desyncs := run(2, k); desyncs == 0 {
 			t.Errorf("K=%d: 15%% loss stranded no delta stamp", k)
 		}
 	}
@@ -80,14 +84,15 @@ func TestStampIntervals(t *testing.T) {
 // TestCodecV2ExercisesDeltaResync sweeps seeds under wire codec v2 and
 // requires both that every predicate holds and that the sweep actually
 // hit the delta-desync path: loss or duplication must strand at least
-// one delta stamp without its reference (CodecDropped > 0), proving the
-// protocol recovers from codec-level loss, not just datagram loss.
+// one delta stamp without its reference (the link layer counts a stamp
+// desync), proving the protocol recovers from codec-level loss, not just
+// datagram loss.
 func TestCodecV2ExercisesDeltaResync(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
 		seeds = 8
 	}
-	var codecDropped, dropped uint64
+	var desyncs, dropped uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		cfg := FromSeed(seed)
 		cfg.WireVersion = 2
@@ -98,14 +103,91 @@ func TestCodecV2ExercisesDeltaResync(t *testing.T) {
 		if res.Submitted == 0 || res.Stats.Delivered == 0 {
 			t.Fatalf("seed %d: empty run", seed)
 		}
-		codecDropped += res.Net.CodecDropped
+		desyncs += res.Link.StampDesyncs.Load()
 		dropped += res.Net.Dropped
 	}
 	if dropped == 0 {
 		t.Error("v2 sweep injected no datagram loss")
 	}
-	if codecDropped == 0 {
+	if desyncs == 0 {
 		t.Error("v2 sweep never desynchronized a delta stamp; resync path untested")
+	}
+}
+
+// TestCorruptFramesDropAsLoss sweeps seeds over the byte path with the
+// corrupt-frame fault drawn as FromSeed draws it: the link layer must
+// drop every mangled frame from its fault on as loss — the sweep counts
+// decode drops — without a panic, and every predicate must hold.
+func TestCorruptFramesDropAsLoss(t *testing.T) {
+	seeds := 30
+	if testing.Short() {
+		seeds = 10
+	}
+	corrupting := 0
+	var decodeDrops uint64
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		cfg := FromSeed(seed)
+		cfg.WireVersion = 2
+		if cfg.Corrupt > 0 {
+			corrupting++
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d (%+v): %v", seed, cfg, err)
+		}
+		decodeDrops += res.Link.DecodeDrops.Load()
+	}
+	if corrupting == 0 {
+		t.Fatal("no seed of the sweep drew frame corruption")
+	}
+	if decodeDrops == 0 {
+		t.Errorf("%d corrupting seeds, yet no frame failed to decode", corrupting)
+	}
+}
+
+// TestLinkFaultsFailTheRun shows the link-integrity predicate catching
+// what RET would otherwise repair as loss, on seeds that draw no frame
+// corruption: one frame cut short by a hook the harness does not know
+// of, or one PDU its receiver rejects, fails every run of the sweep.
+func TestLinkFaultsFailTheRun(t *testing.T) {
+	faults := map[string]func(cfg Config) (*Result, error){
+		"undecodable frame": func(cfg Config) (*Result, error) {
+			cut := false
+			return run(cfg, nil, nil, sim.NetCorrupt(func(_, _ pdu.EntityID, frame []byte) []byte {
+				if cut {
+					return frame
+				}
+				cut = true
+				return frame[:len(frame)-1]
+			}))
+		},
+		"rejected PDU": func(cfg Config) (*Result, error) {
+			bad := false
+			return run(cfg, nil, func(_, _ pdu.EntityID, p *pdu.PDU) {
+				// An unsequenced PDU is the decoder's scratch, this
+				// receiver's alone.
+				if !bad && !p.Kind.Sequenced() {
+					bad = true
+					p.CID++
+				}
+			})
+		},
+	}
+	for name, fault := range faults {
+		ran := 0
+		for seed := int64(1); ran < 4; seed++ {
+			cfg := FromSeed(seed)
+			if cfg.Corrupt > 0 {
+				continue
+			}
+			cfg.WireVersion = 2
+			ran++
+			_, err := fault(cfg)
+			var v *Violation
+			if !errors.As(err, &v) || v.Predicate != PredLinkIntegrity {
+				t.Errorf("%s, seed %d: got %v, want a %s violation", name, seed, err, PredLinkIntegrity)
+			}
+		}
 	}
 }
 

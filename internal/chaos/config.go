@@ -84,6 +84,12 @@ type Config struct {
 	Duplicate float64 `json:"duplicate,omitempty"`
 	BurstProb float64 `json:"burst_prob,omitempty"`
 	BurstLen  int     `json:"burst_len,omitempty"`
+	// Corrupt is the probability that a delivered copy of a frame has
+	// one byte past its header flipped, or is truncated past its header;
+	// the receiver's link layer drops it from the fault on as loss. It
+	// bites where frames fly (wire version 2, every run of several
+	// groups) and, like loss, ceases before the drain phase.
+	Corrupt float64 `json:"corrupt,omitempty"`
 
 	// Partitions cuts the cluster into two groups that many times for a
 	// random window; Pauses isolates one random entity (a stop-the-world
@@ -158,6 +164,9 @@ func (c Config) Validate() error {
 	if c.BurstProb < 0 || c.BurstProb > 0.2 {
 		return fmt.Errorf("%w: burst_prob=%v (want 0..0.2)", ErrBadConfig, c.BurstProb)
 	}
+	if c.Corrupt < 0 || c.Corrupt > 0.2 {
+		return fmt.Errorf("%w: corrupt=%v (want 0..0.2)", ErrBadConfig, c.Corrupt)
+	}
 	if c.BurstProb > 0 && c.BurstLen < 1 {
 		return fmt.Errorf("%w: burst_prob set with burst_len=%d", ErrBadConfig, c.BurstLen)
 	}
@@ -181,7 +190,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%w: stalled_peers=%d with n=%d (need 2 survivors)",
 				ErrBadConfig, c.StalledPeers, c.N)
 		}
-		if c.Loss > 0 || c.BurstProb > 0 || c.Partitions > 0 || c.Pauses > 0 {
+		if c.Loss > 0 || c.BurstProb > 0 || c.Corrupt > 0 || c.Partitions > 0 || c.Pauses > 0 {
 			return fmt.Errorf("%w: stalled_peers with lossy faults (a frozen source cannot serve retransmissions)",
 				ErrBadConfig)
 		}
@@ -193,11 +202,12 @@ func (c Config) Validate() error {
 }
 
 // FromSeed expands a seed into a randomized run configuration: n ∈ 2..8,
-// loss up to 30%, duplication up to 10%, overrun bursts, up to two
-// partitions and two pauses, every workload shape. The expansion is the
-// sweep's exploration distribution; Run re-derives the concrete fault
-// schedule from cfg.Seed, so a Config shrunk or stored in the corpus
-// replays identically without this function.
+// loss up to 30%, duplication up to 10%, overrun bursts, frame
+// corruption up to 5%, up to two partitions and two pauses, every
+// workload shape. The expansion is the sweep's exploration distribution;
+// Run re-derives the concrete fault schedule from cfg.Seed, so a Config
+// shrunk or stored in the corpus replays identically without this
+// function.
 func FromSeed(seed int64) Config {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := Config{
@@ -240,6 +250,12 @@ func FromSeed(seed int64) Config {
 		cfg.Loss, cfg.BurstProb, cfg.BurstLen = 0, 0, 0
 		cfg.Partitions, cfg.Pauses = 0, 0
 	}
+	// Drawn after everything else, for the same reason: a third of the
+	// seeds corrupt up to 5% of the frames they deliver. A stalled run
+	// stays free of lossy faults.
+	if rng.Intn(3) == 0 && cfg.StalledPeers == 0 {
+		cfg.Corrupt = float64(1+rng.Intn(5)) / 100
+	}
 	return cfg
 }
 
@@ -248,4 +264,3 @@ func (c Config) meanGap() time.Duration { return time.Duration(c.MeanGapUS) * ti
 func (c Config) delayBase() time.Duration {
 	return time.Duration(c.DelayBaseUS) * time.Microsecond
 }
-func (c Config) jitter() time.Duration { return time.Duration(c.JitterUS) * time.Microsecond }

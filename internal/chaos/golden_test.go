@@ -39,9 +39,10 @@ func goldenLine(seed int64, wire int) string {
 // harness change that shifts both runs alike (event order, RNG draw
 // order, which faults bite). After an intentional protocol change,
 // re-capture: the failure message prints each replacement line. The
-// last such change was the two-round confirmation rule (DESIGN.md §2),
-// captured together with stalled and shedding runs executing their
-// whole schedule.
+// last such change was the harness stepping the runtime's own shard and
+// frames adapters (one step per arriving datagram, one tick per process
+// for all its groups), captured together with the frame-corruption
+// fault FromSeed now draws.
 func TestGoldenSweepDigests(t *testing.T) {
 	file, err := os.Open("testdata/golden_sweep_digests.txt")
 	if err != nil {

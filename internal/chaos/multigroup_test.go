@@ -24,11 +24,13 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// the two-round confirmation rule changed what every group emits.
+// the harness began stepping the runtime's own shard: one tick per
+// process for all its groups, and the replies to a datagram leaving as
+// one datagram per group.
 var pinnedMultiGroupDigests = []string{
-	"76a48cef7e842b440b22dee162b3cde7b8032b698990775e6683d3820a53b5ee",
-	"586b98ce2e3f44158a6729452412357f1677398e4a305823f30efa53b5df093e",
-	"6f030611622ebcbfa726caedbab97b6aa447d52b66fe956eb9a8b1889077db84",
+	"4c68a41e2e5c22d3438b16ca409261da854399b88fbea8b9995a914c3d75c9fd",
+	"7f2cea0dcb791a55b52ca3c2860d4cab384729f985a1240f08f438d5520966dd",
+	"e98274144dedfd66222d06f67dae6913ef6c57b951ea453e2e386b0fc7b5ff61",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network and

@@ -33,6 +33,13 @@ var shrinkSteps = []struct {
 		c.BurstProb, c.BurstLen = 0, 0
 		return c, true
 	}},
+	{"drop-corruption", func(c Config) (Config, bool) {
+		if c.Corrupt == 0 {
+			return c, false
+		}
+		c.Corrupt = 0
+		return c, true
+	}},
 	{"fewer-partitions", func(c Config) (Config, bool) {
 		if c.Partitions == 0 {
 			return c, false

@@ -40,10 +40,17 @@ import (
 // Default protocol parameters; see Config.
 const (
 	DefaultWindow              = 16
-	DefaultBufferUnits         = 4096
-	DefaultUnitsPerPDU         = 1
 	DefaultDeferredAckInterval = 5 * time.Millisecond
 	DefaultRetransmitTimeout   = 20 * time.Millisecond
+)
+
+// The receive buffer of the flow condition (§4.2): every entity
+// advertises BufferUnits in BUF, and a PDU occupies UnitsPerPDU of them
+// (the paper's H). The condition divides the cluster minimum by
+// UnitsPerPDU·2n, so credit needs N ≤ BufferUnits / (2·UnitsPerPDU).
+const (
+	BufferUnits = 4096
+	UnitsPerPDU = 1
 )
 
 // Config parameterizes an Entity. The zero value is not valid; use
@@ -59,12 +66,6 @@ type Config struct {
 	// Window is the paper's W: the maximum number of own PDUs between
 	// one's SEQ and the cluster-wide minimum acknowledgment minAL.
 	Window pdu.Seq
-	// BufferUnits is the receive-buffer capacity advertised in BUF. The
-	// flow condition divides the cluster minimum by UnitsPerPDU·2n, so
-	// BufferUnits must be at least UnitsPerPDU·2·N for any credit at all.
-	BufferUnits uint32
-	// UnitsPerPDU is the paper's H: buffer units one PDU occupies.
-	UnitsPerPDU uint32
 	// DeferredAckInterval is the "predefined time" of the deferred
 	// confirmation rule: an entity with confirmations owed sends a SYNC
 	// at least this often.
@@ -135,19 +136,13 @@ var (
 	ErrBadCluster = errors.New("core: cluster must have at least 2 entities")
 	ErrBadID      = errors.New("core: entity id out of range")
 	ErrBadWindow  = errors.New("core: window must be at least 1")
-	ErrNoCredit   = errors.New("core: BufferUnits below UnitsPerPDU*2*N leaves no flow-control credit")
+	ErrNoCredit   = errors.New("core: cluster too large for the receive buffer to grant flow-control credit")
 )
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
 		c.Window = DefaultWindow
-	}
-	if c.BufferUnits == 0 {
-		c.BufferUnits = DefaultBufferUnits
-	}
-	if c.UnitsPerPDU == 0 {
-		c.UnitsPerPDU = DefaultUnitsPerPDU
 	}
 	if c.DeferredAckInterval == 0 {
 		c.DeferredAckInterval = DefaultDeferredAckInterval
@@ -169,9 +164,8 @@ func (c Config) Validate() error {
 	if c.Window < 1 {
 		return ErrBadWindow
 	}
-	if c.BufferUnits < c.UnitsPerPDU*2*uint32(c.N) {
-		return fmt.Errorf("%w: units=%d need >= %d", ErrNoCredit,
-			c.BufferUnits, c.UnitsPerPDU*2*uint32(c.N))
+	if c.N > BufferUnits/(2*UnitsPerPDU) {
+		return fmt.Errorf("%w: n=%d, at most %d", ErrNoCredit, c.N, BufferUnits/(2*UnitsPerPDU))
 	}
 	return nil
 }

@@ -228,7 +228,7 @@ func New(cfg Config) (*Entity, error) {
 		e.lastACK[j] = ones
 		e.req[j] = 1
 		e.known[j] = 1
-		e.buf[j] = cfg.BufferUnits
+		e.buf[j] = BufferUnits
 		e.lastRetReq[j] = never
 		e.parked[j] = make(map[pdu.Seq]*pdu.PDU)
 		e.al[j] = make([]pdu.Seq, n)
@@ -1203,7 +1203,7 @@ func (e *Entity) flowCredit() pdu.Seq {
 			minBuf = e.buf[j]
 		}
 	}
-	credit := pdu.Seq(minBuf / (e.cfg.UnitsPerPDU * 2 * uint32(e.n)))
+	credit := pdu.Seq(minBuf / (UnitsPerPDU * 2 * uint32(e.n)))
 	if credit > e.cfg.Window {
 		credit = e.cfg.Window
 	}
@@ -1213,11 +1213,11 @@ func (e *Entity) flowCredit() pdu.Seq {
 // availBuf returns this entity's free receive-buffer units: capacity minus
 // resident PDUs (parked + RRL + PRL) times H.
 func (e *Entity) availBuf() uint32 {
-	used := uint64(e.Resident()) * uint64(e.cfg.UnitsPerPDU)
-	if used >= uint64(e.cfg.BufferUnits) {
+	used := uint64(e.Resident()) * UnitsPerPDU
+	if used >= BufferUnits {
 		return 0
 	}
-	return e.cfg.BufferUnits - uint32(used)
+	return BufferUnits - uint32(used)
 }
 
 // noteResident updates the peak-occupancy statistic.

@@ -184,7 +184,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero entities", core.Config{}, core.ErrBadCluster},
 		{"id negative", core.Config{ID: -1, N: 3}, core.ErrBadID},
 		{"id too large", core.Config{ID: 3, N: 3}, core.ErrBadID},
-		{"no credit", core.Config{ID: 0, N: 4, BufferUnits: 7}, core.ErrNoCredit},
+		{"no credit", core.Config{ID: 0, N: core.BufferUnits/(2*core.UnitsPerPDU) + 1}, core.ErrNoCredit},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

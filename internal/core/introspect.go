@@ -162,7 +162,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		SendLog:        len(e.sendlog),
 		PendingSubmits: len(e.pendingSubmits),
 		BufFree:        e.availBuf(),
-		BufUnits:       e.cfg.BufferUnits,
+		BufUnits:       BufferUnits,
 		ParkedData:     e.parkedData,
 		DataResident:   e.dataResident,
 		Quiescent:      e.Quiescent(),

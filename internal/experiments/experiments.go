@@ -568,10 +568,12 @@ func ISISLossDemo() (ISISLossResult, error) {
 		N: 3,
 		Net: []sim.NetOption{
 			sim.NetUniformDelay(time.Millisecond),
-			sim.NetDropFilter(func(_, to pdu.EntityID, p *pdu.PDU) bool {
-				if !dropped && to == 2 && p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 1 {
-					dropped = true
-					return true
+			sim.NetDropFilter(func(_, to pdu.EntityID, d sim.Datagram) bool {
+				for _, p := range d.PDUs {
+					if !dropped && to == 2 && p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 1 {
+						dropped = true
+						return true
+					}
 				}
 				return false
 			}),

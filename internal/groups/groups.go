@@ -18,10 +18,15 @@
 // protocol treats that exactly like transport loss, so a late joiner or
 // a confused peer can never crash the runtime.
 //
-// Each shard also owns a Frames adapter — the link-layer seam supplied
-// by the embedding runtime — and flushes it once per input burst
-// (flush-on-loop-idle), so everything one burst produces, across groups,
-// coalesces into the same staged-batch/sendmmsg path.
+// Each shard also owns a Frames adapter (frames.go: memFrames for the
+// in-memory network, wireFrames for a byte transport) and flushes it once
+// per input burst (flush-on-loop-idle), so everything one burst produces,
+// across groups, coalesces into the same staged-batch/sendmmsg path.
+//
+// A Shard (shard.go) needs no goroutine of its own: the registry's loop
+// is a select around its inputs, and the discrete-event harness
+// (internal/simrun) steps the same Shard once per simulated event, so
+// the chaos sweeps run the driver that ships.
 package groups
 
 import (
@@ -33,7 +38,6 @@ import (
 	"time"
 
 	"cobcast/internal/core"
-	"cobcast/internal/flight"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -65,7 +69,7 @@ type Inbound struct {
 }
 
 // Frames is a shard's attachment to the wire. One Frames exists per
-// shard and is used only from that shard's goroutine, so implementations
+// shard and is used only by whoever steps that shard, so implementations
 // need no locking of their own (the transport underneath must accept
 // concurrent sends, as the UDP transport does).
 //
@@ -80,8 +84,9 @@ type Frames interface {
 	Deliver(g uint32, in Inbound, fn func(p *pdu.PDU))
 }
 
-// Config assembles a Registry. NewEntity, NewFrames and Deliver are the
-// seams to the embedding runtime and must all be set.
+// Config assembles a Registry, or a Shard (NewShard) from its NewEntity,
+// Deliver, DroppedUnknown and Now. NewEntity, NewFrames and Deliver are
+// the seams to the embedding runtime and must all be set.
 type Config struct {
 	// Shards is the number of owner goroutines; <= 0 selects
 	// GOMAXPROCS.
@@ -117,14 +122,11 @@ type Config struct {
 // use.
 type Registry struct {
 	cfg    Config
-	shards []*shard
+	shards []*Shard
 
-	mu    sync.Mutex
-	known map[uint32]struct{}
-	// evicted is every peer Evict has removed; engines built later start
-	// with the same quorum as the ones that were running at the time.
-	evicted []pdu.EntityID
-	closed  bool
+	mu     sync.Mutex
+	known  map[uint32]struct{}
+	closed bool
 }
 
 // New starts a registry with its shard goroutines. The configuration's
@@ -151,17 +153,11 @@ func New(cfg Config) (*Registry, error) {
 		cfg:   cfg,
 		known: make(map[uint32]struct{}),
 	}
-	r.shards = make([]*shard, cfg.Shards)
+	r.shards = make([]*Shard, cfg.Shards)
 	for i := range r.shards {
-		s := &shard{
-			reg:    r,
-			in:     make(chan shardMsg, shardInboxCap),
-			groups: make(map[uint32]*core.Entity),
-			frames: cfg.NewFrames(i),
-			stop:   make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		s.recv = s.receive
+		s := NewShard(cfg, cfg.NewFrames(i))
+		s.in = make(chan shardMsg, shardInboxCap)
+		s.stop, s.done = make(chan struct{}), make(chan struct{})
 		r.shards[i] = s
 		go s.loop()
 	}
@@ -170,7 +166,7 @@ func New(cfg Config) (*Registry, error) {
 
 // shardOf hash-assigns group g to its owner shard. Fibonacci hashing
 // spreads the sequential and the name-hashed ID populations alike.
-func (r *Registry) shardOf(g uint32) *shard {
+func (r *Registry) shardOf(g uint32) *Shard {
 	h := g * 0x9E3779B1
 	return r.shards[h%uint32(len(r.shards))]
 }
@@ -201,10 +197,7 @@ func (r *Registry) Start(g uint32) error {
 	if err := r.Open(g); err != nil {
 		return err
 	}
-	return r.shardOf(g).ask(context.Background(), func(s *shard) error {
-		_, err := s.engine(g)
-		return err
-	})
+	return r.shardOf(g).ask(context.Background(), func(s *Shard) error { return s.Start(g) })
 }
 
 // Submit broadcasts data on group g, instantiating the group if needed.
@@ -229,16 +222,18 @@ func (r *Registry) Inbound(g uint32, in Inbound) {
 		err = r.shardOf(g).send(context.Background(), shardMsg{kind: msgInbound, group: g, in: in})
 	}
 	if err != nil {
-		r.dropUnknown(in)
+		r.cfg.dropUnknown(in)
 	}
 }
 
-func (r *Registry) dropUnknown(in Inbound) {
+// dropUnknown releases an inbound dropped for an unknown-group reason and
+// counts it.
+func (c *Config) dropUnknown(in Inbound) {
 	if in.Raw != nil {
 		pdu.PutDatagram(in.Raw)
 	}
-	if r.cfg.DroppedUnknown != nil {
-		r.cfg.DroppedUnknown()
+	if c.DroppedUnknown != nil {
+		c.DroppedUnknown()
 	}
 }
 
@@ -246,42 +241,17 @@ func (r *Registry) dropUnknown(in Inbound) {
 // instantiated engine on every shard, and of every engine built
 // afterwards: a crashed peer stalls each group it is a member of, and it
 // is a member of all of them. It returns the engines' validation error
-// (self-evict, out-of-range ID), in which case nothing is remembered.
+// (self-evict, out-of-range ID) or ErrClosed; a shard whose engines
+// reject k does not remember it (Shard.Evict).
 func (r *Registry) Evict(k pdu.EntityID) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return ErrClosed
-	}
-	// Remember before fanning out, so an engine built concurrently either
-	// starts without k or is there when its shard handles the message.
-	r.evicted = append(r.evicted, k)
-	r.mu.Unlock()
 	var first error
 	for _, s := range r.shards {
-		err := s.ask(context.Background(), func(s *shard) error { return s.evict(k) })
+		err := s.ask(context.Background(), func(s *Shard) error { return s.Evict(k) })
 		if first == nil {
 			first = err
 		}
 	}
-	if first != nil {
-		r.mu.Lock()
-		for i, e := range r.evicted {
-			if e == k {
-				r.evicted = append(r.evicted[:i], r.evicted[i+1:]...)
-				break
-			}
-		}
-		r.mu.Unlock()
-	}
 	return first
-}
-
-// GroupCount reports how many groups are known.
-func (r *Registry) GroupCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.known)
 }
 
 // scrapeTimeout bounds how long a scraper waits for a busy shard to
@@ -301,8 +271,8 @@ func (r *Registry) query(g uint32, scrape bool, read func(eng *core.Entity, now 
 		defer cancel()
 	}
 	s := r.shardOf(g)
-	q := func(s *shard) error {
-		eng := s.groups[g]
+	q := func(s *Shard) error {
+		eng := s.index[g]
 		if eng == nil {
 			return errNoEngine
 		}
@@ -345,9 +315,9 @@ var errBusy = errors.New("groups: not quiescent")
 // inputs, and is false once the registry is closing.
 func (r *Registry) Quiescent() bool {
 	for _, s := range r.shards {
-		err := s.ask(context.Background(), func(s *shard) error {
-			for _, eng := range s.groups {
-				if eng != nil && !eng.Quiescent() {
+		err := s.ask(context.Background(), func(s *Shard) error {
+			for _, e := range s.engines {
+				if !e.eng.Quiescent() {
 					return errBusy
 				}
 			}
@@ -398,38 +368,13 @@ type shardMsg struct {
 	group uint32
 	data  []byte
 	in    Inbound
-	query func(s *shard) error
+	query func(s *Shard) error
 	reply chan error
-}
-
-// shard is one owner goroutine and the engines hash-assigned to it.
-// Only the shard goroutine touches groups, its engines or its Frames —
-// the single-writer invariant, per group, by construction.
-type shard struct {
-	reg *Registry
-	in  chan shardMsg
-	// groups maps group ID -> engine; a nil engine is a tombstone for a
-	// group whose construction failed (inputs drop as unknown-group loss
-	// instead of retrying construction per datagram).
-	groups map[uint32]*core.Entity
-	frames Frames
-	// ticker drives Tick for the shard's engines; it starts with the
-	// first engine, so a shard that owns none never wakes.
-	ticker *time.Ticker
-	tickC  <-chan time.Time
-	// cur and curGroup name the engine an inbound is being delivered to;
-	// recv is s.receive bound once, so Deliver takes no per-datagram
-	// closure.
-	cur      *core.Entity
-	curGroup uint32
-	recv     func(p *pdu.PDU)
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // send enqueues m, blocking while the inbox is full; it fails once the
 // registry is closing or ctx ends.
-func (s *shard) send(ctx context.Context, m shardMsg) error {
+func (s *Shard) send(ctx context.Context, m shardMsg) error {
 	select {
 	case <-s.stop:
 		return ErrClosed
@@ -447,7 +392,7 @@ func (s *shard) send(ctx context.Context, m shardMsg) error {
 
 // ask runs q on the shard goroutine between inputs and returns its
 // result; ctx bounds only the wait for the shard to accept the request.
-func (s *shard) ask(ctx context.Context, q func(s *shard) error) error {
+func (s *Shard) ask(ctx context.Context, q func(s *Shard) error) error {
 	reply := make(chan error, 1)
 	if err := s.send(ctx, shardMsg{kind: msgQuery, query: q, reply: reply}); err != nil {
 		return err
@@ -464,7 +409,7 @@ func (s *shard) ask(ctx context.Context, q func(s *shard) error) error {
 // block for one input, drain whatever else is pending without blocking,
 // then flush — so the PDUs every engine produced for one burst ride out
 // together, across groups, in one staged-batch send.
-func (s *shard) loop() {
+func (s *Shard) loop() {
 	defer close(s.done)
 	for {
 		select {
@@ -474,7 +419,7 @@ func (s *shard) loop() {
 		case m := <-s.in:
 			s.handle(m)
 		case <-s.tickC:
-			s.tickAll()
+			s.Tick()
 		}
 		for drained := false; !drained; {
 			select {
@@ -484,19 +429,19 @@ func (s *shard) loop() {
 			case m := <-s.in:
 				s.handle(m)
 			case <-s.tickC:
-				s.tickAll()
+				s.Tick()
 			default:
 				drained = true
 			}
 		}
-		s.frames.Flush()
+		s.Flush()
 	}
 }
 
 // shutdown stops the ticker and releases what is queued behind the stop
 // signal, so pooled datagram buffers are not leaked at close and no
 // asker waits for a reply that will never come.
-func (s *shard) shutdown() {
+func (s *Shard) shutdown() {
 	if s.ticker != nil {
 		s.ticker.Stop()
 	}
@@ -515,119 +460,19 @@ func (s *shard) shutdown() {
 	}
 }
 
-func (s *shard) handle(m shardMsg) {
+// handle runs one inbox message, then starts the ticker if the message
+// built the shard's first engine.
+func (s *Shard) handle(m shardMsg) {
 	switch m.kind {
 	case msgSubmit:
-		if eng, _ := s.engine(m.group); eng != nil {
-			s.dispatch(m.group, eng, eng.SubmitOwned(m.data, s.reg.cfg.Now()))
-		}
+		s.Submit(m.group, m.data)
 	case msgInbound:
-		eng, _ := s.engine(m.group)
-		if eng == nil {
-			s.reg.dropUnknown(m.in)
-			return
-		}
-		s.cur, s.curGroup = eng, m.group
-		s.frames.Deliver(m.group, m.in, s.recv)
+		s.Inbound(m.group, m.in)
 	case msgQuery:
 		m.reply <- m.query(s)
 	}
-}
-
-// receive feeds one decoded PDU to the engine an inbound is addressed to.
-func (s *shard) receive(p *pdu.PDU) {
-	now := s.reg.cfg.Now()
-	recordWire(s.cur.Flight(), flight.EvWireIn, p, now)
-	// Receive errors mark malformed or foreign PDUs; the engine counts
-	// them in InvalidPDUs and the protocol carries on.
-	out, _ := s.cur.Receive(p, now)
-	s.dispatch(s.curGroup, s.cur, out)
-}
-
-// engine returns group g's engine, instantiating it on first use. A
-// failed construction is tombstoned so later inputs drop cheaply.
-func (s *shard) engine(g uint32) (*core.Entity, error) {
-	if eng, ok := s.groups[g]; ok {
-		if eng == nil {
-			return nil, errNoEngine
-		}
-		return eng, nil
-	}
-	eng, err := s.reg.cfg.NewEntity(g)
-	if err != nil {
-		s.groups[g] = nil
-		return nil, err
-	}
-	s.groups[g] = eng
-	if s.ticker == nil {
-		s.ticker = time.NewTicker(s.reg.cfg.Tick)
+	if s.ticker == nil && len(s.engines) > 0 {
+		s.ticker = time.NewTicker(s.cfg.Tick)
 		s.tickC = s.ticker.C
 	}
-	s.reg.mu.Lock()
-	evicted := append([]pdu.EntityID(nil), s.reg.evicted...)
-	s.reg.mu.Unlock()
-	for _, k := range evicted {
-		// Evict validated k against an identically configured engine.
-		out, _ := eng.Evict(k, s.reg.cfg.Now())
-		s.dispatch(g, eng, out)
-	}
-	return eng, nil
-}
-
-// evict removes peer k from every engine the shard owns, returning the
-// first validation error.
-func (s *shard) evict(k pdu.EntityID) error {
-	var first error
-	for g, eng := range s.groups {
-		if eng == nil {
-			continue
-		}
-		out, err := eng.Evict(k, s.reg.cfg.Now())
-		if first == nil {
-			first = err
-		}
-		s.dispatch(g, eng, out)
-	}
-	return first
-}
-
-func (s *shard) tickAll() {
-	now := s.reg.cfg.Now()
-	for g, eng := range s.groups {
-		if eng != nil {
-			s.dispatch(g, eng, eng.Tick(now))
-		}
-	}
-}
-
-// dispatch stages an engine's output PDUs on the shard's frames (sent at
-// the next flush) and hands its deliveries to the embedding runtime, one
-// call per output — before the engine's next input reuses their buffer.
-func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
-	if ring := eng.Flight(); ring != nil && len(out.PDUs) > 0 {
-		now := s.reg.cfg.Now()
-		for _, p := range out.PDUs {
-			recordWire(ring, flight.EvWireOut, p, now)
-		}
-	}
-	for _, p := range out.PDUs {
-		s.frames.Append(g, p)
-	}
-	if len(out.Deliveries) > 0 {
-		s.reg.cfg.Deliver(g, out.Deliveries)
-	}
-}
-
-// recordWire notes one PDU crossing the node/network boundary. A RET is
-// filed under the PDU it chases — the first its sender misses from LSrc,
-// ACK[LSrc], as core's ret-request event is — with the requester in
-// Peer. (LSeq is the gap's exclusive end: a PDU the requester holds or
-// one LSrc has yet to send, in whose span a RET does not belong.) An
-// inbound PDU is not validated yet, hence the range check.
-func recordWire(ring *flight.Ring, t flight.EventType, p *pdu.PDU, now time.Duration) {
-	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
-	if p.Kind == pdu.KindRet && p.LSrc >= 0 && int(p.LSrc) < len(p.ACK) {
-		src, seq, peer = p.LSrc, p.ACK[p.LSrc], p.Src
-	}
-	ring.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
 }

@@ -106,12 +106,10 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 			MaxGroups: maxGroups,
 			NewEntity: func(g uint32) (*core.Entity, error) {
 				return core.New(core.Config{
-					ClusterID:   g,
-					ID:          pdu.EntityID(id),
-					N:           2,
-					Window:      core.DefaultWindow,
-					BufferUnits: core.DefaultBufferUnits,
-					UnitsPerPDU: core.DefaultUnitsPerPDU,
+					ClusterID: g,
+					ID:        pdu.EntityID(id),
+					N:         2,
+					Window:    core.DefaultWindow,
 				})
 			},
 			NewFrames: func(shard int) Frames {
@@ -139,6 +137,13 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 		a.Close()
 		b.Close()
 	}
+}
+
+// knownGroups reports how many groups r has opened.
+func knownGroups(r *Registry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.known)
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -194,8 +199,8 @@ func TestMultiGroupConverges(t *testing.T) {
 			}
 		}
 	}
-	if a.GroupCount() != len(groupIDs) {
-		t.Fatalf("GroupCount = %d, want %d", a.GroupCount(), len(groupIDs))
+	if n := knownGroups(a); n != len(groupIDs) {
+		t.Fatalf("%d groups known, want %d", n, len(groupIDs))
 	}
 	for _, g := range groupIDs {
 		st, ok := a.Stats(g)
@@ -215,8 +220,7 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 		MaxGroups: 2,
 		NewEntity: func(g uint32) (*core.Entity, error) {
 			return core.New(core.Config{
-				ClusterID: g, ID: 0, N: 2,
-				Window: core.DefaultWindow, BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU,
+				ClusterID: g, ID: 0, N: 2, Window: core.DefaultWindow,
 			})
 		},
 		NewFrames:      func(int) Frames { return &pipeFrames{pp: &pipe{}, staged: make(map[uint32][]*pdu.PDU)} },
@@ -229,8 +233,8 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 	}
 	defer r.Close()
 
-	if n := r.GroupCount(); n != 0 {
-		t.Fatalf("GroupCount before any input = %d", n)
+	if n := knownGroups(r); n != 0 {
+		t.Fatalf("%d groups known before any input", n)
 	}
 	if _, ok := r.Stats(5); ok {
 		t.Fatal("Stats ok for never-touched group")
@@ -246,8 +250,8 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 	}
 	r.Inbound(8, Inbound{PDUs: []*pdu.PDU{{Kind: pdu.KindAckOnly, Src: 1, ACK: []pdu.Seq{0, 0}, LSrc: pdu.NoEntity}}})
 	waitFor(t, "unknown-group drop", func() bool { return drops.Load() == 1 })
-	if n := r.GroupCount(); n != 2 {
-		t.Fatalf("GroupCount = %d, want 2", n)
+	if n := knownGroups(r); n != 2 {
+		t.Fatalf("%d groups known, want 2", n)
 	}
 }
 
@@ -293,8 +297,7 @@ func TestCloseDropsInbound(t *testing.T) {
 		Shards: 2,
 		NewEntity: func(g uint32) (*core.Entity, error) {
 			return core.New(core.Config{
-				ClusterID: g, ID: 0, N: 2,
-				Window: core.DefaultWindow, BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU,
+				ClusterID: g, ID: 0, N: 2, Window: core.DefaultWindow,
 			})
 		},
 		NewFrames:      func(int) Frames { return &pipeFrames{pp: &pipe{}, staged: make(map[uint32][]*pdu.PDU)} },
@@ -332,7 +335,7 @@ func TestShardWithoutEngineRunsNoTicker(t *testing.T) {
 	for i, s := range a.shards {
 		// ask synchronizes with the shard goroutine, which owns ticker.
 		var ticking bool
-		if err := s.ask(context.Background(), func(s *shard) error {
+		if err := s.ask(context.Background(), func(s *Shard) error {
 			ticking = s.ticker != nil
 			return nil
 		}); err != nil {
@@ -361,5 +364,54 @@ func TestRecordWireFilesRetUnderChasedPDU(t *testing.T) {
 	}
 	if ev := evs[1]; ev.Src != 2 || ev.Seq != 0 {
 		t.Errorf("out-of-range RET filed as %+v, want its own src 2 seq 0", ev)
+	}
+}
+
+// orderFrames records the group of every PDU a shard stages, in order.
+type orderFrames struct{ appended []uint32 }
+
+func (f *orderFrames) Append(g uint32, _ *pdu.PDU)               { f.appended = append(f.appended, g) }
+func (f *orderFrames) Flush()                                    {}
+func (f *orderFrames) Deliver(uint32, Inbound, func(p *pdu.PDU)) {}
+
+// TestShardVisitsEnginesInCreationOrder steps one shard owning ten
+// groups, created in a scrambled order, each engine holding one message
+// its only peer never confirms: every tick then draws one late
+// confirmation per engine, and evicting the peer delivers every
+// engine's message. Both must visit the engines in creation order, tick
+// after tick, so a harness stepping a multi-group shard sees one output
+// order (ranging over a map of ten groups matches it by chance with
+// probability 1/10! per tick).
+func TestShardVisitsEnginesInCreationOrder(t *testing.T) {
+	created := []uint32{5, 3, 9, 1, 7, 2, 8, 4, 6, 0}
+	var now time.Duration
+	var delivered []uint32
+	f := &orderFrames{}
+	s := NewShard(Config{
+		NewEntity: func(g uint32) (*core.Entity, error) {
+			return core.New(core.Config{ClusterID: g, ID: 0, N: 2})
+		},
+		Deliver: func(g uint32, _ []core.Delivery) { delivered = append(delivered, g) },
+		Now:     func() time.Duration { return now },
+	}, f)
+	for _, g := range created {
+		if err := s.Start(g); err != nil {
+			t.Fatal(err)
+		}
+		s.Submit(g, []byte{byte(g)})
+	}
+	for tick := 0; tick < 20; tick++ {
+		now += time.Second
+		f.appended = f.appended[:0]
+		s.Tick()
+		if fmt.Sprint(f.appended) != fmt.Sprint(created) {
+			t.Fatalf("tick %d staged groups %v, want creation order %v", tick, f.appended, created)
+		}
+	}
+	if err := s.Evict(1); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(delivered) != fmt.Sprint(created) {
+		t.Fatalf("evict delivered groups %v, want creation order %v", delivered, created)
 	}
 }

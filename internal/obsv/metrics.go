@@ -83,6 +83,17 @@ type LinkMetrics struct {
 	// next full-stamp sync point, not a protocol error.
 	StampDesyncs Counter
 
+	// DecodeDrops counts inbound frames whose decode failed for any
+	// other reason — a truncated or corrupt frame, a retired header
+	// version: the PDUs before the fault stand and the rest of the frame
+	// is lost, repaired like transport loss.
+	DecodeDrops Counter
+
+	// EncodeDrops counts outbound PDUs the frame encoder rejected (a
+	// field past its wire width) and dropped unsent: an engine emits only
+	// encodable PDUs, so any count is a bug.
+	EncodeDrops Counter
+
 	// UnknownGroups counts inbound group-addressed (v3) frames dropped
 	// whole for an unknown or out-of-range group ID: the header's group
 	// exceeds pdu.MaxGroupID, the group table is at its MaxGroups
@@ -136,6 +147,24 @@ func (m *LinkMetrics) StampDesync() {
 		return
 	}
 	m.StampDesyncs.Inc()
+}
+
+// DecodeDrop records one inbound frame whose decode failed. Safe on a
+// nil receiver.
+func (m *LinkMetrics) DecodeDrop() {
+	if m == nil {
+		return
+	}
+	m.DecodeDrops.Inc()
+}
+
+// EncodeDrop records one outbound PDU the encoder rejected. Safe on a
+// nil receiver.
+func (m *LinkMetrics) EncodeDrop() {
+	if m == nil {
+		return
+	}
+	m.EncodeDrops.Inc()
 }
 
 // UnknownGroup records one inbound frame dropped whole for an unknown

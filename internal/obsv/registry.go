@@ -251,6 +251,8 @@ var linkCounterFamilies = []struct {
 	{"cobcast_link_bytes_sent_total", "Encoded frame bytes sent.", func(m *LinkMetrics) *Counter { return &m.BytesOut }},
 	{"cobcast_link_bytes_received_total", "Frame bytes received.", func(m *LinkMetrics) *Counter { return &m.BytesIn }},
 	{"cobcast_link_stamp_desyncs_total", "Inbound delta entries dropped for a missing reference stamp (treated as loss).", func(m *LinkMetrics) *Counter { return &m.StampDesyncs }},
+	{"cobcast_link_decode_drops_total", "Inbound frames whose decode failed, truncated or corrupt (treated as loss).", func(m *LinkMetrics) *Counter { return &m.DecodeDrops }},
+	{"cobcast_link_encode_drops_total", "Outbound PDUs the frame encoder rejected and dropped unsent.", func(m *LinkMetrics) *Counter { return &m.EncodeDrops }},
 	{"cobcast_link_unknown_group_frames_total", "Inbound group-addressed frames dropped for an unknown or out-of-range group ID (treated as loss).", func(m *LinkMetrics) *Counter { return &m.UnknownGroups }},
 }
 

@@ -92,12 +92,12 @@ func TestNetDeliversWithDelayAndOrder(t *testing.T) {
 	net := NewNet(s, 2, NetUniformDelay(2*time.Millisecond))
 	var got []pdu.Seq
 	var at []time.Duration
-	net.Attach(1, func(from pdu.EntityID, p *pdu.PDU) {
+	attachPDUs(net, 1, func(from pdu.EntityID, p *pdu.PDU) {
 		got = append(got, p.SEQ)
 		at = append(at, s.Now())
 	})
 	for i := 1; i <= 3; i++ {
-		net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}})
+		net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}}))
 	}
 	s.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -116,10 +116,10 @@ func TestNetFIFOUnderJitter(t *testing.T) {
 			return time.Duration(rng.Intn(1000)) * time.Microsecond
 		}))
 	var got []pdu.Seq
-	net.Attach(1, func(from pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
+	attachPDUs(net, 1, func(from pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
 	const count = 200
 	for i := 1; i <= count; i++ {
-		net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}})
+		net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}}))
 	}
 	s.Run()
 	if len(got) != count {
@@ -136,10 +136,10 @@ func TestNetLossAndStats(t *testing.T) {
 	s := New()
 	net := NewNet(s, 2, NetLossRate(0.5), NetSeed(9))
 	delivered := 0
-	net.Attach(1, func(pdu.EntityID, *pdu.PDU) { delivered++ })
+	attachPDUs(net, 1, func(pdu.EntityID, *pdu.PDU) { delivered++ })
 	const count = 1000
 	for i := 1; i <= count; i++ {
-		net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}})
+		net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}}))
 	}
 	s.Run()
 	st := net.Stats()
@@ -160,10 +160,10 @@ func TestNetBroadcastSkipsSelfAndShares(t *testing.T) {
 	heard := make(map[pdu.EntityID][]*pdu.PDU)
 	for i := 0; i < 3; i++ {
 		id := pdu.EntityID(i)
-		net.Attach(id, func(from pdu.EntityID, p *pdu.PDU) { heard[id] = append(heard[id], p) })
+		attachPDUs(net, id, func(from pdu.EntityID, p *pdu.PDU) { heard[id] = append(heard[id], p) })
 	}
 	p := &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 1, ACK: []pdu.Seq{1, 1, 1}}
-	net.Broadcast(0, p)
+	net.Broadcast(0, pdus(p))
 	s.Run()
 	if _, ok := heard[0]; ok {
 		t.Error("sender heard its own broadcast")
@@ -177,13 +177,13 @@ func TestNetBroadcastSkipsSelfAndShares(t *testing.T) {
 
 func TestNetDropFilter(t *testing.T) {
 	s := New()
-	net := NewNet(s, 2, NetDropFilter(func(_, _ pdu.EntityID, p *pdu.PDU) bool {
-		return p.SEQ == 2
+	net := NewNet(s, 2, NetDropFilter(func(_, _ pdu.EntityID, d Datagram) bool {
+		return d.PDUs[0].SEQ == 2
 	}))
 	var got []pdu.Seq
-	net.Attach(1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
+	attachPDUs(net, 1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
 	for i := 1; i <= 3; i++ {
-		net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}})
+		net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 1}}))
 	}
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
@@ -191,21 +191,23 @@ func TestNetDropFilter(t *testing.T) {
 	}
 }
 
+// TestNetDatagramFilter: the drop filter sees each datagram once,
+// whatever its size, and drops it whole.
 func TestNetDatagramFilter(t *testing.T) {
 	s := New()
 	calls := 0
-	net := NewNet(s, 2, NetDatagramFilter(func(_, to pdu.EntityID, pdus int) bool {
+	net := NewNet(s, 2, NetDropFilter(func(_, to pdu.EntityID, _ Datagram) bool {
 		calls++
 		return to == 1 && calls == 2 // drop the second datagram whole
 	}))
 	var got []pdu.Seq
-	net.Attach(1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
+	attachPDUs(net, 1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		return &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: seq, ACK: []pdu.Seq{1, 1}}
 	}
-	net.Send(0, 1, mk(1), mk(2)) // batch of 2: one filter call
-	net.Send(0, 1, mk(3), mk(4)) // dropped as a unit
-	net.Send(0, 1, mk(5))
+	net.Send(0, 1, pdus(mk(1), mk(2))) // batch of 2: one filter call
+	net.Send(0, 1, pdus(mk(3), mk(4))) // dropped as a unit
+	net.Send(0, 1, pdus(mk(5)))
 	s.Run()
 	if calls != 3 {
 		t.Errorf("filter consulted %d times, want once per datagram (3)", calls)
@@ -213,8 +215,8 @@ func TestNetDatagramFilter(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 5 {
 		t.Errorf("got = %v, want [1 2 5]", got)
 	}
-	if st := net.Stats(); st.Dropped != 2 {
-		t.Errorf("Dropped = %d, want 2 (PDUs of the dropped datagram)", st.Dropped)
+	if st := net.Stats(); st.Sent != 3 || st.Dropped != 1 {
+		t.Errorf("stats %+v, want 3 datagrams sent and 1 dropped", st)
 	}
 }
 
@@ -222,9 +224,9 @@ func TestNetDuplicateRate(t *testing.T) {
 	s := New()
 	net := NewNet(s, 2, NetDuplicateRate(1.0))
 	var got []pdu.Seq
-	net.Attach(1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
-	net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 1, ACK: []pdu.Seq{1, 1}})
-	net.Send(0, 1, &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 2, ACK: []pdu.Seq{1, 1}})
+	attachPDUs(net, 1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, p.SEQ) })
+	net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 1, ACK: []pdu.Seq{1, 1}}))
+	net.Send(0, 1, pdus(&pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 2, ACK: []pdu.Seq{1, 1}}))
 	s.Run()
 	want := []pdu.Seq{1, 1, 2, 2}
 	if len(got) != len(want) {
@@ -237,53 +239,58 @@ func TestNetDuplicateRate(t *testing.T) {
 	}
 }
 
-// TestNetGroupTagRoutes pins the group tag: a datagram reaches only the
-// handler attached for its group, every group shares the directed
-// channel's FIFO horizon and fault rolls, and the codec hooks see the tag.
+// TestNetGroupTagRoutes pins the datagram as the network's unit: a
+// pointer datagram keeps its group tag, a frame datagram arrives as a
+// receiver-owned copy of its bytes (the byte-fault hook mangles that copy
+// only), and every datagram, whatever its group or form, shares the
+// directed channel's FIFO horizon and counts once.
 func TestNetGroupTagRoutes(t *testing.T) {
 	s := New()
 	calls := 0
-	var encoded, decoded []uint32
+	var corrupted int
 	net := NewNet(s, 2,
 		NetDelay(func(_, _ pdu.EntityID, _ *rand.Rand) time.Duration {
 			calls++
 			return time.Duration(4-calls) * time.Millisecond // later sends draw shorter delays
 		}),
-		NetCodec(
-			func(_ pdu.EntityID, group uint32, batch []*pdu.PDU) []byte {
-				encoded = append(encoded, group)
-				return []byte{byte(batch[0].SEQ)}
-			},
-			func(_, _ pdu.EntityID, group uint32, frame []byte) []*pdu.PDU {
-				decoded = append(decoded, group)
-				return []*pdu.PDU{{Kind: pdu.KindSync, SEQ: pdu.Seq(frame[0])}}
-			}))
-	type arrival struct {
-		group uint32
-		seq   pdu.Seq
-	}
-	var got []arrival
-	for _, g := range []uint32{0, 7} {
-		g := g
-		net.AttachGroup(g, 1, func(_ pdu.EntityID, p *pdu.PDU) { got = append(got, arrival{g, p.SEQ}) })
-	}
+		NetCorrupt(func(_, _ pdu.EntityID, frame []byte) []byte {
+			corrupted++
+			return frame[:len(frame)-1]
+		}))
+	var got []Datagram
+	net.Attach(1, func(_ pdu.EntityID, d Datagram) { got = append(got, d) })
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		return &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: seq, ACK: []pdu.Seq{1, 1}}
 	}
-	net.BroadcastGroup(0, 7, mk(1))
-	net.Broadcast(0, mk(2))
-	net.BroadcastGroup(0, 9, mk(3)) // no handler for group 9: transported, then unheard
+	frame, err := pdu.EncodeFrameGroup([]*pdu.PDU{mk(2), mk(3)}, 9, pdu.WireVersion2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := append([]byte(nil), frame...)
+	net.Broadcast(0, Datagram{Group: 7, PDUs: []*pdu.PDU{mk(1)}})
+	net.Broadcast(0, Datagram{Raw: frame})
+	frame[0] = 0 // the sender's buffer is its own again once Broadcast returns
 	s.Run()
-	want := []arrival{{7, 1}, {0, 2}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("arrivals %v, want %v: one channel FIFO across groups, each to its own handler", got, want)
+	if len(got) != 2 || got[0].Group != 7 || len(got[0].PDUs) != 1 || got[0].PDUs[0].SEQ != 1 {
+		t.Fatalf("arrivals %+v: want the group-7 datagram first (one channel FIFO)", got)
 	}
-	for i, g := range []uint32{7, 0, 9} {
-		if encoded[i] != g || decoded[i] != g {
-			t.Fatalf("codec saw groups %v / %v, want [7 0 9] both", encoded, decoded)
-		}
+	if raw := got[1].Raw; corrupted != 1 || string(raw) != string(sent[:len(sent)-1]) {
+		t.Fatalf("frame arrived as %x after %d corruptions, want the receiver's own mangled copy of %x", raw, corrupted, sent)
 	}
-	if st := net.Stats(); st.Sent != 3 || st.Delivered != 3 {
-		t.Errorf("stats %+v, want 3 sent and 3 delivered", st)
+	if st := net.Stats(); st.Sent != 2 || st.Delivered != 2 {
+		t.Errorf("stats %+v, want 2 datagrams sent and 2 delivered", st)
 	}
 }
+
+// attachPDUs attaches a per-PDU handler to entity i: each arriving
+// pointer datagram's PDUs, in order.
+func attachPDUs(net *Net, i pdu.EntityID, h func(from pdu.EntityID, p *pdu.PDU)) {
+	net.Attach(i, func(from pdu.EntityID, d Datagram) {
+		for _, p := range d.PDUs {
+			h(from, p)
+		}
+	})
+}
+
+// pdus is a group-0 pointer datagram.
+func pdus(ps ...*pdu.PDU) Datagram { return Datagram{PDUs: ps} }

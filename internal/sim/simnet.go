@@ -7,8 +7,21 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// Handler receives a PDU arriving at an entity attached to a Net.
-type Handler func(from pdu.EntityID, p *pdu.PDU)
+// Datagram is the unit a Net moves: one ordered group's PDUs as shared
+// pointers, or one encoded batch frame, which names its group in its own
+// header. Either way it is delayed, lost and duplicated whole.
+type Datagram struct {
+	// Group tags a pointer datagram with its ordered group (the
+	// virtual-time twin of network.Port.BroadcastGroup).
+	Group uint32
+	PDUs  []*pdu.PDU
+	// Raw, when non-nil, is the datagram's frame bytes; PDUs is then
+	// unused.
+	Raw []byte
+}
+
+// Handler receives a datagram arriving at an entity attached to a Net.
+type Handler func(from pdu.EntityID, d Datagram)
 
 // NetOption configures a simulated network.
 type NetOption func(*netConfig)
@@ -18,10 +31,8 @@ type netConfig struct {
 	lossRate      float64
 	duplicateRate float64
 	seed          int64
-	drop          func(from, to pdu.EntityID, p *pdu.PDU) bool
-	dropDatagram  func(from, to pdu.EntityID, pdus int) bool
-	encode        func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte
-	decode        func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU
+	drop          func(from, to pdu.EntityID, d Datagram) bool
+	corrupt       func(from, to pdu.EntityID, frame []byte) []byte
 }
 
 // NetDelay sets a per-channel propagation-delay model; the RNG allows
@@ -45,68 +56,45 @@ func NetDuplicateRate(p float64) NetOption { return func(c *netConfig) { c.dupli
 // NetSeed seeds the network RNG.
 func NetSeed(s int64) NetOption { return func(c *netConfig) { c.seed = s } }
 
-// NetDropFilter installs a targeted-loss hook for failure injection.
-func NetDropFilter(fn func(from, to pdu.EntityID, p *pdu.PDU) bool) NetOption {
+// NetDropFilter installs a loss hook for failure injection, consulted
+// exactly once per transmission (after the blocked-channel and uniform
+// loss-rate checks); returning true drops the whole datagram. Seeing each
+// datagram once, whatever its size, lets fault models that consume
+// randomness — per-link loss rates, correlated buffer-overrun bursts —
+// stay deterministic under batching changes; targeted loss reads the
+// pointer datagram's PDUs.
+func NetDropFilter(fn func(from, to pdu.EntityID, d Datagram) bool) NetOption {
 	return func(c *netConfig) { c.drop = fn }
 }
 
-// NetDatagramFilter installs a per-datagram loss hook, consulted exactly
-// once per transmission (after the blocked-channel and uniform loss-rate
-// checks) with the datagram's PDU count; returning true drops the whole
-// datagram. Unlike NetDropFilter it sees each datagram once regardless of
-// batch size, which lets fault models that consume randomness — per-link
-// loss rates, correlated buffer-overrun bursts — stay deterministic under
-// batching changes.
-func NetDatagramFilter(fn func(from, to pdu.EntityID, pdus int) bool) NetOption {
-	return func(c *netConfig) { c.dropDatagram = fn }
+// NetCorrupt installs a byte-fault hook for frame datagrams, consulted
+// once per delivered copy (duplicates included) with the receiver's own
+// copy of the frame: it returns the bytes to deliver, mangled or not.
+func NetCorrupt(fn func(from, to pdu.EntityID, frame []byte) []byte) NetOption {
+	return func(c *netConfig) { c.corrupt = fn }
 }
 
-// NetCodec routes every Broadcast datagram through a wire codec round
-// trip instead of moving PDU pointers: encode runs exactly once per
-// datagram, before the per-receiver fault rolls, so send-side codec
-// state (a v2 delta-stamp reference) advances the way a real link's
-// does; decode runs once per delivered copy at its receiver, so lost
-// and duplicated datagrams exercise the receive-side codec state
-// exactly as on a lossy wire. decode returns the PDUs that survived —
-// a short result models codec-level loss (a delta stamp whose
-// reference datagram was dropped) and is counted in CodecDropped. The
-// returned frame and PDUs must be freshly owned (the network schedules
-// and replays them). Both see the datagram's group tag: each ordered
-// group is its own sequence space, so codec state must be kept per
-// (channel, group). Direct Send calls bypass the codec.
-func NetCodec(encode func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte,
-	decode func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU) NetOption {
-	return func(c *netConfig) { c.encode, c.decode = encode, decode }
-}
-
-// NetStats counts simulated-network events.
+// NetStats counts simulated-network events, in datagrams: a datagram
+// is sent once per receiver and delivered once per copy.
 type NetStats struct {
 	Sent      uint64
 	Delivered uint64
 	Dropped   uint64
-	// CodecDropped counts PDUs lost inside delivered datagrams by the
-	// NetCodec round trip (decode returned fewer PDUs than were sent),
-	// e.g. v2 delta stamps rejected for a lost reference.
-	CodecDropped uint64
 }
 
 // Net is the virtual-time MC network: per-sender order preserved on every
 // directed channel, arbitrary interleaving across senders, optional loss.
 // Attach one handler per entity, then Broadcast from inside or outside
-// event callbacks; deliveries are scheduled as simulator events.
-//
-// Every datagram carries an ordered-group tag (the virtual-time twin of
-// network.Port.BroadcastGroup): all groups share the links — one fault
-// roll, one delay draw and one FIFO horizon per directed channel,
-// whatever the group — and the tag only selects which of the receiving
-// entity's handlers the datagram reaches.
+// event callbacks; each datagram's arrival is one simulator event. The
+// network never looks inside a datagram's group: every group shares the
+// links — one fault roll, one delay draw and one FIFO horizon per
+// directed channel — and routing by group is the receiver's business.
 type Net struct {
-	sim  *Sim
-	cfg  netConfig
-	rng  *rand.Rand
-	size int
-	// handlers[group][entity]; group 0 is the default group.
-	handlers map[uint32][]Handler
+	sim      *Sim
+	cfg      netConfig
+	rng      *rand.Rand
+	size     int
+	handlers []Handler
 	// lastAt[from][to] is the latest scheduled arrival on the channel,
 	// used to keep the MC service local-order-preserved under jitter.
 	lastAt  [][]time.Duration
@@ -132,7 +120,7 @@ func NewNet(s *Sim, n int, opts ...NetOption) *Net {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.seed)),
 		size:     n,
-		handlers: make(map[uint32][]Handler),
+		handlers: make([]Handler, n),
 		lastAt:   last,
 		blocked:  make(map[[2]pdu.EntityID]bool),
 	}
@@ -164,18 +152,9 @@ func (n *Net) Rejoin(i pdu.EntityID) {
 	}
 }
 
-// Attach registers the handler invoked when default-group PDUs arrive at
-// entity i.
-func (n *Net) Attach(i pdu.EntityID, h Handler) { n.AttachGroup(0, i, h) }
-
-// AttachGroup registers the handler invoked when PDUs tagged with group
-// arrive at entity i.
-func (n *Net) AttachGroup(group uint32, i pdu.EntityID, h Handler) {
-	if n.handlers[group] == nil {
-		n.handlers[group] = make([]Handler, n.size)
-	}
-	n.handlers[group][i] = h
-}
+// Attach registers the handler invoked when datagrams arrive at entity
+// i.
+func (n *Net) Attach(i pdu.EntityID, h Handler) { n.handlers[i] = h }
 
 // Size returns the number of entities.
 func (n *Net) Size() int { return n.size }
@@ -183,69 +162,32 @@ func (n *Net) Size() int { return n.size }
 // Stats returns a snapshot of the counters.
 func (n *Net) Stats() NetStats { return n.stats }
 
-// Broadcast schedules delivery of a default-group batch (one datagram)
-// from one entity to every other.
-func (n *Net) Broadcast(from pdu.EntityID, batch ...*pdu.PDU) {
-	n.BroadcastGroup(from, 0, batch...)
-}
-
-// BroadcastGroup is Broadcast for a datagram of the given ordered group.
-// With a NetCodec installed the batch is encoded here, once, and the same
-// frame bytes fan out to every receiver.
-func (n *Net) BroadcastGroup(from pdu.EntityID, group uint32, batch ...*pdu.PDU) {
-	if len(batch) == 0 {
-		return
-	}
-	var frame []byte
-	if n.cfg.encode != nil {
-		frame = n.cfg.encode(from, group, batch)
-	}
+// Broadcast schedules delivery of one datagram from one entity to every
+// other.
+func (n *Net) Broadcast(from pdu.EntityID, d Datagram) {
 	for to := 0; to < n.size; to++ {
-		if pdu.EntityID(to) == from {
-			continue
+		if pdu.EntityID(to) != from {
+			n.Send(from, pdu.EntityID(to), d)
 		}
-		n.send(from, pdu.EntityID(to), group, batch, frame)
 	}
 }
 
-// Send schedules delivery of a batch on the from→to channel. The batch is
-// one datagram: it is delayed, lost, and duplicated as a unit, arrives as
-// one simulator event, and its PDUs reach the handler in append order —
-// so per-sender order holds within and across batches. Stats count PDUs.
+// Send schedules delivery of one datagram on the from→to channel: it is
+// delayed, lost, and duplicated as a unit, arrives as one simulator
+// event, and its PDUs keep their order — so per-sender order holds
+// within and across datagrams.
 //
-// The network keeps the batch slice and hands the same PDUs to every
-// receiver and every duplicate, so once sent neither may be reused or
-// written. Broadcast and BroadcastGroup share them the same way.
-func (n *Net) Send(from, to pdu.EntityID, batch ...*pdu.PDU) {
-	n.send(from, to, 0, batch, nil)
-}
-
-// send is the shared channel path; a non-nil frame carries the encoded
-// datagram for the NetCodec byte path.
-func (n *Net) send(from, to pdu.EntityID, group uint32, batch []*pdu.PDU, frame []byte) {
-	if len(batch) == 0 {
+// The network keeps d.PDUs and hands the same PDUs to every receiver and
+// every duplicate, so once sent neither the slice nor the PDUs may be
+// reused or written. d.Raw is copied per delivered copy — each receiver
+// owns its bytes — so the caller may reuse it once Send returns.
+func (n *Net) Send(from, to pdu.EntityID, d Datagram) {
+	n.stats.Sent++
+	if n.blocked[[2]pdu.EntityID{from, to}] ||
+		n.cfg.lossRate > 0 && n.rng.Float64() < n.cfg.lossRate ||
+		n.cfg.drop != nil && n.cfg.drop(from, to, d) {
+		n.stats.Dropped++
 		return
-	}
-	n.stats.Sent += uint64(len(batch))
-	if n.blocked[[2]pdu.EntityID{from, to}] {
-		n.stats.Dropped += uint64(len(batch))
-		return
-	}
-	if n.cfg.lossRate > 0 && n.rng.Float64() < n.cfg.lossRate {
-		n.stats.Dropped += uint64(len(batch))
-		return
-	}
-	if n.cfg.dropDatagram != nil && n.cfg.dropDatagram(from, to, len(batch)) {
-		n.stats.Dropped += uint64(len(batch))
-		return
-	}
-	if n.cfg.drop != nil {
-		for _, p := range batch {
-			if n.cfg.drop(from, to, p) {
-				n.stats.Dropped += uint64(len(batch))
-				return
-			}
-		}
 	}
 	copies := 1
 	if n.cfg.duplicateRate > 0 && n.rng.Float64() < n.cfg.duplicateRate {
@@ -258,31 +200,18 @@ func (n *Net) send(from, to pdu.EntityID, group uint32, batch []*pdu.PDU, frame 
 			at = prev + time.Nanosecond
 		}
 		n.lastAt[from][to] = at
-		if frame != nil {
-			// Byte path: decode at arrival, per delivered copy, so the
-			// receiver's codec state sees exactly the datagram sequence
-			// the channel delivered (losses, duplicates and all).
-			sent := len(batch)
-			n.sim.At(at, func() {
-				pdus := n.cfg.decode(from, to, group, frame)
-				if len(pdus) < sent {
-					n.stats.CodecDropped += uint64(sent - len(pdus))
-				}
-				n.arrive(from, to, group, pdus)
-			})
-			continue
+		own := d
+		if d.Raw != nil {
+			own.Raw = append([]byte(nil), d.Raw...)
+			if n.cfg.corrupt != nil {
+				own.Raw = n.cfg.corrupt(from, to, own.Raw)
+			}
 		}
-		n.sim.At(at, func() { n.arrive(from, to, group, batch) })
-	}
-}
-
-// arrive hands one delivered datagram's PDUs to the receiving entity's
-// handler for the datagram's group, if one is attached.
-func (n *Net) arrive(from, to pdu.EntityID, group uint32, pdus []*pdu.PDU) {
-	n.stats.Delivered += uint64(len(pdus))
-	if hs := n.handlers[group]; hs != nil && hs[to] != nil {
-		for _, p := range pdus {
-			hs[to](from, p)
-		}
+		n.sim.At(at, func() {
+			n.stats.Delivered++
+			if h := n.handlers[to]; h != nil {
+				h(from, own)
+			}
+		})
 	}
 }

@@ -1,14 +1,14 @@
-// Package simrun wires core CO-protocol entities to the discrete-event
-// simulator: it routes broadcast output PDUs through a simulated MC
-// network, drives the entities' deferred-confirmation and retransmission
-// timers with virtual ticks, and collects deliveries, latencies and
-// traces. Tests, benchmarks and cmd/cobench all reproduce the paper's
-// experiments through this harness, so results are deterministic and
-// machine-independent.
+// Package simrun runs the node runtime's driver in virtual time: each
+// simulated process is one groups.Shard owning its entity of every
+// group, sending through the runtime's frames adapter onto a simulated
+// MC network, and each simulator event — a submission, an arriving
+// datagram, a process's tick — is one shard call followed by Flush, what
+// the runtime's shard loop does for a burst of one. Tests, benchmarks
+// and cmd/cobench reproduce the paper's experiments through it, so
+// results are deterministic and machine-independent.
 package simrun
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -16,6 +16,7 @@ import (
 
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
+	"cobcast/internal/groups"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
@@ -32,15 +33,14 @@ type Options struct {
 	Core core.Config
 	// Net configures the simulated network (delay, loss, seed).
 	Net []sim.NetOption
-	// TickEvery is the virtual tick period driving entity timers; it
-	// defaults to the deferred-ack interval.
-	TickEvery time.Duration
 	// Trace enables event recording (needed for latency analysis and the
 	// ordering checkers).
 	Trace bool
 	// PDUTap, if set, observes every PDU arriving at an entity before the
 	// entity processes it (used to capture realistic PDU streams for
-	// replay microbenchmarks).
+	// replay microbenchmarks). Under WireVersion 2 an unsequenced PDU is
+	// the decoder's scratch, valid only during the call, exactly as the
+	// entity receives it.
 	PDUTap func(to, from pdu.EntityID, p *pdu.PDU)
 	// Registry, if set, receives each entity's live metrics and a state
 	// snapshot provider, so an obsv HTTP endpoint can watch a simulated
@@ -48,15 +48,11 @@ type Options struct {
 	// RunToQuiescence via the cluster's step mutex; callers stepping
 	// c.Sim directly while a scraper is live should hold c.StepLock.
 	Registry *obsv.Registry
-	// WireVersion 2 routes every broadcast datagram through the real
-	// wire codec: each datagram is encoded once at the sender and decoded
-	// per delivered copy, so simulated loss and duplication exercise the
-	// per-source stamp caches exactly as on a lossy wire. Zero keeps the
-	// PDU-pointer path (and its pinned trace digests); NewGroups rejects
-	// any other value. Delta stamps rejected for a lost reference are
-	// dropped like lost PDUs and show up in the network's CodecDropped
-	// counter; the protocol recovers them by retransmission or the next
-	// full-stamp sync point.
+	// WireVersion picks the runtime's frames adapter each process sends
+	// and decodes through: 0 the in-memory network's (PDU pointers
+	// tagged with their group), 2 the byte transport's (batch frames
+	// through the delta-stamp codec, whose losses Cluster.Link counts).
+	// NewGroups rejects any other value.
 	WireVersion int
 	// StampInterval is the codec's full-stamp sync interval K (0 selects
 	// the codec default; 1 full-stamps every PDU). Ignored unless
@@ -79,11 +75,17 @@ type Options struct {
 }
 
 // Cluster is a simulated CO-protocol cluster: one ordered group's N
-// entities. Clusters built together by NewGroups share Sim, Net and
-// StepLock; everything else is the group's own.
+// entities. Clusters built together by NewGroups share Sim, Net, Link,
+// StepLock and the processes that own their entities; everything else
+// is the group's own.
 type Cluster struct {
-	Sim      *sim.Sim
-	Net      *sim.Net
+	Sim *sim.Sim
+	Net *sim.Net
+	// Link counts, over every process, what the frames adapters sent and
+	// dropped (obsv.LinkMetrics): under WireVersion 2 the frames that
+	// failed to decode and the delta entries stranded without their
+	// reference stamp.
+	Link     *obsv.LinkMetrics
 	Entities []*core.Entity
 	Recorder *trace.Recorder
 
@@ -103,19 +105,20 @@ type Cluster struct {
 	StepLock *sync.Mutex
 
 	n int
-	// group is the tag this cluster's datagrams carry on Net; suffix is
-	// appended to the entity index in node names ("" for a lone cluster,
-	// "/g<group>" among several, as the node runtime labels group engines).
-	group     uint32
-	suffix    string
+	// group is the group this cluster's entities are on their shards;
+	// suffix is appended to the entity index in node names ("" for a
+	// lone cluster, "/g<group>" among several, as the node runtime labels
+	// group engines).
+	group  uint32
+	suffix string
+	// nodes are the run's processes, shared by every cluster of one
+	// NewGroups call.
+	nodes     []*node
 	tickEvery time.Duration
 	submitted int
-	// frozen[i] marks entity i stalled: it stops reading, ticking and
-	// submitting, permanently, while its links stay up. sent[i] lists, in
-	// order, the payloads of the submissions entity i actually executed
-	// (scheduled ones skipped by a freeze or shed by the ledger are
-	// counted in skipped and shedCount instead).
-	frozen    []bool
+	// sent[i] lists, in order, the payloads of the submissions entity i
+	// actually executed (scheduled ones skipped by a freeze or shed by
+	// the ledger are counted in skipped and shedCount instead).
 	sent      [][][]byte
 	skipped   int
 	shedCount int
@@ -124,6 +127,23 @@ type Cluster struct {
 	// Tap[i] per-message application-to-application delay samples for
 	// deliveries at entity i (Figure 8's Tap).
 	tapSamples []time.Duration
+}
+
+// node is one simulated process. It is its shard's Frames — the
+// runtime's adapter plus the harness's observation points (Tap send
+// times, Options.PDUTap) — and that adapter's sender onto Net.
+type node struct {
+	groups.Frames
+	id    pdu.EntityID
+	shard *groups.Shard
+	net   *sim.Net
+	cs    []*Cluster
+	tap   func(to, from pdu.EntityID, p *pdu.PDU)
+	// frozen marks the process stalled: it stops reading, ticking and
+	// submitting, permanently, while its links stay up.
+	frozen bool
+	// from is the sender of the datagram being delivered, for tap.
+	from pdu.EntityID
 }
 
 // New builds a simulated cluster of n entities.
@@ -137,263 +157,218 @@ func New(opts Options) (*Cluster, error) {
 
 // NewGroups builds groups clusters from one Options — ordered groups
 // 0..groups-1, each with its own engines, sequence space, recorder,
-// ledgers and flight rings — on ONE simulator and ONE network, the way a
-// node runtime multiplexes its groups over one socket. The network's
+// ledgers and flight rings — on ONE simulator and ONE network, with ONE
+// shard per process owning that process's engine of every group, the way
+// a node runtime multiplexes its groups over one socket. The network's
 // delays, loss, duplication, partitions and Options.Net hooks hit every
 // group's datagrams alike (the groups share the links); ordering state
-// never crosses groups, because each datagram carries its group tag and,
-// under Options.WireVersion, the codec keeps stamp state per (channel,
-// group). The protocol configuration is identical for every group:
-// isolation comes from datagram routing, never from the entity
-// configuration. Stepping any one cluster (RunUntil, RunToQuiescence)
-// advances them all.
-func NewGroups(opts Options, groups int) ([]*Cluster, error) {
+// never crosses groups, because each datagram names its group and the
+// frames adapter keeps stamp state per group. The protocol configuration
+// is identical for every group: isolation comes from datagram routing,
+// never from the entity configuration. Stepping any one cluster
+// (RunUntil, RunToQuiescence) advances them all.
+func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 	if opts.N < 2 {
 		return nil, fmt.Errorf("simrun: need at least 2 entities, got %d", opts.N)
 	}
-	if groups < 1 {
-		return nil, fmt.Errorf("simrun: need at least 1 group, got %d", groups)
+	if groupCount < 1 {
+		return nil, fmt.Errorf("simrun: need at least 1 group, got %d", groupCount)
 	}
-	s := sim.New()
-	netOpts := opts.Net
-	switch opts.WireVersion {
-	case 0:
-	case 2:
-		netOpts = append(append([]sim.NetOption{}, opts.Net...), wireCodec(opts.N, opts.StampInterval))
-	default:
+	if opts.WireVersion != 0 && opts.WireVersion != 2 {
 		return nil, fmt.Errorf("simrun: unsupported wire version %d", opts.WireVersion)
 	}
-	net := sim.NewNet(s, opts.N, netOpts...)
+	s, lm := sim.New(), obsv.NewLinkMetrics()
 	lock := new(sync.Mutex)
-	cs := make([]*Cluster, groups)
+	// Ticks come every deferred-ack interval, as on the runtime.
+	tickEvery := opts.Core.DeferredAckInterval
+	if tickEvery == 0 {
+		tickEvery = core.DefaultDeferredAckInterval
+	}
+	cs := make([]*Cluster, groupCount)
 	for g := range cs {
 		suffix := ""
-		if groups > 1 {
+		if groupCount > 1 {
 			suffix = "/g" + strconv.Itoa(g)
 		}
-		c, err := newCluster(opts, s, net, lock, uint32(g), suffix)
-		if err != nil {
-			return nil, err
+		cs[g] = &Cluster{
+			Sim:       s,
+			Link:      lm,
+			Entities:  make([]*core.Entity, opts.N),
+			Ledgers:   make([]*core.Ledger, opts.N),
+			Flights:   make([]*flight.Ring, opts.N),
+			Delivered: make([][]core.Delivery, opts.N),
+			StepLock:  lock,
+			n:         opts.N,
+			group:     uint32(g),
+			suffix:    suffix,
+			tickEvery: tickEvery,
+			sent:      make([][][]byte, opts.N),
+			shed:      opts.Shed,
+			sendTimes: make(map[trace.MsgID]time.Duration),
 		}
-		cs[g] = c
+		if opts.Trace {
+			cs[g].Recorder = &trace.Recorder{}
+		}
+	}
+	nodes := make([]*node, opts.N)
+	for i := range nodes {
+		nd := &node{id: pdu.EntityID(i), cs: cs, tap: opts.PDUTap}
+		if opts.WireVersion == 2 {
+			nd.Frames = groups.NewWireFrames(nd, lm, opts.StampInterval)
+		} else {
+			nd.Frames = groups.NewMemFrames(nd, lm)
+		}
+		nd.shard = groups.NewShard(groups.Config{
+			NewEntity: func(g uint32) (*core.Entity, error) {
+				if int(g) >= len(cs) { // bounds check: the shard drops it as unknown
+					return nil, fmt.Errorf("simrun: no group %d", g)
+				}
+				return cs[g].newEntity(opts, i)
+			},
+			Deliver:        func(g uint32, batch []core.Delivery) { cs[g].deliver(nd.id, batch) },
+			DroppedUnknown: lm.UnknownGroup,
+			Now:            s.Now,
+		}, nd)
+		// Every engine starts at virtual time 0, in group order: the
+		// shard visits them in that order ever after.
+		for g, c := range cs {
+			if err := nd.shard.Start(uint32(g)); err != nil {
+				return nil, fmt.Errorf("simrun: entity %s: %w", c.node(i), err)
+			}
+		}
+		nodes[i] = nd
+	}
+	net := sim.NewNet(s, opts.N, opts.Net...)
+	for _, c := range cs {
+		c.Net, c.nodes = net, nodes
+	}
+	for _, nd := range nodes {
+		nd.net = net
+		net.Attach(nd.id, nd.arrive)
+		nd.tick(s, tickEvery)
 	}
 	return cs, nil
 }
 
-// newCluster builds one group's entities and attaches them to net under
-// the group's tag.
-func newCluster(opts Options, s *sim.Sim, net *sim.Net, lock *sync.Mutex, group uint32, suffix string) (*Cluster, error) {
-	c := &Cluster{
-		Sim:       s,
-		Net:       net,
-		Entities:  make([]*core.Entity, opts.N),
-		Ledgers:   make([]*core.Ledger, opts.N),
-		Flights:   make([]*flight.Ring, opts.N),
-		Delivered: make([][]core.Delivery, opts.N),
-		StepLock:  lock,
-		n:         opts.N,
-		group:     group,
-		suffix:    suffix,
-		frozen:    make([]bool, opts.N),
-		sent:      make([][][]byte, opts.N),
-		shed:      opts.Shed,
-		sendTimes: make(map[trace.MsgID]time.Duration),
-	}
-	if opts.Trace {
-		c.Recorder = &trace.Recorder{}
-	}
+// newEntity builds entity i of the cluster's group, with its ledger,
+// flight ring and registry entry.
+func (c *Cluster) newEntity(opts Options, i int) (*core.Entity, error) {
 	cfg := opts.Core
 	cfg.N = opts.N
+	cfg.ID = pdu.EntityID(i)
 	cfg.Tracer = c.Recorder
-	for i := 0; i < opts.N; i++ {
-		cfg.ID = pdu.EntityID(i)
-		cfg.Metrics = nil
-		cfg.Ledger = nil
-		cfg.Flight = nil
-		if opts.FlightEvents > 0 {
-			c.Flights[i] = flight.NewRing(opts.FlightEvents)
-			cfg.Flight = c.Flights[i]
-		}
-		if opts.MemBudgetBytes > 0 {
-			// One ledger per entity: the single-writer accounting
-			// invariant holds trivially on the simulator's one goroutine,
-			// and per-entity budgets mirror the node runtime.
-			c.Ledgers[i] = core.NewLedger(opts.MemBudgetBytes)
-			cfg.Ledger = c.Ledgers[i]
-		}
-		if opts.Registry != nil {
-			cfg.Metrics = obsv.NewEntityMetrics()
-		}
-		ent, err := core.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("simrun: entity %s: %w", c.node(i), err)
-		}
-		c.Entities[i] = ent
-		if opts.Registry != nil {
-			opts.Registry.RegisterNode(c.node(i), cfg.Metrics, nil, func() (obsv.StateSnapshot, bool) {
-				c.StepLock.Lock()
-				defer c.StepLock.Unlock()
-				snap := ent.Snapshot()
-				snap.Group = group
-				return snap, true
-			})
-		}
+	cfg.Metrics, cfg.Ledger, cfg.Flight = nil, nil, nil
+	if opts.FlightEvents > 0 {
+		c.Flights[i] = flight.NewRing(opts.FlightEvents)
+		cfg.Flight = c.Flights[i]
 	}
-	c.tickEvery = opts.TickEvery
-	if c.tickEvery == 0 {
-		withDefaults := cfg
-		if withDefaults.DeferredAckInterval == 0 {
-			withDefaults.DeferredAckInterval = core.DefaultDeferredAckInterval
-		}
-		c.tickEvery = withDefaults.DeferredAckInterval
+	if opts.MemBudgetBytes > 0 {
+		// One ledger per entity: the single-writer accounting invariant
+		// holds trivially on the simulator's one goroutine, and
+		// per-entity budgets mirror the node runtime.
+		c.Ledgers[i] = core.NewLedger(opts.MemBudgetBytes)
+		cfg.Ledger = c.Ledgers[i]
 	}
-	for i := 0; i < opts.N; i++ {
-		id := pdu.EntityID(i)
-		net.AttachGroup(group, id, func(from pdu.EntityID, p *pdu.PDU) {
-			if c.frozen[id] {
-				// The stalled process never reads: the datagram reached
-				// its socket but is dropped unprocessed.
-				return
-			}
-			if opts.PDUTap != nil {
-				opts.PDUTap(id, from, p)
-			}
-			out, err := c.Entities[id].Receive(p, s.Now())
-			if err != nil {
-				// Simulated networks deliver only valid PDUs; an error
-				// here is a harness bug worth surfacing loudly.
-				panic(fmt.Sprintf("simrun: entity %s receive: %v", c.node(int(id)), err))
-			}
-			c.dispatch(id, out)
+	if opts.Registry != nil {
+		cfg.Metrics = obsv.NewEntityMetrics()
+	}
+	ent, err := core.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c.Entities[i] = ent
+	if opts.Registry != nil {
+		opts.Registry.RegisterNode(c.node(i), cfg.Metrics, nil, func() (obsv.StateSnapshot, bool) {
+			c.StepLock.Lock()
+			defer c.StepLock.Unlock()
+			snap := ent.Snapshot()
+			snap.Group = c.group
+			return snap, true
 		})
-		c.scheduleTick(id)
 	}
-	return c, nil
+	return ent, nil
 }
 
 // node is entity i's name in registries, flight dumps and stall reports.
 func (c *Cluster) node(i int) string { return strconv.Itoa(i) + c.suffix }
 
-// wireCodec builds the sim.NetCodec for clusters of n entities: one frame
-// encoder per sender and one frame decoder per directed channel, plus —
-// per ordered group, allocated at the group's first datagram — one stamp
-// encoder per sender (its reference advances once per datagram, like a
-// real link's) and one stamp decoder per directed channel (mirroring the
-// per-sender FIFO cache a receiving link keeps). Each group is its own
-// sequence space, so a delta reference must never resolve across groups.
-func wireCodec(n, stampK int) sim.NetOption {
-	type groupStamps struct {
-		enc []*pdu.StampEncoder  // enc[from]
-		dec [][]pdu.StampDecoder // dec[to][from]
-	}
-	stamps := make(map[uint32]*groupStamps)
-	stampsOf := func(group uint32) *groupStamps {
-		gs := stamps[group]
-		if gs == nil {
-			gs = &groupStamps{enc: make([]*pdu.StampEncoder, n), dec: make([][]pdu.StampDecoder, n)}
-			for i := 0; i < n; i++ {
-				gs.dec[i] = make([]pdu.StampDecoder, n)
-				gs.enc[i] = pdu.NewStampEncoder(stampK)
-			}
-			stamps[group] = gs
-		}
-		return gs
-	}
-	encs := make([]pdu.FrameEncoder, n)
-	decs := make([][]pdu.FrameDecoder, n) // decs[to][from]
-	for to := range decs {
-		decs[to] = make([]pdu.FrameDecoder, n)
-	}
-	encode := func(from pdu.EntityID, group uint32, batch []*pdu.PDU) []byte {
-		e := &encs[from]
-		// The v2 header for group 0 and the group-addressed v3 header
-		// otherwise, exactly as the node runtime's wireFrames.begin.
-		if st := stampsOf(group).enc[from]; group != 0 {
-			e.BeginGroup(nil, group, pdu.WireVersion2, st)
-		} else {
-			e.BeginV2(nil, st)
-		}
-		for _, p := range batch {
-			if err := e.Append(p); err != nil {
-				// Entities only emit encodable PDUs; failing to encode
-				// one is a harness bug worth surfacing loudly.
-				panic(fmt.Sprintf("simrun: encode group %d from %d: %v", group, from, err))
-			}
-		}
-		return e.Bytes()
-	}
-	decode := func(from, to pdu.EntityID, group uint32, frame []byte) []*pdu.PDU {
-		d := &decs[to][from]
-		if err := d.Reset(frame); err != nil {
-			panic(fmt.Sprintf("simrun: frame %d->%d: %v", from, to, err))
-		}
-		if d.Group() != group {
-			panic(fmt.Sprintf("simrun: frame %d->%d of group %d names group %d", from, to, group, d.Group()))
-		}
-		d.SetStampDecoder(&stampsOf(group).dec[to][from])
-		var out []*pdu.PDU
-		var p pdu.PDU
-		for {
-			ok, err := d.Next(&p)
-			if err != nil {
-				if errors.Is(err, pdu.ErrDeltaDesync) {
-					// A delta whose reference this (channel, group) lost
-					// (or a duplicated delivery replaying one): the
-					// datagram's remainder is dropped like loss, exactly
-					// as the link layer treats it.
-					return out
-				}
-				panic(fmt.Sprintf("simrun: decode %d->%d: %v", from, to, err))
-			}
-			if !ok {
-				return out
-			}
-			// Clone: p.ACK/p.Data are scratch, overwritten by the next
-			// decode, while the network replays these PDUs later; Delta
-			// aliases the stamp decoder's scratch and Clone shares it,
-			// so OwnDelta detaches an owned copy.
-			out = append(out, p.Clone().OwnDelta())
-		}
-	}
-	return sim.NetCodec(encode, decode)
-}
-
-// scheduleTick arms a self-rescheduling virtual timer for one entity.
-// The chain ends when the entity is frozen (freezes never heal).
-func (c *Cluster) scheduleTick(id pdu.EntityID) {
-	c.Sim.After(c.tickEvery, func() {
-		if c.frozen[id] {
+// tick fires the process's shard Tick every period of virtual time, the
+// runtime shard's ticker; it stops at a freeze (freezes never heal).
+func (nd *node) tick(s *sim.Sim, period time.Duration) {
+	s.After(period, func() {
+		if nd.frozen {
 			return
 		}
-		out := c.Entities[id].Tick(c.Sim.Now())
-		c.dispatch(id, out)
-		c.scheduleTick(id)
+		nd.shard.Tick()
+		nd.shard.Flush()
+		nd.tick(s, period)
 	})
 }
 
-// Freeze stalls entity id from the current virtual time on: it stops
-// reading, ticking and submitting, permanently, while its links stay up
-// (datagrams addressed to it are still transported and then dropped
-// unread). Distinct from Net.Isolate, which models the link going down.
-func (c *Cluster) Freeze(id pdu.EntityID) { c.frozen[id] = true }
+// arrive is one datagram reaching the process: classified by group as
+// the node runtime's router classifies it, then stepped through the
+// shard.
+func (nd *node) arrive(from pdu.EntityID, d sim.Datagram) {
+	if nd.frozen {
+		// The stalled process never reads: the datagram reached its
+		// socket but is dropped unprocessed.
+		return
+	}
+	g, in, ok := d.Group, groups.Inbound{PDUs: d.PDUs}, true
+	if d.Raw != nil {
+		g, in, ok = groups.RouteFrame(d.Raw, nd.cs[0].Link)
+	}
+	if ok {
+		nd.from = from
+		nd.shard.Inbound(g, in)
+		nd.shard.Flush()
+	}
+}
 
-// Frozen reports whether entity id has been frozen.
-func (c *Cluster) Frozen(id pdu.EntityID) bool { return c.frozen[id] }
+// BroadcastGroup is memFrames' send: one pointer datagram. The network
+// keeps the batch slice, which memFrames reuses, so it gets a copy.
+func (nd *node) BroadcastGroup(g uint32, batch ...*pdu.PDU) error {
+	nd.net.Broadcast(nd.id, sim.Datagram{Group: g, PDUs: append([]*pdu.PDU(nil), batch...)})
+	return nil
+}
 
-// dispatch routes an entity's output: PDUs onto the network as one
-// batched datagram, deliveries into the per-entity record and the Tap
-// histogram.
-func (c *Cluster) dispatch(id pdu.EntityID, out core.Output) {
-	for _, p := range out.PDUs {
-		if p.Kind.Sequenced() && p.Src == id {
-			m := trace.MsgID{Src: p.Src, Seq: p.SEQ}
-			if _, seen := c.sendTimes[m]; !seen {
-				c.sendTimes[m] = c.Sim.Now()
-			}
+// Broadcast is wireFrames' send: one frame datagram, whose bytes the
+// network copies per delivered copy.
+func (nd *node) Broadcast(frame []byte) error {
+	nd.net.Broadcast(nd.id, sim.Datagram{Raw: frame})
+	return nil
+}
+
+// Append notes the first send time of every sequenced PDU the process
+// sources, for the Tap samples, then stages p.
+func (nd *node) Append(g uint32, p *pdu.PDU) {
+	if p.Kind.Sequenced() && p.Src == nd.id {
+		c := nd.cs[g]
+		m := trace.MsgID{Src: p.Src, Seq: p.SEQ}
+		if _, seen := c.sendTimes[m]; !seen {
+			c.sendTimes[m] = c.Sim.Now()
 		}
 	}
-	c.Net.BroadcastGroup(id, c.group, out.PDUs...)
-	for _, d := range out.Deliveries {
+	nd.Frames.Append(g, p)
+}
+
+// Deliver decodes one inbound, showing each PDU to Options.PDUTap before
+// the entity receives it.
+func (nd *node) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
+	if nd.tap != nil {
+		receive := fn
+		fn = func(p *pdu.PDU) {
+			nd.tap(nd.id, nd.from, p)
+			receive(p)
+		}
+	}
+	nd.Frames.Deliver(g, in, fn)
+}
+
+// deliver records one engine output's deliveries at entity id and their
+// Tap samples.
+func (c *Cluster) deliver(id pdu.EntityID, batch []core.Delivery) {
+	for _, d := range batch {
 		c.Delivered[id] = append(c.Delivered[id], d)
 		if sent, ok := c.sendTimes[trace.MsgID{Src: d.Src, Seq: d.SEQ}]; ok {
 			c.tapSamples = append(c.tapSamples, c.Sim.Now()-sent)
@@ -401,12 +376,20 @@ func (c *Cluster) dispatch(id pdu.EntityID, out core.Output) {
 	}
 }
 
+// Freeze stalls process id from the current virtual time on — its
+// entity in every group of the run: it stops reading, ticking and
+// submitting, permanently, while its links stay up (datagrams addressed
+// to it are still transported and then dropped unread). Distinct from
+// Net.Isolate, which models the link going down.
+func (c *Cluster) Freeze(id pdu.EntityID) { c.nodes[id].frozen = true }
+
 // SubmitAt schedules an application broadcast from sender at virtual time
 // at.
 func (c *Cluster) SubmitAt(sender pdu.EntityID, data []byte, at time.Duration) {
 	c.submitted++
 	c.Sim.At(at, func() {
-		if c.frozen[sender] {
+		nd := c.nodes[sender]
+		if nd.frozen {
 			c.skipped++
 			return
 		}
@@ -420,8 +403,12 @@ func (c *Cluster) SubmitAt(sender pdu.EntityID, data []byte, at time.Duration) {
 			return
 		}
 		c.sent[sender] = append(c.sent[sender], data)
-		out := c.Entities[sender].Submit(data, c.Sim.Now())
-		c.dispatch(sender, out)
+		// The engine keeps what it is handed; the runtime's Broadcast
+		// hands it a copy of the caller's payload, and so does this.
+		owned := make([]byte, len(data))
+		copy(owned, data)
+		nd.shard.Submit(c.group, owned)
+		nd.shard.Flush()
 	})
 }
 
@@ -492,24 +479,17 @@ func (c *Cluster) Quiescent() bool {
 // quiescent, or until deadline virtual time passes. It returns the virtual
 // time at completion.
 func (c *Cluster) RunToQuiescence(deadline time.Duration) (time.Duration, error) {
-	step := c.tickEvery
-	for c.Sim.Now() < deadline {
-		c.StepLock.Lock()
-		c.Sim.RunFor(step)
-		done := c.AllDelivered() && c.Quiescent()
-		c.StepLock.Unlock()
-		if done {
-			return c.Sim.Now(), nil
+	at, err := c.RunUntil(func() bool { return c.AllDelivered() && c.Quiescent() }, deadline)
+	if err == nil {
+		return at, nil
+	}
+	for i, ds := range c.Delivered {
+		if len(ds) < c.submitted {
+			return at, fmt.Errorf("simrun: deadline %v: entity %d delivered %d/%d (stats %+v)",
+				deadline, i, len(ds), c.submitted, c.Entities[i].Stats())
 		}
 	}
-	for i := 0; i < c.n; i++ {
-		if len(c.Delivered[i]) < c.submitted {
-			return c.Sim.Now(), fmt.Errorf(
-				"simrun: deadline %v: entity %d delivered %d/%d (stats %+v)",
-				deadline, i, len(c.Delivered[i]), c.submitted, c.Entities[i].Stats())
-		}
-	}
-	return c.Sim.Now(), fmt.Errorf("simrun: deadline %v: delivered but not quiescent", deadline)
+	return at, fmt.Errorf("simrun: deadline %v: delivered but not quiescent", deadline)
 }
 
 // RunUntil advances virtual time in tick-sized steps until done reports

@@ -71,7 +71,7 @@ func TestSingleMessageIdleCluster(t *testing.T) {
 	sent := c.Net.Stats().Sent
 	c.Sim.RunFor(time.Second)
 	if got := c.Net.Stats().Sent; got != sent {
-		t.Errorf("cluster kept talking after quiescence: %d -> %d PDUs", sent, got)
+		t.Errorf("cluster kept talking after quiescence: %d -> %d datagrams", sent, got)
 	}
 }
 
@@ -119,10 +119,12 @@ func TestTargetedLossBurst(t *testing.T) {
 		Trace: true,
 		Net: []sim.NetOption{
 			sim.NetUniformDelay(time.Millisecond),
-			sim.NetDropFilter(func(_, _ pdu.EntityID, p *pdu.PDU) bool {
-				if p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 2 && dropped < 2 {
-					dropped++
-					return true
+			sim.NetDropFilter(func(_, _ pdu.EntityID, d sim.Datagram) bool {
+				for _, p := range d.PDUs {
+					if p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 2 && dropped < 2 {
+						dropped++
+						return true
+					}
 				}
 				return false
 			}),
@@ -278,7 +280,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{N: 1}); err == nil {
 		t.Error("N=1 accepted")
 	}
-	if _, err := New(Options{N: 4, Core: core.Config{BufferUnits: 3}}); err == nil {
+	if _, err := New(Options{N: core.BufferUnits/(2*core.UnitsPerPDU) + 1}); err == nil {
 		t.Error("invalid core config accepted")
 	}
 }

@@ -203,7 +203,7 @@ func decodeAll(t *testing.T, d *pdu.FrameDecoder, frame []byte) []*pdu.PDU {
 
 func TestWireFramesCoalesceAppendsIntoOneFrame(t *testing.T) {
 	tr := newChanTransport()
-	f := newWireFrames(tr, nil)
+	f := groups.NewWireFrames(tr, nil, 0)
 	for i := 1; i <= 5; i++ {
 		f.Append(0, seqPDU(3, pdu.Seq(i)))
 	}
@@ -231,7 +231,7 @@ func TestWireFramesFlushBeforeExceedingMaxDatagram(t *testing.T) {
 	// holds across the resulting datagrams.
 	for _, g := range []uint32{0, 7} {
 		tr := newChanTransport()
-		f := newWireFrames(tr, nil)
+		f := groups.NewWireFrames(tr, nil, 0)
 		// Each PDU is ~15 KiB, so a 60 KiB datagram fits three but not four.
 		big := func(seq pdu.Seq) *pdu.PDU {
 			p := seqPDU(3, seq)
@@ -272,28 +272,26 @@ func TestWireFramesFlushBeforeExceedingMaxDatagram(t *testing.T) {
 
 func TestMemFramesAutoFlushCapsBatch(t *testing.T) {
 	// memFrames must not stage unboundedly during a long drain: it sends
-	// on its own once a group's batch hits memBatchMax, and the early
+	// on its own once a group's batch hits MemBatchMax, and the early
 	// send preserves append order across the resulting datagrams.
 	net := network.New(2)
 	defer net.Close()
-	f := memSubstrate(net.Endpoint(0)).newFrames(nil).(*memFrames)
-	for i := 1; i <= memBatchMax+1; i++ {
+	f := groups.NewMemFrames(net.Endpoint(0), nil)
+	for i := 1; i <= groups.MemBatchMax+1; i++ {
 		f.Append(0, seqPDU(2, pdu.Seq(i)))
 	}
-	if len(f.staged[0]) != 1 {
-		t.Fatalf("staged %d PDUs after auto-flush, want 1", len(f.staged[0]))
+	in := <-net.Endpoint(1).Recv()
+	if len(in.PDUs) != groups.MemBatchMax {
+		t.Fatalf("early datagram carries %d PDUs before the flush, want %d", len(in.PDUs), groups.MemBatchMax)
 	}
 	f.Flush()
-	var got []pdu.Seq
-	for len(got) < memBatchMax+1 {
-		in := <-net.Endpoint(1).Recv()
-		for _, p := range in.PDUs {
-			got = append(got, p.SEQ)
-		}
+	got := append([]*pdu.PDU(nil), in.PDUs...)
+	for len(got) < groups.MemBatchMax+1 {
+		got = append(got, (<-net.Endpoint(1).Recv()).PDUs...)
 	}
-	for i, s := range got {
-		if s != pdu.Seq(i+1) {
-			t.Fatalf("position %d: seq %d, want %d (order across datagrams)", i, s, i+1)
+	for i, p := range got {
+		if p.SEQ != pdu.Seq(i+1) {
+			t.Fatalf("position %d: seq %d, want %d (order across datagrams)", i, p.SEQ, i+1)
 		}
 	}
 }
@@ -305,7 +303,7 @@ func TestMemFramesAutoFlushCapsBatch(t *testing.T) {
 // decoding good frames.
 func TestWireFramesDropV1FrameAsLoss(t *testing.T) {
 	lm := obsv.NewLinkMetrics()
-	f := newWireFrames(newChanTransport(), lm)
+	f := groups.NewWireFrames(newChanTransport(), lm, 0)
 	good, err := pdu.EncodeFrameV2([]*pdu.PDU{seqPDU(3, 1)}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +345,7 @@ func TestWireFramesV2SmallerThanV1(t *testing.T) {
 	// pdu.EncodedSize) of the same PDUs.
 	tr := newChanTransport()
 	lm := obsv.NewLinkMetrics()
-	f := newWireFrames(tr, lm)
+	f := groups.NewWireFrames(tr, lm, 0)
 	v1 := uint64(0)
 	for i := 1; i <= 20; i++ {
 		p := seqPDU(64, pdu.Seq(i))
@@ -373,7 +371,7 @@ func TestWireFramesDeliverDesyncCountedAndRecovered(t *testing.T) {
 	// drop the delta as counted loss, then recover from the full stamp
 	// once the missing frame is (re)delivered.
 	lm := obsv.NewLinkMetrics()
-	f := newWireFrames(newChanTransport(), lm)
+	f := groups.NewWireFrames(newChanTransport(), lm, 0)
 
 	mk := func(seq pdu.Seq) *pdu.PDU {
 		p := seqPDU(3, seq)
@@ -446,8 +444,7 @@ func TestSingleGroupWireBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer nd.Close()
-		peer, err := core.New(core.Config{ID: 1, N: n, Window: core.DefaultWindow,
-			BufferUnits: core.DefaultBufferUnits, UnitsPerPDU: core.DefaultUnitsPerPDU})
+		peer, err := core.New(core.Config{ID: 1, N: n, Window: core.DefaultWindow})
 		if err != nil {
 			t.Fatal(err)
 		}
