@@ -3,7 +3,7 @@
 // replays with full trace dumps for debugging.
 //
 // Sweep 500 seeds on 4 workers, shrinking failures and writing their
-// configs + traces for artifact upload:
+// configs + flight dumps for artifact upload:
 //
 //	cochaos -sweep 500 -par 4 -shrink -faildir chaos-failures
 //
@@ -14,9 +14,11 @@
 //	cochaos -sweep 500 -par 4 -codec 2
 //
 // Replay one seed (for instance a sweep failure) standalone, verbosely,
-// dumping its trace:
+// dumping every entity's flight stream, and check the dump against the
+// Section 2.2 predicates offline:
 //
-//	cochaos -seed 4242 -v -trace failing.jsonl
+//	cochaos -seed 4242 -v -trace seed-4242.flight.json
+//	cotrace check seed-4242.flight.json
 //
 // Append a failing seed's (shrunk) config to the regression corpus:
 //
@@ -79,8 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.codec, "codec", 0, "2 routes every run's datagrams through the wire codec (delta-stamp v2); 0 keeps the PDU-pointer path")
 	fs.BoolVar(&o.shrink, "shrink", false, "shrink failing configs to minimal form")
 	fs.BoolVar(&o.verbose, "v", false, "print per-run statistics")
-	fs.StringVar(&o.trace, "trace", "", "replay mode: write the run's JSON-lines trace here")
-	fs.StringVar(&o.faildir, "faildir", "", "write failing configs and traces into this directory")
+	fs.StringVar(&o.trace, "trace", "", "replay mode: write the run's flight dump (/tracez JSON, read by cotrace check) here")
+	fs.StringVar(&o.faildir, "faildir", "", "write failing configs and flight dumps into this directory")
 	fs.StringVar(&o.corpus, "corpus", "", "append failing (shrunk) configs to this corpus directory")
 	fs.StringVar(&o.obsv, "obsv", "", "replay mode: serve /metrics, /statez and pprof on this address during the run")
 	fs.DurationVar(&o.hold, "hold", 0, "replay mode: keep the -obsv endpoint up this long after the run")
@@ -113,10 +115,8 @@ type failure struct {
 	Detail    string       `json:"detail"`
 	Config    chaos.Config `json:"config"`
 	Shrunk    chaos.Config `json:"shrunk_config,omitempty"`
-	trace     []byte
-	perEntity []core.Stats
-	flight    []obsv.NodeFlight
-	stalls    []obsv.Stall
+	// res is the failing run's evidence; nil when the config could not run.
+	res *chaos.Result
 }
 
 // perEntityTable renders each entity's protocol counters as an aligned
@@ -185,16 +185,10 @@ func sweep(o options, stdout, stderr io.Writer) int {
 					mu.Unlock()
 					continue
 				}
-				f := failure{Seed: seed, Config: cfg, Detail: err.Error()}
+				f := failure{Seed: seed, Config: cfg, Detail: err.Error(), res: res}
 				var v *chaos.Violation
 				if errors.As(err, &v) {
 					f.Predicate = v.Predicate
-				}
-				if res != nil {
-					f.trace = res.TraceJSON
-					f.perEntity = res.PerEntity
-					f.flight = res.Flight
-					f.stalls = res.Stalls
 				}
 				if o.shrink && f.Predicate != "" {
 					if min, ok, _ := chaos.Shrink(cfg, 64); ok {
@@ -223,9 +217,10 @@ func sweep(o options, stdout, stderr io.Writer) int {
 	}
 	for _, f := range failures {
 		fmt.Fprintf(stderr, "FAIL seed %d: [%s] %s\n", f.Seed, f.Predicate, f.Detail)
-		fmt.Fprintf(stderr, "  replay: go run ./cmd/cochaos -seed %d -v -trace seed-%d.jsonl\n", f.Seed, f.Seed)
-		if f.perEntity != nil {
-			fmt.Fprintln(stderr, perEntityTable(f.perEntity))
+		fmt.Fprintf(stderr, "  replay: go run ./cmd/cochaos -seed %d -v -trace seed-%d.flight.json; go run ./cmd/cotrace check seed-%d.flight.json\n",
+			f.Seed, f.Seed, f.Seed)
+		if f.res != nil {
+			fmt.Fprintln(stderr, perEntityTable(f.res.PerEntity))
 		}
 		if err := persistFailure(o, f, stderr); err != nil {
 			fmt.Fprintln(stderr, "cochaos:", err)
@@ -259,12 +254,12 @@ func replay(o options, stdout, stderr io.Writer) int {
 	res, err := chaos.RunWithRegistry(cfg, reg)
 	if res != nil {
 		if o.trace != "" {
-			if werr := os.WriteFile(o.trace, res.TraceJSON, 0o644); werr != nil {
+			if werr := writeDump(o.trace, res.Flight, res.Stalls); werr != nil {
 				fmt.Fprintln(stderr, "cochaos:", werr)
 				return 2
 			}
-			fmt.Fprintf(stdout, "trace (%d events, sha256 %s) written to %s\n",
-				res.Summary.Events, res.TraceDigest, o.trace)
+			fmt.Fprintf(stdout, "flight dump (%d streams, trace sha256 %s) written to %s\n",
+				len(res.Flight), res.TraceDigest, o.trace)
 		}
 		if o.verbose {
 			fmt.Fprintf(stdout, "submitted %d, delivered %d, virtual elapsed %v (faults ceased at %v)\n",
@@ -287,20 +282,15 @@ func replay(o options, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "seed %d: all predicates hold\n", o.seed)
 		return 0
 	}
-	f := failure{Seed: o.seed, Config: cfg, Detail: err.Error()}
+	f := failure{Seed: o.seed, Config: cfg, Detail: err.Error(), res: res}
 	var v *chaos.Violation
 	if !errors.As(err, &v) {
 		fmt.Fprintln(stderr, "cochaos:", err)
 		return 2
 	}
 	f.Predicate = v.Predicate
-	if res != nil {
-		f.trace = res.TraceJSON
-		f.flight = res.Flight
-		f.stalls = res.Stalls
-	}
 	fmt.Fprintf(stderr, "FAIL seed %d: [%s] %s\n", f.Seed, f.Predicate, f.Detail)
-	for _, st := range f.stalls {
+	for _, st := range res.Stalls {
 		fmt.Fprintf(stderr, "  stall: node %s %s [%s] %s: %s (waiting on %v)\n",
 			st.Node, st.Msg, st.Kind, st.Stage, st.Reason, st.WaitingOn)
 	}
@@ -318,8 +308,9 @@ func replay(o options, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// persistFailure writes the failing config + trace into -faildir (for CI
-// artifact upload) and appends the minimal config to -corpus if asked.
+// persistFailure writes the failing config + flight dump into -faildir
+// (for CI artifact upload) and appends the minimal config to -corpus if
+// asked.
 func persistFailure(o options, f failure, stderr io.Writer) error {
 	if o.faildir != "" {
 		if err := os.MkdirAll(o.faildir, 0o755); err != nil {
@@ -333,25 +324,11 @@ func persistFailure(o options, f failure, stderr io.Writer) error {
 		if err := os.WriteFile(cfgPath, append(b, '\n'), 0o644); err != nil {
 			return err
 		}
-		if f.trace != nil {
-			tracePath := filepath.Join(o.faildir, fmt.Sprintf("seed-%d.trace.jsonl", f.Seed))
-			if err := os.WriteFile(tracePath, f.trace, 0o644); err != nil {
-				return err
-			}
-		}
-		if f.flight != nil || f.stalls != nil {
-			// The flight dump and stall verdicts land next to the trace: the
-			// per-entity event rings say what each entity last did, and the
+		if f.res != nil {
+			// The per-entity streams say what each entity did, and the
 			// analyzer says which unmet condition holds what where.
-			dump, err := json.MarshalIndent(struct {
-				Stalls []obsv.Stall      `json:"stalls,omitempty"`
-				Nodes  []obsv.NodeFlight `json:"nodes"`
-			}{Stalls: f.stalls, Nodes: f.flight}, "", "  ")
-			if err != nil {
-				return err
-			}
 			flightPath := filepath.Join(o.faildir, fmt.Sprintf("seed-%d.flight.json", f.Seed))
-			if err := os.WriteFile(flightPath, append(dump, '\n'), 0o644); err != nil {
+			if err := writeDump(flightPath, f.res.Flight, f.res.Stalls); err != nil {
 				return err
 			}
 		}
@@ -374,4 +351,17 @@ func persistFailure(o options, f failure, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "  corpus: %s\n", path)
 	}
 	return nil
+}
+
+// writeDump writes a run's flight streams and stall verdicts as one
+// /tracez-shaped JSON document: the file cotrace check reads.
+func writeDump(path string, nodes []obsv.NodeFlight, stalls []obsv.Stall) error {
+	dump, err := json.Marshal(struct {
+		Stalls []obsv.Stall      `json:"stalls,omitempty"`
+		Nodes  []obsv.NodeFlight `json:"nodes"`
+	}{Stalls: stalls, Nodes: nodes})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(dump, '\n'), 0o644)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"cobcast/internal/chaos"
+	"cobcast/internal/trace"
+	"cobcast/obsv"
 )
 
 func TestSweepPasses(t *testing.T) {
@@ -46,9 +49,11 @@ func TestSweepReportsRegimes(t *testing.T) {
 	}
 }
 
+// TestReplayDeterministicTrace: two replays of a seed write byte-identical
+// flight dumps, and the dump passes the Section 2.2 checker cotrace runs.
 func TestReplayDeterministicTrace(t *testing.T) {
 	dir := t.TempDir()
-	a, b := filepath.Join(dir, "a.jsonl"), filepath.Join(dir, "b.jsonl")
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
 	for _, path := range []string{a, b} {
 		var out, errb bytes.Buffer
 		if code := run([]string{"-seed", "11", "-v", "-trace", path}, &out, &errb); code != 0 {
@@ -67,7 +72,20 @@ func TestReplayDeterministicTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(ba) == 0 || !bytes.Equal(ba, bb) {
-		t.Fatal("replayed traces are not byte-identical")
+		t.Fatal("replayed dumps are not byte-identical")
+	}
+	var doc obsv.Tracez
+	if err := json.Unmarshal(ba, &doc); err != nil {
+		t.Fatal(err)
+	}
+	as, err := trace.AnalyzeDumps(doc.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, an := range as {
+		if err := an.CheckCOService(); err != nil {
+			t.Errorf("group %d: %v", g, err)
+		}
 	}
 }
 
@@ -78,7 +96,10 @@ func TestReplayMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.jsonl")
+	path, want := filepath.Join(dir, "t.json"), filepath.Join(dir, "want.json")
+	if err := writeDump(want, res.Flight, res.Stalls); err != nil {
+		t.Fatal(err)
+	}
 	var out, errb bytes.Buffer
 	if code := run([]string{"-seed", "11", "-trace", path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
@@ -87,8 +108,12 @@ func TestReplayMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, res.TraceJSON) {
-		t.Fatal("CLI trace differs from engine trace for the same seed")
+	wantB, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantB) {
+		t.Fatal("CLI dump differs from the engine's streams for the same seed")
 	}
 	if !strings.Contains(out.String(), res.TraceDigest) {
 		t.Fatalf("digest %s not reported: %s", res.TraceDigest, out.String())

@@ -1,76 +1,127 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"cobcast/internal/core"
+	"cobcast/internal/flight"
+	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
-	"cobcast/internal/trace"
+	"cobcast/internal/sim"
+	"cobcast/internal/simrun"
+	"cobcast/internal/workload"
 )
 
-func TestGenerateAndVerify(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := generate(4, 0.1, 16, 1, false, []string{path}); err != nil {
+// save writes rings as a /tracez document and returns its path.
+func save(t *testing.T, nodes []obsv.NodeFlight) string {
+	t.Helper()
+	b, err := json.Marshal(obsv.Tracez{Nodes: nodes})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run(4, false, []string{path}); err != nil {
+	path := filepath.Join(t.TempDir(), "dump.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// simulatedDump runs a lossy simulated cluster and saves its streams.
+func simulatedDump(t *testing.T, n int, total bool) string {
+	t.Helper()
+	c, err := simrun.New(simrun.Options{
+		N:     n,
+		Trace: true,
+		Core:  core.Config{TotalOrder: total},
+		Net: []sim.NetOption{
+			sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.1), sim.NetSeed(1),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadWorkload(workload.NewContinuous(n, 4, 32))
+	if _, err := c.RunToQuiescence(2 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return save(t, c.FlightDumps())
+}
+
+// handBuilt is a two-entity run, ring by ring: entity 0 sends p, entity 1
+// accepts p and then sends q, so q causally follows p. Entity 1 delivers
+// in the order given.
+func handBuilt(order1 ...pdu.Seq) []obsv.NodeFlight {
+	ev := func(t flight.EventType, entity, src int32) flight.Event {
+		return flight.Event{Entity: entity, Type: t, TypeName: t.String(), Src: src, Seq: 1,
+			Kind: uint8(pdu.KindData), Peer: -1}
+	}
+	rings := [][]flight.Event{
+		{ev(flight.EvSequence, 0, 0), ev(flight.EvAccept, 0, 0), ev(flight.EvAccept, 0, 1),
+			ev(flight.EvDeliver, 0, 0), ev(flight.EvDeliver, 0, 1)},
+		{ev(flight.EvAccept, 1, 0), ev(flight.EvSequence, 1, 1), ev(flight.EvAccept, 1, 1)},
+	}
+	for _, src := range order1 {
+		rings[1] = append(rings[1], ev(flight.EvDeliver, 1, int32(src)))
+	}
+	nodes := make([]obsv.NodeFlight, len(rings))
+	for i, evs := range rings {
+		nodes[i] = obsv.NodeFlight{Node: string(rune('0' + i)), Recorded: uint64(len(evs)), Capacity: 8, Events: evs}
+	}
+	return nodes
+}
+
+// TestRunChecksSimulatedDump: a lossy simulated run's saved streams pass.
+func TestRunChecksSimulatedDump(t *testing.T) {
+	if err := check([]string{simulatedDump(t, 4, false)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestGenerateTotalOrderVerifies(t *testing.T) {
-	// A -gen trace of a plain CO run checked with -total would usually
-	// fail; here just confirm the CO checks pass through run().
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := generate(3, 0, 9, 2, false, []string{path}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(3, false, []string{path}); err != nil {
+// TestRunChecksTotalOrderDump: a total-order run passes with -total.
+func TestRunChecksTotalOrderDump(t *testing.T) {
+	if err := check([]string{"-total", simulatedDump(t, 3, true)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadN(t *testing.T) {
-	if err := run(1, false, nil); err == nil {
-		t.Error("n=1 accepted")
+	if err := check(nil); err == nil {
+		t.Error("no sources accepted")
 	}
-	if err := generate(0, 0, 1, 1, false, nil); err == nil {
-		t.Error("generate with n=0 accepted")
+	if err := check([]string{save(t, handBuilt(0, 1)[:1])}); err == nil {
+		t.Error("a group of one ring accepted")
 	}
 }
 
 func TestRunMissingFile(t *testing.T) {
-	if err := run(3, false, []string{"/nonexistent/trace.jsonl"}); err == nil {
+	if err := check([]string{"/nonexistent/dump.json"}); err == nil {
 		t.Error("missing file accepted")
 	}
 }
 
+// TestRunDetectsViolation: entity 1 delivers q before its causal
+// predecessor p, so the check fails; in causal order it passes.
 func TestRunDetectsViolation(t *testing.T) {
-	// Hand-build a trace where entity 1 delivers a causal pair inverted.
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	if err := check([]string{save(t, handBuilt(0, 1))}); err != nil {
+		t.Fatalf("causal order rejected: %v", err)
 	}
-	rec := &trace.Recorder{}
-	ev := func(ty trace.EventType, entity, src pdu.EntityID, seq pdu.Seq) {
-		rec.Record(trace.Event{Type: ty, Entity: entity,
-			Msg: trace.MsgID{Src: src, Seq: seq}, Kind: pdu.KindData})
-	}
-	ev(trace.Send, 0, 0, 1)   // p sent by 0
-	ev(trace.Accept, 1, 0, 1) // p accepted at 1
-	ev(trace.Send, 1, 1, 1)   // q sent by 1, causally after p
-	ev(trace.Accept, 0, 1, 1)
-	ev(trace.Deliver, 0, 0, 1)
-	ev(trace.Deliver, 0, 1, 1)
-	ev(trace.Deliver, 1, 1, 1) // entity 1 delivers q before p: violation
-	ev(trace.Deliver, 1, 0, 1)
-	if err := rec.WriteJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := run(2, false, []string{path}); err == nil {
+	if err := check([]string{save(t, handBuilt(1, 0))}); err == nil {
 		t.Error("causal violation not detected")
+	}
+}
+
+// TestRunRefusesWrappedRing: a ring that recorded more than it holds is
+// refused by name rather than checked as a suffix.
+func TestRunRefusesWrappedRing(t *testing.T) {
+	nodes := handBuilt(0, 1)
+	nodes[1].Recorded = 9
+	err := check([]string{save(t, nodes)})
+	if err == nil || !strings.Contains(err.Error(), "ring 1 wrapped") {
+		t.Fatalf("got %v, want ring 1 refused as wrapped", err)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"cobcast"
 	"cobcast/internal/cospan"
 	"cobcast/internal/flight"
+	"cobcast/internal/trace"
 	"cobcast/obsv"
 )
 
@@ -192,10 +193,11 @@ func (l *lossyTransport) Broadcast(d []byte) error {
 
 // TestTracezUDPLossySpans is the tracing acceptance path: a 3-node
 // cluster over real UDP loopback with 20% send loss, scraped over HTTP
-// exactly as `cotrace live` does, assembled into a Chrome trace. The
-// run must show at least one retransmitted message, and every message
-// must have a complete lifecycle span on every node with causal flow
-// arrows from its origin.
+// exactly as `cotrace` does, assembled into a Chrome trace. The run must
+// show at least one retransmitted message, and every message must have
+// a complete lifecycle span on every node with causal flow arrows from
+// its origin. The same rings, sized not to wrap, must then pass the
+// Section 2.2 checker `cotrace check` runs.
 func TestTracezUDPLossySpans(t *testing.T) {
 	const n = 3
 	const msgs = 12
@@ -231,6 +233,7 @@ func TestTracezUDPLossySpans(t *testing.T) {
 			cobcast.WithDeferredAckInterval(2*time.Millisecond),
 			cobcast.WithRetransmitTimeout(8*time.Millisecond),
 			cobcast.WithObservability(regs[i]),
+			cobcast.WithFlightRecorder(1<<16),
 		)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
@@ -273,8 +276,6 @@ func TestTracezUDPLossySpans(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// Let the trailing wire-out/deliver events land in the rings.
-	time.Sleep(50 * time.Millisecond)
 
 	var retx uint64
 	for _, nd := range nodes {
@@ -284,20 +285,32 @@ func TestTracezUDPLossySpans(t *testing.T) {
 		t.Fatal("20% loss produced no retransmissions; the lifecycle test would be vacuous")
 	}
 
-	// Scrape each endpoint as cotrace live does and merge.
+	// Scrape each endpoint as cotrace does and merge, once the cluster
+	// has gone quiet: two scrapes in a row recording nothing new. Rings
+	// cut at different moments could hold an accept whose send one
+	// scraped earlier does not.
 	var dumps []obsv.NodeFlight
-	for _, u := range urls {
-		resp, err := http.Get(u + "/tracez")
-		if err != nil {
-			t.Fatal(err)
+	for last, quiet := uint64(0), false; !quiet; {
+		time.Sleep(50 * time.Millisecond)
+		dumps = dumps[:0]
+		var recorded uint64
+		for _, u := range urls {
+			resp, err := http.Get(u + "/tracez")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc obsv.Tracez
+			err = json.NewDecoder(resp.Body).Decode(&doc)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, nf := range doc.Nodes {
+				recorded += nf.Recorded
+			}
+			dumps = append(dumps, doc.Nodes...)
 		}
-		var doc obsv.Tracez
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dumps = append(dumps, doc.Nodes...)
+		quiet, last = recorded == last, recorded
 	}
 	if len(dumps) != n {
 		t.Fatalf("merged %d rings, want %d", len(dumps), n)
@@ -333,6 +346,17 @@ func TestTracezUDPLossySpans(t *testing.T) {
 	}
 	if full < msgs {
 		t.Errorf("only %d messages span all %d nodes, want %d", full, n, msgs)
+	}
+
+	as, err := trace.AnalyzeDumps(dumps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := as[0].CheckCOService(); err != nil {
+		t.Errorf("scraped rings violate the CO service: %v", err)
+	}
+	if s := as[0].Summary(); s.Retransmits == 0 || s.DataSends == 0 {
+		t.Errorf("checked %+v, want DATA sends and a retransmission", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
 	"cobcast/internal/trace"
 )
@@ -141,7 +142,11 @@ func TestRandomRunCausalOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(4)
 		es := newGroup(t, n)
-		rec := &trace.Recorder{}
+		streams := make([][]flight.Event, n)
+		record := func(t flight.EventType, at int, src pdu.EntityID, seq pdu.Seq) {
+			streams[at] = append(streams[at], flight.Event{Entity: int32(at), Type: t,
+				Src: int32(src), Seq: uint64(seq), Kind: uint8(pdu.KindData)})
+		}
 
 		// Per-receiver pending queues preserve per-sender order but
 		// interleave sources randomly (the MC-network hazard).
@@ -151,10 +156,8 @@ func TestRandomRunCausalOrder(t *testing.T) {
 			src := rng.Intn(n)
 			m := es[src].Broadcast([]byte{byte(round)})
 			msgCount++
-			rec.Record(trace.Event{Type: trace.Send, Entity: pdu.EntityID(src),
-				Msg: trace.MsgID{Src: m.Src, Seq: pdu.Seq(m.VT[m.Src])}, Kind: pdu.KindData})
-			rec.Record(trace.Event{Type: trace.Deliver, Entity: pdu.EntityID(src),
-				Msg: trace.MsgID{Src: m.Src, Seq: pdu.Seq(m.VT[m.Src])}, Kind: pdu.KindData})
+			record(flight.EvSequence, src, m.Src, pdu.Seq(m.VT[m.Src]))
+			record(flight.EvDeliver, src, m.Src, pdu.Seq(m.VT[m.Src]))
 			// Everyone must "accept" it for the sender's next stamp to be
 			// causally downstream in ground truth; queue for receivers.
 			for r := 0; r < n; r++ {
@@ -173,10 +176,8 @@ func TestRandomRunCausalOrder(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, d := range ds {
-						rec.Record(trace.Event{Type: trace.Accept, Entity: pdu.EntityID(r),
-							Msg: trace.MsgID{Src: d.Src, Seq: pdu.Seq(d.Seq)}, Kind: pdu.KindData})
-						rec.Record(trace.Event{Type: trace.Deliver, Entity: pdu.EntityID(r),
-							Msg: trace.MsgID{Src: d.Src, Seq: pdu.Seq(d.Seq)}, Kind: pdu.KindData})
+						record(flight.EvAccept, r, d.Src, pdu.Seq(d.Seq))
+						record(flight.EvDeliver, r, d.Src, pdu.Seq(d.Seq))
 					}
 				}
 			}
@@ -191,14 +192,12 @@ func TestRandomRunCausalOrder(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, d := range ds {
-					rec.Record(trace.Event{Type: trace.Accept, Entity: pdu.EntityID(r),
-						Msg: trace.MsgID{Src: d.Src, Seq: pdu.Seq(d.Seq)}, Kind: pdu.KindData})
-					rec.Record(trace.Event{Type: trace.Deliver, Entity: pdu.EntityID(r),
-						Msg: trace.MsgID{Src: d.Src, Seq: pdu.Seq(d.Seq)}, Kind: pdu.KindData})
+					record(flight.EvAccept, r, d.Src, pdu.Seq(d.Seq))
+					record(flight.EvDeliver, r, d.Src, pdu.Seq(d.Seq))
 				}
 			}
 		}
-		a, err := trace.Analyze(rec.Events(), n)
+		a, err := trace.Analyze(streams)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"cobcast/internal/core"
-	"cobcast/internal/flight"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
@@ -70,11 +69,8 @@ type Result struct {
 	// most Link.DecodeDrops may be.
 	Link      *obsv.LinkMetrics
 	Corrupted uint64
-	// Summary aggregates the recorded trace.
-	Summary trace.Summary
-	// TraceJSON is the full JSON-lines trace; TraceDigest its SHA-256.
-	// The digest is the determinism witness: same Config ⇒ same digest.
-	TraceJSON   []byte
+	// TraceDigest is the SHA-256 of the run's checked flight events
+	// (trace.Digest), the determinism witness: same Config ⇒ same digest.
 	TraceDigest string
 	// GroupDigests is set by multi-group runs (Config.Groups >= 2): one
 	// trace digest per group, in group order; TraceDigest then binds
@@ -85,11 +81,10 @@ type Result struct {
 	// admission (Config.Shed).
 	Stalled     []int
 	ShedSubmits int
-	// Flight holds each entity's flight-recorder dump (virtual-time
-	// timestamps) and Stalls the stall-analyzer verdicts at the end of
-	// the run — the evidence cochaos persists next to a failing seed's
-	// trace. Recording is off the protocol path and does not perturb
-	// TraceDigest. Multi-group runs record one dump per engine,
+	// Flight holds each entity's complete flight stream as a /tracez dump
+	// (virtual-time timestamps) and Stalls the stall-analyzer verdicts at
+	// the end of the run — the evidence cochaos writes for a seed, which
+	// cotrace check reads. Multi-group runs record one dump per engine,
 	// attributed "i/gG" (entity i of group g).
 	Flight []obsv.NodeFlight
 	Stalls []obsv.Stall
@@ -286,7 +281,6 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		WireVersion:    wire,
 		MemBudgetBytes: cfg.MemBudgetBytes,
 		Shed:           cfg.Shed,
-		FlightEvents:   flight.DefaultEvents,
 	}, groups)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build cluster: %w", err)
@@ -366,28 +360,20 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	}, deadline)
 
 	// The result is assembled whatever the outcome, so failures carry
-	// their evidence. The trace artifact concatenates the per-group
-	// traces (a debug aid; checkers analyze each group separately).
+	// their evidence.
 	res.VirtualElapsed = s.Now()
 	res.PerEntity = make([]core.Stats, cfg.N)
 	res.Net = net.Stats()
 	res.Link, res.Corrupted = clusters[0].Link, corrupted
 	digests := make([]string, groups)
 	unfired := 0 // scheduled submissions the run ended before
-	var events []trace.Event
-	var buf bytes.Buffer
 	for g, c := range clusters {
 		for i, e := range c.Entities {
 			st := e.Stats()
 			res.Stats.Add(st)
 			res.PerEntity[i].Add(st)
 		}
-		ge := c.Recorder.Events()
-		if digests[g], err = trace.DigestEvents(ge); err != nil {
-			return res, fmt.Errorf("chaos: digest group %d trace: %w", g, err)
-		}
-		events = append(events, ge...)
-		_ = c.Recorder.WriteJSON(&buf) // a bytes.Buffer cannot fail a write
+		digests[g] = trace.Digest(c.Flight.Snapshot(nil))
 		res.ShedSubmits += c.ShedCount()
 		unfired += c.Submitted() - c.Skipped()
 		for _, k := range c.SubmittedBy() {
@@ -396,8 +382,6 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		res.Flight = append(res.Flight, c.FlightDumps()...)
 		res.Stalls = append(res.Stalls, c.StallReport()...)
 	}
-	res.Summary = trace.Summarize(events)
-	res.TraceJSON = buf.Bytes()
 	// One group's digest is the run's digest; several are reported one
 	// by one in GroupDigests and bound together by a hash over them, so
 	// TraceDigest stays the one-line determinism witness.

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -154,7 +154,7 @@ func TestStalledDeterminism(t *testing.T) {
 		if errA != nil || errB != nil {
 			t.Fatalf("seed %d: run errors %v / %v", seed, errA, errB)
 		}
-		if a.TraceDigest != b.TraceDigest || !bytes.Equal(a.TraceJSON, b.TraceJSON) {
+		if a.TraceDigest != b.TraceDigest || !reflect.DeepEqual(a.Flight, b.Flight) {
 			t.Fatalf("seed %d: stalled run not deterministic", seed)
 		}
 		if a.ShedSubmits != b.ShedSubmits || a.Stats.AutoSuspected != b.Stats.AutoSuspected {
@@ -203,7 +203,7 @@ func TestStalledCorpusSheds(t *testing.T) {
 	}
 }
 
-// TestDeterminism is the contract: same seed, byte-identical trace.
+// TestDeterminism is the contract: same seed, identical flight streams.
 func TestDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 17, 42} {
 		cfg := FromSeed(seed)
@@ -215,8 +215,8 @@ func TestDeterminism(t *testing.T) {
 		if a.TraceDigest != b.TraceDigest {
 			t.Fatalf("seed %d: trace digests differ: %s vs %s", seed, a.TraceDigest, b.TraceDigest)
 		}
-		if !bytes.Equal(a.TraceJSON, b.TraceJSON) {
-			t.Fatalf("seed %d: traces not byte-identical", seed)
+		if !reflect.DeepEqual(a.Flight, b.Flight) {
+			t.Fatalf("seed %d: flight streams not identical", seed)
 		}
 		if a.VirtualElapsed != b.VirtualElapsed || a.Net != b.Net {
 			t.Fatalf("seed %d: run statistics differ", seed)

@@ -61,10 +61,7 @@ func TestStampIntervals(t *testing.T) {
 		if a, err := c.Analyze(); err != nil || a.CheckCOService() != nil {
 			t.Fatalf("wire %d K=%d: CO service violated (analysis error %v)", wire, k, err)
 		}
-		digest, err = trace.DigestEvents(c.Recorder.Events())
-		if err != nil {
-			t.Fatal(err)
-		}
+		digest = trace.Digest(c.Flight.Snapshot(nil))
 		if n := c.Link.DecodeDrops.Load(); n != 0 {
 			t.Fatalf("wire %d K=%d: %d frames failed to decode on a network that corrupts nothing", wire, k, n)
 		}

@@ -34,7 +34,6 @@ import (
 	"cobcast/internal/flight"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
-	"cobcast/internal/trace"
 )
 
 // Default protocol parameters; see Config.
@@ -93,15 +92,15 @@ type Config struct {
 	// producers forever. Ignored without a Ledger or with SuspectAfter
 	// zero — memory pressure alone never evicts anyone.
 	PressureSuspectAfter time.Duration
-	// Tracer, if non-nil, records send/accept/deliver/retransmit events
-	// for the trace checkers.
-	Tracer *trace.Recorder
-	// Flight, if non-nil, receives a bounded flight-recorder event at
-	// every lifecycle transition (sequence, accept, park/unpark,
-	// commit, deliver, retransmit request/serve, eviction…), stamped
-	// with the pipeline clock. The entity never reads it back; scrapers
-	// snapshot it concurrently via /tracez. Nil costs one untaken
-	// branch per transition, the same contract as Ledger and Metrics.
+	// Flight, if non-nil, receives a flight-recorder event at every
+	// lifecycle transition (sequence, accept, park/unpark, commit,
+	// deliver, retransmit request/serve, eviction…), stamped with the
+	// pipeline clock and this entity's ID. It is the engine's one event
+	// stream: scrapers snapshot it concurrently via /tracez, and the §2.2
+	// checker (internal/trace) reads its sequence, accept, deliver and
+	// ret-serve events. The entity never reads it back. Nil costs one
+	// untaken branch per transition, the same contract as Ledger and
+	// Metrics.
 	Flight *flight.Ring
 	// Metrics, if non-nil, receives live instrumentation: the entity
 	// mirrors its Stats counters into the atomic EntityMetrics after

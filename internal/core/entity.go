@@ -11,7 +11,6 @@ import (
 	"cobcast/internal/msglog"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
-	"cobcast/internal/trace"
 	"cobcast/internal/vclock"
 )
 
@@ -657,7 +656,6 @@ func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 	}
 	e.noteResident()
 	e.fl(flight.EvAccept, src, p.SEQ, p.Kind, pdu.NoEntity, now)
-	e.trace(trace.Accept, src, p.SEQ, p.Kind, now)
 }
 
 // runPack applies the PACK condition and action (§4.4): the head of each
@@ -887,7 +885,6 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 	}
 	e.stats.Delivered += uint64(len(out.Deliveries) - had)
 	e.fl(flight.EvDeliver, p.Src, p.SEQ, p.Kind, pdu.NoEntity, now)
-	e.trace(trace.Deliver, p.Src, p.SEQ, p.Kind, now)
 }
 
 // maybeConfirm implements deferred confirmation (§5) as exactly two
@@ -1066,7 +1063,6 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 		e.stats.SyncSent++
 	}
 	e.fl(flight.EvSequence, e.me, p.SEQ, kind, pdu.NoEntity, now)
-	e.trace(trace.Send, e.me, p.SEQ, kind, now)
 	e.accept(p, now)
 	e.unheard.CopyFrom(e.alive)
 	e.unheard.Clear(int(e.me))
@@ -1166,7 +1162,6 @@ func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 		e.lastRetx[s] = now
 		e.stats.Retransmitted++
 		e.fl(flight.EvRetServe, e.me, s, p.Kind, r.Src, now)
-		e.trace(trace.Retransmit, e.me, s, p.Kind, now)
 		out.PDUs = append(out.PDUs, p)
 	}
 }
@@ -1227,30 +1222,18 @@ func (e *Entity) noteResident() {
 	}
 }
 
-// fl records one flight-recorder event. With no ring attached the call
-// compiles to a single untaken branch (Record is nil-receiver-safe and
-// inlined), matching the Tracer/Metrics/Ledger contract.
+// fl records one flight-recorder event: each lifecycle site's one
+// recording call. With no ring attached the call compiles to a single
+// untaken branch (Record is nil-receiver-safe and inlined), matching the
+// Metrics/Ledger contract.
 func (e *Entity) fl(t flight.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.Kind, peer pdu.EntityID, now time.Duration) {
-	e.cfg.Flight.Record(t, uint8(kind), int32(src), uint64(seq), int32(peer), int64(now))
+	e.cfg.Flight.Record(int32(e.me), t, uint8(kind), int32(src), uint64(seq), int32(peer), int64(now))
 }
 
 // Flight returns the entity's flight recorder (nil when recording is
 // off), so the runtime that moves its PDUs can add the wire-in/wire-out
 // events the engine itself cannot see.
 func (e *Entity) Flight() *flight.Ring { return e.cfg.Flight }
-
-func (e *Entity) trace(t trace.EventType, src pdu.EntityID, seq pdu.Seq, kind pdu.Kind, now time.Duration) {
-	if e.cfg.Tracer == nil {
-		return
-	}
-	e.cfg.Tracer.Record(trace.Event{
-		Type:   t,
-		Entity: e.me,
-		Msg:    trace.MsgID{Src: src, Seq: seq},
-		Kind:   kind,
-		At:     now,
-	})
-}
 
 // --- Introspection (tests, benchmarks, tools) ---
 

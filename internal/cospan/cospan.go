@@ -76,12 +76,6 @@ func Assemble(nodes []obsv.NodeFlight) []TraceEvent {
 		})
 		msgs := make(map[msgKey]*nodeMsg)
 		perNode[i] = msgs
-		for j := range nf.Events {
-			// JSON-decoded dumps carry only TypeName; rehydrate Type.
-			if ev := &nf.Events[j]; ev.Type == 0 && ev.TypeName != "" {
-				ev.Type = flight.TypeFromName(ev.TypeName)
-			}
-		}
 		pairSubmits(nf.Events)
 		for _, ev := range nf.Events {
 			if ev.Seq == 0 {

@@ -87,8 +87,8 @@ func TestPairSubmitsBackfillsSeq(t *testing.T) {
 func TestAssembleFromSimulatedRun(t *testing.T) {
 	const n = 3
 	c, err := simrun.New(simrun.Options{
-		N:            n,
-		FlightEvents: 1024,
+		N:     n,
+		Trace: true,
 		Net: []sim.NetOption{
 			sim.NetUniformDelay(time.Millisecond),
 			sim.NetLossRate(0.2),

@@ -15,10 +15,10 @@ import (
 	"cobcast/internal/baseline/cbcast"
 	"cobcast/internal/baseline/totalorder"
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
-	"cobcast/internal/trace"
 	"cobcast/internal/vclock"
 	"cobcast/internal/workload"
 )
@@ -184,20 +184,19 @@ func AckLatency(ns []int, r time.Duration) ([]AckLatencyRow, error) {
 		if _, err := c.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("acklat n=%d: %w", n, err)
 		}
-		probe := trace.MsgID{Src: 0, Seq: 1}
-		accepts := make(map[pdu.EntityID]time.Duration)
 		var total time.Duration
 		var count int
-		for _, ev := range c.Recorder.Events() {
-			if ev.Msg != probe || ev.Entity == 0 {
-				continue
-			}
-			switch ev.Type {
-			case trace.Accept:
-				accepts[ev.Entity] = ev.At
-			case trace.Deliver:
-				if at, ok := accepts[ev.Entity]; ok {
-					total += ev.At - at
+		for _, evs := range c.Streams()[1:] {
+			var accepted int64
+			for _, ev := range evs {
+				if ev.Src != 0 || ev.Seq != 1 { // the probe
+					continue
+				}
+				switch ev.Type {
+				case flight.EvAccept:
+					accepted = ev.At
+				case flight.EvDeliver:
+					total += time.Duration(ev.At - accepted)
 					count++
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"cobcast/internal/baseline/fifo"
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
@@ -65,10 +66,10 @@ func loServiceRow() (ServiceRow, error) {
 		}
 		es[i] = e
 	}
-	rec := &trace.Recorder{}
-	record := func(t trace.EventType, entity pdu.EntityID, m fifo.Message) {
-		rec.Record(trace.Event{Type: t, Entity: entity,
-			Msg: trace.MsgID{Src: m.Src, Seq: m.Seq}, Kind: pdu.KindData})
+	streams := make([][]flight.Event, 3)
+	record := func(t flight.EventType, entity pdu.EntityID, m fifo.Message) {
+		streams[entity] = append(streams[entity], flight.Event{Entity: int32(entity), Type: t,
+			Src: int32(m.Src), Seq: uint64(m.Seq), Kind: uint8(pdu.KindData)})
 	}
 	deliver := func(at pdu.EntityID, m fifo.Message) error {
 		ds, err := es[at].Receive(m)
@@ -76,21 +77,21 @@ func loServiceRow() (ServiceRow, error) {
 			return err
 		}
 		for _, d := range ds {
-			record(trace.Accept, at, d)
-			record(trace.Deliver, at, d)
+			record(flight.EvAccept, at, d)
+			record(flight.EvDeliver, at, d)
 		}
 		return nil
 	}
 
 	p := es[0].Broadcast([]byte("p"))
-	record(trace.Send, 0, p)
-	record(trace.Deliver, 0, p)
+	record(flight.EvSequence, 0, p)
+	record(flight.EvDeliver, 0, p)
 	if err := deliver(1, p); err != nil {
 		return ServiceRow{}, err
 	}
 	q := es[1].Broadcast([]byte("q")) // causally after p
-	record(trace.Send, 1, q)
-	record(trace.Deliver, 1, q)
+	record(flight.EvSequence, 1, q)
+	record(flight.EvDeliver, 1, q)
 	if err := deliver(0, q); err != nil {
 		return ServiceRow{}, err
 	}
@@ -102,7 +103,7 @@ func loServiceRow() (ServiceRow, error) {
 		return ServiceRow{}, err
 	}
 
-	a, err := trace.Analyze(rec.Events(), 3)
+	a, err := trace.Analyze(streams)
 	if err != nil {
 		return ServiceRow{}, err
 	}

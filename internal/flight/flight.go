@@ -26,15 +26,24 @@
 //     overwritten mid-scrape is skipped.
 //
 // The ring is bounded: new events overwrite the oldest. A scrape
-// returns the most recent ≤ Cap() events in record order.
+// returns the most recent ≤ Cap() events in record order. The
+// simulator records into a log instead (NewLog): the same slots, grown
+// rather than wrapped, so a run's stream is complete.
+//
+// Each event also names the entity that recorded it. A node's ring has
+// one recording entity; the simulator keeps one log per group, shared
+// by that group's entities, and splits it by this tag. The §2.2
+// checker (internal/trace) reads one such stream per entity.
 package flight
 
-import "sync/atomic"
+import (
+	"encoding/json"
+	"sync/atomic"
+)
 
-// EventType identifies a protocol lifecycle transition. The vocabulary
-// extends internal/trace's sim events (send/accept/deliver/drop/
-// retransmit) with the wire- and resource-level transitions only a real
-// node sees.
+// EventType identifies a protocol lifecycle transition: the one
+// vocabulary the engine, the runtime around it and the §2.2 checker
+// share.
 type EventType uint8
 
 // Flight event vocabulary. The comments give the site that records
@@ -132,6 +141,8 @@ func TypeFromName(name string) EventType {
 // Event is the decoded form of one recorded slot, as returned by
 // Snapshot and serialized on /tracez.
 type Event struct {
+	// Entity is the entity that recorded the event.
+	Entity int32 `json:"entity"`
 	// At is the event time in nanoseconds on the owning runtime's
 	// monotonic protocol clock (node: time.Since(start); sim: virtual
 	// time). The owner's epoch converts it to wall time.
@@ -151,33 +162,43 @@ type Event struct {
 	Peer int32 `json:"peer"`
 }
 
+// UnmarshalJSON decodes a /tracez event, restoring Type from TypeName.
+func (e *Event) UnmarshalJSON(b []byte) error {
+	type plain Event
+	if err := json.Unmarshal(b, (*plain)(e)); err != nil {
+		return err
+	}
+	e.Type = TypeFromName(e.TypeName)
+	return nil
+}
+
 // slot is one seqlock-protected ring entry. stamp holds index+1 when
 // the payload words are consistent and 0 while the writer is mid-store.
 type slot struct {
 	stamp  atomic.Uint64
 	at     atomic.Uint64
 	seq    atomic.Uint64
-	packed atomic.Uint64 // src(16) | peer(16) | type(8) | kind(8)
+	packed atomic.Uint64 // entity(16) | src(16) | peer(16) | type(8) | kind(8)
 }
 
 const peerNone = 0xFFFF // packed encoding of Peer == -1
 
-func pack(t EventType, kind uint8, src int32, peer int32) uint64 {
+func pack(entity int32, t EventType, kind uint8, src int32, peer int32) uint64 {
 	ps := uint64(uint16(src))
 	pp := uint64(peerNone)
 	if peer >= 0 {
 		pp = uint64(uint16(peer))
 	}
-	return ps<<32 | pp<<16 | uint64(t)<<8 | uint64(kind)
+	return uint64(uint16(entity))<<48 | ps<<32 | pp<<16 | uint64(t)<<8 | uint64(kind)
 }
 
-func unpack(w uint64) (t EventType, kind uint8, src int32, peer int32) {
+func unpack(w uint64) (entity int32, t EventType, kind uint8, src int32, peer int32) {
 	src = int32(uint16(w >> 32))
 	peer = -1
 	if p := uint16(w >> 16); p != peerNone {
 		peer = int32(p)
 	}
-	return EventType(uint8(w >> 8)), uint8(w), src, peer
+	return int32(uint16(w >> 48)), EventType(uint8(w >> 8)), uint8(w), src, peer
 }
 
 // Ring is a fixed-capacity flight recorder. Writers may record from
@@ -209,27 +230,42 @@ func NewRing(size int) *Ring {
 	return &Ring{mask: uint64(n - 1), slots: make([]slot, n)}
 }
 
-// Record appends one event. It is safe on a nil ring (one untaken
-// branch) and never allocates. at is the caller's pipeline clock in
-// nanoseconds — Record performs no time syscall itself.
-func (r *Ring) Record(t EventType, kind uint8, src int32, seq uint64, peer int32, at int64) {
+// NewLog returns a recorder that never wraps: it doubles its slots
+// whenever they fill, so Recorded never exceeds Cap. Growing moves the
+// slots, so unlike a ring a log must not be snapshot while another
+// goroutine records; the simulator, which records and reads on one
+// goroutine, is what it is for.
+func NewLog() *Ring {
+	// An all-ones mask never folds an index back into the held slots.
+	return &Ring{mask: ^uint64(0), slots: make([]slot, DefaultEvents)}
+}
+
+// Record appends one event recorded by entity. It is safe on a nil ring
+// (one untaken branch) and never allocates on a ring. at is the
+// caller's pipeline clock in nanoseconds — Record performs no time
+// syscall itself.
+func (r *Ring) Record(entity int32, t EventType, kind uint8, src int32, seq uint64, peer int32, at int64) {
 	if r == nil {
 		return
 	}
-	r.record(t, kind, src, seq, peer, at)
+	r.record(entity, t, kind, src, seq, peer, at)
 }
 
-func (r *Ring) record(t EventType, kind uint8, src int32, seq uint64, peer int32, at int64) {
+func (r *Ring) record(entity int32, t EventType, kind uint8, src int32, seq uint64, peer int32, at int64) {
 	idx := r.w.Add(1) - 1
+	if idx&r.mask >= uint64(len(r.slots)) { // a full log; never a ring
+		r.slots = append(r.slots, make([]slot, len(r.slots))...)
+	}
 	s := &r.slots[idx&r.mask]
 	s.stamp.Store(0) // invalidate: readers mid-flight will reject
 	s.at.Store(uint64(at))
 	s.seq.Store(seq)
-	s.packed.Store(pack(t, kind, src, peer))
+	s.packed.Store(pack(entity, t, kind, src, peer))
 	s.stamp.Store(idx + 1) // publish
 }
 
-// Cap returns the ring capacity (0 for a nil ring).
+// Cap returns the ring capacity, or a log's current size (0 for a nil
+// ring).
 func (r *Ring) Cap() int {
 	if r == nil {
 		return 0
@@ -272,8 +308,9 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 		if s.stamp.Load() != idx+1 {
 			continue // writer moved in while we were reading
 		}
-		t, kind, src, peer := unpack(packed)
+		entity, t, kind, src, peer := unpack(packed)
 		dst = append(dst, Event{
+			Entity:   entity,
 			At:       at,
 			Type:     t,
 			TypeName: t.String(),

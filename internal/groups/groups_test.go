@@ -354,13 +354,17 @@ func TestShardWithoutEngineRunsNoTicker(t *testing.T) {
 // not index out of range.
 func TestRecordWireFilesRetUnderChasedPDU(t *testing.T) {
 	ring := flight.NewRing(8)
+	eng, err := core.New(core.Config{ID: 1, N: 3, Flight: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ret := &pdu.PDU{Kind: pdu.KindRet, Src: 2, ACK: []pdu.Seq{4, 9, 9}, LSrc: 0, LSeq: 7}
-	recordWire(ring, flight.EvWireOut, ret, time.Millisecond)
+	recordWire(eng, flight.EvWireOut, ret, time.Millisecond)
 	ret.LSrc = 3
-	recordWire(ring, flight.EvWireIn, ret, time.Millisecond)
+	recordWire(eng, flight.EvWireIn, ret, time.Millisecond)
 	evs := ring.Snapshot(nil)
-	if len(evs) != 2 || evs[0].Src != 0 || evs[0].Seq != 4 || evs[0].Peer != 2 {
-		t.Fatalf("RET filed as %+v, want src 0 seq 4 (first missing) peer 2", evs)
+	if len(evs) != 2 || evs[0].Src != 0 || evs[0].Seq != 4 || evs[0].Peer != 2 || evs[0].Entity != 1 {
+		t.Fatalf("RET filed as %+v, want src 0 seq 4 (first missing) peer 2, recorded by 1", evs)
 	}
 	if ev := evs[1]; ev.Src != 2 || ev.Seq != 0 {
 		t.Errorf("out-of-range RET filed as %+v, want its own src 2 seq 0", ev)

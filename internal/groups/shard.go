@@ -117,7 +117,7 @@ func (s *Shard) Flush() { s.frames.Flush() }
 // receive feeds one decoded PDU to the engine an inbound is addressed to.
 func (s *Shard) receive(p *pdu.PDU) {
 	now := s.cfg.Now()
-	recordWire(s.cur.Flight(), flight.EvWireIn, p, now)
+	recordWire(s.cur, flight.EvWireIn, p, now)
 	// Receive errors mark malformed or foreign PDUs; the engine counts
 	// them in InvalidPDUs and the protocol carries on.
 	out, _ := s.cur.Receive(p, now)
@@ -153,10 +153,10 @@ func (s *Shard) engine(g uint32) (*core.Entity, error) {
 // the next flush) and hands its deliveries to the embedding runtime, one
 // call per output — before the engine's next input reuses their buffer.
 func (s *Shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
-	if ring := eng.Flight(); ring != nil && len(out.PDUs) > 0 {
+	if eng.Flight() != nil && len(out.PDUs) > 0 {
 		now := s.cfg.Now()
 		for _, p := range out.PDUs {
-			recordWire(ring, flight.EvWireOut, p, now)
+			recordWire(eng, flight.EvWireOut, p, now)
 		}
 	}
 	for _, p := range out.PDUs {
@@ -167,16 +167,17 @@ func (s *Shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 	}
 }
 
-// recordWire notes one PDU crossing the node/network boundary. A RET is
+// recordWire notes one PDU crossing the node/network boundary in eng's
+// flight recorder. A RET is
 // filed under the PDU it chases — the first its sender misses from LSrc,
 // ACK[LSrc], as core's ret-request event is — with the requester in
 // Peer. (LSeq is the gap's exclusive end: a PDU the requester holds or
 // one LSrc has yet to send, in whose span a RET does not belong.) An
 // inbound PDU is not validated yet, hence the range check.
-func recordWire(ring *flight.Ring, t flight.EventType, p *pdu.PDU, now time.Duration) {
+func recordWire(eng *core.Entity, t flight.EventType, p *pdu.PDU, now time.Duration) {
 	src, seq, peer := p.Src, p.SEQ, pdu.NoEntity
 	if p.Kind == pdu.KindRet && p.LSrc >= 0 && int(p.LSrc) < len(p.ACK) {
 		src, seq, peer = p.LSrc, p.ACK[p.LSrc], p.Src
 	}
-	ring.Record(t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
+	eng.Flight().Record(int32(eng.ID()), t, uint8(p.Kind), int32(src), uint64(seq), int32(peer), int64(now))
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/flight"
 	"cobcast/internal/sim"
-	"cobcast/internal/trace"
 	"cobcast/internal/workload"
 )
 
@@ -34,15 +34,17 @@ func TestSoloMessageCostsTwoRounds(t *testing.T) {
 			if st.Delivered != uint64(n) {
 				t.Errorf("delivered %d times, want once at each of %d entities", st.Delivered, n)
 			}
-			var lastDeliver time.Duration
-			for _, ev := range c.Recorder.Events() {
-				if ev.Type == trace.Deliver && ev.At > lastDeliver {
+			var lastDeliver int64
+			events := c.Flight.Snapshot(nil)
+			for _, ev := range events {
+				if ev.Type == flight.EvDeliver && ev.At > lastDeliver {
 					lastDeliver = ev.At
 				}
 			}
-			for _, ev := range c.Recorder.Events() {
-				if ev.Type == trace.Send && ev.At > lastDeliver {
-					t.Errorf("entity %d sent %v at %v, after the last delivery at %v", ev.Entity, ev.Msg, ev.At, lastDeliver)
+			for _, ev := range events {
+				if ev.Type == flight.EvSequence && ev.At > lastDeliver {
+					t.Errorf("entity %d sent s%d#%d at %v, after the last delivery at %v",
+						ev.Entity, ev.Src, ev.Seq, time.Duration(ev.At), time.Duration(lastDeliver))
 				}
 			}
 		})

@@ -28,13 +28,14 @@ import (
 type Options struct {
 	// N is the cluster size.
 	N int
-	// Core is the template entity configuration; ID/N/ClusterID/Tracer
-	// are filled per entity. Zero fields take protocol defaults.
+	// Core is the template entity configuration; ID, N and the hooks are
+	// filled per entity. Zero fields take protocol defaults.
 	Core core.Config
 	// Net configures the simulated network (delay, loss, seed).
 	Net []sim.NetOption
-	// Trace enables event recording (needed for latency analysis and the
-	// ordering checkers).
+	// Trace records every entity's flight events, in virtual time, into
+	// one never-wrapping log per group (Cluster.Flight), which the
+	// ordering checkers, latency analysis and flight dumps read.
 	Trace bool
 	// PDUTap, if set, observes every PDU arriving at an entity before the
 	// entity processes it (used to capture realistic PDU streams for
@@ -66,12 +67,6 @@ type Options struct {
 	// (the simulator cannot block a producer in virtual time).
 	MemBudgetBytes int64
 	Shed           bool
-	// FlightEvents, when > 0, gives every entity its own flight-recorder
-	// ring of that many events (rounded up to a power of two), exposed on
-	// Cluster.Flights. Timestamps are virtual time (epoch 0). The chaos
-	// harness dumps these rings — with each entity's stall verdicts —
-	// when a failing seed is persisted.
-	FlightEvents int
 }
 
 // Cluster is a simulated CO-protocol cluster: one ordered group's N
@@ -87,15 +82,13 @@ type Cluster struct {
 	// reference stamp.
 	Link     *obsv.LinkMetrics
 	Entities []*core.Entity
-	Recorder *trace.Recorder
+	// Flight is the group's event log, shared by its entities (nil
+	// without Options.Trace). Streams splits it per entity.
+	Flight *flight.Ring
 
 	// Ledgers[i] is entity i's memory ledger; nil entries without
 	// Options.MemBudgetBytes.
 	Ledgers []*core.Ledger
-
-	// Flights[i] is entity i's flight recorder; nil entries without
-	// Options.FlightEvents.
-	Flights []*flight.Ring
 
 	// Delivered[i] is entity i's delivery sequence.
 	Delivered [][]core.Delivery
@@ -156,9 +149,9 @@ func New(opts Options) (*Cluster, error) {
 }
 
 // NewGroups builds groups clusters from one Options — ordered groups
-// 0..groups-1, each with its own engines, sequence space, recorder,
-// ledgers and flight rings — on ONE simulator and ONE network, with ONE
-// shard per process owning that process's engine of every group, the way
+// 0..groups-1, each with its own engines, sequence space, ledgers and
+// flight log — on ONE simulator and ONE network, with ONE shard per
+// process owning that process's engine of every group, the way
 // a node runtime multiplexes its groups over one socket. The network's
 // delays, loss, duplication, partitions and Options.Net hooks hit every
 // group's datagrams alike (the groups share the links); ordering state
@@ -195,7 +188,6 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 			Link:      lm,
 			Entities:  make([]*core.Entity, opts.N),
 			Ledgers:   make([]*core.Ledger, opts.N),
-			Flights:   make([]*flight.Ring, opts.N),
 			Delivered: make([][]core.Delivery, opts.N),
 			StepLock:  lock,
 			n:         opts.N,
@@ -207,7 +199,7 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 			sendTimes: make(map[trace.MsgID]time.Duration),
 		}
 		if opts.Trace {
-			cs[g].Recorder = &trace.Recorder{}
+			cs[g].Flight = flight.NewLog()
 		}
 	}
 	nodes := make([]*node, opts.N)
@@ -250,18 +242,13 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 	return cs, nil
 }
 
-// newEntity builds entity i of the cluster's group, with its ledger,
-// flight ring and registry entry.
+// newEntity builds entity i of the cluster's group, recording into the
+// group's flight log, with its ledger and registry entry.
 func (c *Cluster) newEntity(opts Options, i int) (*core.Entity, error) {
 	cfg := opts.Core
 	cfg.N = opts.N
 	cfg.ID = pdu.EntityID(i)
-	cfg.Tracer = c.Recorder
-	cfg.Metrics, cfg.Ledger, cfg.Flight = nil, nil, nil
-	if opts.FlightEvents > 0 {
-		c.Flights[i] = flight.NewRing(opts.FlightEvents)
-		cfg.Flight = c.Flights[i]
-	}
+	cfg.Metrics, cfg.Ledger, cfg.Flight = nil, nil, c.Flight
 	if opts.MemBudgetBytes > 0 {
 		// One ledger per entity: the single-writer accounting invariant
 		// holds trivially on the simulator's one goroutine, and
@@ -528,20 +515,32 @@ func (c *Cluster) Drains() []core.DrainState {
 	return out
 }
 
-// FlightDumps returns each recorded entity's flight events as /tracez-
-// style dumps. EpochUnixNano stays 0: timestamps are virtual time.
-// Entities without rings (Options.FlightEvents unset) are omitted.
+// Streams splits the group's flight log into one stream per entity, each
+// in record order: what a node's ring would hold had it never wrapped.
+// Nil without Options.Trace.
+func (c *Cluster) Streams() [][]flight.Event {
+	if c.Flight == nil {
+		return nil
+	}
+	out := make([][]flight.Event, c.n)
+	for _, ev := range c.Flight.Snapshot(nil) {
+		out[ev.Entity] = append(out[ev.Entity], ev)
+	}
+	return out
+}
+
+// FlightDumps returns each entity's stream as a /tracez dump, labelled as
+// the node runtime labels its rings; cotrace check reads them.
+// EpochUnixNano stays 0: timestamps are virtual time. Nil without
+// Options.Trace.
 func (c *Cluster) FlightDumps() []obsv.NodeFlight {
 	var out []obsv.NodeFlight
-	for i, fr := range c.Flights {
-		if fr == nil {
-			continue
-		}
+	for i, evs := range c.Streams() {
 		out = append(out, obsv.NodeFlight{
 			Node:     c.node(i),
-			Recorded: fr.Recorded(),
-			Capacity: fr.Cap(),
-			Events:   fr.Snapshot(nil),
+			Recorded: uint64(len(evs)),
+			Capacity: len(evs),
+			Events:   evs,
 		})
 	}
 	return out
@@ -564,10 +563,10 @@ func (c *Cluster) StallReport() []obsv.Stall {
 // Analyze runs the trace checkers over the recorded run. It requires the
 // cluster to have been created with Trace: true.
 func (c *Cluster) Analyze() (*trace.Analysis, error) {
-	if c.Recorder == nil {
+	if c.Flight == nil {
 		return nil, fmt.Errorf("simrun: cluster was built without tracing")
 	}
-	return trace.Analyze(c.Recorder.Events(), c.n)
+	return trace.Analyze(c.Streams())
 }
 
 // TotalStats sums entity counters across the cluster.

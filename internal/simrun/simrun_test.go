@@ -350,9 +350,8 @@ func TestNewGroupsIsolatesGroups(t *testing.T) {
 			Net: []sim.NetOption{
 				sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.1), sim.NetSeed(7),
 			},
-			Trace:        true,
-			WireVersion:  wire,
-			FlightEvents: 64,
+			Trace:       true,
+			WireVersion: wire,
 		}, 3)
 		if err != nil {
 			t.Fatal(err)

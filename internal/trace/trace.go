@@ -1,220 +1,225 @@
-// Package trace records protocol events and checks the ordering
-// properties of Section 2.2 against them. The checker derives ground-truth
-// happened-before with vector clocks (independent of the CO protocol's
-// sequence-number machinery), so tests can verify that the protocol's
-// deliveries are information-preserved, local-order-preserved and
-// causality-preserved without trusting the implementation under test.
+// Package trace checks the ordering properties of Section 2.2 against
+// the engine's flight-recorder events — the rings a live node serves on
+// /tracez, or the logs a simulated run keeps. The checker derives
+// ground-truth happened-before with vector clocks (independent of the CO
+// protocol's sequence-number machinery), so tests and cotrace can verify
+// that the protocol's deliveries are information-preserved,
+// local-order-preserved and causality-preserved without trusting the
+// implementation under test.
+//
+// It reads four events of the flight vocabulary: a send is EvSequence, a
+// receipt (the paper's r_i[p]) EvAccept, a delivery EvDeliver and a
+// retransmission EvRetServe. Every other event in a stream is ignored.
 package trace
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
-	"time"
+	"strconv"
+	"strings"
 
+	"cobcast/internal/flight"
+	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 	"cobcast/internal/vclock"
 )
 
-// EventType classifies recorded events.
-type EventType int
-
-const (
-	// Send records an application-level broadcast of a sequenced PDU.
-	Send EventType = iota + 1
-	// Accept records the acceptance (in-order receipt) of a sequenced PDU
-	// at an entity; this is the receipt event r_i[p] of the paper.
-	Accept
-	// Deliver records a PDU being handed to the application entity.
-	Deliver
-	// Drop records a PDU lost in the network.
-	Drop
-	// Retransmit records a rebroadcast triggered by an RET PDU.
-	Retransmit
-)
-
-// String returns the event mnemonic.
-func (t EventType) String() string {
-	switch t {
-	case Send:
-		return "send"
-	case Accept:
-		return "accept"
-	case Deliver:
-		return "deliver"
-	case Drop:
-		return "drop"
-	case Retransmit:
-		return "retransmit"
-	default:
-		return fmt.Sprintf("event(%d)", int(t))
-	}
-}
-
 // MsgID identifies a sequenced PDU by source and sequence number.
 type MsgID struct {
-	Src pdu.EntityID `json:"src"`
-	Seq pdu.Seq      `json:"seq"`
+	Src pdu.EntityID
+	Seq pdu.Seq
 }
 
 // String renders "s1#3".
 func (m MsgID) String() string { return fmt.Sprintf("s%d#%d", m.Src, m.Seq) }
 
-// Event is one recorded protocol event.
-type Event struct {
-	Type   EventType     `json:"type"`
-	Entity pdu.EntityID  `json:"entity"` // where the event happened
-	Msg    MsgID         `json:"msg"`
-	Kind   pdu.Kind      `json:"kind"`
-	At     time.Duration `json:"at"`
-}
-
-// Recorder collects events. It is safe for concurrent use; events from a
-// single entity must be recorded in that entity's processing order, which
-// holds naturally because each entity is single-threaded.
-type Recorder struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// Record appends an event.
-func (r *Recorder) Record(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, e)
-}
-
-// Events returns a copy of everything recorded so far.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// WriteJSON writes the trace as JSON lines.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return fmt.Errorf("encode trace event: %w", err)
-		}
-	}
-	return nil
-}
-
-// DigestEvents returns the SHA-256 hex digest of the trace's JSON-lines
-// encoding — the byte-identity witness behind the chaos harness's
-// determinism contract (same seed ⇒ identical trace ⇒ identical digest).
-func DigestEvents(events []Event) (string, error) {
-	h := sha256.New()
-	enc := json.NewEncoder(h)
-	for _, e := range events {
-		if err := enc.Encode(e); err != nil {
-			return "", fmt.Errorf("digest trace event: %w", err)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// ReadJSON parses a JSON-lines trace.
-func ReadJSON(rd io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("trace line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("read trace: %w", err)
-	}
-	return out, nil
-}
-
-// Analysis is the digested form of a trace used by the checkers.
+// Analysis is the digested form of a run's streams used by the checkers.
 type Analysis struct {
 	n int
 	// stamps holds the ground-truth vector-clock stamp of each sent
-	// message, derived by replaying Send/Accept events.
+	// message, derived by replaying sends and accepts.
 	stamps map[MsgID]vclock.VC
 	// kinds remembers each message's PDU kind.
 	kinds map[MsgID]pdu.Kind
 	// deliveries[e] is entity e's delivery sequence in order.
-	deliveries map[pdu.EntityID][]MsgID
-	// sends is every sent message in send order.
-	sends []MsgID
+	deliveries [][]MsgID
+	// sends is every sent message in replay order.
+	sends   []MsgID
+	summary Summary
 }
 
-// Analyze replays the trace, computing ground-truth vector stamps. The
-// trace must contain each entity's events in its processing order and a
-// message's Send before any of its Accepts (guaranteed by construction
-// for recorded runs).
-func Analyze(events []Event, n int) (*Analysis, error) {
+// Analyze replays one event stream per entity (streams[i] is entity i's,
+// in its record order), computing ground-truth vector stamps. A stamp
+// depends only on each entity's own order and on every send preceding
+// its accepts, so the streams are replayed in any interleaving that
+// keeps both: rings scraped from separate processes need no shared
+// clock. An accept whose send no stream records is an error.
+func Analyze(streams [][]flight.Event) (*Analysis, error) {
+	n := len(streams)
 	a := &Analysis{
 		n:          n,
 		stamps:     make(map[MsgID]vclock.VC),
 		kinds:      make(map[MsgID]pdu.Kind),
-		deliveries: make(map[pdu.EntityID][]MsgID),
+		deliveries: make([][]MsgID, n),
 	}
 	vcs := make([]vclock.VC, n)
 	for i := range vcs {
 		vcs[i] = vclock.New(n)
 	}
-	for _, e := range events {
-		if int(e.Entity) < 0 || int(e.Entity) >= n {
-			return nil, fmt.Errorf("trace: entity %d out of range", e.Entity)
+	pos := make([]int, n)
+	for progress := true; progress; {
+		progress = false
+		for i, evs := range streams {
+		replay:
+			for ; pos[i] < len(evs); pos[i]++ {
+				ev := evs[pos[i]]
+				m := MsgID{Src: pdu.EntityID(ev.Src), Seq: pdu.Seq(ev.Seq)}
+				switch ev.Type {
+				case flight.EvSequence:
+					if int(ev.Src) != i {
+						return nil, fmt.Errorf("trace: entity %d sequenced %v of another source", i, m)
+					}
+					if _, dup := a.stamps[m]; dup {
+						return nil, fmt.Errorf("trace: duplicate send of %v", m)
+					}
+					vcs[i].Tick(i)
+					a.stamps[m] = vcs[i].Clone()
+					a.kinds[m] = pdu.Kind(ev.Kind)
+					a.sends = append(a.sends, m)
+					if a.kinds[m] == pdu.KindData {
+						a.summary.DataSends++
+					} else {
+						a.summary.SyncSends++
+					}
+				case flight.EvAccept:
+					stamp, ok := a.stamps[m]
+					if !ok {
+						break replay // its send is in a stream not replayed that far
+					}
+					vcs[i].Merge(stamp)
+					a.summary.Accepts++
+				case flight.EvDeliver:
+					a.deliveries[i] = append(a.deliveries[i], m)
+					a.summary.Deliveries++
+				case flight.EvRetServe:
+					a.summary.Retransmits++
+				default:
+					continue
+				}
+				a.summary.Events++
+				progress = true
+			}
 		}
-		switch e.Type {
-		case Send:
-			if _, dup := a.stamps[e.Msg]; dup {
-				return nil, fmt.Errorf("trace: duplicate send of %v", e.Msg)
-			}
-			vcs[e.Entity].Tick(int(e.Entity))
-			a.stamps[e.Msg] = vcs[e.Entity].Clone()
-			a.kinds[e.Msg] = e.Kind
-			a.sends = append(a.sends, e.Msg)
-		case Accept:
-			stamp, ok := a.stamps[e.Msg]
-			if !ok {
-				return nil, fmt.Errorf("trace: accept of unsent %v at entity %d", e.Msg, e.Entity)
-			}
-			vcs[e.Entity].Merge(stamp)
-		case Deliver:
-			a.deliveries[e.Entity] = append(a.deliveries[e.Entity], e.Msg)
+	}
+	for i, evs := range streams {
+		if pos[i] < len(evs) {
+			ev := evs[pos[i]]
+			return nil, fmt.Errorf("trace: accept of unsent %v at entity %d",
+				MsgID{Src: pdu.EntityID(ev.Src), Seq: pdu.Seq(ev.Seq)}, i)
 		}
 	}
 	return a, nil
+}
+
+// AnalyzeDumps analyzes flight dumps — /tracez documents scraped live or
+// saved — one Analysis per group. A dump's node label names its entity
+// and group the way the runtime and the simulator label rings:
+// "<entity>" on group 0, "<entity>/g<group>" elsewhere. A group needs
+// one ring for each of its entities 0..n-1, n ≥ 2. A ring that wrapped,
+// or whose scrape lost events, is refused by name: the checker cannot
+// read a suffix of a stream. Scrape a live cluster once it is quiet, or
+// streams cut at different moments will not agree.
+func AnalyzeDumps(nodes []obsv.NodeFlight) (map[uint32]*Analysis, error) {
+	rings := make(map[uint32]map[int][]flight.Event)
+	for _, nf := range nodes {
+		switch {
+		case nf.Recorded > uint64(nf.Capacity):
+			return nil, fmt.Errorf("ring %s wrapped: %d events recorded, %d kept", nf.Node, nf.Recorded, nf.Capacity)
+		case uint64(len(nf.Events)) < nf.Recorded:
+			return nil, fmt.Errorf("ring %s: the scrape holds %d of its %d events", nf.Node, len(nf.Events), nf.Recorded)
+		}
+		id, g, err := parseNode(nf.Node)
+		if err != nil {
+			return nil, err
+		}
+		if rings[g] == nil {
+			rings[g] = make(map[int][]flight.Event)
+		}
+		if _, dup := rings[g][id]; dup {
+			return nil, fmt.Errorf("ring %s: entity %d of group %d appears twice", nf.Node, id, g)
+		}
+		rings[g][id] = nf.Events
+	}
+	out := make(map[uint32]*Analysis, len(rings))
+	for g, byID := range rings {
+		if len(byID) < 2 {
+			return nil, fmt.Errorf("group %d: %d ring, need one per entity of at least 2", g, len(byID))
+		}
+		streams := make([][]flight.Event, len(byID))
+		for id, evs := range byID {
+			if id >= len(byID) {
+				return nil, fmt.Errorf("group %d: %d rings, but one is entity %d", g, len(byID), id)
+			}
+			streams[id] = evs
+		}
+		a, err := Analyze(streams)
+		if err != nil {
+			return nil, fmt.Errorf("group %d: %w", g, err)
+		}
+		out[g] = a
+	}
+	return out, nil
+}
+
+// parseNode splits a ring label "<entity>[/g<group>]".
+func parseNode(label string) (id int, g uint32, err error) {
+	entity, group, grouped := strings.Cut(label, "/g")
+	id, err = strconv.Atoi(entity)
+	if err == nil && grouped {
+		var g64 uint64
+		g64, err = strconv.ParseUint(group, 10, 32)
+		g = uint32(g64)
+	}
+	if err != nil || id < 0 {
+		return 0, 0, fmt.Errorf("ring %q: label is not <entity> or <entity>/g<group>", label)
+	}
+	return id, g, nil
+}
+
+// Digest returns the SHA-256 hex digest of a log's checked events in
+// record order — the chaos harness's determinism witness (same seed ⇒
+// same events ⇒ same digest). Each event hashes as one JSON line,
+// {"type","entity","msg":{"src","seq"},"kind","at"}, with type 1 for a
+// send, 2 accept, 3 deliver and 5 retransmit: the encoding the pinned
+// digests were taken in.
+func Digest(events []flight.Event) string {
+	h := sha256.New()
+	for _, ev := range events {
+		var code int
+		switch ev.Type {
+		case flight.EvSequence:
+			code = 1
+		case flight.EvAccept:
+			code = 2
+		case flight.EvDeliver:
+			code = 3
+		case flight.EvRetServe:
+			code = 5
+		default:
+			continue
+		}
+		fmt.Fprintf(h, "{\"type\":%d,\"entity\":%d,\"msg\":{\"src\":%d,\"seq\":%d},\"kind\":%d,\"at\":%d}\n",
+			code, ev.Entity, ev.Src, ev.Seq, ev.Kind, ev.At)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Stamp returns the ground-truth vector stamp of a message, or nil if the
 // message was never sent.
 func (a *Analysis) Stamp(m MsgID) vclock.VC { return a.stamps[m] }
 
-// Deliveries returns entity e's delivery order.
-func (a *Analysis) Deliveries(e pdu.EntityID) []MsgID { return a.deliveries[e] }
-
-// DataSends returns every KindData message in send order.
+// DataSends returns every KindData message in replay order.
 func (a *Analysis) DataSends() []MsgID {
 	var out []MsgID
 	for _, m := range a.sends {
@@ -391,46 +396,18 @@ func (a *Analysis) CheckTotalOrderPreserved() error {
 	return nil
 }
 
-// Summary describes a trace in aggregate.
+// Summary counts a run's checked events.
 type Summary struct {
 	Events      int
 	DataSends   int
 	SyncSends   int
 	Accepts     int
 	Deliveries  int
-	Drops       int
 	Retransmits int
-	// PerEntityDeliveries maps entity → delivered count.
-	PerEntityDeliveries map[pdu.EntityID]int
 }
 
-// Summarize computes aggregate counts over raw events.
-func Summarize(events []Event) Summary {
-	s := Summary{
-		Events:              len(events),
-		PerEntityDeliveries: make(map[pdu.EntityID]int),
-	}
-	for _, e := range events {
-		switch e.Type {
-		case Send:
-			if e.Kind == pdu.KindData {
-				s.DataSends++
-			} else {
-				s.SyncSends++
-			}
-		case Accept:
-			s.Accepts++
-		case Deliver:
-			s.Deliveries++
-			s.PerEntityDeliveries[e.Entity]++
-		case Drop:
-			s.Drops++
-		case Retransmit:
-			s.Retransmits++
-		}
-	}
-	return s
-}
+// Summary returns the counts of the events Analyze replayed.
+func (a *Analysis) Summary() Summary { return a.summary }
 
 // CheckCOService runs the full causally-ordering-broadcast service check:
 // information-preserved + causality-preserved (which implies local order).

@@ -1,48 +1,64 @@
 package trace
 
 import (
-	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"cobcast/internal/flight"
+	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
 
-// script builds a trace from compact tuples for readability.
-func script(evs ...Event) []Event { return evs }
+const (
+	send    = flight.EvSequence
+	accept  = flight.EvAccept
+	deliver = flight.EvDeliver
+)
 
-func ev(t EventType, entity pdu.EntityID, src pdu.EntityID, seq pdu.Seq) Event {
-	return Event{Type: t, Entity: entity, Msg: MsgID{Src: src, Seq: seq}, Kind: pdu.KindData}
+func ev(t flight.EventType, entity pdu.EntityID, src pdu.EntityID, seq pdu.Seq) flight.Event {
+	return flight.Event{Type: t, TypeName: t.String(), Entity: int32(entity),
+		Src: int32(src), Seq: uint64(seq), Kind: uint8(pdu.KindData)}
+}
+
+// streams splits a script, written in one global order for readability,
+// into n per-entity streams by the recording entity.
+func streams(n int, evs ...flight.Event) [][]flight.Event {
+	out := make([][]flight.Event, n)
+	for _, e := range evs {
+		out[e.Entity] = append(out[e.Entity], e)
+	}
+	return out
 }
 
 // figure2Trace reproduces Figure 2 of the paper: E_g sends p; E_h receives
 // p then sends q; E_k receives both. g is an earlier message from E_g.
 // (Entities g,h,k = 0,1,2.)
-func figure2Trace(deliverOrderAtK []MsgID) []Event {
-	evs := script(
-		ev(Send, 0, 0, 1),   // g
-		ev(Send, 0, 0, 2),   // p
-		ev(Accept, 1, 0, 1), // h accepts g
-		ev(Accept, 1, 0, 2), // h accepts p
-		ev(Send, 1, 1, 1),   // q (causally after p)
-		ev(Accept, 2, 0, 1),
-		ev(Accept, 2, 0, 2),
-		ev(Accept, 2, 1, 1),
+func figure2Trace(deliverOrderAtK []MsgID) [][]flight.Event {
+	evs := []flight.Event{
+		ev(send, 0, 0, 1),   // g
+		ev(send, 0, 0, 2),   // p
+		ev(accept, 1, 0, 1), // h accepts g
+		ev(accept, 1, 0, 2), // h accepts p
+		ev(send, 1, 1, 1),   // q (causally after p)
+		ev(accept, 2, 0, 1),
+		ev(accept, 2, 0, 2),
+		ev(accept, 2, 1, 1),
 		// Deliveries at 0 and 1 in causal order.
-		ev(Deliver, 0, 0, 1), ev(Deliver, 0, 0, 2), ev(Deliver, 0, 1, 1),
-		ev(Deliver, 1, 0, 1), ev(Deliver, 1, 0, 2), ev(Deliver, 1, 1, 1),
-	)
-	for _, m := range deliverOrderAtK {
-		evs = append(evs, Event{Type: Deliver, Entity: 2, Msg: m, Kind: pdu.KindData})
+		ev(deliver, 0, 0, 1), ev(deliver, 0, 0, 2), ev(deliver, 0, 1, 1),
+		ev(deliver, 1, 0, 1), ev(deliver, 1, 0, 2), ev(deliver, 1, 1, 1),
 	}
-	return evs
+	for _, m := range deliverOrderAtK {
+		evs = append(evs, ev(deliver, 2, m.Src, m.Seq))
+	}
+	return streams(3, evs...)
 }
 
 func TestCheckCOServiceFigure2(t *testing.T) {
 	g, p, q := MsgID{0, 1}, MsgID{0, 2}, MsgID{1, 1}
 
 	t.Run("causality-preserved RL_k = <g p q]", func(t *testing.T) {
-		a, err := Analyze(figure2Trace([]MsgID{g, p, q}), 3)
+		a, err := Analyze(figure2Trace([]MsgID{g, p, q}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +68,7 @@ func TestCheckCOServiceFigure2(t *testing.T) {
 	})
 
 	t.Run("violating RL_k = <g q p] (paper: not causality-preserved)", func(t *testing.T) {
-		a, err := Analyze(figure2Trace([]MsgID{g, q, p}), 3)
+		a, err := Analyze(figure2Trace([]MsgID{g, q, p}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +83,7 @@ func TestCheckCOServiceFigure2(t *testing.T) {
 }
 
 func TestGroundTruthStamps(t *testing.T) {
-	a, err := Analyze(figure2Trace([]MsgID{{0, 1}, {0, 2}, {1, 1}}), 3)
+	a, err := Analyze(figure2Trace([]MsgID{{0, 1}, {0, 2}, {1, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +96,34 @@ func TestGroundTruthStamps(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAnyInterleaving: entity 0 accepts entity 1's q and then
+// sends p, so entity 0's stream cannot be replayed first; Analyze must
+// still find q before p whichever stream comes first.
+func TestAnalyzeAnyInterleaving(t *testing.T) {
+	a, err := Analyze(streams(2,
+		ev(send, 1, 1, 1), ev(accept, 1, 1, 1),
+		ev(accept, 0, 1, 1), ev(send, 0, 0, 1), ev(accept, 0, 0, 1),
+		ev(accept, 1, 0, 1),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, p := a.Stamp(MsgID{1, 1}), a.Stamp(MsgID{0, 1}); !q.Before(p) {
+		t.Errorf("stamp(q)=%v should be before stamp(p)=%v", q, p)
+	}
+}
+
 func TestCheckInformationPreserved(t *testing.T) {
-	base := script(
-		ev(Send, 0, 0, 1),
-		ev(Accept, 1, 0, 1),
-		ev(Deliver, 0, 0, 1),
-	)
+	base := []flight.Event{
+		ev(send, 0, 0, 1),
+		ev(accept, 1, 0, 1),
+		ev(deliver, 0, 0, 1),
+	}
+	with := func(evs ...flight.Event) [][]flight.Event {
+		return streams(2, append(append([]flight.Event{}, base...), evs...)...)
+	}
 	t.Run("missing delivery", func(t *testing.T) {
-		a, err := Analyze(base, 2)
+		a, err := Analyze(with())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,9 +133,7 @@ func TestCheckInformationPreserved(t *testing.T) {
 		}
 	})
 	t.Run("duplicate delivery", func(t *testing.T) {
-		evs := append(append([]Event{}, base...),
-			ev(Deliver, 1, 0, 1), ev(Deliver, 1, 0, 1))
-		a, err := Analyze(evs, 2)
+		a, err := Analyze(with(ev(deliver, 1, 0, 1), ev(deliver, 1, 0, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +142,7 @@ func TestCheckInformationPreserved(t *testing.T) {
 		}
 	})
 	t.Run("complete", func(t *testing.T) {
-		evs := append(append([]Event{}, base...), ev(Deliver, 1, 0, 1))
-		a, err := Analyze(evs, 2)
+		a, err := Analyze(with(ev(deliver, 1, 0, 1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,9 +151,9 @@ func TestCheckInformationPreserved(t *testing.T) {
 		}
 	})
 	t.Run("sync PDUs are exempt", func(t *testing.T) {
-		evs := append(append([]Event{}, base...), ev(Deliver, 1, 0, 1),
-			Event{Type: Send, Entity: 0, Msg: MsgID{0, 2}, Kind: pdu.KindSync})
-		a, err := Analyze(evs, 2)
+		sync := ev(send, 0, 0, 2)
+		sync.Kind = uint8(pdu.KindSync)
+		a, err := Analyze(with(ev(deliver, 1, 0, 1), sync))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +164,10 @@ func TestCheckInformationPreserved(t *testing.T) {
 }
 
 func TestCheckLocalOrder(t *testing.T) {
-	evs := script(
-		ev(Send, 0, 0, 1), ev(Send, 0, 0, 2),
-		ev(Deliver, 1, 0, 2), ev(Deliver, 1, 0, 1),
-	)
-	a, err := Analyze(evs, 2)
+	a, err := Analyze(streams(2,
+		ev(send, 0, 0, 1), ev(send, 0, 0, 2),
+		ev(deliver, 1, 0, 2), ev(deliver, 1, 0, 1),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,29 +177,29 @@ func TestCheckLocalOrder(t *testing.T) {
 }
 
 func TestCheckTotalOrder(t *testing.T) {
-	mk := func(order1 []pdu.Seq) []Event {
-		evs := script(
-			ev(Send, 0, 0, 1),
-			ev(Send, 1, 1, 1),
-			ev(Deliver, 0, 0, 1), ev(Deliver, 0, 1, 1),
-		)
+	mk := func(order1 []pdu.Seq) [][]flight.Event {
+		evs := []flight.Event{
+			ev(send, 0, 0, 1),
+			ev(send, 1, 1, 1),
+			ev(deliver, 0, 0, 1), ev(deliver, 0, 1, 1),
+		}
 		for _, s := range order1 {
 			if s == 1 {
-				evs = append(evs, ev(Deliver, 1, 0, 1))
+				evs = append(evs, ev(deliver, 1, 0, 1))
 			} else {
-				evs = append(evs, ev(Deliver, 1, 1, 1))
+				evs = append(evs, ev(deliver, 1, 1, 1))
 			}
 		}
-		return evs
+		return streams(2, evs...)
 	}
-	a, err := Analyze(mk([]pdu.Seq{1, 2}), 2)
+	a, err := Analyze(mk([]pdu.Seq{1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.CheckTotalOrderPreserved(); err != nil {
 		t.Errorf("identical orders failed: %v", err)
 	}
-	a, err = Analyze(mk([]pdu.Seq{2, 1}), 2)
+	a, err = Analyze(mk([]pdu.Seq{2, 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,85 +210,118 @@ func TestCheckTotalOrder(t *testing.T) {
 
 func TestAnalyzeRejectsMalformedTraces(t *testing.T) {
 	tests := []struct {
-		name string
-		evs  []Event
+		name    string
+		streams [][]flight.Event
 	}{
-		{"accept before send", script(ev(Accept, 1, 0, 1))},
-		{"duplicate send", script(ev(Send, 0, 0, 1), ev(Send, 0, 0, 1))},
-		{"entity out of range", script(ev(Send, 5, 5, 1))},
+		{"accept before send", streams(2, ev(accept, 1, 0, 1))},
+		{"duplicate send", streams(2, ev(send, 0, 0, 1), ev(send, 0, 0, 1))},
+		// Entity 1 records a send of source 5's PDU: no stream is entity 5's.
+		{"entity out of range", streams(2, ev(send, 1, 5, 1))},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Analyze(tt.evs, 2); err == nil {
+			if _, err := Analyze(tt.streams); err == nil {
 				t.Error("Analyze accepted malformed trace")
 			}
 		})
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	var r Recorder
-	r.Record(ev(Send, 0, 0, 1))
-	r.Record(ev(Accept, 1, 0, 1))
-	r.Record(Event{Type: Drop, Entity: 1, Msg: MsgID{0, 2}, Kind: pdu.KindData})
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+// dumps wraps per-entity streams as the complete rings of one group.
+func dumps(suffix string, ss [][]flight.Event) []obsv.NodeFlight {
+	out := make([]obsv.NodeFlight, len(ss))
+	for i, evs := range ss {
+		out[i] = obsv.NodeFlight{Node: string(rune('0'+i)) + suffix,
+			Recorded: uint64(len(evs)), Capacity: len(evs), Events: evs}
 	}
-	got, err := ReadJSON(&buf)
+	return out
+}
+
+// TestJSONRoundTrip: rings saved as a /tracez document and read back
+// analyze exactly as the streams they were taken from.
+func TestJSONRoundTrip(t *testing.T) {
+	ss := figure2Trace([]MsgID{{0, 1}, {0, 2}, {1, 1}})
+	b, err := json.Marshal(obsv.Tracez{Nodes: append(dumps("", ss), dumps("/g7", ss)...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != r.Len() {
-		t.Fatalf("round trip %d events, want %d", len(got), r.Len())
+	var doc obsv.Tracez
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range r.Events() {
-		if got[i] != e {
-			t.Errorf("event %d: got %+v want %+v", i, got[i], e)
+	as, err := AnalyzeDumps(doc.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Analyze(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(as) != 2 || as[0] == nil || as[7] == nil {
+		t.Fatalf("analyses for groups %v, want 0 and 7", as)
+	}
+	for g, a := range as {
+		if a.Summary() != want.Summary() || a.CheckCOService() != nil {
+			t.Errorf("group %d: summary %+v (want %+v), CO service %v", g, a.Summary(), want.Summary(), a.CheckCOService())
 		}
 	}
 }
 
-func TestReadJSONBadInput(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json}\n")); err == nil {
-		t.Error("bad JSON accepted")
-	}
-	got, err := ReadJSON(strings.NewReader("\n\n"))
-	if err != nil || len(got) != 0 {
-		t.Errorf("blank lines: got %v, %v", got, err)
+// TestAnalyzeDumpsRefuses: what the checker cannot read as whole streams
+// is refused, naming the ring.
+func TestAnalyzeDumpsRefuses(t *testing.T) {
+	ss := figure2Trace([]MsgID{{0, 1}, {0, 2}, {1, 1}})
+	for _, tt := range []struct {
+		name, want string
+		edit       func(ds []obsv.NodeFlight) []obsv.NodeFlight
+	}{
+		{"wrapped", "ring 1 wrapped", func(ds []obsv.NodeFlight) []obsv.NodeFlight {
+			ds[1].Recorded = uint64(ds[1].Capacity) + 1
+			return ds
+		}},
+		{"torn scrape", "ring 2: the scrape holds", func(ds []obsv.NodeFlight) []obsv.NodeFlight {
+			ds[2].Events = ds[2].Events[1:]
+			return ds
+		}},
+		{"bad label", `ring "x"`, func(ds []obsv.NodeFlight) []obsv.NodeFlight {
+			ds[0].Node = "x"
+			return ds
+		}},
+		{"duplicate", "appears twice", func(ds []obsv.NodeFlight) []obsv.NodeFlight { return append(ds, ds[0]) }},
+		{"missing entity", "one is entity 2", func(ds []obsv.NodeFlight) []obsv.NodeFlight { return ds[1:] }},
+		{"one ring", "group 0: 1 ring", func(ds []obsv.NodeFlight) []obsv.NodeFlight { return ds[:1] }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := AnalyzeDumps(tt.edit(dumps("", ss)))
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Errorf("got %v, want an error containing %q", err, tt.want)
+			}
+		})
 	}
 }
 
-func TestEventTypeAndMsgIDStrings(t *testing.T) {
-	if Send.String() != "send" || Deliver.String() != "deliver" ||
-		Accept.String() != "accept" || Drop.String() != "drop" ||
-		Retransmit.String() != "retransmit" {
-		t.Error("EventType strings wrong")
-	}
-	if !strings.Contains(EventType(99).String(), "99") {
-		t.Error("unknown EventType string wrong")
-	}
+func TestMsgIDString(t *testing.T) {
 	if (MsgID{1, 3}).String() != "s1#3" {
 		t.Error("MsgID string wrong")
 	}
 }
 
 func TestSummarize(t *testing.T) {
-	evs := script(
-		ev(Send, 0, 0, 1),
-		Event{Type: Send, Entity: 1, Msg: MsgID{1, 1}, Kind: pdu.KindSync},
-		ev(Accept, 1, 0, 1),
-		ev(Deliver, 0, 0, 1),
-		ev(Deliver, 1, 0, 1),
-		Event{Type: Drop, Entity: 1, Msg: MsgID{0, 2}, Kind: pdu.KindData},
-		Event{Type: Retransmit, Entity: 0, Msg: MsgID{0, 2}, Kind: pdu.KindData},
-	)
-	s := Summarize(evs)
-	if s.Events != 7 || s.DataSends != 1 || s.SyncSends != 1 || s.Accepts != 1 ||
-		s.Deliveries != 2 || s.Drops != 1 || s.Retransmits != 1 {
-		t.Errorf("summary: %+v", s)
+	sync := ev(send, 1, 1, 1)
+	sync.Kind = uint8(pdu.KindSync)
+	a, err := Analyze(streams(2,
+		ev(send, 0, 0, 1),
+		sync,
+		ev(accept, 1, 0, 1),
+		ev(deliver, 0, 0, 1),
+		ev(deliver, 1, 0, 1),
+		ev(flight.EvWireOut, 0, 0, 1), // not a checked event
+		ev(flight.EvRetServe, 0, 0, 1),
+	))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.PerEntityDeliveries[0] != 1 || s.PerEntityDeliveries[1] != 1 {
-		t.Errorf("per-entity: %+v", s.PerEntityDeliveries)
+	if s := a.Summary(); s != (Summary{Events: 6, DataSends: 1, SyncSends: 1, Accepts: 1, Deliveries: 2, Retransmits: 1}) {
+		t.Errorf("summary: %+v", s)
 	}
 }

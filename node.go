@@ -200,11 +200,11 @@ func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
 	}
 	if nd.o.backpressure == BackpressureShed {
 		l.NoteShed()
-		nd.flight.Record(flight.EvShed, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
+		nd.flight.Record(int32(nd.id), flight.EvShed, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
 		return ErrOverBudget
 	}
 	l.NoteBlock()
-	nd.flight.Record(flight.EvBlock, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
+	nd.flight.Record(int32(nd.id), flight.EvBlock, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
 	for {
 		g := l.Gate()
 		// Re-check after grabbing the gate: the engine may have drained

@@ -43,6 +43,15 @@ go run ./cmd/cochaos -sweep 60 -par 4
 echo '>> chaos sweep smoke under wire codec v2 (60 seeds)'
 go run ./cmd/cochaos -sweep 60 -par 4 -codec 2
 
+# The offline checker on what a replay writes: seed 9 runs three
+# total-order groups, so cotrace check splits the dump by group and
+# checks all four Section 2.2 predicates on each.
+echo '>> cotrace check on a chaos replay dump (seed 9)'
+dump=$(mktemp)
+trap 'rm -f "$dump"' EXIT
+go run ./cmd/cochaos -seed 9 -trace "$dump" >/dev/null
+go run ./cmd/cotrace check -total "$dump"
+
 # Opt-in perf gate: rerun the benchmarks bench_pins.json pins and fail
 # on a median >10% (or the row's own spread) over its pin, or any
 # allocs/op growth. Off by default because ns/op needs a quiet machine
