@@ -9,6 +9,8 @@
 package cobcast_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 	"cobcast/internal/core"
 	"cobcast/internal/experiments"
 	"cobcast/internal/flight"
+	"cobcast/internal/groups"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -349,6 +352,53 @@ func BenchmarkHotPathDeliveryHandoff(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHotPathShardInbox is the hop every submission and received
+// datagram takes into the runtime (DESIGN.md §2d): concurrent producers,
+// one per GOMAXPROCS, call Registry.Submit and one shard loop takes
+// their inputs off its inbox in batches. The group's engine failed to
+// build, so the shard drops each input on arrival and one op times the
+// hand-off alone: the group lookup, the inbox bound, the wake-up and the
+// loop's swap. Quiescent, which queues behind every submission, closes
+// the timed region.
+func BenchmarkHotPathShardInbox(b *testing.B) {
+	r, err := groups.New(groups.Config{
+		Shards:    1,
+		NewEntity: func(uint32) (*core.Entity, error) { return nil, errors.New("no engine") },
+		NewFrames: func(int) groups.Frames { return nopFrames{} },
+		Deliver:   func(uint32, []core.Delivery) {},
+		Now:       func() time.Duration { return 0 },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	ctx, data := context.Background(), make([]byte, 128)
+	for i := 0; i < 4096; i++ { // inbox and swap buffer at their steady sizes
+		if err := r.Submit(ctx, 1, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r.Quiescent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := r.Submit(ctx, 1, data); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	r.Quiescent()
+}
+
+// nopFrames is a wire that stages and sends nothing.
+type nopFrames struct{}
+
+func (nopFrames) Append(uint32, *pdu.PDU)                          {}
+func (nopFrames) Flush()                                           {}
+func (nopFrames) Deliver(uint32, groups.Inbound, func(p *pdu.PDU)) {}
 
 // BenchmarkFrameCodec measures the batch-frame layer on top of the PDU
 // codec: encode a k-PDU batch into one full-stamped frame and decode it

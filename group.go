@@ -153,12 +153,18 @@ func (p *GroupPort) pump() {
 			return
 		}
 		for i := range batch {
+			// A channel with room takes the message without a select
+			// over stop too: one lock per message instead of two.
 			select {
 			case p.deliver <- batch[i]:
-			case <-p.nd.stop:
-				// Drop the rest so close is prompt; consumers that closed
-				// early asked for this.
-				return
+			default:
+				select {
+				case p.deliver <- batch[i]:
+				case <-p.nd.stop:
+					// Drop the rest so close is prompt; consumers that
+					// closed early asked for this.
+					return
+				}
 			}
 			// The consumer owns the message now: a Data left behind
 			// would pin its PDU until the slot is next overwritten.

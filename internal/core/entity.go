@@ -148,7 +148,12 @@ type Entity struct {
 	lastHeard []time.Duration
 	heardOnce []bool
 
+	// pendingSubmits is the queued backlog: a window onto submitBuf's
+	// array whose start drainSubmits advances, sliding the rest back to
+	// the base once the consumed prefix is at least as long, so a
+	// saturated backlog reuses one array instead of regrowing it.
 	pendingSubmits [][]byte
+	submitBuf      [][]byte
 	// delivered backs Output.Deliveries, reused from input to input: its
 	// length is what the previous input delivered — the prefix finish
 	// must clear before reuse (config.go states the ownership rule).
@@ -282,7 +287,11 @@ func (e *Entity) Submit(data []byte, now time.Duration) Output {
 // not touch it again. The runtime's shard calls it with the copy
 // Broadcast already made.
 func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
+	grow := len(e.pendingSubmits) == cap(e.pendingSubmits)
 	e.pendingSubmits = append(e.pendingSubmits, data)
+	if grow {
+		e.submitBuf = e.pendingSubmits[:0]
+	}
 	e.chargeSubmit(len(data))
 	e.fl(flight.EvSubmit, e.me, 0, pdu.KindData, pdu.NoEntity, now)
 	if !e.windowOpen() {
@@ -864,6 +873,15 @@ func (e *Entity) drainSubmits(now time.Duration, out *Output) {
 		e.pendingSubmits = e.pendingSubmits[k:]
 		e.stats.MsgsSent += uint64(k)
 		e.broadcastSequenced(pdu.KindData, data, packed, false, now, out)
+	}
+	// Both slices end at the array's end, so their capacities differ by
+	// the consumed prefix. Moving the rest only once that prefix is as
+	// long as it keeps the copying O(1) per message however deep the
+	// backlog runs.
+	if off := cap(e.submitBuf) - cap(e.pendingSubmits); off > 0 && off >= len(e.pendingSubmits) {
+		n := copy(e.submitBuf[:len(e.pendingSubmits)], e.pendingSubmits)
+		clear(e.pendingSubmits) // no overlap with the copy, as off >= n
+		e.pendingSubmits = e.submitBuf[:n]
 	}
 }
 

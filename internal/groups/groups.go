@@ -156,7 +156,7 @@ func New(cfg Config) (*Registry, error) {
 	r.shards = make([]*Shard, cfg.Shards)
 	for i := range r.shards {
 		s := NewShard(cfg, cfg.NewFrames(i))
-		s.in = make(chan shardMsg, shardInboxCap)
+		s.in.wake = make(chan struct{}, 1)
 		s.stop, s.done = make(chan struct{}), make(chan struct{})
 		r.shards[i] = s
 		go s.loop()
@@ -230,7 +230,7 @@ func (r *Registry) Inbound(g uint32, in Inbound) {
 // counts it.
 func (c *Config) dropUnknown(in Inbound) {
 	if in.Raw != nil {
-		pdu.PutDatagram(in.Raw)
+		putDatagram(in.Raw)
 	}
 	if c.DroppedUnknown != nil {
 		c.DroppedUnknown()
@@ -348,10 +348,14 @@ func (r *Registry) Close() {
 	}
 }
 
-// shardInboxCap is each shard's input queue depth. Full inboxes apply
+// shardInboxCap bounds each shard's queued inputs. Full inboxes apply
 // backpressure to submitters and to the inbound router (which in turn
 // slows the transport — the receive socket buffer absorbs bursts).
 const shardInboxCap = 256
+
+// putDatagram returns a pooled datagram buffer the runtime drops instead
+// of delivering; a variable so tests can count the returns.
+var putDatagram = pdu.PutDatagram
 
 const (
 	msgSubmit = iota
@@ -372,22 +376,88 @@ type shardMsg struct {
 	reply chan error
 }
 
+// inbox is a shard's bounded FIFO of inputs. Senders append under mu and
+// wake the loop only when the queue turns non-empty; the loop takes the
+// whole queue per swap, trading it for its previous batch, zeroed. A
+// burst of inputs thus costs each side one lock per batch, where a
+// channel cost a lock per input and a select over the stop channel too
+// (DESIGN.md §2d).
+type inbox struct {
+	mu     sync.Mutex
+	queue  []shardMsg
+	closed bool
+	// wake holds a token while inputs may wait to be taken. gate, made by
+	// the first sender that finds the queue full, closes when the loop
+	// next takes a batch, releasing every sender waiting on it.
+	wake chan struct{}
+	gate chan struct{}
+}
+
 // send enqueues m, blocking while the inbox is full; it fails once the
 // registry is closing or ctx ends.
 func (s *Shard) send(ctx context.Context, m shardMsg) error {
-	select {
-	case <-s.stop:
-		return ErrClosed
-	default:
+	q := &s.in
+	q.mu.Lock()
+	for len(q.queue) >= shardInboxCap && !q.closed {
+		if q.gate == nil {
+			q.gate = make(chan struct{})
+		}
+		gate := q.gate
+		q.mu.Unlock()
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-s.stop:
+			return ErrClosed
+		}
+		q.mu.Lock()
 	}
-	select {
-	case s.in <- m:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.stop:
+	if q.closed {
+		q.mu.Unlock()
 		return ErrClosed
 	}
+	q.queue = append(q.queue, m)
+	// The loop blocks only on an empty queue, so only the send that ends
+	// the emptiness can have a sleeper to wake.
+	first := len(q.queue) == 1
+	q.mu.Unlock()
+	if first {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already waiting
+		}
+	}
+	return nil
+}
+
+// take swaps every queued input out against spare — the caller's
+// previous batch, zeroed, or nil — and releases the senders waiting for
+// room. An empty queue is left alone and spare handed back (ok false):
+// swapping it would leave queue and spare on one array, so senders would
+// overwrite the next batch while the loop still handles it.
+func (q *inbox) take(spare []shardMsg) (batch []shardMsg, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.queue) == 0 {
+		return spare, false
+	}
+	batch, q.queue = q.queue, spare[:0]
+	if q.gate != nil {
+		close(q.gate)
+		q.gate = nil
+	}
+	return batch, true
+}
+
+// close refuses every later input and returns the queued ones.
+func (q *inbox) close() []shardMsg {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.closed = true
+	rest := q.queue
+	q.queue = nil
+	return rest
 }
 
 // ask runs q on the shard goroutine between inputs and returns its
@@ -406,63 +476,71 @@ func (s *Shard) ask(ctx context.Context, q func(s *Shard) error) error {
 }
 
 // loop is the shard's owner goroutine, and the runtime's one event loop:
-// block for one input, drain whatever else is pending without blocking,
-// then flush — so the PDUs every engine produced for one burst ride out
+// wait for inputs or a tick, take and handle queued batches until the
+// inbox is empty (polling stop and the ticker between batches), then
+// flush — so the PDUs every engine produced for one burst ride out
 // together, across groups, in one staged-batch send.
 func (s *Shard) loop() {
 	defer close(s.done)
+	var batch []shardMsg
 	for {
 		select {
 		case <-s.stop:
 			s.shutdown()
 			return
-		case m := <-s.in:
-			s.handle(m)
+		case <-s.in.wake:
 		case <-s.tickC:
 			s.Tick()
 		}
-		for drained := false; !drained; {
+		for {
+			var ok bool
+			if batch, ok = s.in.take(batch); !ok {
+				break
+			}
+			for i := range batch {
+				s.handle(&batch[i])
+			}
+			// The batch becomes the next spare: drop its references to
+			// data, datagrams and replies now.
+			clear(batch)
+			// Two one-case polls, not one select: each checks its idle
+			// channel without taking the channel's lock.
 			select {
 			case <-s.stop:
 				s.shutdown()
 				return
-			case m := <-s.in:
-				s.handle(m)
+			default:
+			}
+			select {
 			case <-s.tickC:
 				s.Tick()
 			default:
-				drained = true
 			}
 		}
 		s.Flush()
 	}
 }
 
-// shutdown stops the ticker and releases what is queued behind the stop
-// signal, so pooled datagram buffers are not leaked at close and no
-// asker waits for a reply that will never come.
+// shutdown stops the ticker, closes the inbox and releases what is
+// queued in it, so pooled datagram buffers are not leaked at close and
+// no asker waits for a reply that will never come.
 func (s *Shard) shutdown() {
 	if s.ticker != nil {
 		s.ticker.Stop()
 	}
-	for {
-		select {
-		case m := <-s.in:
-			if m.in.Raw != nil {
-				pdu.PutDatagram(m.in.Raw)
-			}
-			if m.reply != nil {
-				m.reply <- ErrClosed
-			}
-		default:
-			return
+	for _, m := range s.in.close() {
+		if m.in.Raw != nil {
+			putDatagram(m.in.Raw)
+		}
+		if m.reply != nil {
+			m.reply <- ErrClosed
 		}
 	}
 }
 
 // handle runs one inbox message, then starts the ticker if the message
 // built the shard's first engine.
-func (s *Shard) handle(m shardMsg) {
+func (s *Shard) handle(m *shardMsg) {
 	switch m.kind {
 	case msgSubmit:
 		s.Submit(m.group, m.data)

@@ -1,0 +1,248 @@
+package groups
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cobcast/internal/core"
+	"cobcast/internal/pdu"
+)
+
+// tagFrames records, in order, the tag each inbound it is handed
+// carries in Raw (badTag for anything else): the inputs that reached
+// the shard's wire adapter, the last step before the engine.
+type tagFrames struct {
+	mu   sync.Mutex
+	tags []uint64
+}
+
+const badTag = ^uint64(0)
+
+func (f *tagFrames) Append(uint32, *pdu.PDU) {}
+func (f *tagFrames) Flush()                  {}
+func (f *tagFrames) Deliver(_ uint32, in Inbound, _ func(p *pdu.PDU)) {
+	tag := badTag
+	if len(in.Raw) == 8 {
+		tag = binary.BigEndian.Uint64(in.Raw)
+	}
+	f.mu.Lock()
+	f.tags = append(f.tags, tag)
+	f.mu.Unlock()
+}
+
+func (f *tagFrames) handled() []uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]uint64(nil), f.tags...)
+}
+
+// tagged is an inbound carrying tag.
+func tagged(tag uint64) Inbound {
+	return Inbound{Raw: binary.BigEndian.AppendUint64(nil, tag)}
+}
+
+// newInboxRegistry builds a one-shard registry whose engines are real
+// but whose wire is f.
+func newInboxRegistry(t *testing.T, f Frames) *Registry {
+	t.Helper()
+	r, err := New(Config{
+		Shards: 1,
+		NewEntity: func(g uint32) (*core.Entity, error) {
+			return core.New(core.Config{ClusterID: g, ID: 0, N: 2})
+		},
+		NewFrames: func(int) Frames { return f },
+		Deliver:   func(uint32, []core.Delivery) {},
+		Tick:      time.Millisecond,
+		Now:       func() time.Duration { return 0 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// holdShard keeps s's loop busy in a query until release is called, so
+// everything sent meanwhile stays queued.
+func holdShard(t *testing.T, s *Shard) (release func()) {
+	t.Helper()
+	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		done <- s.ask(context.Background(), func(*Shard) error {
+			close(entered)
+			<-gate
+			return nil
+		})
+	}()
+	<-entered
+	return func() {
+		close(gate)
+		if err := <-done; err != nil {
+			t.Errorf("held query: %v", err)
+		}
+	}
+}
+
+func queued(s *Shard) int {
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
+	return len(s.in.queue)
+}
+
+// TestInboxBoundBlocksAndCancels pins the inbox bound and Submit's ctx
+// contract: with the loop busy, shardInboxCap submissions are accepted
+// and the next blocks; cancelling it returns ctx.Err() and queues
+// nothing; once the loop takes its batch, a blocked Submit gets in.
+func TestInboxBoundBlocksAndCancels(t *testing.T) {
+	r := newInboxRegistry(t, &tagFrames{})
+	defer r.Close()
+	s := r.shards[0]
+	release := holdShard(t, s)
+	ctx := context.Background()
+	for i := 0; i < shardInboxCap; i++ {
+		if err := r.Submit(ctx, 1, []byte{byte(i)}); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+	}
+	cctx, cancel := context.WithCancel(ctx)
+	errc := make(chan error, 1)
+	go func() { errc <- r.Submit(cctx, 1, []byte("over")) }()
+	select {
+	case err := <-errc:
+		t.Fatalf("Submit into a full inbox returned %v, want it to block", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Submit = %v, want context.Canceled", err)
+	}
+	if n := queued(s); n != shardInboxCap {
+		t.Fatalf("%d inputs queued after the cancelled Submit, want %d", n, shardInboxCap)
+	}
+	go func() { errc <- r.Submit(ctx, 1, []byte("late")) }()
+	select {
+	case err := <-errc:
+		t.Fatalf("Submit into a full inbox returned %v, want it to block", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	if err := <-errc; err != nil {
+		t.Fatalf("blocked Submit after the loop took its batch: %v", err)
+	}
+}
+
+// TestInboxFIFOAcrossSwaps: one sender's inputs are handled in the
+// order it sent them, over bursts larger and smaller than the inbox
+// with idle gaps between them, so the loop sleeps, wakes and swaps
+// buffers many times over.
+func TestInboxFIFOAcrossSwaps(t *testing.T) {
+	f := &tagFrames{}
+	r := newInboxRegistry(t, f)
+	defer r.Close()
+	rng := rand.New(rand.NewSource(1))
+	var sent uint64
+	for burst := 0; burst < 60; burst++ {
+		for k := rng.Intn(2 * shardInboxCap); k >= 0; k-- {
+			r.Inbound(1, tagged(sent))
+			sent++
+		}
+		time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
+	}
+	waitFor(t, "every input handled", func() bool { return len(f.handled()) == int(sent) })
+	for i, tag := range f.handled() {
+		if tag != uint64(i) {
+			t.Fatalf("input %d handled as #%d: not in send order", tag, i)
+		}
+	}
+}
+
+// TestInboxCloseReleasesQueued closes a registry whose inbox is full:
+// every queued datagram goes back to the pool, every queued query is
+// answered ErrClosed, and none of them is handled.
+func TestInboxCloseReleasesQueued(t *testing.T) {
+	var returned atomic.Int64
+	defer func(put func([]byte)) { putDatagram = put }(putDatagram)
+	putDatagram = func([]byte) { returned.Add(1) }
+
+	f := &tagFrames{}
+	r := newInboxRegistry(t, f)
+	s := r.shards[0]
+	release := holdShard(t, s)
+	const datagrams, asks = 200, shardInboxCap - 200
+	for i := 0; i < datagrams; i++ {
+		r.Inbound(1, tagged(uint64(i)))
+	}
+	answers := make(chan error, asks)
+	for i := 0; i < asks; i++ {
+		go func() {
+			answers <- s.ask(context.Background(), func(*Shard) error { return nil })
+		}()
+	}
+	waitFor(t, "a full inbox", func() bool { return queued(s) == shardInboxCap })
+	closed := make(chan struct{})
+	go func() { r.Close(); close(closed) }()
+	<-s.stop // the loop sees stop as soon as it finishes the held query
+	release()
+	<-closed
+	for i := 0; i < asks; i++ {
+		if err := <-answers; !errors.Is(err, ErrClosed) {
+			t.Fatalf("queued query answered %v, want ErrClosed", err)
+		}
+	}
+	if n := returned.Load(); n != datagrams {
+		t.Errorf("%d datagrams returned to the pool at close, want %d", n, datagrams)
+	}
+	if n := len(f.handled()); n != 0 {
+		t.Errorf("%d queued datagrams handled after close, want 0", n)
+	}
+}
+
+// TestInboxStressEveryInputOnce: producers send tagged inputs with
+// random idle gaps while the loop sleeps, wakes and swaps under them;
+// every tag must be handled exactly once, each producer's in order.
+// Run it under -race: the inbox is hand-written synchronization, and a
+// swap that leaves the queue and the loop's batch on one array loses
+// and duplicates inputs here.
+func TestInboxStressEveryInputOnce(t *testing.T) {
+	const producers, perProducer = 4, 3000
+	f := &tagFrames{}
+	r := newInboxRegistry(t, f)
+	defer r.Close()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for i := 0; i < perProducer; i++ {
+				r.Inbound(1, tagged(uint64(p)<<32|uint64(i)))
+				if rng.Intn(64) == 0 {
+					time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	// A query queues behind every input sent above.
+	if err := r.shards[0].ask(context.Background(), func(*Shard) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	next := make([]uint64, producers)
+	for _, tag := range f.handled() {
+		p, i := tag>>32, tag&(1<<32-1)
+		if p >= producers || i != next[p] {
+			t.Fatalf("input %#x handled when %v were next: lost, duplicated, reordered or corrupted", tag, next)
+		}
+		next[p]++
+	}
+	for p, n := range next {
+		if n != perProducer {
+			t.Errorf("producer %d: %d of %d inputs handled", p, n, perProducer)
+		}
+	}
+}

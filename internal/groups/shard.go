@@ -33,10 +33,10 @@ type Shard struct {
 	curGroup uint32
 	recv     func(p *pdu.PDU)
 
-	// The registry's goroutine reads in and tickC; a shard its caller
-	// steps leaves them nil. ticker starts with the first engine, so a
-	// shard that owns none never wakes.
-	in         chan shardMsg
+	// The registry's goroutine drains the inbox and reads tickC; a shard
+	// its caller steps leaves them zero. ticker starts with the first
+	// engine, so a shard that owns none never wakes.
+	in         inbox
 	ticker     *time.Ticker
 	tickC      <-chan time.Time
 	stop, done chan struct{}
