@@ -31,7 +31,6 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	}
 	memnet := network.New(n,
 		network.WithSeed(o.netSeed),
-		network.WithInboxCapacity(o.netInboxCap),
 		network.WithLossRate(o.netLossRate),
 		network.WithUniformDelay(o.netDelay),
 	)
@@ -40,7 +39,7 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{net: memnet, nodes: make([]*Node, n)}
 	for i := 0; i < n; i++ {
-		nd, err := newNode(i, n, o, memSubstrate(memnet.Endpoint(pdu.EntityID(i))))
+		nd, err := newNode(i, n, o, memSubstrate(memnet.Endpoint(pdu.EntityID(i)), o.netInboxCap))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -55,12 +54,12 @@ type NetworkStats struct {
 	// Sent counts point-to-point transmissions (a broadcast in a cluster
 	// of n counts n-1).
 	Sent uint64
-	// Delivered counts PDUs handed to node inboxes.
+	// Delivered counts PDUs handed to node receive buffers.
 	Delivered uint64
 	// DroppedLoss counts PDUs dropped by the configured loss rate.
 	DroppedLoss uint64
-	// DroppedOverrun counts PDUs dropped at full node inboxes — the
-	// paper's buffer-overrun loss.
+	// DroppedOverrun counts PDUs dropped at full node receive buffers
+	// (WithInboxCapacity) — the paper's buffer-overrun loss.
 	DroppedOverrun uint64
 }
 

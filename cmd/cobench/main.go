@@ -439,17 +439,17 @@ func ablateDefer(quick bool) error {
 
 func ablateBuffer(quick bool) error {
 	caps := []int{4, 16, 64, 1024}
-	msgs := 60
+	msgs := 600
 	if quick {
-		caps = []int{8, 1024}
-		msgs = 30
+		caps = []int{4, 1024}
+		msgs = 300
 	}
 	rows, err := experiments.AblationBuffer(3, caps, msgs)
 	if err != nil {
 		return err
 	}
 	tbl := metrics.NewTable(
-		"[A3] Ablation: receive-inbox capacity → buffer-overrun loss (real time, n=3)",
+		"[A3] Ablation: receive-inbox capacity → buffer-overrun loss (real time, n=3, 8 groups)",
 		"inbox", "overrun drops", "retransmitted", "wall time")
 	for _, r := range rows {
 		tbl.AddRow(r.InboxCap, r.Overruns, r.Retransmitted, r.Wall.Round(time.Millisecond))

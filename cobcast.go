@@ -301,8 +301,10 @@ func WithSeed(s int64) Option {
 }
 
 // WithInboxCapacity bounds each node's receive buffer on the in-memory
-// network; overflow is dropped, modelling the paper's buffer-overrun loss
-// (NewCluster only). The default is 1024.
+// network: the datagrams that have arrived and wait for the node, counted
+// per group shard. A datagram arriving at a full buffer is dropped,
+// modelling the paper's buffer-overrun loss (NewCluster only). The
+// default is 1024.
 func WithInboxCapacity(n int) Option {
 	return optionFunc(func(o *options) { o.netInboxCap = n })
 }

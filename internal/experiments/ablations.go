@@ -95,10 +95,18 @@ type BufferAblRow struct {
 	Wall time.Duration
 }
 
+// bufferAblationGroups spreads ablation A3's load over this many groups.
+// The receive buffer counts datagrams, and packing folds one group's
+// unthrottled backlog into a handful of them; over 8 groups every flush
+// sends a datagram per group, so one burst fills a 4-slot buffer.
+const bufferAblationGroups = 8
+
 // AblationBuffer runs the public real-time cluster with varying inbox
-// capacities. Unlike the virtual-time experiments this measures wall
-// clock, so absolute numbers vary run to run; the shape (smaller inbox →
-// more overruns → more retransmissions) is the result.
+// capacities, under an unthrottled load of msgs messages spread over
+// bufferAblationGroups groups. Unlike the virtual-time experiments this
+// measures wall clock, so absolute numbers vary run to run; the shape
+// (smaller inbox → more overruns → more retransmissions, and delivery
+// still complete) is the result.
 func AblationBuffer(n int, caps []int, msgs int) ([]BufferAblRow, error) {
 	rows := make([]BufferAblRow, 0, len(caps))
 	for _, cap := range caps {
@@ -110,7 +118,7 @@ func AblationBuffer(n int, caps []int, msgs int) ([]BufferAblRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ports := MultiGroupPorts(c, n, 1)
+		ports := MultiGroupPorts(c, n, bufferAblationGroups)
 		res, err := RunLoad(ports, LoadSpec{Msgs: msgs, Size: 32}, realtimeTimeout)
 		if err != nil {
 			c.Close()

@@ -271,16 +271,20 @@ func TestAblationDeferredAckShape(t *testing.T) {
 	}
 }
 
+// TestAblationBufferShape: a 4-slot receive buffer overruns under A3's
+// load, and the protocol still delivers everything (AblationBuffer
+// fails on any message missing or delivered twice).
 func TestAblationBufferShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time experiment")
 	}
-	rows, err := AblationBuffer(3, []int{8, 1024}, 30)
+	rows, err := AblationBuffer(3, []int{4, 1024}, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("inbox 4: %d overruns, %d retransmitted; inbox 1024: %d overruns", rows[0].Overruns, rows[0].Retransmitted, rows[1].Overruns)
 	if rows[0].Overruns == 0 {
-		t.Log("note: tiny inbox produced no overruns this run (timing dependent)")
+		t.Error("a 4-slot receive buffer never overran")
 	}
 	if rows[1].Overruns > rows[0].Overruns {
 		t.Errorf("large inbox overran more than tiny one: %d vs %d",

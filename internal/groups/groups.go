@@ -33,8 +33,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cobcast/internal/core"
@@ -124,9 +126,12 @@ type Registry struct {
 	cfg    Config
 	shards []*Shard
 
+	// known is the set of open groups. A published set is never written,
+	// so Open's check reads it without a lock; mu serializes inserts,
+	// which publish a copy, and Close.
+	known  atomic.Pointer[map[uint32]struct{}]
+	closed atomic.Bool
 	mu     sync.Mutex
-	known  map[uint32]struct{}
-	closed bool
 }
 
 // New starts a registry with its shard goroutines. The configuration's
@@ -149,10 +154,8 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 5 * time.Millisecond
 	}
-	r := &Registry{
-		cfg:   cfg,
-		known: make(map[uint32]struct{}),
-	}
+	r := &Registry{cfg: cfg}
+	r.known.Store(&map[uint32]struct{}{})
 	r.shards = make([]*Shard, cfg.Shards)
 	for i := range r.shards {
 		s := NewShard(cfg, cfg.NewFrames(i))
@@ -175,18 +178,27 @@ func (r *Registry) shardOf(g uint32) *Shard {
 // its engine; the owning shard instantiates lazily on first input.
 // Opening an already-known group is a no-op.
 func (r *Registry) Open(g uint32) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
+	if r.closed.Load() {
 		return ErrClosed
 	}
-	if _, ok := r.known[g]; ok {
+	if _, ok := (*r.known.Load())[g]; ok {
 		return nil
 	}
-	if len(r.known) >= r.cfg.MaxGroups {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed.Load() {
+		return ErrClosed
+	}
+	known := *r.known.Load()
+	if _, ok := known[g]; ok {
+		return nil
+	}
+	if len(known) >= r.cfg.MaxGroups {
 		return fmt.Errorf("%w: %d", ErrTooManyGroups, r.cfg.MaxGroups)
 	}
-	r.known[g] = struct{}{}
+	next := maps.Clone(known)
+	next[g] = struct{}{}
+	r.known.Store(&next)
 	return nil
 }
 
@@ -224,6 +236,24 @@ func (r *Registry) Inbound(g uint32, in Inbound) {
 	if err != nil {
 		r.cfg.dropUnknown(in)
 	}
+}
+
+// Offer is Inbound for a receiver that must not block (the in-memory
+// network's delivery goroutine): it queues in on group g's owner shard
+// only while fewer than limit offered inbounds wait there, and otherwise
+// refuses it, returning false — a full receive buffer, the paper's
+// overrun loss; the caller keeps in. Unknown-group and after-close drops
+// are as for Inbound, and return true: the inbound was taken.
+func (r *Registry) Offer(g uint32, in Inbound, limit int) bool {
+	err := r.Open(g)
+	if err == nil {
+		var ok bool
+		if ok, err = r.shardOf(g).offer(shardMsg{kind: msgInbound, group: g, in: in}, limit); err == nil {
+			return ok
+		}
+	}
+	r.cfg.dropUnknown(in)
+	return true
 }
 
 // dropUnknown releases an inbound dropped for an unknown-group reason and
@@ -334,11 +364,11 @@ func (r *Registry) Quiescent() bool {
 // indistinguishable from loss. It is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	if r.closed {
+	if r.closed.Load() {
 		r.mu.Unlock()
 		return
 	}
-	r.closed = true
+	r.closed.Store(true)
 	r.mu.Unlock()
 	for _, s := range r.shards {
 		close(s.stop)
@@ -348,9 +378,11 @@ func (r *Registry) Close() {
 	}
 }
 
-// shardInboxCap bounds each shard's queued inputs. Full inboxes apply
-// backpressure to submitters and to the inbound router (which in turn
-// slows the transport — the receive socket buffer absorbs bursts).
+// shardInboxCap bounds each shard's queued inputs for senders that wait
+// (Submit, Inbound, ask). Full inboxes apply backpressure to submitters
+// and to the wire router (which in turn slows the transport — the
+// receive socket buffer absorbs bursts). Offered inbounds count towards
+// it but are bounded by their own limit, and never wait.
 const shardInboxCap = 256
 
 // putDatagram returns a pooled datagram buffer the runtime drops instead
@@ -386,6 +418,9 @@ type inbox struct {
 	mu     sync.Mutex
 	queue  []shardMsg
 	closed bool
+	// offered counts the queued inputs that came by offer: the node's
+	// receive buffer, emptied when the loop takes a batch.
+	offered int
 	// wake holds a token while inputs may wait to be taken. gate, made by
 	// the first sender that finds the queue full, closes when the loop
 	// next takes a batch, releasing every sender waiting on it.
@@ -417,9 +452,33 @@ func (s *Shard) send(ctx context.Context, m shardMsg) error {
 		q.mu.Unlock()
 		return ErrClosed
 	}
+	q.pushUnlock(m)
+	return nil
+}
+
+// offer enqueues m unless limit offered inputs already wait (ok false);
+// it never blocks, and fails only once the registry is closing.
+func (s *Shard) offer(m shardMsg, limit int) (ok bool, err error) {
+	q := &s.in
+	q.mu.Lock()
+	if q.closed {
+		q.mu.Unlock()
+		return false, ErrClosed
+	}
+	if q.offered >= limit {
+		q.mu.Unlock()
+		return false, nil
+	}
+	q.offered++
+	q.pushUnlock(m)
+	return true, nil
+}
+
+// pushUnlock appends m, releases q.mu (which the caller holds) and wakes
+// the loop if m ended an empty queue: the loop blocks only on an empty
+// queue, so only that send can have a sleeper to wake.
+func (q *inbox) pushUnlock(m shardMsg) {
 	q.queue = append(q.queue, m)
-	// The loop blocks only on an empty queue, so only the send that ends
-	// the emptiness can have a sleeper to wake.
 	first := len(q.queue) == 1
 	q.mu.Unlock()
 	if first {
@@ -428,7 +487,6 @@ func (s *Shard) send(ctx context.Context, m shardMsg) error {
 		default: // a token is already waiting
 		}
 	}
-	return nil
 }
 
 // take swaps every queued input out against spare — the caller's
@@ -443,6 +501,7 @@ func (q *inbox) take(spare []shardMsg) (batch []shardMsg, ok bool) {
 		return spare, false
 	}
 	batch, q.queue = q.queue, spare[:0]
+	q.offered = 0
 	if q.gate != nil {
 		close(q.gate)
 		q.gate = nil

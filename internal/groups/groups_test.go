@@ -141,9 +141,7 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 
 // knownGroups reports how many groups r has opened.
 func knownGroups(r *Registry) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.known)
+	return len(*r.known.Load())
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,13 +26,25 @@ type tagFrames struct {
 
 const badTag = ^uint64(0)
 
-func (f *tagFrames) Append(uint32, *pdu.PDU) {}
-func (f *tagFrames) Flush()                  {}
+func (f *tagFrames) Flush() {}
 func (f *tagFrames) Deliver(_ uint32, in Inbound, _ func(p *pdu.PDU)) {
 	tag := badTag
 	if len(in.Raw) == 8 {
 		tag = binary.BigEndian.Uint64(in.Raw)
 	}
+	f.record(tag)
+}
+
+// Append records a DATA PDU carrying an 8-byte submission (see
+// submitTag), the engine's first output for it; the shard's engine
+// sends one per submission while its window is open.
+func (f *tagFrames) Append(_ uint32, p *pdu.PDU) {
+	if p.Kind == pdu.KindData && !p.Packed && len(p.Data) == 8 {
+		f.record(binary.BigEndian.Uint64(p.Data))
+	}
+}
+
+func (f *tagFrames) record(tag uint64) {
 	f.mu.Lock()
 	f.tags = append(f.tags, tag)
 	f.mu.Unlock()
@@ -45,6 +59,14 @@ func (f *tagFrames) handled() []uint64 {
 // tagged is an inbound carrying tag.
 func tagged(tag uint64) Inbound {
 	return Inbound{Raw: binary.BigEndian.AppendUint64(nil, tag)}
+}
+
+// submitTag submits tag on group g as an 8-byte message.
+func submitTag(t *testing.T, r *Registry, g uint32, tag uint64) {
+	t.Helper()
+	if err := r.Submit(context.Background(), g, binary.BigEndian.AppendUint64(nil, tag)); err != nil {
+		t.Fatalf("submit %d: %v", tag, err)
+	}
 }
 
 // newInboxRegistry builds a one-shard registry whose engines are real
@@ -67,8 +89,8 @@ func newInboxRegistry(t *testing.T, f Frames) *Registry {
 	return r
 }
 
-// holdShard keeps s's loop busy in a query until release is called, so
-// everything sent meanwhile stays queued.
+// holdShard keeps s's loop busy in a query until release is first
+// called, so everything sent meanwhile stays queued.
 func holdShard(t *testing.T, s *Shard) (release func()) {
 	t.Helper()
 	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
@@ -80,11 +102,14 @@ func holdShard(t *testing.T, s *Shard) (release func()) {
 		})
 	}()
 	<-entered
+	var once sync.Once
 	return func() {
-		close(gate)
-		if err := <-done; err != nil {
-			t.Errorf("held query: %v", err)
-		}
+		once.Do(func() {
+			close(gate)
+			if err := <-done; err != nil {
+				t.Errorf("held query: %v", err)
+			}
+		})
 	}
 }
 
@@ -202,25 +227,80 @@ func TestInboxCloseReleasesQueued(t *testing.T) {
 	}
 }
 
+// TestOfferBoundRefusesAndKeepsOrder pins the receive buffer Offer
+// fills: with the loop busy, exactly limit offers are taken while
+// Submits queue beside them, the next offer is refused and queues
+// nothing, and a Submit still gets in (its bound is the inbox's). Once
+// the loop takes its batch, the accepted datagrams reach the wire
+// adapter in offer order, interleaved with the Submits as they were
+// queued, and the buffer is empty again.
+func TestOfferBoundRefusesAndKeepsOrder(t *testing.T) {
+	const limit = 8
+	f := &tagFrames{}
+	r := newInboxRegistry(t, f)
+	defer r.Close()
+	s := r.shards[0]
+	release := holdShard(t, s)
+	defer release() // before Close, which waits for the loop
+	var want []uint64
+	for i := uint64(0); i < limit; i++ {
+		if !r.Offer(1, tagged(i), limit) {
+			t.Fatalf("offer %d of %d refused", i, limit)
+		}
+		want = append(want, i)
+		if i%3 == 0 {
+			submitTag(t, r, 1, 1000+i)
+			want = append(want, 1000+i)
+		}
+	}
+	if r.Offer(1, tagged(limit), limit) {
+		t.Fatalf("offer %d taken past the limit of %d", limit, limit)
+	}
+	if n := queued(s); n != len(want) {
+		t.Fatalf("%d inputs queued after the refused offer, want %d", n, len(want))
+	}
+	submitTag(t, r, 1, 2000)
+	want = append(want, 2000)
+	release()
+	waitFor(t, "every queued input handled", func() bool { return len(f.handled()) >= len(want) })
+	if got := f.handled(); !slices.Equal(got, want) {
+		t.Fatalf("handled %v, want %v", got, want)
+	}
+	if !r.Offer(1, tagged(3000), limit) {
+		t.Fatal("offer refused after the loop took the buffer's batch")
+	}
+}
+
 // TestInboxStressEveryInputOnce: producers send tagged inputs with
-// random idle gaps while the loop sleeps, wakes and swaps under them;
-// every tag must be handled exactly once, each producer's in order.
-// Run it under -race: the inbox is hand-written synchronization, and a
-// swap that leaves the queue and the loop's batch on one array loses
-// and duplicates inputs here.
+// random idle gaps while the loop sleeps, wakes and swaps under them,
+// some waiting for room (Inbound) and some offering to a small receive
+// buffer and retrying what it refuses (Offer); every tag must be
+// handled exactly once, each producer's in order. Run it under -race:
+// the inbox is hand-written synchronization, and a swap that leaves the
+// queue and the loop's batch on one array loses and duplicates inputs
+// here, as does a refused offer that queues.
 func TestInboxStressEveryInputOnce(t *testing.T) {
-	const producers, perProducer = 4, 3000
+	const producers, offerers, perProducer, limit = 4, 2, 3000, 16
 	f := &tagFrames{}
 	r := newInboxRegistry(t, f)
 	defer r.Close()
 	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
+	var refused atomic.Int64
+	for p := 0; p < producers+offerers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(p)))
 			for i := 0; i < perProducer; i++ {
-				r.Inbound(1, tagged(uint64(p)<<32|uint64(i)))
+				in := tagged(uint64(p)<<32 | uint64(i))
+				if p < producers {
+					r.Inbound(1, in)
+				} else {
+					for !r.Offer(1, in, limit) {
+						refused.Add(1)
+						runtime.Gosched()
+					}
+				}
 				if rng.Intn(64) == 0 {
 					time.Sleep(time.Duration(rng.Intn(300)) * time.Microsecond)
 				}
@@ -228,14 +308,15 @@ func TestInboxStressEveryInputOnce(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
+	t.Logf("%d offers refused and retried", refused.Load())
 	// A query queues behind every input sent above.
 	if err := r.shards[0].ask(context.Background(), func(*Shard) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	next := make([]uint64, producers)
+	next := make([]uint64, producers+offerers)
 	for _, tag := range f.handled() {
 		p, i := tag>>32, tag&(1<<32-1)
-		if p >= producers || i != next[p] {
+		if p >= producers+offerers || i != next[p] {
 			t.Fatalf("input %#x handled when %v were next: lost, duplicated, reordered or corrupted", tag, next)
 		}
 		next[p]++

@@ -10,12 +10,16 @@
 //     receive PDUs from different entities in different orders).
 //
 // The in-memory implementation models buffer overrun faithfully: every
-// endpoint has a bounded inbox and a PDU arriving at a full inbox is
-// dropped, exactly the loss mode the paper designs for. Each receiving
+// endpoint has a bounded receive buffer and a PDU arriving at a full one
+// is dropped, exactly the loss mode the paper designs for. Each receiving
 // endpoint has one in-flight FIFO and one delivery goroutine, which keeps
-// every sender's datagrams in order and holds each one back until its
-// uniform propagation delay has passed. Random loss and partitions are
-// available too. All randomness is seeded so tests are reproducible.
+// every sender's datagrams in order, holds each one back until its
+// uniform propagation delay has passed, and then hands it to the
+// endpoint's receiver without blocking. The receiver is either the
+// function its owner attached (a cluster node enqueues straight on its
+// shard's inbox) or, for an endpoint nobody attaches to, a bounded inbox
+// channel read through Recv. Random loss and partitions are available
+// too. All randomness is seeded so tests are reproducible.
 //
 // PDUs are shared, not copied: every receiver of a broadcast gets the
 // same *pdu.PDU, so a PDU must not be written once it is handed to the
@@ -54,12 +58,13 @@ type Stats struct {
 	// Sent counts point-to-point PDU transmissions (a broadcast of a
 	// k-PDU batch in a cluster of n counts k×(n-1)).
 	Sent uint64
-	// Delivered counts PDUs handed to inboxes.
+	// Delivered counts PDUs handed to receivers.
 	Delivered uint64
 	// DroppedLoss counts PDUs dropped by random loss.
 	DroppedLoss uint64
 	// DroppedOverrun counts PDUs dropped because the receiver's in-flight
-	// queue or inbox was full — the paper's buffer-overrun failure mode.
+	// queue or receive buffer was full — the paper's buffer-overrun
+	// failure mode.
 	DroppedOverrun uint64
 	// DroppedPartition counts PDUs dropped on blocked channels.
 	DroppedPartition uint64
@@ -94,8 +99,10 @@ func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
 // Delay is propagation, not spacing: a burst sent at once arrives at once.
 func WithUniformDelay(d time.Duration) Option { return func(c *config) { c.delay = d } }
 
-// WithInboxCapacity bounds each endpoint's receive buffer; arrivals at a
-// full inbox are dropped (buffer overrun). The default is 1024.
+// WithInboxCapacity bounds the inbox channel of each endpoint read
+// through Recv; arrivals at a full inbox are dropped (buffer overrun).
+// An attached endpoint's receiver sets its own bound. The default is
+// 1024.
 func WithInboxCapacity(n int) Option { return func(c *config) { c.inboxCap = n } }
 
 // Net is an in-memory MC network connecting n entities. Create with New,
@@ -140,7 +147,6 @@ func New(n int, opts ...Option) *Net {
 			net:   net,
 			id:    pdu.EntityID(i),
 			queue: make(chan datagram, queueCap),
-			inbox: make(chan Inbound, cfg.inboxCap),
 		}
 		net.ports[i] = p
 		net.wg.Add(1)
@@ -158,8 +164,8 @@ type datagram struct {
 
 // deliver is receiver p's delivery goroutine. Its one FIFO holds every
 // sender's datagrams in send order, so each sender's order survives; it
-// waits until the head is due, then hands it to the inbox without
-// blocking.
+// waits until the head is due, then hands it to the port's receiver,
+// which must not block.
 func (n *Net) deliver(p *Port) {
 	defer n.wg.Done()
 	timer := time.NewTimer(0)
@@ -180,10 +186,9 @@ func (n *Net) deliver(p *Port) {
 				case <-timer.C:
 				}
 			}
-			select {
-			case p.inbox <- d.in:
+			if p.receiver()(d.in) {
 				n.m.Delivered.Add(uint64(len(d.in.PDUs)))
-			default:
+			} else {
 				// Receive-buffer overrun: the paper's loss model. The
 				// whole datagram is lost with its slot.
 				n.m.DroppedOverrun.Add(uint64(len(d.in.PDUs)))
@@ -247,8 +252,9 @@ func (n *Net) Stats() Stats {
 // returned pointer stays valid for the network's lifetime.
 func (n *Net) Metrics() *obsv.NetworkMetrics { return &n.m }
 
-// Close shuts the network down. Inboxes are closed after all delivery
-// goroutines exit; in-flight PDUs may be discarded.
+// Close shuts the network down. Inbox channels are closed after all
+// delivery goroutines exit; in-flight PDUs may be discarded. An attached
+// receiver is simply called no more.
 func (n *Net) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -260,7 +266,11 @@ func (n *Net) Close() {
 	close(n.stop)
 	n.wg.Wait()
 	for _, p := range n.ports {
-		close(p.inbox)
+		// A port nobody attached gets its inbox now if it has none, so a
+		// later Recv reads a closed channel.
+		if p.receiver(); p.inbox != nil {
+			close(p.inbox)
+		}
 	}
 }
 
@@ -269,7 +279,51 @@ type Port struct {
 	net   *Net
 	id    pdu.EntityID
 	queue chan datagram // in flight to this port, in send order
+
+	// once fixes recv: the function Attach gave, or else — at the first
+	// Recv or due datagram — a non-blocking send on inbox, which is nil
+	// on an attached port.
+	once  sync.Once
+	recv  func(Inbound) bool
 	inbox chan Inbound
+}
+
+// ErrAttached is returned by Attach on a port that already has a
+// receiver.
+var ErrAttached = errors.New("network: port already has a receiver")
+
+// Attach makes recv the port's receiver: the port's delivery goroutine
+// calls it with each due datagram, in arrival order, and counts the
+// datagram delivered on true and lost to overrun on false. recv must not
+// block; it is called from one goroutine at a time and may retain the
+// Inbound (its PDUs are shared and read-only). Attach must come before
+// the port's first Recv or due datagram, which fall back to the inbox
+// channel; after either it returns ErrAttached.
+func (p *Port) Attach(recv func(Inbound) bool) error {
+	attached := false
+	p.once.Do(func() { p.recv, attached = recv, true })
+	if !attached {
+		return fmt.Errorf("attach %d: %w", p.id, ErrAttached)
+	}
+	return nil
+}
+
+// receiver returns the port's receiver, giving a port nobody attached
+// its bounded inbox channel.
+func (p *Port) receiver() func(Inbound) bool {
+	p.once.Do(func() {
+		inbox := make(chan Inbound, p.net.cfg.inboxCap)
+		p.inbox = inbox
+		p.recv = func(in Inbound) bool {
+			select {
+			case inbox <- in:
+				return true
+			default:
+				return false
+			}
+		}
+	})
+	return p.recv
 }
 
 // Broadcast sends the batch to every other entity as one datagram per
@@ -323,5 +377,9 @@ func (p *Port) BroadcastGroup(group uint32, batch ...*pdu.PDU) error {
 	return nil
 }
 
-// Recv returns the inbox channel. It is closed when the network closes.
-func (p *Port) Recv() <-chan Inbound { return p.inbox }
+// Recv returns the inbox channel of a port nobody attached to; it is
+// closed when the network closes. On an attached port it returns nil.
+func (p *Port) Recv() <-chan Inbound {
+	p.receiver()
+	return p.inbox
+}

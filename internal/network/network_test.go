@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -295,5 +296,50 @@ func TestBatchLostAsUnit(t *testing.T) {
 	}
 	if s := net.Stats(); s.DroppedPartition != 2 {
 		t.Errorf("DroppedPartition = %d, want 2 (whole batch)", s.DroppedPartition)
+	}
+}
+
+// TestAttachedReceiverTakesDeliveries: an attached port hands each due
+// datagram to its receiver in arrival order, counting it delivered on
+// true and lost to overrun on false, and has no inbox; a second Attach,
+// or one after the port fell back to its inbox, is refused.
+func TestAttachedReceiverTakesDeliveries(t *testing.T) {
+	const count, take = 20, 12
+	net := New(3)
+	defer net.Close()
+	got := make(chan pdu.Seq, count)
+	recv := func(in Inbound) bool {
+		if len(got) == take {
+			return false // a full receive buffer
+		}
+		got <- in.PDUs[0].SEQ
+		return true
+	}
+	if err := net.Endpoint(1).Attach(recv); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Endpoint(1).Attach(recv); !errors.Is(err, ErrAttached) {
+		t.Errorf("second Attach = %v, want ErrAttached", err)
+	}
+	if net.Endpoint(1).Recv() != nil {
+		t.Error("an attached port has an inbox")
+	}
+	net.Endpoint(2).Recv()
+	if err := net.Endpoint(2).Attach(recv); !errors.Is(err, ErrAttached) {
+		t.Errorf("Attach after Recv = %v, want ErrAttached", err)
+	}
+	for i := 1; i <= count; i++ {
+		if err := net.Endpoint(0).Broadcast(syncPDU(0, pdu.Seq(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := settle(t, net, 2*count)
+	if s.Delivered != count+take || s.DroppedOverrun != count-take {
+		t.Errorf("Delivered %d, DroppedOverrun %d; want %d and %d", s.Delivered, s.DroppedOverrun, count+take, count-take)
+	}
+	for i := 1; i <= take; i++ {
+		if seq := <-got; seq != pdu.Seq(i) {
+			t.Fatalf("receiver got seq %d at position %d", seq, i)
+		}
 	}
 }

@@ -54,11 +54,12 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// TestIdleClusterGoroutinesLinear: an idle n-node Cluster runs a few
-// goroutines per node — router, shard, the network's delivery goroutine
-// — not one per pair of nodes.
+// TestIdleClusterGoroutinesLinear: an idle one-shard Cluster node runs
+// exactly three goroutines — its shard loop, group 0's delivery pump and
+// the network's delivery goroutine, which enqueues on the shard itself —
+// not one per pair of nodes, and no router.
 func TestIdleClusterGoroutinesLinear(t *testing.T) {
-	const n, perNode = 16, 8
+	const n, perNode = 16, 3
 	baseline := runtime.NumGoroutine()
 	c, err := cobcast.NewCluster(n, cobcast.WithGroupShards(1))
 	if err != nil {

@@ -85,11 +85,13 @@ type Node struct {
 	start time.Time
 	tick  time.Duration
 
-	sub        substrate
-	stop       chan struct{}
-	stopOnce   sync.Once
-	routerDone chan struct{}
-	closeOnce  sync.Once
+	sub      substrate
+	stop     chan struct{}
+	stopOnce sync.Once
+	// router counts the wire router goroutine; a node on the in-memory
+	// network has none.
+	router    sync.WaitGroup
+	closeOnce sync.Once
 }
 
 // NewNode creates a standalone node that exchanges PDUs through the given
@@ -123,18 +125,18 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 }
 
 // newNode assembles a node over its substrate: it starts the runtime,
-// builds group 0's engine (so an invalid configuration fails here, not
-// at the first broadcast) and starts the router.
+// attaches the substrate's receive side to it and builds group 0's
+// engine (so an invalid configuration fails here, not at the first
+// broadcast).
 func newNode(id, n int, o options, sub substrate) (*Node, error) {
 	nd := &Node{
-		id:         id,
-		n:          n,
-		o:          o,
-		start:      time.Now(),
-		tick:       o.tick(),
-		sub:        sub,
-		stop:       make(chan struct{}),
-		routerDone: make(chan struct{}),
+		id:    id,
+		n:     n,
+		o:     o,
+		start: time.Now(),
+		tick:  o.tick(),
+		sub:   sub,
+		stop:  make(chan struct{}),
 	}
 	if o.registry != nil {
 		nd.lm = obsv.NewLinkMetrics()
@@ -157,11 +159,11 @@ func newNode(id, n int, o options, sub substrate) (*Node, error) {
 	}
 	nd.rt = rt
 	nd.main = nd.Group(DefaultGroup)
-	go func() {
-		defer close(nd.routerDone)
-		sub.route(nd)
-	}()
-	if err := rt.Start(uint32(DefaultGroup)); err != nil {
+	err = sub.attach(nd)
+	if err == nil {
+		err = rt.Start(uint32(DefaultGroup))
+	}
+	if err != nil {
 		_ = nd.Close()
 		return nil, err
 	}
@@ -306,7 +308,7 @@ func (nd *Node) Close() error {
 	var err error
 	nd.closeOnce.Do(func() {
 		nd.halt()
-		<-nd.routerDone
+		nd.router.Wait()
 		// Runtime first: stopping the shards ends port queue pushes
 		// before those queues close.
 		nd.rt.Close()
@@ -326,8 +328,8 @@ func (nd *Node) Close() error {
 	return err
 }
 
-// halt signals every producer, pump and the router to stop; Close does
-// the waiting.
+// halt signals every producer, pump and the wire router to stop; Close
+// does the waiting.
 func (nd *Node) halt() { nd.stopOnce.Do(func() { close(nd.stop) }) }
 
 func (nd *Node) stopped() bool {

@@ -296,6 +296,47 @@ func TestMemFramesAutoFlushCapsBatch(t *testing.T) {
 	}
 }
 
+// TestMemNodeOutlivesItsNetwork: a Cluster node does not watch its
+// network. Closed underneath it, the node keeps running — its broadcast
+// is accepted and lost, nothing is delivered, the node has not halted —
+// and its own Close still ends it promptly and closes its deliveries.
+func TestMemNodeOutlivesItsNetwork(t *testing.T) {
+	c, err := NewCluster(3, WithDeferredAckInterval(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.net.Close()
+	nd := c.Node(0)
+	if err := nd.Broadcast([]byte("into a closed network")); err != nil {
+		t.Fatalf("Broadcast on a node whose network closed: %v", err)
+	}
+	select {
+	case m := <-nd.Deliveries():
+		t.Fatalf("delivered %q with no network to confirm it", m.Data)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if nd.stopped() {
+		t.Fatal("the node halted with its network")
+	}
+	if _, ok := nd.StateSnapshot(); !ok {
+		t.Fatal("the node's shard stopped answering with its network closed")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on a cluster whose network closed first")
+	}
+	if _, ok := <-nd.Deliveries(); ok {
+		t.Fatal("Deliveries still open after Close")
+	}
+}
+
 // TestWireFramesDropV1FrameAsLoss feeds Deliver a frame under the retired
 // header version 1: it must be rejected with ErrBadFrameVersion, deliver
 // nothing, count no accepted bytes, hand its pooled buffer back (a leak
