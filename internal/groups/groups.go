@@ -238,12 +238,13 @@ func (r *Registry) Inbound(g uint32, in Inbound) {
 	}
 }
 
-// Offer is Inbound for a receiver that must not block (the in-memory
-// network's delivery goroutine): it queues in on group g's owner shard
-// only while fewer than limit offered inbounds wait there, and otherwise
-// refuses it, returning false — a full receive buffer, the paper's
-// overrun loss; the caller keeps in. Unknown-group and after-close drops
-// are as for Inbound, and return true: the inbound was taken.
+// Offer is Inbound for a caller that must not block (the in-memory
+// network, from a sender's broadcast or its delivery goroutine): it
+// queues in on group g's owner shard only while fewer than limit offered
+// inbounds wait there, and otherwise refuses it, returning false — a
+// full receive buffer, the paper's overrun loss; the caller keeps in.
+// Unknown-group and after-close drops are as for Inbound, and return
+// true: the inbound was taken.
 func (r *Registry) Offer(g uint32, in Inbound, limit int) bool {
 	err := r.Open(g)
 	if err == nil {

@@ -11,15 +11,18 @@
 //
 // The in-memory implementation models buffer overrun faithfully: every
 // endpoint has a bounded receive buffer and a PDU arriving at a full one
-// is dropped, exactly the loss mode the paper designs for. Each receiving
-// endpoint has one in-flight FIFO and one delivery goroutine, which keeps
-// every sender's datagrams in order, holds each one back until its
-// uniform propagation delay has passed, and then hands it to the
-// endpoint's receiver without blocking. The receiver is either the
-// function its owner attached (a cluster node enqueues straight on its
-// shard's inbox) or, for an endpoint nobody attaches to, a bounded inbox
-// channel read through Recv. Random loss and partitions are available
-// too. All randomness is seeded so tests are reproducible.
+// is dropped, exactly the loss mode the paper designs for. Each datagram
+// is handed to the receiving endpoint's receiver without blocking. The
+// receiver is either the function its owner attached (a cluster node
+// enqueues straight on its shard's inbox) or, for an endpoint nobody
+// attaches to, a bounded inbox channel read through Recv. With no delay
+// configured the sender's broadcast makes that hand-off itself, under
+// the network lock, so each sender's order survives and a receiver has
+// one caller at a time. With a delay, each receiving endpoint has one
+// in-flight FIFO and one delivery goroutine, which keeps every sender's
+// datagrams in order and holds each one back until its uniform
+// propagation delay has passed. Random loss and partitions are
+// available too. All randomness is seeded so tests are reproducible.
 //
 // PDUs are shared, not copied: every receiver of a broadcast gets the
 // same *pdu.PDU, so a PDU must not be written once it is handed to the
@@ -70,10 +73,10 @@ type Stats struct {
 	DroppedPartition uint64
 }
 
-// queueCap bounds each receiver's in-flight queue: datagrams sent but not
-// yet due. It is far above what a delay of a few milliseconds holds at
-// any rate the runtime reaches; a datagram arriving at a full queue is
-// lost as overrun.
+// queueCap bounds each receiver's in-flight queue on a delayed network:
+// datagrams sent but not yet due. It is far above what a delay of a few
+// milliseconds holds at any rate the runtime reaches; a datagram
+// arriving at a full queue is lost as overrun.
 const queueCap = 4096
 
 type config struct {
@@ -97,6 +100,8 @@ func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
 // WithUniformDelay sets the same propagation delay on every channel (the
 // paper's parameter R is the maximum such delay). The default is zero.
 // Delay is propagation, not spacing: a burst sent at once arrives at once.
+// A non-zero delay gives every endpoint an in-flight queue and a delivery
+// goroutine; without one, the sender delivers.
 func WithUniformDelay(d time.Duration) Option { return func(c *config) { c.delay = d } }
 
 // WithInboxCapacity bounds the inbox channel of each endpoint read
@@ -106,8 +111,8 @@ func WithUniformDelay(d time.Duration) Option { return func(c *config) { c.delay
 func WithInboxCapacity(n int) Option { return func(c *config) { c.inboxCap = n } }
 
 // Net is an in-memory MC network connecting n entities. Create with New,
-// attach entities via Endpoint, and Close when done; Close waits for all
-// delivery goroutines to exit.
+// attach entities via Endpoint, and Close when done; Close waits for a
+// delayed network's delivery goroutines to exit.
 type Net struct {
 	cfg   config
 	ports []*Port
@@ -129,7 +134,8 @@ type Net struct {
 // ErrClosed is returned by sends on a closed network.
 var ErrClosed = errors.New("network: closed")
 
-// New creates an MC network for n entities.
+// New creates an MC network for n entities. Only a network with a delay
+// starts goroutines: one delivery goroutine per entity.
 func New(n int, opts ...Option) *Net {
 	cfg := config{seed: 1, inboxCap: 1024}
 	for _, o := range opts {
@@ -143,14 +149,13 @@ func New(n int, opts ...Option) *Net {
 		ports:   make([]*Port, n),
 	}
 	for i := range net.ports {
-		p := &Port{
-			net:   net,
-			id:    pdu.EntityID(i),
-			queue: make(chan datagram, queueCap),
-		}
+		p := &Port{net: net, id: pdu.EntityID(i)}
 		net.ports[i] = p
-		net.wg.Add(1)
-		go net.deliver(p)
+		if cfg.delay > 0 {
+			p.queue = make(chan datagram, queueCap)
+			net.wg.Add(1)
+			go net.deliver(p)
+		}
 	}
 	return net
 }
@@ -162,10 +167,10 @@ type datagram struct {
 	due time.Time
 }
 
-// deliver is receiver p's delivery goroutine. Its one FIFO holds every
-// sender's datagrams in send order, so each sender's order survives; it
-// waits until the head is due, then hands it to the port's receiver,
-// which must not block.
+// deliver is receiver p's delivery goroutine on a delayed network. Its
+// one FIFO holds every sender's datagrams in send order, so each
+// sender's order survives; it waits until the head is due, then hands it
+// to the port's receiver.
 func (n *Net) deliver(p *Port) {
 	defer n.wg.Done()
 	timer := time.NewTimer(0)
@@ -186,14 +191,20 @@ func (n *Net) deliver(p *Port) {
 				case <-timer.C:
 				}
 			}
-			if p.receiver()(d.in) {
-				n.m.Delivered.Add(uint64(len(d.in.PDUs)))
-			} else {
-				// Receive-buffer overrun: the paper's loss model. The
-				// whole datagram is lost with its slot.
-				n.m.DroppedOverrun.Add(uint64(len(d.in.PDUs)))
-			}
+			n.hand(p, d.in)
 		}
+	}
+}
+
+// hand gives in to p's receiver, which must not block, and counts the
+// outcome.
+func (n *Net) hand(p *Port, in Inbound) {
+	if p.receiver()(in) {
+		n.m.Delivered.Add(uint64(len(in.PDUs)))
+	} else {
+		// Receive-buffer overrun: the paper's loss model. The whole
+		// datagram is lost with its slot.
+		n.m.DroppedOverrun.Add(uint64(len(in.PDUs)))
 	}
 }
 
@@ -254,7 +265,7 @@ func (n *Net) Metrics() *obsv.NetworkMetrics { return &n.m }
 
 // Close shuts the network down. Inbox channels are closed after all
 // delivery goroutines exit; in-flight PDUs may be discarded. An attached
-// receiver is simply called no more.
+// receiver is called no more once Close returns.
 func (n *Net) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -278,7 +289,7 @@ func (n *Net) Close() {
 type Port struct {
 	net   *Net
 	id    pdu.EntityID
-	queue chan datagram // in flight to this port, in send order
+	queue chan datagram // in flight to this port, in send order; nil without delay
 
 	// once fixes recv: the function Attach gave, or else — at the first
 	// Recv or due datagram — a non-blocking send on inbox, which is nil
@@ -292,13 +303,17 @@ type Port struct {
 // receiver.
 var ErrAttached = errors.New("network: port already has a receiver")
 
-// Attach makes recv the port's receiver: the port's delivery goroutine
-// calls it with each due datagram, in arrival order, and counts the
-// datagram delivered on true and lost to overrun on false. recv must not
-// block; it is called from one goroutine at a time and may retain the
-// Inbound (its PDUs are shared and read-only). Attach must come before
-// the port's first Recv or due datagram, which fall back to the inbox
-// channel; after either it returns ErrAttached.
+// Attach makes recv the port's receiver: the network calls it with each
+// due datagram, in arrival order, and counts the datagram delivered on
+// true and lost to overrun on false. Without delay the sender's
+// broadcast calls it, on the sender's goroutine and under the network's
+// lock, before the broadcast returns; with a delay the port's delivery
+// goroutine does. Either way recv is called by one goroutine at a time,
+// never after Close returns, and must neither block nor call back into
+// the Net. It may retain the Inbound (its PDUs are shared and
+// read-only). Attach must come before the port's first Recv or due
+// datagram, which fall back to the inbox channel; after either it
+// returns ErrAttached.
 func (p *Port) Attach(recv func(Inbound) bool) error {
 	attached := false
 	p.once.Do(func() { p.recv, attached = recv, true })
@@ -335,12 +350,14 @@ func (p *Port) Broadcast(batch ...*pdu.PDU) error {
 
 // BroadcastGroup sends the batch to every other entity as one datagram
 // per destination, tagged with the given group, applying partition and
-// loss policy per destination to the batch as a unit. It never blocks: a
-// datagram that finds the destination's in-flight queue full is lost as
-// overrun. The caller may reuse the batch slice once it returns, but not
-// write the PDUs in it: every destination shares them. It is safe for
-// concurrent use (shard goroutines broadcast different groups through
-// one port).
+// loss policy per destination to the batch as a unit. Without delay it
+// hands each surviving datagram to its destination's receiver itself;
+// with a delay it queues it for the destination's delivery goroutine. It
+// never blocks: a datagram that finds the receiver or the in-flight
+// queue full is lost as overrun. The caller may reuse the batch slice
+// once it returns, but not write the PDUs in it: every destination
+// shares them. It is safe for concurrent use (shard goroutines broadcast
+// different groups through one port).
 func (p *Port) BroadcastGroup(group uint32, batch ...*pdu.PDU) error {
 	n := p.net
 	k := uint64(len(batch))
@@ -366,6 +383,8 @@ func (p *Port) BroadcastGroup(group uint32, batch ...*pdu.PDU) error {
 			n.m.DroppedPartition.Add(k)
 		case n.cfg.lossRate > 0 && n.rng.Float64() < n.cfg.lossRate:
 			n.m.DroppedLoss.Add(k)
+		case to.queue == nil:
+			n.hand(to, d.in)
 		default:
 			select {
 			case to.queue <- d:

@@ -2,6 +2,8 @@ package network
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -341,5 +343,133 @@ func TestAttachedReceiverTakesDeliveries(t *testing.T) {
 		if seq := <-got; seq != pdu.Seq(i) {
 			t.Fatalf("receiver got seq %d at position %d", seq, i)
 		}
+	}
+}
+
+// TestZeroDelayDeliversInBroadcast: without delay the broadcast itself
+// calls each destination's receiver, so a datagram is delivered or lost
+// to overrun before Broadcast returns, and no receiver is called once
+// Close has returned.
+func TestZeroDelayDeliversInBroadcast(t *testing.T) {
+	net := New(3)
+	var got []pdu.Seq
+	refuse := false
+	if err := net.Endpoint(1).Attach(func(in Inbound) bool {
+		if refuse {
+			return false
+		}
+		got = append(got, in.PDUs[0].SEQ)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	if err := net.Endpoint(2).Attach(func(Inbound) bool { calls++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Endpoint(0).Broadcast(syncPDU(0, 1), syncPDU(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != 1 || calls != 1 {
+		t.Fatalf("after Broadcast returned: receiver 1 got %v, receiver 2 called %d times; want [1] and 1", got, calls)
+	}
+	if s := net.Stats(); s.Delivered != 4 {
+		t.Errorf("Delivered = %d right after Broadcast, want 4", s.Delivered)
+	}
+	refuse = true
+	if err := net.Endpoint(0).Broadcast(syncPDU(0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if s := net.Stats(); s.Delivered != 5 || s.DroppedOverrun != 1 {
+		t.Errorf("a refused datagram: Delivered %d, DroppedOverrun %d; want 5 and 1", s.Delivered, s.DroppedOverrun)
+	}
+	net.Close()
+	if err := net.Endpoint(0).Broadcast(syncPDU(0, 4)); !errors.Is(err, ErrClosed) {
+		t.Errorf("Broadcast after Close = %v, want ErrClosed", err)
+	}
+	if calls != 2 {
+		t.Errorf("receiver 2 called %d times, want 2: a call came after Close", calls)
+	}
+}
+
+// TestZeroDelayPerSenderOrderConcurrent: several senders broadcast at
+// once and every receiver sees each sender's datagrams in send order.
+// The receivers keep unsynchronized state, so under -race a second
+// concurrent caller of one receiver is reported.
+func TestZeroDelayPerSenderOrderConcurrent(t *testing.T) {
+	const n, count = 4, 500
+	net := New(n)
+	defer net.Close()
+	received := make([][]pdu.Seq, n) // received[to][from]: PDUs to has had from from
+	for to := range received {
+		received[to] = make([]pdu.Seq, n)
+		seen := received[to]
+		if err := net.Endpoint(pdu.EntityID(to)).Attach(func(in Inbound) bool {
+			for _, p := range in.PDUs {
+				seen[in.From]++
+				if p.SEQ != seen[in.From] {
+					t.Errorf("entity %d got seq %d from %d, want %d", to, p.SEQ, in.From, seen[in.From])
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for from := 0; from < n; from++ {
+		wg.Add(1)
+		go func(from pdu.EntityID) {
+			defer wg.Done()
+			for i := 1; i <= count; i += 2 {
+				if err := net.Endpoint(from).Broadcast(syncPDU(from, pdu.Seq(i)), syncPDU(from, pdu.Seq(i+1))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(pdu.EntityID(from))
+	}
+	wg.Wait()
+	net.Close()
+	for to, seen := range received {
+		for from, seq := range seen {
+			if want := pdu.Seq(count); from != to && seq != want {
+				t.Errorf("entity %d received %d PDUs from %d, want %d", to, seq, from, want)
+			}
+		}
+	}
+}
+
+// TestDelayedNetDeliversFromItsGoroutines: only a delayed network runs
+// goroutines — one delivery goroutine per endpoint — and its receivers
+// are called once the delay has passed.
+func TestDelayedNetDeliversFromItsGoroutines(t *testing.T) {
+	const n, d = 4, 20 * time.Millisecond
+	baseline := runtime.NumGoroutine()
+	instant := New(n)
+	if grew := runtime.NumGoroutine() - baseline; grew != 0 {
+		t.Errorf("a zero-delay network started %d goroutines, want 0", grew)
+	}
+	instant.Close()
+	net := New(n, WithUniformDelay(d))
+	defer net.Close()
+	if grew := runtime.NumGoroutine() - baseline; grew != n {
+		t.Errorf("a delayed %d-endpoint network started %d goroutines, want %d", n, grew, n)
+	}
+	arrived := make(chan time.Time, 1)
+	if err := net.Endpoint(1).Attach(func(Inbound) bool { arrived <- time.Now(); return true }); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := net.Endpoint(0).Broadcast(syncPDU(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-arrived:
+		if at.Sub(start) < d {
+			t.Errorf("delivered after %v, before the %v delay", at.Sub(start), d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the delayed datagram never arrived")
 	}
 }

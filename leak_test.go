@@ -55,11 +55,11 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 }
 
 // TestIdleClusterGoroutinesLinear: an idle one-shard Cluster node runs
-// exactly three goroutines — its shard loop, group 0's delivery pump and
-// the network's delivery goroutine, which enqueues on the shard itself —
-// not one per pair of nodes, and no router.
+// exactly two goroutines — its shard loop and group 0's delivery pump —
+// not one per pair of nodes, no router, and, at zero delay, no network
+// delivery goroutine: the sender's broadcast enqueues on the shard.
 func TestIdleClusterGoroutinesLinear(t *testing.T) {
-	const n, perNode = 16, 3
+	const n, perNode = 16, 2
 	baseline := runtime.NumGoroutine()
 	c, err := cobcast.NewCluster(n, cobcast.WithGroupShards(1))
 	if err != nil {

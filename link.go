@@ -20,12 +20,14 @@ type substrate struct {
 
 // memSubstrate attaches a node to the in-memory network. Shards share
 // the node's port: BroadcastGroup is safe for concurrent use. The
-// receive side runs no goroutine of the node's: the port's delivery
-// goroutine offers each due datagram straight to its group's owner
-// shard, which the network has already tagged, so one PDU trip costs
-// two hand-offs — into the network, then into the shard. The offer never
-// blocks: with inboxCap datagrams already waiting for a shard, it
-// refuses, and the network counts the datagram lost to overrun.
+// receive side runs no goroutine of the node's: the network offers each
+// due datagram straight to its group's owner shard, which the network
+// has already tagged. At zero delay the sender's broadcast makes the
+// offer, so one PDU trip costs one hand-off, into the receiving shard;
+// with a delay the port's delivery goroutine makes it, which adds one.
+// The offer never blocks and never calls back into the network: with
+// inboxCap datagrams already waiting for a shard, it refuses, and the
+// network counts the datagram lost to overrun.
 //
 // The node does not watch the network: the network belongs to its
 // Cluster, whose Close closes it and then every node. A node that

@@ -49,9 +49,12 @@ func TestAppendToPackedMessageKeepsNeighbour(t *testing.T) {
 // shards keep receiving, retransmitting and delivering around them. Each
 // consumer re-reads every payload it has been handed after each new
 // delivery, so under -race any shard writing a shared PDU is reported,
-// and without it a changed payload is.
+// and without it a changed payload is. The sources broadcast in rounds
+// until the network has drawn a loss, so retransmission is always
+// exercised: the seeded loss rolls are fixed, but how many datagrams a
+// round takes depends on timing.
 func TestSharedPDUsReadWhileShardsRun(t *testing.T) {
-	const nodes, perSource = 4, 60
+	const nodes, perRound, maxRounds = 4, 60, 20
 	c, err := cobcast.NewCluster(nodes,
 		cobcast.WithLossRate(0.05),
 		cobcast.WithSeed(11),
@@ -66,17 +69,26 @@ func TestSharedPDUsReadWhileShardsRun(t *testing.T) {
 	payload := func(src, k int) []byte {
 		return bytes.Repeat([]byte(fmt.Sprintf("%d/%d;", src, k)), 4)
 	}
-	var wg sync.WaitGroup
+	// total is how many messages each node must deliver, set before
+	// final closes; until then the consumers read without an end.
+	var total int
+	final := make(chan struct{})
+	var consumers sync.WaitGroup
+	defer consumers.Wait() // before Close, should a round's wait fail the test
 	packed := make([]int, nodes)
 	for i := 0; i < nodes; i++ {
-		wg.Add(1)
+		consumers.Add(1)
 		go func(i int) {
-			defer wg.Done()
+			defer consumers.Done()
 			var held []cobcast.Message
 			next := make([]int, nodes)
+			fin := final
 			deadline := time.After(30 * time.Second)
-			for len(held) < nodes*perSource {
+			for fin != nil || len(held) < total {
 				select {
+				case <-fin:
+					fin = nil
+					continue
 				case m := <-c.Node(i).Deliveries():
 					if m.Index > 0 {
 						packed[i]++
@@ -88,7 +100,7 @@ func TestSharedPDUsReadWhileShardsRun(t *testing.T) {
 					next[m.Src]++
 					held = append(held, m)
 				case <-deadline:
-					t.Errorf("node %d delivered %d of %d", i, len(held), nodes*perSource)
+					t.Errorf("node %d delivered %d messages, want %d once the sources finished", i, len(held), total)
 					return
 				}
 				seen := make([]int, nodes)
@@ -102,25 +114,35 @@ func TestSharedPDUsReadWhileShardsRun(t *testing.T) {
 			}
 		}(i)
 	}
-	for src := 0; src < nodes; src++ {
-		wg.Add(1)
-		go func(src int) {
-			defer wg.Done()
-			for k := 0; k < perSource; k++ {
-				if err := c.Broadcast(src, payload(src, k)); err != nil {
-					t.Errorf("source %d message %d: %v", src, k, err)
-					return
+	rounds := 0
+	for ; rounds < maxRounds && c.NetworkStats().DroppedLoss == 0; rounds++ {
+		var sources sync.WaitGroup
+		for src := 0; src < nodes; src++ {
+			sources.Add(1)
+			go func(src int) {
+				defer sources.Done()
+				for k := rounds * perRound; k < (rounds+1)*perRound; k++ {
+					if err := c.Broadcast(src, payload(src, k)); err != nil {
+						t.Errorf("source %d message %d: %v", src, k, err)
+						return
+					}
 				}
-			}
-		}(src)
+			}(src)
+		}
+		sources.Wait()
+		for i := 0; i < nodes; i++ {
+			waitDelivered(t, fmt.Sprintf("node %d", i), c.Node(i).Stats, (rounds+1)*nodes*perRound)
+		}
 	}
-	wg.Wait()
+	total = rounds * nodes * perRound
+	close(final)
+	consumers.Wait()
 	for i, k := range packed {
 		if k == 0 {
 			t.Errorf("node %d delivered no packed message: the test exercised no shared pack", i)
 		}
 	}
 	if st := c.NetworkStats(); st.DroppedLoss == 0 {
-		t.Error("no loss drawn: the test exercised no retransmission")
+		t.Errorf("no loss drawn in %d rounds: the test exercised no retransmission", rounds)
 	}
 }
