@@ -176,14 +176,19 @@ func WithWindow(w int) Option {
 	return optionFunc(func(o *options) { o.window = w })
 }
 
-// WithDeferredAckInterval sets how often an otherwise idle node emits
-// receipt confirmations. The default is 5ms.
+// WithDeferredAckInterval sets the node's timer tick and the shortest
+// time a node that owes receipt confirmations waits after its last send
+// before a late one. The wait itself is twice the confirmation round
+// the node observes, clamped between this and WithRetransmitTimeout;
+// until it has timed a round, and while its window holds submissions
+// back, the wait is exactly this. The default is 5ms.
 func WithDeferredAckInterval(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.deferredAckInterval = d })
 }
 
 // WithRetransmitTimeout sets the spacing of retransmission requests and
-// rebroadcasts. The default is 20ms.
+// rebroadcasts, and the longest a node that owes receipt confirmations
+// waits after its last send before a late one. The default is 20ms.
 func WithRetransmitTimeout(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.retransmitTimeout = d })
 }

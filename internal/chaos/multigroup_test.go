@@ -24,13 +24,12 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// the harness began stepping the runtime's own shard: one tick per
-// process for all its groups, and the replies to a datagram leaving as
-// one datagram per group.
+// the late-confirmation deadline began following the confirmation round
+// each engine observes, which moves when late SYNCs go.
 var pinnedMultiGroupDigests = []string{
-	"4c68a41e2e5c22d3438b16ca409261da854399b88fbea8b9995a914c3d75c9fd",
-	"7f2cea0dcb791a55b52ca3c2860d4cab384729f985a1240f08f438d5520966dd",
-	"e98274144dedfd66222d06f67dae6913ef6c57b951ea453e2e386b0fc7b5ff61",
+	"51bb777106b40bb63d06fe39f30e831c697fae062b320deecd46f41a3d7fc1fa",
+	"fec2375a462cc92bf3f0ad8bb86d1453084f03aaff16aecd4606209ecc83e43a",
+	"85e9ca16d9aeaa7b54a5bc83a0df953b7badf372f4aa8d3ab9b2dfa747a7c7db",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network and

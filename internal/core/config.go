@@ -65,13 +65,16 @@ type Config struct {
 	// Window is the paper's W: the maximum number of own PDUs between
 	// one's SEQ and the cluster-wide minimum acknowledgment minAL.
 	Window pdu.Seq
-	// DeferredAckInterval is the "predefined time" of the deferred
-	// confirmation rule: an entity with confirmations owed sends a SYNC
-	// at least this often.
+	// DeferredAckInterval is the floor of the "predefined time" of the
+	// deferred confirmation rule: an entity with confirmations owed sends
+	// a late one two observed confirmation rounds after its last send,
+	// never sooner than this, and exactly this until it has timed a round
+	// or while flow-blocked.
 	DeferredAckInterval time.Duration
 	// RetransmitTimeout is how long to wait before re-issuing an RET for
-	// a gap that has not closed, and the minimum spacing between
-	// rebroadcasts of the same PDU.
+	// a gap that has not closed, the minimum spacing between
+	// rebroadcasts of the same PDU, and the ceiling of the deferred
+	// confirmation deadline.
 	RetransmitTimeout time.Duration
 	// SuspectAfter, when positive, auto-evicts a peer that has stayed
 	// silent for this long while this entity owed the cluster
@@ -253,8 +256,8 @@ type Stats struct {
 	CPIDisplacement uint64
 	// DeferredConfirms counts confirmations emitted by the deferred
 	// confirmation rule (§5): SYNC or ACKONLY PDUs sent because a round,
-	// a NeedAck answer or the deferred-ack timer fell due. LateConfirms
-	// is the subset the timer fired.
+	// a NeedAck answer or the late-confirmation deadline fell due.
+	// LateConfirms is the subset the deadline fired.
 	DeferredConfirms uint64
 	LateConfirms     uint64
 	// FlowBlocked counts submissions that had to wait for the window.

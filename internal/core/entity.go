@@ -89,12 +89,24 @@ type Entity struct {
 	dataHi    []pdu.Seq
 	lastACK   [][]pdu.Seq
 	uncovered vclock.Bits
-	// owed/speakDeadline implement the "or some predefined time units"
-	// half of the deferred confirmation rule: the deadline arms when an
-	// obligation appears and is pushed back by every send.
-	owed          bool
-	owedSince     time.Duration
-	speakDeadline time.Duration
+	// owed/spokeAt implement the "or some predefined time units" half of
+	// the deferred confirmation rule: the deadline counts from spokeAt,
+	// set when an obligation appears and pushed back by every send, and
+	// lies lateAfter() past it, read when checked, so a fresh sample or a
+	// window that closes moves it at once.
+	owed      bool
+	owedSince time.Duration
+	spokeAt   time.Duration
+	// lateAfter follows the confirmation round this entity observes
+	// (TCP's smoothed RTT with Karn's rule, RFC 6298, applied to rounds):
+	// probeSeq is the own DATA being timed (0: none), sent at probeAt,
+	// until every live peer has acknowledged it; probeVoid marks a probe
+	// that a RET for this entity or an eviction spanned, whose sample is
+	// discarded. srtt is the EWMA of clean samples, 0 until the first.
+	probeSeq  pdu.Seq
+	probeAt   time.Duration
+	probeVoid bool
+	srtt      time.Duration
 
 	// Commit stage (delivery-closure guard, DESIGN.md §2): PDUs that have
 	// passed the ACK condition wait here until every dependency named by
@@ -358,6 +370,7 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	switch p.Kind {
 	case pdu.KindRet:
 		if p.LSrc == e.me {
+			e.probeVoid = true // Karn's rule: a repaired round is no sample
 			e.handleRetForMe(p, now, &out)
 		}
 	case pdu.KindAckOnly:
@@ -390,6 +403,7 @@ func (e *Entity) finish(now time.Duration, out *Output) {
 	// tax every later input — so no Data keeps a PDU alive.
 	clear(e.delivered)
 	out.Deliveries = e.delivered[:0]
+	e.sampleRound(now)
 	e.drainSubmits(now, out)
 	e.runPack()
 	e.runAck(now, out)
@@ -913,11 +927,12 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 // vector lets everyone pre-acknowledge those rounds, which is what ACK
 // needs. Then the entity is silent. Answering a NeedAck PDU, a
 // flow-blocked backlog and a held total-order release wait for all-heard
-// too. Data that is merely still resident waits for the deferred-ack
-// timer, which also fires whichever trigger above is slow to come: a
-// late confirmation. If the flow window is closed, an unsequenced
-// ACKONLY goes instead (liveness amendment, DESIGN.md §2); it can serve
-// as round 2 only, because PAL folds from sequenced PDUs alone.
+// too. Data that is merely still resident waits for the deadline,
+// lateAfter past the last send, which also fires whichever trigger
+// above is slow to come: a late confirmation. If the flow window is
+// closed, an unsequenced ACKONLY goes instead (liveness amendment,
+// DESIGN.md §2); it can serve as round 2 only, because PAL folds from
+// sequenced PDUs alone.
 func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	if e.cfg.DisableDeferredConfirm {
 		return
@@ -929,14 +944,14 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	if !e.owed {
 		e.owed = true
 		e.owedSince = now
-		e.speakDeadline = now + e.cfg.DeferredAckInterval
+		e.spokeAt = now
 	}
 	// At most two sends: round 1 may find round 2 due at once (the last
 	// entity to speak has every peer's round 1 already). A send pushes
 	// the deadline back, so only a due confirmation follows it.
 	for sends := 0; sends < 2; sends++ {
 		late := !e.confirmDue()
-		if late && now < e.speakDeadline {
+		if late && now < e.spokeAt+e.lateAfter() {
 			return
 		}
 		e.stats.DeferredConfirms++
@@ -951,12 +966,47 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	}
 }
 
-// confirmDue reports whether a confirmation is due before the deferred-ack
-// timer: round 1 once every peer has been heard from since our last send,
+// sampleRound closes the round probe once every live peer has
+// acknowledged it: a clean sample moves srtt by 1/8 of its distance (the
+// first one sets it). Only DATA is timed: a trailing round-2 SYNC is
+// acknowledged by whatever traffic comes next, so timing it would
+// measure the gap between messages.
+func (e *Entity) sampleRound(now time.Duration) {
+	if e.probeSeq == 0 || e.minAL[e.me] <= e.probeSeq {
+		return
+	}
+	if !e.probeVoid {
+		if d := now - e.probeAt; e.srtt == 0 {
+			e.srtt = d
+		} else {
+			e.srtt += (d - e.srtt) / 8
+		}
+	}
+	e.probeSeq = 0
+}
+
+// lateAfter is how long after its last send an entity that owes the
+// cluster confirmations waits before a late one: two observed rounds,
+// never less than DeferredAckInterval (all there is until the first
+// clean sample) and never more than RetransmitTimeout, so a stale
+// estimate cannot hold the liveness fallback past the RET timer. A floor
+// above the ceiling wins. A flow-blocked entity waits only the floor:
+// its late confirmation is how it asks for the acknowledgments that
+// reopen its window, and a lost PDU can keep all-heard from asking
+// sooner for as long as repair takes.
+func (e *Entity) lateAfter() time.Duration {
+	if len(e.pendingSubmits) > 0 {
+		return e.cfg.DeferredAckInterval
+	}
+	return max(min(2*e.srtt, e.cfg.RetransmitTimeout), e.cfg.DeferredAckInterval)
+}
+
+// confirmDue reports whether a confirmation is due before the deadline:
+// round 1 once every peer has been heard from since our last send,
 // round 2 once no live peer is uncovered, and an answer to NeedAck, a
 // flow-blocked backlog or a held total-order release once every peer has
 // been heard from. Resident data alone is never due: it waits for the
-// timer.
+// deadline.
 func (e *Entity) confirmDue() bool {
 	switch {
 	case e.rounds == 2:
@@ -1045,7 +1095,7 @@ func (e *Entity) noteCoverage(j int) {
 // single slab so the annotation adds no allocation; the epoch resets
 // (ClearDirty) before the self-accept so the own column — which changes
 // on every send — lands in the next PDU's dirty set. late marks a
-// confirmation the deferred-ack timer fired.
+// confirmation the deadline fired.
 func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late bool, now time.Duration, out *Output) {
 	c := 0
 	annotate := e.seq > 1 && !e.cfg.DenseFold && !e.reqStamp.Dense()
@@ -1074,6 +1124,9 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	e.chargePDU(p)
 	if kind == pdu.KindData {
 		e.stats.DataSent++
+		if e.probeSeq == 0 {
+			e.probeSeq, e.probeAt, e.probeVoid = p.SEQ, now, false
+		}
 		if e.m != nil {
 			e.sentAt[p.SEQ] = now
 		}
@@ -1085,7 +1138,7 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	e.unheard.CopyFrom(e.alive)
 	e.unheard.Clear(int(e.me))
 	e.needRespond = false
-	e.speakDeadline = now + e.cfg.DeferredAckInterval
+	e.spokeAt = now
 	out.PDUs = append(out.PDUs, p)
 }
 
@@ -1119,7 +1172,7 @@ func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 	e.unheard.CopyFrom(e.alive)
 	e.unheard.Clear(int(e.me))
 	e.needRespond = false
-	e.speakDeadline = now + e.cfg.DeferredAckInterval
+	e.spokeAt = now
 	out.PDUs = append(out.PDUs, p)
 }
 

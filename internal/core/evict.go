@@ -51,6 +51,7 @@ func (e *Entity) Evict(k pdu.EntityID, now time.Duration) (Output, error) {
 		e.evicted[k] = true
 		e.stats.Evicted++
 		e.fl(flight.EvEvict, e.me, 0, 0, k, now)
+		e.probeVoid = true // the quorum the probe waits on just changed
 		e.dropFromQuorum(int(k))
 		// The quorum shrank: the one write that can move every cached
 		// minimum at once, and the only full-recompute site.

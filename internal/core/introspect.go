@@ -163,6 +163,8 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		PendingSubmits: len(e.pendingSubmits),
 		BufFree:        e.availBuf(),
 		BufUnits:       BufferUnits,
+		RoundUS:        e.srtt.Microseconds(),
+		LateAfterUS:    e.lateAfter().Microseconds(),
 		ParkedData:     e.parkedData,
 		DataResident:   e.dataResident,
 		Quiescent:      e.Quiescent(),

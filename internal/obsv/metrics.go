@@ -278,6 +278,14 @@ type StateSnapshot struct {
 	BufFree  uint32 `json:"buf_free"`
 	BufUnits uint32 `json:"buf_units"`
 
+	// RoundUS is the smoothed time, in µs, an own DATA takes to be
+	// acknowledged by every live peer (0 until the first clean sample);
+	// LateAfterUS is the late-confirmation deadline in force: 2·RoundUS
+	// clamped to [DeferredAckInterval, RetransmitTimeout], and
+	// DeferredAckInterval while the window holds submissions back.
+	RoundUS     int64 `json:"round_us"`
+	LateAfterUS int64 `json:"late_after_us"`
+
 	// Memory-ledger state, present only when the engine runs with a
 	// byte budget (cobcast.WithMemoryBudget). LedgerBytes/LedgerPDUs
 	// gauge the bytes and PDUs currently retained by the logs against

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/core"
 	"cobcast/internal/flight"
 	"cobcast/internal/sim"
 	"cobcast/internal/workload"
@@ -55,9 +56,10 @@ func TestSoloMessageCostsTwoRounds(t *testing.T) {
 // TestZeroLossSkewRepairs' topology, one link five times slower than the
 // rest, so the other entities' round 1 for entity 0's DATA reaches
 // entity 3 before the DATA does. Every message is still delivered
-// everywhere, and the confirmations the deferred-ack timer fired are
-// counted apart from the rest. The counts are pinned as the engine
-// stands.
+// everywhere, and the confirmations the late-confirmation deadline fired
+// are counted apart from the rest. The counts are pinned as the engine
+// stands (the deadline following the observed round moved them from
+// 876 and 20).
 func TestSkewedLinkConfirmsLate(t *testing.T) {
 	const n, msgs = 4, 160
 	c := run(t, Options{N: n, Net: []sim.NetOption{sim.NetDelay(skewedLink)}},
@@ -66,9 +68,34 @@ func TestSkewedLinkConfirmsLate(t *testing.T) {
 	if st.Delivered != n*msgs {
 		t.Fatalf("delivered %d, want %d", st.Delivered, n*msgs)
 	}
-	const deferred, late = 876, 20
+	const deferred, late = 857, 11
 	if st.DeferredConfirms != deferred || st.LateConfirms != late {
 		t.Errorf("DeferredConfirms %d, LateConfirms %d; pinned %d, %d",
 			st.DeferredConfirms, st.LateConfirms, deferred, late)
+	}
+}
+
+// TestSlowLinksConfirmOnObservedRound runs paced traffic over uniform
+// links twice as slow as DeferredAckInterval. A round takes two link
+// delays, so a deadline of DeferredAckInterval after the last send fires
+// a late SYNC into every round still in flight (449 of them for 40
+// messages, 3237 for 320). The deadline follows the observed round
+// instead: late confirmations go only until every entity has timed a
+// round of its own DATA, so eight times the traffic draws just two more.
+// Every message is still delivered everywhere; the counts are pinned as
+// the engine stands.
+func TestSlowLinksConfirmOnObservedRound(t *testing.T) {
+	const n = 4
+	for _, tc := range []struct{ msgs, late uint64 }{{40, 54}, {320, 56}} {
+		c := run(t, Options{N: n, Core: core.Config{DeferredAckInterval: time.Millisecond},
+			Net: []sim.NetOption{sim.NetUniformDelay(2 * time.Millisecond)}},
+			workload.NewInteractive(n, int(tc.msgs), 32, 10*time.Millisecond, 7))
+		st := c.TotalStats()
+		if st.Delivered != n*tc.msgs {
+			t.Fatalf("%d messages: delivered %d, want %d", tc.msgs, st.Delivered, n*tc.msgs)
+		}
+		if st.LateConfirms != tc.late {
+			t.Errorf("%d messages: LateConfirms %d, pinned %d", tc.msgs, st.LateConfirms, tc.late)
+		}
 	}
 }
