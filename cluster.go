@@ -21,7 +21,11 @@ type Cluster struct {
 
 // NewCluster creates and starts n nodes (n ≥ 2) wired through an
 // in-memory network configured by the options.
-func NewCluster(n int, opts ...Option) (*Cluster, error) {
+func NewCluster(n int, opts ...Option) (*Cluster, error) { return newCluster(n, opts) }
+
+// newCluster is NewCluster with netOpts applied after the network
+// options the Options set.
+func newCluster(n int, opts []Option, netOpts ...network.Option) (*Cluster, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("cobcast: cluster needs at least 2 nodes, got %d", n)
 	}
@@ -29,11 +33,11 @@ func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	memnet := network.New(n,
+	memnet := network.New(n, append([]network.Option{
 		network.WithSeed(o.netSeed),
 		network.WithLossRate(o.netLossRate),
 		network.WithUniformDelay(o.netDelay),
-	)
+	}, netOpts...)...)
 	if o.registry != nil {
 		o.registry.RegisterNetwork("memnet", memnet.Metrics())
 	}

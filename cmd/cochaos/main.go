@@ -174,7 +174,7 @@ func sweep(o options, stdout, stderr io.Writer) int {
 				if err == nil {
 					passed++
 					agg.submitted += res.Submitted
-					agg.dropped += res.Net.Dropped
+					agg.dropped += res.Net.Dropped()
 					agg.desyncs += res.Link.StampDesyncs.Load()
 					agg.decodeDrops += res.Link.DecodeDrops.Load()
 					agg.retx += res.Stats.Retransmitted
@@ -210,7 +210,7 @@ func sweep(o options, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "cochaos: %d/%d seeds passed (seeds %d..%d)\n",
 		passed, o.sweep, o.start, o.start+int64(o.sweep)-1)
 	if o.verbose || len(failures) == 0 {
-		fmt.Fprintf(stdout, "coverage: %d submissions, %d datagrams dropped, %d retransmitted, %d parked, %d duplicate discards, %d DATA + %d SYNC/ACKONLY sends, %d stamp desyncs, %d frame decode drops\n",
+		fmt.Fprintf(stdout, "coverage: %d submissions, %d PDUs dropped (a frame counts one), %d retransmitted, %d parked, %d duplicate discards, %d DATA + %d SYNC/ACKONLY sends, %d stamp desyncs, %d frame decode drops\n",
 			agg.submitted, agg.dropped, agg.retx, agg.parked, agg.dups, agg.dataSent, agg.syncSent, agg.desyncs, agg.decodeDrops)
 		fmt.Fprintf(stdout, "regimes: %d classic, %d stalled, %d multi-group seeds\n",
 			regimes.classic, regimes.stalled, regimes.multiGroup)
@@ -264,8 +264,8 @@ func replay(o options, stdout, stderr io.Writer) int {
 		if o.verbose {
 			fmt.Fprintf(stdout, "submitted %d, delivered %d, virtual elapsed %v (faults ceased at %v)\n",
 				res.Submitted, res.Stats.Delivered, res.VirtualElapsed, res.FaultEnd)
-			fmt.Fprintf(stdout, "net: %d datagrams sent, %d delivered, %d dropped; retransmitted %d, parked %d, duplicates %d\n",
-				res.Net.Sent, res.Net.Delivered, res.Net.Dropped,
+			fmt.Fprintf(stdout, "net: %d PDUs sent, %d delivered, %d dropped (a frame counts one); retransmitted %d, parked %d, duplicates %d\n",
+				res.Net.Sent, res.Net.Delivered, res.Net.Dropped(),
 				res.Stats.Retransmitted, res.Stats.Parked, res.Stats.Duplicates)
 			fmt.Fprintf(stdout, "link: %d stamp desyncs, %d frame decode drops (%d frames corrupted)\n",
 				res.Link.StampDesyncs.Load(), res.Link.DecodeDrops.Load(), res.Corrupted)

@@ -10,9 +10,9 @@ import (
 
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
+	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/workload"
 )
@@ -38,8 +38,8 @@ func simulatedDump(t *testing.T, n int, total bool) string {
 		N:     n,
 		Trace: true,
 		Core:  core.Config{TotalOrder: total},
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.1), sim.NetSeed(1),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond), network.WithLossRate(0.1), network.WithSeed(1),
 		},
 	})
 	if err != nil {

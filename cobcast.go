@@ -118,10 +118,6 @@ func (o options) coreConfig(id, n int) core.Config {
 		RetransmitTimeout:   o.retransmitTimeout,
 		TotalOrder:          o.totalOrder,
 		SuspectAfter:        o.suspectAfter,
-		// Under memory pressure a stalled peer is suspected on a quarter
-		// of the configured timeout (no-op without a ledger or with
-		// suspicion disabled).
-		PressureSuspectAfter: o.suspectAfter / 4,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"sync"
 
 	"cobcast/internal/core"
 	"cobcast/internal/groups"
@@ -72,9 +73,11 @@ type GroupPort struct {
 	// one group never stalls the shard that feeds it (or any other
 	// group). The shard pushes one batch per engine output, the pump
 	// takes the whole backlog at once and feeds the buffered deliver
-	// channel (DESIGN.md §2o).
+	// channel (DESIGN.md §2o). The pump starts at the port's first
+	// delivery, so a port whose group never delivers costs no goroutine.
 	queue    *deliveryQueue
 	deliver  chan Message
+	pumpOnce sync.Once
 	pumpDone chan struct{}
 }
 
@@ -142,6 +145,17 @@ func (p *GroupPort) Stats() (Stats, bool) {
 	return p.nd.rt.Stats(uint32(p.id))
 }
 
+// startPump starts the port's pump unless it has started or the port
+// has closed; a closed port's pumpDone is already closed.
+func (p *GroupPort) startPump() { p.pumpOnce.Do(func() { go p.pump() }) }
+
+// stopPump waits for the pump to drain the closed queue and exit, or
+// keeps a pump that never started from ever starting.
+func (p *GroupPort) stopPump() {
+	p.pumpOnce.Do(func() { close(p.pumpDone) })
+	<-p.pumpDone
+}
+
 // pump moves messages from the unbounded queue to the delivery channel so
 // a slow consumer never stalls the shard that owns the group's engine.
 func (p *GroupPort) pump() {
@@ -187,19 +201,22 @@ func (nd *Node) Group(g GroupID) *GroupPort {
 	if nd.groupPorts == nil {
 		nd.groupPorts = make(map[GroupID]*GroupPort)
 	}
+	// Reserve the group so its engine can be built on first input; past
+	// the MaxGroups bound the reservation fails and the error surfaces on
+	// Broadcast instead. Such a group never delivers, so its channel
+	// needs no buffer.
+	capacity := deliverChanCap
+	if err := nd.rt.Open(uint32(g)); err != nil {
+		capacity = 0
+	}
 	p := &GroupPort{
 		nd:       nd,
 		id:       g,
 		ledger:   nd.o.newLedger(),
 		queue:    newDeliveryQueue(),
-		deliver:  make(chan Message, deliverChanCap),
+		deliver:  make(chan Message, capacity),
 		pumpDone: make(chan struct{}),
 	}
-	// Reserve the group so its engine can be built on first input; past
-	// the MaxGroups bound the reservation fails and the error surfaces on
-	// Broadcast instead.
-	_ = nd.rt.Open(uint32(g))
-	go p.pump()
 	nd.groupPorts[g] = p
 	return p
 }
@@ -280,5 +297,7 @@ func (nd *Node) groupMetricsSlot() bool {
 // messages for groups the application has not opened yet are queued, not
 // lost.
 func (nd *Node) deliverGroup(g uint32, batch []core.Delivery) {
-	nd.Group(GroupID(g)).queue.push(GroupID(g), batch)
+	p := nd.Group(GroupID(g))
+	p.startPump()
+	p.queue.push(GroupID(g), batch)
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"cobcast/internal/baseline/totalorder"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/workload"
 )
@@ -28,10 +28,10 @@ func TestCOAdvantageHoldsUnderLoss(t *testing.T) {
 		co, err := simrun.New(simrun.Options{
 			N:     n,
 			Trace: true,
-			Net: []sim.NetOption{
-				sim.NetUniformDelay(time.Millisecond),
-				sim.NetLossRate(loss),
-				sim.NetSeed(seed),
+			Net: []network.Option{
+				network.WithUniformDelay(time.Millisecond),
+				network.WithLossRate(loss),
+				network.WithSeed(seed),
 			},
 		})
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
@@ -60,10 +61,10 @@ type Result struct {
 	FaultEnd time.Duration
 	// Stats sums the counters of every engine; PerEntity is each
 	// entity's own counters, summed over its groups (indexed by entity
-	// ID); Net counts simulated-network PDUs.
+	// ID); Net counts the simulated network's PDUs, a frame as one.
 	Stats     core.Stats
 	PerEntity []core.Stats
-	Net       sim.NetStats
+	Net       network.Stats
 	// Link is the processes' link-layer counters (simrun.Cluster.Link);
 	// Corrupted counts the frame copies the corrupt fault mangled, the
 	// most Link.DecodeDrops may be.
@@ -134,7 +135,7 @@ func RunWithRegistry(cfg Config, reg *obsv.Registry) (*Result, error) { return r
 // run is RunWithRegistry with tap, when non-nil, observing every PDU as
 // it arrives at an entity (simrun.Options.PDUTap), and extra applied
 // after the harness's own network options (a test's fault of its own).
-func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.PDU), extra ...sim.NetOption) (*Result, error) {
+func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.PDU), extra ...network.Option) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -201,7 +202,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 	// exists; capture through a pointer filled in below.
 	var s *sim.Sim
 	burstLeft := make([]int, cfg.N)
-	dropDatagram := func(from, to pdu.EntityID, _ sim.Datagram) bool {
+	dropDatagram := func(from, to pdu.EntityID, _ network.Inbound) bool {
 		if s.Now() >= faultEnd {
 			return false
 		}
@@ -264,16 +265,15 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 			// requires all N to deliver everything. Stalled runs are the
 			// exception — the fault never heals, so survivors must evict
 			// the frozen peer (predicates then quantify over survivors).
-			SuspectAfter:         suspectAfter,
-			PressureSuspectAfter: suspectAfter / 4,
-			Ledger:               nil, // per-entity ledgers: MemBudgetBytes below
+			SuspectAfter: suspectAfter,
+			Ledger:       nil, // per-entity ledgers: MemBudgetBytes below
 		},
-		Net: append([]sim.NetOption{
-			sim.NetSeed(cfg.Seed),
-			sim.NetDelay(delay),
-			sim.NetDuplicateRate(cfg.Duplicate),
-			sim.NetDropFilter(dropDatagram),
-			sim.NetCorrupt(corrupt),
+		Net: append([]network.Option{
+			network.WithSeed(cfg.Seed),
+			network.WithDelay(delay),
+			network.WithDuplicateRate(cfg.Duplicate),
+			network.WithDropFilter(dropDatagram),
+			network.WithCorrupt(corrupt),
 		}, extra...),
 		Trace:          true,
 		PDUTap:         tap,
@@ -704,7 +704,7 @@ func bipartition(n int, rng *rand.Rand) []int {
 }
 
 // applyPartition blocks (or heals) every cross-group channel.
-func applyPartition(net *sim.Net, groups []int, cut bool) {
+func applyPartition(net *network.Net, groups []int, cut bool) {
 	for i := range groups {
 		for j := range groups {
 			if i == j || groups[i] == groups[j] {

@@ -55,7 +55,7 @@ func TestSweep(t *testing.T) {
 		if res.Submitted == 0 || res.Stats.Delivered == 0 {
 			t.Fatalf("seed %d: empty run (%d submitted)", seed, res.Submitted)
 		}
-		agg.dropped += res.Net.Dropped
+		agg.dropped += res.Net.Dropped()
 		agg.retx += res.Stats.Retransmitted
 		agg.parked += res.Stats.Parked
 		agg.dups += res.Stats.Duplicates

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/trace"
 )
@@ -45,8 +45,8 @@ func TestStampIntervals(t *testing.T) {
 	run := func(wire, k int) (digest string, desyncs uint64) {
 		c, err := simrun.New(simrun.Options{
 			N: 4,
-			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond),
-				sim.NetLossRate(0.15), sim.NetDuplicateRate(0.05), sim.NetSeed(9)},
+			Net: []network.Option{network.WithUniformDelay(time.Millisecond),
+				network.WithLossRate(0.15), network.WithDuplicateRate(0.05), network.WithSeed(9)},
 			Trace: true, WireVersion: wire, StampInterval: k,
 		})
 		if err != nil {
@@ -101,7 +101,7 @@ func TestCodecV2ExercisesDeltaResync(t *testing.T) {
 			t.Fatalf("seed %d: empty run", seed)
 		}
 		desyncs += res.Link.StampDesyncs.Load()
-		dropped += res.Net.Dropped
+		dropped += res.Net.Dropped()
 	}
 	if dropped == 0 {
 		t.Error("v2 sweep injected no datagram loss")
@@ -150,7 +150,7 @@ func TestLinkFaultsFailTheRun(t *testing.T) {
 	faults := map[string]func(cfg Config) (*Result, error){
 		"undecodable frame": func(cfg Config) (*Result, error) {
 			cut := false
-			return run(cfg, nil, nil, sim.NetCorrupt(func(_, _ pdu.EntityID, frame []byte) []byte {
+			return run(cfg, nil, nil, network.WithCorrupt(func(_, _ pdu.EntityID, frame []byte) []byte {
 				if cut {
 					return frame
 				}

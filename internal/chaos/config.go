@@ -10,8 +10,8 @@
 //
 // Determinism contract: a run reads no wall clock and draws randomness
 // from exactly two seeded streams — the chaos RNG (schedule derivation
-// and fault rolls, in simulator-event order) and the simnet RNG (delay
-// jitter and duplication, same seed) — so the same Config always yields
+// and fault rolls, in simulator-event order) and the network's RNG
+// (duplication and delay jitter, same seed) — so the same Config always yields
 // a byte-identical trace. Failing seeds auto-shrink to minimal configs
 // (shrink.go) and land in a regression corpus replayed by plain go test
 // (corpus.go, corpus/*.json). cmd/cochaos runs bounded parallel sweeps

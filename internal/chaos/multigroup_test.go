@@ -65,7 +65,7 @@ func TestMultiGroupConverges(t *testing.T) {
 		if want := uint64(cfg.Messages * cfg.N); res.Stats.Delivered != want {
 			t.Fatalf("groups=%d: delivered %d engine-deliveries, want %d", groups, res.Stats.Delivered, want)
 		}
-		if res.Net.Dropped == 0 {
+		if res.Net.Dropped() == 0 {
 			t.Errorf("groups=%d: no datagram loss injected", groups)
 		}
 		// Every engine contributes a flight dump, attributed "i/gG".

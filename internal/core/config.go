@@ -88,13 +88,6 @@ type Config struct {
 	// accounting entirely off the hot path (one untaken branch per
 	// transition).
 	Ledger *Ledger
-	// PressureSuspectAfter, when positive alongside SuspectAfter and a
-	// Ledger, shortens the suspicion timer while the ledger is under
-	// pressure (≥ half budget): a stalled peer is the one thing that can
-	// pin the logs indefinitely, so it is evicted before the budget pins
-	// producers forever. Ignored without a Ledger or with SuspectAfter
-	// zero — memory pressure alone never evicts anyone.
-	PressureSuspectAfter time.Duration
 	// Flight, if non-nil, receives a flight-recorder event at every
 	// lifecycle transition (sequence, accept, park/unpark, commit,
 	// deliver, retransmit request/serve, eviction…), stamped with the
@@ -271,7 +264,7 @@ type Stats struct {
 	// Evicted counts entities removed from the confirmation quorum here;
 	// AutoSuspected counts those removed by the suspicion timer, and
 	// PressureEvicted the subset that only fired because memory pressure
-	// shortened the timer (see Config.PressureSuspectAfter).
+	// shortened the timer to a quarter of SuspectAfter.
 	Evicted         uint64
 	AutoSuspected   uint64
 	PressureEvicted uint64

@@ -113,14 +113,14 @@ func (e *Entity) noteHeard(j pdu.EntityID, now time.Duration) {
 }
 
 // suspectTimeout returns the effective silence threshold: SuspectAfter
-// normally, shortened to PressureSuspectAfter while the memory ledger is
-// under pressure (≥ half budget). A stalled peer is the one failure that
-// grows the logs without bound, so pressure justifies suspecting sooner;
-// pressure alone (SuspectAfter zero) never evicts anyone.
+// normally, a quarter of it while the memory ledger is under pressure
+// (≥ half budget). A stalled peer is the one failure that grows the logs
+// without bound, so pressure justifies suspecting sooner, before the
+// budget pins producers forever; pressure alone (SuspectAfter zero)
+// never evicts anyone.
 func (e *Entity) suspectTimeout() time.Duration {
 	d := e.cfg.SuspectAfter
-	if p := e.cfg.PressureSuspectAfter; p > 0 && p < d &&
-		e.cfg.Ledger != nil && e.cfg.Ledger.UnderPressure() {
+	if p := d / 4; p > 0 && e.cfg.Ledger != nil && e.cfg.Ledger.UnderPressure() {
 		return p
 	}
 	return d

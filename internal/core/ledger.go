@@ -89,7 +89,7 @@ func (l *Ledger) OverBudget() bool { return l.bytes.Load() >= l.maxBytes }
 
 // UnderPressure reports whether retained bytes have reached half the
 // budget — the threshold at which the entity starts suspecting stalled
-// peers on the shortened PressureSuspectAfter timer.
+// peers on a quarter of the suspicion timeout.
 func (l *Ledger) UnderPressure() bool { return l.bytes.Load()*2 >= l.maxBytes }
 
 // Gate returns a channel that is closed while the ledger is under

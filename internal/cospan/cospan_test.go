@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"cobcast/internal/flight"
+	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 )
 
@@ -89,10 +89,10 @@ func TestAssembleFromSimulatedRun(t *testing.T) {
 	c, err := simrun.New(simrun.Options{
 		N:     n,
 		Trace: true,
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetLossRate(0.2),
-			sim.NetSeed(7),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithLossRate(0.2),
+			network.WithSeed(7),
 		},
 	})
 	if err != nil {

@@ -7,8 +7,8 @@ import (
 	"cobcast"
 
 	"cobcast/internal/core"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/workload"
 )
@@ -62,7 +62,7 @@ func AblationDeferredAck(n int, intervals []time.Duration, msgs int) ([]DeferRow
 		c, err := simrun.New(simrun.Options{
 			N:    n,
 			Core: core.Config{DeferredAckInterval: iv},
-			Net:  []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+			Net:  []network.Option{network.WithUniformDelay(time.Millisecond)},
 		})
 		if err != nil {
 			return nil, err

@@ -16,8 +16,8 @@ import (
 	"cobcast/internal/baseline/totalorder"
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/vclock"
 	"cobcast/internal/workload"
@@ -33,7 +33,7 @@ const deadline = 120 * time.Second
 // a uniform 1 ms propagation delay unless opts.Net says otherwise.
 func runContinuous(opts simrun.Options, perSender, size int) (*simrun.Cluster, time.Duration, error) {
 	if opts.Net == nil {
-		opts.Net = []sim.NetOption{sim.NetUniformDelay(time.Millisecond)}
+		opts.Net = []network.Option{network.WithUniformDelay(time.Millisecond)}
 	}
 	c, err := simrun.New(opts)
 	if err != nil {
@@ -175,7 +175,7 @@ func AckLatency(ns []int, r time.Duration) ([]AckLatencyRow, error) {
 			N:     n,
 			Trace: true,
 			Core:  core.Config{DeferredAckInterval: r / 4},
-			Net:   []sim.NetOption{sim.NetUniformDelay(r)},
+			Net:   []network.Option{network.WithUniformDelay(r)},
 		})
 		if err != nil {
 			return nil, err
@@ -381,10 +381,10 @@ func RetxComparison(n, msgs int, losses []float64, seed int64) ([]RetxRow, error
 	for _, loss := range losses {
 		c, _, err := runContinuous(simrun.Options{
 			N: n,
-			Net: []sim.NetOption{
-				sim.NetUniformDelay(time.Millisecond),
-				sim.NetLossRate(loss),
-				sim.NetSeed(seed),
+			Net: []network.Option{
+				network.WithUniformDelay(time.Millisecond),
+				network.WithLossRate(loss),
+				network.WithSeed(seed),
 			},
 		}, (msgs+n-1)/n, 32)
 		if err != nil {
@@ -565,9 +565,9 @@ func ISISLossDemo() (ISISLossResult, error) {
 	dropped := false
 	c, err := simrun.New(simrun.Options{
 		N: 3,
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetDropFilter(func(_, to pdu.EntityID, d sim.Datagram) bool {
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithDropFilter(func(_, to pdu.EntityID, d network.Inbound) bool {
 				for _, p := range d.PDUs {
 					if !dropped && to == 2 && p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 1 {
 						dropped = true
@@ -668,7 +668,7 @@ func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 
 		solo, err := simrun.New(simrun.Options{
 			N:   n,
-			Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+			Net: []network.Option{network.WithUniformDelay(time.Millisecond)},
 		})
 		if err != nil {
 			return nil, err

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/trace"
 	"cobcast/internal/workload"
@@ -326,7 +326,7 @@ func TestLemma42OnProtocolStreams(t *testing.T) {
 	seen := make(map[trace.MsgID]*pdu.PDU)
 	c, err := simrun.New(simrun.Options{
 		N:   4,
-		Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.05), sim.NetSeed(1)},
+		Net: []network.Option{network.WithUniformDelay(time.Millisecond), network.WithLossRate(0.05), network.WithSeed(1)},
 		PDUTap: func(_, _ pdu.EntityID, p *pdu.PDU) {
 			if p.Kind.Sequenced() {
 				id := trace.MsgID{Src: p.Src, Seq: p.SEQ}
@@ -400,7 +400,7 @@ func TestTheorem41AgreesWithGroundTruth(t *testing.T) {
 	c, err := simrun.New(simrun.Options{
 		N:     3,
 		Trace: true,
-		Net:   []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		Net:   []network.Option{network.WithUniformDelay(time.Millisecond)},
 		PDUTap: func(_, _ pdu.EntityID, p *pdu.PDU) {
 			if p.Kind.Sequenced() {
 				id := trace.MsgID{Src: p.Src, Seq: p.SEQ}

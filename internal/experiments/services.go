@@ -8,8 +8,8 @@ import (
 	"cobcast/internal/baseline/fifo"
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/simrun"
 	"cobcast/internal/trace"
 	"cobcast/internal/workload"
@@ -122,9 +122,9 @@ func coServiceRow(name string, total bool) (ServiceRow, error) {
 		N:     3,
 		Trace: true,
 		Core:  core.Config{TotalOrder: total},
-		Net: []sim.NetOption{
-			sim.NetSeed(2),
-			sim.NetDelay(asymmetricDelay),
+		Net: []network.Option{
+			network.WithSeed(2),
+			network.WithDelay(asymmetricDelay),
 		},
 	})
 	if err != nil {

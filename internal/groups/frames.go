@@ -9,7 +9,7 @@ import (
 )
 
 // PDUSender is memFrames' substrate: PDUs move as shared pointers tagged
-// with their group (network.Port, or the simulator's network).
+// with their group (a network.Port, on either clock).
 type PDUSender interface {
 	BroadcastGroup(g uint32, batch ...*pdu.PDU) error
 }

@@ -2,8 +2,10 @@ package network
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func settle(t *testing.T, net *Net, sent uint64) Stats {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s := net.Stats()
-		if s.Delivered+s.DroppedLoss+s.DroppedOverrun+s.DroppedPartition == sent {
+		if s.Delivered+s.Dropped() == sent {
 			return s
 		}
 		if time.Now().After(deadline) {
@@ -440,12 +442,28 @@ func TestZeroDelayPerSenderOrderConcurrent(t *testing.T) {
 	}
 }
 
+// settledGoroutines reads the goroutine count once it holds still: an
+// earlier test's delivery goroutine may still be unwinding after its
+// network's Close returned.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+	return n
+}
+
 // TestDelayedNetDeliversFromItsGoroutines: only a delayed network runs
-// goroutines — one delivery goroutine per endpoint — and its receivers
-// are called once the delay has passed.
+// a goroutine — one delivery goroutine, whatever the endpoint count —
+// and its receivers are called once the delay has passed.
 func TestDelayedNetDeliversFromItsGoroutines(t *testing.T) {
 	const n, d = 4, 20 * time.Millisecond
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines()
 	instant := New(n)
 	if grew := runtime.NumGoroutine() - baseline; grew != 0 {
 		t.Errorf("a zero-delay network started %d goroutines, want 0", grew)
@@ -453,8 +471,8 @@ func TestDelayedNetDeliversFromItsGoroutines(t *testing.T) {
 	instant.Close()
 	net := New(n, WithUniformDelay(d))
 	defer net.Close()
-	if grew := runtime.NumGoroutine() - baseline; grew != n {
-		t.Errorf("a delayed %d-endpoint network started %d goroutines, want %d", n, grew, n)
+	if grew := runtime.NumGoroutine() - baseline; grew != 1 {
+		t.Errorf("a delayed %d-endpoint network started %d goroutines, want 1", n, grew)
 	}
 	arrived := make(chan time.Time, 1)
 	if err := net.Endpoint(1).Attach(func(Inbound) bool { arrived <- time.Now(); return true }); err != nil {
@@ -471,5 +489,122 @@ func TestDelayedNetDeliversFromItsGoroutines(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the delayed datagram never arrived")
+	}
+}
+
+// TestMixedDelayPerSenderOrderConcurrent: concurrent senders on per-link
+// delays that mix zero and non-zero draws on the same links, with
+// jitter. A zero-delay datagram is handed inline only when nothing is in
+// flight on its link, so every receiver still sees each sender's PDUs in
+// send order, and each receiver has one caller at a time: the receivers
+// keep unsynchronized state, which -race checks, and flag overlapping
+// calls themselves.
+func TestMixedDelayPerSenderOrderConcurrent(t *testing.T) {
+	const n, count = 4, 400
+	net := New(n, WithSeed(5), WithDelay(func(from, to pdu.EntityID, rng *rand.Rand) time.Duration {
+		switch {
+		case (from+to)%2 == 0:
+			return 0 // an instant link
+		case rng.Intn(3) == 0:
+			return 0 // a queued link's occasional instant draw
+		}
+		return time.Duration(50+rng.Intn(400)) * time.Microsecond
+	}))
+	defer net.Close()
+	received := make([][]pdu.Seq, n) // received[to][from]: PDUs to has had from from
+	for to := range received {
+		received[to] = make([]pdu.Seq, n)
+		seen := received[to]
+		var inCall atomic.Bool
+		if err := net.Endpoint(pdu.EntityID(to)).Attach(func(in Inbound) bool {
+			if inCall.Swap(true) {
+				t.Errorf("entity %d: two concurrent receiver calls", to)
+			}
+			defer inCall.Store(false)
+			for _, p := range in.PDUs {
+				seen[in.From]++
+				if p.SEQ != seen[in.From] {
+					t.Errorf("entity %d got seq %d from %d, want %d", to, p.SEQ, in.From, seen[in.From])
+				}
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for from := 0; from < n; from++ {
+		wg.Add(1)
+		go func(from pdu.EntityID) {
+			defer wg.Done()
+			for i := 1; i <= count; i += 2 {
+				if err := net.Endpoint(from).Broadcast(syncPDU(from, pdu.Seq(i)), syncPDU(from, pdu.Seq(i+1))); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%32 == 1 {
+					time.Sleep(100 * time.Microsecond) // let some links drain to empty
+				}
+			}
+		}(pdu.EntityID(from))
+	}
+	wg.Wait()
+	if s := settle(t, net, n*(n-1)*count); s.Delivered != n*(n-1)*count {
+		t.Fatalf("delivered %d of %d PDUs: %+v", s.Delivered, n*(n-1)*count, s)
+	}
+	net.Close()
+	for to, seen := range received {
+		for from, seq := range seen {
+			if want := pdu.Seq(count); from != to && seq != want {
+				t.Errorf("entity %d received %d PDUs from %d, want %d", to, seq, from, want)
+			}
+		}
+	}
+}
+
+// TestLossPatternPinned pins which transmissions the seeded loss roll
+// drops: seed 1, loss 0.05, n=4, broadcast i from entity i mod 4. The
+// (from, to, i) triples are the ones this network dropped before it took
+// the simulator's fault model in, so a Cluster (mem-lossy among them)
+// draws the same losses it always has.
+func TestLossPatternPinned(t *testing.T) {
+	const n, count = 4, 100
+	want := [][3]int{
+		{2, 1, 10}, {3, 1, 35}, {1, 2, 37}, {1, 3, 37}, {2, 0, 38}, {0, 3, 40}, {3, 2, 43},
+		{0, 1, 48}, {0, 1, 60}, {0, 2, 60}, {1, 2, 69}, {2, 1, 74}, {0, 3, 76}, {2, 3, 82},
+		{1, 3, 89}, {2, 3, 90}, {0, 1, 92}, {1, 3, 93}, {3, 1, 95},
+	}
+	net := New(n, WithLossRate(0.05), WithSeed(1))
+	defer net.Close()
+	arrived := make(map[[3]int]bool)
+	for to := 0; to < n; to++ {
+		if err := net.Endpoint(pdu.EntityID(to)).Attach(func(in Inbound) bool {
+			arrived[[3]int{int(in.From), to, int(in.PDUs[0].SEQ)}] = true
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < count; i++ {
+		from := pdu.EntityID(i % n)
+		if err := net.Endpoint(from).Broadcast(syncPDU(from, pdu.Seq(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][3]int
+	for i := 0; i < count; i++ {
+		for to := 0; to < n; to++ {
+			if k := [3]int{i % n, to, i}; to != i%n && !arrived[k] {
+				got = append(got, k)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("dropped %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dropped %v, want %v", got, want)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
-	"cobcast/internal/sim"
+	"cobcast/internal/network"
 	"cobcast/internal/workload"
 )
 
@@ -18,7 +18,7 @@ import (
 func TestSoloMessageCostsTwoRounds(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			c, err := New(Options{N: n, Net: []sim.NetOption{sim.NetUniformDelay(500 * time.Microsecond)}, Trace: true})
+			c, err := New(Options{N: n, Net: []network.Option{network.WithUniformDelay(500 * time.Microsecond)}, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestSoloMessageCostsTwoRounds(t *testing.T) {
 // 876 and 20).
 func TestSkewedLinkConfirmsLate(t *testing.T) {
 	const n, msgs = 4, 160
-	c := run(t, Options{N: n, Net: []sim.NetOption{sim.NetDelay(skewedLink)}},
+	c := run(t, Options{N: n, Net: []network.Option{network.WithDelay(skewedLink)}},
 		workload.NewInteractive(n, msgs, 32, 3*time.Millisecond, 7))
 	st := c.TotalStats()
 	if st.Delivered != n*msgs {
@@ -88,7 +88,7 @@ func TestSlowLinksConfirmOnObservedRound(t *testing.T) {
 	const n = 4
 	for _, tc := range []struct{ msgs, late uint64 }{{40, 54}, {320, 56}} {
 		c := run(t, Options{N: n, Core: core.Config{DeferredAckInterval: time.Millisecond},
-			Net: []sim.NetOption{sim.NetUniformDelay(2 * time.Millisecond)}},
+			Net: []network.Option{network.WithUniformDelay(2 * time.Millisecond)}},
 			workload.NewInteractive(n, int(tc.msgs), 32, 10*time.Millisecond, 7))
 		st := c.TotalStats()
 		if st.Delivered != n*tc.msgs {

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/obsv/promtext"
-	"cobcast/internal/sim"
 	"cobcast/internal/workload"
 )
 
@@ -16,7 +16,7 @@ func runLossy(t *testing.T, reg *obsv.Registry) *Cluster {
 	t.Helper()
 	c, err := New(Options{
 		N:        4,
-		Net:      []sim.NetOption{sim.NetSeed(7), sim.NetLossRate(0.15)},
+		Net:      []network.Option{network.WithSeed(7), network.WithLossRate(0.15)},
 		Trace:    true,
 		Registry: reg,
 	})

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 )
 
 // TestPartitionHealRecovers partitions one entity mid-run and heals it:
@@ -16,7 +16,7 @@ func TestPartitionHealRecovers(t *testing.T) {
 	c, err := New(Options{
 		N:     3,
 		Trace: true,
-		Net:   []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		Net:   []network.Option{network.WithUniformDelay(time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestCrashEvictionAmongSurvivors(t *testing.T) {
 		N:     4,
 		Trace: true,
 		Core:  core.Config{SuspectAfter: 100 * time.Millisecond},
-		Net:   []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		Net:   []network.Option{network.WithUniformDelay(time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestCrashEvictionTotalOrder(t *testing.T) {
 			TotalOrder:   true,
 			SuspectAfter: 100 * time.Millisecond,
 		},
-		Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		Net: []network.Option{network.WithUniformDelay(time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/workload"
 )
 
@@ -24,15 +24,15 @@ import (
 func TestZeroLossSkewRepairs(t *testing.T) {
 	for _, tc := range []struct {
 		name                                   string
-		delay                                  sim.NetOption
+		delay                                  network.Option
 		f2, retSent, retransmitted, duplicates uint64
 	}{
-		{"skewed", sim.NetDelay(skewedLink), 17, 1, 1, 3},
-		{"uniform", sim.NetUniformDelay(500 * time.Microsecond), 0, 0, 0, 0},
+		{"skewed", network.WithDelay(skewedLink), 17, 1, 1, 3},
+		{"uniform", network.WithUniformDelay(500 * time.Microsecond), 0, 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := run(t, Options{N: 4, Net: []sim.NetOption{tc.delay}}, workload.NewContinuous(4, 40, 32))
-			if lost := c.Net.Stats().Dropped; lost != 0 {
+			c := run(t, Options{N: 4, Net: []network.Option{tc.delay}}, workload.NewContinuous(4, 40, 32))
+			if lost := c.Net.Stats().Dropped(); lost != 0 {
 				t.Fatalf("zero-loss network dropped %d PDUs", lost)
 			}
 			st := c.TotalStats()

@@ -17,6 +17,7 @@ import (
 	"cobcast/internal/core"
 	"cobcast/internal/flight"
 	"cobcast/internal/groups"
+	"cobcast/internal/network"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 	"cobcast/internal/sim"
@@ -31,8 +32,9 @@ type Options struct {
 	// Core is the template entity configuration; ID, N and the hooks are
 	// filled per entity. Zero fields take protocol defaults.
 	Core core.Config
-	// Net configures the simulated network (delay, loss, seed).
-	Net []sim.NetOption
+	// Net configures the simulated network (delay, loss, seed, faults),
+	// the runtime's MC network model on the simulator's clock.
+	Net []network.Option
 	// Trace records every entity's flight events, in virtual time, into
 	// one never-wrapping log per group (Cluster.Flight), which the
 	// ordering checkers, latency analysis and flight dumps read.
@@ -75,7 +77,7 @@ type Options struct {
 // is the group's own.
 type Cluster struct {
 	Sim *sim.Sim
-	Net *sim.Net
+	Net *network.Net
 	// Link counts, over every process, what the frames adapters sent and
 	// dropped (obsv.LinkMetrics): under WireVersion 2 the frames that
 	// failed to decode and the delta entries stranded without their
@@ -124,12 +126,13 @@ type Cluster struct {
 
 // node is one simulated process. It is its shard's Frames — the
 // runtime's adapter plus the harness's observation points (Tap send
-// times, Options.PDUTap) — and that adapter's sender onto Net.
+// times, Options.PDUTap) — and wireFrames' sender onto Net; memFrames
+// sends on the process's port itself.
 type node struct {
 	groups.Frames
 	id    pdu.EntityID
 	shard *groups.Shard
-	net   *sim.Net
+	port  *network.Port
 	cs    []*Cluster
 	tap   func(to, from pdu.EntityID, p *pdu.PDU)
 	// frozen marks the process stalled: it stops reading, ticking and
@@ -202,13 +205,14 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 			cs[g].Flight = flight.NewLog()
 		}
 	}
+	net := network.NewVirtual(s, opts.N, opts.Net...)
 	nodes := make([]*node, opts.N)
 	for i := range nodes {
-		nd := &node{id: pdu.EntityID(i), cs: cs, tap: opts.PDUTap}
+		nd := &node{id: pdu.EntityID(i), port: net.Endpoint(pdu.EntityID(i)), cs: cs, tap: opts.PDUTap}
 		if opts.WireVersion == 2 {
 			nd.Frames = groups.NewWireFrames(nd, lm, opts.StampInterval)
 		} else {
-			nd.Frames = groups.NewMemFrames(nd, lm)
+			nd.Frames = groups.NewMemFrames(nd.port, lm)
 		}
 		nd.shard = groups.NewShard(groups.Config{
 			NewEntity: func(g uint32) (*core.Entity, error) {
@@ -230,13 +234,13 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 		}
 		nodes[i] = nd
 	}
-	net := sim.NewNet(s, opts.N, opts.Net...)
 	for _, c := range cs {
 		c.Net, c.nodes = net, nodes
 	}
 	for _, nd := range nodes {
-		nd.net = net
-		net.Attach(nd.id, nd.arrive)
+		if err := nd.port.Attach(nd.arrive); err != nil {
+			return nil, fmt.Errorf("simrun: %w", err)
+		}
 		nd.tick(s, tickEvery)
 	}
 	return cs, nil
@@ -294,37 +298,29 @@ func (nd *node) tick(s *sim.Sim, period time.Duration) {
 
 // arrive is one datagram reaching the process: classified by group as
 // the node runtime's router classifies it, then stepped through the
-// shard.
-func (nd *node) arrive(from pdu.EntityID, d sim.Datagram) {
+// shard. It always takes the datagram: the simulated process has no
+// receive-buffer bound.
+func (nd *node) arrive(d network.Inbound) bool {
 	if nd.frozen {
 		// The stalled process never reads: the datagram reached its
 		// socket but is dropped unprocessed.
-		return
+		return true
 	}
 	g, in, ok := d.Group, groups.Inbound{PDUs: d.PDUs}, true
 	if d.Raw != nil {
 		g, in, ok = groups.RouteFrame(d.Raw, nd.cs[0].Link)
 	}
 	if ok {
-		nd.from = from
+		nd.from = d.From
 		nd.shard.Inbound(g, in)
 		nd.shard.Flush()
 	}
-}
-
-// BroadcastGroup is memFrames' send: one pointer datagram. The network
-// keeps the batch slice, which memFrames reuses, so it gets a copy.
-func (nd *node) BroadcastGroup(g uint32, batch ...*pdu.PDU) error {
-	nd.net.Broadcast(nd.id, sim.Datagram{Group: g, PDUs: append([]*pdu.PDU(nil), batch...)})
-	return nil
+	return true
 }
 
 // Broadcast is wireFrames' send: one frame datagram, whose bytes the
 // network copies per delivered copy.
-func (nd *node) Broadcast(frame []byte) error {
-	nd.net.Broadcast(nd.id, sim.Datagram{Raw: frame})
-	return nil
-}
+func (nd *node) Broadcast(frame []byte) error { return nd.port.BroadcastFrame(frame) }
 
 // Append notes the first send time of every sequenced PDU the process
 // sources, for the Tap samples, then stages p.

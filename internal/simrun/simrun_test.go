@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/workload"
 )
 
@@ -44,7 +44,7 @@ func TestLosslessClusters(t *testing.T) {
 			t.Parallel()
 			c := run(t, Options{
 				N:   n,
-				Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+				Net: []network.Option{network.WithUniformDelay(time.Millisecond)},
 			}, workload.NewContinuous(n, 10, 32))
 			st := c.TotalStats()
 			if st.RetSent != 0 || st.Retransmitted != 0 {
@@ -60,7 +60,7 @@ func TestSingleMessageIdleCluster(t *testing.T) {
 	// gossip does the work), and the cluster must then go quiet.
 	c := run(t, Options{
 		N:   4,
-		Net: []sim.NetOption{sim.NetUniformDelay(2 * time.Millisecond)},
+		Net: []network.Option{network.WithUniformDelay(2 * time.Millisecond)},
 	}, workload.NewSingleSource(0, 1, 64))
 	for i, ds := range c.Delivered {
 		if len(ds) != 1 || ds[0].Src != 0 || ds[0].SEQ != 1 {
@@ -93,10 +93,10 @@ func TestLossyClusters(t *testing.T) {
 			t.Parallel()
 			c := run(t, Options{
 				N: tt.n,
-				Net: []sim.NetOption{
-					sim.NetUniformDelay(time.Millisecond),
-					sim.NetLossRate(tt.loss),
-					sim.NetSeed(tt.seed),
+				Net: []network.Option{
+					network.WithUniformDelay(time.Millisecond),
+					network.WithLossRate(tt.loss),
+					network.WithSeed(tt.seed),
 				},
 			}, workload.NewContinuous(tt.n, 8, 32))
 			st := c.TotalStats()
@@ -117,9 +117,9 @@ func TestTargetedLossBurst(t *testing.T) {
 	c, err := New(Options{
 		N:     3,
 		Trace: true,
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetDropFilter(func(_, _ pdu.EntityID, d sim.Datagram) bool {
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithDropFilter(func(_, _ pdu.EntityID, d network.Inbound) bool {
 				for _, p := range d.PDUs {
 					if p.Kind == pdu.KindData && p.Src == 0 && p.SEQ == 2 && dropped < 2 {
 						dropped++
@@ -158,7 +158,7 @@ func TestWindowOneMutualPressure(t *testing.T) {
 	c := run(t, Options{
 		N:    2,
 		Core: core.Config{Window: 1},
-		Net:  []sim.NetOption{sim.NetUniformDelay(time.Millisecond)},
+		Net:  []network.Option{network.WithUniformDelay(time.Millisecond)},
 	}, workload.NewContinuous(2, 10, 16))
 	if got := c.TotalStats().Delivered; got != 2*2*10 {
 		t.Errorf("Delivered = %d, want 40", got)
@@ -168,14 +168,14 @@ func TestWindowOneMutualPressure(t *testing.T) {
 func TestBurstyWorkload(t *testing.T) {
 	run(t, Options{
 		N:   4,
-		Net: []sim.NetOption{sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.05), sim.NetSeed(5)},
+		Net: []network.Option{network.WithUniformDelay(time.Millisecond), network.WithLossRate(0.05), network.WithSeed(5)},
 	}, workload.NewBursty(4, 6, 4, 32, 20*time.Millisecond, 5))
 }
 
 func TestInteractiveWorkload(t *testing.T) {
 	run(t, Options{
 		N:   3,
-		Net: []sim.NetOption{sim.NetUniformDelay(3 * time.Millisecond)},
+		Net: []network.Option{network.WithUniformDelay(3 * time.Millisecond)},
 	}, workload.NewInteractive(3, 30, 24, 5*time.Millisecond, 11))
 }
 
@@ -187,7 +187,7 @@ func TestAsymmetricDelays(t *testing.T) {
 	}
 	run(t, Options{
 		N:   4,
-		Net: []sim.NetOption{sim.NetDelay(delay)},
+		Net: []network.Option{network.WithDelay(delay)},
 	}, workload.NewContinuous(4, 8, 16))
 }
 
@@ -197,7 +197,7 @@ func TestJitteredDelaysWithLoss(t *testing.T) {
 	}
 	run(t, Options{
 		N:   5,
-		Net: []sim.NetOption{sim.NetDelay(delay), sim.NetLossRate(0.08), sim.NetSeed(13)},
+		Net: []network.Option{network.WithDelay(delay), network.WithLossRate(0.08), network.WithSeed(13)},
 	}, workload.NewContinuous(5, 6, 16))
 }
 
@@ -217,10 +217,10 @@ func TestQuickRandomClusters(t *testing.T) {
 			N:     n,
 			Trace: true,
 			Core:  core.Config{Window: window},
-			Net: []sim.NetOption{
-				sim.NetUniformDelay(time.Duration(1+rng.Intn(3)) * time.Millisecond),
-				sim.NetLossRate(loss),
-				sim.NetSeed(seed),
+			Net: []network.Option{
+				network.WithUniformDelay(time.Duration(1+rng.Intn(3)) * time.Millisecond),
+				network.WithLossRate(loss),
+				network.WithSeed(seed),
 			},
 		})
 		if err != nil {
@@ -252,7 +252,7 @@ func TestQuickRandomClusters(t *testing.T) {
 func TestTapSamplesRecorded(t *testing.T) {
 	c := run(t, Options{
 		N:   3,
-		Net: []sim.NetOption{sim.NetUniformDelay(2 * time.Millisecond)},
+		Net: []network.Option{network.WithUniformDelay(2 * time.Millisecond)},
 	}, workload.NewContinuous(3, 4, 16))
 	taps := c.TapSamples()
 	if len(taps) == 0 {
@@ -300,11 +300,11 @@ func TestDuplicationAndLossTogether(t *testing.T) {
 	// must stay exactly-once and causally ordered.
 	run(t, Options{
 		N: 4,
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetLossRate(0.1),
-			sim.NetDuplicateRate(0.2),
-			sim.NetSeed(21),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithLossRate(0.1),
+			network.WithDuplicateRate(0.2),
+			network.WithSeed(21),
 		},
 	}, workload.NewContinuous(4, 8, 24))
 }
@@ -314,10 +314,10 @@ func TestTotalOrderWithDuplication(t *testing.T) {
 		N:     3,
 		Trace: true,
 		Core:  core.Config{TotalOrder: true},
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetDuplicateRate(0.3),
-			sim.NetSeed(8),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithDuplicateRate(0.3),
+			network.WithSeed(8),
 		},
 	})
 	if err != nil {
@@ -347,8 +347,8 @@ func TestNewGroupsIsolatesGroups(t *testing.T) {
 	for _, wire := range []int{0, 2} {
 		cs, err := NewGroups(Options{
 			N: 3,
-			Net: []sim.NetOption{
-				sim.NetUniformDelay(time.Millisecond), sim.NetLossRate(0.1), sim.NetSeed(7),
+			Net: []network.Option{
+				network.WithUniformDelay(time.Millisecond), network.WithLossRate(0.1), network.WithSeed(7),
 			},
 			Trace:       true,
 			WireVersion: wire,
@@ -372,7 +372,7 @@ func TestNewGroupsIsolatesGroups(t *testing.T) {
 		}, virtualDeadline); err != nil {
 			t.Fatalf("wire %d: %v", wire, err)
 		}
-		if cs[0].Net.Stats().Dropped == 0 {
+		if cs[0].Net.Stats().Dropped() == 0 {
 			t.Errorf("wire %d: no loss injected", wire)
 		}
 		for g, c := range cs {

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
-	"cobcast/internal/sim"
+	"cobcast/internal/network"
 	"cobcast/internal/workload"
 )
 
@@ -18,11 +18,11 @@ func TestSoakLargeClusterCO(t *testing.T) {
 	c, err := New(Options{
 		N:     10,
 		Trace: true,
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetLossRate(0.05),
-			sim.NetDuplicateRate(0.05),
-			sim.NetSeed(1234),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithLossRate(0.05),
+			network.WithDuplicateRate(0.05),
+			network.WithSeed(1234),
 		},
 	})
 	if err != nil {
@@ -57,10 +57,10 @@ func TestSoakTotalOrder(t *testing.T) {
 		N:     6,
 		Trace: true,
 		Core:  core.Config{TotalOrder: true},
-		Net: []sim.NetOption{
-			sim.NetUniformDelay(time.Millisecond),
-			sim.NetLossRate(0.08),
-			sim.NetSeed(77),
+		Net: []network.Option{
+			network.WithUniformDelay(time.Millisecond),
+			network.WithLossRate(0.08),
+			network.WithSeed(77),
 		},
 	})
 	if err != nil {

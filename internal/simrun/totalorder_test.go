@@ -6,14 +6,14 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/network"
 	"cobcast/internal/pdu"
-	"cobcast/internal/sim"
 	"cobcast/internal/workload"
 )
 
 // runTO builds a TotalOrder-mode cluster, runs the workload to
 // quiescence, and checks both the CO service and total order.
-func runTO(t *testing.T, n int, gen workload.Generator, netOpts ...sim.NetOption) *Cluster {
+func runTO(t *testing.T, n int, gen workload.Generator, netOpts ...network.Option) *Cluster {
 	t.Helper()
 	c, err := New(Options{
 		N:     n,
@@ -47,31 +47,31 @@ func TestTotalOrderLossless(t *testing.T) {
 		t.Run(string(rune('0'+n))+"entities", func(t *testing.T) {
 			t.Parallel()
 			runTO(t, n, workload.NewContinuous(n, 8, 32),
-				sim.NetUniformDelay(time.Millisecond))
+				network.WithUniformDelay(time.Millisecond))
 		})
 	}
 }
 
 func TestTotalOrderUnderLoss(t *testing.T) {
 	runTO(t, 4, workload.NewContinuous(4, 6, 32),
-		sim.NetUniformDelay(time.Millisecond),
-		sim.NetLossRate(0.15),
-		sim.NetSeed(3))
+		network.WithUniformDelay(time.Millisecond),
+		network.WithLossRate(0.15),
+		network.WithSeed(3))
 }
 
 func TestTotalOrderUnderJitter(t *testing.T) {
 	// Heterogeneous delays reorder arrivals across senders; every entity
 	// must still deliver the identical sequence.
 	runTO(t, 5, workload.NewContinuous(5, 5, 16),
-		sim.NetSeed(17),
-		sim.NetDelay(func(_, _ pdu.EntityID, rng *rand.Rand) time.Duration {
+		network.WithSeed(17),
+		network.WithDelay(func(_, _ pdu.EntityID, rng *rand.Rand) time.Duration {
 			return time.Duration(200+rng.Intn(3000)) * time.Microsecond
 		}))
 }
 
 func TestTotalOrderLTimesConsistent(t *testing.T) {
 	c := runTO(t, 3, workload.NewContinuous(3, 5, 16),
-		sim.NetUniformDelay(time.Millisecond))
+		network.WithUniformDelay(time.Millisecond))
 	// Every entity must assign the identical LTime to each message.
 	type key struct {
 		src int
@@ -112,7 +112,7 @@ func TestTotalOrderSingleMessage(t *testing.T) {
 		N:     4,
 		Trace: true,
 		Core:  core.Config{TotalOrder: true},
-		Net:   []sim.NetOption{sim.NetUniformDelay(2 * time.Millisecond)},
+		Net:   []network.Option{network.WithUniformDelay(2 * time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +140,10 @@ func TestTotalOrderFuzz(t *testing.T) {
 			N:     n,
 			Trace: true,
 			Core:  core.Config{TotalOrder: true},
-			Net: []sim.NetOption{
-				sim.NetUniformDelay(time.Duration(1+rng.Intn(3)) * time.Millisecond),
-				sim.NetLossRate(loss),
-				sim.NetSeed(seed),
+			Net: []network.Option{
+				network.WithUniformDelay(time.Duration(1+rng.Intn(3)) * time.Millisecond),
+				network.WithLossRate(loss),
+				network.WithSeed(seed),
 			},
 		})
 		if err != nil {

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 
 	"cobcast/internal/obsv"
@@ -39,12 +38,6 @@ const MaxDatagram = 60 * 1024
 // (which only sees inbox-channel overflow), so a generous kernel buffer
 // keeps the observable loss mode the one the protocol is built around.
 const DefaultSocketBuffer = 4 << 20
-
-// batchEnv is the environment override for the batched-syscall path:
-// "0"/"false"/"off" forces the portable per-datagram path, "1"/"true"/
-// "on" requests batching (still subject to platform support). The
-// WithBatchSyscalls option takes precedence over the environment.
-const batchEnv = "COBCAST_BATCH_SYSCALLS"
 
 // ErrDatagramTooLarge is returned by Broadcast for datagrams over
 // MaxDatagram; each rejection is also counted in Stats.Oversize.
@@ -82,7 +75,7 @@ type Option func(*config)
 
 type config struct {
 	// batch is the explicit WithBatchSyscalls choice; nil means
-	// environment then platform auto-detection.
+	// platform auto-detection.
 	batch *bool
 	// sockBuf is the requested SO_RCVBUF/SO_SNDBUF size in bytes;
 	// <= 0 leaves the OS defaults.
@@ -92,8 +85,7 @@ type config struct {
 // WithBatchSyscalls forces the batched sendmmsg/recvmmsg wire path on
 // or off. The default is auto-detection: batched on Linux (falling back
 // at runtime if the kernel rejects the syscalls), per-datagram
-// elsewhere; the COBCAST_BATCH_SYSCALLS environment variable ("0"/"1")
-// overrides the auto-detection but not this option.
+// elsewhere.
 func WithBatchSyscalls(on bool) Option {
 	return func(c *config) { c.batch = &on }
 }
@@ -203,17 +195,11 @@ func New(local string, peers []string, inboxCap int, opts ...Option) (*Transport
 	return t, nil
 }
 
-// resolveBatch decides the wire path: explicit option, then the
-// COBCAST_BATCH_SYSCALLS environment variable, then platform support.
+// resolveBatch decides the wire path: the explicit option, else
+// platform support.
 func resolveBatch(cfg config) bool {
 	if cfg.batch != nil {
 		return *cfg.batch && mmsgSupported
-	}
-	switch os.Getenv(batchEnv) {
-	case "0", "false", "off":
-		return false
-	case "1", "true", "on":
-		return mmsgSupported
 	}
 	return mmsgSupported
 }

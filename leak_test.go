@@ -1,6 +1,7 @@
 package cobcast_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -55,11 +56,12 @@ func TestClusterCloseReleasesGoroutines(t *testing.T) {
 }
 
 // TestIdleClusterGoroutinesLinear: an idle one-shard Cluster node runs
-// exactly two goroutines — its shard loop and group 0's delivery pump —
-// not one per pair of nodes, no router, and, at zero delay, no network
-// delivery goroutine: the sender's broadcast enqueues on the shard.
+// exactly one goroutine — its shard loop — not one per pair of nodes, no
+// router, no delivery pump before group 0 first delivers, and, at zero
+// delay, no network delivery goroutine: the sender's broadcast enqueues
+// on the shard.
 func TestIdleClusterGoroutinesLinear(t *testing.T) {
-	const n, perNode = 16, 2
+	const n, perNode = 16, 1
 	baseline := runtime.NumGoroutine()
 	c, err := cobcast.NewCluster(n, cobcast.WithGroupShards(1))
 	if err != nil {
@@ -68,6 +70,42 @@ func TestIdleClusterGoroutinesLinear(t *testing.T) {
 	defer c.Close()
 	if grew := runtime.NumGoroutine() - baseline; grew > perNode*n {
 		t.Errorf("an idle %d-node cluster runs %d goroutines, want at most %d per node", n, grew, perNode)
+	}
+}
+
+// TestUnusedGroupPortsCostNoGoroutine: a port starts its delivery pump
+// at its group's first delivery, so opening ports — MaxGroups+64 of them,
+// the last 64 refused by the group bound — on an idle node starts no
+// goroutine, and Close still closes every port's channel.
+func TestUnusedGroupPortsCostNoGoroutine(t *testing.T) {
+	c, err := cobcast.NewCluster(2, cobcast.WithGroupShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	baseline := runtime.NumGoroutine()
+	ports := make([]*cobcast.GroupPort, 0, cobcast.MaxGroups+64)
+	for g := 1; g <= cobcast.MaxGroups+64; g++ {
+		ports = append(ports, c.Group(0, cobcast.GroupID(g)))
+	}
+	if err := ports[len(ports)-1].Broadcast([]byte("x")); !errors.Is(err, cobcast.ErrTooManyGroups) {
+		t.Fatalf("Broadcast past the group bound = %v, want ErrTooManyGroups", err)
+	}
+	if grew := runtime.NumGoroutine() - baseline; grew > 0 {
+		t.Errorf("opening %d idle ports started %d goroutines, want 0", len(ports), grew)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ports {
+		select {
+		case _, ok := <-p.Deliveries():
+			if ok {
+				t.Fatalf("group %d delivered on an idle cluster", p.ID())
+			}
+		default:
+			t.Fatalf("group %d: Close left its Deliveries channel open", p.ID())
+		}
 	}
 }
 

@@ -24,10 +24,10 @@ type substrate struct {
 // due datagram straight to its group's owner shard, which the network
 // has already tagged. At zero delay the sender's broadcast makes the
 // offer, so one PDU trip costs one hand-off, into the receiving shard;
-// with a delay the port's delivery goroutine makes it, which adds one.
-// The offer never blocks and never calls back into the network: with
-// inboxCap datagrams already waiting for a shard, it refuses, and the
-// network counts the datagram lost to overrun.
+// with a delay the network's one delivery goroutine makes it, which
+// adds one. The offer never blocks and never calls back into the
+// network: with inboxCap datagrams already waiting for a shard, it
+// refuses, and the network counts the datagram lost to overrun.
 //
 // The node does not watch the network: the network belongs to its
 // Cluster, whose Close closes it and then every node. A node that

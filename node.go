@@ -320,7 +320,7 @@ func (nd *Node) Close() error {
 		nd.groupsMu.Unlock()
 		for _, p := range ports {
 			p.queue.close()
-			<-p.pumpDone
+			p.stopPump()
 			close(p.deliver)
 		}
 		err = nd.sub.close()

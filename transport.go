@@ -23,8 +23,7 @@ type TransportStats = udpnet.Stats
 type TransportOption = udpnet.Option
 
 // WithBatchSyscalls forces the batched-syscall wire path on or off,
-// overriding the COBCAST_BATCH_SYSCALLS environment variable and the
-// platform default (on where sendmmsg/recvmmsg exist, currently Linux).
+// overriding the platform default (on where sendmmsg/recvmmsg exist, currently Linux).
 // Forcing it on where unsupported fails NewUDPTransport; if the running
 // kernel later rejects the syscalls, the transport falls back to the
 // per-datagram path at runtime without losing data.
