@@ -362,16 +362,13 @@ func BenchmarkHotPathDeliveryHandoff(b *testing.B) {
 // loop's swap. Quiescent, which queues behind every submission, closes
 // the timed region.
 func BenchmarkHotPathShardInbox(b *testing.B) {
-	r, err := groups.New(groups.Config{
+	r := groups.New(groups.Config{
 		Shards:    1,
-		NewEntity: func(uint32) (*core.Entity, error) { return nil, errors.New("no engine") },
+		NewEntity: func(uint32, *core.Ledger) (*core.Entity, error) { return nil, errors.New("no engine") },
 		NewFrames: func(int) groups.Frames { return nopFrames{} },
 		Deliver:   func(uint32, []core.Delivery) {},
 		Now:       func() time.Duration { return 0 },
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 	defer r.Close()
 	ctx, data := context.Background(), make([]byte, 128)
 	for i := 0; i < 4096; i++ { // inbox and swap buffer at their steady sizes

@@ -121,16 +121,6 @@ func (o options) coreConfig(id, n int) core.Config {
 	}
 }
 
-// newLedger builds one engine's memory ledger, or nil when no budget is
-// configured. Each engine gets its own ledger (the engine is the single
-// writer), so per-group budgets compose with WithGroupShards.
-func (o options) newLedger() *core.Ledger {
-	if o.memBudgetBytes <= 0 {
-		return nil
-	}
-	return core.NewLedger(o.memBudgetBytes)
-}
-
 // newFlightRing builds one engine's flight recorder, or nil when
 // recording is off. The recorder rides on observability: it exists
 // whenever a registry is attached (WithFlightRecorder resizes or

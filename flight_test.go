@@ -1,6 +1,7 @@
 package cobcast_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -422,5 +423,51 @@ func TestStallAnalyzerNamesIsolatedPeerLive(t *testing.T) {
 			t.Fatalf("no stall verdict for s0#1 on node 0; report: %+v", stalls)
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestBackpressureEventsInSubmittingGroupRing: a producer blocked or
+// shed on one group's exhausted budget is recorded in that group's own
+// flight ring ("0/g<N>" on /tracez), never in the default group's.
+func TestBackpressureEventsInSubmittingGroupRing(t *testing.T) {
+	for _, tc := range []struct {
+		mode cobcast.BackpressureMode
+		ev   flight.EventType
+	}{
+		{cobcast.BackpressureShed, flight.EvShed},
+		{cobcast.BackpressureBlock, flight.EvBlock},
+	} {
+		t.Run(tc.ev.String(), func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			c, err := cobcast.NewCluster(2, overloadOptions(
+				cobcast.WithBackpressure(tc.mode), cobcast.WithObservability(reg))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Isolate(1)
+			hot := c.Group(0, 7)
+			send := func(b []byte) error {
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+				defer cancel()
+				return hot.BroadcastContext(ctx, b)
+			}
+			want := cobcast.ErrOverBudget
+			if tc.mode == cobcast.BackpressureBlock {
+				want = context.DeadlineExceeded
+			}
+			saturate(t, send, make([]byte, 1024), 100000, want)
+			count := map[string]int{}
+			for _, nf := range reg.Tracez().Nodes {
+				for _, ev := range nf.Events {
+					if ev.Type == tc.ev {
+						count[nf.Node]++
+					}
+				}
+			}
+			if count["0/g7"] == 0 || len(count) != 1 {
+				t.Fatalf("%s events per ring: %v, want them in 0/g7 alone", tc.ev, count)
+			}
+		})
 	}
 }

@@ -58,16 +58,11 @@ func Group(name string) GroupID {
 // GroupPort is a node's handle on one group: Broadcast submits to the
 // group's ordered stream, Deliveries yields the group's causally (or
 // totally) ordered messages. Obtain ports with Node.Group or
-// Cluster.Group; the same port is returned for the same ID. The
+// Cluster.Group; the same port is returned for the same open ID. The
 // DefaultGroup port is what Node.Broadcast and Node.Deliveries use.
 type GroupPort struct {
 	nd *Node
 	id GroupID
-
-	// ledger is this group's memory ledger (nil without
-	// WithMemoryBudget): every group's engine gets its own budget and is
-	// its only writer; the port gates its producers on it.
-	ledger *core.Ledger
 
 	// Each port runs its own unbounded queue + pump so a slow consumer of
 	// one group never stalls the shard that feeds it (or any other
@@ -75,6 +70,7 @@ type GroupPort struct {
 	// takes the whole backlog at once and feeds the buffered deliver
 	// channel (DESIGN.md §2o). The pump starts at the port's first
 	// delivery, so a port whose group never delivers costs no goroutine.
+	// A port on a group the runtime refused has no queue.
 	queue    *deliveryQueue
 	deliver  chan Message
 	pumpOnce sync.Once
@@ -110,9 +106,6 @@ func (p *GroupPort) Broadcast(data []byte) error {
 // BroadcastContext is Broadcast bounded by a context; see
 // Node.BroadcastContext for the backpressure semantics.
 func (p *GroupPort) BroadcastContext(ctx context.Context, data []byte) error {
-	if err := p.nd.admit(ctx, p.ledger); err != nil {
-		return err
-	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
 	if p.nd.stopped() {
@@ -129,6 +122,8 @@ func (nd *Node) runtimeErr(g GroupID, err error) error {
 		return ErrClosed
 	case errors.Is(err, groups.ErrTooManyGroups):
 		return fmt.Errorf("%w: group %d", ErrTooManyGroups, g)
+	case errors.Is(err, groups.ErrOverBudget):
+		return ErrOverBudget
 	}
 	return err
 }
@@ -192,29 +187,24 @@ func (p *GroupPort) pump() {
 }
 
 // Group returns the node's port on group g, creating it on first use.
+// A port on a group the runtime refuses (past MaxGroups, or once the
+// node has closed) is not kept: Broadcast returns the refusal, and
+// Deliveries, shared by all such ports, delivers nothing until Close
+// closes it.
 func (nd *Node) Group(g GroupID) *GroupPort {
 	nd.groupsMu.Lock()
 	defer nd.groupsMu.Unlock()
 	if p, ok := nd.groupPorts[g]; ok {
 		return p
 	}
-	if nd.groupPorts == nil {
-		nd.groupPorts = make(map[GroupID]*GroupPort)
-	}
-	// Reserve the group so its engine can be built on first input; past
-	// the MaxGroups bound the reservation fails and the error surfaces on
-	// Broadcast instead. Such a group never delivers, so its channel
-	// needs no buffer.
-	capacity := deliverChanCap
 	if err := nd.rt.Open(uint32(g)); err != nil {
-		capacity = 0
+		return &GroupPort{nd: nd, id: g, deliver: nd.refused}
 	}
 	p := &GroupPort{
 		nd:       nd,
 		id:       g,
-		ledger:   nd.o.newLedger(),
 		queue:    newDeliveryQueue(),
-		deliver:  make(chan Message, capacity),
+		deliver:  make(chan Message, deliverChanCap),
 		pumpDone: make(chan struct{}),
 	}
 	nd.groupPorts[g] = p
@@ -236,13 +226,12 @@ const statezGroupLimit = 16
 // shard goroutine, at construction for group 0 and at a group's first
 // input otherwise. Every group gets the same protocol configuration:
 // group isolation comes from frame routing, not from the cluster ID.
-// Each engine writes its own ledger (shared with the group's port, which
-// gates producers on it). Group 0 publishes under the node's own label,
-// together with the node-wide link counters; other groups under
-// "<id>/g<N>" while instrumentation slots last.
-func (nd *Node) newEntity(g uint32) (*core.Entity, error) {
+// Each engine writes its group's own ledger. Group 0 publishes under
+// the node's own label, together with the node-wide link counters;
+// other groups under "<id>/g<N>" while instrumentation slots last.
+func (nd *Node) newEntity(g uint32, ledger *core.Ledger) (*core.Entity, error) {
 	cfg := nd.o.coreConfig(nd.id, nd.n)
-	cfg.Ledger = nd.Group(GroupID(g)).ledger
+	cfg.Ledger = ledger
 	reg := nd.o.registry
 	label, lm := strconv.Itoa(nd.id), nd.lm
 	if g != 0 {
@@ -251,9 +240,6 @@ func (nd *Node) newEntity(g uint32) (*core.Entity, error) {
 	instrumented := reg != nil && (g == 0 || nd.groupMetricsSlot())
 	if instrumented {
 		cfg.Metrics, cfg.Flight = obsv.NewEntityMetrics(), nd.o.newFlightRing()
-		if g == 0 {
-			nd.flight = cfg.Flight
-		}
 	}
 	ent, err := core.New(cfg)
 	if err != nil {
@@ -295,9 +281,10 @@ func (nd *Node) groupMetricsSlot() bool {
 // deliverGroup routes one engine output's deliveries (on its shard
 // goroutine) to the group's port, creating the port on first delivery so
 // messages for groups the application has not opened yet are queued, not
-// lost.
+// lost — unless the node is closing, which refuses new ports.
 func (nd *Node) deliverGroup(g uint32, batch []core.Delivery) {
-	p := nd.Group(GroupID(g))
-	p.startPump()
-	p.queue.push(GroupID(g), batch)
+	if p := nd.Group(GroupID(g)); p.queue != nil {
+		p.startPump()
+		p.queue.push(GroupID(g), batch)
+	}
 }

@@ -23,6 +23,27 @@ func TestGroupMetricsSlotBounded(t *testing.T) {
 	}
 }
 
+// TestRefusedGroupPortsNotRetained: a port on a group the runtime
+// refuses past MaxGroups is handed out but not kept, so an application
+// asking for ever more distinct IDs does not grow the node's port map.
+func TestRefusedGroupPortsNotRetained(t *testing.T) {
+	c, err := NewCluster(2, WithGroupShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	nd := c.Node(0)
+	for g := 1; g <= MaxGroups+20000; g++ {
+		nd.Group(GroupID(g))
+	}
+	nd.groupsMu.Lock()
+	ports := len(nd.groupPorts)
+	nd.groupsMu.Unlock()
+	if ports > MaxGroups+1 {
+		t.Fatalf("node keeps %d ports after 20000 refused IDs, want at most MaxGroups+1 = %d", ports, MaxGroups+1)
+	}
+}
+
 // nullBatchTransport swallows frames so only the shard-side staging code
 // runs; it implements BatchTransport to exercise the staged-batch path.
 type nullBatchTransport struct{ broadcasts, batches int }

@@ -280,7 +280,7 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		Registry:       reg,
 		WireVersion:    wire,
 		MemBudgetBytes: cfg.MemBudgetBytes,
-		Shed:           cfg.Shed,
+		Shards:         cfg.Shards,
 	}, groups)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build cluster: %w", err)

@@ -327,13 +327,26 @@ func TestViolationError(t *testing.T) {
 // TestBadConfigRejected checks Run surfaces config errors as ErrBadConfig,
 // not Violations.
 func TestBadConfigRejected(t *testing.T) {
-	_, err := Run(Config{Seed: 1, N: 1, Workload: WorkloadSingle, Messages: 1})
-	if !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("got %v, want ErrBadConfig", err)
+	ok := Config{Seed: 1, N: 2, Workload: WorkloadSingle, Messages: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	var v *Violation
-	if errors.As(err, &v) {
-		t.Fatal("config error misreported as a Violation")
+	for _, bad := range []func(c *Config){
+		func(c *Config) { c.N = 1 },
+		// A producer cannot block in virtual time: a budget sheds.
+		func(c *Config) { c.MemBudgetBytes = 8 << 10 },
+		func(c *Config) { c.Shards = 5 },
+	} {
+		cfg := ok
+		bad(&cfg)
+		_, err := Run(cfg)
+		if !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("%+v: got %v, want ErrBadConfig", cfg, err)
+		}
+		var v *Violation
+		if errors.As(err, &v) {
+			t.Fatal("config error misreported as a Violation")
+		}
 	}
 }
 

@@ -132,11 +132,17 @@ type Config struct {
 	StalledPeers int `json:"stalled_peers,omitempty"`
 	// MemBudgetBytes gives every entity of every group its own memory
 	// ledger with this byte budget (the node runtime's per-group
-	// ledgers); Shed additionally sheds application submissions at an
+	// ledgers), and Shed sheds application submissions at an
 	// over-budget sender (the node runtime's BackpressureShed
-	// admission). Shed requires a budget.
+	// admission). Each requires the other: a producer cannot block in
+	// virtual time, so a budget there always sheds.
 	MemBudgetBytes int64 `json:"mem_budget_bytes,omitempty"`
 	Shed           bool  `json:"shed,omitempty"`
+
+	// Shards is every process's group-shard count K (0 means 1): the
+	// runtime's registry spreads a run's groups over K shards by its
+	// hash. FromSeed does not draw it.
+	Shards int `json:"shards,omitempty"`
 }
 
 // ErrBadConfig reports an unusable chaos configuration.
@@ -195,8 +201,12 @@ func (c Config) Validate() error {
 				ErrBadConfig)
 		}
 	}
-	if c.Shed && c.MemBudgetBytes == 0 {
-		return fmt.Errorf("%w: shed without mem_budget_bytes", ErrBadConfig)
+	if c.Shed != (c.MemBudgetBytes > 0) {
+		return fmt.Errorf("%w: shed=%v with mem_budget_bytes=%d (each requires the other)",
+			ErrBadConfig, c.Shed, c.MemBudgetBytes)
+	}
+	if c.Shards < 0 || c.Shards > 4 {
+		return fmt.Errorf("%w: shards=%d (want 0..4)", ErrBadConfig, c.Shards)
 	}
 	return nil
 }

@@ -32,63 +32,66 @@ var pinnedMultiGroupDigests = []string{
 	"85e9ca16d9aeaa7b54a5bc83a0df953b7badf372f4aa8d3ab9b2dfa747a7c7db",
 }
 
-// TestMultiGroupConverges runs 2..4 groups over one faulty network and
-// requires every per-group predicate to hold, every group to carry
+// TestMultiGroupConverges runs 2..4 groups over one faulty network,
+// with the groups of each process on one shard and split across two,
+// and requires every per-group predicate to hold, every group to carry
 // traffic, and the faults to have genuinely bitten.
 func TestMultiGroupConverges(t *testing.T) {
-	for groups := 2; groups <= 4; groups++ {
-		cfg := pinnedMultiGroup
-		cfg.Groups = groups
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("groups=%d: %v", groups, err)
-		}
-		if res.Submitted != cfg.Messages {
-			t.Fatalf("groups=%d: submitted %d, want %d", groups, res.Submitted, cfg.Messages)
-		}
-		if len(res.GroupDigests) != groups {
-			t.Fatalf("groups=%d: %d group digests", groups, len(res.GroupDigests))
-		}
-		seen := map[string]int{}
-		for g, d := range res.GroupDigests {
-			if d == "" {
-				t.Fatalf("groups=%d: empty digest for group %d", groups, g)
+	for _, shards := range []int{1, 2} {
+		for groups := 2; groups <= 4; groups++ {
+			cfg := pinnedMultiGroup
+			cfg.Groups, cfg.Shards = groups, shards
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("shards=%d groups=%d: %v", shards, groups, err)
 			}
-			seen[d]++
-		}
-		if len(seen) != groups {
-			t.Fatalf("groups=%d: digests collide (%v) — groups not isolated", groups, res.GroupDigests)
-		}
-		// Deliveries count every (message, entity) pair exactly once
-		// across all groups: group isolation means no message reaches a
-		// group it was not submitted to.
-		if want := uint64(cfg.Messages * cfg.N); res.Stats.Delivered != want {
-			t.Fatalf("groups=%d: delivered %d engine-deliveries, want %d", groups, res.Stats.Delivered, want)
-		}
-		if res.Net.Dropped() == 0 {
-			t.Errorf("groups=%d: no datagram loss injected", groups)
-		}
-		// Every engine contributes a flight dump, attributed "i/gG".
-		if want := groups * cfg.N; len(res.Flight) != want {
-			t.Fatalf("groups=%d: %d flight dumps, want %d", groups, len(res.Flight), want)
-		}
-		names := map[string]bool{}
-		for _, nf := range res.Flight {
-			if nf.Recorded == 0 || len(nf.Events) == 0 {
-				t.Fatalf("groups=%d: node %s recorded no flight events", groups, nf.Node)
+			if res.Submitted != cfg.Messages {
+				t.Fatalf("shards=%d groups=%d: submitted %d, want %d", shards, groups, res.Submitted, cfg.Messages)
 			}
-			names[nf.Node] = true
-		}
-		for g := 0; g < groups; g++ {
-			for i := 0; i < cfg.N; i++ {
-				if node := fmt.Sprintf("%d/g%d", i, g); !names[node] {
-					t.Fatalf("groups=%d: missing flight dump for %s", groups, node)
+			if len(res.GroupDigests) != groups {
+				t.Fatalf("shards=%d groups=%d: %d group digests", shards, groups, len(res.GroupDigests))
+			}
+			seen := map[string]int{}
+			for g, d := range res.GroupDigests {
+				if d == "" {
+					t.Fatalf("shards=%d groups=%d: empty digest for group %d", shards, groups, g)
+				}
+				seen[d]++
+			}
+			if len(seen) != groups {
+				t.Fatalf("shards=%d groups=%d: digests collide (%v) — groups not isolated", shards, groups, res.GroupDigests)
+			}
+			// Deliveries count every (message, entity) pair exactly once
+			// across all groups: group isolation means no message reaches a
+			// group it was not submitted to.
+			if want := uint64(cfg.Messages * cfg.N); res.Stats.Delivered != want {
+				t.Fatalf("shards=%d groups=%d: delivered %d engine-deliveries, want %d", shards, groups, res.Stats.Delivered, want)
+			}
+			if res.Net.Dropped() == 0 {
+				t.Errorf("shards=%d groups=%d: no datagram loss injected", shards, groups)
+			}
+			// Every engine contributes a flight dump, attributed "i/gG".
+			if want := groups * cfg.N; len(res.Flight) != want {
+				t.Fatalf("shards=%d groups=%d: %d flight dumps, want %d", shards, groups, len(res.Flight), want)
+			}
+			names := map[string]bool{}
+			for _, nf := range res.Flight {
+				if nf.Recorded == 0 || len(nf.Events) == 0 {
+					t.Fatalf("shards=%d groups=%d: node %s recorded no flight events", shards, groups, nf.Node)
+				}
+				names[nf.Node] = true
+			}
+			for g := 0; g < groups; g++ {
+				for i := 0; i < cfg.N; i++ {
+					if node := fmt.Sprintf("%d/g%d", i, g); !names[node] {
+						t.Fatalf("shards=%d groups=%d: missing flight dump for %s", shards, groups, node)
+					}
 				}
 			}
-		}
-		// A clean converged run leaves nothing stuck.
-		if len(res.Stalls) != 0 {
-			t.Fatalf("groups=%d: unexpected stall verdicts: %+v", groups, res.Stalls)
+			// A clean converged run leaves nothing stuck.
+			if len(res.Stalls) != 0 {
+				t.Fatalf("shards=%d groups=%d: unexpected stall verdicts: %+v", shards, groups, res.Stalls)
+			}
 		}
 	}
 }
@@ -169,30 +172,33 @@ func TestMultiGroupTotalOrder(t *testing.T) {
 // shed and silently ignored both: this config shed 0 and delivered all
 // 1600 copies.)
 func TestMultiGroupLedgerSheds(t *testing.T) {
-	cfg := Config{
-		Seed: 5, N: 4, Groups: 2,
-		Workload: WorkloadContinuous, Messages: 400, PayloadSize: 512,
-		DelayBaseUS: 500, MemBudgetBytes: 8 << 10, Shed: true,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShedSubmits == 0 {
-		t.Fatal("an 8 KiB budget under 400 × 512 B shed nothing: ledgers not attached to group engines")
-	}
-	// Shed submissions never became broadcasts; every executed one is
-	// delivered by all N engines of its group.
-	if want := uint64((cfg.Messages - res.ShedSubmits) * cfg.N); res.Stats.Delivered != want {
-		t.Fatalf("delivered %d engine-deliveries with %d shed, want %d", res.Stats.Delivered, res.ShedSubmits, want)
+	for _, shards := range []int{1, 2} {
+		cfg := Config{
+			Seed: 5, N: 4, Groups: 2, Shards: shards,
+			Workload: WorkloadContinuous, Messages: 400, PayloadSize: 512,
+			DelayBaseUS: 500, MemBudgetBytes: 8 << 10, Shed: true,
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.ShedSubmits == 0 {
+			t.Fatalf("shards=%d: an 8 KiB budget under 400 × 512 B shed nothing: ledgers not attached to group engines", shards)
+		}
+		// Shed submissions never became broadcasts; every executed one is
+		// delivered by all N engines of its group.
+		if want := uint64((cfg.Messages - res.ShedSubmits) * cfg.N); res.Stats.Delivered != want {
+			t.Fatalf("shards=%d: delivered %d engine-deliveries with %d shed, want %d", shards, res.Stats.Delivered, res.ShedSubmits, want)
+		}
 	}
 }
 
 // TestMultiGroupStalledPeer replays the stalled-single-source corpus
-// reproducer on two groups: the freeze stops the peer's engine in every
-// group, so each group's survivors must evict it on their own — groups
-// share links, never protocol state — and every predicate must hold over
-// the survivors of each group.
+// reproducer on two groups, on one shard per process and on two: the
+// freeze stops the peer's engine in every group, so each group's
+// survivors must evict it on their own — groups share links, never
+// protocol state — and every predicate must hold over the survivors of
+// each group.
 func TestMultiGroupStalledPeer(t *testing.T) {
 	entries, err := LoadCorpus("corpus")
 	if err != nil {
@@ -207,43 +213,72 @@ func TestMultiGroupStalledPeer(t *testing.T) {
 	if cfg.StalledPeers != 1 {
 		t.Fatal("corpus entry stalled-single-source missing or no longer stalled")
 	}
-	cfg.Groups = 2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stalled) != 1 || len(res.GroupDigests) != 2 {
-		t.Fatalf("stalled %v over %d groups, want 1 entity over 2", res.Stalled, len(res.GroupDigests))
-	}
-	// Each engine's flight ring (attributed "i/gG", far from wrapping on
-	// this run) records its evictions: every surviving engine of every
-	// group must have evicted the frozen peer, and the frozen peer's own
-	// engines nothing.
-	frozen := res.Stalled[0]
-	if want := cfg.Groups * cfg.N; len(res.Flight) != want {
-		t.Fatalf("%d flight dumps, want %d", len(res.Flight), want)
-	}
-	for _, nf := range res.Flight {
-		if nf.Recorded > uint64(nf.Capacity) {
-			t.Fatalf("%s: flight ring wrapped (%d > %d); evictions may be lost", nf.Node, nf.Recorded, nf.Capacity)
+	for _, shards := range []int{1, 2} {
+		cfg.Groups, cfg.Shards = 2, shards
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		evictedFrozen, evictions := false, 0
-		for _, ev := range nf.Events {
-			if ev.Type == flight.EvEvict {
-				evictions++
-				evictedFrozen = evictedFrozen || int(ev.Peer) == frozen
+		if len(res.Stalled) != 1 || len(res.GroupDigests) != 2 {
+			t.Fatalf("shards=%d: stalled %v over %d groups, want 1 entity over 2", shards, res.Stalled, len(res.GroupDigests))
+		}
+		// Each engine's flight ring (attributed "i/gG", far from wrapping on
+		// this run) records its evictions: every surviving engine of every
+		// group must have evicted the frozen peer, and the frozen peer's own
+		// engines nothing.
+		frozen := res.Stalled[0]
+		if want := cfg.Groups * cfg.N; len(res.Flight) != want {
+			t.Fatalf("shards=%d: %d flight dumps, want %d", shards, len(res.Flight), want)
+		}
+		for _, nf := range res.Flight {
+			if nf.Recorded > uint64(nf.Capacity) {
+				t.Fatalf("shards=%d %s: flight ring wrapped (%d > %d); evictions may be lost", shards, nf.Node, nf.Recorded, nf.Capacity)
+			}
+			evictedFrozen, evictions := false, 0
+			for _, ev := range nf.Events {
+				if ev.Type == flight.EvEvict {
+					evictions++
+					evictedFrozen = evictedFrozen || int(ev.Peer) == frozen
+				}
+			}
+			if strings.HasPrefix(nf.Node, fmt.Sprintf("%d/", frozen)) {
+				if evictions != 0 {
+					t.Errorf("shards=%d %s is frozen yet evicted %d peers", shards, nf.Node, evictions)
+				}
+			} else if !evictedFrozen {
+				t.Errorf("shards=%d %s never evicted frozen peer %d", shards, nf.Node, frozen)
 			}
 		}
-		if strings.HasPrefix(nf.Node, fmt.Sprintf("%d/", frozen)) {
-			if evictions != 0 {
-				t.Errorf("%s is frozen yet evicted %d peers", nf.Node, evictions)
-			}
-		} else if !evictedFrozen {
-			t.Errorf("%s never evicted frozen peer %d", nf.Node, frozen)
+		if res.ShedSubmits == 0 {
+			t.Errorf("shards=%d: reproducer shed no submissions; budget too large to bite", shards)
 		}
 	}
-	if res.ShedSubmits == 0 {
-		t.Error("reproducer shed no submissions; budget too large to bite")
+}
+
+// TestSweepMultiGroupTwoShards re-runs every multi-group seed of the
+// 500-seed sweep with two shards per process, which the runtime's hash
+// splits a run's groups across (even groups on one, odd on the other):
+// the registry's routing, each shard's own step and flush, and a tick
+// that visits the shards in turn must keep every predicate green.
+// -short runs the seeds of 1..64.
+func TestSweepMultiGroupTwoShards(t *testing.T) {
+	last, runs := int64(500), 0
+	if testing.Short() {
+		last = 64
+	}
+	for seed := int64(1); seed <= last; seed++ {
+		cfg := FromSeed(seed)
+		if cfg.Groups < 2 {
+			continue
+		}
+		cfg.Shards = 2
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("seed %d at shards=2: %v", seed, err)
+		}
+		runs++
+	}
+	if runs == 0 {
+		t.Fatal("no multi-group seed in the sweep")
 	}
 }
 

@@ -8,25 +8,27 @@
 // entity must be serialized on one goroutine. Instead of one goroutine
 // per group (unbounded) or one for all groups (no parallelism), the
 // registry hash-assigns each group to one of a fixed, GOMAXPROCS-sized
-// set of shards. Each shard is one goroutine owning every engine mapped
-// to it, which preserves the single-writer invariant per group while
-// letting independent groups progress in parallel across shards.
+// set of shards. Each shard owns every engine mapped to it, which
+// preserves the single-writer invariant per group while letting
+// independent groups progress in parallel across shards.
 //
 // Engines are lazy: the first send or receive naming a group
 // instantiates it, up to MaxGroups; past the bound (or after close)
 // inbound frames are dropped and counted as unknown-group loss — the
 // protocol treats that exactly like transport loss, so a late joiner or
-// a confused peer can never crash the runtime.
+// a confused peer can never crash the runtime. Submit admits producers
+// against the group's memory ledger.
 //
 // Each shard also owns a Frames adapter (frames.go: memFrames for the
 // in-memory network, wireFrames for a byte transport) and flushes it once
 // per input burst (flush-on-loop-idle), so everything one burst produces,
 // across groups, coalesces into the same staged-batch/sendmmsg path.
 //
-// A Shard (shard.go) needs no goroutine of its own: the registry's loop
-// is a select around its inputs, and the discrete-event harness
-// (internal/simrun) steps the same Shard once per simulated event, so
-// the chaos sweeps run the driver that ships.
+// A shard's work is one step: take and handle its queued inputs, then
+// flush. New runs a goroutine per shard that steps it; under NewStepped
+// every input steps its shard as it is queued, on the caller's goroutine
+// — internal/simrun's, once per simulated event, so the chaos sweeps run
+// the registry, admission and step that ship.
 package groups
 
 import (
@@ -40,6 +42,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
@@ -56,6 +59,10 @@ var ErrClosed = errors.New("groups: closed")
 // ErrTooManyGroups is returned when opening a group would exceed the
 // MaxGroups bound.
 var ErrTooManyGroups = errors.New("groups: too many groups")
+
+// ErrOverBudget is returned by Submit in shed mode when the group's
+// memory budget is exhausted; nothing was queued.
+var ErrOverBudget = errors.New("groups: memory budget exhausted")
 
 // errNoEngine answers a query about a group that has no engine on this
 // node: never instantiated, or its construction failed earlier.
@@ -86,66 +93,92 @@ type Frames interface {
 	Deliver(g uint32, in Inbound, fn func(p *pdu.PDU))
 }
 
-// Config assembles a Registry, or a Shard (NewShard) from its NewEntity,
-// Deliver, DroppedUnknown and Now. NewEntity, NewFrames and Deliver are
+// Config assembles a Registry. NewEntity, NewFrames, Deliver and Now are
 // the seams to the embedding runtime and must all be set.
 type Config struct {
-	// Shards is the number of owner goroutines; <= 0 selects
-	// GOMAXPROCS.
+	// Shards is the number of shards; <= 0 selects GOMAXPROCS.
 	Shards int
 	// MaxGroups bounds lazily instantiated engines; <= 0 selects
 	// DefaultMaxGroups.
 	MaxGroups int
+	// MemBudgetBytes > 0 gives every open group a memory ledger with that
+	// byte budget, written by the group's engine: Submit waits while it is
+	// exhausted or, with Shed, fails with ErrOverBudget.
+	MemBudgetBytes int64
+	Shed           bool
 	// NewEntity builds group g's protocol engine (including any metrics
-	// wiring). It runs on the owning shard goroutine.
-	NewEntity func(g uint32) (*core.Entity, error)
+	// wiring) around its ledger, nil without a budget, on its shard.
+	NewEntity func(g uint32, ledger *core.Ledger) (*core.Entity, error)
 	// NewFrames builds shard s's wire adapter; it is owned by that
-	// shard's goroutine for the registry's lifetime.
+	// shard for the registry's lifetime.
 	NewFrames func(shard int) Frames
 	// Deliver receives what one engine output delivered on group g — a
-	// non-empty batch in causal order — on the owning shard goroutine.
-	// The batch is the engine's buffer (core.Output): Deliver must copy
-	// the values out before it returns, and hand off quickly (the
-	// embedding runtime queues to its consumers).
+	// non-empty batch in causal order — on the owning shard. The batch is
+	// the engine's buffer (core.Output): Deliver must copy the values out
+	// before it returns, and hand off quickly (the embedding runtime
+	// queues to its consumers).
 	Deliver func(g uint32, batch []core.Delivery)
 	// DroppedUnknown, if set, is called once per inbound dropped for an
 	// unknown-group reason (over the MaxGroups bound, failed engine
 	// construction, closed registry).
 	DroppedUnknown func()
 	// Tick is the protocol tick interval driving timeouts and deferred
-	// ACKs for every engine a shard owns.
+	// ACKs for every engine a shard goroutine owns.
 	Tick time.Duration
 	// Now is the shared protocol clock (time since the node started).
 	Now func() time.Duration
 }
 
-// Registry is the runtime: the lazy group table plus the shard
-// goroutines that own the engines. All methods are safe for concurrent
-// use.
+// Registry is the runtime: the lazy group table plus the shards that own
+// the engines. On a registry from New all methods are safe for
+// concurrent use.
 type Registry struct {
 	cfg    Config
-	shards []*Shard
+	shards []*shard
 
-	// known is the set of open groups. A published set is never written,
-	// so Open's check reads it without a lock; mu serializes inserts,
-	// which publish a copy, and Close.
-	known  atomic.Pointer[map[uint32]struct{}]
+	// known maps every open group to its entry. A published map is never
+	// written, so Open's check reads it without a lock; mu serializes
+	// inserts, which publish a copy, and Close.
+	known  atomic.Pointer[map[uint32]*entry]
 	closed atomic.Bool
 	mu     sync.Mutex
+	// stop closes with the registry, releasing every waiting sender.
+	stop chan struct{}
 }
 
-// New starts a registry with its shard goroutines. The configuration's
-// NewEntity, NewFrames, Deliver and Now must be non-nil.
-func New(cfg Config) (*Registry, error) {
+// entry is what producers read of an open group without asking its
+// shard: the ledger (nil without a budget), and the engine once the
+// shard has built it, of which they read only the fixed ID and ring.
+type entry struct {
+	ledger *core.Ledger
+	eng    atomic.Pointer[core.Entity]
+}
+
+// New starts a registry with one goroutine per shard, each stepping its
+// shard whenever inputs wait or its ticker fires.
+func New(cfg Config) *Registry { return build(cfg, true) }
+
+// NewStepped builds a registry that runs no goroutine and reads no wall
+// clock: its one caller is its driver. Every input it queues (Submit,
+// Inbound, a query) steps the owning shard before returning, and Tick,
+// called once per tick interval, ticks and steps every shard. A producer
+// cannot wait for a stepped engine to drain, so a budget always sheds.
+func NewStepped(cfg Config) *Registry {
+	cfg.Shed = true
+	return build(cfg, false)
+}
+
+// build assembles a registry and its shards. A nil NewEntity,
+// NewFrames, Deliver or Now is a programming error.
+func build(cfg Config, goroutines bool) *Registry {
 	if cfg.NewEntity == nil || cfg.NewFrames == nil || cfg.Deliver == nil || cfg.Now == nil {
-		return nil, errors.New("groups: incomplete config")
+		panic("groups: incomplete config")
 	}
 	if cfg.Shards <= 0 {
-		// One shard goroutine per schedulable CPU: shards run mailbox
-		// loops that park when idle (and tick only once they own an
-		// engine), so extra shards on a big machine cost nothing while
-		// letting group traffic spread across every core the scheduler
-		// can actually use.
+		// One shard per schedulable CPU: shard goroutines park when idle
+		// (and tick only once they own an engine), so extra shards on a
+		// big machine cost nothing while letting group traffic spread
+		// across every core the scheduler can actually use.
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxGroups <= 0 {
@@ -154,52 +187,73 @@ func New(cfg Config) (*Registry, error) {
 	if cfg.Tick <= 0 {
 		cfg.Tick = 5 * time.Millisecond
 	}
-	r := &Registry{cfg: cfg}
-	r.known.Store(&map[uint32]struct{}{})
-	r.shards = make([]*Shard, cfg.Shards)
+	r := &Registry{cfg: cfg, stop: make(chan struct{})}
+	r.known.Store(&map[uint32]*entry{})
+	r.shards = make([]*shard, cfg.Shards)
 	for i := range r.shards {
-		s := NewShard(cfg, cfg.NewFrames(i))
-		s.in.wake = make(chan struct{}, 1)
-		s.stop, s.done = make(chan struct{}), make(chan struct{})
+		s := &shard{r: r, frames: cfg.NewFrames(i), index: make(map[uint32]*core.Entity)}
+		s.recv = s.receive
 		r.shards[i] = s
-		go s.loop()
+		if goroutines {
+			s.in.wake = make(chan struct{}, 1)
+			s.done = make(chan struct{})
+			go s.loop()
+		}
 	}
-	return r, nil
+	return r
+}
+
+// Tick drives every engine's timers and flushes, shard by shard: the
+// ticker of a registry from NewStepped, called by its driver.
+func (r *Registry) Tick() {
+	for _, s := range r.shards {
+		s.tick()
+		s.step()
+	}
 }
 
 // shardOf hash-assigns group g to its owner shard. Fibonacci hashing
 // spreads the sequential and the name-hashed ID populations alike.
-func (r *Registry) shardOf(g uint32) *Shard {
+func (r *Registry) shardOf(g uint32) *shard {
 	h := g * 0x9E3779B1
 	return r.shards[h%uint32(len(r.shards))]
 }
 
-// Open makes g known (reserving a MaxGroups slot) without yet building
-// its engine; the owning shard instantiates lazily on first input.
-// Opening an already-known group is a no-op.
+// Open makes g known (reserving a MaxGroups slot and building its
+// ledger) without yet building its engine; the owning shard instantiates
+// lazily on first input. Opening an already-known group is a no-op.
 func (r *Registry) Open(g uint32) error {
+	_, err := r.open(g)
+	return err
+}
+
+func (r *Registry) open(g uint32) (*entry, error) {
 	if r.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if _, ok := (*r.known.Load())[g]; ok {
-		return nil
+	if e, ok := (*r.known.Load())[g]; ok {
+		return e, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	known := *r.known.Load()
-	if _, ok := known[g]; ok {
-		return nil
+	if e, ok := known[g]; ok {
+		return e, nil
 	}
 	if len(known) >= r.cfg.MaxGroups {
-		return fmt.Errorf("%w: %d", ErrTooManyGroups, r.cfg.MaxGroups)
+		return nil, fmt.Errorf("%w: %d", ErrTooManyGroups, r.cfg.MaxGroups)
+	}
+	e := &entry{}
+	if r.cfg.MemBudgetBytes > 0 {
+		e.ledger = core.NewLedger(r.cfg.MemBudgetBytes)
 	}
 	next := maps.Clone(known)
-	next[g] = struct{}{}
+	next[g] = e
 	r.known.Store(&next)
-	return nil
+	return e, nil
 }
 
 // Start opens g and builds its engine now instead of at first input,
@@ -209,34 +263,72 @@ func (r *Registry) Start(g uint32) error {
 	if err := r.Open(g); err != nil {
 		return err
 	}
-	return r.shardOf(g).ask(context.Background(), func(s *Shard) error { return s.Start(g) })
+	return r.shardOf(g).ask(context.Background(), func(s *shard) error {
+		_, err := s.engine(g)
+		return err
+	})
 }
 
 // Submit broadcasts data on group g, instantiating the group if needed.
 // data is retained by the engine, uncopied (callers pass an owned copy).
-// It blocks only while the owning shard's inbox is full (backpressure),
-// returning ctx.Err() if ctx ends first.
+// It admits the producer before queueing anything (admit), so a shed or
+// cancelled submission leaves no trace in protocol state, then blocks
+// only while the owning shard's inbox is full, returning ctx.Err() if
+// ctx ends first.
 func (r *Registry) Submit(ctx context.Context, g uint32, data []byte) error {
-	if err := r.Open(g); err != nil {
-		return err
+	e, err := r.open(g)
+	if err == nil && e.ledger != nil && e.ledger.OverBudget() {
+		err = r.admit(ctx, e)
 	}
-	return r.shardOf(g).send(ctx, shardMsg{kind: msgSubmit, group: g, data: data})
+	if err == nil {
+		_, err = r.shardOf(g).send(ctx, shardMsg{kind: msgSubmit, group: g, data: data}, wait)
+	}
+	return err
+}
+
+// admit is producer-side backpressure at group e's exhausted budget:
+// shed mode fails fast with ErrOverBudget; otherwise it waits on the
+// ledger gate until the engine drains below budget, ctx ends or the
+// registry closes. Either outcome is recorded in the group's flight
+// ring, once its engine exists.
+func (r *Registry) admit(ctx context.Context, e *entry) error {
+	l, ev := e.ledger, flight.EvBlock
+	if r.cfg.Shed {
+		ev = flight.EvShed
+	}
+	if eng := e.eng.Load(); eng != nil {
+		id := int32(eng.ID())
+		eng.Flight().Record(id, ev, 0, id, 0, int32(pdu.NoEntity), int64(r.cfg.Now()))
+	}
+	if r.cfg.Shed {
+		l.NoteShed()
+		return ErrOverBudget
+	}
+	l.NoteBlock()
+	for {
+		gate := l.Gate()
+		// Re-check after grabbing the gate: the engine may have drained
+		// (and swapped gates) between the check and the grab.
+		if !l.OverBudget() {
+			return nil
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-r.stop:
+			return ErrClosed
+		}
+	}
 }
 
 // Inbound routes one received wire unit to group g's owner shard,
-// instantiating the group on first receive. Frames for groups past the
-// MaxGroups bound — or arriving after close — are dropped and counted
-// via DroppedUnknown: unknown-group loss, repaired (or not) like any
-// other transport loss, never a crash.
-func (r *Registry) Inbound(g uint32, in Inbound) {
-	err := r.Open(g)
-	if err == nil {
-		err = r.shardOf(g).send(context.Background(), shardMsg{kind: msgInbound, group: g, in: in})
-	}
-	if err != nil {
-		r.cfg.dropUnknown(in)
-	}
-}
+// instantiating the group on first receive, and waits while that
+// shard's inbox is full. Frames for groups past the MaxGroups bound — or
+// arriving after close — are dropped and counted via DroppedUnknown:
+// unknown-group loss, repaired (or not) like any other transport loss,
+// never a crash.
+func (r *Registry) Inbound(g uint32, in Inbound) { r.route(g, in, wait) }
 
 // Offer is Inbound for a caller that must not block (the in-memory
 // network, from a sender's broadcast or its delivery goroutine): it
@@ -246,10 +338,15 @@ func (r *Registry) Inbound(g uint32, in Inbound) {
 // Unknown-group and after-close drops are as for Inbound, and return
 // true: the inbound was taken.
 func (r *Registry) Offer(g uint32, in Inbound, limit int) bool {
+	return r.route(g, in, max(limit, 0))
+}
+
+// route queues in on g's shard with send's limit, or drops it.
+func (r *Registry) route(g uint32, in Inbound, limit int) bool {
 	err := r.Open(g)
 	if err == nil {
 		var ok bool
-		if ok, err = r.shardOf(g).offer(shardMsg{kind: msgInbound, group: g, in: in}, limit); err == nil {
+		if ok, err = r.shardOf(g).send(context.Background(), shardMsg{kind: msgInbound, group: g, in: in}, limit); err == nil {
 			return ok
 		}
 	}
@@ -273,11 +370,11 @@ func (c *Config) dropUnknown(in Inbound) {
 // afterwards: a crashed peer stalls each group it is a member of, and it
 // is a member of all of them. It returns the engines' validation error
 // (self-evict, out-of-range ID) or ErrClosed; a shard whose engines
-// reject k does not remember it (Shard.Evict).
+// reject k does not remember it (shard.evict).
 func (r *Registry) Evict(k pdu.EntityID) error {
 	var first error
 	for _, s := range r.shards {
-		err := s.ask(context.Background(), func(s *Shard) error { return s.Evict(k) })
+		err := s.ask(context.Background(), func(s *shard) error { return s.evict(k) })
 		if first == nil {
 			first = err
 		}
@@ -302,7 +399,7 @@ func (r *Registry) query(g uint32, scrape bool, read func(eng *core.Entity, now 
 		defer cancel()
 	}
 	s := r.shardOf(g)
-	q := func(s *Shard) error {
+	q := func(s *shard) error {
 		eng := s.index[g]
 		if eng == nil {
 			return errNoEngine
@@ -312,7 +409,9 @@ func (r *Registry) query(g uint32, scrape bool, read func(eng *core.Entity, now 
 	}
 	err := s.ask(ctx, q)
 	if errors.Is(err, ErrClosed) {
-		<-s.done // the owner goroutine is gone: nothing mutates its engines
+		if s.done != nil {
+			<-s.done // the owner goroutine is gone: nothing mutates its engines
+		}
 		err = q(s)
 	}
 	return err == nil
@@ -346,7 +445,7 @@ var errBusy = errors.New("groups: not quiescent")
 // inputs, and is false once the registry is closing.
 func (r *Registry) Quiescent() bool {
 	for _, s := range r.shards {
-		err := s.ask(context.Background(), func(s *Shard) error {
+		err := s.ask(context.Background(), func(s *shard) error {
 			for _, e := range s.engines {
 				if !e.eng.Quiescent() {
 					return errBusy
@@ -361,21 +460,22 @@ func (r *Registry) Quiescent() bool {
 	return true
 }
 
-// Close stops every shard goroutine. Pending inputs may be dropped —
-// indistinguishable from loss. It is idempotent.
+// Close stops every shard, and waits for their goroutines. Pending
+// inputs may be dropped — indistinguishable from loss. It is idempotent.
 func (r *Registry) Close() {
 	r.mu.Lock()
-	if r.closed.Load() {
-		r.mu.Unlock()
+	closed := r.closed.Swap(true)
+	r.mu.Unlock()
+	if closed {
 		return
 	}
-	r.closed.Store(true)
-	r.mu.Unlock()
+	close(r.stop)
 	for _, s := range r.shards {
-		close(s.stop)
-	}
-	for _, s := range r.shards {
-		<-s.done
+		if s.done == nil {
+			s.shutdown()
+		} else {
+			<-s.done
+		}
 	}
 }
 
@@ -405,16 +505,15 @@ type shardMsg struct {
 	group uint32
 	data  []byte
 	in    Inbound
-	query func(s *Shard) error
+	query func(s *shard) error
 	reply chan error
 }
 
 // inbox is a shard's bounded FIFO of inputs. Senders append under mu and
 // wake the loop only when the queue turns non-empty; the loop takes the
 // whole queue per swap, trading it for its previous batch, zeroed. A
-// burst of inputs thus costs each side one lock per batch, where a
-// channel cost a lock per input and a select over the stop channel too
-// (DESIGN.md §2d).
+// burst of inputs thus costs each side one lock per batch (DESIGN.md
+// §2d).
 type inbox struct {
 	mu     sync.Mutex
 	queue  []shardMsg
@@ -429,12 +528,19 @@ type inbox struct {
 	gate chan struct{}
 }
 
-// send enqueues m, blocking while the inbox is full; it fails once the
-// registry is closing or ctx ends.
-func (s *Shard) send(ctx context.Context, m shardMsg) error {
+// wait is send's limit for a sender that waits while the inbox is full.
+const wait = -1
+
+// send enqueues m. A sender whose limit is wait blocks while the inbox
+// is full, failing if ctx ends; any other never waits, and is refused
+// (ok false) while limit offered inputs wait. Either fails once the
+// registry is closing. m ending an empty queue wakes the loop, which
+// blocks only on an empty queue; a stepped shard has no loop, and takes
+// m now.
+func (s *shard) send(ctx context.Context, m shardMsg, limit int) (ok bool, err error) {
 	q := &s.in
 	q.mu.Lock()
-	for len(q.queue) >= shardInboxCap && !q.closed {
+	for limit == wait && len(q.queue) >= shardInboxCap && !q.closed {
 		if q.gate == nil {
 			q.gate = make(chan struct{})
 		}
@@ -443,51 +549,35 @@ func (s *Shard) send(ctx context.Context, m shardMsg) error {
 		select {
 		case <-gate:
 		case <-ctx.Done():
-			return ctx.Err()
-		case <-s.stop:
-			return ErrClosed
+			return false, ctx.Err()
+		case <-s.r.stop:
+			return false, ErrClosed
 		}
 		q.mu.Lock()
 	}
-	if q.closed {
-		q.mu.Unlock()
-		return ErrClosed
-	}
-	q.pushUnlock(m)
-	return nil
-}
-
-// offer enqueues m unless limit offered inputs already wait (ok false);
-// it never blocks, and fails only once the registry is closing.
-func (s *Shard) offer(m shardMsg, limit int) (ok bool, err error) {
-	q := &s.in
-	q.mu.Lock()
-	if q.closed {
+	switch {
+	case q.closed:
 		q.mu.Unlock()
 		return false, ErrClosed
-	}
-	if q.offered >= limit {
+	case limit != wait && q.offered >= limit:
 		q.mu.Unlock()
 		return false, nil
+	case limit != wait:
+		q.offered++
 	}
-	q.offered++
-	q.pushUnlock(m)
-	return true, nil
-}
-
-// pushUnlock appends m, releases q.mu (which the caller holds) and wakes
-// the loop if m ended an empty queue: the loop blocks only on an empty
-// queue, so only that send can have a sleeper to wake.
-func (q *inbox) pushUnlock(m shardMsg) {
 	q.queue = append(q.queue, m)
 	first := len(q.queue) == 1
 	q.mu.Unlock()
-	if first {
+	switch {
+	case s.done == nil:
+		s.step()
+	case first:
 		select {
 		case q.wake <- struct{}{}:
 		default: // a token is already waiting
 		}
 	}
+	return true, nil
 }
 
 // take swaps every queued input out against spare — the caller's
@@ -520,11 +610,11 @@ func (q *inbox) close() []shardMsg {
 	return rest
 }
 
-// ask runs q on the shard goroutine between inputs and returns its
-// result; ctx bounds only the wait for the shard to accept the request.
-func (s *Shard) ask(ctx context.Context, q func(s *Shard) error) error {
+// ask runs q on the shard between inputs and returns its result; ctx
+// bounds only the wait for the shard to accept the request.
+func (s *shard) ask(ctx context.Context, q func(s *shard) error) error {
 	reply := make(chan error, 1)
-	if err := s.send(ctx, shardMsg{kind: msgQuery, query: q, reply: reply}); err != nil {
+	if _, err := s.send(ctx, shardMsg{kind: msgQuery, query: q, reply: reply}, wait); err != nil {
 		return err
 	}
 	select {
@@ -535,56 +625,63 @@ func (s *Shard) ask(ctx context.Context, q func(s *Shard) error) error {
 	}
 }
 
-// loop is the shard's owner goroutine, and the runtime's one event loop:
-// wait for inputs or a tick, take and handle queued batches until the
-// inbox is empty (polling stop and the ticker between batches), then
-// flush — so the PDUs every engine produced for one burst ride out
-// together, across groups, in one staged-batch send.
-func (s *Shard) loop() {
+// loop is a shard's owner goroutine under New: it waits for inputs, a
+// tick or stop, and steps the shard.
+func (s *shard) loop() {
 	defer close(s.done)
-	var batch []shardMsg
+	defer s.shutdown()
 	for {
 		select {
-		case <-s.stop:
-			s.shutdown()
+		case <-s.r.stop:
 			return
 		case <-s.in.wake:
 		case <-s.tickC:
-			s.Tick()
+			s.tick()
 		}
-		for {
-			var ok bool
-			if batch, ok = s.in.take(batch); !ok {
-				break
-			}
-			for i := range batch {
-				s.handle(&batch[i])
-			}
-			// The batch becomes the next spare: drop its references to
-			// data, datagrams and replies now.
-			clear(batch)
-			// Two one-case polls, not one select: each checks its idle
-			// channel without taking the channel's lock.
-			select {
-			case <-s.stop:
-				s.shutdown()
-				return
-			default:
-			}
-			select {
-			case <-s.tickC:
-				s.Tick()
-			default:
-			}
+		if !s.step() {
+			return
 		}
-		s.Flush()
 	}
+}
+
+// step is the runtime's one event loop body, whichever driver calls it:
+// take and handle queued batches until the inbox is empty (polling stop
+// and the ticker between batches), then flush — so the PDUs every engine
+// produced for one burst ride out together, across groups, in one
+// staged-batch send. It returns false, unflushed, once stop has closed.
+func (s *shard) step() bool {
+	for {
+		var ok bool
+		if s.batch, ok = s.in.take(s.batch); !ok {
+			break
+		}
+		for i := range s.batch {
+			s.handle(&s.batch[i])
+		}
+		// The batch becomes the next spare: drop its references to
+		// data, datagrams and replies now.
+		clear(s.batch)
+		// Two one-case polls, not one select: each checks its idle
+		// channel without taking the channel's lock.
+		select {
+		case <-s.r.stop:
+			return false
+		default:
+		}
+		select {
+		case <-s.tickC:
+			s.tick()
+		default:
+		}
+	}
+	s.frames.Flush()
+	return true
 }
 
 // shutdown stops the ticker, closes the inbox and releases what is
 // queued in it, so pooled datagram buffers are not leaked at close and
 // no asker waits for a reply that will never come.
-func (s *Shard) shutdown() {
+func (s *shard) shutdown() {
 	if s.ticker != nil {
 		s.ticker.Stop()
 	}
@@ -595,22 +692,5 @@ func (s *Shard) shutdown() {
 		if m.reply != nil {
 			m.reply <- ErrClosed
 		}
-	}
-}
-
-// handle runs one inbox message, then starts the ticker if the message
-// built the shard's first engine.
-func (s *Shard) handle(m *shardMsg) {
-	switch m.kind {
-	case msgSubmit:
-		s.Submit(m.group, m.data)
-	case msgInbound:
-		s.Inbound(m.group, m.in)
-	case msgQuery:
-		m.reply <- m.query(s)
-	}
-	if s.ticker == nil && len(s.engines) > 0 {
-		s.ticker = time.NewTicker(s.cfg.Tick)
-		s.tickC = s.ticker.C
 	}
 }

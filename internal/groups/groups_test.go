@@ -101,10 +101,10 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 	start := time.Now()
 	now := func() time.Duration { return time.Since(start) }
 	mk := func(id, side int, col *collector) *Registry {
-		r, err := New(Config{
+		r := New(Config{
 			Shards:    shards,
 			MaxGroups: maxGroups,
-			NewEntity: func(g uint32) (*core.Entity, error) {
+			NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 				return core.New(core.Config{
 					ClusterID: g,
 					ID:        pdu.EntityID(id),
@@ -119,9 +119,6 @@ func newPair(t *testing.T, shards, maxGroups int) (a, b *Registry, ca, cb *colle
 			Tick:    time.Millisecond,
 			Now:     now,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return r
 	}
 	ca, cb = &collector{}, &collector{}
@@ -213,10 +210,10 @@ func TestMultiGroupConverges(t *testing.T) {
 // dropped and counted — never a crash.
 func TestLazyInstantiationAndBound(t *testing.T) {
 	var drops atomic.Int64
-	r, err := New(Config{
+	r := New(Config{
 		Shards:    2,
 		MaxGroups: 2,
-		NewEntity: func(g uint32) (*core.Entity, error) {
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 			return core.New(core.Config{
 				ClusterID: g, ID: 0, N: 2, Window: core.DefaultWindow,
 			})
@@ -226,9 +223,6 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer r.Close()
 
 	if n := knownGroups(r); n != 0 {
@@ -258,9 +252,9 @@ func TestLazyInstantiationAndBound(t *testing.T) {
 // crashes.
 func TestEngineFailureTombstoned(t *testing.T) {
 	var drops, builds atomic.Int64
-	r, err := New(Config{
+	r := New(Config{
 		Shards: 1,
-		NewEntity: func(g uint32) (*core.Entity, error) {
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 			builds.Add(1)
 			return nil, errors.New("boom")
 		},
@@ -269,9 +263,6 @@ func TestEngineFailureTombstoned(t *testing.T) {
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer r.Close()
 	in := func() Inbound {
 		return Inbound{PDUs: []*pdu.PDU{{Kind: pdu.KindAckOnly, Src: 1, ACK: []pdu.Seq{0, 0}, LSrc: pdu.NoEntity}}}
@@ -291,9 +282,9 @@ func TestEngineFailureTombstoned(t *testing.T) {
 // are counted drops, not panics.
 func TestCloseDropsInbound(t *testing.T) {
 	var drops atomic.Int64
-	r, err := New(Config{
+	r := New(Config{
 		Shards: 2,
-		NewEntity: func(g uint32) (*core.Entity, error) {
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 			return core.New(core.Config{
 				ClusterID: g, ID: 0, N: 2, Window: core.DefaultWindow,
 			})
@@ -303,9 +294,6 @@ func TestCloseDropsInbound(t *testing.T) {
 		DroppedUnknown: func() { drops.Add(1) },
 		Now:            func() time.Duration { return 0 },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := r.Submit(context.Background(), 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +321,7 @@ func TestShardWithoutEngineRunsNoTicker(t *testing.T) {
 	for i, s := range a.shards {
 		// ask synchronizes with the shard goroutine, which owns ticker.
 		var ticking bool
-		if err := s.ask(context.Background(), func(s *Shard) error {
+		if err := s.ask(context.Background(), func(s *shard) error {
 			ticking = s.ticker != nil
 			return nil
 		}); err != nil {
@@ -376,10 +364,10 @@ func (f *orderFrames) Append(g uint32, _ *pdu.PDU)               { f.appended = 
 func (f *orderFrames) Flush()                                    {}
 func (f *orderFrames) Deliver(uint32, Inbound, func(p *pdu.PDU)) {}
 
-// TestShardVisitsEnginesInCreationOrder steps one shard owning ten
-// groups, created in a scrambled order, each engine holding one message
-// its only peer never confirms: every tick then draws one late
-// confirmation per engine, and evicting the peer delivers every
+// TestShardVisitsEnginesInCreationOrder steps a one-shard registry
+// owning ten groups, created in a scrambled order, each engine holding
+// one message its only peer never confirms: every tick then draws one
+// late confirmation per engine, and evicting the peer delivers every
 // engine's message. Both must visit the engines in creation order, tick
 // after tick, so a harness stepping a multi-group shard sees one output
 // order (ranging over a map of ten groups matches it by chance with
@@ -389,28 +377,32 @@ func TestShardVisitsEnginesInCreationOrder(t *testing.T) {
 	var now time.Duration
 	var delivered []uint32
 	f := &orderFrames{}
-	s := NewShard(Config{
-		NewEntity: func(g uint32) (*core.Entity, error) {
+	r := NewStepped(Config{
+		Shards: 1,
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 			return core.New(core.Config{ClusterID: g, ID: 0, N: 2})
 		},
-		Deliver: func(g uint32, _ []core.Delivery) { delivered = append(delivered, g) },
-		Now:     func() time.Duration { return now },
-	}, f)
+		NewFrames: func(int) Frames { return f },
+		Deliver:   func(g uint32, _ []core.Delivery) { delivered = append(delivered, g) },
+		Now:       func() time.Duration { return now },
+	})
 	for _, g := range created {
-		if err := s.Start(g); err != nil {
+		if err := r.Start(g); err != nil {
 			t.Fatal(err)
 		}
-		s.Submit(g, []byte{byte(g)})
+		if err := r.Submit(context.Background(), g, []byte{byte(g)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for tick := 0; tick < 20; tick++ {
 		now += time.Second
 		f.appended = f.appended[:0]
-		s.Tick()
+		r.Tick()
 		if fmt.Sprint(f.appended) != fmt.Sprint(created) {
 			t.Fatalf("tick %d staged groups %v, want creation order %v", tick, f.appended, created)
 		}
 	}
-	if err := s.Evict(1); err != nil {
+	if err := r.Evict(1); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(delivered) != fmt.Sprint(created) {

@@ -73,9 +73,9 @@ func submitTag(t *testing.T, r *Registry, g uint32, tag uint64) {
 // but whose wire is f.
 func newInboxRegistry(t *testing.T, f Frames) *Registry {
 	t.Helper()
-	r, err := New(Config{
+	r := New(Config{
 		Shards: 1,
-		NewEntity: func(g uint32) (*core.Entity, error) {
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
 			return core.New(core.Config{ClusterID: g, ID: 0, N: 2})
 		},
 		NewFrames: func(int) Frames { return f },
@@ -83,19 +83,16 @@ func newInboxRegistry(t *testing.T, f Frames) *Registry {
 		Tick:      time.Millisecond,
 		Now:       func() time.Duration { return 0 },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return r
 }
 
 // holdShard keeps s's loop busy in a query until release is first
 // called, so everything sent meanwhile stays queued.
-func holdShard(t *testing.T, s *Shard) (release func()) {
+func holdShard(t *testing.T, s *shard) (release func()) {
 	t.Helper()
 	entered, gate, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	go func() {
-		done <- s.ask(context.Background(), func(*Shard) error {
+		done <- s.ask(context.Background(), func(*shard) error {
 			close(entered)
 			<-gate
 			return nil
@@ -113,7 +110,7 @@ func holdShard(t *testing.T, s *Shard) (release func()) {
 	}
 }
 
-func queued(s *Shard) int {
+func queued(s *shard) int {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	return len(s.in.queue)
@@ -205,13 +202,13 @@ func TestInboxCloseReleasesQueued(t *testing.T) {
 	answers := make(chan error, asks)
 	for i := 0; i < asks; i++ {
 		go func() {
-			answers <- s.ask(context.Background(), func(*Shard) error { return nil })
+			answers <- s.ask(context.Background(), func(*shard) error { return nil })
 		}()
 	}
 	waitFor(t, "a full inbox", func() bool { return queued(s) == shardInboxCap })
 	closed := make(chan struct{})
 	go func() { r.Close(); close(closed) }()
-	<-s.stop // the loop sees stop as soon as it finishes the held query
+	<-s.r.stop // the loop sees stop as soon as it finishes the held query
 	release()
 	<-closed
 	for i := 0; i < asks; i++ {
@@ -310,7 +307,7 @@ func TestInboxStressEveryInputOnce(t *testing.T) {
 	wg.Wait()
 	t.Logf("%d offers refused and retried", refused.Load())
 	// A query queues behind every input sent above.
-	if err := r.shards[0].ask(context.Background(), func(*Shard) error { return nil }); err != nil {
+	if err := r.shards[0].ask(context.Background(), func(*shard) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	next := make([]uint64, producers+offerers)

@@ -8,22 +8,21 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// Shard owns engines and their Frames adapter. It takes no locks: its
-// caller serializes every call — the Registry runs each Shard on a
-// goroutine of its own (loop), the discrete-event harness steps one per
-// simulated node. Inputs (Submit, Inbound, Tick, Evict) only stage PDUs;
-// Flush sends them.
-type Shard struct {
-	cfg    Config
+// shard owns engines and their Frames adapter. It takes no locks beyond
+// its inbox's: one driver steps it at a time — the shard's goroutine
+// under New, the registry's caller under NewStepped. Inputs only stage
+// PDUs; the step's flush sends them.
+type shard struct {
+	r      *Registry
 	frames Frames
-	// engines lists the shard's engines in creation order, the order Tick
-	// and Evict visit them, so a multi-group shard's output order is
+	// engines lists the shard's engines in creation order, the order tick
+	// and evict visit them, so a multi-group shard's output order is
 	// deterministic. index maps each group to its engine; a nil engine is
 	// a tombstone for a group whose construction failed (inputs drop as
 	// unknown-group loss instead of retrying construction per datagram).
 	engines []groupEngine
 	index   map[uint32]*core.Entity
-	// evicted is every peer Evict removed here; engines built later
+	// evicted is every peer evict removed here; engines built later
 	// start without them.
 	evicted []pdu.EntityID
 	// cur and curGroup name the engine an inbound is being delivered to;
@@ -33,13 +32,15 @@ type Shard struct {
 	curGroup uint32
 	recv     func(p *pdu.PDU)
 
-	// The registry's goroutine drains the inbox and reads tickC; a shard
-	// its caller steps leaves them zero. ticker starts with the first
-	// engine, so a shard that owns none never wakes.
-	in         inbox
-	ticker     *time.Ticker
-	tickC      <-chan time.Time
-	stop, done chan struct{}
+	// in is the inbox and batch the spare its step trades for the next
+	// batch. A shard goroutine (New) reads wake and tickC and closes
+	// done; a stepped shard leaves them nil. ticker starts with the
+	// first engine, so a shard that owns none never wakes.
+	in     inbox
+	batch  []shardMsg
+	ticker *time.Ticker
+	tickC  <-chan time.Time
+	done   chan struct{}
 }
 
 type groupEngine struct {
@@ -47,59 +48,43 @@ type groupEngine struct {
 	eng *core.Entity
 }
 
-// NewShard builds a shard its caller steps itself, from one goroutine.
-// cfg's NewEntity, Deliver and Now must be non-nil; Shards, MaxGroups,
-// NewFrames and Tick serve the Registry alone.
-func NewShard(cfg Config, frames Frames) *Shard {
-	s := &Shard{cfg: cfg, frames: frames, index: make(map[uint32]*core.Entity)}
-	s.recv = s.receive
-	return s
-}
-
-// Start builds group g's engine now unless it exists, returning the
-// construction error.
-func (s *Shard) Start(g uint32) error {
-	_, err := s.engine(g)
-	return err
-}
-
-// Submit broadcasts data on group g, building its engine on first use.
-// The engine retains data uncopied.
-func (s *Shard) Submit(g uint32, data []byte) {
-	if eng, _ := s.engine(g); eng != nil {
-		s.dispatch(g, eng, eng.SubmitOwned(data, s.cfg.Now()))
+// handle runs one inbox message; a group without an engine drops an
+// inbound as unknown-group loss.
+func (s *shard) handle(m *shardMsg) {
+	switch m.kind {
+	case msgSubmit:
+		if eng, _ := s.engine(m.group); eng != nil {
+			s.dispatch(m.group, eng, eng.SubmitOwned(m.data, s.r.cfg.Now()))
+		}
+	case msgInbound:
+		eng, _ := s.engine(m.group)
+		if eng == nil {
+			s.r.cfg.dropUnknown(m.in)
+			return
+		}
+		s.cur, s.curGroup = eng, m.group
+		s.frames.Deliver(m.group, m.in, s.recv)
+	case msgQuery:
+		m.reply <- m.query(s)
 	}
 }
 
-// Inbound decodes one received wire unit through the frames adapter and
-// feeds its PDUs to group g's engine, building it on first use. A group
-// without an engine drops the unit as unknown-group loss.
-func (s *Shard) Inbound(g uint32, in Inbound) {
-	eng, _ := s.engine(g)
-	if eng == nil {
-		s.cfg.dropUnknown(in)
-		return
-	}
-	s.cur, s.curGroup = eng, g
-	s.frames.Deliver(g, in, s.recv)
-}
-
-// Tick drives every engine's timers, in creation order.
-func (s *Shard) Tick() {
-	now := s.cfg.Now()
+// tick drives every engine's timers, in creation order.
+func (s *shard) tick() {
+	now := s.r.cfg.Now()
 	for _, e := range s.engines {
 		s.dispatch(e.g, e.eng, e.eng.Tick(now))
 	}
 }
 
-// Evict removes peer k from every engine, in creation order, and
+// evict removes peer k from every engine, in creation order, and
 // remembers it for engines built later. If an engine rejects k
 // (self-evict, out-of-range ID) the first such error is returned and k
 // is not remembered.
-func (s *Shard) Evict(k pdu.EntityID) error {
+func (s *shard) evict(k pdu.EntityID) error {
 	var first error
 	for _, e := range s.engines {
-		out, err := e.eng.Evict(k, s.cfg.Now())
+		out, err := e.eng.Evict(k, s.r.cfg.Now())
 		if first == nil {
 			first = err
 		}
@@ -111,12 +96,9 @@ func (s *Shard) Evict(k pdu.EntityID) error {
 	return first
 }
 
-// Flush sends what the inputs since the last Flush staged.
-func (s *Shard) Flush() { s.frames.Flush() }
-
 // receive feeds one decoded PDU to the engine an inbound is addressed to.
-func (s *Shard) receive(p *pdu.PDU) {
-	now := s.cfg.Now()
+func (s *shard) receive(p *pdu.PDU) {
+	now := s.r.cfg.Now()
 	recordWire(s.cur, flight.EvWireIn, p, now)
 	// Receive errors mark malformed or foreign PDUs; the engine counts
 	// them in InvalidPDUs and the protocol carries on.
@@ -124,37 +106,45 @@ func (s *Shard) receive(p *pdu.PDU) {
 	s.dispatch(s.curGroup, s.cur, out)
 }
 
-// engine returns group g's engine, instantiating it on first use. A
-// failed construction is tombstoned so later inputs drop cheaply.
-func (s *Shard) engine(g uint32) (*core.Entity, error) {
+// engine returns group g's engine, building it on first use around the
+// ledger of g's entry (every input's sender opened g) and publishing it
+// there. A failed construction is tombstoned so later inputs drop cheaply.
+func (s *shard) engine(g uint32) (*core.Entity, error) {
 	if eng, ok := s.index[g]; ok {
 		if eng == nil {
 			return nil, errNoEngine
 		}
 		return eng, nil
 	}
-	eng, err := s.cfg.NewEntity(g)
+	e := (*s.r.known.Load())[g]
+	eng, err := s.r.cfg.NewEntity(g, e.ledger)
 	if err != nil {
 		s.index[g] = nil
 		return nil, err
 	}
+	e.eng.Store(eng)
 	s.index[g] = eng
 	s.engines = append(s.engines, groupEngine{g, eng})
+	if s.ticker == nil && s.done != nil {
+		s.ticker = time.NewTicker(s.r.cfg.Tick)
+		s.tickC = s.ticker.C
+	}
 	for _, k := range s.evicted {
 		// An identically configured engine accepted k, or none was
 		// here to check it; an invalid k is rejected now, harmlessly.
-		out, _ := eng.Evict(k, s.cfg.Now())
+		out, _ := eng.Evict(k, s.r.cfg.Now())
 		s.dispatch(g, eng, out)
 	}
 	return eng, nil
 }
 
 // dispatch stages an engine's output PDUs on the shard's frames (sent at
-// the next flush) and hands its deliveries to the embedding runtime, one
-// call per output — before the engine's next input reuses their buffer.
-func (s *Shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
+// the step's flush) and hands its deliveries to the embedding runtime,
+// one call per output — before the engine's next input reuses their
+// buffer.
+func (s *shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 	if eng.Flight() != nil && len(out.PDUs) > 0 {
-		now := s.cfg.Now()
+		now := s.r.cfg.Now()
 		for _, p := range out.PDUs {
 			recordWire(eng, flight.EvWireOut, p, now)
 		}
@@ -163,7 +153,7 @@ func (s *Shard) dispatch(g uint32, eng *core.Entity, out core.Output) {
 		s.frames.Append(g, p)
 	}
 	if len(out.Deliveries) > 0 {
-		s.cfg.Deliver(g, out.Deliveries)
+		s.r.cfg.Deliver(g, out.Deliveries)
 	}
 }
 

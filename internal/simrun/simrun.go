@@ -1,14 +1,16 @@
-// Package simrun runs the node runtime's driver in virtual time: each
-// simulated process is one groups.Shard owning its entity of every
-// group, sending through the runtime's frames adapter onto a simulated
-// MC network, and each simulator event — a submission, an arriving
-// datagram, a process's tick — is one shard call followed by Flush, what
-// the runtime's shard loop does for a burst of one. Tests, benchmarks
+// Package simrun runs the node runtime in virtual time: each simulated
+// process is one stepped groups.Registry whose K shards own its entity
+// of every group and send through the runtime's frames adapter onto a
+// simulated MC network. A submission or an arriving datagram enters
+// through the registry's Submit (admission included) or Inbound, which
+// steps the shard — the runtime's shard step, for a burst of one. Tests
 // and cmd/cobench reproduce the paper's experiments through it, so
 // results are deterministic and machine-independent.
 package simrun
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -63,12 +65,13 @@ type Options struct {
 	StampInterval int
 	// MemBudgetBytes, when > 0, gives every entity its own memory ledger
 	// with that byte budget (core.Config.Ledger), so log retention is
-	// accounted and pressure-shortened suspicion can fire. Shed
-	// additionally drops application submissions at an over-budget
-	// sender, mirroring the node runtime's BackpressureShed admission
-	// (the simulator cannot block a producer in virtual time).
+	// accounted and pressure-shortened suspicion can fire, and the
+	// registry sheds application submissions at an over-budget sender:
+	// a producer cannot block in virtual time.
 	MemBudgetBytes int64
-	Shed           bool
+	// Shards is each process's shard count K (0 means 1), over which the
+	// runtime's hash spreads the groups.
+	Shards int
 }
 
 // Cluster is a simulated CO-protocol cluster: one ordered group's N
@@ -87,10 +90,6 @@ type Cluster struct {
 	// Flight is the group's event log, shared by its entities (nil
 	// without Options.Trace). Streams splits it per entity.
 	Flight *flight.Ring
-
-	// Ledgers[i] is entity i's memory ledger; nil entries without
-	// Options.MemBudgetBytes.
-	Ledgers []*core.Ledger
 
 	// Delivered[i] is entity i's delivery sequence.
 	Delivered [][]core.Delivery
@@ -117,24 +116,24 @@ type Cluster struct {
 	sent      [][][]byte
 	skipped   int
 	shedCount int
-	shed      bool
 	sendTimes map[trace.MsgID]time.Duration
 	// Tap[i] per-message application-to-application delay samples for
 	// deliveries at entity i (Figure 8's Tap).
 	tapSamples []time.Duration
 }
 
-// node is one simulated process. It is its shard's Frames — the
+// node is one simulated process. Its shards share it as their Frames
+// (the simulator steps one at a time, and every step ends flushed): the
 // runtime's adapter plus the harness's observation points (Tap send
-// times, Options.PDUTap) — and wireFrames' sender onto Net; memFrames
+// times, Options.PDUTap), and wireFrames' sender onto Net; memFrames
 // sends on the process's port itself.
 type node struct {
 	groups.Frames
-	id    pdu.EntityID
-	shard *groups.Shard
-	port  *network.Port
-	cs    []*Cluster
-	tap   func(to, from pdu.EntityID, p *pdu.PDU)
+	id   pdu.EntityID
+	rt   *groups.Registry
+	port *network.Port
+	cs   []*Cluster
+	tap  func(to, from pdu.EntityID, p *pdu.PDU)
 	// frozen marks the process stalled: it stops reading, ticking and
 	// submitting, permanently, while its links stay up.
 	frozen bool
@@ -153,16 +152,16 @@ func New(opts Options) (*Cluster, error) {
 
 // NewGroups builds groups clusters from one Options — ordered groups
 // 0..groups-1, each with its own engines, sequence space, ledgers and
-// flight log — on ONE simulator and ONE network, with ONE shard per
-// process owning that process's engine of every group, the way
-// a node runtime multiplexes its groups over one socket. The network's
-// delays, loss, duplication, partitions and Options.Net hooks hit every
-// group's datagrams alike (the groups share the links); ordering state
-// never crosses groups, because each datagram names its group and the
-// frames adapter keeps stamp state per group. The protocol configuration
-// is identical for every group: isolation comes from datagram routing,
-// never from the entity configuration. Stepping any one cluster
-// (RunUntil, RunToQuiescence) advances them all.
+// flight log — on ONE simulator and ONE network, with ONE registry per
+// process owning that process's engine of every group on its shards,
+// the way a node runtime multiplexes its groups over one socket. The
+// network's delays, loss, duplication, partitions and Options.Net hooks
+// hit every group's datagrams alike (the groups share the links);
+// ordering state never crosses groups, because each datagram names its
+// group and the frames adapter keeps stamp state per group. The protocol
+// configuration is identical for every group: isolation comes from
+// datagram routing, never from the entity configuration. Stepping any
+// one cluster (RunUntil, RunToQuiescence) advances them all.
 func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 	if opts.N < 2 {
 		return nil, fmt.Errorf("simrun: need at least 2 entities, got %d", opts.N)
@@ -180,6 +179,8 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 	if tickEvery == 0 {
 		tickEvery = core.DefaultDeferredAckInterval
 	}
+	net := network.NewVirtual(s, opts.N, opts.Net...)
+	nodes := make([]*node, opts.N)
 	cs := make([]*Cluster, groupCount)
 	for g := range cs {
 		suffix := ""
@@ -188,25 +189,23 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 		}
 		cs[g] = &Cluster{
 			Sim:       s,
+			Net:       net,
 			Link:      lm,
 			Entities:  make([]*core.Entity, opts.N),
-			Ledgers:   make([]*core.Ledger, opts.N),
 			Delivered: make([][]core.Delivery, opts.N),
 			StepLock:  lock,
 			n:         opts.N,
+			nodes:     nodes,
 			group:     uint32(g),
 			suffix:    suffix,
 			tickEvery: tickEvery,
 			sent:      make([][][]byte, opts.N),
-			shed:      opts.Shed,
 			sendTimes: make(map[trace.MsgID]time.Duration),
 		}
 		if opts.Trace {
 			cs[g].Flight = flight.NewLog()
 		}
 	}
-	net := network.NewVirtual(s, opts.N, opts.Net...)
-	nodes := make([]*node, opts.N)
 	for i := range nodes {
 		nd := &node{id: pdu.EntityID(i), port: net.Endpoint(pdu.EntityID(i)), cs: cs, tap: opts.PDUTap}
 		if opts.WireVersion == 2 {
@@ -214,28 +213,27 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 		} else {
 			nd.Frames = groups.NewMemFrames(nd.port, lm)
 		}
-		nd.shard = groups.NewShard(groups.Config{
-			NewEntity: func(g uint32) (*core.Entity, error) {
-				if int(g) >= len(cs) { // bounds check: the shard drops it as unknown
-					return nil, fmt.Errorf("simrun: no group %d", g)
-				}
-				return cs[g].newEntity(opts, i)
+		// The group bound drops an inbound naming no run group as loss.
+		nd.rt = groups.NewStepped(groups.Config{
+			Shards:         max(1, opts.Shards),
+			MaxGroups:      groupCount,
+			MemBudgetBytes: opts.MemBudgetBytes,
+			NewEntity: func(g uint32, l *core.Ledger) (*core.Entity, error) {
+				return cs[g].newEntity(opts, i, l)
 			},
+			NewFrames:      func(int) groups.Frames { return nd },
 			Deliver:        func(g uint32, batch []core.Delivery) { cs[g].deliver(nd.id, batch) },
 			DroppedUnknown: lm.UnknownGroup,
 			Now:            s.Now,
-		}, nd)
-		// Every engine starts at virtual time 0, in group order: the
-		// shard visits them in that order ever after.
+		})
+		// Every engine starts at virtual time 0, in group order: each
+		// shard visits its engines in that order ever after.
 		for g, c := range cs {
-			if err := nd.shard.Start(uint32(g)); err != nil {
+			if err := nd.rt.Start(uint32(g)); err != nil {
 				return nil, fmt.Errorf("simrun: entity %s: %w", c.node(i), err)
 			}
 		}
 		nodes[i] = nd
-	}
-	for _, c := range cs {
-		c.Net, c.nodes = net, nodes
 	}
 	for _, nd := range nodes {
 		if err := nd.port.Attach(nd.arrive); err != nil {
@@ -246,20 +244,13 @@ func NewGroups(opts Options, groupCount int) ([]*Cluster, error) {
 	return cs, nil
 }
 
-// newEntity builds entity i of the cluster's group, recording into the
-// group's flight log, with its ledger and registry entry.
-func (c *Cluster) newEntity(opts Options, i int) (*core.Entity, error) {
+// newEntity builds entity i of the cluster's group around the group's
+// ledger, recording into the group's flight log, with its registry entry.
+func (c *Cluster) newEntity(opts Options, i int, ledger *core.Ledger) (*core.Entity, error) {
 	cfg := opts.Core
 	cfg.N = opts.N
 	cfg.ID = pdu.EntityID(i)
-	cfg.Metrics, cfg.Ledger, cfg.Flight = nil, nil, c.Flight
-	if opts.MemBudgetBytes > 0 {
-		// One ledger per entity: the single-writer accounting invariant
-		// holds trivially on the simulator's one goroutine, and
-		// per-entity budgets mirror the node runtime.
-		c.Ledgers[i] = core.NewLedger(opts.MemBudgetBytes)
-		cfg.Ledger = c.Ledgers[i]
-	}
+	cfg.Metrics, cfg.Ledger, cfg.Flight = nil, ledger, c.Flight
 	if opts.Registry != nil {
 		cfg.Metrics = obsv.NewEntityMetrics()
 	}
@@ -283,23 +274,22 @@ func (c *Cluster) newEntity(opts Options, i int) (*core.Entity, error) {
 // node is entity i's name in registries, flight dumps and stall reports.
 func (c *Cluster) node(i int) string { return strconv.Itoa(i) + c.suffix }
 
-// tick fires the process's shard Tick every period of virtual time, the
-// runtime shard's ticker; it stops at a freeze (freezes never heal).
+// tick ticks the process's shards every period of virtual time, the
+// runtime shards' tickers; it stops at a freeze (freezes never heal).
 func (nd *node) tick(s *sim.Sim, period time.Duration) {
 	s.After(period, func() {
 		if nd.frozen {
 			return
 		}
-		nd.shard.Tick()
-		nd.shard.Flush()
+		nd.rt.Tick()
 		nd.tick(s, period)
 	})
 }
 
 // arrive is one datagram reaching the process: classified by group as
-// the node runtime's router classifies it, then stepped through the
-// shard. It always takes the datagram: the simulated process has no
-// receive-buffer bound.
+// the node runtime's router classifies it, then routed to its shard,
+// which handles it. It always takes the datagram: the simulated process
+// has no receive-buffer bound.
 func (nd *node) arrive(d network.Inbound) bool {
 	if nd.frozen {
 		// The stalled process never reads: the datagram reached its
@@ -312,8 +302,7 @@ func (nd *node) arrive(d network.Inbound) bool {
 	}
 	if ok {
 		nd.from = d.From
-		nd.shard.Inbound(g, in)
-		nd.shard.Flush()
+		nd.rt.Inbound(g, in)
 	}
 	return true
 }
@@ -376,22 +365,18 @@ func (c *Cluster) SubmitAt(sender pdu.EntityID, data []byte, at time.Duration) {
 			c.skipped++
 			return
 		}
-		if c.shed && c.Ledgers[sender] != nil && c.Ledgers[sender].OverBudget() {
-			// Producer-side admission, as in Node.admit's shed mode: the
-			// submission never reaches the entity, so no protocol state
-			// records it.
-			c.Ledgers[sender].NoteShed()
+		// The engine keeps what it is handed; the runtime's Broadcast
+		// hands it a copy of the caller's payload, and so does this.
+		owned := make([]byte, len(data))
+		copy(owned, data)
+		if err := nd.rt.Submit(context.Background(), c.group, owned); errors.Is(err, groups.ErrOverBudget) {
+			// Shed by admission: the submission never reached the
+			// entity, so no protocol state records it.
 			c.skipped++
 			c.shedCount++
 			return
 		}
 		c.sent[sender] = append(c.sent[sender], data)
-		// The engine keeps what it is handed; the runtime's Broadcast
-		// hands it a copy of the caller's payload, and so does this.
-		owned := make([]byte, len(data))
-		copy(owned, data)
-		nd.shard.Submit(c.group, owned)
-		nd.shard.Flush()
 	})
 }
 

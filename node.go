@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cobcast/internal/core"
-	"cobcast/internal/flight"
 	"cobcast/internal/groups"
 	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
@@ -70,10 +69,6 @@ type Node struct {
 	// lm counts frame flushes and receive-side drops for the whole node,
 	// across groups and shards; nil without WithObservability.
 	lm *obsv.LinkMetrics
-	// flight is group 0's flight recorder (nil when disabled), set when
-	// its engine is built. Producers on any port record backpressure
-	// block/shed into it.
-	flight *flight.Ring
 
 	rt   *groups.Registry
 	main *GroupPort // group 0's port
@@ -81,6 +76,9 @@ type Node struct {
 	groupsMu         sync.Mutex
 	groupPorts       map[GroupID]*GroupPort
 	groupMetricsUsed int
+	// refused is the Deliveries channel of every port on a group the
+	// runtime refused; Close closes it.
+	refused chan Message
 
 	start time.Time
 	tick  time.Duration
@@ -130,21 +128,25 @@ func NewNode(id, n int, trans Transport, opts ...Option) (*Node, error) {
 // broadcast).
 func newNode(id, n int, o options, sub substrate) (*Node, error) {
 	nd := &Node{
-		id:    id,
-		n:     n,
-		o:     o,
-		start: time.Now(),
-		tick:  o.tick(),
-		sub:   sub,
-		stop:  make(chan struct{}),
+		id:         id,
+		n:          n,
+		o:          o,
+		start:      time.Now(),
+		tick:       o.tick(),
+		sub:        sub,
+		stop:       make(chan struct{}),
+		refused:    make(chan Message),
+		groupPorts: make(map[GroupID]*GroupPort),
 	}
 	if o.registry != nil {
 		nd.lm = obsv.NewLinkMetrics()
 	}
-	rt, err := groups.New(groups.Config{
+	nd.rt = groups.New(groups.Config{
 		Shards: o.groupShards,
 		// Group 0 is always open; its slot is not one of the caller's.
 		MaxGroups:      MaxGroups + 1,
+		MemBudgetBytes: o.memBudgetBytes,
+		Shed:           o.backpressure == BackpressureShed,
 		NewEntity:      nd.newEntity,
 		NewFrames:      func(int) groups.Frames { return sub.newFrames(nd.lm) },
 		Deliver:        nd.deliverGroup,
@@ -152,16 +154,10 @@ func newNode(id, n int, o options, sub substrate) (*Node, error) {
 		Tick:           nd.tick,
 		Now:            nd.now,
 	})
-	if err != nil {
-		// The config is complete by construction; an error here is a
-		// programming error, not a runtime condition.
-		panic(fmt.Sprintf("cobcast: group runtime: %v", err))
-	}
-	nd.rt = rt
 	nd.main = nd.Group(DefaultGroup)
-	err = sub.attach(nd)
+	err := sub.attach(nd)
 	if err == nil {
-		err = rt.Start(uint32(DefaultGroup))
+		err = nd.rt.Start(uint32(DefaultGroup))
 	}
 	if err != nil {
 		_ = nd.Close()
@@ -190,38 +186,6 @@ func (nd *Node) Broadcast(data []byte) error {
 // broadcast leaves no trace in protocol state.
 func (nd *Node) BroadcastContext(ctx context.Context, data []byte) error {
 	return nd.main.BroadcastContext(ctx, data)
-}
-
-// admit applies producer-side backpressure against a memory ledger: nil
-// or under-budget admits immediately; otherwise shed mode fails fast and
-// block mode waits on the ledger gate until the engine drains below
-// budget, the context cancels, or the node closes.
-func (nd *Node) admit(ctx context.Context, l *core.Ledger) error {
-	if l == nil || !l.OverBudget() {
-		return nil
-	}
-	if nd.o.backpressure == BackpressureShed {
-		l.NoteShed()
-		nd.flight.Record(int32(nd.id), flight.EvShed, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
-		return ErrOverBudget
-	}
-	l.NoteBlock()
-	nd.flight.Record(int32(nd.id), flight.EvBlock, 0, int32(nd.id), 0, int32(pdu.NoEntity), int64(nd.now()))
-	for {
-		g := l.Gate()
-		// Re-check after grabbing the gate: the engine may have drained
-		// (and swapped gates) between the check and the grab.
-		if !l.OverBudget() {
-			return nil
-		}
-		select {
-		case <-g:
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-nd.stop:
-			return ErrClosed
-		}
-	}
 }
 
 // Deliveries returns the stream of causally ordered messages. The channel
@@ -323,13 +287,14 @@ func (nd *Node) Close() error {
 			p.stopPump()
 			close(p.deliver)
 		}
+		close(nd.refused)
 		err = nd.sub.close()
 	})
 	return err
 }
 
-// halt signals every producer, pump and the wire router to stop; Close
-// does the waiting.
+// halt signals every pump and the wire router to stop; Close does the
+// waiting.
 func (nd *Node) halt() { nd.stopOnce.Do(func() { close(nd.stop) }) }
 
 func (nd *Node) stopped() bool {
