@@ -24,12 +24,12 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// the late-confirmation deadline began following the confirmation round
-// each engine observes, which moves when late SYNCs go.
+// one RET began asking for every hole of a loss burst and confirming
+// like an ACKONLY, which moves what is retransmitted and when SYNCs go.
 var pinnedMultiGroupDigests = []string{
-	"51bb777106b40bb63d06fe39f30e831c697fae062b320deecd46f41a3d7fc1fa",
-	"fec2375a462cc92bf3f0ad8bb86d1453084f03aaff16aecd4606209ecc83e43a",
-	"85e9ca16d9aeaa7b54a5bc83a0df953b7badf372f4aa8d3ab9b2dfa747a7c7db",
+	"95cffdbf80559baaa36e988d9e86bd4350e5f85bb4cba394765bfa83d315b29c",
+	"6da362e9df121ed7817f8cca21ef0584de498714448823d4fe078e7c20f891a3",
+	"2c8d2663e0c6daeb03fee09d99156fd21e28616709794a37497a5b25fc329d43",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network,

@@ -71,10 +71,12 @@ type Config struct {
 	// never sooner than this, and exactly this until it has timed a round
 	// or while flow-blocked.
 	DeferredAckInterval time.Duration
-	// RetransmitTimeout is how long to wait before re-issuing an RET for
-	// a gap that has not closed, the minimum spacing between
-	// rebroadcasts of the same PDU, and the ceiling of the deferred
-	// confirmation deadline.
+	// RetransmitTimeout is the minimum spacing between RETs for one
+	// source (a re-request of a gap that has not closed and the first
+	// request for a new hole of that source both wait it out; each RET
+	// asks for every hole known when it goes), the minimum spacing
+	// between rebroadcasts of the same PDU, and the ceiling of the
+	// deferred confirmation deadline.
 	RetransmitTimeout time.Duration
 	// SuspectAfter, when positive, auto-evicts a peer that has stayed
 	// silent for this long while this entity owed the cluster

@@ -73,8 +73,8 @@ type Entity struct {
 	// unheard holds the non-evicted peers from which no sequenced PDU
 	// has been accepted since our last confirmation send; the §5
 	// "heard from every peer" test is unheard.Empty(). Refilled from
-	// alive at every sequenced/ACKONLY send, cleared per source in
-	// accept and on eviction.
+	// alive at every send that carries our ACK vector (spoke), cleared
+	// per source in accept and on eviction.
 	unheard     vclock.Bits
 	needRespond bool // accepted a NeedAck PDU since our last send
 	// rounds counts the confirmation rounds still owed for accepted
@@ -1030,7 +1030,7 @@ func (e *Entity) owesData() bool {
 	return e.dataResident > 0 || e.parkedData > 0 || len(e.pendingSubmits) > 0
 }
 
-// solicits is the NeedAck bit of a confirmation, read after discharge:
+// solicits is the NeedAck bit of a confirmation, read after spoke:
 // set while rounds are still owed or submissions wait for the window,
 // and on a late confirmation while data is still held — the liveness
 // fallback for a peer whose round 1 crossed the DATA in flight, or data
@@ -1040,16 +1040,25 @@ func (e *Entity) solicits(late bool) bool {
 		late && (e.dataResident > 0 || e.parkedData > 0)
 }
 
-// discharge credits a send against the rounds owed: any sequenced PDU is
-// round 1; round 2 is the first send, an ACKONLY included, once no live
-// peer is uncovered.
-func (e *Entity) discharge(sequenced bool) {
+// spoke does the confirmation bookkeeping of a send that carries this
+// entity's truthful ACK vector to every peer — a sequenced PDU, an
+// ACKONLY or a RET. It credits the send against the rounds owed: any
+// sequenced PDU is round 1; round 2 is the first send, an unsequenced
+// one included, once no live peer is uncovered. It restarts the
+// all-heard test (without that, a window-blocked entity that had heard
+// from everyone would emit one ACKONLY per incoming PDU), answers any
+// NeedAck, and pushes the late-confirmation deadline back.
+func (e *Entity) spoke(sequenced bool, now time.Duration) {
 	switch {
 	case e.rounds == 2 && sequenced:
 		e.rounds = 1
 	case e.rounds == 1 && e.uncovered.Empty():
 		e.rounds = 0
 	}
+	e.unheard.CopyFrom(e.alive)
+	e.unheard.Clear(int(e.me))
+	e.needRespond = false
+	e.spokeAt = now
 }
 
 // raiseCoverBar records the acceptance of DATA (k, s): every live peer
@@ -1114,9 +1123,9 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	}
 	e.reqStamp.ClearDirty()
 	p.SEQ = e.seq
-	// Discharge before the self-accept, so that an own DATA owes its two
-	// rounds afresh.
-	e.discharge(true)
+	// Credit the send before the self-accept, so that an own DATA owes
+	// its two rounds afresh.
+	e.spoke(true, now)
 	p.NeedAck = kind == pdu.KindData || e.solicits(late)
 	p.Data, p.Packed = data, packed
 	e.seq++
@@ -1135,10 +1144,6 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	}
 	e.fl(flight.EvSequence, e.me, p.SEQ, kind, pdu.NoEntity, now)
 	e.accept(p, now)
-	e.unheard.CopyFrom(e.alive)
-	e.unheard.Clear(int(e.me))
-	e.needRespond = false
-	e.spokeAt = now
 	out.PDUs = append(out.PDUs, p)
 }
 
@@ -1157,24 +1162,24 @@ func (e *Entity) newPDU(kind pdu.Kind, spare int) (*pdu.PDU, []pdu.Seq) {
 }
 
 // sendAckOnly emits the unsequenced control PDU that keeps receipt
-// confirmations moving when the flow window is closed.
+// confirmations moving when the flow window is closed. Its ACK vector
+// discharges the confirmation obligation of everything received so far,
+// exactly like a sequenced send. reqStamp's dirty epoch is NOT reset:
+// the Delta annotation's reference is the previous *sequenced* PDU, and
+// this send is unsequenced.
 func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 	p, _ := e.newPDU(pdu.KindAckOnly, 0)
-	e.discharge(false)
+	e.spoke(false, now)
 	p.NeedAck = e.solicits(late)
 	e.stats.AckOnlySent++
-	// The ACKONLY's ACK vector discharges the confirmation obligation of
-	// everything received so far, exactly like a sequenced send — without
-	// refilling unheard here, a window-blocked entity that had heard from
-	// everyone would emit one ACKONLY per incoming PDU. reqStamp's dirty
-	// epoch is NOT reset: the Delta annotation's reference is the
-	// previous *sequenced* PDU, and this send is unsequenced.
-	e.unheard.CopyFrom(e.alive)
-	e.unheard.Clear(int(e.me))
-	e.needRespond = false
-	e.spokeAt = now
 	out.PDUs = append(out.PDUs, p)
 }
+
+// maxRetSpan bounds the range of one RET, in SEQs, and so its held
+// list: the receive buffer's capacity in PDUs, above any flow window, so
+// only hostile evidence (an ACK entry or SEQ far ahead of any real
+// stream) reaches it, and the rest of such a range waits for a later RET.
+const maxRetSpan = BufferUnits / UnitsPerPDU
 
 // maybeRequestRetx issues RET PDUs (retransmission action (1), §4.3) for
 // every source with outstanding gap evidence, rate-limited per source by
@@ -1182,6 +1187,12 @@ func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 // with known[j] > req[j] (j != me, non-evicted), so the common no-gap
 // case costs one word test per input instead of an O(n) scan; ascending
 // word iteration preserves the RET emission order of the old loop.
+//
+// One RET asks for the whole loss burst: its range [REQ, LSeq) ends one
+// past the last PDU still missing below known, and its held list names
+// the PDUs of the range already parked here, so the source serves only
+// the holes. A RET carries this entity's ACK vector to everyone, so it
+// also confirms like an ACKONLY (spoke).
 func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 	for wi, w := range e.gapBits {
 		for w != 0 {
@@ -1191,21 +1202,21 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 			if now-e.lastRetReq[j] < e.cfg.RetransmitTimeout {
 				continue
 			}
-			// Request only up to the first PDU we already hold parked: the
-			// paper's F1 sets LSEQ to the SEQ of the revealing PDU, never
-			// asking for PDUs the requester has.
-			lseq := e.known[j]
-			for s := range e.parked[j] {
-				if s >= e.req[j] && s < lseq {
-					lseq = s
-				}
+			// The paper's F1 sets LSEQ to the SEQ of the revealing PDU,
+			// never asking for PDUs the requester has; the held list
+			// extends that to every hole of the burst.
+			req := e.req[j]
+			lseq := min(e.known[j], req+maxRetSpan)
+			for lseq > req && e.parked[j][lseq-1] != nil {
+				lseq--
 			}
-			if lseq <= e.req[j] {
+			if lseq <= req {
 				continue
 			}
 			e.lastRetReq[j] = now
 			p, _ := e.newPDU(pdu.KindRet, 0)
-			p.LSrc, p.LSeq = src, lseq
+			p.LSrc, p.LSeq, p.Data = src, lseq, e.heldList(j, lseq)
+			e.spoke(false, now)
 			out.PDUs = append(out.PDUs, p)
 			e.stats.RetSent++
 			// Src/Seq name the first missing PDU in the gap being chased.
@@ -1214,9 +1225,23 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 	}
 }
 
+// heldList returns the held list of a RET for source j with range
+// [req[j], lseq): the PDUs of the range parked here, nil when the range
+// is one hole.
+func (e *Entity) heldList(j int, lseq pdu.Seq) []byte {
+	var held []byte
+	for s := range e.parked[j] {
+		if s > e.req[j] && s < lseq {
+			held = pdu.AddHeld(held, e.req[j], s)
+		}
+	}
+	return held
+}
+
 // handleRetForMe performs retransmission action (2) of §4.3: rebroadcast
-// the PDUs the requester is missing, bit-identical to the originals, with
-// per-PDU rate limiting so a burst of RETs does not amplify traffic.
+// the PDUs of the range the requester is missing — those its held list
+// does not name — bit-identical to the originals, with per-PDU rate
+// limiting so a burst of RETs does not amplify traffic.
 func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 	from := r.ACK[e.me]
 	if from < e.sendLo {
@@ -1224,7 +1249,7 @@ func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 	}
 	for s := from; s < r.LSeq && s < e.seq; s++ {
 		p, ok := e.sendlog[s]
-		if !ok {
+		if !ok || r.Holds(s) {
 			continue
 		}
 		if last, sent := e.lastRetx[s]; sent && now-last < e.cfg.RetransmitTimeout {

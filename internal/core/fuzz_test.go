@@ -49,16 +49,31 @@ func FuzzReceiveWire(f *testing.F) {
 }
 
 // FuzzReceiveCrafted builds structurally valid but adversarial PDUs
-// (wild sequence numbers, huge ACK entries, inconsistent RET ranges, any
-// Delta annotation) and checks the entity neither panics nor violates
-// basic invariants. It hands the entity the same PDU three times, as a
-// shared network does, and checks Receive never wrote it — with the
+// (wild sequence numbers, huge ACK entries, inconsistent RET ranges and
+// held lists, any Delta annotation) and checks the entity neither panics
+// nor violates basic invariants. The entity has sent four DATA PDUs
+// first, so a RET for it has something to serve: it may serve only SEQs
+// of the RET's range its held list does not name, and nothing at all in
+// answer to any other PDU. It hands the entity the same PDU three times,
+// as a shared network does, and checks Receive never wrote it — with the
 // sparse fold and with DenseFold.
 func FuzzReceiveCrafted(f *testing.F) {
-	f.Add(uint8(1), uint8(1), uint64(1), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false, uint8(0))
-	f.Add(uint8(2), uint8(4), uint64(1<<60), uint64(9), uint64(0), uint64(1<<62), uint8(1), uint64(1<<61), true, uint8(0x15))
+	f.Add(uint8(1), uint8(1), uint64(1), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false, uint8(0), []byte(nil))
+	f.Add(uint8(2), uint8(4), uint64(1<<60), uint64(9), uint64(0), uint64(1<<62), uint8(1), uint64(1<<61), true, uint8(0x15), []byte(nil))
+	// RETs for entity 0 with held lists: naming SEQs 2 and 3 of [1,5);
+	// naming SEQs 2–8 of [1,9), of which the source never sent 5–8;
+	// naming SEQs 2–9 on [1,5), past the range's end; a list on a
+	// one-hole range and one longer than its range, both invalid.
+	f.Add(uint8(1), uint8(3), uint64(0), uint64(1), uint64(1), uint64(1), uint8(0), uint64(5), false, uint8(0), []byte{0x03})
+	f.Add(uint8(2), uint8(3), uint64(0), uint64(1), uint64(1), uint64(1), uint8(0), uint64(9), true, uint8(0), []byte{0x7f})
+	f.Add(uint8(1), uint8(3), uint64(0), uint64(1), uint64(1), uint64(1), uint8(0), uint64(5), false, uint8(0), []byte{0xff})
+	f.Add(uint8(1), uint8(3), uint64(0), uint64(3), uint64(1), uint64(1), uint8(0), uint64(3), false, uint8(0), []byte{0x01})
+	f.Add(uint8(1), uint8(3), uint64(0), uint64(1), uint64(1), uint64(1), uint8(0), uint64(5), false, uint8(0), []byte{0x01, 0x01})
+	// A DATA far ahead of its source's stream and an ACK entry further
+	// still: the requester's RET must not size a held list on that span.
+	f.Add(uint8(1), uint8(0), uint64(1<<60), uint64(1), uint64(1<<62), uint64(1), uint8(0), uint64(0), false, uint8(0), []byte(nil))
 	f.Fuzz(func(t *testing.T, srcRaw, kindRaw uint8, seq, a0, a1, a2 uint64,
-		lsrcRaw uint8, lseq uint64, need bool, deltaRaw uint8) {
+		lsrcRaw uint8, lseq uint64, need bool, deltaRaw uint8, held []byte) {
 		kinds := []pdu.Kind{pdu.KindData, pdu.KindSync, pdu.KindAckOnly, pdu.KindRet}
 		p := &pdu.PDU{
 			Kind:    kinds[int(kindRaw)%len(kinds)],
@@ -73,6 +88,7 @@ func FuzzReceiveCrafted(f *testing.F) {
 		if p.Kind == pdu.KindRet {
 			p.LSrc = pdu.EntityID(lsrcRaw % 3)
 			p.LSeq = pdu.Seq(lseq | 1)
+			p.Data = held
 		}
 		// Bit 4 attaches a Delta; bits 0–3 pick its indices, index 3
 		// being out of range for n = 3.
@@ -85,13 +101,26 @@ func FuzzReceiveCrafted(f *testing.F) {
 			}
 		}
 		want := p.Clone().OwnDelta()
+		servable := p.Kind == pdu.KindRet && p.LSrc == 0 && p.Validate(3) == nil
 		for _, dense := range []bool{false, true} {
 			e, err := core.New(core.Config{ID: 0, N: 3, DenseFold: dense})
 			if err != nil {
 				t.Fatal(err)
 			}
+			for i := 0; i < 4; i++ {
+				e.Submit([]byte{byte(i)}, 0)
+			}
+			sent := e.Seq()
 			for i := 0; i < 3; i++ {
-				_, _ = e.Receive(p, time.Duration(i)*time.Millisecond)
+				out, _ := e.Receive(p, time.Duration(i)*time.Millisecond)
+				for _, q := range out.PDUs {
+					if !q.Kind.Sequenced() || q.SEQ >= sent {
+						continue // a control PDU or a fresh confirmation
+					}
+					if !servable || q.SEQ < p.ACK[0] || q.SEQ >= p.LSeq || p.Holds(q.SEQ) {
+						t.Fatalf("DenseFold=%v: served SEQ %d in answer to %v", dense, q.SEQ, want)
+					}
+				}
 			}
 			// Ticks after adversarial input must not panic either.
 			for i := 0; i < 3; i++ {

@@ -409,3 +409,45 @@ func TestShardVisitsEnginesInCreationOrder(t *testing.T) {
 		t.Fatalf("evict delivered groups %v, want creation order %v", delivered, created)
 	}
 }
+
+// TestEvictReachesEveryShard builds a stepped two-shard registry whose
+// groups land on both shards, evicts peer 2 through Registry.Evict and
+// requires every engine on every shard to have evicted it, and a group
+// built afterwards to start without it.
+func TestEvictReachesEveryShard(t *testing.T) {
+	r := NewStepped(Config{
+		Shards: 2,
+		NewEntity: func(g uint32, _ *core.Ledger) (*core.Entity, error) {
+			return core.New(core.Config{ClusterID: g, ID: 0, N: 3})
+		},
+		NewFrames: func(int) Frames { return &orderFrames{} },
+		Deliver:   func(uint32, []core.Delivery) {},
+		Now:       func() time.Duration { return 0 },
+	})
+	groups := []uint32{0, 1, 2, 3, 4, 5}
+	owners := map[*shard]bool{}
+	for _, g := range groups {
+		if err := r.Start(g); err != nil {
+			t.Fatal(err)
+		}
+		owners[r.shardOf(g)] = true
+	}
+	if len(owners) != 2 {
+		t.Fatalf("groups %v landed on %d shard(s), want both", groups, len(owners))
+	}
+	if err := r.Evict(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(6); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range append(groups, 6) {
+		var evicted bool
+		if !r.query(g, false, func(eng *core.Entity, _ time.Duration) { evicted = eng.Evicted(2) }) {
+			t.Fatalf("group %d has no engine", g)
+		}
+		if !evicted {
+			t.Errorf("group %d still counts peer 2 after Registry.Evict", g)
+		}
+	}
+}

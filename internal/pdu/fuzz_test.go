@@ -292,13 +292,20 @@ func FuzzDTUnmarshal(f *testing.F) {
 }
 
 // FuzzRETUnmarshal focuses the wire decoder on RET (retransmission
-// request) datagrams, whose LSrc/LSeq fields address the lost PDU; the
+// request) datagrams, whose LSrc/LSeq fields address the lost PDUs and
+// whose held list names the PDUs of the range the requester holds; the
 // shared body asserts those survive the round trip.
 func FuzzRETUnmarshal(f *testing.F) {
 	fuzzKind(f, []*PDU{
 		{Kind: KindRet, CID: 1, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9},
 		{Kind: KindRet, CID: 5, Src: 0, SEQ: 12, ACK: []Seq{8, 11}, LSrc: 0, LSeq: 1, NeedAck: true},
 		{Kind: KindRet, CID: 9, Src: 2, ACK: []Seq{0, 0, 0}, LSrc: 2, LSeq: 1 << 40},
+		// Held lists: one byte, two bytes, one longer than its range
+		// needs, and one on a range of one hole (Validate rejects both).
+		{Kind: KindRet, CID: 1, Src: 3, ACK: []Seq{1, 2, 3, 4}, LSrc: 1, LSeq: 9, Data: []byte{0x15}},
+		{Kind: KindRet, CID: 2, Src: 0, ACK: []Seq{7, 40}, LSrc: 1, LSeq: 57, Data: []byte{0xff, 0x01}},
+		{Kind: KindRet, CID: 2, Src: 0, ACK: []Seq{7, 40}, LSrc: 1, LSeq: 44, Data: []byte{0x01, 0x00, 0x80}},
+		{Kind: KindRet, CID: 3, Src: 1, ACK: []Seq{5, 5}, LSrc: 0, LSeq: 6, Data: []byte{0x01}},
 	})
 }
 

@@ -53,7 +53,8 @@ const (
 	KindAckOnly
 	// KindRet is the retransmission-request PDU of Figure 5. LSRC names
 	// the source whose PDUs were lost and LSEQ bounds the missing range:
-	// the receiver rebroadcasts its PDUs g with ACK[LSRC] <= g.SEQ < LSEQ.
+	// the receiver rebroadcasts its PDUs g with ACK[LSRC] <= g.SEQ < LSEQ
+	// that the held list in DATA does not name (see Holds).
 	KindRet
 )
 
@@ -107,11 +108,15 @@ type PDU struct {
 	// LSrc is, on RET PDUs, the source whose PDUs were detected lost.
 	LSrc EntityID
 	// LSeq is, on RET PDUs, the exclusive upper bound of the missing
-	// sequence range (F condition (1): the SEQ of the PDU that revealed
-	// the gap; F condition (2): the ACK entry that revealed it).
+	// sequence range: one past the last PDU of LSrc the sender still
+	// misses below its strongest evidence (F condition (1): the SEQ of
+	// the PDU that revealed the gap; F condition (2): the ACK entry that
+	// revealed it).
 	LSeq Seq
-	// Data is the application payload (KindData only): one message, or
-	// a pack of them when Packed is set.
+	// Data is the application payload on DATA: one message, or a pack of
+	// them when Packed is set. On RET it is the held list: the PDUs of
+	// the range the sender already holds (see Holds), empty when the
+	// range is one hole.
 	Data []byte
 	// Delta, when non-nil, lists in ascending order the ACK indices that
 	// changed relative to the same source's previous sequenced PDU
@@ -302,8 +307,45 @@ func (p *PDU) Validate(n int) error {
 		if p.LSeq == 0 {
 			return fmt.Errorf("%w: lseq=0", ErrBadRet)
 		}
+		if len(p.Data) > 0 {
+			// The held list covers (ACK[LSrc], LSeq): non-empty only when
+			// that holds a SEQ, and no longer than its bitmap needs.
+			// Seq is unsigned, so the span is tested before it is formed.
+			base := p.ACK[p.LSrc]
+			if p.LSeq <= base || p.LSeq-base < 2 {
+				return fmt.Errorf("%w: held list on range [%d,%d)", ErrBadRet, base, p.LSeq)
+			}
+			if span := p.LSeq - base - 1; uint64(len(p.Data)) > (uint64(span)-1)/8+1 {
+				return fmt.Errorf("%w: held list of %d bytes on range [%d,%d)", ErrBadRet, len(p.Data), base, p.LSeq)
+			}
+		}
 	}
 	return nil
+}
+
+// Holds reports whether the RET p names s in its held list. The list is
+// a bitmap over the SEQs ACK[LSrc]+1 … LSeq-1, least significant bit
+// first, with trailing zero bytes trimmed: ACK[LSrc] is the requester's
+// first missing PDU and LSeq-1 its last, so neither needs a bit.
+func (p *PDU) Holds(s Seq) bool {
+	first := p.ACK[p.LSrc]
+	if s <= first {
+		return false
+	}
+	i := uint64(s - first - 1)
+	return i < uint64(len(p.Data))*8 && p.Data[i/8]&(1<<(i%8)) != 0
+}
+
+// AddHeld returns the held list with s added, for a RET whose first
+// missing PDU is first (its ACK[LSrc]); s > first. The list grows only
+// as far as its highest SEQ, so it stays trimmed (see Holds).
+func AddHeld(list []byte, first, s Seq) []byte {
+	i := uint64(s - first - 1)
+	for uint64(len(list)) <= i/8 {
+		list = append(list, 0)
+	}
+	list[i/8] |= 1 << (i % 8)
+	return list
 }
 
 // String renders a compact human-readable form used by traces and tests,
@@ -326,7 +368,9 @@ func (p *PDU) String() string {
 	if p.Kind == KindRet {
 		fmt.Fprintf(&b, " lost=s%d<%d", p.LSrc, p.LSeq)
 	}
-	if len(p.Data) > 0 {
+	if p.Kind == KindRet && len(p.Data) > 0 {
+		fmt.Fprintf(&b, " held=%x", p.Data)
+	} else if len(p.Data) > 0 {
 		fmt.Fprintf(&b, " len=%d", len(p.Data))
 	}
 	if p.Packed {

@@ -123,6 +123,13 @@ func TestValidate(t *testing.T) {
 		{"long ack", func(p *PDU) { p.ACK = append(p.ACK, 4) }, ErrBadACKLen},
 		{"ret bad lsrc", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 7; p.LSeq = 1 }, ErrBadRet},
 		{"ret zero lseq", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 0; p.LSeq = 0 }, ErrBadRet},
+		// The held list ("x", one byte) covers (ACK[LSrc], LSeq) = (3, LSeq).
+		{"ret held list on one hole", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.LSeq = 4 }, ErrBadRet},
+		{"ret held list below range", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.LSeq = 2 }, ErrBadRet},
+		{"ret held list at top seq", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.ACK[2] = ^Seq(0); p.LSeq = 1 }, ErrBadRet},
+		{"ret held list too long", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.LSeq = 12; p.Data = []byte("xy") }, ErrBadRet},
+		{"ret held list two bytes", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.LSeq = 13; p.Data = []byte("xy") }, nil},
+		{"ret empty list on one hole", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 2; p.LSeq = 4; p.Data = nil }, nil},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -58,8 +58,9 @@ func TestSoloMessageCostsTwoRounds(t *testing.T) {
 // entity 3 before the DATA does. Every message is still delivered
 // everywhere, and the confirmations the late-confirmation deadline fired
 // are counted apart from the rest. The counts are pinned as the engine
-// stands (the deadline following the observed round moved them from
-// 876 and 20).
+// stands: the deadline following the observed round moved them from 876
+// and 20 to 857 and 11, and a RET confirming like an ACKONLY (the skew
+// draws spurious RETs, ROADMAP item 1) to 826 and 19.
 func TestSkewedLinkConfirmsLate(t *testing.T) {
 	const n, msgs = 4, 160
 	c := run(t, Options{N: n, Net: []network.Option{network.WithDelay(skewedLink)}},
@@ -68,7 +69,7 @@ func TestSkewedLinkConfirmsLate(t *testing.T) {
 	if st.Delivered != n*msgs {
 		t.Fatalf("delivered %d, want %d", st.Delivered, n*msgs)
 	}
-	const deferred, late = 857, 11
+	const deferred, late = 826, 19
 	if st.DeferredConfirms != deferred || st.LateConfirms != late {
 		t.Errorf("DeferredConfirms %d, LateConfirms %d; pinned %d, %d",
 			st.DeferredConfirms, st.LateConfirms, deferred, late)
