@@ -24,12 +24,12 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// one RET began asking for every hole of a loss burst and confirming
-// like an ACKONLY, which moves what is retransmitted and when SYNCs go.
+// a sequenced PDU began vouching for its own acceptance at its source,
+// which drops a SYNC per DATA and moves when the rest go.
 var pinnedMultiGroupDigests = []string{
-	"95cffdbf80559baaa36e988d9e86bd4350e5f85bb4cba394765bfa83d315b29c",
-	"6da362e9df121ed7817f8cca21ef0584de498714448823d4fe078e7c20f891a3",
-	"2c8d2663e0c6daeb03fee09d99156fd21e28616709794a37497a5b25fc329d43",
+	"643c9f2e5918b8212ac5254236f0b8bddd2b62b5412b61fb453061b72386c0c1",
+	"5b1df5cabe36d4b365b9b474766e19e43fd96cfa33bfb2f1fe53af5b3f12f012",
+	"29ce7d57a6d6c4bad7577a21f130dbe8173be987841b231e5ca9887abe6bcd61",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network,

@@ -23,7 +23,10 @@
 //   - Deferred confirmation: an entity owes two confirmation rounds per
 //     accepted DATA — an empty SYNC after hearing from every peer (or a
 //     timeout), then one more once every peer's first round is in —
-//     and is then silent, so a message costs 2n+1 PDUs (§5).
+//     and is then silent (§5). A DATA is its own sender's first round,
+//     since it proves that its sender accepted it, so a message in a
+//     warm cluster costs 2n PDUs and is delivered three one-way trips
+//     after its send.
 package core
 
 import (

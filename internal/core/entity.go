@@ -78,22 +78,23 @@ type Entity struct {
 	unheard     vclock.Bits
 	needRespond bool // accepted a NeedAck PDU since our last send
 	// rounds counts the confirmation rounds still owed for accepted
-	// DATA: accepting one sets 2; the next sequenced send is round 1;
-	// the first send once uncovered is empty is round 2, and then the
-	// entity is silent. dataHi[k] is the newest DATA SEQ accepted from
-	// k (0: none), lastACK[k] the ACK vector of the newest sequenced PDU
-	// accepted from k, and uncovered the live peers whose lastACK does
-	// not yet pass dataHi in every live column — the peers whose round 1
-	// this entity has not accepted.
+	// DATA: accepting a peer's sets 2, an own one (its sender's round 1)
+	// at least 1; the next sequenced send is round 1; the first send once
+	// uncovered is empty is round 2, and then the entity is silent.
+	// dataHi[k] is the newest DATA SEQ accepted from k (0: none),
+	// lastACK[k] the ACK vector of the newest sequenced PDU accepted from
+	// k, and uncovered the live peers whose lastACK does not yet pass
+	// dataHi in every live column but their own — the peers whose round
+	// 1 this entity has not accepted.
 	rounds    int
 	dataHi    []pdu.Seq
 	lastACK   [][]pdu.Seq
 	uncovered vclock.Bits
 	// owed/spokeAt implement the "or some predefined time units" half of
 	// the deferred confirmation rule: the deadline counts from spokeAt,
-	// set when an obligation appears and pushed back by every send, and
-	// lies lateAfter() past it, read when checked, so a fresh sample or a
-	// window that closes moves it at once.
+	// set when an obligation appears and pushed back by every send but a
+	// RET while round 1 is owed, and lies lateAfter() past it, read when
+	// checked, so a fresh sample or a window that closes moves it at once.
 	owed      bool
 	owedSince time.Duration
 	spokeAt   time.Duration
@@ -425,7 +426,8 @@ const maxKeptDeliveries = 1 << 14
 // vectors are truthful snapshots of the sender's REQ, so folding them from
 // every PDU kind (including control PDUs and parked out-of-order PDUs)
 // only strengthens knowledge; delivery safety rests on PAL, which folds
-// strictly from pre-acknowledged sequenced PDUs as in the paper.
+// strictly from pre-acknowledged sequenced PDUs as in the paper. A
+// sequenced PDU also vouches for its own acceptance at its source.
 func (e *Entity) foldInfo(p *pdu.PDU, sparseOK bool) {
 	if p.Src == e.me {
 		return
@@ -448,6 +450,11 @@ func (e *Entity) foldInfo(p *pdu.PDU, sparseOK bool) {
 				e.raiseAL(k, p.Src, p.ACK[k])
 			}
 		}
+	}
+	// A sequenced PDU proves that its source accepted it: the source
+	// self-accepts every PDU it sends, right after the ACK snapshot.
+	if k := int(p.Src); p.Kind.Sequenced() && p.SEQ+1 > e.al[k][k] {
+		e.raiseAL(k, p.Src, p.SEQ+1)
 	}
 	e.buf[p.Src] = p.BUF
 }
@@ -662,7 +669,13 @@ func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 	if p.Kind == pdu.KindData {
 		e.dataResident++
 		e.dataHi[src] = p.SEQ
-		e.rounds = 2
+		if src != e.me {
+			e.rounds = 2
+		} else {
+			// An own DATA is its sender's round 1: every receiver infers
+			// the self-acceptance from the PDU itself (foldInfo).
+			e.rounds = max(e.rounds, 1)
+		}
 		if !e.evicted[src] {
 			e.raiseCoverBar(int(src), p.SEQ)
 		}
@@ -722,6 +735,12 @@ func (e *Entity) runPack() {
 					}
 				}
 			}
+			// p's own acceptance at k, implied as in foldInfo. This write
+			// too comes from a pre-acknowledged PDU — p itself, standing
+			// in for its own acknowledger — so the FIFO argument holds.
+			if p.SEQ+1 > e.pal[k][k] {
+				e.raisePAL(k, pdu.EntityID(k), p.SEQ+1)
+			}
 			if d := e.prl.InsertCPI(p); d > 0 {
 				e.stats.CPIDisplaced++
 				e.stats.CPIDisplacement += uint64(d)
@@ -740,11 +759,13 @@ func (e *Entity) runPack() {
 // runAck applies the ACK condition and action (§4.5): while the top of PRL
 // has been pre-acknowledged everywhere (SEQ below minPAL of its source),
 // dequeue it into the commit stage, which enforces full causal closure
-// before delivery.
+// before delivery. The condition holds back DATA only: a SYNC delivers
+// nothing, so it leaves PRL once it is pre-acknowledged, and the commit
+// stage still orders it by its ACK vector.
 func (e *Entity) runAck(now time.Duration, out *Output) {
 	for {
 		top := e.prl.Top()
-		if top == nil || top.SEQ >= e.minPAL[top.Src] {
+		if top == nil || top.Kind == pdu.KindData && top.SEQ >= e.minPAL[top.Src] {
 			break
 		}
 		p := e.prl.Dequeue()
@@ -922,10 +943,11 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 // maybeConfirm implements deferred confirmation (§5) as exactly two
 // confirmation rounds per accepted DATA (DESIGN.md §2). Round 1 is the
 // first sequenced PDU after accepting a DATA, sent once we have heard
-// from every peer since our last send; PACK needs its ACK vector. Round 2
-// goes as soon as every live peer's round 1 has been accepted here; its
-// vector lets everyone pre-acknowledge those rounds, which is what ACK
-// needs. Then the entity is silent. Answering a NeedAck PDU, a
+// from every peer since our last send; PACK needs its ACK vector. An own
+// DATA is its sender's round 1: it vouches for its own acceptance. Round
+// 2 goes as soon as every live peer's round 1 has been accepted here;
+// its vector lets everyone pre-acknowledge those rounds, which is what
+// ACK needs. Then the entity is silent. Answering a NeedAck PDU, a
 // flow-blocked backlog and a held total-order release wait for all-heard
 // too. Data that is merely still resident waits for the deadline,
 // lateAfter past the last send, which also fires whichever trigger
@@ -946,23 +968,22 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 		e.owedSince = now
 		e.spokeAt = now
 	}
-	// At most two sends: round 1 may find round 2 due at once (the last
-	// entity to speak has every peer's round 1 already). A send pushes
-	// the deadline back, so only a due confirmation follows it.
-	for sends := 0; sends < 2; sends++ {
-		late := !e.confirmDue()
-		if late && now < e.spokeAt+e.lateAfter() {
-			return
-		}
-		e.stats.DeferredConfirms++
-		if late {
-			e.stats.LateConfirms++
-		}
-		if e.windowOpen() {
-			e.broadcastSequenced(pdu.KindSync, nil, false, late, now, out)
-		} else {
-			e.sendAckOnly(late, now, out)
-		}
+	// One send at most: a round 1 sent when no live peer is uncovered is
+	// round 2 as well (spoke), and a send pushes the deadline back and
+	// restarts the all-heard test, so while a peer is alive nothing is due
+	// right after it.
+	late := !e.confirmDue()
+	if late && now < e.spokeAt+e.lateAfter() {
+		return
+	}
+	e.stats.DeferredConfirms++
+	if late {
+		e.stats.LateConfirms++
+	}
+	if e.windowOpen() {
+		e.broadcastSequenced(pdu.KindSync, nil, false, late, now, out)
+	} else {
+		e.sendAckOnly(late, now, out)
 	}
 }
 
@@ -1040,35 +1061,40 @@ func (e *Entity) solicits(late bool) bool {
 		late && (e.dataResident > 0 || e.parkedData > 0)
 }
 
-// spoke does the confirmation bookkeeping of a send that carries this
-// entity's truthful ACK vector to every peer — a sequenced PDU, an
-// ACKONLY or a RET. It credits the send against the rounds owed: any
-// sequenced PDU is round 1; round 2 is the first send, an unsequenced
-// one included, once no live peer is uncovered. It restarts the
-// all-heard test (without that, a window-blocked entity that had heard
-// from everyone would emit one ACKONLY per incoming PDU), answers any
-// NeedAck, and pushes the late-confirmation deadline back.
-func (e *Entity) spoke(sequenced bool, now time.Duration) {
-	switch {
-	case e.rounds == 2 && sequenced:
+// spoke does the confirmation bookkeeping of a send of the given kind,
+// which carries this entity's truthful ACK vector to every peer — a
+// sequenced PDU, an ACKONLY or a RET. It credits the send against the
+// rounds owed: any sequenced PDU is round 1; round 2 is the first send,
+// an unsequenced one included, once no live peer is uncovered — which a
+// round 1 can be too. It restarts the all-heard test (without that, a
+// window-blocked entity that had heard from everyone would emit one
+// ACKONLY per incoming PDU), answers any NeedAck, and pushes the
+// late-confirmation deadline back — except that a RET, which can never
+// be round 1, leaves the deadline of an owed round 1 where it is.
+func (e *Entity) spoke(kind pdu.Kind, now time.Duration) {
+	if e.rounds == 2 && kind.Sequenced() {
 		e.rounds = 1
-	case e.rounds == 1 && e.uncovered.Empty():
+	}
+	if e.rounds == 1 && e.uncovered.Empty() {
 		e.rounds = 0
 	}
 	e.unheard.CopyFrom(e.alive)
 	e.unheard.Clear(int(e.me))
 	e.needRespond = false
-	e.spokeAt = now
+	if kind != pdu.KindRet || e.rounds != 2 {
+		e.spokeAt = now
+	}
 }
 
 // raiseCoverBar records the acceptance of DATA (k, s): every live peer
-// whose newest accepted vector has not passed it is uncovered again.
+// whose newest accepted vector has not passed it is uncovered again —
+// except k itself, whose newest sequenced PDU covers itself.
 func (e *Entity) raiseCoverBar(k int, s pdu.Seq) {
 	for wi, w := range e.alive {
 		for w != 0 {
 			j := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if j != int(e.me) && e.lastACK[j][k] <= s {
+			if j != int(e.me) && j != k && e.lastACK[j][k] <= s {
 				e.uncovered.Set(j)
 			}
 		}
@@ -1076,15 +1102,16 @@ func (e *Entity) raiseCoverBar(k int, s pdu.Seq) {
 }
 
 // noteCoverage clears peer j from uncovered once its newest accepted
-// vector passes dataHi in every live column. ACK vectors only grow per
-// source, so a covered peer stays covered until raiseCoverBar.
+// vector passes dataHi in every live column but j's own, which that
+// vector's PDU covers by itself. ACK vectors only grow per source, so a
+// covered peer stays covered until raiseCoverBar.
 func (e *Entity) noteCoverage(j int) {
 	ack := e.lastACK[j]
 	for wi, w := range e.alive {
 		for w != 0 {
 			k := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
-			if ack[k] <= e.dataHi[k] {
+			if k != j && ack[k] <= e.dataHi[k] {
 				return
 			}
 		}
@@ -1124,8 +1151,8 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	e.reqStamp.ClearDirty()
 	p.SEQ = e.seq
 	// Credit the send before the self-accept, so that an own DATA owes
-	// its two rounds afresh.
-	e.spoke(true, now)
+	// its round 2 afresh.
+	e.spoke(kind, now)
 	p.NeedAck = kind == pdu.KindData || e.solicits(late)
 	p.Data, p.Packed = data, packed
 	e.seq++
@@ -1169,7 +1196,7 @@ func (e *Entity) newPDU(kind pdu.Kind, spare int) (*pdu.PDU, []pdu.Seq) {
 // this send is unsequenced.
 func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 	p, _ := e.newPDU(pdu.KindAckOnly, 0)
-	e.spoke(false, now)
+	e.spoke(pdu.KindAckOnly, now)
 	p.NeedAck = e.solicits(late)
 	e.stats.AckOnlySent++
 	out.PDUs = append(out.PDUs, p)
@@ -1192,7 +1219,8 @@ const maxRetSpan = BufferUnits / UnitsPerPDU
 // past the last PDU still missing below known, and its held list names
 // the PDUs of the range already parked here, so the source serves only
 // the holes. A RET carries this entity's ACK vector to everyone, so it
-// also confirms like an ACKONLY (spoke).
+// also confirms like an ACKONLY (spoke), but never postpones an owed
+// round 1.
 func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 	for wi, w := range e.gapBits {
 		for w != 0 {
@@ -1216,7 +1244,7 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 			e.lastRetReq[j] = now
 			p, _ := e.newPDU(pdu.KindRet, 0)
 			p.LSrc, p.LSeq, p.Data = src, lseq, e.heldList(j, lseq)
-			e.spoke(false, now)
+			e.spoke(pdu.KindRet, now)
 			out.PDUs = append(out.PDUs, p)
 			e.stats.RetSent++
 			// Src/Seq name the first missing PDU in the gap being chased.

@@ -226,10 +226,11 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			fail("unheard[%d] set for self/evicted", k)
 		}
 		// uncovered marks exactly the live peers whose newest accepted
-		// vector trails the newest accepted DATA in some live column.
+		// vector trails the newest accepted DATA in some live column other
+		// than the peer's own, which that vector's PDU covers by itself.
 		uncovered := false
 		for c := 0; c < e.n && k != int(e.me) && !e.evicted[k]; c++ {
-			uncovered = uncovered || !e.evicted[c] && e.lastACK[k][c] <= e.dataHi[c]
+			uncovered = uncovered || c != k && !e.evicted[c] && e.lastACK[k][c] <= e.dataHi[c]
 		}
 		if got := e.uncovered.Test(k); got != uncovered {
 			fail("uncovered[%d]=%v, want %v (lastACK %v, dataHi %v)", k, got, uncovered, e.lastACK[k], e.dataHi)

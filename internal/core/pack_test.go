@@ -332,10 +332,17 @@ func TestOutputDeliveriesValidUntilNextInput(t *testing.T) {
 		consumed = append(consumed, out.Deliveries...)
 		prev = out.Deliveries
 	}
-	for i := 1; i <= msgs; i++ {
-		emit(0, ents[0].Submit([]byte{byte(i)}, now))
-	}
+	// One submission per round, and a tick only for an entity that got
+	// nothing, so that entity 1 commits a message or two on each of
+	// many consecutive inputs: a burst submitted at once rides one pack
+	// and commits on one input, and a tick after every batch puts an
+	// empty output between any two that deliver.
+	sent := 0
 	for round := 0; len(consumed) < msgs; round++ {
+		if sent < msgs {
+			sent++
+			emit(0, ents[0].Submit([]byte{byte(sent)}, now))
+		}
 		if round == 1000 {
 			t.Fatalf("entity 1 delivered %d of %d", len(consumed), msgs)
 		}
@@ -350,7 +357,9 @@ func TestOutputDeliveriesValidUntilNextInput(t *testing.T) {
 				}
 				emit(to, out)
 			}
-			emit(to, ents[to].Tick(now))
+			if len(batch) == 0 {
+				emit(to, ents[to].Tick(now))
+			}
 		}
 	}
 	for i, d := range consumed {

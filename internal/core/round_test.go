@@ -44,13 +44,19 @@ func (r *roundScript) data(now time.Duration) {
 // everything entity 0 has sent, and returns what entity 0 sent.
 func (r *roundScript) answer(src pdu.EntityID, now time.Duration) []*pdu.PDU {
 	r.t.Helper()
+	return r.answerWith(pdu.KindSync, nil, src, now)
+}
+
+// answerWith is answer with a PDU of the given kind and data.
+func (r *roundScript) answerWith(kind pdu.Kind, data []byte, src pdu.EntityID, now time.Duration) []*pdu.PDU {
+	r.t.Helper()
 	r.seqs[src]++
 	ack := make([]pdu.Seq, len(r.seqs))
 	for k := range ack {
 		ack[k] = 1
 	}
 	ack[0], ack[src] = r.e.Seq(), r.seqs[src]
-	out, err := r.e.Receive(&pdu.PDU{Kind: pdu.KindSync, Src: src, SEQ: r.seqs[src], ACK: ack,
+	out, err := r.e.Receive(&pdu.PDU{Kind: kind, Src: src, SEQ: r.seqs[src], ACK: ack, Data: data,
 		LSrc: pdu.NoEntity, BUF: core.BufferUnits}, now)
 	if err != nil {
 		r.t.Fatal(err)
@@ -151,11 +157,12 @@ func TestRoundProbeTimesFirstDATA(t *testing.T) {
 	r := newRoundScript(t, 2, roundFloor, roundCeiling)
 	r.data(0)
 	r.data(2 * ms)
-	if sent := r.answer(1, 5*ms); len(sent) != 2 {
-		t.Fatalf("answer drew %v, want the two confirmation rounds", sent)
+	// The DATA were entity 0's round 1, so the answer draws round 2 only.
+	if sent := r.answer(1, 5*ms); len(sent) != 1 || sent[0].Kind != pdu.KindSync {
+		t.Fatalf("answer drew %v, want one SYNC, the second confirmation round", sent)
 	}
 	r.wantEstimate(5*ms, 10*ms)
-	r.answer(1, 100*ms) // acknowledges the two SYNCs 95 ms on
+	r.answer(1, 100*ms) // acknowledges the SYNC 95 ms on
 	r.wantEstimate(5*ms, 10*ms)
 }
 
@@ -225,10 +232,13 @@ func TestLateAfterClamped(t *testing.T) {
 }
 
 // TestLateConfirmFollowsObservedRound pins the deadline in use: with the
-// peer answering each DATA x after it went, the entity's two rounds go
-// at once on the answer, and the late confirmation that resident data
-// still owes fires min(2x, RetransmitTimeout) after that last send, and
-// not a tick before.
+// peer answering each DATA x after it went, the entity's confirmation
+// goes at once on the answer, and the late confirmation that resident
+// data still owes fires min(2x, RetransmitTimeout) after that last send,
+// and not a tick before. The last answer is a DATA: the answer to a
+// SYNC lets entity 0 deliver its own DATA at once, leaving nothing
+// resident, while the peer's DATA stays until the peer confirms entity
+// 0's SYNC.
 func TestLateConfirmFollowsObservedRound(t *testing.T) {
 	for _, x := range []time.Duration{3 * time.Millisecond, 12 * time.Millisecond} {
 		t.Run(x.String(), func(t *testing.T) {
@@ -238,9 +248,12 @@ func TestLateConfirmFollowsObservedRound(t *testing.T) {
 				r.round(now, x)
 				now += time.Second
 			}
-			sent := r.round(now, x)
-			if len(sent) != 2 {
-				t.Fatalf("answer drew %v, want the two confirmation rounds", sent)
+			r.data(now)
+			// One SYNC: round 2 for its own DATA (the DATA was round 1),
+			// and both rounds for the peer's, whose sender it covers.
+			sent := r.answerWith(pdu.KindData, []byte("p"), 1, now+x)
+			if len(sent) != 1 || sent[0].Kind != pdu.KindSync {
+				t.Fatalf("answer drew %v, want one SYNC, the confirmation rounds", sent)
 			}
 			last := now + x
 			due := last + min(2*x, roundCeiling)

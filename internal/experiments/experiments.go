@@ -637,8 +637,13 @@ type MsgComplexityRow struct {
 	BacklogMsgsPerData float64
 	// SoloPDUs counts the cluster-wide PDUs needed to fully acknowledge
 	// one message in an otherwise idle cluster — the O(n) case the
-	// deferred-confirmation argument describes.
-	SoloPDUs uint64
+	// deferred-confirmation argument describes. The cluster starts cold:
+	// no entity has heard from every peer, so round 1 waits for the
+	// late-confirmation deadline. WarmSoloPDUs counts the same message
+	// sent after two others have gone round, when every entity has heard
+	// from every peer since it last spoke.
+	SoloPDUs     uint64
+	WarmSoloPDUs uint64
 	// NSquared is the O(n²) reference point.
 	NSquared int
 }
@@ -647,6 +652,34 @@ type MsgComplexityRow struct {
 // DATA, SYNC, ACKONLY and RET, not the rebroadcasts that answer a RET.
 func originated(st core.Stats) uint64 {
 	return st.DataSent + st.SyncSent + st.AckOnlySent + st.RetSent
+}
+
+// soloPDUs counts the PDUs one message draws over 1 ms links until the
+// cluster is quiescent again: from a cold start, or, when warm, sent
+// after two warm-up messages have gone round.
+func soloPDUs(n int, warm bool) (uint64, error) {
+	c, err := simrun.New(simrun.Options{
+		N:   n,
+		Net: []network.Option{network.WithUniformDelay(time.Millisecond)},
+	})
+	if err != nil {
+		return 0, err
+	}
+	at := time.Duration(0)
+	if warm {
+		at = 400 * time.Millisecond
+		c.SubmitAt(0, make([]byte, 32), 0)
+		c.SubmitAt(pdu.EntityID(n-1), make([]byte, 32), 200*time.Millisecond)
+		if c.Sim.RunUntil(at - time.Millisecond); !c.AllDelivered() {
+			return 0, fmt.Errorf("msgs warm-up n=%d: not delivered by %v", n, at)
+		}
+	}
+	before := originated(c.TotalStats())
+	c.SubmitAt(0, make([]byte, 32), at)
+	if _, err := c.RunToQuiescence(deadline); err != nil {
+		return 0, fmt.Errorf("msgs solo n=%d warm=%v: %w", n, warm, err)
+	}
+	return originated(c.TotalStats()) - before, nil
 }
 
 // MessageComplexity counts cluster-wide PDU traffic per delivered
@@ -666,16 +699,13 @@ func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 		}
 		bst := b.TotalStats()
 
-		solo, err := simrun.New(simrun.Options{
-			N:   n,
-			Net: []network.Option{network.WithUniformDelay(time.Millisecond)},
-		})
+		solo, err := soloPDUs(n, false)
 		if err != nil {
 			return nil, err
 		}
-		solo.SubmitAt(0, make([]byte, 32), 0)
-		if _, err := solo.RunToQuiescence(deadline); err != nil {
-			return nil, fmt.Errorf("msgs solo n=%d: %w", n, err)
+		warm, err := soloPDUs(n, true)
+		if err != nil {
+			return nil, err
 		}
 
 		rows = append(rows, MsgComplexityRow{
@@ -685,7 +715,8 @@ func MessageComplexity(ns []int, perSender int) ([]MsgComplexityRow, error) {
 			PerMessage:         float64(total) / float64(c.Submitted()),
 			BacklogPerMessage:  float64(originated(bst)) / float64(b.Submitted()),
 			BacklogMsgsPerData: float64(bst.MsgsSent) / float64(bst.DataSent),
-			SoloPDUs:           originated(solo.TotalStats()),
+			SoloPDUs:           solo,
+			WarmSoloPDUs:       warm,
 			NSquared:           n * n,
 		})
 	}

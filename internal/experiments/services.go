@@ -130,9 +130,12 @@ func coServiceRow(name string, total bool) (ServiceRow, error) {
 	if err != nil {
 		return ServiceRow{}, err
 	}
-	// Concurrent bursts from every entity, interleaved over time so both
-	// concurrent and causally related pairs occur.
-	c.LoadWorkload(workload.NewContinuous(3, 5, 16))
+	// Messages from every entity at random gaps about as long as a
+	// confirmation round, so both concurrent and causally related pairs
+	// occur. Back-to-back bursts (workload.Continuous, 2 to 10 messages
+	// per sender) commit in one order everywhere, so they hide CO's
+	// partial order.
+	c.LoadWorkload(workload.NewInteractive(3, 15, 16, 2*time.Millisecond, 1))
 	if _, err := c.RunToQuiescence(2 * time.Minute); err != nil {
 		return ServiceRow{}, fmt.Errorf("%s: %w", name, err)
 	}

@@ -2,9 +2,11 @@ package simrun
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"cobcast/internal/core"
 	"cobcast/internal/network"
 	"cobcast/internal/pdu"
 	"cobcast/internal/workload"
@@ -52,4 +54,70 @@ func skewedLink(from, to pdu.EntityID, _ *rand.Rand) time.Duration {
 		return 2500 * time.Microsecond
 	}
 	return 500 * time.Microsecond
+}
+
+// TestSkewedLinksStayLive is a liveness regression test on per-link
+// delays from 300 µs to 1.5 ms, under which an entity that owes round 1
+// also chases spurious holes (ROADMAP item 1): the skew draws about one
+// RET and one retransmission per message. A RET confirms like an ACKONLY
+// but can never be round 1, so it must not push back the deadline of an
+// owed round 1. When it did, two entities that each owed round 1 sent
+// only spurious RETs, one per RetransmitTimeout, each postponing its
+// sender's own late round 1 again, and 4 of the 4000 deliveries never
+// happened.
+//
+// Every message must be delivered within 100 ms of the last submission:
+// a healthy delivery takes three one-way trips (under 4.5 ms here), and a
+// repair adds at most a few RetransmitTimeouts of 5 ms, so 100 ms leaves
+// room for a dozen chained repairs while the stall ran for seconds.
+func TestSkewedLinksStayLive(t *testing.T) {
+	const n, msgs = 4, 1000
+	delays := [n][n]float64{ // from → to, µs; the diagonal is unused
+		{1099.912, 345.798, 1159.590, 1006.613},
+		{1007.433, 361.947, 922.274, 415.299},
+		{955.927, 1444.554, 962.457, 1102.027},
+		{853.968, 1057.327, 1360.131, 1456.806},
+	}
+	delay := func(from, to pdu.EntityID, _ *rand.Rand) time.Duration {
+		return time.Duration(delays[from][to] * float64(time.Microsecond))
+	}
+	wl := func() workload.Generator { return workload.NewInteractive(n, msgs, 128, 4*time.Millisecond, 8) }
+	var last time.Duration
+	for g := wl(); ; {
+		m, ok := g.Next()
+		if !ok {
+			break
+		}
+		last += m.Gap
+	}
+	c, err := New(Options{N: n, Trace: true,
+		Core: core.Config{DeferredAckInterval: time.Millisecond, RetransmitTimeout: 5 * time.Millisecond},
+		Net:  []network.Option{network.WithSeed(8), network.WithDelay(delay)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.LoadWorkload(wl())
+	const bound = 100 * time.Millisecond
+	if _, err := c.RunUntil(c.AllDelivered, last+bound); err != nil {
+		st := c.TotalStats()
+		t.Fatalf("%d of %d deliveries within %v of the last submission (at %v)",
+			st.Delivered, n*msgs, bound, last)
+	}
+	if lost := c.Net.Stats().Dropped(); lost != 0 {
+		t.Fatalf("zero-loss network dropped %d PDUs", lost)
+	}
+	a, err := c.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CheckCOService(); err != nil {
+		t.Fatal(err)
+	}
+	lat := c.TapSamples()
+	slices.Sort(lat)
+	st := c.TotalStats()
+	t.Logf("p50 %v, p99 %v; per message: %.2f PDUs, %.2f RET, %.2f retransmitted (all spurious: nothing was lost)",
+		lat[len(lat)/2], lat[len(lat)*99/100],
+		float64(st.DataSent+st.SyncSent+st.AckOnlySent+st.RetSent)/msgs,
+		float64(st.RetSent)/msgs, float64(st.Retransmitted)/msgs)
 }
