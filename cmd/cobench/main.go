@@ -430,9 +430,9 @@ func ablateDefer(quick bool) error {
 	}
 	tbl := metrics.NewTable(
 		"[A2] Ablation: deferred-ack interval (n=4, interactive workload)",
-		"interval", "total PDUs", "completion (virtual)")
+		"interval", "total PDUs", "last delivery (virtual)")
 	for _, r := range rows {
-		tbl.AddRow(r.Interval, r.TotalPDUs, r.CompletionVirtual.Round(time.Millisecond))
+		tbl.AddRow(r.Interval, r.TotalPDUs, r.LastDelivery.Round(10*time.Microsecond))
 	}
 	fmt.Print(tbl.String())
 	return nil

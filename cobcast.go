@@ -172,9 +172,15 @@ func WithDeferredAckInterval(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.deferredAckInterval = d })
 }
 
-// WithRetransmitTimeout sets the spacing of retransmission requests and
-// rebroadcasts, and the longest a node that owes receipt confirmations
-// waits after its last send before a late one. The default is 20ms.
+// WithRetransmitTimeout sets the spacing of retransmission requests for
+// newly detected losses: a node asks a source again for a new hole only
+// this long after its previous request to it, so one request covers a
+// whole loss burst. A request that went unanswered is repeated sooner,
+// after twice the confirmation round the node observes (never less than
+// WithDeferredAckInterval), doubling with each further repeat. This
+// option caps that wait, and how long a node that owes receipt
+// confirmations waits after its last send before a late one. The
+// default is 20ms.
 func WithRetransmitTimeout(d time.Duration) Option {
 	return optionFunc(func(o *options) { o.retransmitTimeout = d })
 }

@@ -24,12 +24,13 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// a sequenced PDU began vouching for its own acceptance at its source,
-// which drops a SYNC per DATA and moves when the rest go.
+// a RET whose range is still unanswered began to be re-sent after the
+// observed round instead of RetransmitTimeout, which moves when lost
+// repairs are re-asked and re-served.
 var pinnedMultiGroupDigests = []string{
-	"643c9f2e5918b8212ac5254236f0b8bddd2b62b5412b61fb453061b72386c0c1",
-	"5b1df5cabe36d4b365b9b474766e19e43fd96cfa33bfb2f1fe53af5b3f12f012",
-	"29ce7d57a6d6c4bad7577a21f130dbe8173be987841b231e5ca9887abe6bcd61",
+	"15d5d81d441ba3deb3b8153b7b8c608f3b75c86ca3292b87c07d59caf3345b02",
+	"133b13da580d3043d79af6b900bff49bef291722228525be264926995b6cb497",
+	"18e394b7a0772fa398f329c536c9321a5c220362f256211e825ff13359e6c14a",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network,

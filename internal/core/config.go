@@ -74,12 +74,16 @@ type Config struct {
 	// never sooner than this, and exactly this until it has timed a round
 	// or while flow-blocked.
 	DeferredAckInterval time.Duration
-	// RetransmitTimeout is the minimum spacing between RETs for one
-	// source (a re-request of a gap that has not closed and the first
-	// request for a new hole of that source both wait it out; each RET
-	// asks for every hole known when it goes), the minimum spacing
-	// between rebroadcasts of the same PDU, and the ceiling of the
-	// deferred confirmation deadline.
+	// RetransmitTimeout is the spacing of fresh-evidence RETs for one
+	// source: a request for a new hole waits it out after the previous
+	// RET for that source, and each RET asks for every hole known when
+	// it goes, so a loss burst is asked for once and its repairs share
+	// confirmation rounds. It is also the ceiling of the retry timeout —
+	// two observed confirmation rounds, never below DeferredAckInterval —
+	// after which a RET whose range is still unanswered is re-sent,
+	// doubling per further retry (RFC 6298 backoff), and half of which a
+	// source waits before it re-serves the same PDU; and the ceiling of
+	// the deferred confirmation deadline.
 	RetransmitTimeout time.Duration
 	// SuspectAfter, when positive, auto-evicts a peer that has stayed
 	// silent for this long while this entity owed the cluster
@@ -219,6 +223,9 @@ type Stats struct {
 	SyncSent    uint64
 	AckOnlySent uint64
 	RetSent     uint64
+	// RetRetries is the subset of RetSent that re-asked a range still
+	// unanswered since the previous RET for that source.
+	RetRetries uint64
 	// DataRecv, SyncRecv, AckOnlyRecv and RetRecv count valid received
 	// PDUs by kind (counted after validation, before duplicate checks).
 	DataRecv    uint64
@@ -284,6 +291,7 @@ func (s *Stats) Add(o Stats) {
 	s.SyncSent += o.SyncSent
 	s.AckOnlySent += o.AckOnlySent
 	s.RetSent += o.RetSent
+	s.RetRetries += o.RetRetries
 	s.DataRecv += o.DataRecv
 	s.SyncRecv += o.SyncRecv
 	s.AckOnlyRecv += o.AckOnlyRecv

@@ -60,7 +60,7 @@ type Entity struct {
 
 	// Loss bookkeeping (§4.3).
 	known      []pdu.Seq                 // strongest next-expected evidence per source
-	lastRetReq []time.Duration           // last RET issued per source
+	lastRetReq []retState                // last RET issued per source
 	lastRetx   map[pdu.Seq]time.Duration // last rebroadcast per own SEQ
 	// gapBits marks the sources j (j != me, non-evicted) with
 	// known[j] > req[j] — exactly the RET candidates — so
@@ -216,7 +216,7 @@ func New(cfg Config) (*Entity, error) {
 		sendlog:    make(map[pdu.Seq]*pdu.PDU),
 		sendLo:     1,
 		known:      make([]pdu.Seq, n),
-		lastRetReq: make([]time.Duration, n),
+		lastRetReq: make([]retState, n),
 		lastRetx:   make(map[pdu.Seq]time.Duration),
 		reqStamp:   vclock.NewStamp(n),
 		gapBits:    vclock.NewBits(n),
@@ -246,7 +246,7 @@ func New(cfg Config) (*Entity, error) {
 		e.req[j] = 1
 		e.known[j] = 1
 		e.buf[j] = BufferUnits
-		e.lastRetReq[j] = never
+		e.lastRetReq[j].at = never
 		e.parked[j] = make(map[pdu.Seq]*pdu.PDU)
 		e.al[j] = make([]pdu.Seq, n)
 		e.pal[j] = make([]pdu.Seq, n)
@@ -1006,20 +1006,27 @@ func (e *Entity) sampleRound(now time.Duration) {
 	e.probeSeq = 0
 }
 
+// retryAfter is the retry timeout: two observed rounds, never less than
+// DeferredAckInterval (all there is until the first clean sample) and
+// never more than RetransmitTimeout, so a stale estimate cannot hold a
+// retry or the liveness fallback past the fresh-evidence RET spacing. A
+// floor above the ceiling wins. It is the first wait before a RET re-asks
+// an unanswered range and the late-confirmation deadline, and its half
+// is the source's hold-off before it re-serves a PDU.
+func (e *Entity) retryAfter() time.Duration {
+	return max(min(2*e.srtt, e.cfg.RetransmitTimeout), e.cfg.DeferredAckInterval)
+}
+
 // lateAfter is how long after its last send an entity that owes the
-// cluster confirmations waits before a late one: two observed rounds,
-// never less than DeferredAckInterval (all there is until the first
-// clean sample) and never more than RetransmitTimeout, so a stale
-// estimate cannot hold the liveness fallback past the RET timer. A floor
-// above the ceiling wins. A flow-blocked entity waits only the floor:
-// its late confirmation is how it asks for the acknowledgments that
-// reopen its window, and a lost PDU can keep all-heard from asking
-// sooner for as long as repair takes.
+// cluster confirmations waits before a late one: the retry timeout. A
+// flow-blocked entity waits only the floor: its late confirmation is how
+// it asks for the acknowledgments that reopen its window, and a lost PDU
+// can keep all-heard from asking sooner for as long as repair takes.
 func (e *Entity) lateAfter() time.Duration {
 	if len(e.pendingSubmits) > 0 {
 		return e.cfg.DeferredAckInterval
 	}
-	return max(min(2*e.srtt, e.cfg.RetransmitTimeout), e.cfg.DeferredAckInterval)
+	return e.retryAfter()
 }
 
 // confirmDue reports whether a confirmation is due before the deadline:
@@ -1209,11 +1216,11 @@ func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
 const maxRetSpan = BufferUnits / UnitsPerPDU
 
 // maybeRequestRetx issues RET PDUs (retransmission action (1), §4.3) for
-// every source with outstanding gap evidence, rate-limited per source by
-// RetransmitTimeout. gapBits is maintained to hold exactly the sources
-// with known[j] > req[j] (j != me, non-evicted), so the common no-gap
-// case costs one word test per input instead of an O(n) scan; ascending
-// word iteration preserves the RET emission order of the old loop.
+// every source with outstanding gap evidence once retDue allows. gapBits
+// is maintained to hold exactly the sources with known[j] > req[j]
+// (j != me, non-evicted), so the common no-gap case costs one word test
+// per input instead of an O(n) scan; ascending word iteration preserves
+// the RET emission order of the old loop.
 //
 // One RET asks for the whole loss burst: its range [REQ, LSeq) ends one
 // past the last PDU still missing below known, and its held list names
@@ -1227,7 +1234,7 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 			j := wi<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			src := pdu.EntityID(j)
-			if now-e.lastRetReq[j] < e.cfg.RetransmitTimeout {
+			if now < e.retDue(j) {
 				continue
 			}
 			// The paper's F1 sets LSEQ to the SEQ of the revealing PDU,
@@ -1241,7 +1248,14 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 			if lseq <= req {
 				continue
 			}
-			e.lastRetReq[j] = now
+			r := &e.lastRetReq[j]
+			if e.retUnanswered(j) {
+				r.tries++
+				e.stats.RetRetries++
+			} else {
+				r.tries = 0
+			}
+			r.at, r.end = now, lseq
 			p, _ := e.newPDU(pdu.KindRet, 0)
 			p.LSrc, p.LSeq, p.Data = src, lseq, e.heldList(j, lseq)
 			e.spoke(pdu.KindRet, now)
@@ -1251,6 +1265,39 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 			e.fl(flight.EvRetRequest, src, e.req[j], pdu.KindRet, src, now)
 		}
 	}
+}
+
+// retState is the RET bookkeeping for one source: when the last RET
+// went (never before the first), the end (LSEQ) of its range, and the
+// retries sent since the last RET for fresh evidence.
+type retState struct {
+	at    time.Duration
+	end   pdu.Seq
+	tries int
+}
+
+// retUnanswered reports whether the last RET for source j still has a
+// hole: REQ[j] has not reached the end of its range (0 before any RET).
+func (e *Entity) retUnanswered(j int) bool { return e.req[j] < e.lastRetReq[j].end }
+
+// retDue is when the next RET for source j may go. A RET for fresh
+// evidence keeps RetransmitTimeout after the previous one, so a loss
+// burst is asked for in one RET and repairs share confirmation rounds
+// (spacing fresh RETs by the round instead costs two thirds more PDUs per
+// message at 5 % loss). A RET whose range is still unanswered lost itself
+// or its rebroadcast: it is re-asked after the retry timeout, doubled for
+// each retry already sent and capped at RetransmitTimeout (RFC 6298
+// §5.5), so a frozen source draws no more RETs than the fresh spacing.
+func (e *Entity) retDue(j int) time.Duration {
+	r := &e.lastRetReq[j]
+	if !e.retUnanswered(j) {
+		return r.at + e.cfg.RetransmitTimeout
+	}
+	wait := e.retryAfter()
+	for k := 0; k < r.tries && wait < e.cfg.RetransmitTimeout; k++ {
+		wait = min(2*wait, e.cfg.RetransmitTimeout)
+	}
+	return r.at + wait
 }
 
 // heldList returns the held list of a RET for source j with range
@@ -1268,8 +1315,13 @@ func (e *Entity) heldList(j int, lseq pdu.Seq) []byte {
 
 // handleRetForMe performs retransmission action (2) of §4.3: rebroadcast
 // the PDUs of the range the requester is missing — those its held list
-// does not name — bit-identical to the originals, with per-PDU rate
-// limiting so a burst of RETs does not amplify traffic.
+// does not name — bit-identical to the originals. A PDU is re-served at
+// most once per observed round (half the retry timeout): a RET that
+// arrives sooner was sent before the rebroadcast reached its requester,
+// so a burst of RETs does not amplify traffic, while a retry, which waits
+// two of its requester's rounds, is served even where the two estimates
+// differ. A hold-off of the whole retry timeout refused such retries
+// whenever the requester's estimate was the shorter one.
 func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 	from := r.ACK[e.me]
 	if from < e.sendLo {
@@ -1280,7 +1332,7 @@ func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 		if !ok || r.Holds(s) {
 			continue
 		}
-		if last, sent := e.lastRetx[s]; sent && now-last < e.cfg.RetransmitTimeout {
+		if last, sent := e.lastRetx[s]; sent && now-last < e.retryAfter()/2 {
 			continue
 		}
 		e.lastRetx[s] = now

@@ -391,60 +391,6 @@ func TestParkedDuplicateIgnored(t *testing.T) {
 	}
 }
 
-func TestRetRequestRateLimited(t *testing.T) {
-	e0, err := core.New(core.Config{ID: 0, N: 2, DisableDeferredConfirm: true,
-		RetransmitTimeout: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, err := core.New(core.Config{ID: 1, N: 2, DisableDeferredConfirm: true,
-		RetransmitTimeout: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit(t, e1, "m1") // lost
-	p2 := submit(t, e1, "m2")
-
-	out, err := e0.Receive(p2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.PDUs) != 1 || out.PDUs[0].Kind != pdu.KindRet {
-		t.Fatalf("first receive: %v", out.PDUs)
-	}
-	// Within the timeout: ticks must not re-request.
-	out = e0.Tick(5 * time.Millisecond)
-	if len(out.PDUs) != 0 {
-		t.Fatalf("re-requested within timeout: %v", out.PDUs)
-	}
-	// After the timeout the RET is retried.
-	out = e0.Tick(15 * time.Millisecond)
-	if len(out.PDUs) != 1 || out.PDUs[0].Kind != pdu.KindRet {
-		t.Fatalf("no retry after timeout: %v", out.PDUs)
-	}
-	if e0.Stats().RetSent != 2 {
-		t.Errorf("RetSent = %d, want 2", e0.Stats().RetSent)
-	}
-}
-
-func TestRetransmissionRateLimited(t *testing.T) {
-	ents := newScriptCluster(t, 2)
-	e0, e1 := ents[0], ents[1]
-	submit(t, e0, "m1") // lost
-	p2 := submit(t, e0, "m2")
-	out := receive(t, e1, p2)
-	ret := out.PDUs[0]
-
-	out = receive(t, e0, ret)
-	if len(out.PDUs) != 1 {
-		t.Fatalf("first RET: %d PDUs", len(out.PDUs))
-	}
-	out = receive(t, e0, ret) // duplicate RET at the same instant
-	if len(out.PDUs) != 0 {
-		t.Errorf("duplicate RET amplified traffic: %v", out.PDUs)
-	}
-}
-
 func TestSendLogTrimsAfterPreack(t *testing.T) {
 	ents := newScriptCluster(t, 2)
 	e0, e1 := ents[0], ents[1]

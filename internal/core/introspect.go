@@ -102,6 +102,7 @@ func (e *Entity) publishStats() {
 	pub(&m.F1Detections, s.F1Detections, &p.F1Detections)
 	pub(&m.F2Detections, s.F2Detections, &p.F2Detections)
 	pub(&m.RetServed, s.Retransmitted, &p.Retransmitted)
+	pub(&m.RetRetries, s.RetRetries, &p.RetRetries)
 	pub(&m.Preacked, s.Preacked, &p.Preacked)
 	pub(&m.Acked, s.Acked, &p.Acked)
 	pub(&m.Committed, s.Committed, &p.Committed)
@@ -164,6 +165,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		BufFree:        e.availBuf(),
 		BufUnits:       BufferUnits,
 		RoundUS:        e.srtt.Microseconds(),
+		RetryAfterUS:   e.retryAfter().Microseconds(),
 		LateAfterUS:    e.lateAfter().Microseconds(),
 		ParkedData:     e.parkedData,
 		DataResident:   e.dataResident,

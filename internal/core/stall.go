@@ -82,8 +82,13 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 			WaitingOn: []int{j},
 		}
 		verb := "no RET issued yet"
-		if e.lastRetReq[j] != never {
-			verb = fmt.Sprintf("RET outstanding for %v", now-e.lastRetReq[j])
+		if r := e.lastRetReq[j]; r.at != never {
+			next := e.retDue(j) - now
+			if next < 0 {
+				next = 0
+			}
+			verb = fmt.Sprintf("RET outstanding for %v, %d retries, next due in %v",
+				now-r.at, r.tries, next)
 		}
 		st.Reason = fmt.Sprintf(
 			"acceptance needs %s first (gap of %d, %d parked behind it); %s",

@@ -50,8 +50,10 @@ type DeferRow struct {
 	Interval time.Duration
 	// TotalPDUs counts every PDU broadcast during the run.
 	TotalPDUs uint64
-	// CompletionVirtual is the virtual time to quiescence.
-	CompletionVirtual time.Duration
+	// LastDelivery is the virtual time of the run's last delivery: rows
+	// with different intervals tick on different grids, so the time to
+	// quiescence, a multiple of the interval, would not compare them.
+	LastDelivery time.Duration
 }
 
 // AblationDeferredAck sweeps the deferred confirmation interval with a
@@ -68,15 +70,13 @@ func AblationDeferredAck(n int, intervals []time.Duration, msgs int) ([]DeferRow
 			return nil, err
 		}
 		c.LoadWorkload(workload.NewInteractive(n, msgs, 32, 10*time.Millisecond, 1))
-		done, err := c.RunToQuiescence(deadline)
-		if err != nil {
+		if _, err := c.RunToQuiescence(deadline); err != nil {
 			return nil, fmt.Errorf("ablation defer=%v: %w", iv, err)
 		}
-		st := c.TotalStats()
 		rows = append(rows, DeferRow{
-			Interval:          iv,
-			TotalPDUs:         originated(st),
-			CompletionVirtual: done,
+			Interval:     iv,
+			TotalPDUs:    originated(c.TotalStats()),
+			LastDelivery: c.LastDelivery(),
 		})
 	}
 	return rows, nil

@@ -272,16 +272,17 @@ func TestAblationDeferredAckShape(t *testing.T) {
 		t.Errorf("1ms interval sent %d PDUs, 20ms %d: want more at 1ms",
 			rows[0].TotalPDUs, rows[1].TotalPDUs)
 	}
-	// And it buys at most a link delay of completion time. It need not
-	// buy any: on a lossless run all-heard drives every round, and a
-	// late confirmation restarts the all-heard test, so the next
+	// And it buys at most a link delay of the last delivery's time. It
+	// need not buy any: on a lossless run all-heard drives every round,
+	// and a late confirmation restarts the all-heard test, so the next
 	// message's round 1 can wait one trip for a peer that has not spoken
-	// since — here the 1ms run's last message is delivered 1ms later than
-	// the 20ms run's. (Completion is read on each run's tick grid.)
+	// since — here the 1ms run's last message is delivered exactly one
+	// link delay later than the 20ms run's.
 	const link = time.Millisecond
-	if rows[1].CompletionVirtual+link < rows[0].CompletionVirtual {
-		t.Errorf("20ms interval finished more than a link delay before 1ms: %v vs %v",
-			rows[1].CompletionVirtual, rows[0].CompletionVirtual)
+	t.Logf("last delivery: %v at 1ms, %v at 20ms", rows[0].LastDelivery, rows[1].LastDelivery)
+	if rows[1].LastDelivery+link < rows[0].LastDelivery {
+		t.Errorf("20ms interval delivered its last message more than a link delay before 1ms: %v vs %v",
+			rows[1].LastDelivery, rows[0].LastDelivery)
 	}
 }
 

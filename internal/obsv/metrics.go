@@ -26,8 +26,10 @@ type EntityMetrics struct {
 	F1Detections, F2Detections Counter
 
 	// RetServed counts selective retransmissions this entity served
-	// from its sendlog in response to RET PDUs.
-	RetServed Counter
+	// from its sendlog in response to RET PDUs. RetRetries counts the
+	// RETs this entity sent that re-asked a range still unanswered
+	// (a subset of RetSent): the lost RETs and lost rebroadcasts.
+	RetServed, RetRetries Counter
 
 	// PACK/ACK transitions (§4.4–4.5) and the commit/delivery tail.
 	Preacked, Acked, Committed, Delivered Counter
@@ -280,11 +282,16 @@ type StateSnapshot struct {
 
 	// RoundUS is the smoothed time, in µs, an own DATA takes to be
 	// acknowledged by every live peer (0 until the first clean sample);
-	// LateAfterUS is the late-confirmation deadline in force: 2·RoundUS
-	// clamped to [DeferredAckInterval, RetransmitTimeout], and
-	// DeferredAckInterval while the window holds submissions back.
-	RoundUS     int64 `json:"round_us"`
-	LateAfterUS int64 `json:"late_after_us"`
+	// RetryAfterUS is the retry timeout: 2·RoundUS clamped to
+	// [DeferredAckInterval, RetransmitTimeout], the first wait before a
+	// RET re-asks an unanswered range (doubling per further retry up to
+	// RetransmitTimeout), and twice the hold-off before this entity
+	// re-serves a PDU; LateAfterUS is the late-confirmation deadline in
+	// force: the retry timeout, and DeferredAckInterval while the window
+	// holds submissions back.
+	RoundUS      int64 `json:"round_us"`
+	RetryAfterUS int64 `json:"retry_after_us"`
+	LateAfterUS  int64 `json:"late_after_us"`
 
 	// Memory-ledger state, present only when the engine runs with a
 	// byte budget (cobcast.WithMemoryBudget). LedgerBytes/LedgerPDUs

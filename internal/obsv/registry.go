@@ -209,6 +209,9 @@ var entityCounterFamilies = []entityFamily{
 	{"cobcast_retransmissions_served_total", "Selective retransmissions served from the send log.", []entitySample{
 		{"", func(m *EntityMetrics) *Counter { return &m.RetServed }},
 	}},
+	{"cobcast_ret_retries_total", "RET requests that re-asked a range still unanswered (a subset of pdus_sent{kind=\"ret\"}).", []entitySample{
+		{"", func(m *EntityMetrics) *Counter { return &m.RetRetries }},
+	}},
 	{"cobcast_preacked_total", "PDUs moved to the pre-acknowledged list (PACK transition).", []entitySample{
 		{"", func(m *EntityMetrics) *Counter { return &m.Preacked }},
 	}},

@@ -80,6 +80,7 @@ func TestRegistryCountersMatchEntityStats(t *testing.T) {
 			{"cobcast_loss_detections_total", map[string]string{"node": strconv.Itoa(i), "cond": "f1"}, s.F1Detections},
 			{"cobcast_loss_detections_total", map[string]string{"node": strconv.Itoa(i), "cond": "f2"}, s.F2Detections},
 			{"cobcast_retransmissions_served_total", node, s.Retransmitted},
+			{"cobcast_ret_retries_total", node, s.RetRetries},
 			{"cobcast_preacked_total", node, s.Preacked},
 			{"cobcast_acked_total", node, s.Acked},
 			{"cobcast_committed_total", node, s.Committed},

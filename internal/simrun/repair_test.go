@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cobcast/internal/core"
+	"cobcast/internal/flight"
 	"cobcast/internal/network"
 	"cobcast/internal/pdu"
 	"cobcast/internal/workload"
@@ -120,4 +121,127 @@ func TestSkewedLinksStayLive(t *testing.T) {
 		lat[len(lat)/2], lat[len(lat)*99/100],
 		float64(st.DataSent+st.SyncSent+st.AckOnlySent+st.RetSent)/msgs,
 		float64(st.RetSent)/msgs, float64(st.Retransmitted)/msgs)
+}
+
+// retTiming is the bench's repair configuration: a 1 ms retry floor and
+// a 5 ms fresh-evidence spacing.
+var retTiming = core.Config{DeferredAckInterval: time.Millisecond, RetransmitTimeout: 5 * time.Millisecond}
+
+// firstEvent returns the time of entity's first event of type typ for
+// (src, seq), or -1.
+func firstEvent(c *Cluster, entity int, typ flight.EventType, src pdu.EntityID, seq pdu.Seq) time.Duration {
+	for _, ev := range c.Streams()[entity] {
+		if ev.Type == typ && ev.Src == int32(src) && ev.Seq == uint64(seq) {
+			return time.Duration(ev.At)
+		}
+	}
+	return -1
+}
+
+// TestLostRebroadcastRetriedOnRound drops one DATA of entity 0 on its way
+// to entity 1 and then the rebroadcast that repairs it, on 200 µs links
+// where every entity sends and so has timed its round. The unanswered
+// RET is re-asked after two observed rounds and the source serves it
+// after one of its own, so the hole closes about 2 ms after the
+// rebroadcast was lost; with one RET timer it waited out the 5 ms
+// RetransmitTimeout.
+func TestLostRebroadcastRetriedOnRound(t *testing.T) {
+	const n = 4
+	var c *Cluster
+	var target pdu.Seq
+	var copies int
+	var lostAt time.Duration
+	drop := func(from, to pdu.EntityID, in network.Inbound) bool {
+		if from != 0 || to != 1 {
+			return false
+		}
+		for _, p := range in.PDUs {
+			if p.Kind == pdu.KindData && target == 0 && p.SEQ >= 6 {
+				target = p.SEQ
+			}
+			if p.Kind == pdu.KindData && p.SEQ == target {
+				if copies++; copies == 2 {
+					lostAt = c.Sim.Now()
+				}
+				return copies <= 2
+			}
+		}
+		return false
+	}
+	c, err := New(Options{N: n, Trace: true, Core: retTiming,
+		Net: []network.Option{network.WithUniformDelay(200 * time.Microsecond), network.WithDropFilter(drop)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		c.SubmitAt(pdu.EntityID(i%n), []byte{byte(i)}, time.Duration(i)*time.Millisecond)
+	}
+	if _, err := c.RunToQuiescence(virtualDeadline); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CheckCOService(); err != nil {
+		t.Fatal(err)
+	}
+	if copies != 3 {
+		t.Fatalf("entity 0's SEQ %d reached entity 1 on try %d, want the original and one rebroadcast lost", target, copies)
+	}
+	closed := firstEvent(c, 1, flight.EvAccept, 0, target) - lostAt
+	t.Logf("SEQ %d: rebroadcast lost at %v, hole closed %v later", target, lostAt, closed)
+	if closed > 2500*time.Microsecond {
+		t.Errorf("hole closed %v after the rebroadcast was lost, want about 2 ms", closed)
+	}
+}
+
+// TestFrozenSourceRetsAtCeiling freezes entity 0 with a hole of its
+// stream open at entity 1 and counts the RETs entity 1 sends toward it
+// until it evicts it, one suspicion window later. The retry backoff
+// reaches RetransmitTimeout within a few retries, so a frozen source
+// draws at most a few more RETs than one RetransmitTimeout timer sent
+// (20 over this window).
+func TestFrozenSourceRetsAtCeiling(t *testing.T) {
+	const n, oneTimer = 4, 20
+	var first pdu.Seq
+	drop := func(from, to pdu.EntityID, in network.Inbound) bool {
+		for _, p := range in.PDUs {
+			if from == 0 && to == 1 && p.Kind == pdu.KindData && (first == 0 || p.SEQ == first) {
+				first = p.SEQ
+				return true
+			}
+		}
+		return false
+	}
+	cfg := retTiming
+	cfg.SuspectAfter = 100 * time.Millisecond
+	c, err := New(Options{N: n, Trace: true, Core: cfg,
+		Net: []network.Option{network.WithUniformDelay(500 * time.Microsecond), network.WithDropFilter(drop)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		c.SubmitAt(pdu.EntityID(i%n), []byte{byte(i)}, time.Duration(i)*time.Millisecond)
+	}
+	const freezeAt = 5 * time.Millisecond
+	c.Sim.At(freezeAt, func() { c.Freeze(0) })
+	c.Sim.RunFor(time.Second)
+	var rets int
+	evicted := time.Duration(-1)
+	for _, ev := range c.Streams()[1] {
+		switch {
+		case ev.Type == flight.EvRetRequest && ev.Peer == 0 && time.Duration(ev.At) >= freezeAt:
+			rets++
+		case ev.Type == flight.EvEvict && ev.Peer == 0:
+			evicted = time.Duration(ev.At)
+		}
+	}
+	if evicted < 0 {
+		t.Fatalf("entity 1 never evicted the frozen source (stats %+v)", c.Entities[1].Stats())
+	}
+	t.Logf("%d RETs toward the frozen source, evicted at %v", rets, evicted)
+	if rets > oneTimer+3 {
+		t.Errorf("%d RETs toward a frozen source in one suspicion window, want at most %d", rets, oneTimer+3)
+	}
 }

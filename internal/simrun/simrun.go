@@ -120,6 +120,8 @@ type Cluster struct {
 	// Tap[i] per-message application-to-application delay samples for
 	// deliveries at entity i (Figure 8's Tap).
 	tapSamples []time.Duration
+	// lastDelivery is the virtual time of the latest delivery anywhere.
+	lastDelivery time.Duration
 }
 
 // node is one simulated process. Its shards share it as their Frames
@@ -340,6 +342,9 @@ func (nd *node) Deliver(g uint32, in groups.Inbound, fn func(p *pdu.PDU)) {
 // deliver records one engine output's deliveries at entity id and their
 // Tap samples.
 func (c *Cluster) deliver(id pdu.EntityID, batch []core.Delivery) {
+	if len(batch) > 0 {
+		c.lastDelivery = c.Sim.Now()
+	}
 	for _, d := range batch {
 		c.Delivered[id] = append(c.Delivered[id], d)
 		if sent, ok := c.sendTimes[trace.MsgID{Src: d.Src, Seq: d.SEQ}]; ok {
@@ -476,6 +481,11 @@ func (c *Cluster) RunUntil(done func() bool, deadline time.Duration) (time.Durat
 	}
 	return c.Sim.Now(), fmt.Errorf("simrun: deadline %v: completion condition not met", deadline)
 }
+
+// LastDelivery returns the virtual time of the latest delivery at any
+// entity (0 before the first). Unlike RunToQuiescence's result it is not
+// rounded up to the tick grid, so runs with different ticks compare.
+func (c *Cluster) LastDelivery() time.Duration { return c.lastDelivery }
 
 // TapSamples returns the application-to-application delivery delays
 // (Figure 8's Tap) observed so far.
