@@ -1,7 +1,7 @@
 // The pinned micro contracts: the benchmark families whose ns/op and
 // allocs/op rows bench_pins.json carries and scripts/benchdiff gates
 // (`make benchdiff`; CI gates the allocs half). They guard the engine's
-// per-PDU cost curve (Fig8Tco and its Dense/Recorded variants) and the
+// per-PDU cost curve (Fig8Tco and its Recorded variant) and the
 // 0-alloc steady state of the codec, frame and pipeline hot paths.
 // Everything the paper's evaluation reports is reproduced by
 // cmd/cobench over internal/experiments, and what an application feels
@@ -29,9 +29,8 @@ import (
 // hotSizes sweeps the hot-path benchmarks (Fig8Tco, HotPathPipeline) up
 // to the cluster scales the delta-stamp codec targets: the O(n) ACK
 // vector only dominates the wire and fold cost from n≈64 up (experiment
-// E12). The n=256 point is where the sparse fold engine's
-// amortized-O(changed) claim is measured against the dense baseline
-// (experiment E17).
+// E12), and each received PDU's fold scans all n entries (experiment
+// E17).
 var hotSizes = []int{2, 4, 8, 16, 64, 128, 256}
 
 // benchReplay times core.Entity.Receive over the PDU stream entity 0 saw
@@ -66,15 +65,6 @@ func benchReplay(b *testing.B, cfg func(n int) core.Config) {
 // is O(n) growth.
 func BenchmarkFig8Tco(b *testing.B) {
 	benchReplay(b, func(n int) core.Config { return core.Config{ID: 0, N: n} })
-}
-
-// BenchmarkFig8TcoDense is BenchmarkFig8Tco with the sparse ACK-fold
-// fast paths disabled (core.Config.DenseFold): the dense reference
-// arithmetic every stamp operation falls back to. The Fig8Tco/Fig8TcoDense
-// ratio at each n is experiment E17's fold-cost curve — the dense engine
-// pays O(n) per PDU while the sparse engine amortizes to O(changed).
-func BenchmarkFig8TcoDense(b *testing.B) {
-	benchReplay(b, func(n int) core.Config { return core.Config{ID: 0, N: n, DenseFold: true} })
 }
 
 // BenchmarkFig8TcoRecorded is BenchmarkFig8Tco with the flight recorder

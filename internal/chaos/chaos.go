@@ -259,7 +259,6 @@ func run(cfg Config, reg *obsv.Registry, tap func(to, from pdu.EntityID, p *pdu.
 		N: cfg.N,
 		Core: core.Config{
 			TotalOrder: cfg.TotalOrder,
-			DenseFold:  cfg.DenseFold,
 			// SuspectAfter stays zero for classic runs: eviction would
 			// legitimately shed a paused entity, and information-preserved
 			// requires all N to deliver everything. Stalled runs are the

@@ -53,11 +53,6 @@ type Config struct {
 	// TotalOrder runs the cluster in TO mode and additionally checks
 	// total-order preservation.
 	TotalOrder bool `json:"total_order,omitempty"`
-	// DenseFold disables the engines' sparse ACK-fold fast paths so the
-	// run exercises the dense reference arithmetic. The two modes must
-	// be byte-identical in every trace digest — the differential tests
-	// replay the same seed both ways to pin that equivalence.
-	DenseFold bool `json:"dense_fold,omitempty"`
 
 	// Workload names the traffic shape (see the Workload constants);
 	// Messages is the total submission count and PayloadSize the

@@ -16,15 +16,12 @@ import (
 // is the frame decoder's scratch, overwritten by the next decode and
 // never retained, so the byte path — wire version 2, and every run of
 // several groups — fingerprints the sequenced ones.)
-// Every other seed runs the DenseFold reference mode, whose retention
-// path once dropped the arriving PDU's Delta in place.
 func TestPDUsStayUnwritten(t *testing.T) {
 	shared := 0 // arrivals of a PDU another arrival already brought
 	for seed := int64(1); seed <= 64; seed++ {
 		for _, wire := range []int{0, 2} {
 			cfg := FromSeed(seed)
 			cfg.WireVersion = wire
-			cfg.DenseFold = seed%2 == 0
 			bytePath := wire == 2 || cfg.Groups > 1
 			first := make(map[*pdu.PDU]string)
 			arrivals := 0

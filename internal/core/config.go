@@ -125,14 +125,6 @@ type Config struct {
 	// delivery latency because a message is held until every source has
 	// confirmed past it.
 	TotalOrder bool
-	// DenseFold disables the sparse ACK-fold fast paths: the entity
-	// ignores Delta annotations on received PDUs and does not annotate
-	// its own broadcasts, so every fold scans all n ACK entries. The
-	// sparse paths claim to be exact, and the differential chaos test
-	// replays identical seeds with and without DenseFold demanding
-	// byte-identical trace digests. Production configurations leave it
-	// false; benchmarks use it to measure the dense baseline (E17).
-	DenseFold bool
 }
 
 // Configuration errors.

@@ -39,16 +39,6 @@ type Entity struct {
 	pal [][]pdu.Seq // like al, but folded from pre-acknowledged PDUs only
 	buf []uint32    // buf[j]: advertised free buffer units at j
 
-	// reqStamp mirrors req with dirty-column tracking (DESIGN.md §2l).
-	// accept is the only site that advances req, and it raises reqStamp
-	// in lockstep; ClearDirty runs in broadcastSequenced between the ACK
-	// snapshot and the self-accept, so the dirty set at the next
-	// sequenced send is exactly the set of ACK entries that changed
-	// since the previous one — the Delta annotation. sendAckOnly does
-	// not clear it: the annotation's reference is the previous
-	// *sequenced* PDU.
-	reqStamp vclock.Stamp
-
 	// Receipt logs (§4.2, §4.4, §4.5).
 	rrl    []msglog.Log           // accepted, awaiting pre-acknowledgment
 	prl    msglog.Log             // pre-acknowledged, causality-ordered
@@ -218,7 +208,6 @@ func New(cfg Config) (*Entity, error) {
 		known:      make([]pdu.Seq, n),
 		lastRetReq: make([]retState, n),
 		lastRetx:   make(map[pdu.Seq]time.Duration),
-		reqStamp:   vclock.NewStamp(n),
 		gapBits:    vclock.NewBits(n),
 		unheard:    vclock.NewBits(n),
 		dataHi:     make([]pdu.Seq, n),
@@ -261,10 +250,6 @@ func New(cfg Config) (*Entity, error) {
 		e.rrl[j].Reserve(n, 8)
 		e.ackedQ[j].Reserve(n, 8)
 	}
-	for j := 0; j < n; j++ {
-		e.reqStamp.Raise(j, 1)
-	}
-	e.reqStamp.ClearDirty() // the initial all-ones vector is the epoch
 	e.alive.Fill(n)
 	e.unheard.CopyFrom(e.alive)
 	e.unheard.Clear(int(e.me))
@@ -319,7 +304,7 @@ func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
 // Receive processes one PDU from the network. It retains sequenced PDUs
 // (KindData/KindSync) in the receipt logs and never writes any PDU, so
 // one PDU may be handed to every receiver of a broadcast, but callers
-// must not reuse or write p or its ACK/Data/Delta afterwards. Control
+// must not reuse or write p or its ACK/Data afterwards. Control
 // PDUs (KindAckOnly/KindRet) are only read during the call and may live
 // in caller-owned scratch storage.
 func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
@@ -351,16 +336,8 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	}
 
 	e.noteHeard(p.Src, now)
-	// A Delta annotation is usable for sparse folding only when the
-	// reference PDU (same source, SEQ-1) was itself folded here — either
-	// accepted (SEQ-1 < req) or parked. Sender-side annotations arrive on
-	// any path, including ones where the predecessor was lost, so the
-	// chain argument the fast paths rest on must be established per
-	// arrival rather than assumed from the wire codec.
-	sparseOK := p.Delta != nil && !e.cfg.DenseFold && p.SEQ >= 2 &&
-		(p.SEQ-1 < e.req[p.Src] || e.parked[p.Src][p.SEQ-1] != nil)
-	e.foldInfo(p, sparseOK)
-	e.detectGaps(p, sparseOK)
+	e.foldInfo(p)
+	e.detectGaps(p)
 	// Any PDU flagged NeedAck solicits a confirmation round — including
 	// control PDUs from window-blocked entities, which cannot emit
 	// sequenced PDUs to ask for help.
@@ -428,27 +405,13 @@ const maxKeptDeliveries = 1 << 14
 // only strengthens knowledge; delivery safety rests on PAL, which folds
 // strictly from pre-acknowledged sequenced PDUs as in the paper. A
 // sequenced PDU also vouches for its own acceptance at its source.
-func (e *Entity) foldInfo(p *pdu.PDU, sparseOK bool) {
+func (e *Entity) foldInfo(p *pdu.PDU) {
 	if p.Src == e.me {
 		return
 	}
-	if sparseOK {
-		// Delta fast path: entries outside p.Delta are bit-identical to
-		// the same source's previous sequenced PDU, which sparseOK
-		// proves was folded here when it arrived (foldInfo runs on
-		// arrival for every kind, parked or not), so al[k][p.Src]
-		// already holds those values. Folding only the changed entries
-		// is exact, O(|Delta|) amortized per PDU.
-		for _, k := range p.Delta {
-			if p.ACK[k] > e.al[k][p.Src] {
-				e.raiseAL(int(k), p.Src, p.ACK[k])
-			}
-		}
-	} else {
-		for k := 0; k < e.n; k++ {
-			if p.ACK[k] > e.al[k][p.Src] {
-				e.raiseAL(k, p.Src, p.ACK[k])
-			}
+	for k := 0; k < e.n; k++ {
+		if p.ACK[k] > e.al[k][p.Src] {
+			e.raiseAL(k, p.Src, p.ACK[k])
 		}
 	}
 	// A sequenced PDU proves that its source accepted it: the source
@@ -533,36 +496,18 @@ func (e *Entity) markPackDirty(k pdu.EntityID) {
 // beyond REQ reveals a gap at its own source) and F2 (an ACK entry beyond
 // REQ reveals a gap at another source). Evidence is recorded in known;
 // maybeRequestRetx turns it into RET PDUs.
-func (e *Entity) detectGaps(p *pdu.PDU, sparseOK bool) {
-	if sparseOK {
-		// Delta fast path: an unchanged ACK entry already served as F2
-		// evidence when the reference PDU arrived (same chain argument
-		// as foldInfo), so only the changed entries can strengthen
-		// known. The F1 rules below stay unconditional — they read SEQ
-		// and the sender's own entry, not the vector.
-		for _, j := range p.Delta {
-			if pdu.EntityID(j) == p.Src || pdu.EntityID(j) == e.me {
-				continue
-			}
-			if p.ACK[j] > e.known[j] {
-				e.known[j] = p.ACK[j] // F2
-				e.stats.F2Detections++
-				e.noteGap(int(j))
-			}
+func (e *Entity) detectGaps(p *pdu.PDU) {
+	for j := 0; j < e.n; j++ {
+		if pdu.EntityID(j) == p.Src || pdu.EntityID(j) == e.me {
+			continue
 		}
-	} else {
-		for j := 0; j < e.n; j++ {
-			if pdu.EntityID(j) == p.Src || pdu.EntityID(j) == e.me {
-				continue
-			}
-			if p.ACK[j] > e.known[j] {
-				// known[j] never trails req[j], so strengthened evidence
-				// always names PDUs this entity has not accepted: a
-				// detection, not a confirmation.
-				e.known[j] = p.ACK[j] // F2
-				e.stats.F2Detections++
-				e.noteGap(j)
-			}
+		if p.ACK[j] > e.known[j] {
+			// known[j] never trails req[j], so strengthened evidence
+			// always names PDUs this entity has not accepted: a
+			// detection, not a confirmation.
+			e.known[j] = p.ACK[j] // F2
+			e.stats.F2Detections++
+			e.noteGap(j)
 		}
 	}
 	if p.Kind.Sequenced() && p.Src != e.me && p.SEQ+1 > e.known[p.Src] {
@@ -599,15 +544,6 @@ func (e *Entity) noteGap(j int) {
 // receiveSequenced applies the acceptance condition p.SEQ == REQ (§4.2),
 // parking out-of-order PDUs and draining repairs in order.
 func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
-	if e.cfg.DenseFold && p.Delta != nil {
-		// Retaining a copy without the annotation keeps every later
-		// stage (PAL fold, commit closure, TO stamp, log bounds) on the
-		// dense scans. p itself is shared with the other receivers and
-		// must not be written.
-		q := *p
-		q.Delta = nil
-		p = &q
-	}
 	src := p.Src
 	switch {
 	case p.SEQ < e.req[src]:
@@ -649,7 +585,6 @@ func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
 func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 	src := p.Src
 	e.req[src] = p.SEQ + 1
-	e.reqStamp.Raise(int(src), uint64(p.SEQ+1))
 	// Own column of AL is direct knowledge: we just accepted through SEQ.
 	e.raiseAL(int(src), e.me, e.req[src])
 	if e.req[src] > e.known[src] {
@@ -717,22 +652,9 @@ func (e *Entity) runPack() {
 			// predecessor p from source j is delivered before q leans on
 			// column j of PAL advancing past q.SEQ only via a PDU from j
 			// that sits behind p in RRL_j's FIFO.
-			if d := p.Delta; d != nil {
-				// Delta fast path: RRL_k dequeues in SEQ order, so the
-				// reference PDU (SEQ-1 from k) folded its full vector
-				// into column k on an earlier pass; only the changed
-				// entries can advance PAL. Exact for the same reason
-				// as foldInfo.
-				for _, m := range d {
-					if p.ACK[m] > e.pal[m][k] {
-						e.raisePAL(int(m), pdu.EntityID(k), p.ACK[m])
-					}
-				}
-			} else {
-				for m := 0; m < e.n; m++ {
-					if p.ACK[m] > e.pal[m][k] {
-						e.raisePAL(m, pdu.EntityID(k), p.ACK[m])
-					}
+			for m := 0; m < e.n; m++ {
+				if p.ACK[m] > e.pal[m][k] {
+					e.raisePAL(m, pdu.EntityID(k), p.ACK[m])
 				}
 			}
 			// p's own acceptance at k, implied as in foldInfo. This write
@@ -847,23 +769,6 @@ func (e *Entity) commitReady(now time.Duration, out *Output) {
 func (e *Entity) depsCommitted(p *pdu.PDU) bool {
 	if e.committed[p.Src] != p.SEQ-1 {
 		return false
-	}
-	if d := p.Delta; d != nil && p.SEQ >= 2 {
-		// Delta fast path: the first test just proved p's same-source
-		// predecessor committed here, so the predecessor's dependencies
-		// were checked against the committed frontier at that commit —
-		// and committed[] only advances. Entries outside d equal the
-		// predecessor's, hence are already satisfied; only the changed
-		// entries need checking, O(|d|).
-		for _, k := range d {
-			if pdu.EntityID(k) == p.Src {
-				continue
-			}
-			if e.committed[k]+1 < p.ACK[k] {
-				return false
-			}
-		}
-		return true
 	}
 	for k := 0; k < e.n; k++ {
 		if pdu.EntityID(k) == p.Src {
@@ -1129,33 +1034,10 @@ func (e *Entity) noteCoverage(j int) {
 // broadcastSequenced performs the transmission action of §4.2: stamp SEQ
 // and the ACK vector, retain for retransmission, self-accept, broadcast.
 // The ACK vector is captured before self-acceptance, so the own entry
-// equals SEQ — matching Table 1 of the paper.
-//
-// The PDU is annotated with the sparse Delta when the dirty-column set
-// is below the density threshold: reqStamp's dirty set is exactly the
-// ACK entries that changed since the previous sequenced send (SEQ-1),
-// which is the annotation's contract. ACK and Delta are carved from a
-// single slab so the annotation adds no allocation; the epoch resets
-// (ClearDirty) before the self-accept so the own column — which changes
-// on every send — lands in the next PDU's dirty set. late marks a
-// confirmation the deadline fired.
+// equals SEQ — matching Table 1 of the paper. late marks a confirmation
+// the deadline fired.
 func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late bool, now time.Duration, out *Output) {
-	c := 0
-	annotate := e.seq > 1 && !e.cfg.DenseFold && !e.reqStamp.Dense()
-	if annotate {
-		c = e.reqStamp.NDirty()
-	}
-	p, spare := e.newPDU(kind, c)
-	if annotate {
-		p.Delta = spare[:0]
-		for wi, w := range e.reqStamp.Dirty() {
-			for w != 0 {
-				p.Delta = append(p.Delta, pdu.Seq(wi<<6+bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-	}
-	e.reqStamp.ClearDirty()
+	p := e.newPDU(kind)
 	p.SEQ = e.seq
 	// Credit the send before the self-accept, so that an own DATA owes
 	// its round 2 afresh.
@@ -1182,27 +1064,24 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 }
 
 // newPDU allocates an outgoing PDU of the given kind carrying what every
-// kind carries — CID, SRC, the ACK vector as a snapshot of REQ, BUF —
-// and returns it with spare stamp storage of the given length, carved
-// from the same allocation as the ACK vector (and, in a small cluster,
-// as the PDU itself: pdu.New).
-func (e *Entity) newPDU(kind pdu.Kind, spare int) (*pdu.PDU, []pdu.Seq) {
-	p, slab := pdu.New(e.n + spare)
+// kind carries — CID, SRC, the ACK vector as a snapshot of REQ, BUF.
+// In a small cluster the ACK vector shares the PDU's allocation
+// (pdu.New).
+func (e *Entity) newPDU(kind pdu.Kind) *pdu.PDU {
+	p, slab := pdu.New(e.n)
 	p.Kind, p.CID, p.Src, p.LSrc = kind, e.cfg.ClusterID, e.me, pdu.NoEntity
 	p.ACK = slab[:e.n:e.n]
 	copy(p.ACK, e.req)
 	p.BUF = e.availBuf()
-	return p, slab[e.n:]
+	return p
 }
 
 // sendAckOnly emits the unsequenced control PDU that keeps receipt
 // confirmations moving when the flow window is closed. Its ACK vector
 // discharges the confirmation obligation of everything received so far,
-// exactly like a sequenced send. reqStamp's dirty epoch is NOT reset:
-// the Delta annotation's reference is the previous *sequenced* PDU, and
-// this send is unsequenced.
+// exactly like a sequenced send.
 func (e *Entity) sendAckOnly(late bool, now time.Duration, out *Output) {
-	p, _ := e.newPDU(pdu.KindAckOnly, 0)
+	p := e.newPDU(pdu.KindAckOnly)
 	e.spoke(pdu.KindAckOnly, now)
 	p.NeedAck = e.solicits(late)
 	e.stats.AckOnlySent++
@@ -1256,7 +1135,7 @@ func (e *Entity) maybeRequestRetx(now time.Duration, out *Output) {
 				r.tries = 0
 			}
 			r.at, r.end = now, lseq
-			p, _ := e.newPDU(pdu.KindRet, 0)
+			p := e.newPDU(pdu.KindRet)
 			p.LSrc, p.LSeq, p.Data = src, lseq, e.heldList(j, lseq)
 			e.spoke(pdu.KindRet, now)
 			out.PDUs = append(out.PDUs, p)

@@ -50,13 +50,17 @@ func FuzzReceiveWire(f *testing.F) {
 
 // FuzzReceiveCrafted builds structurally valid but adversarial PDUs
 // (wild sequence numbers, huge ACK entries, inconsistent RET ranges and
-// held lists, any Delta annotation) and checks the entity neither panics
-// nor violates basic invariants. The entity has sent four DATA PDUs
-// first, so a RET for it has something to serve: it may serve only SEQs
-// of the RET's range its held list does not name, and nothing at all in
-// answer to any other PDU. It hands the entity the same PDU three times,
-// as a shared network does, and checks Receive never wrote it — with the
-// sparse fold and with DenseFold.
+// held lists, ACK vectors that go backwards) and checks the entity
+// neither panics nor violates basic invariants. The entity has sent four
+// DATA PDUs first, so a RET for it has something to serve: it may serve
+// only SEQs of the RET's range its held list does not name, and nothing
+// at all in answer to any other PDU. It hands the entity each PDU three
+// times, as a shared network does, and checks Receive never wrote it.
+//
+// Bit 4 of back follows the PDU with a second sequenced PDU from the
+// same source at SEQ+1 whose ACK entries picked by bits 0–2 are one
+// lower than the first's: a source's successive vectors need not be
+// monotone on the wire, and every fold must keep the larger value.
 func FuzzReceiveCrafted(f *testing.F) {
 	f.Add(uint8(1), uint8(1), uint64(1), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false, uint8(0), []byte(nil))
 	f.Add(uint8(2), uint8(4), uint64(1<<60), uint64(9), uint64(0), uint64(1<<62), uint8(1), uint64(1<<61), true, uint8(0x15), []byte(nil))
@@ -72,8 +76,11 @@ func FuzzReceiveCrafted(f *testing.F) {
 	// A DATA far ahead of its source's stream and an ACK entry further
 	// still: the requester's RET must not size a held list on that span.
 	f.Add(uint8(1), uint8(0), uint64(1<<60), uint64(1), uint64(1<<62), uint64(1), uint8(0), uint64(0), false, uint8(0), []byte(nil))
+	// A DATA then a SYNC from source 1 whose entries for 0 and 2 fall
+	// back from 3 to 2.
+	f.Add(uint8(1), uint8(0), uint64(1), uint64(3), uint64(1), uint64(3), uint8(0), uint64(0), true, uint8(0x15), []byte(nil))
 	f.Fuzz(func(t *testing.T, srcRaw, kindRaw uint8, seq, a0, a1, a2 uint64,
-		lsrcRaw uint8, lseq uint64, need bool, deltaRaw uint8, held []byte) {
+		lsrcRaw uint8, lseq uint64, need bool, back uint8, held []byte) {
 		kinds := []pdu.Kind{pdu.KindData, pdu.KindSync, pdu.KindAckOnly, pdu.KindRet}
 		p := &pdu.PDU{
 			Kind:    kinds[int(kindRaw)%len(kinds)],
@@ -90,47 +97,56 @@ func FuzzReceiveCrafted(f *testing.F) {
 			p.LSeq = pdu.Seq(lseq | 1)
 			p.Data = held
 		}
-		// Bit 4 attaches a Delta; bits 0–3 pick its indices, index 3
-		// being out of range for n = 3.
-		if deltaRaw&0x10 != 0 {
-			p.Delta = []pdu.Seq{}
-			for k := pdu.Seq(0); k < 4; k++ {
-				if deltaRaw&(1<<k) != 0 {
-					p.Delta = append(p.Delta, k)
+		in := []*pdu.PDU{p}
+		if back&0x10 != 0 {
+			q := &pdu.PDU{Kind: pdu.KindSync, Src: p.Src, SEQ: p.SEQ + 1,
+				ACK: append([]pdu.Seq(nil), p.ACK...), NeedAck: need, LSrc: pdu.NoEntity}
+			if p.Kind == pdu.KindData {
+				q.Kind, q.Data = pdu.KindData, []byte("next")
+			}
+			for k := range q.ACK {
+				if back&(1<<k) != 0 && q.ACK[k] > 0 {
+					q.ACK[k]--
 				}
 			}
+			in = append(in, q)
 		}
-		want := p.Clone().OwnDelta()
-		servable := p.Kind == pdu.KindRet && p.LSrc == 0 && p.Validate(3) == nil
-		for _, dense := range []bool{false, true} {
-			e, err := core.New(core.Config{ID: 0, N: 3, DenseFold: dense})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 4; i++ {
-				e.Submit([]byte{byte(i)}, 0)
-			}
-			sent := e.Seq()
+		want := make([]*pdu.PDU, len(in))
+		for i, p := range in {
+			want[i] = p.Clone()
+		}
+		e, err := core.New(core.Config{ID: 0, N: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			e.Submit([]byte{byte(i)}, 0)
+		}
+		sent := e.Seq()
+		for j, p := range in {
+			servable := p.Kind == pdu.KindRet && p.LSrc == 0 && p.Validate(3) == nil
 			for i := 0; i < 3; i++ {
-				out, _ := e.Receive(p, time.Duration(i)*time.Millisecond)
+				out, _ := e.Receive(p, time.Duration(3*j+i)*time.Millisecond)
 				for _, q := range out.PDUs {
 					if !q.Kind.Sequenced() || q.SEQ >= sent {
 						continue // a control PDU or a fresh confirmation
 					}
 					if !servable || q.SEQ < p.ACK[0] || q.SEQ >= p.LSeq || p.Holds(q.SEQ) {
-						t.Fatalf("DenseFold=%v: served SEQ %d in answer to %v", dense, q.SEQ, want)
+						t.Fatalf("served SEQ %d in answer to %v", q.SEQ, want[j])
 					}
 				}
 			}
-			// Ticks after adversarial input must not panic either.
-			for i := 0; i < 3; i++ {
-				e.Tick(time.Duration(10+i) * 10 * time.Millisecond)
-			}
-			if e.Resident() < 0 {
-				t.Fatal("negative residency")
-			}
-			if !reflect.DeepEqual(p, want) {
-				t.Fatalf("DenseFold=%v: Receive wrote the PDU: %+v, was %+v", dense, p, want)
+		}
+		// Ticks after adversarial input must not panic either.
+		for i := 0; i < 3; i++ {
+			e.Tick(time.Duration(10+i) * 10 * time.Millisecond)
+		}
+		if e.Resident() < 0 {
+			t.Fatal("negative residency")
+		}
+		for j, p := range in {
+			if !reflect.DeepEqual(p, want[j]) {
+				t.Fatalf("Receive wrote the PDU: %+v, was %+v", p, want[j])
 			}
 		}
 	})

@@ -205,11 +205,8 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			fail("ledger holds %d B / %d PDUs, the logs retain %d B / %d PDUs", l.Bytes(), l.PDUs(), bytes, pdus)
 		}
 	}
-	// The sparse-engine bitmaps always mirror the dense state they cache.
+	// The bitmaps always mirror the dense state they cache.
 	for k := 0; k < e.n; k++ {
-		if got := e.reqStamp.Get(k); got != uint64(e.req[k]) {
-			fail("reqStamp[%d]=%d != req=%d", k, got, e.req[k])
-		}
 		if got, want := e.alive.Test(k), !e.evicted[k]; got != want {
 			fail("alive[%d]=%v, evicted=%v", k, got, e.evicted[k])
 		}

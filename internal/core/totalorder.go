@@ -110,27 +110,10 @@ func (s *toState) ltimeOf(k pdu.EntityID, seq pdu.Seq) uint64 {
 func (e *Entity) onCommitTotal(p *pdu.PDU) {
 	s := e.to
 	var lt uint64
-	if d := p.Delta; d != nil && p.SEQ >= 2 {
-		// Delta fast path: the own column changes on every PDU
-		// (ACK[src] = SEQ), so src ∈ Delta and the max includes
-		// ltime(pred) = ltime(src, SEQ-1). Every unchanged reference
-		// equals one of pred's references, whose ltime is < ltime(pred)
-		// by construction, so restricting the max to the changed
-		// entries is exact (induction down the chain to the dense base
-		// case SEQ = 1).
-		for _, k := range d {
-			if p.ACK[k] >= 2 {
-				if v := s.ltimeOf(pdu.EntityID(k), p.ACK[k]-1); v > lt {
-					lt = v
-				}
-			}
-		}
-	} else {
-		for k := 0; k < e.n; k++ {
-			if p.ACK[k] >= 2 {
-				if v := s.ltimeOf(pdu.EntityID(k), p.ACK[k]-1); v > lt {
-					lt = v
-				}
+	for k := 0; k < e.n; k++ {
+		if p.ACK[k] >= 2 {
+			if v := s.ltimeOf(pdu.EntityID(k), p.ACK[k]-1); v > lt {
+				lt = v
 			}
 		}
 	}

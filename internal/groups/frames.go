@@ -271,10 +271,8 @@ func (f *wireFrames) Deliver(g uint32, in Inbound, fn func(p *pdu.PDU)) {
 		}
 		// Sequenced PDUs are retained by the entity and must be cloned
 		// out of scratch; control PDUs are only read during Receive.
-		// Clone shares Delta, which aliases the stamp decoder's scratch
-		// here, so the retained copy takes ownership via OwnDelta.
 		if f.scratch.Kind.Sequenced() {
-			fn(f.scratch.Clone().OwnDelta())
+			fn(f.scratch.Clone())
 		} else {
 			fn(&f.scratch)
 		}

@@ -170,26 +170,9 @@ func (l *Log) noteInsert(p *pdu.PDU) {
 	if s := int(p.Src) + 1; s > len(l.maxSeq) {
 		l.maxSeq = append(l.maxSeq, make([]pdu.Seq, s-len(l.maxSeq))...)
 	}
-	if p.Delta != nil && p.SEQ >= 2 && l.maxSeq[p.Src] >= p.SEQ-1 {
-		// Delta fast path: some PDU q from p.Src with q.SEQ >= p.SEQ-1
-		// was folded since the last reset (the maxSeq witness). ACK
-		// vectors are monotone per source, so for every index outside
-		// Delta, p.ACK[j] = pred.ACK[j] <= q.ACK[j] <= maxAck[j] —
-		// the bound already covers it (inductively, even if q itself
-		// was folded sparsely). An under-fold here would misplace CPI
-		// insertions, hence the conservative witness. The bounds only
-		// ever overestimate after dequeues, which is safe in the same
-		// direction.
-		for _, k := range p.Delta {
-			if p.ACK[k] > l.maxAck[k] {
-				l.maxAck[k] = p.ACK[k]
-			}
-		}
-	} else {
-		for j, a := range p.ACK {
-			if a > l.maxAck[j] {
-				l.maxAck[j] = a
-			}
+	for j, a := range p.ACK {
+		if a > l.maxAck[j] {
+			l.maxAck[j] = a
 		}
 	}
 	if p.SEQ > l.maxSeq[p.Src] {

@@ -123,10 +123,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0xC0, 0xBF, 0x03, 0x07, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decodeAll := func() ([]*PDU, bool) {
+		// decodeAll decodes the frame with a fresh stamp cache, or with
+		// none, which accepts full stamps only.
+		decodeAll := func(cache bool) ([]*PDU, bool) {
 			var d FrameDecoder
-			var stamps StampDecoder
-			d.SetStampDecoder(&stamps)
+			if cache {
+				d.SetStampDecoder(new(StampDecoder))
+			}
 			if err := d.Reset(data); err != nil {
 				return nil, false
 			}
@@ -149,7 +152,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			return batch, true
 		}
-		batch, ok := decodeAll()
+		batch, ok := decodeAll(true)
 		if !ok {
 			return
 		}
@@ -163,13 +166,7 @@ func FuzzFrameDecode(f *testing.F) {
 				return EncodeFrameGroup(b, group, WireVersion2, nil)
 			}
 		}
-		sawDelta := false
-		for _, p := range batch {
-			if p.Delta != nil {
-				sawDelta = true
-			}
-		}
-		if !sawDelta {
+		if _, fullOnly := decodeAll(false); fullOnly {
 			// Full-stamp-only frames are canonical: re-encoding with a
 			// stampless encoder reproduces the input.
 			out, err := reencode(batch)
@@ -185,7 +182,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// identity is out of reach; the decode itself must still be
 		// deterministic and each reconstructed PDU must survive a
 		// stampless round trip.
-		again, ok := decodeAll()
+		again, ok := decodeAll(true)
 		if !ok || len(again) != len(batch) {
 			t.Fatalf("frame decode not deterministic: %d vs %d PDUs", len(batch), len(again))
 		}
@@ -215,7 +212,7 @@ func FuzzFrameDecode(f *testing.F) {
 // Rejected datagrams must fail in both decoders and leave the scratch
 // usable for the next datagram (the terminal-error contract).
 func fuzzDatagram(t *testing.T, data []byte) {
-	scratch := &PDU{ACK: []Seq{9, 9, 9}, Delta: []Seq{2}, Data: []byte("dirty-scratch-bytes")}
+	scratch := &PDU{ACK: []Seq{9, 9, 9}, Data: []byte("dirty-scratch-bytes")}
 	fresh, err := UnmarshalV2(data, nil)
 	if err != nil {
 		if err2 := scratch.UnmarshalFromV2(data, nil); err2 == nil {
@@ -351,14 +348,14 @@ func FuzzV2Unmarshal(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dec StampDecoder
-		scratch := &PDU{ACK: []Seq{9, 9, 9}, Delta: []Seq{2}, Data: []byte("dirty")}
+		scratch := &PDU{ACK: []Seq{9, 9, 9}, Data: []byte("dirty")}
 		fresh, err := UnmarshalV2(data, &dec)
 		if err == nil {
 			if extra := data[4] &^ (flagNeedAck | flagFullStamp | flagPacked); extra != 0 {
 				t.Fatalf("accepted unknown flag bits %02x", extra)
 			}
 			checkPackJudged(t, fresh)
-			if fresh.Delta == nil {
+			if data[4]&flagFullStamp != 0 {
 				out, err := fresh.MarshalV2(nil)
 				if err != nil {
 					t.Fatalf("accepted full-stamp PDU failed to re-encode: %v", err)
@@ -398,8 +395,7 @@ func FuzzV2Unmarshal(f *testing.F) {
 // channel must reconstruct bit-exact stamps, and every desync must be
 // exactly predicted by the reference-chain oracle. On a lossless channel
 // the codec is canonical for delta stamps too: re-encoding each decoded
-// PDU, Delta annotation and all, along a mirror chain reproduces the
-// received bytes.
+// PDU along a mirror chain reproduces the received bytes.
 func FuzzV2StreamRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint64(0), uint8(4), uint8(8))
 	f.Add(int64(2), uint64(0xAAAA), uint8(64), uint8(1))

@@ -118,19 +118,10 @@ type PDU struct {
 	// the range the sender already holds (see Holds), empty when the
 	// range is one hole.
 	Data []byte
-	// Delta, when non-nil, lists in ascending order the ACK indices that
-	// changed relative to the same source's previous sequenced PDU
-	// (SEQ-1). It is a sparse-fold hint, not part of the PDU's identity:
-	// nil means "unknown — consider every entry changed". Senders
-	// annotate it from their dirty-column stamp (vclock.Stamp) and the
-	// v2 wire codec both consumes it on encode and reconstructs it on
-	// decode, so the engine can fold only the changed ACK entries into
-	// AL/PAL instead of scanning all n.
-	//
-	// Delta is immutable once attached: Clone shares it rather than
-	// copying, so the same annotation flows through fan-out for free.
-	// Holders that need a copy outliving the producer's buffers (e.g.
-	// decode scratch) call OwnDelta after Clone.
+	// Delta is set by nothing in this module: the engine folds every
+	// PDU's full ACK vector. It stays only because the bench module's
+	// probe still reads it for its vclock.delta_indices_per_pdu and
+	// vclock.dense_share rows (and their .n64 twins), which read 0 and 1.
 	Delta []Seq
 }
 
@@ -210,14 +201,14 @@ func Compare(p, q *PDU) Relation {
 func CausallyPrecedes(p, q *PDU) bool { return Compare(p, q) == Precedes }
 
 // inlineStamp is the longest stamp New allocates inside the PDU's own
-// object: an ACK vector plus a full Delta annotation at n = 4, the size
-// every bench workload runs at.
+// object: the ACK vector of a cluster of up to 8 entities, which covers
+// the n = 4 every bench workload runs at.
 const inlineStamp = 8
 
-// New allocates a zero PDU together with zeroed storage for its stamp —
-// the ACK vector, plus the Delta annotation when the sender attaches one.
-// A stamp of up to inlineStamp entries shares the PDU's allocation, so a
-// small cluster's send or clone costs one object where it cost two.
+// New allocates a zero PDU together with zeroed storage for its ACK
+// vector of the given length. A stamp of up to inlineStamp entries
+// shares the PDU's allocation, so a small cluster's send or clone costs
+// one object where it would cost two.
 func New(stamp int) (*PDU, []Seq) {
 	if stamp <= inlineStamp {
 		sp := new(struct {
@@ -230,9 +221,7 @@ func New(stamp int) (*PDU, []Seq) {
 }
 
 // Clone returns a deep copy of the PDU. Networks clone PDUs at the
-// boundary so that entities never share backing arrays. Delta is shared,
-// not copied — it is immutable once attached; call OwnDelta on the clone
-// when the source's Delta storage will be reused (decoder scratch).
+// boundary so that entities never share backing arrays.
 func (p *PDU) Clone() *PDU {
 	q, ack := New(len(p.ACK))
 	*q = *p
@@ -245,18 +234,6 @@ func (p *PDU) Clone() *PDU {
 		copy(q.Data, p.Data)
 	}
 	return q
-}
-
-// OwnDelta replaces a shared Delta annotation with an owned copy and
-// returns p for chaining. Callers cloning out of a decoder's scratch PDU
-// use it because the scratch Delta is overwritten by the next decode.
-func (p *PDU) OwnDelta() *PDU {
-	if p.Delta != nil {
-		d := make([]Seq, len(p.Delta))
-		copy(d, p.Delta)
-		p.Delta = d
-	}
-	return p
 }
 
 // Validation errors returned by Validate.
@@ -287,13 +264,6 @@ func (p *PDU) Validate(n int) error {
 	}
 	if len(p.ACK) != n {
 		return fmt.Errorf("%w: len=%d n=%d", ErrBadACKLen, len(p.ACK), n)
-	}
-	for _, k := range p.Delta {
-		// Seq is unsigned: compare in Seq space so huge indices cannot
-		// wrap through an int conversion.
-		if k >= Seq(n) {
-			return fmt.Errorf("%w: delta index %d n=%d", ErrBadACKLen, k, n)
-		}
 	}
 	if p.Packed {
 		if err := p.validatePack(); err != nil {

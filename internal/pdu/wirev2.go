@@ -199,13 +199,6 @@ func (p *PDU) MarshalV2(enc *StampEncoder) ([]byte, error) {
 // non-nil and p is sequenced) adopts p as the reference for the next
 // call, so PDUs must be encoded in the order they are sent. With a buf
 // of sufficient capacity the steady-state send path allocates nothing.
-//
-// When p carries a sender-side Delta annotation and extends the
-// encoder's reference chain contiguously, the encoder trusts the
-// annotation: the changed-entry scan and the O(n) reference copy both
-// collapse to O(len(Delta)). The emitted bytes are identical to the
-// dense diff because the annotation is, by contract, exactly the strict
-// difference against the same reference PDU (Src, SEQ-1).
 func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 	if len(p.ACK) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: ACK vector %d entries", ErrTooLong, len(p.ACK))
@@ -216,16 +209,7 @@ func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 	if p.Src < NoEntity || p.LSrc < NoEntity {
 		return nil, fmt.Errorf("%w: negative source", ErrTooLong)
 	}
-	var c int
-	var delta bool
-	annotated := enc != nil && enc.valid && p.Delta != nil && p.Kind.Sequenced() &&
-		p.SEQ == enc.lastSeq+1 && p.SEQ%enc.syncInterval() != 0 &&
-		len(enc.last) == len(p.ACK) && 2*len(p.Delta) < len(p.ACK)
-	if annotated {
-		c, delta = len(p.Delta), true
-	} else {
-		c, delta = enc.deltaCount(p)
-	}
+	c, delta := enc.deltaCount(p)
 	start := len(buf)
 	buf = binary.BigEndian.AppendUint16(buf, Magic)
 	var flags byte
@@ -246,14 +230,7 @@ func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(p.LSrc+1))
 	buf = binary.AppendUvarint(buf, uint64(p.LSeq))
 	buf = binary.AppendUvarint(buf, uint64(len(p.ACK)))
-	switch {
-	case annotated:
-		buf = binary.AppendUvarint(buf, uint64(c))
-		for _, i := range p.Delta {
-			buf = binary.AppendUvarint(buf, uint64(i))
-			buf = binary.AppendUvarint(buf, uint64(p.ACK[i]-enc.last[i]))
-		}
-	case delta:
+	if delta {
 		buf = binary.AppendUvarint(buf, uint64(c))
 		for i, a := range p.ACK {
 			if a != enc.last[i] {
@@ -261,7 +238,7 @@ func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 				buf = binary.AppendUvarint(buf, uint64(a-enc.last[i]))
 			}
 		}
-	default:
+	} else {
 		for _, a := range p.ACK {
 			buf = binary.AppendUvarint(buf, uint64(a))
 		}
@@ -269,16 +246,7 @@ func (p *PDU) MarshalAppendV2(buf []byte, enc *StampEncoder) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, uint64(len(p.Data)))
 	buf = append(buf, p.Data...)
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
-	if annotated {
-		// Advance the reference in place: only the annotated columns
-		// moved, so the O(n) snapshot of note() is unnecessary.
-		for _, i := range p.Delta {
-			enc.last[i] = p.ACK[i]
-		}
-		enc.lastSeq = p.SEQ
-	} else {
-		enc.note(p)
-	}
+	enc.note(p)
 	return buf, nil
 }
 
@@ -297,8 +265,7 @@ type stampRef struct {
 type StampDecoder struct {
 	bySrc []stampRef
 	// scratchIdx/scratchInc hold one datagram's parsed delta entries so
-	// the whole delta can be validated before any state is touched;
-	// scratchIdx doubles as the decoded PDU's Delta annotation.
+	// the whole delta can be validated before any state is touched.
 	scratchIdx []Seq
 	scratchInc []Seq
 }
@@ -358,15 +325,14 @@ func readUvarintMax(b []byte, max uint64) (uint64, []byte, error) {
 
 // UnmarshalFromV2 decodes a datagram produced by MarshalV2 into p,
 // reusing the capacity of p.ACK and p.Data — a scratch PDU decoded in a
-// loop allocates nothing once its slices have grown. Every field of p is
-// overwritten; on error p's contents are unspecified. The decoded slices
-// copy out of b, so b may be recycled as soon as the call returns. Delta
-// stamps are resolved against dec's per-source cache: the
-// reconstructed p.ACK is bit-exact with the sender's stamp and p.Delta
-// lists the changed indices for the engine's fold fast path (nil after a
-// full stamp). dec is only advanced by a fully valid datagram, and only
-// forward, so corrupt or replayed input can never poison the cache. A
-// nil dec accepts full stamps only.
+// loop allocates nothing once its slices have grown. Every wire field of
+// p is overwritten; on error p's contents are unspecified. The decoded
+// slices copy out of b, so b may be recycled as soon as the call
+// returns. Delta stamps are resolved against dec's per-source cache: the
+// reconstructed p.ACK is bit-exact with the sender's stamp. dec is only
+// advanced by a fully valid datagram, and only forward, so corrupt or
+// replayed input can never poison the cache. A nil dec accepts full
+// stamps only.
 func (p *PDU) UnmarshalFromV2(b []byte, dec *StampDecoder) error {
 	// Magic and version are checked before anything else so that a
 	// datagram from a peer speaking another codec version fails with
@@ -434,7 +400,6 @@ func (p *PDU) UnmarshalFromV2(b []byte, dec *StampDecoder) error {
 	}
 	var ref *stampRef
 	if full {
-		p.Delta = nil
 		for i := 0; i < n; i++ {
 			if v, rest, err = readUvarint(rest); err != nil {
 				return fmt.Errorf("stamp[%d]: %w", i, err)
@@ -494,9 +459,6 @@ func (p *PDU) UnmarshalFromV2(b []byte, dec *StampDecoder) error {
 		}
 		ref.seq = p.SEQ
 		copy(p.ACK, ref.ack)
-		// p.Delta aliases dec's index scratch: valid until the next
-		// decode with dec, exactly the lifetime of a scratch-decoded PDU.
-		p.Delta = dec.scratchIdx
 	} else if dec != nil && p.Kind.Sequenced() && p.Src >= 0 && int(p.Src) < n {
 		r := dec.ref(p.Src)
 		if !r.valid || p.SEQ > r.seq {

@@ -1,9 +1,11 @@
 // Command benchdiff compares `go test -bench` output against the pinned
 // micro contracts in bench_pins.json at the repository root, and fails
 // (exit 1) on an ns/op regression or any allocs/op growth on a benchmark
-// the file pins.
+// the file pins, or on a pin the input does not measure (a deleted or
+// renamed benchmark must take its pin with it).
 //
-// The pins file is one top-level "benchmarks" map:
+// The pins file's "benchmarks" map holds the pins; its "session" object
+// records the host and date they were measured on, and is not read:
 //
 //	"benchmarks": {
 //	  "BenchmarkHotPathPipeline/n=64": {
@@ -26,7 +28,7 @@
 //
 // Usage:
 //
-//	go test . -run '^$' -bench . -benchmem -count 5 | go run ./scripts/benchdiff
+//	make benchdiff
 //	go run ./scripts/benchdiff -input bench.out -allocs-only
 package main
 
@@ -199,11 +201,23 @@ func run(pinsPath, input string, maxNsPct float64, allocsOnly bool) error {
 				name, now.NsPerOp, ref.NsPerOp, 100*(now.NsPerOp/ref.NsPerOp-1), len(got[name]), spread, now.AllocsPerOp)
 		}
 	}
+	pinned := make([]string, 0, len(pins))
+	for name := range pins {
+		pinned = append(pinned, name)
+	}
+	sort.Strings(pinned)
+	missing := 0
+	for _, name := range pinned {
+		if _, ok := got[name]; !ok {
+			missing++
+			fmt.Printf("  MISSING  %-52s pinned at %.1f ns/op, not measured\n", name, pins[name].NsPerOp)
+		}
+	}
 	if matched == 0 {
 		return fmt.Errorf("no benchmark in the input matches the pins — wrong -bench pattern?")
 	}
-	if regressions > 0 {
-		return fmt.Errorf("%d of %d pinned benchmarks regressed", regressions, matched)
+	if regressions > 0 || missing > 0 {
+		return fmt.Errorf("%d of %d measured pins regressed, %d not measured", regressions, matched, missing)
 	}
 	fmt.Printf("benchdiff: %d benchmarks within tolerance\n", matched)
 	return nil

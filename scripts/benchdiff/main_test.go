@@ -144,3 +144,16 @@ func TestRunFailsWithNoOverlap(t *testing.T) {
 		t.Error("disjoint benchmark sets must fail loudly, not pass vacuously")
 	}
 }
+
+// TestRunFailsOnMissingPin: a pin the input never measures — its
+// benchmark deleted or renamed — fails the run even though every
+// measured row is within tolerance.
+func TestRunFailsOnMissingPin(t *testing.T) {
+	pins := writePins(t, `
+		"BenchmarkHotPathCodec":  {"ns_per_op": 300, "allocs_per_op": 0},
+		"BenchmarkFig8TcoGone/n=4": {"ns_per_op": 1000, "allocs_per_op": 0}`)
+	err := run(pins, writeInput(t, sampleOutput), 10, false)
+	if err == nil || !strings.Contains(err.Error(), "1 not measured") {
+		t.Errorf("unmeasured pin: err = %v, want a failure naming it", err)
+	}
+}

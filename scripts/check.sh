@@ -32,7 +32,6 @@ echo '>> fuzz smoke (1s per target)'
 for target in FuzzUnmarshal FuzzFrameDecode FuzzCompare FuzzDTUnmarshal FuzzRETUnmarshal FuzzV2Unmarshal FuzzV2StreamRoundTrip; do
 	go test ./internal/pdu -run '^$' -fuzz "^${target}\$" -fuzztime 1s
 done
-go test ./internal/vclock -run '^$' -fuzz '^FuzzSparseStamp$' -fuzztime 1s
 for target in FuzzReceiveWire FuzzReceiveCrafted; do
 	go test ./internal/core -run '^$' -fuzz "^${target}\$" -fuzztime 1s
 done
