@@ -39,10 +39,10 @@ func goldenLine(seed int64, wire int) string {
 // harness change that shifts both runs alike (event order, RNG draw
 // order, which faults bite). After an intentional protocol change,
 // re-capture: the failure message prints each replacement line. The
-// last such change was the RET retry timer (a RET whose range is still
-// unanswered is re-sent after two observed rounds, doubling up to
-// RetransmitTimeout, and a source re-serves a PDU after one round),
-// which moves when lost repairs close on 57 of the 64 seeds.
+// last such change was the per-step confirmation (a shard holds each
+// engine's deferred confirmation until the end of its step and sends
+// one, decided on the state after the step's last input), which moves
+// 104 of the 128 lines: a simulated frame carries several PDUs.
 func TestGoldenSweepDigests(t *testing.T) {
 	file, err := os.Open("testdata/golden_sweep_digests.txt")
 	if err != nil {

@@ -24,13 +24,12 @@ var pinnedMultiGroup = Config{
 // pinnedMultiGroupDigests are pinnedMultiGroup's expected per-group trace
 // digests (regenerate with: go test -run TestMultiGroupPinnedDigests -v
 // after an intentional protocol change). They were last re-captured when
-// a RET whose range is still unanswered began to be re-sent after the
-// observed round instead of RetransmitTimeout, which moves when lost
-// repairs are re-asked and re-served.
+// the shard began to decide each engine's deferred confirmation once per
+// step instead of once per input, which moves group 2's confirmations.
 var pinnedMultiGroupDigests = []string{
 	"15d5d81d441ba3deb3b8153b7b8c608f3b75c86ca3292b87c07d59caf3345b02",
 	"133b13da580d3043d79af6b900bff49bef291722228525be264926995b6cb497",
-	"18e394b7a0772fa398f329c536c9321a5c220362f256211e825ff13359e6c14a",
+	"02fa05c850ea12bd34eb54a8dfccb95014f873c9a7e98d206e5015257a5af28c",
 }
 
 // TestMultiGroupConverges runs 2..4 groups over one faulty network,

@@ -88,6 +88,9 @@ type Entity struct {
 	owed      bool
 	owedSince time.Duration
 	spokeAt   time.Duration
+	// held marks an open batch (Hold): every input runs every stage but
+	// the confirmation send, which Release decides once for the batch.
+	held bool
 	// lateAfter follows the confirmation round this entity observes
 	// (TCP's smoothed RTT with Karn's rule, RFC 6298, applied to rounds):
 	// probeSeq is the own DATA being timed (0: none), sent at probeAt,
@@ -374,7 +377,7 @@ func (e *Entity) Tick(now time.Duration) Output {
 
 // finish runs the pipeline stages common to every input: drain blocked
 // submissions, pre-acknowledge, acknowledge/deliver, and emit deferred
-// confirmations.
+// confirmations (outside a batch; inside one, Release does).
 func (e *Entity) finish(now time.Duration, out *Output) {
 	// The previous input's deliveries are the caller's no longer. Clear
 	// what was used — never up to cap: one commit burst would otherwise
@@ -859,7 +862,8 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 // above is slow to come: a late confirmation. If the flow window is
 // closed, an unsequenced ACKONLY goes instead (liveness amendment,
 // DESIGN.md §2); it can serve as round 2 only, because PAL folds from
-// sequenced PDUs alone.
+// sequenced PDUs alone. Inside a batch (Hold) it keeps only the
+// owed-since bookkeeping, and Release makes the decision.
 func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	if e.cfg.DisableDeferredConfirm {
 		return
@@ -877,6 +881,9 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	// round 2 as well (spoke), and a send pushes the deadline back and
 	// restarts the all-heard test, so while a peer is alive nothing is due
 	// right after it.
+	if e.held {
+		return // Release decides, on the state after the batch's last input
+	}
 	late := !e.confirmDue()
 	if late && now < e.spokeAt+e.lateAfter() {
 		return
@@ -890,6 +897,36 @@ func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
 	} else {
 		e.sendAckOnly(late, now, out)
 	}
+}
+
+// Hold opens a batch of inputs for a driver that sends everything they
+// produce in one flush. Inside it every input runs every stage as
+// outside, including the owed-since bookkeeping, but sends no deferred
+// confirmation; Release sends at most one, decided on the state after
+// the last input. That costs no latency, since the confirmations the
+// batch's inputs would have sent leave in the same flush anyway, and
+// discharges everything they would have: its ACK vector is at least as
+// high as each of theirs, it is round 1, and round 2 too once no peer
+// is uncovered. Hold reports whether it opened a batch (false: one was
+// open). Without Hold, each input is its own batch.
+func (e *Entity) Hold() bool {
+	opened := !e.held
+	e.held = true
+	return opened
+}
+
+// Release closes the batch Hold opened and returns its one deferred
+// confirmation, if one is due; the output holds no deliveries. With no
+// batch open it does nothing.
+func (e *Entity) Release(now time.Duration) Output {
+	var out Output
+	if !e.held {
+		return out
+	}
+	e.held = false
+	e.maybeConfirm(now, &out)
+	e.publishStats()
+	return out
 }
 
 // sampleRound closes the round probe once every live peer has

@@ -255,7 +255,9 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 // best-effort, not an invariant: under loss the pairwise relation is not
 // transitive (commitReady's comment), and a schedule of long backlogs
 // with loss — pack_test.go's — reaches PRLs the commit stage has to
-// repair. The walks below stay inside what CPI alone keeps ordered.
+// repair. The unbatched walks below stay inside what CPI alone keeps
+// ordered; some of the batched walk's schedules do not, so it checks
+// invariants only.
 func checkPRLCausal(t *testing.T, e *Entity, step int) {
 	t.Helper()
 	if prl := e.prl.Slice(); !msglog.IsCausalityPreserved(prl) {
@@ -267,88 +269,117 @@ func checkPRLCausal(t *testing.T, e *Entity, step int) {
 // after every step, in both CO and TO modes, with occasional evictions.
 func TestInvariantsRandomWalk(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
-		seed := seed
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(4)
-		totalOrder := seed%3 == 0
-		allowEvict := n > 2 && seed%4 == 0
-		ents := make([]*Entity, n)
-		for i := range ents {
-			e, err := New(Config{
-				ID: pdu.EntityID(i), N: n,
-				Window:              pdu.Seq(1 + rng.Intn(6)),
-				DeferredAckInterval: time.Millisecond,
-				RetransmitTimeout:   2 * time.Millisecond,
-				TotalOrder:          totalOrder,
-				Ledger:              NewLedger(1 << 30),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ents[i] = e
+		randomWalk(t, seed, false)
+	}
+}
+
+// TestInvariantsRandomWalkBatched is the random walk with input batches:
+// an entity holds its confirmation over a random run of its inputs, as a
+// shard does over one step's, and every PDU it stages goes out in order.
+func TestInvariantsRandomWalkBatched(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		randomWalk(t, seed, true)
+	}
+}
+
+// randomWalk runs one seed of the invariant walk; with batched set, each
+// input may open a batch on its entity, and each step may close one.
+func randomWalk(t *testing.T, seed int64, batched bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(4)
+	totalOrder := seed%3 == 0
+	allowEvict := n > 2 && seed%4 == 0
+	ents := make([]*Entity, n)
+	for i := range ents {
+		e, err := New(Config{
+			ID: pdu.EntityID(i), N: n,
+			Window:              pdu.Seq(1 + rng.Intn(6)),
+			DeferredAckInterval: time.Millisecond,
+			RetransmitTimeout:   2 * time.Millisecond,
+			TotalOrder:          totalOrder,
+			Ledger:              NewLedger(1 << 30),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Per-channel FIFO queues (the MC service), with loss and
-		// duplication applied at dequeue.
-		queues := make([][]*pdu.PDU, n*n) // queues[from*n+to]
-		now := time.Duration(0)
-		route := func(from int, out Output) {
-			for _, p := range out.PDUs {
-				for to := 0; to < n; to++ {
-					if to != from {
-						queues[from*n+to] = append(queues[from*n+to], p.Clone())
-					}
+		ents[i] = e
+	}
+	// Per-channel FIFO queues (the MC service), with loss and
+	// duplication applied at dequeue.
+	queues := make([][]*pdu.PDU, n*n) // queues[from*n+to]
+	now := time.Duration(0)
+	route := func(from int, out Output) {
+		for _, p := range out.PDUs {
+			for to := 0; to < n; to++ {
+				if to != from {
+					queues[from*n+to] = append(queues[from*n+to], p.Clone())
 				}
 			}
 		}
-		const steps = 400
-		for step := 0; step < steps; step++ {
-			now += time.Duration(rng.Intn(500)) * time.Microsecond
-			i := rng.Intn(n)
+	}
+	const steps = 400
+	for step := 0; step < steps; step++ {
+		now += time.Duration(rng.Intn(500)) * time.Microsecond
+		i := rng.Intn(n)
+		if batched {
+			if rng.Intn(2) == 0 {
+				ents[i].Hold()
+			}
+			if j := rng.Intn(n); rng.Intn(3) == 0 {
+				route(j, ents[j].Release(now))
+				checkInvariants(t, ents[j], step)
+			}
+		}
+		switch rng.Intn(10) {
+		case 0, 1: // submit
+			route(i, ents[i].Submit([]byte{byte(step)}, now))
+		case 2: // tick
+			route(i, ents[i].Tick(now))
+			// Occasionally evict the last entity at everyone.
+			if allowEvict && step > 300 && !ents[i].Evicted(pdu.EntityID(n-1)) &&
+				pdu.EntityID(i) != pdu.EntityID(n-1) {
+				out, err := ents[i].Evict(pdu.EntityID(n-1), now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				route(i, out)
+			}
+		default: // deliver the head of a random incoming channel
+			from := rng.Intn(n)
+			q := &queues[from*n+i]
+			if len(*q) == 0 {
+				continue
+			}
+			p := (*q)[0]
 			switch rng.Intn(10) {
-			case 0, 1: // submit
-				route(i, ents[i].Submit([]byte{byte(step)}, now))
-			case 2: // tick
-				route(i, ents[i].Tick(now))
-				// Occasionally evict the last entity at everyone.
-				if allowEvict && step > 300 && !ents[i].Evicted(pdu.EntityID(n-1)) &&
-					pdu.EntityID(i) != pdu.EntityID(n-1) {
-					out, err := ents[i].Evict(pdu.EntityID(n-1), now)
-					if err != nil {
-						t.Fatal(err)
-					}
-					route(i, out)
+			case 0: // lose it
+				*q = (*q)[1:]
+			case 1: // duplicate: deliver without popping
+				out, err := ents[i].Receive(p, now)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-			default: // deliver the head of a random incoming channel
-				from := rng.Intn(n)
-				q := &queues[from*n+i]
-				if len(*q) == 0 {
-					continue
+				route(i, out)
+			default:
+				*q = (*q)[1:]
+				out, err := ents[i].Receive(p, now)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-				p := (*q)[0]
-				switch rng.Intn(10) {
-				case 0: // lose it
-					*q = (*q)[1:]
-				case 1: // duplicate: deliver without popping
-					out, err := ents[i].Receive(p, now)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					route(i, out)
-				default:
-					*q = (*q)[1:]
-					out, err := ents[i].Receive(p, now)
-					if err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					route(i, out)
-				}
+				route(i, out)
 			}
-			checkInvariants(t, ents[i], step)
+		}
+		checkInvariants(t, ents[i], step)
+		if !batched {
 			checkPRLCausal(t, ents[i], step)
 		}
-		// Final pass over every entity.
-		for _, e := range ents {
-			checkInvariants(t, e, steps)
+	}
+	// Final pass over every entity.
+	for i, e := range ents {
+		route(i, e.Release(now))
+		checkInvariants(t, e, steps)
+		if !batched {
 			checkPRLCausal(t, e, steps)
 		}
 	}

@@ -646,9 +646,11 @@ func (s *shard) loop() {
 
 // step is the runtime's one event loop body, whichever driver calls it:
 // take and handle queued batches until the inbox is empty (polling stop
-// and the ticker between batches), then flush — so the PDUs every engine
-// produced for one burst ride out together, across groups, in one
-// staged-batch send. It returns false, unflushed, once stop has closed.
+// and the ticker between batches), then close the engines' batches and
+// flush — so the PDUs every engine produced for one burst, each engine's
+// one deferred confirmation among them, ride out together, across
+// groups, in one staged-batch send. It returns false, unflushed, once
+// stop has closed.
 func (s *shard) step() bool {
 	for {
 		var ok bool
@@ -674,17 +676,21 @@ func (s *shard) step() bool {
 		default:
 		}
 	}
+	s.release()
 	s.frames.Flush()
 	return true
 }
 
-// shutdown stops the ticker, closes the inbox and releases what is
-// queued in it, so pooled datagram buffers are not leaked at close and
-// no asker waits for a reply that will never come.
+// shutdown stops the ticker, closes the engines' batches (a step cut
+// short by stop leaves them open; what they stage is never sent), closes
+// the inbox and releases what is queued in it, so pooled datagram
+// buffers are not leaked at close and no asker waits for a reply that
+// will never come.
 func (s *shard) shutdown() {
 	if s.ticker != nil {
 		s.ticker.Stop()
 	}
+	s.release()
 	for _, m := range s.in.close() {
 		if m.in.Raw != nil {
 			putDatagram(m.in.Raw)

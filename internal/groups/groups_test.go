@@ -451,3 +451,101 @@ func TestEvictReachesEveryShard(t *testing.T) {
 		}
 	}
 }
+
+// flushFrames records, per flush, the kind of every PDU each group
+// staged.
+type flushFrames struct {
+	staged  map[uint32][]pdu.Kind
+	flushes []map[uint32][]pdu.Kind
+}
+
+func (f *flushFrames) Append(g uint32, p *pdu.PDU) {
+	if f.staged == nil {
+		f.staged = make(map[uint32][]pdu.Kind)
+	}
+	f.staged[g] = append(f.staged[g], p.Kind)
+}
+
+func (f *flushFrames) Flush() {
+	f.flushes = append(f.flushes, f.staged)
+	f.staged = nil
+}
+
+func (f *flushFrames) Deliver(_ uint32, in Inbound, fn func(p *pdu.PDU)) {
+	for _, p := range in.PDUs {
+		fn(p)
+	}
+}
+
+// twoRoundFrame is one inbound frame carrying three peers' PDUs to
+// entity 0 of a four-entity cluster: each peer's first DATA, then each
+// peer's SYNC acknowledging all three. Fed one PDU at a time, entity 0
+// confirms twice: round 1 once it has heard from every peer, round 2
+// once every peer's round 1 is in.
+func twoRoundFrame(g uint32) []*pdu.PDU {
+	var ps []*pdu.PDU
+	for seq := pdu.Seq(1); seq <= 2; seq++ {
+		for src := pdu.EntityID(1); src <= 3; src++ {
+			ack := []pdu.Seq{1, 1, 1, 1}
+			kind := pdu.KindData
+			if seq == 2 {
+				ack = []pdu.Seq{1, 2, 2, 2}
+				kind = pdu.KindSync
+			}
+			ack[src] = seq
+			ps = append(ps, &pdu.PDU{Kind: kind, CID: g, Src: src, SEQ: seq, ACK: ack,
+				NeedAck: kind == pdu.KindData, LSrc: pdu.NoEntity, BUF: core.BufferUnits})
+		}
+	}
+	return ps
+}
+
+// TestStepSendsOneConfirmationPerEngine steps a registry whose one
+// inbound frame per group carries three peers' PDUs that draw two SYNCs
+// when fed one at a time: the shard holds each engine's confirmation
+// for the step, so each step's flush carries exactly one SYNC for the
+// engine it fed, and a tick that finds nothing due adds none.
+func TestStepSendsOneConfirmationPerEngine(t *testing.T) {
+	newEntity := func(g uint32, _ *core.Ledger) (*core.Entity, error) {
+		return core.New(core.Config{ClusterID: g, ID: 0, N: 4})
+	}
+	bare, _ := newEntity(7, nil)
+	var syncs int
+	for _, p := range twoRoundFrame(7) {
+		out, err := bare.Receive(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncs += len(out.PDUs)
+	}
+	if syncs != 2 {
+		t.Fatalf("the frame fed one PDU at a time drew %d confirmations, want 2", syncs)
+	}
+
+	f := &flushFrames{}
+	r := NewStepped(Config{
+		Shards:    1,
+		NewEntity: newEntity,
+		NewFrames: func(int) Frames { return f },
+		Deliver:   func(uint32, []core.Delivery) {},
+		Now:       func() time.Duration { return 0 },
+	})
+	defer r.Close()
+	groups := []uint32{7, 8, 9}
+	for _, g := range groups {
+		r.Inbound(g, Inbound{PDUs: twoRoundFrame(g)})
+	}
+	if len(f.flushes) != len(groups) {
+		t.Fatalf("%d inbounds flushed %d times", len(groups), len(f.flushes))
+	}
+	for i, g := range groups {
+		want := map[uint32][]pdu.Kind{g: {pdu.KindSync}}
+		if got := f.flushes[i]; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("step %d (group %d) flushed %v, want %v", i, g, got, want)
+		}
+	}
+	r.Tick()
+	if got := f.flushes[len(f.flushes)-1]; len(got) != 0 {
+		t.Errorf("a tick with nothing due flushed %v", got)
+	}
+}

@@ -31,6 +31,10 @@ type shard struct {
 	cur      *core.Entity
 	curGroup uint32
 	recv     func(p *pdu.PDU)
+	// held lists the engines this step has fed, each with a batch open
+	// (core.Entity.Hold), in first-touched order; release closes them
+	// before the step's flush.
+	held []groupEngine
 
 	// in is the inbox and batch the spare its step trades for the next
 	// batch. A shard goroutine (New) reads wake and tickC and closes
@@ -54,6 +58,7 @@ func (s *shard) handle(m *shardMsg) {
 	switch m.kind {
 	case msgSubmit:
 		if eng, _ := s.engine(m.group); eng != nil {
+			s.hold(m.group, eng)
 			s.dispatch(m.group, eng, eng.SubmitOwned(m.data, s.r.cfg.Now()))
 		}
 	case msgInbound:
@@ -62,6 +67,7 @@ func (s *shard) handle(m *shardMsg) {
 			s.r.cfg.dropUnknown(m.in)
 			return
 		}
+		s.hold(m.group, eng)
 		s.cur, s.curGroup = eng, m.group
 		s.frames.Deliver(m.group, m.in, s.recv)
 	case msgQuery:
@@ -73,6 +79,7 @@ func (s *shard) handle(m *shardMsg) {
 func (s *shard) tick() {
 	now := s.r.cfg.Now()
 	for _, e := range s.engines {
+		s.hold(e.g, e.eng)
 		s.dispatch(e.g, e.eng, e.eng.Tick(now))
 	}
 }
@@ -84,6 +91,7 @@ func (s *shard) tick() {
 func (s *shard) evict(k pdu.EntityID) error {
 	var first error
 	for _, e := range s.engines {
+		s.hold(e.g, e.eng)
 		out, err := e.eng.Evict(k, s.r.cfg.Now())
 		if first == nil {
 			first = err
@@ -132,10 +140,34 @@ func (s *shard) engine(g uint32) (*core.Entity, error) {
 	for _, k := range s.evicted {
 		// An identically configured engine accepted k, or none was
 		// here to check it; an invalid k is rejected now, harmlessly.
+		s.hold(g, eng)
 		out, _ := eng.Evict(k, s.r.cfg.Now())
 		s.dispatch(g, eng, out)
 	}
 	return eng, nil
+}
+
+// hold opens a batch on group g's engine eng for the rest of the step,
+// unless one is open already: everything its inputs stage waits for the
+// step's one flush, so they share one confirmation decision, at release.
+func (s *shard) hold(g uint32, eng *core.Entity) {
+	if eng.Hold() {
+		s.held = append(s.held, groupEngine{g, eng})
+	}
+}
+
+// release closes every batch the step opened, in first-touched order,
+// staging each engine's one deferred confirmation for the flush.
+func (s *shard) release() {
+	if len(s.held) == 0 {
+		return
+	}
+	now := s.r.cfg.Now()
+	for _, e := range s.held {
+		s.dispatch(e.g, e.eng, e.eng.Release(now))
+	}
+	clear(s.held)
+	s.held = s.held[:0]
 }
 
 // dispatch stages an engine's output PDUs on the shard's frames (sent at

@@ -368,14 +368,17 @@ func (t *Transport) readLoopBody() {
 
 // deliverInbound hands one pool-backed datagram to the inbox, dropping
 // it on overrun — the paper's receive-buffer-overrun loss, repaired by
-// the CO protocol's selective retransmission.
+// the CO protocol's selective retransmission. The datagram is counted
+// before the send, so a reader that takes it sees the counters moved;
+// the read loop is the inbox's one sender, so room seen here is room
+// at the send.
 func (t *Transport) deliverInbound(buf []byte) {
-	select {
-	case t.recv <- buf:
-		t.m.Received.Inc()
-		t.m.BytesReceived.Add(uint64(len(buf)))
-	default:
+	if len(t.recv) == cap(t.recv) {
 		t.m.Overrun.Inc()
 		pdu.PutDatagram(buf)
+		return
 	}
+	t.m.Received.Inc()
+	t.m.BytesReceived.Add(uint64(len(buf)))
+	t.recv <- buf
 }
