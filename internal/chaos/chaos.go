@@ -494,12 +494,13 @@ func checkGroup(c *simrun.Cluster, totalOrder bool, alive []pdu.EntityID, stalle
 
 	// Liveness: no DATA PDU stuck anywhere. Trailing SYNCs legitimately
 	// remain in the logs (needsToSpeak tracks only data obligations), so
-	// only the data-specific drain fields must be zero. A frozen entity
-	// legitimately quiesced with its pipeline full; it is skipped.
-	for i, d := range c.Drains() {
+	// only the data-specific snapshot fields must be zero. A frozen
+	// entity legitimately quiesced with its pipeline full; it is skipped.
+	for i, e := range c.Entities {
 		if stalled[pdu.EntityID(i)] {
 			continue
 		}
+		d := e.Snapshot()
 		switch {
 		case d.DataResident != 0:
 			return drainViolation(i, "resident DATA PDUs", d.DataResident)

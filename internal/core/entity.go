@@ -40,18 +40,19 @@ type Entity struct {
 	buf []uint32    // buf[j]: advertised free buffer units at j
 
 	// Receipt logs (§4.2, §4.4, §4.5).
-	rrl    []msglog.Log           // accepted, awaiting pre-acknowledgment
+	rrl    []msglog.Queue         // accepted, awaiting pre-acknowledgment
 	prl    msglog.Log             // pre-acknowledged, causality-ordered
 	parked []map[pdu.Seq]*pdu.PDU // out-of-order arrivals awaiting repair
 	// Send log: own sequenced PDUs retained for selective retransmission
-	// until pre-acknowledged here (i.e. accepted everywhere).
-	sendlog map[pdu.Seq]*pdu.PDU
-	sendLo  pdu.Seq // no retained PDU has SEQ below this
+	// until pre-acknowledged here (i.e. accepted everywhere). It holds
+	// exactly own SEQs [sendLo, seq): entry i is SEQ sendLo+i. Own PDUs
+	// are pre-acknowledged in SEQ order, so trimming pops the head.
+	sendlog fifo[sentPDU]
+	sendLo  pdu.Seq
 
 	// Loss bookkeeping (§4.3).
-	known      []pdu.Seq                 // strongest next-expected evidence per source
-	lastRetReq []retState                // last RET issued per source
-	lastRetx   map[pdu.Seq]time.Duration // last rebroadcast per own SEQ
+	known      []pdu.Seq  // strongest next-expected evidence per source
+	lastRetReq []retState // last RET issued per source
 	// gapBits marks the sources j (j != me, non-evicted) with
 	// known[j] > req[j] — exactly the RET candidates — so
 	// maybeRequestRetx iterates set words instead of scanning 0..n-1
@@ -112,10 +113,10 @@ type Entity struct {
 	// tail), but not always: the Theorem 4.1 test is not transitive under
 	// loss — an entity can accept a PDU whose ACK vector covers a
 	// same-source predecessor it never received — so the PRL is only
-	// best-effort ordered and a successor can overtake; InsertBySeq
+	// best-effort ordered and a successor can overtake; Queue.Insert
 	// restores the per-source order. committed[k] is the highest
 	// contiguously committed sequence number from source k.
-	ackedQ     []msglog.Log
+	ackedQ     []msglog.Queue
 	ackedTotal int
 	committed  []pdu.Seq
 	// ackedBits marks the sources with a non-empty ackedQ so the
@@ -174,14 +175,16 @@ type Entity struct {
 	// Live instrumentation (Config.Metrics); all nil unless attached.
 	// published is the prefix of stats already mirrored into m, so
 	// publishStats only touches atomics for counters that moved.
-	// sentAt timestamps own DATA broadcasts for the deliver-latency
-	// histogram; acceptAt[k] is a FIFO of acceptance times from source
-	// k for the ack-wait histogram — valid because acceptance and
-	// commit are both strictly per-source sequence-ordered.
+	// sentAt is a FIFO of own DATA broadcast times for the
+	// deliver-latency histogram — valid because own DATA is sent and
+	// delivered (CO and TO alike) in SEQ order; acceptAt[k] is a FIFO of
+	// acceptance times from source k for the ack-wait histogram — valid
+	// because acceptance and commit are both strictly per-source
+	// sequence-ordered.
 	m         *obsv.EntityMetrics
 	published Stats
-	sentAt    map[pdu.Seq]time.Duration
-	acceptAt  []timeQueue
+	sentAt    fifo[time.Duration]
+	acceptAt  []fifo[time.Duration]
 
 	// label memoizes strconv.Itoa(me) so SnapshotInto allocates nothing.
 	label string
@@ -204,13 +207,11 @@ func New(cfg Config) (*Entity, error) {
 		al:         make([][]pdu.Seq, n),
 		pal:        make([][]pdu.Seq, n),
 		buf:        make([]uint32, n),
-		rrl:        make([]msglog.Log, n),
+		rrl:        make([]msglog.Queue, n),
 		parked:     make([]map[pdu.Seq]*pdu.PDU, n),
-		sendlog:    make(map[pdu.Seq]*pdu.PDU),
 		sendLo:     1,
 		known:      make([]pdu.Seq, n),
 		lastRetReq: make([]retState, n),
-		lastRetx:   make(map[pdu.Seq]time.Duration),
 		gapBits:    vclock.NewBits(n),
 		unheard:    vclock.NewBits(n),
 		dataHi:     make([]pdu.Seq, n),
@@ -218,7 +219,7 @@ func New(cfg Config) (*Entity, error) {
 		uncovered:  vclock.NewBits(n),
 		ackedBits:  vclock.NewBits(n),
 		alive:      vclock.NewBits(n),
-		ackedQ:     make([]msglog.Log, n),
+		ackedQ:     make([]msglog.Queue, n),
 		committed:  make([]pdu.Seq, n),
 		minAL:      make([]pdu.Seq, n),
 		minALCnt:   make([]int, n),
@@ -248,10 +249,10 @@ func New(cfg Config) (*Entity, error) {
 		}
 		e.minAL[j], e.minALCnt[j] = 1, n
 		e.minPAL[j], e.minPALCnt[j] = 1, n
-		// Pre-size the per-source logs so steady-state inserts neither
-		// grow the successor-witness bounds nor reallocate.
-		e.rrl[j].Reserve(n, 8)
-		e.ackedQ[j].Reserve(n, 8)
+		// Pre-size the per-source queues so steady-state inserts do not
+		// reallocate.
+		e.rrl[j].Reserve(8)
+		e.ackedQ[j].Reserve(8)
 	}
 	e.alive.Fill(n)
 	e.unheard.CopyFrom(e.alive)
@@ -262,8 +263,7 @@ func New(cfg Config) (*Entity, error) {
 	}
 	if cfg.Metrics != nil {
 		e.m = cfg.Metrics
-		e.sentAt = make(map[pdu.Seq]time.Duration)
-		e.acceptAt = make([]timeQueue, n)
+		e.acceptAt = make([]fifo[time.Duration], n)
 	}
 	return e, nil
 }
@@ -597,7 +597,7 @@ func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 		// REQ caught the strongest evidence: the gap (if any) closed.
 		e.gapBits.Clear(int(src))
 	}
-	e.rrl[src].Enqueue(p)
+	e.rrl[src].Insert(p)
 	e.rrlTotal++
 	e.chargePDU(p)
 	// The freshly enqueued PDU may already satisfy the PACK condition
@@ -694,7 +694,7 @@ func (e *Entity) runAck(now time.Duration, out *Output) {
 			break
 		}
 		p := e.prl.Dequeue()
-		e.ackedQ[p.Src].InsertBySeq(p)
+		e.ackedQ[p.Src].Insert(p)
 		e.ackedBits.Set(int(p.Src))
 		e.ackedTotal++
 		e.stats.Acked++
@@ -1082,7 +1082,7 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 	p.NeedAck = kind == pdu.KindData || e.solicits(late)
 	p.Data, p.Packed = data, packed
 	e.seq++
-	e.sendlog[p.SEQ] = p
+	e.sendlog.push(sentPDU{p: p, lastRetx: never})
 	e.chargePDU(p)
 	if kind == pdu.KindData {
 		e.stats.DataSent++
@@ -1090,7 +1090,7 @@ func (e *Entity) broadcastSequenced(kind pdu.Kind, data []byte, packed, late boo
 			e.probeSeq, e.probeAt, e.probeVoid = p.SEQ, now, false
 		}
 		if e.m != nil {
-			e.sentAt[p.SEQ] = now
+			e.sentAt.push(now)
 		}
 	} else {
 		e.stats.SyncSent++
@@ -1244,34 +1244,75 @@ func (e *Entity) handleRetForMe(r *pdu.PDU, now time.Duration, out *Output) {
 		from = e.sendLo
 	}
 	for s := from; s < r.LSeq && s < e.seq; s++ {
-		p, ok := e.sendlog[s]
-		if !ok || r.Holds(s) {
+		if r.Holds(s) {
 			continue
 		}
-		if last, sent := e.lastRetx[s]; sent && now-last < e.retryAfter()/2 {
+		sp := e.sendlog.at(int(s - e.sendLo))
+		if now-sp.lastRetx < e.retryAfter()/2 {
 			continue
 		}
-		e.lastRetx[s] = now
+		sp.lastRetx = now
 		e.stats.Retransmitted++
-		e.fl(flight.EvRetServe, e.me, s, p.Kind, r.Src, now)
-		out.PDUs = append(out.PDUs, p)
+		e.fl(flight.EvRetServe, e.me, s, sp.p.Kind, r.Src, now)
+		out.PDUs = append(out.PDUs, sp.p)
 	}
+}
+
+// sentPDU is one send log entry: an own sequenced PDU and when it was
+// last re-served (never before the first time).
+type sentPDU struct {
+	p        *pdu.PDU
+	lastRetx time.Duration
 }
 
 // trimSendLog drops own PDUs with SEQ ≤ upTo from the retransmission log.
 func (e *Entity) trimSendLog(upTo pdu.Seq) {
-	for s := e.sendLo; s <= upTo; s++ {
-		if e.cfg.Ledger != nil {
-			if p, ok := e.sendlog[s]; ok {
-				e.releasePDU(p)
-			}
-		}
-		delete(e.sendlog, s)
-		delete(e.lastRetx, s)
+	for ; e.sendLo <= upTo; e.sendLo++ {
+		sp, _ := e.sendlog.pop()
+		e.releasePDU(sp.p)
 	}
-	if upTo+1 > e.sendLo {
-		e.sendLo = upTo + 1
+}
+
+// fifo is a queue with an amortized-O(1) head: the send log, and the
+// start times the latency histograms pair with their ends by position
+// (sentAt, acceptAt), which carry no sequence numbers because both ends
+// happen in the same order.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+// at returns the i-th entry from the head. It panics if i is out of range.
+func (q *fifo[T]) at(i int) *T { return &q.items[q.head:][i] }
+
+func (q *fifo[T]) pop() (T, bool) {
+	var v T
+	if q.head >= len(q.items) {
+		return v, false
 	}
+	v, q.items[q.head] = q.items[q.head], v // release for GC
+	q.head++
+	switch {
+	case q.head == len(q.items):
+		q.items = q.items[:0]
+		q.head = 0
+	case q.head*2 >= len(q.items):
+		// Compact once the consumed prefix dominates. Resetting only on
+		// empty is not enough: under sustained load the queue never
+		// fully drains, so without this the slice grows append-only for
+		// the life of the entity (cosoak's heap trend check catches it).
+		// No minimum size: of an entity's n queues each is a few
+		// entries deep and must settle there, not regrow through 128.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	return v, true
 }
 
 // windowOpen evaluates the flow condition of §4.2:
@@ -1367,73 +1408,9 @@ func (e *Entity) Committed(k pdu.EntityID) pdu.Seq { return e.committed[k] }
 // PRLSnapshot returns the current pre-acknowledged log in causal order.
 func (e *Entity) PRLSnapshot() []*pdu.PDU { return e.prl.Slice() }
 
-// PRLSnapshotInto appends the pre-acknowledged log onto dst and returns
-// the extended slice — the scratch-reusing form of PRLSnapshot for
-// callers that poll it (introspection, experiment sampling loops).
-func (e *Entity) PRLSnapshotInto(dst []*pdu.PDU) []*pdu.PDU { return e.prl.AppendTo(dst) }
-
-// RRLLen returns the number of accepted-but-not-preacknowledged PDUs from
-// source k.
-func (e *Entity) RRLLen(k pdu.EntityID) int { return e.rrl[k].Len() }
-
-// SendLogLen returns the number of own PDUs retained for retransmission.
-func (e *Entity) SendLogLen() int { return len(e.sendlog) }
-
 // PendingSubmits returns the number of flow-blocked submissions.
 func (e *Entity) PendingSubmits() int { return len(e.pendingSubmits) }
 
 // Quiescent reports whether this entity owes the cluster nothing: no
 // undelivered data, no queued submissions, no unanswered NeedAck.
 func (e *Entity) Quiescent() bool { return !e.needsToSpeak() }
-
-// DrainState is a snapshot of everything an entity still holds in its
-// receive and send pipelines. The chaos harness's liveness predicates
-// read it at quiesce: every DATA PDU must have left the pipeline (the
-// *Data fields and DataResident must be zero), while trailing SYNC PDUs
-// may legitimately remain in the logs — once nothing is left to deliver,
-// no entity owes the cluster the confirmations that would flush them.
-type DrainState struct {
-	// Parked counts out-of-order arrivals awaiting gap repair;
-	// ParkedData counts the DATA PDUs among them.
-	Parked     int
-	ParkedData int
-	// RRL, PRL and Acked count PDUs in the accepted, pre-acknowledged
-	// and commit stages respectively.
-	RRL   int
-	PRL   int
-	Acked int
-	// ReleasePending counts DATA PDUs held by the total-order stable-
-	// release stage (always 0 in CO mode).
-	ReleasePending int
-	// PendingSubmits counts flow-blocked application submissions.
-	PendingSubmits int
-	// SendLog counts own PDUs retained for retransmission; SendLogData
-	// counts the DATA PDUs among them.
-	SendLog     int
-	SendLogData int
-	// DataResident counts accepted-but-undelivered DATA PDUs.
-	DataResident int
-}
-
-// Drain returns the entity's pipeline snapshot.
-func (e *Entity) Drain() DrainState {
-	d := DrainState{
-		Parked:         e.parkedTotal,
-		ParkedData:     e.parkedData,
-		RRL:            e.rrlTotal,
-		PRL:            e.prl.Len(),
-		Acked:          e.ackedTotal,
-		PendingSubmits: len(e.pendingSubmits),
-		SendLog:        len(e.sendlog),
-		DataResident:   e.dataResident,
-	}
-	for _, p := range e.sendlog {
-		if p.Kind == pdu.KindData {
-			d.SendLogData++
-		}
-	}
-	if e.to != nil {
-		d.ReleasePending = e.to.pending.Len()
-	}
-	return d
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,9 +175,8 @@ func TestExample41Table1(t *testing.T) {
 		t.Error("E3 PRL is not causality-preserved")
 	}
 	// f, g and h are accepted but not yet pre-acknowledged.
-	if e3.RRLLen(0) != 1 || e3.RRLLen(1) != 1 || e3.RRLLen(2) != 1 {
-		t.Errorf("E3 RRL lengths = %d,%d,%d, want 1,1,1",
-			e3.RRLLen(0), e3.RRLLen(1), e3.RRLLen(2))
+	if rrl := e3.Snapshot().RRL; !slices.Equal(rrl, []int{1, 1, 1}) {
+		t.Errorf("E3 RRL lengths = %v, want [1 1 1]", rrl)
 	}
 	// Acknowledgment thresholds after the exchange: only E1's PDUs below
 	// 2 (just a) are known pre-acknowledged everywhere, per the paper.
@@ -395,16 +395,16 @@ func TestSendLogTrimsAfterPreack(t *testing.T) {
 	ents := newScriptCluster(t, 2)
 	e0, e1 := ents[0], ents[1]
 	p := submit(t, e0, "m")
-	if e0.SendLogLen() != 1 {
-		t.Fatalf("SendLogLen = %d, want 1", e0.SendLogLen())
+	if n := e0.Snapshot().SendLog; n != 1 {
+		t.Fatalf("send log holds %d PDUs, want 1", n)
 	}
 	receive(t, e1, p)
 	ack := submit(t, e1, "carrier")
 	receive(t, e0, ack)
 	// e0 now knows both entities accepted p: it is pre-acknowledged and
 	// leaves the retransmission log.
-	if e0.SendLogLen() != 0 {
-		t.Errorf("SendLogLen = %d after preack, want 0", e0.SendLogLen())
+	if n := e0.Snapshot().SendLog; n != 0 {
+		t.Errorf("send log holds %d PDUs after preack, want 0", n)
 	}
 }
 
@@ -601,8 +601,8 @@ func TestMaxResidentTracked(t *testing.T) {
 	if got := e1.Resident(); got < 5 {
 		t.Errorf("Resident = %d, want >= 5", got)
 	}
-	if e1.RRLLen(0) != 5 {
-		t.Errorf("RRL(0) = %d, want 5 (third entity silent)", e1.RRLLen(0))
+	if n := e1.Snapshot().RRL[0]; n != 5 {
+		t.Errorf("RRL(0) = %d, want 5 (third entity silent)", n)
 	}
 }
 

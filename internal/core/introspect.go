@@ -8,43 +8,6 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// timeQueue is a FIFO of timestamps with an amortized-O(1) head, used
-// for the per-source accept→commit histogram. Both acceptance and
-// commit are strictly per-source sequence-ordered (the PRL can reorder
-// same-source PDUs under loss, but InsertBySeq in the commit stage
-// restores the order), so a plain FIFO pairs each commit with its
-// acceptance time without carrying sequence numbers.
-type timeQueue struct {
-	ts   []time.Duration
-	head int
-}
-
-func (q *timeQueue) push(t time.Duration) { q.ts = append(q.ts, t) }
-
-func (q *timeQueue) pop() (time.Duration, bool) {
-	if q.head >= len(q.ts) {
-		return 0, false
-	}
-	t := q.ts[q.head]
-	q.head++
-	switch {
-	case q.head == len(q.ts):
-		q.ts = q.ts[:0]
-		q.head = 0
-	case q.head*2 >= len(q.ts):
-		// Compact once the consumed prefix dominates. Resetting only on
-		// empty is not enough: under sustained load the queue never
-		// fully drains, so without this the slice grows append-only for
-		// the life of the entity (cosoak's heap trend check catches it).
-		// No minimum size: of an entity's n queues each is a few
-		// timestamps deep and must settle there, not regrow through 128.
-		n := copy(q.ts, q.ts[q.head:])
-		q.ts = q.ts[:n]
-		q.head = 0
-	}
-	return t, true
-}
-
 // micros converts a duration to whole microseconds for the histograms,
 // clamping negatives (defensive: callers pass non-decreasing nows).
 func micros(d time.Duration) uint64 {
@@ -56,14 +19,13 @@ func micros(d time.Duration) uint64 {
 
 // observeDeliverLatency feeds the broadcast→deliver histogram for this
 // entity's own DATA PDUs. No-op unless metrics are attached and the
-// PDU is a locally submitted DATA with a recorded send time.
+// PDU is a locally submitted DATA.
 func (e *Entity) observeDeliverLatency(p *pdu.PDU, now time.Duration) {
 	if e.m == nil || p.Src != e.me || p.Kind != pdu.KindData {
 		return
 	}
-	if t, ok := e.sentAt[p.SEQ]; ok {
+	if t, ok := e.sentAt.pop(); ok {
 		e.m.DeliverLatencyUS.Observe(micros(now - t))
-		delete(e.sentAt, p.SEQ)
 	}
 }
 
@@ -160,7 +122,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		PRL:            e.prl.Len(),
 		ARL:            e.ackedTotal,
 		Parked:         e.parkedTotal,
-		SendLog:        len(e.sendlog),
+		SendLog:        e.sendlog.len(),
 		PendingSubmits: len(e.pendingSubmits),
 		BufFree:        e.availBuf(),
 		BufUnits:       BufferUnits,
@@ -171,8 +133,8 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		DataResident:   e.dataResident,
 		Quiescent:      e.Quiescent(),
 	}
-	for _, p := range e.sendlog {
-		if p.Kind == pdu.KindData {
+	for i := 0; i < e.sendlog.len(); i++ {
+		if e.sendlog.at(i).p.Kind == pdu.KindData {
 			s.SendLogData++
 		}
 	}

@@ -109,9 +109,8 @@ func TestSnapshotIntoAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { e.SnapshotInto(&s) }); n != 0 {
 		t.Errorf("SnapshotInto with warm scratch: %v allocs/op, want 0", n)
 	}
-	prl := e.PRLSnapshotInto(nil)
-	if n := testing.AllocsPerRun(100, func() { prl = e.PRLSnapshotInto(prl[:0]) }); n != 0 {
-		t.Errorf("PRLSnapshotInto with warm scratch: %v allocs/op, want 0", n)
+	if prl := e.PRLSnapshot(); len(prl) != s.PRL || s.PRL == 0 {
+		t.Errorf("PRLSnapshot holds %d PDUs, snapshot PRL depth %d, want equal and non-zero", len(prl), s.PRL)
 	}
 }
 

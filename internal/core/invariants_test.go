@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cobcast/internal/msglog"
+	"cobcast/internal/obsv"
 	"cobcast/internal/pdu"
 )
 
@@ -122,13 +123,17 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			prev = p.SEQ
 		}
 	}
-	// Send log only holds PDUs we actually sent, above the trim mark.
-	for s, p := range e.sendlog {
-		if s < e.sendLo || s >= e.seq {
-			fail("sendlog seq %d outside [%d,%d)", s, e.sendLo, e.seq)
-		}
-		if p.Src != e.me {
-			fail("sendlog holds foreign PDU %v", p)
+	// The send log holds exactly our own SEQs [sendLo, seq), in order:
+	// the own PDUs not yet pre-acknowledged, which is our own RRL.
+	if lo := e.seq - pdu.Seq(e.rrl[e.me].Len()); e.sendLo != lo {
+		fail("sendLo=%d, own RRL starts at %d", e.sendLo, lo)
+	}
+	if got, want := e.sendlog.len(), int(e.seq-e.sendLo); got != want {
+		fail("sendlog holds %d PDUs, want %d for [%d,%d)", got, want, e.sendLo, e.seq)
+	}
+	for i := 0; i < e.sendlog.len(); i++ {
+		if p := e.sendlog.at(i).p; p.Src != e.me || p.SEQ != e.sendLo+pdu.Seq(i) {
+			fail("sendlog[%d] holds %v, want own SEQ %d", i, p, e.sendLo+pdu.Seq(i))
 		}
 	}
 	// Cached counters agree with the structures they cache.
@@ -198,8 +203,8 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 				add(it.p)
 			}
 		}
-		for _, p := range e.sendlog {
-			add(p)
+		for i := 0; i < e.sendlog.len(); i++ {
+			add(e.sendlog.at(i).p)
 		}
 		if l.Bytes() != bytes || l.PDUs() != pdus {
 			fail("ledger holds %d B / %d PDUs, the logs retain %d B / %d PDUs", l.Bytes(), l.PDUs(), bytes, pdus)
@@ -299,6 +304,7 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 			RetransmitTimeout:   2 * time.Millisecond,
 			TotalOrder:          totalOrder,
 			Ledger:              NewLedger(1 << 30),
+			Metrics:             obsv.NewEntityMetrics(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -309,6 +315,7 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 	// duplication applied at dequeue.
 	queues := make([][]*pdu.PDU, n*n) // queues[from*n+to]
 	now := time.Duration(0)
+	ownDelivered := make([]uint64, n) // own DATA PDUs each entity delivered
 	route := func(from int, out Output) {
 		for _, p := range out.PDUs {
 			for to := 0; to < n; to++ {
@@ -316,6 +323,22 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 					queues[from*n+to] = append(queues[from*n+to], p.Clone())
 				}
 			}
+		}
+		for _, d := range out.Deliveries {
+			if d.Src == pdu.EntityID(from) && d.Index == 0 {
+				ownDelivered[from]++
+			}
+		}
+	}
+	// check runs checkInvariants plus what needs the walk's count: sentAt
+	// pairs each own DATA delivery with its send time by position, so it
+	// holds one entry per own DATA sent and not yet delivered.
+	check := func(i, step int) {
+		t.Helper()
+		e := ents[i]
+		checkInvariants(t, e, step)
+		if got, want := e.sentAt.len(), e.stats.DataSent-ownDelivered[i]; uint64(got) != want {
+			t.Fatalf("seed %d step %d entity %d: sentAt holds %d send times, %d own DATA undelivered", seed, step, i, got, want)
 		}
 	}
 	const steps = 400
@@ -328,7 +351,7 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 			}
 			if j := rng.Intn(n); rng.Intn(3) == 0 {
 				route(j, ents[j].Release(now))
-				checkInvariants(t, ents[j], step)
+				check(j, step)
 			}
 		}
 		switch rng.Intn(10) {
@@ -370,7 +393,7 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 				route(i, out)
 			}
 		}
-		checkInvariants(t, ents[i], step)
+		check(i, step)
 		if !batched {
 			checkPRLCausal(t, ents[i], step)
 		}
@@ -378,7 +401,7 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 	// Final pass over every entity.
 	for i, e := range ents {
 		route(i, e.Release(now))
-		checkInvariants(t, e, steps)
+		check(i, steps)
 		if !batched {
 			checkPRLCausal(t, e, steps)
 		}

@@ -120,11 +120,11 @@ func (l *Ledger) Shed() uint64    { return l.shed.Load() }
 // Every retention site charges on entry and releases on exit, so the
 // ledger is the sum over sites and returns to zero when the logs drain:
 //
-//	pendingSubmits  chargeSubmit (Submit) / releaseSubmit (drainSubmits)
-//	parked          chargePDU (park) / releasePDU (unpark)
-//	rrl→prl→ackedQ  chargePDU (accept) / releasePDU (commit dequeue)
-//	to.pending      chargePDU (onCommitTotal) / releasePDU (releaseTotal)
-//	sendlog         chargePDU (broadcastSequenced) / releasePDU (trim)
+//	pendingSubmits  [][]byte          chargeSubmit (Submit) / releaseSubmit (drainSubmits)
+//	parked          map per source    chargePDU (park) / releasePDU (unpark)
+//	rrl→prl→ackedQ  Queue→Log→Queue   chargePDU (accept) / releasePDU (commit dequeue)
+//	to.pending      heap              chargePDU (onCommitTotal) / releasePDU (releaseTotal)
+//	sendlog         slice by SEQ      chargePDU (broadcastSequenced) / releasePDU (trimSendLog)
 //
 // Own PDUs sit in both the send log and the receive pipeline; they are
 // charged twice and released twice — symmetric, so still exact. All

@@ -146,7 +146,7 @@ func (m *packMesh) settle() {
 		}
 	}
 	for i, e := range m.ents {
-		m.t.Logf("entity %d: crashed=%v delivered %d/%d drain %+v", i, m.crashed[i], len(m.got[i]), total, e.Drain())
+		m.t.Logf("entity %d: crashed=%v delivered %d/%d snapshot %+v", i, m.crashed[i], len(m.got[i]), total, e.Snapshot())
 	}
 	m.t.Fatalf("seed %d: mesh did not settle", m.seed)
 }
@@ -238,11 +238,15 @@ func TestPackedBacklogDeliversEveryMessageOnceInOrder(t *testing.T) {
 			// Drained: no payload is charged anywhere — what the ledger
 			// still holds is the trailing SYNCs nothing is left to flush
 			// (checkInvariants ties it to the logs byte for byte).
-			st, dr := e.Stats(), e.Drain()
+			st, dr := e.Stats(), e.Snapshot()
 			if dr.DataResident != 0 || dr.ParkedData != 0 || dr.PendingSubmits != 0 || dr.SendLogData != 0 || dr.ReleasePending != 0 {
 				t.Fatalf("seed %d: entity %d settled holding data: %+v", seed, i, dr)
 			}
-			residue := int64(dr.Parked+dr.RRL+dr.PRL+dr.Acked+dr.SendLog) * pduCost(0, n)
+			rrl := 0
+			for _, l := range dr.RRL {
+				rrl += l
+			}
+			residue := int64(dr.Parked+rrl+dr.PRL+dr.ARL+dr.SendLog) * pduCost(0, n)
 			if got := e.cfg.Ledger.Bytes(); got != residue {
 				t.Fatalf("seed %d: entity %d ledger %d B after drain, want the %d B of its trailing SYNCs", seed, i, got, residue)
 			}

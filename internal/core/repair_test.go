@@ -119,3 +119,63 @@ func TestRetDischargesRoundTwo(t *testing.T) {
 		t.Errorf("DeferredConfirms %d → %d: round 2 went as a SYNC after the RET", before, got)
 	}
 }
+
+// TestRetStraddlingTrimmedSendLog has entity 0 serve a RET whose range
+// starts below its send log and ends past its next SEQ: SEQs 1–2 are
+// pre-acknowledged and trimmed, 3–6 retained, and the RET asks for
+// [1,10) holding 2 and 4. The source serves exactly 3, 5 and 6,
+// bit-identical, refuses a second copy of the RET within the hold-off,
+// and serves the same three again once the hold-off has passed.
+func TestRetStraddlingTrimmedSendLog(t *testing.T) {
+	ents := newScriptCluster(t, 2)
+	e0, e1 := ents[0], ents[1]
+	receive(t, e1, submit(t, e0, "m1"))
+	receive(t, e1, submit(t, e0, "m2"))
+	receive(t, e0, submit(t, e1, "carrier")) // ACK[0] = 3: 1 and 2 pre-acknowledged
+	if n := e0.Snapshot().SendLog; n != 0 {
+		t.Fatalf("send log holds %d PDUs after the pre-acknowledgment, want 0", n)
+	}
+	want := map[pdu.Seq]*pdu.PDU{}
+	for _, m := range []string{"m3", "m4", "m5", "m6"} {
+		p := submit(t, e0, m)
+		want[p.SEQ] = p.Clone()
+	}
+	if s := e0.Snapshot(); s.SendLog != 4 || s.Seq != 7 {
+		t.Fatalf("send log holds %d PDUs below SEQ %d, want 4 below 7", s.SendLog, s.Seq)
+	}
+	delete(want, 4)
+
+	ret := &pdu.PDU{Kind: pdu.KindRet, Src: 1, LSrc: 0, LSeq: 10, ACK: []pdu.Seq{1, 2}, BUF: core.BufferUnits}
+	ret.Data = pdu.AddHeld(pdu.AddHeld(nil, 1, 2), 1, 4)
+	if err := ret.Validate(2); err != nil {
+		t.Fatalf("RET fails validation: %v", err)
+	}
+	serve := func(now time.Duration) []pdu.Seq {
+		t.Helper()
+		out, err := e0.Receive(ret.Clone(), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []pdu.Seq
+		for _, q := range out.PDUs {
+			if w := want[q.SEQ]; w == nil || !reflect.DeepEqual(q, w) {
+				t.Fatalf("served %v, want a bit-identical copy of SEQ 3, 5 or 6", q)
+			}
+			seqs = append(seqs, q.SEQ)
+		}
+		return seqs
+	}
+	holdOff := time.Duration(e0.Snapshot().RetryAfterUS) * time.Microsecond / 2
+	if got := serve(0); !reflect.DeepEqual(got, []pdu.Seq{3, 5, 6}) {
+		t.Fatalf("first RET served %v, want [3 5 6]", got)
+	}
+	if got := serve(holdOff - 1); len(got) != 0 {
+		t.Fatalf("RET within the hold-off served %v, want nothing", got)
+	}
+	if got := serve(holdOff); !reflect.DeepEqual(got, []pdu.Seq{3, 5, 6}) {
+		t.Fatalf("RET after the hold-off served %v, want [3 5 6]", got)
+	}
+	if st := e0.Stats(); st.Retransmitted != 6 {
+		t.Errorf("Retransmitted = %d, want 6", st.Retransmitted)
+	}
+}

@@ -6,15 +6,27 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// Probe: steady-state enqueue-1/dequeue-1 (log drains to empty each cycle).
+// TestProbeHeadGrowth runs sustained push/pop through a Queue, once
+// draining it every cycle and once at a standing depth that never
+// drains: in both, the head index and the backing array stay bounded by
+// the depth, not by the number of PDUs that passed through.
 func TestProbeHeadGrowth(t *testing.T) {
-	var l Log
-	for i := 0; i < 100000; i++ {
-		l.Enqueue(&pdu.PDU{Src: 0, SEQ: pdu.Seq(i), ACK: []pdu.Seq{1, 2}})
-		l.Dequeue()
-	}
-	t.Logf("head=%d len=%d cap=%d", l.head, len(l.pdus), cap(l.pdus))
-	if l.head > 1000 {
-		t.Errorf("head grew without bound: %d", l.head)
+	for _, depth := range []int{0, 5, 100} {
+		var q Queue
+		seq := pdu.Seq(1)
+		for ; int(seq) <= depth; seq++ {
+			q.Insert(&pdu.PDU{SEQ: seq})
+		}
+		for i := 0; i < 100000; i++ {
+			q.Insert(&pdu.PDU{SEQ: seq})
+			seq++
+			q.Dequeue()
+		}
+		if q.Len() != depth {
+			t.Fatalf("depth %d: Len = %d", depth, q.Len())
+		}
+		if bound := 2*depth + 130; q.head > bound || cap(q.pdus) > 2*bound {
+			t.Errorf("depth %d: head %d, len %d, cap %d grew past %d", depth, q.head, len(q.pdus), cap(q.pdus), bound)
+		}
 	}
 }

@@ -19,11 +19,105 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// Log is an ordered sequence of PDUs with queue operations. The zero value
-// is an empty, ready-to-use log. Dequeue is amortized O(1).
-type Log struct {
+// Queue is a FIFO of PDUs kept in ascending SEQ order: the paper's
+// receipt sublog RRL_j, and the commit stage's per-source queue. The zero
+// value is an empty, ready-to-use queue. Insert is O(1) for in-order
+// input and Dequeue is amortized O(1).
+type Queue struct {
 	pdus []*pdu.PDU
 	head int
+}
+
+// Reserve pre-sizes the queue for c resident PDUs, so the steady-state
+// hot path does not reallocate the backing array. It is optional: the
+// zero-value queue grows on demand.
+func (q *Queue) Reserve(c int) {
+	if c > cap(q.pdus) {
+		grown := make([]*pdu.PDU, len(q.pdus), c)
+		copy(grown, q.pdus)
+		q.pdus = grown
+	}
+}
+
+// Len returns the number of PDUs in the queue.
+func (q *Queue) Len() int { return len(q.pdus) - q.head }
+
+// Top returns the first PDU (the paper's top(L)), or nil if empty.
+func (q *Queue) Top() *pdu.PDU {
+	if q.Len() == 0 {
+		return nil
+	}
+	return q.pdus[q.head]
+}
+
+// At returns the i-th PDU (0 = top). It panics if i is out of range.
+func (q *Queue) At(i int) *pdu.PDU { return q.pdus[q.head+i] }
+
+// Slice returns a copy of the queue contents from top to last. Mutating
+// the returned slice does not affect the queue.
+func (q *Queue) Slice() []*pdu.PDU {
+	if q.Len() == 0 {
+		return nil
+	}
+	return append([]*pdu.PDU(nil), q.pdus[q.head:]...)
+}
+
+// Insert places p after every entry with a lower SEQ. Meant for PDUs from
+// a single source, where SEQ is a total order: an in-order p (the
+// paper's enqueue(L, p)) appends at the tail in O(1); a late straggler
+// shifts the larger entries right.
+func (q *Queue) Insert(p *pdu.PDU) {
+	at := len(q.pdus)
+	for at > q.head && q.pdus[at-1].SEQ > p.SEQ {
+		at--
+	}
+	q.insertAt(at, p)
+}
+
+// insertAt places p at index at of the backing array, shifting the
+// entries at or past it one slot right.
+func (q *Queue) insertAt(at int, p *pdu.PDU) {
+	q.pdus = append(q.pdus, nil)
+	copy(q.pdus[at+1:], q.pdus[at:])
+	q.pdus[at] = p
+}
+
+// Dequeue removes and returns the top PDU (the paper's dequeue(L)), or
+// nil if the queue is empty.
+func (q *Queue) Dequeue() *pdu.PDU {
+	p, _ := q.pop()
+	return p
+}
+
+// pop is Dequeue that also reports how many slots the remaining entries
+// moved toward the front of the backing array (0 unless it compacted).
+func (q *Queue) pop() (p *pdu.PDU, moved int) {
+	if q.Len() == 0 {
+		return nil, 0
+	}
+	p = q.pdus[q.head]
+	q.pdus[q.head] = nil // release for GC
+	q.head++
+	if q.Len() == 0 {
+		// Drained: rewind to the front of the backing array (every slot
+		// behind head is already nil) so the head index cannot grow
+		// without bound in enqueue/dequeue steady state.
+		q.pdus = q.pdus[:0]
+		q.head = 0
+	} else if q.head > 64 && q.head*2 >= len(q.pdus) {
+		moved = q.head
+		n := copy(q.pdus, q.pdus[q.head:])
+		clear(q.pdus[n:])
+		q.pdus = q.pdus[:n]
+		q.head = 0
+	}
+	return p, moved
+}
+
+// Log is the causality-preserved receipt sublog PRL: a Queue whose only
+// insertion is InsertCPI. The zero value is an empty, ready-to-use log.
+type Log struct {
+	q Queue
 
 	// maxAck[j] / maxSeq[j] bound, from above, the ACK[j] entries and
 	// the sequence numbers of source-j PDUs ever inserted since the log
@@ -36,7 +130,7 @@ type Log struct {
 	maxAck []pdu.Seq
 	maxSeq []pdu.Seq
 
-	// lastPos[j] is the index (into pdus) of the most recently inserted
+	// lastPos[j] is the index (into q.pdus) of the most recently inserted
 	// source-j PDU, or -1 if unknown. Because per-source insertions arrive
 	// in ascending SEQ and the log stays causality-preserved, no causal
 	// successor of a source-j PDU can sit at or before an earlier
@@ -59,11 +153,7 @@ func (l *Log) Reserve(n, c int) {
 	if n > len(l.maxSeq) {
 		l.maxSeq = append(l.maxSeq, make([]pdu.Seq, n-len(l.maxSeq))...)
 	}
-	if c > cap(l.pdus) {
-		grown := make([]*pdu.PDU, len(l.pdus), c)
-		copy(grown, l.pdus)
-		l.pdus = grown
-	}
+	l.q.Reserve(c)
 	if n > len(l.lastPos) {
 		old := len(l.lastPos)
 		l.lastPos = append(l.lastPos, make([]int, n-old)...)
@@ -71,6 +161,35 @@ func (l *Log) Reserve(n, c int) {
 			l.lastPos[i] = -1
 		}
 	}
+}
+
+// Len returns the number of PDUs in the log.
+func (l *Log) Len() int { return l.q.Len() }
+
+// Top returns the first PDU (the paper's top(L)), or nil if empty.
+func (l *Log) Top() *pdu.PDU { return l.q.Top() }
+
+// Slice returns a copy of the log contents from top to last.
+func (l *Log) Slice() []*pdu.PDU { return l.q.Slice() }
+
+// Dequeue removes and returns the top PDU (the paper's dequeue(L)), or nil
+// if the log is empty.
+func (l *Log) Dequeue() *pdu.PDU {
+	p, moved := l.q.pop()
+	switch {
+	case p == nil:
+	case l.q.Len() == 0:
+		l.resetBounds()
+	case moved > 0:
+		for j, h := range l.lastPos {
+			if h >= moved {
+				l.lastPos[j] = h - moved
+			} else if h >= 0 {
+				l.lastPos[j] = -1
+			}
+		}
+	}
+	return p
 }
 
 // notePos records that p now resides at index at, shifting hints that the
@@ -93,73 +212,20 @@ func (l *Log) notePos(p *pdu.PDU, at int, shifted bool) {
 }
 
 // posHint returns the index after the latest resident same-source
-// predecessor of p, or l.head when no valid hint exists. The first causal
-// successor of p cannot sit at or before that predecessor (pred ≺ p, so
-// p ≺ q would make q a successor of pred placed before pred, breaking the
-// causality-preserved invariant), so scanning may begin there.
+// predecessor of p, or the head when no valid hint exists. The first
+// causal successor of p cannot sit at or before that predecessor (pred ≺
+// p, so p ≺ q would make q a successor of pred placed before pred,
+// breaking the causality-preserved invariant), so scanning may begin
+// there.
 func (l *Log) posHint(p *pdu.PDU) int {
 	if int(p.Src) < len(l.lastPos) {
-		if h := l.lastPos[p.Src]; h >= l.head && h < len(l.pdus) {
-			if q := l.pdus[h]; q != nil && q.Src == p.Src && q.SEQ < p.SEQ {
+		if h := l.lastPos[p.Src]; h >= l.q.head && h < len(l.q.pdus) {
+			if q := l.q.pdus[h]; q != nil && q.Src == p.Src && q.SEQ < p.SEQ {
 				return h + 1
 			}
 		}
 	}
-	return l.head
-}
-
-// Len returns the number of PDUs in the log.
-func (l *Log) Len() int { return len(l.pdus) - l.head }
-
-// Empty reports whether the log holds no PDUs.
-func (l *Log) Empty() bool { return l.Len() == 0 }
-
-// Top returns the first PDU (the paper's top(L)), or nil if empty.
-func (l *Log) Top() *pdu.PDU {
-	if l.Empty() {
-		return nil
-	}
-	return l.pdus[l.head]
-}
-
-// Last returns the final PDU (the paper's last(L)), or nil if empty.
-func (l *Log) Last() *pdu.PDU {
-	if l.Empty() {
-		return nil
-	}
-	return l.pdus[len(l.pdus)-1]
-}
-
-// At returns the i-th PDU (0 = top). It panics if i is out of range.
-func (l *Log) At(i int) *pdu.PDU { return l.pdus[l.head+i] }
-
-// Enqueue appends p at the tail (the paper's enqueue(L, p)).
-func (l *Log) Enqueue(p *pdu.PDU) {
-	l.pdus = append(l.pdus, p)
-	l.noteInsert(p)
-	l.notePos(p, len(l.pdus)-1, false)
-}
-
-// Dequeue removes and returns the top PDU (the paper's dequeue(L)), or nil
-// if the log is empty.
-func (l *Log) Dequeue() *pdu.PDU {
-	if l.Empty() {
-		return nil
-	}
-	p := l.pdus[l.head]
-	l.pdus[l.head] = nil // release for GC
-	l.head++
-	if l.Empty() {
-		// Drained: rewind to the front of the backing array (every slot
-		// behind head is already nil) so the head index cannot grow
-		// without bound in enqueue/dequeue steady state.
-		l.pdus = l.pdus[:0]
-		l.head = 0
-		l.resetBounds()
-	} else if l.head > 64 && l.head*2 >= len(l.pdus) {
-		l.compact()
-	}
-	return p
+	return l.q.head
 }
 
 // noteInsert folds p into the successor-witness bounds.
@@ -182,12 +248,8 @@ func (l *Log) noteInsert(p *pdu.PDU) {
 
 // resetBounds re-arms the append-at-tail fast path on an empty log.
 func (l *Log) resetBounds() {
-	for i := range l.maxAck {
-		l.maxAck[i] = 0
-	}
-	for i := range l.maxSeq {
-		l.maxSeq[i] = 0
-	}
+	clear(l.maxAck)
+	clear(l.maxSeq)
 	for i := range l.lastPos {
 		l.lastPos[i] = -1
 	}
@@ -204,38 +266,6 @@ func (l *Log) noSuccessorIn(p *pdu.PDU) bool {
 		return false
 	}
 	return true
-}
-
-func (l *Log) compact() {
-	n := copy(l.pdus, l.pdus[l.head:])
-	for i := n; i < len(l.pdus); i++ {
-		l.pdus[i] = nil
-	}
-	for j, h := range l.lastPos {
-		if h >= l.head {
-			l.lastPos[j] = h - l.head
-		} else if h >= 0 {
-			l.lastPos[j] = -1
-		}
-	}
-	l.pdus = l.pdus[:n]
-	l.head = 0
-}
-
-// Slice returns a copy of the log contents from top to last. Mutating the
-// returned slice does not affect the log.
-func (l *Log) Slice() []*pdu.PDU {
-	if l.Empty() {
-		return nil
-	}
-	return l.AppendTo(nil)
-}
-
-// AppendTo appends the log contents from top to last onto dst and
-// returns the extended slice, reusing dst's capacity — the scratch-friendly
-// form of Slice for callers that snapshot repeatedly.
-func (l *Log) AppendTo(dst []*pdu.PDU) []*pdu.PDU {
-	return append(dst, l.pdus[l.head:]...)
 }
 
 // InsertCPI performs the causality-preserved insertion L < p of Section
@@ -255,55 +285,34 @@ func (l *Log) AppendTo(dst []*pdu.PDU) []*pdu.PDU {
 // conservative, so a slow-path scan that finds no successor also
 // returns 0.
 func (l *Log) InsertCPI(p *pdu.PDU) int {
-	if l.noSuccessorIn(p) {
-		l.pdus = append(l.pdus, p)
-		l.noteInsert(p)
-		l.notePos(p, len(l.pdus)-1, false)
-		return 0
-	}
-	// The scan applies pdu.CausallyPrecedes(p, q) unrolled to the
-	// one-directional Theorem 4.1 test: this loop runs once per resident
-	// PDU and the full Compare would redundantly evaluate q ≺ p too. It
-	// starts at the same-source position hint: entries at or before p's
-	// latest resident predecessor cannot causally follow p.
-	at := len(l.pdus)
-	src, seq := p.Src, p.SEQ
-	start := l.posHint(p)
-	for i := start; i < len(l.pdus); i++ {
-		q := l.pdus[i]
-		if q.Src == src {
-			if seq < q.SEQ {
+	pdus := l.q.pdus
+	at := len(pdus)
+	if !l.noSuccessorIn(p) {
+		// The scan applies pdu.CausallyPrecedes(p, q) unrolled to the
+		// one-directional Theorem 4.1 test: this loop runs once per
+		// resident PDU and the full Compare would redundantly evaluate
+		// q ≺ p too. It starts at the same-source position hint: entries
+		// at or before p's latest resident predecessor cannot causally
+		// follow p.
+		src, seq := p.Src, p.SEQ
+		for i := l.posHint(p); i < len(pdus); i++ {
+			q := pdus[i]
+			if q.Src == src {
+				if seq < q.SEQ {
+					at = i
+					break
+				}
+			} else if seq < q.ACK[src] {
 				at = i
 				break
 			}
-		} else if seq < q.ACK[src] {
-			at = i
-			break
 		}
 	}
-	displaced := len(l.pdus) - at
-	l.pdus = append(l.pdus, nil)
-	copy(l.pdus[at+1:], l.pdus[at:])
-	l.pdus[at] = p
+	displaced := len(pdus) - at
+	l.q.insertAt(at, p)
 	l.noteInsert(p)
 	l.notePos(p, at, displaced != 0)
 	return displaced
-}
-
-// InsertBySeq inserts p keeping the log sorted by ascending SEQ. It is
-// meant for logs holding PDUs from a single source, where SEQ is a total
-// order. The common case — p's SEQ above every entry — appends at the
-// tail in O(1); a late straggler shifts the larger entries right.
-func (l *Log) InsertBySeq(p *pdu.PDU) {
-	at := len(l.pdus)
-	for at > l.head && l.pdus[at-1].SEQ > p.SEQ {
-		at--
-	}
-	l.pdus = append(l.pdus, nil)
-	copy(l.pdus[at+1:], l.pdus[at:])
-	l.pdus[at] = p
-	l.noteInsert(p)
-	l.notePos(p, at, at != len(l.pdus)-1)
 }
 
 // IsCausalityPreserved reports whether the sequence satisfies the

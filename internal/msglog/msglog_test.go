@@ -58,15 +58,15 @@ func TestInsertCPIExample41(t *testing.T) {
 
 func TestQueueOperations(t *testing.T) {
 	var l Log
-	if !l.Empty() || l.Top() != nil || l.Last() != nil || l.Dequeue() != nil {
+	if l.Len() != 0 || l.Top() != nil || l.Dequeue() != nil {
 		t.Fatal("zero-value log not empty")
 	}
 	tbl := table1()
-	l.Enqueue(tbl["a"])
-	l.Enqueue(tbl["c"])
-	l.Enqueue(tbl["e"])
-	if l.Len() != 3 || l.Top() != tbl["a"] || l.Last() != tbl["e"] || l.At(1) != tbl["c"] {
-		t.Fatal("enqueue/accessors wrong")
+	l.InsertCPI(tbl["a"])
+	l.InsertCPI(tbl["c"])
+	l.InsertCPI(tbl["e"])
+	if got := names(l.Slice(), tbl); l.Len() != 3 || l.Top() != tbl["a"] || got != "ace" {
+		t.Fatal("insert/accessors wrong")
 	}
 	if got := l.Dequeue(); got != tbl["a"] {
 		t.Fatalf("Dequeue = %v, want a", got)
@@ -85,7 +85,7 @@ func TestDequeueCompaction(t *testing.T) {
 	var l Log
 	const total = 500
 	for i := 1; i <= total; i++ {
-		l.Enqueue(dataPDU(0, pdu.Seq(i), []pdu.Seq{pdu.Seq(i)}))
+		l.InsertCPI(dataPDU(0, pdu.Seq(i), []pdu.Seq{pdu.Seq(i)}))
 	}
 	for i := 1; i <= total; i++ {
 		p := l.Dequeue()
@@ -93,15 +93,46 @@ func TestDequeueCompaction(t *testing.T) {
 			t.Fatalf("Dequeue %d = %v", i, p)
 		}
 	}
-	if !l.Empty() {
+	if l.Len() != 0 {
 		t.Fatal("log not empty after draining")
 	}
-	// Interleaved enqueue/dequeue across the compaction threshold.
+	// Interleaved insert/dequeue across the compaction threshold.
 	for i := 1; i <= total; i++ {
-		l.Enqueue(dataPDU(1, pdu.Seq(i), []pdu.Seq{pdu.Seq(i)}))
+		l.InsertCPI(dataPDU(1, pdu.Seq(i), []pdu.Seq{0, pdu.Seq(i)}))
 		if p := l.Dequeue(); p.SEQ != pdu.Seq(i) {
 			t.Fatalf("interleaved Dequeue = %v, want seq %d", p, i)
 		}
+	}
+}
+
+// TestQueueInsertKeepsSeqOrder feeds one source's PDUs with stragglers:
+// each lands after every lower SEQ, whether the queue's head has moved
+// or not, and in-order input stays a plain FIFO.
+func TestQueueInsertKeepsSeqOrder(t *testing.T) {
+	var q Queue
+	for _, s := range []pdu.Seq{1, 2, 4, 5} {
+		q.Insert(dataPDU(0, s, nil))
+	}
+	if got := q.Dequeue(); got.SEQ != 1 {
+		t.Fatalf("Dequeue = seq %d, want 1", got.SEQ)
+	}
+	q.Insert(dataPDU(0, 3, nil)) // straggler behind 4 and 5
+	q.Insert(dataPDU(0, 7, nil))
+	q.Insert(dataPDU(0, 6, nil)) // straggler at the tail
+	var got []pdu.Seq
+	for _, p := range q.Slice() {
+		got = append(got, p.SEQ)
+	}
+	if want := []pdu.Seq{2, 3, 4, 5, 6, 7}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("queue order = %v, want %v", got, want)
+	}
+	for want := pdu.Seq(2); want <= 7; want++ {
+		if p := q.Dequeue(); p == nil || p.SEQ != want {
+			t.Fatalf("Dequeue = %v, want seq %d", p, want)
+		}
+	}
+	if q.Len() != 0 || q.Top() != nil || q.Dequeue() != nil {
+		t.Fatal("queue not empty after draining")
 	}
 }
 
@@ -147,8 +178,8 @@ func TestInsertCPIAfterDequeue(t *testing.T) {
 	// InsertCPI must respect the logical top after dequeues shifted head.
 	tbl := table1()
 	var l Log
-	l.Enqueue(tbl["a"])
-	l.Enqueue(tbl["c"])
+	l.InsertCPI(tbl["a"])
+	l.InsertCPI(tbl["c"])
 	l.Dequeue() // drop a; top is now c
 	l.InsertCPI(tbl["e"])
 	l.InsertCPI(tbl["d"]) // c ≺ d ≺ e

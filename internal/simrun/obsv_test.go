@@ -108,7 +108,7 @@ func TestRegistryCountersMatchEntityStats(t *testing.T) {
 // snapshots report a drained DATA pipeline: no resident, parked or
 // unconfirmed DATA, no queued submissions, every entity quiescent.
 // (Aggregate depths like Parked/SendLog may keep trailing SYNCs — the
-// same distinction DrainState draws.)
+// same distinction the chaos liveness check draws on Snapshot().)
 func TestSnapshotDrainsAtQuiescence(t *testing.T) {
 	reg := obsv.NewRegistry()
 	runLossy(t, reg)

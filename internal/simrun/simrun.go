@@ -495,17 +495,6 @@ func (c *Cluster) TapSamples() []time.Duration {
 	return out
 }
 
-// Drains returns each entity's pipeline snapshot. The chaos harness's
-// liveness predicates read it after RunToQuiescence to assert no DATA PDU
-// is stuck anywhere in the cluster.
-func (c *Cluster) Drains() []core.DrainState {
-	out := make([]core.DrainState, c.n)
-	for i, e := range c.Entities {
-		out[i] = e.Drain()
-	}
-	return out
-}
-
 // Streams splits the group's flight log into one stream per entity, each
 // in record order: what a node's ring would hold had it never wrapped.
 // Nil without Options.Trace.
