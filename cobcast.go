@@ -74,9 +74,10 @@ type Message struct {
 
 // Stats is a snapshot of one engine's protocol counters — a node's
 // default group (Node.Stats) or one group on one node (GroupPort.Stats).
-// It is the engine's own counter set, so the field documentation and
-// the Add method (every counter by sum, MaxResident by maximum) that
-// builds cluster-wide and cross-group totals are core.Stats'.
+// It is the engine's one counter set, the same struct /statez shows as
+// a node's "counters" and /metrics renders, so the field documentation
+// and the Add method (every counter by sum, MaxResident by maximum) that
+// builds cluster-wide and cross-group totals are obsv.EntityStats'.
 type Stats = core.Stats
 
 // options collects configuration shared by clusters and nodes.

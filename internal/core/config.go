@@ -107,12 +107,11 @@ type Config struct {
 	// untaken branch per transition, the same contract as Ledger and
 	// Metrics.
 	Flight *flight.Ring
-	// Metrics, if non-nil, receives live instrumentation: the entity
-	// mirrors its Stats counters into the atomic EntityMetrics after
-	// every input (so scrapers on other goroutines read them without
-	// touching entity state) and feeds the delivery-latency and
-	// ack-wait histograms. Nil keeps the engine free of any
-	// instrumentation cost beyond one untaken branch per input.
+	// Metrics, if non-nil, receives the delivery-latency and ack-wait
+	// histograms. Nil keeps the engine free of any instrumentation cost
+	// beyond one untaken branch per send, acceptance, commit and
+	// delivery. The counters need no attachment: Stats and every state
+	// snapshot carry them.
 	Metrics *obsv.EntityMetrics
 	// DisableDeferredConfirm turns off automatic SYNC/ACKONLY emission.
 	// Scripted tests (such as the Table 1 golden test) use it to control
@@ -204,110 +203,7 @@ type Output struct {
 // Empty reports whether the input produced no effects.
 func (o *Output) Empty() bool { return len(o.PDUs) == 0 && len(o.Deliveries) == 0 }
 
-// Stats counts protocol events at one entity since creation.
-type Stats struct {
-	// DataSent, SyncSent, AckOnlySent and RetSent count broadcast PDUs by
-	// kind; MsgsSent counts the application messages sequenced into the
-	// DATA PDUs, so MsgsSent ÷ DataSent is messages per DATA PDU (1 until
-	// a backlog packs).
-	DataSent    uint64
-	MsgsSent    uint64
-	SyncSent    uint64
-	AckOnlySent uint64
-	RetSent     uint64
-	// RetRetries is the subset of RetSent that re-asked a range still
-	// unanswered since the previous RET for that source.
-	RetRetries uint64
-	// DataRecv, SyncRecv, AckOnlyRecv and RetRecv count valid received
-	// PDUs by kind (counted after validation, before duplicate checks).
-	DataRecv    uint64
-	SyncRecv    uint64
-	AckOnlyRecv uint64
-	RetRecv     uint64
-	// Accepted counts in-order acceptances (including self-acceptances
-	// and retransmitted PDUs accepted after repair).
-	Accepted uint64
-	// Duplicates counts sequenced PDUs discarded as already accepted.
-	Duplicates uint64
-	// Parked counts out-of-order sequenced PDUs buffered pending repair.
-	Parked uint64
-	// F1Detections counts loss detections by failure condition F1 (a
-	// sequenced PDU beyond REQ, or a sender's own ACK column beyond our
-	// evidence); F2Detections counts detections by F2 (an ACK entry for
-	// a third source beyond our evidence). See §4.3.
-	F1Detections uint64
-	F2Detections uint64
-	// Retransmitted counts own PDUs rebroadcast in response to RET.
-	Retransmitted uint64
-	// Preacked and Acked count pipeline progress; Committed counts PDUs
-	// through the causal-closure commit stage; Delivered counts
-	// messages handed to the application.
-	Preacked  uint64
-	Acked     uint64
-	Committed uint64
-	Delivered uint64
-	// CPIDisplaced counts CPI insertions into the PRL that were not
-	// tail appends; CPIDisplacement sums the entries bypassed across
-	// them (total reorder distance).
-	CPIDisplaced    uint64
-	CPIDisplacement uint64
-	// DeferredConfirms counts confirmations emitted by the deferred
-	// confirmation rule (§5): SYNC or ACKONLY PDUs sent because a round,
-	// a NeedAck answer or the late-confirmation deadline fell due.
-	// LateConfirms is the subset the deadline fired.
-	DeferredConfirms uint64
-	LateConfirms     uint64
-	// FlowBlocked counts submissions that had to wait for the window.
-	FlowBlocked uint64
-	// MaxResident is the peak number of PDUs simultaneously held in the
-	// receive-side logs (pending + RRL + PRL) — the O(n) buffer claim of
-	// Section 5 (experiment E4).
-	MaxResident int
-	// InvalidPDUs counts received PDUs rejected by validation.
-	InvalidPDUs uint64
-	// Evicted counts entities removed from the confirmation quorum here;
-	// AutoSuspected counts those removed by the suspicion timer, and
-	// PressureEvicted the subset that only fired because memory pressure
-	// shortened the timer to a quarter of SuspectAfter.
-	Evicted         uint64
-	AutoSuspected   uint64
-	PressureEvicted uint64
-}
-
-// Add accumulates o into s: every counter by sum, MaxResident by maximum
-// (a peak, not a flow). It is the one aggregator for cluster-wide and
-// cross-group totals, so a counter added to Stats is added here once.
-func (s *Stats) Add(o Stats) {
-	s.DataSent += o.DataSent
-	s.MsgsSent += o.MsgsSent
-	s.SyncSent += o.SyncSent
-	s.AckOnlySent += o.AckOnlySent
-	s.RetSent += o.RetSent
-	s.RetRetries += o.RetRetries
-	s.DataRecv += o.DataRecv
-	s.SyncRecv += o.SyncRecv
-	s.AckOnlyRecv += o.AckOnlyRecv
-	s.RetRecv += o.RetRecv
-	s.Accepted += o.Accepted
-	s.Duplicates += o.Duplicates
-	s.Parked += o.Parked
-	s.F1Detections += o.F1Detections
-	s.F2Detections += o.F2Detections
-	s.Retransmitted += o.Retransmitted
-	s.Preacked += o.Preacked
-	s.Acked += o.Acked
-	s.Committed += o.Committed
-	s.Delivered += o.Delivered
-	s.CPIDisplaced += o.CPIDisplaced
-	s.CPIDisplacement += o.CPIDisplacement
-	s.DeferredConfirms += o.DeferredConfirms
-	s.LateConfirms += o.LateConfirms
-	s.FlowBlocked += o.FlowBlocked
-	s.InvalidPDUs += o.InvalidPDUs
-	s.Evicted += o.Evicted
-	s.AutoSuspected += o.AutoSuspected
-	s.PressureEvicted += o.PressureEvicted
-	if o.MaxResident > s.MaxResident {
-		s.MaxResident = o.MaxResident
-	}
-}
+// Stats counts protocol events at one entity since creation. It is
+// declared once, in obsv, so the state snapshot can carry it to /statez
+// and /metrics; obsv documents each field.
+type Stats = obsv.EntityStats

@@ -173,18 +173,15 @@ type Entity struct {
 	stats Stats
 
 	// Live instrumentation (Config.Metrics); all nil unless attached.
-	// published is the prefix of stats already mirrored into m, so
-	// publishStats only touches atomics for counters that moved.
 	// sentAt is a FIFO of own DATA broadcast times for the
 	// deliver-latency histogram — valid because own DATA is sent and
 	// delivered (CO and TO alike) in SEQ order; acceptAt[k] is a FIFO of
 	// acceptance times from source k for the ack-wait histogram — valid
 	// because acceptance and commit are both strictly per-source
 	// sequence-ordered.
-	m         *obsv.EntityMetrics
-	published Stats
-	sentAt    fifo[time.Duration]
-	acceptAt  []fifo[time.Duration]
+	m        *obsv.EntityMetrics
+	sentAt   fifo[time.Duration]
+	acceptAt []fifo[time.Duration]
 
 	// label memoizes strconv.Itoa(me) so SnapshotInto allocates nothing.
 	label string
@@ -314,17 +311,14 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	var out Output
 	if p == nil {
 		e.stats.InvalidPDUs++
-		e.publishStats()
 		return out, ErrNilPDU
 	}
 	if err := p.Validate(e.n); err != nil {
 		e.stats.InvalidPDUs++
-		e.publishStats()
 		return out, fmt.Errorf("receive at %d: %w", e.me, err)
 	}
 	if p.CID != e.cfg.ClusterID {
 		e.stats.InvalidPDUs++
-		e.publishStats()
 		return out, fmt.Errorf("%w: got %d want %d", ErrWrongCluster, p.CID, e.cfg.ClusterID)
 	}
 	switch p.Kind {
@@ -393,7 +387,6 @@ func (e *Entity) finish(now time.Duration, out *Output) {
 	if cap(e.delivered) > maxKeptDeliveries {
 		e.delivered = nil // this burst's buffer is the caller's to drop
 	}
-	e.publishStats()
 }
 
 // maxKeptDeliveries bounds the delivery buffer an entity keeps between
@@ -925,7 +918,6 @@ func (e *Entity) Release(now time.Duration) Output {
 	}
 	e.held = false
 	e.maybeConfirm(now, &out)
-	e.publishStats()
 	return out
 }
 

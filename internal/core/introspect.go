@@ -29,54 +29,6 @@ func (e *Entity) observeDeliverLatency(p *pdu.PDU, now time.Duration) {
 	}
 }
 
-// publishStats mirrors the Stats counters that moved since the last
-// call into the attached atomic EntityMetrics. Running it once per
-// input (end of finish, plus the Receive error returns) keeps the
-// scraper-visible counters at most one input behind the owner
-// goroutine while the hot path pays a single nil check when metrics
-// are off and only touched-counter atomic adds when they are on.
-// Deriving the atomics from Stats deltas also makes the two counting
-// schemes equal by construction.
-func (e *Entity) publishStats() {
-	m := e.m
-	if m == nil {
-		return
-	}
-	s, p := &e.stats, &e.published
-	pub := func(c *obsv.Counter, cur uint64, prev *uint64) {
-		if d := cur - *prev; d != 0 {
-			c.Add(d)
-			*prev = cur
-		}
-	}
-	pub(&m.DataSent, s.DataSent, &p.DataSent)
-	pub(&m.MsgsSent, s.MsgsSent, &p.MsgsSent)
-	pub(&m.SyncSent, s.SyncSent, &p.SyncSent)
-	pub(&m.AckOnlySent, s.AckOnlySent, &p.AckOnlySent)
-	pub(&m.RetSent, s.RetSent, &p.RetSent)
-	pub(&m.DataRecv, s.DataRecv, &p.DataRecv)
-	pub(&m.SyncRecv, s.SyncRecv, &p.SyncRecv)
-	pub(&m.AckOnlyRecv, s.AckOnlyRecv, &p.AckOnlyRecv)
-	pub(&m.RetRecv, s.RetRecv, &p.RetRecv)
-	pub(&m.Accepted, s.Accepted, &p.Accepted)
-	pub(&m.Duplicates, s.Duplicates, &p.Duplicates)
-	pub(&m.Parked, s.Parked, &p.Parked)
-	pub(&m.F1Detections, s.F1Detections, &p.F1Detections)
-	pub(&m.F2Detections, s.F2Detections, &p.F2Detections)
-	pub(&m.RetServed, s.Retransmitted, &p.Retransmitted)
-	pub(&m.RetRetries, s.RetRetries, &p.RetRetries)
-	pub(&m.Preacked, s.Preacked, &p.Preacked)
-	pub(&m.Acked, s.Acked, &p.Acked)
-	pub(&m.Committed, s.Committed, &p.Committed)
-	pub(&m.Delivered, s.Delivered, &p.Delivered)
-	pub(&m.CPIDisplaced, s.CPIDisplaced, &p.CPIDisplaced)
-	pub(&m.CPIDisplacement, s.CPIDisplacement, &p.CPIDisplacement)
-	pub(&m.DeferredConfirms, s.DeferredConfirms, &p.DeferredConfirms)
-	pub(&m.LateConfirms, s.LateConfirms, &p.LateConfirms)
-	pub(&m.FlowBlocked, s.FlowBlocked, &p.FlowBlocked)
-	pub(&m.InvalidPDUs, s.InvalidPDUs, &p.InvalidPDUs)
-}
-
 // Snapshot copies the entity's live protocol state for /statez and the
 // depth gauges. Like every other method it must run on the entity's
 // owner goroutine (its shard runs snapshot requests between
@@ -132,6 +84,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		ParkedData:     e.parkedData,
 		DataResident:   e.dataResident,
 		Quiescent:      e.Quiescent(),
+		Counters:       e.stats,
 	}
 	for i := 0; i < e.sendlog.len(); i++ {
 		if e.sendlog.at(i).p.Kind == pdu.KindData {
@@ -147,7 +100,6 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		s.LedgerBudget = l.Budget()
 		s.BackpressureBlocked = l.Blocked()
 		s.BackpressureShed = l.Shed()
-		s.PressureEvicted = e.stats.PressureEvicted
 	}
 	for k := 0; k < e.n; k++ {
 		s.REQ[k] = uint64(e.req[k])

@@ -1,54 +1,10 @@
 package obsv
 
-// EntityMetrics counts every protocol edge of one core.Entity. The
-// entity's owner goroutine increments; scrapers read concurrently via
-// atomic loads. All fields are inline (no pointers to chase) except
-// the histograms, which are allocated by NewEntityMetrics.
+// EntityMetrics holds one core.Entity's latency histograms. The
+// entity's owner goroutine observes; scrapers read concurrently. The
+// entity's counters are not here: they ride its state snapshot
+// (StateSnapshot.Counters).
 type EntityMetrics struct {
-	// PDUs sent, by kind. DataSent counts sequenced DT broadcasts,
-	// SyncSent sequenced no-payload confirmations, AckOnlySent
-	// unsequenced ACKONLY PDUs, RetSent RET requests issued. MsgsSent
-	// counts the application messages those DATA PDUs carried:
-	// MsgsSent ÷ DataSent is messages per DATA PDU.
-	DataSent, SyncSent, AckOnlySent, RetSent Counter
-	MsgsSent                                 Counter
-
-	// PDUs received, by kind (before any validity/duplicate checks).
-	DataRecv, SyncRecv, AckOnlyRecv, RetRecv Counter
-
-	// Acceptance pipeline (§4.2): accepted into AL, duplicates
-	// dropped, PDUs parked waiting for a predecessor.
-	Accepted, Duplicates, Parked Counter
-
-	// Loss detection (§4.3): F1 fires when a sequenced PDU arrives
-	// ahead of REQ for its source; F2 fires when an ACK vector
-	// reveals PDUs we have not seen.
-	F1Detections, F2Detections Counter
-
-	// RetServed counts selective retransmissions this entity served
-	// from its sendlog in response to RET PDUs. RetRetries counts the
-	// RETs this entity sent that re-asked a range still unanswered
-	// (a subset of RetSent): the lost RETs and lost rebroadcasts.
-	RetServed, RetRetries Counter
-
-	// PACK/ACK transitions (§4.4–4.5) and the commit/delivery tail.
-	Preacked, Acked, Committed, Delivered Counter
-
-	// CPI (causality-preserved insertion) displacement: CPIDisplaced
-	// counts insertions that were not tail appends; CPIDisplacement
-	// sums how many entries each displaced insertion bypassed.
-	CPIDisplaced, CPIDisplacement Counter
-
-	// DeferredConfirms counts deferred-confirmation firings (§5):
-	// SYNC or ACKONLY PDUs emitted because a confirmation round, a
-	// NeedAck answer or the deferred-ack timer fell due; LateConfirms
-	// is the subset the timer fired.
-	DeferredConfirms, LateConfirms Counter
-
-	// FlowBlocked counts submissions stalled by the flow window;
-	// InvalidPDUs counts malformed or mis-addressed receptions.
-	FlowBlocked, InvalidPDUs Counter
-
 	// DeliverLatencyUS observes broadcast→local-deliver latency of
 	// this entity's own DATA PDUs, in microseconds. AckWaitUS
 	// observes accept→commit time (how long a PDU waited for the
@@ -297,16 +253,19 @@ type StateSnapshot struct {
 	// byte budget (cobcast.WithMemoryBudget). LedgerBytes/LedgerPDUs
 	// gauge the bytes and PDUs currently retained by the logs against
 	// LedgerBudget; BackpressureBlocked/BackpressureShed count producer
-	// submissions blocked or shed at the budget; PressureEvicted counts
-	// peers evicted on the pressure-shortened suspicion timer.
+	// submissions blocked or shed at the budget.
 	LedgerBytes         int64  `json:"ledger_bytes,omitempty"`
 	LedgerPDUs          int64  `json:"ledger_pdus,omitempty"`
 	LedgerBudget        int64  `json:"ledger_budget,omitempty"`
 	BackpressureBlocked uint64 `json:"backpressure_blocked,omitempty"`
 	BackpressureShed    uint64 `json:"backpressure_shed,omitempty"`
-	PressureEvicted     uint64 `json:"pressure_evicted,omitempty"`
 
 	// Quiescent reports whether the entity has no unconfirmed local
 	// sends and no buffered remote PDUs.
 	Quiescent bool `json:"quiescent"`
+
+	// Counters is a copy of the entity's protocol counters, taken with
+	// the rest of the snapshot: /metrics renders its counter families
+	// from it.
+	Counters EntityStats `json:"counters"`
 }

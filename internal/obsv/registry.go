@@ -19,8 +19,12 @@ type SnapshotFunc func() (StateSnapshot, bool)
 
 // Registry is the collection point the runtime publishes metrics into
 // and the HTTP endpoint scrapes from. Registration happens at node
-// construction; scraping happens on arbitrary goroutines. All counter
-// reads are atomic loads, so a scrape never blocks the protocol.
+// construction; scraping happens on arbitrary goroutines. Link,
+// transport and network counters and every histogram are atomic loads.
+// An engine's counters and gauges come from its state snapshot, which
+// the engine's owner takes between inputs: a scrape never blocks the
+// protocol, and a node whose owner stays busy past the snapshot deadline
+// is missing from that scrape's engine counters as well as its gauges.
 type Registry struct {
 	mu         sync.Mutex
 	nodes      []nodeEntry
@@ -164,86 +168,6 @@ func (r *Registry) snapshotLists() (nodes []nodeEntry, transports []labeledTrans
 	return
 }
 
-// entityCounterFamilies maps EntityMetrics fields onto Prometheus
-// counter families. Families with a kind/cond label share one TYPE
-// line across variants, as the exposition format requires.
-type entitySample struct {
-	extra string // extra label pair rendered verbatim, e.g. `,kind="data"`
-	get   func(*EntityMetrics) *Counter
-}
-
-type entityFamily struct {
-	name, help string
-	samples    []entitySample
-}
-
-var entityCounterFamilies = []entityFamily{
-	{"cobcast_pdus_sent_total", "PDUs sent by this entity, by kind.", []entitySample{
-		{`,kind="data"`, func(m *EntityMetrics) *Counter { return &m.DataSent }},
-		{`,kind="sync"`, func(m *EntityMetrics) *Counter { return &m.SyncSent }},
-		{`,kind="ackonly"`, func(m *EntityMetrics) *Counter { return &m.AckOnlySent }},
-		{`,kind="ret"`, func(m *EntityMetrics) *Counter { return &m.RetSent }},
-	}},
-	{"cobcast_msgs_sent_total", "Application messages sequenced into DATA PDUs (divide by pdus_sent{kind=\"data\"} for messages per DATA PDU).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.MsgsSent }},
-	}},
-	{"cobcast_pdus_received_total", "PDUs received by this entity, by kind.", []entitySample{
-		{`,kind="data"`, func(m *EntityMetrics) *Counter { return &m.DataRecv }},
-		{`,kind="sync"`, func(m *EntityMetrics) *Counter { return &m.SyncRecv }},
-		{`,kind="ackonly"`, func(m *EntityMetrics) *Counter { return &m.AckOnlyRecv }},
-		{`,kind="ret"`, func(m *EntityMetrics) *Counter { return &m.RetRecv }},
-	}},
-	{"cobcast_accepted_total", "Sequenced PDUs accepted into the acknowledge list.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Accepted }},
-	}},
-	{"cobcast_duplicates_total", "Duplicate sequenced PDUs discarded.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Duplicates }},
-	}},
-	{"cobcast_parked_total", "Out-of-order PDUs parked awaiting a predecessor.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Parked }},
-	}},
-	{"cobcast_loss_detections_total", "Loss detections by condition: F1 = sequence gap, F2 = ACK-vector evidence.", []entitySample{
-		{`,cond="f1"`, func(m *EntityMetrics) *Counter { return &m.F1Detections }},
-		{`,cond="f2"`, func(m *EntityMetrics) *Counter { return &m.F2Detections }},
-	}},
-	{"cobcast_retransmissions_served_total", "Selective retransmissions served from the send log.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.RetServed }},
-	}},
-	{"cobcast_ret_retries_total", "RET requests that re-asked a range still unanswered (a subset of pdus_sent{kind=\"ret\"}).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.RetRetries }},
-	}},
-	{"cobcast_preacked_total", "PDUs moved to the pre-acknowledged list (PACK transition).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Preacked }},
-	}},
-	{"cobcast_acked_total", "PDUs fully acknowledged (ACK transition).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Acked }},
-	}},
-	{"cobcast_committed_total", "PDUs committed (confirmed cluster-wide, ready for delivery ordering).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Committed }},
-	}},
-	{"cobcast_delivered_total", "Messages delivered to the application.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.Delivered }},
-	}},
-	{"cobcast_cpi_displaced_total", "CPI insertions that were not tail appends.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.CPIDisplaced }},
-	}},
-	{"cobcast_cpi_displacement_positions_total", "Total list positions bypassed by displaced CPI insertions.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.CPIDisplacement }},
-	}},
-	{"cobcast_deferred_confirms_total", "Deferred confirmations emitted (SYNC/ACKONLY).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.DeferredConfirms }},
-	}},
-	{"cobcast_late_confirms_total", "Deferred confirmations fired by the deferred-ack timer (a subset of cobcast_deferred_confirms_total).", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.LateConfirms }},
-	}},
-	{"cobcast_flow_blocked_total", "Submissions stalled by the flow window.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.FlowBlocked }},
-	}},
-	{"cobcast_invalid_pdus_total", "Malformed or mis-addressed PDUs rejected.", []entitySample{
-		{"", func(m *EntityMetrics) *Counter { return &m.InvalidPDUs }},
-	}},
-}
-
 var linkCounterFamilies = []struct {
 	name, help string
 	get        func(*LinkMetrics) *Counter
@@ -280,19 +204,28 @@ var transportCounterFamilies = []struct {
 func (r *Registry) WriteMetrics(w io.Writer) error {
 	nodes, transports, networks := r.snapshotLists()
 
+	// Every counter and gauge of an engine comes from the one snapshot
+	// taken here. A node whose snapshot provider declines (its shard
+	// stayed busy past the scrape timeout) is omitted from this scrape.
+	var snaps []snappedNode
+	for _, n := range nodes {
+		if n.snap == nil {
+			continue
+		}
+		if s, ok := n.snap(); ok {
+			snaps = append(snaps, snappedNode{n.label, s})
+		}
+	}
+
 	bw := &errWriter{w: w}
 	for _, fam := range entityCounterFamilies {
-		wroteHeader := false
-		for _, n := range nodes {
-			if n.em == nil {
-				continue
-			}
-			if !wroteHeader {
-				bw.printf("# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
-				wroteHeader = true
-			}
+		if len(snaps) == 0 {
+			break
+		}
+		bw.printf("# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
+		for _, sn := range snaps {
 			for _, s := range fam.samples {
-				bw.printf("%s{node=%q%s} %d\n", fam.name, n.label, s.extra, s.get(n.em).Load())
+				bw.printf("%s{node=%q%s} %d\n", fam.name, sn.label, s.extra, s.get(&sn.s.Counters))
 			}
 		}
 	}
@@ -376,18 +309,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 		}
 	}
 
-	// Live-state gauges, derived from whatever snapshots are
-	// obtainable right now. Nodes whose snapshot provider declines
-	// (busy loop) are omitted from this scrape.
-	var snaps []snappedNode
-	for _, n := range nodes {
-		if n.snap == nil {
-			continue
-		}
-		if s, ok := n.snap(); ok {
-			snaps = append(snaps, snappedNode{n.label, s})
-		}
-	}
+	// Live-state gauges, from the same snapshots.
 	writeGauge(bw, "cobcast_seq", "Entity send sequence number.", snaps, func(s StateSnapshot) int64 { return int64(s.Seq) })
 	writeGauge(bw, "cobcast_rrl_depth", "Receive/retransmission list depth, summed over sources.", snaps, func(s StateSnapshot) int64 {
 		var t int64
@@ -404,6 +326,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	writeGauge(bw, "cobcast_pending_submits", "Submissions queued behind the flow window.", snaps, func(s StateSnapshot) int64 { return int64(s.PendingSubmits) })
 	writeGauge(bw, "cobcast_buf_free_units", "Remaining buffer allocation, units.", snaps, func(s StateSnapshot) int64 { return int64(s.BufFree) })
 	writeGauge(bw, "cobcast_buf_total_units", "Configured buffer size, units.", snaps, func(s StateSnapshot) int64 { return int64(s.BufUnits) })
+	writeGauge(bw, "cobcast_max_resident_pdus", "Peak PDUs held at once in the receive-side logs.", snaps, func(s StateSnapshot) int64 { return int64(s.Counters.MaxResident) })
 	writeGauge(bw, "cobcast_quiescent", "1 when the entity has no unconfirmed or buffered PDUs.", snaps, func(s StateSnapshot) int64 {
 		if s.Quiescent {
 			return 1
@@ -424,7 +347,7 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	writeGauge(bw, "cobcast_ledger_budget_bytes", "Configured memory budget, bytes.", ledgered, func(s StateSnapshot) int64 { return s.LedgerBudget })
 	writeCounterFromSnaps(bw, "cobcast_backpressure_blocked_total", "Producer submissions blocked at the memory budget.", ledgered, func(s StateSnapshot) int64 { return int64(s.BackpressureBlocked) })
 	writeCounterFromSnaps(bw, "cobcast_backpressure_shed_total", "Producer submissions shed at the memory budget.", ledgered, func(s StateSnapshot) int64 { return int64(s.BackpressureShed) })
-	writeCounterFromSnaps(bw, "cobcast_pressure_evictions_total", "Peers evicted on the pressure-shortened suspicion timer.", ledgered, func(s StateSnapshot) int64 { return int64(s.PressureEvicted) })
+	writeCounterFromSnaps(bw, "cobcast_pressure_evictions_total", "Peers evicted on the pressure-shortened suspicion timer.", ledgered, func(s StateSnapshot) int64 { return int64(s.Counters.PressureEvicted) })
 
 	// Flight-recorder depth: total events ever recorded per ring, so a
 	// dashboard can tell a dead recorder from a quiet one.
@@ -446,9 +369,9 @@ func (r *Registry) WriteMetrics(w io.Writer) error {
 	return bw.err
 }
 
-// writeCounterFromSnaps renders a monotone counter whose value rides the
-// state snapshot instead of an atomic Counter (the ledger's producer-side
-// totals live on the ledger, sampled at snapshot time).
+// writeCounterFromSnaps is writeGauge for a monotone counter that rides
+// the state snapshot (the ledger's producer-side totals live on the
+// ledger, sampled at snapshot time).
 func writeCounterFromSnaps(bw *errWriter, name, help string, snaps []snappedNode, get func(StateSnapshot) int64) {
 	if len(snaps) == 0 {
 		return

@@ -2,6 +2,7 @@ package obsv_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,41 +10,23 @@ import (
 	"cobcast/internal/obsv/promtext"
 )
 
-// populateEntity bumps a distinctive value into every entity counter so
+// entityCounters is a distinctive value in every entity counter so
 // renders are distinguishable from zero defaults.
-func populateEntity(m *obsv.EntityMetrics) {
-	m.DataSent.Add(1)
-	m.SyncSent.Add(2)
-	m.AckOnlySent.Add(3)
-	m.RetSent.Add(4)
-	m.DataRecv.Add(5)
-	m.SyncRecv.Add(6)
-	m.AckOnlyRecv.Add(7)
-	m.RetRecv.Add(8)
-	m.Accepted.Add(9)
-	m.Duplicates.Add(10)
-	m.Parked.Add(11)
-	m.F1Detections.Add(12)
-	m.F2Detections.Add(13)
-	m.RetServed.Add(14)
-	m.Preacked.Add(15)
-	m.Acked.Add(16)
-	m.Committed.Add(17)
-	m.Delivered.Add(18)
-	m.CPIDisplaced.Add(19)
-	m.CPIDisplacement.Add(20)
-	m.DeferredConfirms.Add(21)
-	m.FlowBlocked.Add(22)
-	m.InvalidPDUs.Add(23)
-	m.LateConfirms.Add(24)
-	m.DeliverLatencyUS.Observe(120)
-	m.AckWaitUS.Observe(3000)
+var entityCounters = obsv.EntityStats{
+	DataSent: 1, SyncSent: 2, AckOnlySent: 3, RetSent: 4,
+	DataRecv: 5, SyncRecv: 6, AckOnlyRecv: 7, RetRecv: 8,
+	Accepted: 9, Duplicates: 10, Parked: 11,
+	F1Detections: 12, F2Detections: 13, Retransmitted: 14,
+	Preacked: 15, Acked: 16, Committed: 17, Delivered: 18,
+	CPIDisplaced: 19, CPIDisplacement: 20, DeferredConfirms: 21,
+	FlowBlocked: 22, InvalidPDUs: 23, LateConfirms: 24,
 }
 
 func testRegistry() *obsv.Registry {
 	reg := obsv.NewRegistry()
 	em := obsv.NewEntityMetrics()
-	populateEntity(em)
+	em.DeliverLatencyUS.Observe(120)
+	em.AckWaitUS.Observe(3000)
 	lm := obsv.NewLinkMetrics()
 	lm.Flush(4, true)
 	lm.Flush(1, false)
@@ -54,6 +37,7 @@ func testRegistry() *obsv.Registry {
 			Committed: []uint64{7, 7}, RRL: []int{1, 2},
 			PRL: 3, ARL: 4, Parked: 0, SendLog: 5, PendingSubmits: 0,
 			BufFree: 4000, BufUnits: 4096, Quiescent: false,
+			Counters: entityCounters,
 		}, true
 	}
 	reg.RegisterNode("0", em, lm, snap)
@@ -131,6 +115,92 @@ func TestWriteMetricsIsValidPrometheusText(t *testing.T) {
 		}
 		if f.Type != "histogram" {
 			t.Errorf("%s type = %s", hist, f.Type)
+		}
+	}
+}
+
+// TestEveryEntityStatsFieldOnMetrics sets each EntityStats field, found
+// by reflection, to a distinct value and requires that value in the
+// sample of the family naming that field: a counter added to
+// EntityStats without a /metrics family (or without a row here) fails.
+func TestEveryEntityStatsFieldOnMetrics(t *testing.T) {
+	kind := func(k string) map[string]string { return map[string]string{"node": "0", "kind": k} }
+	cond := func(c string) map[string]string { return map[string]string{"node": "0", "cond": c} }
+	node := map[string]string{"node": "0"}
+	type sample struct {
+		family string
+		labels map[string]string
+	}
+	families := map[string]sample{
+		"DataSent":         {"cobcast_pdus_sent_total", kind("data")},
+		"SyncSent":         {"cobcast_pdus_sent_total", kind("sync")},
+		"AckOnlySent":      {"cobcast_pdus_sent_total", kind("ackonly")},
+		"RetSent":          {"cobcast_pdus_sent_total", kind("ret")},
+		"MsgsSent":         {"cobcast_msgs_sent_total", node},
+		"RetRetries":       {"cobcast_ret_retries_total", node},
+		"DataRecv":         {"cobcast_pdus_received_total", kind("data")},
+		"SyncRecv":         {"cobcast_pdus_received_total", kind("sync")},
+		"AckOnlyRecv":      {"cobcast_pdus_received_total", kind("ackonly")},
+		"RetRecv":          {"cobcast_pdus_received_total", kind("ret")},
+		"Accepted":         {"cobcast_accepted_total", node},
+		"Duplicates":       {"cobcast_duplicates_total", node},
+		"Parked":           {"cobcast_parked_total", node},
+		"F1Detections":     {"cobcast_loss_detections_total", cond("f1")},
+		"F2Detections":     {"cobcast_loss_detections_total", cond("f2")},
+		"Retransmitted":    {"cobcast_retransmissions_served_total", node},
+		"Preacked":         {"cobcast_preacked_total", node},
+		"Acked":            {"cobcast_acked_total", node},
+		"Committed":        {"cobcast_committed_total", node},
+		"Delivered":        {"cobcast_delivered_total", node},
+		"CPIDisplaced":     {"cobcast_cpi_displaced_total", node},
+		"CPIDisplacement":  {"cobcast_cpi_displacement_positions_total", node},
+		"DeferredConfirms": {"cobcast_deferred_confirms_total", node},
+		"LateConfirms":     {"cobcast_late_confirms_total", node},
+		"FlowBlocked":      {"cobcast_flow_blocked_total", node},
+		"MaxResident":      {"cobcast_max_resident_pdus", node},
+		"InvalidPDUs":      {"cobcast_invalid_pdus_total", node},
+		"Evicted":          {"cobcast_evicted_total", node},
+		"AutoSuspected":    {"cobcast_auto_suspected_total", node},
+		"PressureEvicted":  {"cobcast_pressure_evictions_total", node},
+	}
+
+	var st obsv.EntityStats
+	v := reflect.ValueOf(&st).Elem()
+	want := make(map[string]float64, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		val := 1000 + i
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(val))
+		case reflect.Int:
+			f.SetInt(int64(val))
+		default:
+			t.Fatalf("EntityStats.%s: unexpected kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+		want[v.Type().Field(i).Name] = float64(val)
+	}
+	reg := obsv.NewRegistry()
+	reg.RegisterNode("0", nil, nil, func() (obsv.StateSnapshot, bool) {
+		// A ledgered node, so the ledger series (pressure evictions)
+		// render too.
+		return obsv.StateSnapshot{Node: "0", LedgerBudget: 1, Counters: st}, true
+	})
+	var buf bytes.Buffer
+	if err := reg.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := promtext.Parse(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("invalid exposition: %v\n%s", err, buf.String())
+	}
+	for name, w := range want {
+		s, ok := families[name]
+		if !ok {
+			t.Errorf("EntityStats.%s names no /metrics family", name)
+			continue
+		}
+		if got, ok := fams.Value(s.family, s.labels); !ok || got != w {
+			t.Errorf("EntityStats.%s: %s%v = %v (present %v), want %v", name, s.family, s.labels, got, ok, w)
 		}
 	}
 }

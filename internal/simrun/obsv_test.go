@@ -41,8 +41,9 @@ func TestRegistryDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestRegistryCountersMatchEntityStats asserts the delta-publish scheme:
-// the atomic counters a scraper sees equal the entity's own Stats.
+// TestRegistryCountersMatchEntityStats asserts that the counters a
+// scraper sees, rendered from the state snapshot, equal the entity's own
+// Stats.
 func TestRegistryCountersMatchEntityStats(t *testing.T) {
 	reg := obsv.NewRegistry()
 	c := runLossy(t, reg)

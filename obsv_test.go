@@ -3,8 +3,10 @@ package cobcast_test
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -146,7 +148,8 @@ type errTorn obsv.StateSnapshot
 func (e errTorn) Error() string { return "torn snapshot observed" }
 
 // TestNodeStatsMatchRegistry cross-checks the public Stats API against
-// the registry counters for a real-time cluster.
+// the registry's /metrics counters and /statez counters for a real-time
+// cluster.
 func TestNodeStatsMatchRegistry(t *testing.T) {
 	reg := obsv.NewRegistry()
 	cluster, err := cobcast.NewCluster(2,
@@ -172,9 +175,8 @@ func TestNodeStatsMatchRegistry(t *testing.T) {
 			}
 		}
 	}
-	// Quiesce so the final publishStats has run for the last input.
-	time.Sleep(20 * time.Millisecond)
-
+	// Stats, /metrics and /statez all read the engines through their
+	// shards, so once every delivery arrived they agree without waiting.
 	var buf bytes.Buffer
 	if err := reg.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
@@ -189,5 +191,32 @@ func TestNodeStatsMatchRegistry(t *testing.T) {
 	}
 	if v, _ := fams.Value("cobcast_delivered_total", nil); uint64(v) != wantDelivered {
 		t.Errorf("registry delivered %v, Stats sum %d", v, wantDelivered)
+	}
+
+	buf.Reset()
+	if err := reg.WriteStatez(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var statez struct {
+		Nodes []struct {
+			Node     string `json:"node"`
+			Counters struct {
+				Delivered uint64 `json:"delivered"`
+			} `json:"counters"`
+		} `json:"nodes"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &statez); err != nil {
+		t.Fatal(err)
+	}
+	if len(statez.Nodes) != 2 {
+		t.Fatalf("/statez has %d nodes, want 2", len(statez.Nodes))
+	}
+	for i, s := range statez.Nodes {
+		if want := strconv.Itoa(i); s.Node != want {
+			t.Fatalf("/statez node %d is %q, want %q", i, s.Node, want)
+		}
+		if want := cluster.Node(i).Stats().Delivered; s.Counters.Delivered != want {
+			t.Errorf("node %d: /statez counters.delivered %d, Stats().Delivered %d", i, s.Counters.Delivered, want)
+		}
 	}
 }
