@@ -79,10 +79,7 @@ func BenchmarkTickIdle(b *testing.B) {
 
 // BenchmarkDuplicateRejection measures the duplicate fast path.
 func BenchmarkDuplicateRejection(b *testing.B) {
-	e, err := core.New(core.Config{ID: 0, N: 3, DisableDeferredConfirm: true})
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := newScripted(b, core.Config{ID: 0, N: 3})
 	p := &pdu.PDU{Kind: pdu.KindData, Src: 1, SEQ: 1,
 		ACK: []pdu.Seq{1, 1, 1}, LSrc: pdu.NoEntity, Data: []byte("x")}
 	if _, err := e.Receive(p.Clone(), 0); err != nil {

@@ -113,10 +113,6 @@ type Config struct {
 	// delivery. The counters need no attachment: Stats and every state
 	// snapshot carry them.
 	Metrics *obsv.EntityMetrics
-	// DisableDeferredConfirm turns off automatic SYNC/ACKONLY emission.
-	// Scripted tests (such as the Table 1 golden test) use it to control
-	// every PDU on the wire; production configurations leave it false.
-	DisableDeferredConfirm bool
 	// TotalOrder upgrades the service level from CO to TO (§2.3): all
 	// entities deliver the identical sequence, still consistent with
 	// causality. Implemented as a deterministic logical-time release

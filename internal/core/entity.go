@@ -125,14 +125,14 @@ type Entity struct {
 	ackedBits vclock.Bits
 
 	// Incremental quorum minima (performance engineering, DESIGN.md §2c).
-	// minAL[k] caches quorumMin(al[k]) and minALCnt[k] counts the
-	// non-evicted columns sitting at that minimum, so the common write
+	// minAL[k] caches the minimum of al[k] over the alive columns and
+	// minALCnt[k] counts the alive columns sitting at it, so the common write
 	// path (a single cell raised) maintains the minimum in O(1): raising
 	// a cell above the minimum changes nothing; raising a cell at the
 	// minimum decrements the count, and only a count of zero forces an
 	// O(n) row recompute — at which point the minimum strictly advanced.
 	// Eviction is the one remaining full-recompute site. minPAL/minPALCnt
-	// cache quorumMin(pal[k]) identically.
+	// cache pal[k]'s identically.
 	minAL     []pdu.Seq
 	minALCnt  []int
 	minPAL    []pdu.Seq
@@ -147,13 +147,12 @@ type Entity struct {
 	// to is the total-order release stage; nil unless Config.TotalOrder.
 	to *toState
 
-	// Failure handling (evict.go). alive is the bitmap complement of
-	// evicted: quorum scans (rowMin) iterate its set words
-	// popcount-style instead of testing evicted[j] per column.
-	evicted   []bool
+	// Failure handling (evict.go). alive is the one membership set: the
+	// entities not evicted here, self always among them. Quorum scans
+	// (rowMin) iterate its set words. lastHeard[j] is when a PDU from j
+	// last arrived (never before the first), for the suspicion timer.
 	alive     vclock.Bits
 	lastHeard []time.Duration
-	heardOnce []bool
 
 	// pendingSubmits is the queued backlog: a window onto submitBuf's
 	// array whose start drainSubmits advances, sliding the rest back to
@@ -223,9 +222,7 @@ func New(cfg Config) (*Entity, error) {
 		minPAL:     make([]pdu.Seq, n),
 		minPALCnt:  make([]int, n),
 		packDirty:  make([]bool, n),
-		evicted:    make([]bool, n),
 		lastHeard:  make([]time.Duration, n),
-		heardOnce:  make([]bool, n),
 	}
 	// Until k sends, its vector is the initial all-ones one; one shared
 	// (never written) slice stands in for every source.
@@ -237,6 +234,7 @@ func New(cfg Config) (*Entity, error) {
 		e.known[j] = 1
 		e.buf[j] = BufferUnits
 		e.lastRetReq[j].at = never
+		e.lastHeard[j] = never
 		e.parked[j] = make(map[pdu.Seq]*pdu.PDU)
 		e.al[j] = make([]pdu.Seq, n)
 		e.pal[j] = make([]pdu.Seq, n)
@@ -332,7 +330,7 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 		e.stats.RetRecv++
 	}
 
-	e.noteHeard(p.Src, now)
+	e.lastHeard[p.Src] = now
 	e.foldInfo(p)
 	e.detectGaps(p)
 	// Any PDU flagged NeedAck solicits a confirmation round — including
@@ -363,7 +361,7 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 // Call it roughly every DeferredAckInterval.
 func (e *Entity) Tick(now time.Duration) Output {
 	var out Output
-	e.maybeSuspect(now, &out)
+	e.maybeSuspect(now)
 	e.maybeRequestRetx(now, &out)
 	e.finish(now, &out)
 	return out
@@ -427,7 +425,7 @@ func (e *Entity) foldInfo(p *pdu.PDU) {
 func (e *Entity) raiseAL(k int, j pdu.EntityID, v pdu.Seq) {
 	old := e.al[k][j]
 	e.al[k][j] = v
-	if e.evicted[j] || old > e.minAL[k] {
+	if !e.alive.Test(int(j)) || old > e.minAL[k] {
 		return
 	}
 	if e.minALCnt[k]--; e.minALCnt[k] == 0 {
@@ -442,7 +440,7 @@ func (e *Entity) raiseAL(k int, j pdu.EntityID, v pdu.Seq) {
 func (e *Entity) raisePAL(k int, j pdu.EntityID, v pdu.Seq) {
 	old := e.pal[k][j]
 	e.pal[k][j] = v
-	if e.evicted[j] || old > e.minPAL[k] {
+	if !e.alive.Test(int(j)) || old > e.minPAL[k] {
 		return
 	}
 	if e.minPALCnt[k]--; e.minPALCnt[k] == 0 {
@@ -532,7 +530,7 @@ func (e *Entity) detectGaps(p *pdu.PDU) {
 // the in-order F1 case (SEQ == req), whose bit accept clears within the
 // same Receive. Evicted sources are not RET candidates.
 func (e *Entity) noteGap(j int) {
-	if !e.evicted[j] && e.known[j] > e.req[j] {
+	if e.alive.Test(j) && e.known[j] > e.req[j] {
 		e.gapBits.Set(j)
 	}
 }
@@ -607,7 +605,7 @@ func (e *Entity) accept(p *pdu.PDU, now time.Duration) {
 			// the self-acceptance from the PDU itself (foldInfo).
 			e.rounds = max(e.rounds, 1)
 		}
-		if !e.evicted[src] {
+		if e.alive.Test(int(src)) {
 			e.raiseCoverBar(int(src), p.SEQ)
 		}
 	}
@@ -858,9 +856,6 @@ func (e *Entity) deliver(p *pdu.PDU, lt uint64, now time.Duration, out *Output) 
 // sequenced PDUs alone. Inside a batch (Hold) it keeps only the
 // owed-since bookkeeping, and Release makes the decision.
 func (e *Entity) maybeConfirm(now time.Duration, out *Output) {
-	if e.cfg.DisableDeferredConfirm {
-		return
-	}
 	if !e.needsToSpeak() {
 		e.owed = false
 		return
@@ -1319,7 +1314,7 @@ func (e *Entity) windowOpen() bool {
 func (e *Entity) flowCredit() pdu.Seq {
 	minBuf := e.availBuf()
 	for j := 0; j < e.n; j++ {
-		if pdu.EntityID(j) != e.me && !e.evicted[j] && e.buf[j] < minBuf {
+		if pdu.EntityID(j) != e.me && e.alive.Test(j) && e.buf[j] < minBuf {
 			minBuf = e.buf[j]
 		}
 	}
@@ -1372,17 +1367,6 @@ func (e *Entity) REQ() []pdu.Seq {
 	return out
 }
 
-// MinAL returns min over non-evicted j of AL[k][j]: every PDU from k
-// below this is known accepted by the whole quorum (the PACK threshold).
-// The value is cached and maintained incrementally; the invariant suite
-// checks it against a from-scratch quorumMin after every step.
-func (e *Entity) MinAL(k pdu.EntityID) pdu.Seq { return e.minAL[k] }
-
-// MinPAL returns min over non-evicted j of PAL[k][j]: every PDU from k
-// below this is known pre-acknowledged by the whole quorum (the ACK
-// threshold). Cached like MinAL.
-func (e *Entity) MinPAL(k pdu.EntityID) pdu.Seq { return e.minPAL[k] }
-
 // Resident returns the number of PDUs currently held in the receive-side
 // logs (parked + RRL + PRL + commit stage + total-order release stage).
 func (e *Entity) Resident() int {
@@ -1393,15 +1377,8 @@ func (e *Entity) Resident() int {
 	return r
 }
 
-// Committed returns the highest contiguously delivered (committed)
-// sequence number from source k.
-func (e *Entity) Committed(k pdu.EntityID) pdu.Seq { return e.committed[k] }
-
 // PRLSnapshot returns the current pre-acknowledged log in causal order.
 func (e *Entity) PRLSnapshot() []*pdu.PDU { return e.prl.Slice() }
-
-// PendingSubmits returns the number of flow-blocked submissions.
-func (e *Entity) PendingSubmits() int { return len(e.pendingSubmits) }
 
 // Quiescent reports whether this entity owes the cluster nothing: no
 // undelivered data, no queued submissions, no unanswered NeedAck.

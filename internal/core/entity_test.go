@@ -13,25 +13,29 @@ import (
 	"cobcast/internal/pdu"
 )
 
-// scriptConfig returns a configuration for hand-routed protocol scripts:
-// deferred confirmation off so every PDU on the wire is explicit.
+// scriptConfig returns a configuration for hand-routed protocol scripts.
 func scriptConfig(id pdu.EntityID, n int) core.Config {
-	return core.Config{
-		ID: id, N: n,
-		Window:                 64,
-		DisableDeferredConfirm: true,
+	return core.Config{ID: id, N: n, Window: 64}
+}
+
+// newScripted returns an entity for a hand-routed protocol script: it
+// holds a batch open that is never released, so the entity sends no
+// deferred confirmation and every PDU on the wire is explicit.
+func newScripted(tb testing.TB, cfg core.Config) *core.Entity {
+	tb.Helper()
+	e, err := core.New(cfg)
+	if err != nil {
+		tb.Fatalf("New(%d): %v", cfg.ID, err)
 	}
+	e.Hold()
+	return e
 }
 
 func newScriptCluster(t *testing.T, n int) []*core.Entity {
 	t.Helper()
 	ents := make([]*core.Entity, n)
 	for i := range ents {
-		e, err := core.New(scriptConfig(pdu.EntityID(i), n))
-		if err != nil {
-			t.Fatalf("New(%d): %v", i, err)
-		}
-		ents[i] = e
+		ents[i] = newScripted(t, scriptConfig(pdu.EntityID(i), n))
 	}
 	return ents
 }
@@ -134,7 +138,7 @@ func TestExample41Table1(t *testing.T) {
 	// itself proves that E1 accepted it, so AL[1][1] = 3 and, with
 	// d.ACK[0] = 3 and E3's own REQ[0] = 3, minAL_1 = 3: c is
 	// pre-acknowledged behind a.
-	if got := e3.MinAL(0); got != 3 {
+	if got := e3.Snapshot().MinAL[0]; got != 3 {
 		t.Errorf("E3 minAL_1 = %d, want 3 (paper: 2, before the implied diagonal)", got)
 	}
 	if len(prl) != 2 || prl[1].SEQ != 2 || prl[1].Src != 0 {
@@ -183,11 +187,8 @@ func TestExample41Table1(t *testing.T) {
 	// The departure: b is too, since b itself — pre-acknowledged here —
 	// proves that E3 accepted it (PAL[3][3] = 2), and e and d fold
 	// PAL[3][1] = PAL[3][2] = 2. b still waits behind c in PRL.
-	wantMinPAL := []pdu.Seq{2, 1, 2}
-	for k := pdu.EntityID(0); k < 3; k++ {
-		if got := e3.MinPAL(k); got != wantMinPAL[k] {
-			t.Errorf("E3 minPAL_%d = %d, want %d", k+1, got, wantMinPAL[k])
-		}
+	if got := e3.Snapshot().MinPAL; !slices.Equal(got, []uint64{2, 1, 2}) {
+		t.Errorf("E3 minPAL = %v, want [2 1 2]", got)
 	}
 }
 
@@ -221,10 +222,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestReceiveRejectsBadPDUs(t *testing.T) {
-	e, err := core.New(core.Config{ID: 0, N: 2, ClusterID: 7, DisableDeferredConfirm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newScripted(t, core.Config{ID: 0, N: 2, ClusterID: 7})
 	t.Run("nil", func(t *testing.T) {
 		if _, err := e.Receive(nil, 0); !errors.Is(err, core.ErrNilPDU) {
 			t.Errorf("got %v", err)
@@ -248,19 +246,8 @@ func TestReceiveRejectsBadPDUs(t *testing.T) {
 }
 
 func TestFlowConditionBlocksAndDrains(t *testing.T) {
-	n := 2
-	cfgs := []core.Config{
-		{ID: 0, N: n, Window: 2, DisableDeferredConfirm: true},
-		{ID: 1, N: n, Window: 2, DisableDeferredConfirm: true},
-	}
-	e0, err := core.New(cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, err := core.New(cfgs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	e0 := newScripted(t, core.Config{ID: 0, N: 2, Window: 2})
+	e1 := newScripted(t, core.Config{ID: 1, N: 2, Window: 2})
 
 	out1 := e0.Submit([]byte("m1"), 0)
 	out2 := e0.Submit([]byte("m2"), 0)
@@ -268,9 +255,9 @@ func TestFlowConditionBlocksAndDrains(t *testing.T) {
 	if len(out1.PDUs) != 1 || len(out2.PDUs) != 1 {
 		t.Fatal("first two submissions should broadcast immediately")
 	}
-	if len(out3.PDUs) != 0 || e0.PendingSubmits() != 1 {
+	if len(out3.PDUs) != 0 || e0.Snapshot().PendingSubmits != 1 {
 		t.Fatalf("third submission should block: pdus=%d pending=%d",
-			len(out3.PDUs), e0.PendingSubmits())
+			len(out3.PDUs), e0.Snapshot().PendingSubmits)
 	}
 	if e0.Stats().FlowBlocked != 1 {
 		t.Errorf("FlowBlocked = %d, want 1", e0.Stats().FlowBlocked)
@@ -285,7 +272,7 @@ func TestFlowConditionBlocksAndDrains(t *testing.T) {
 	if len(out.PDUs) != 1 || out.PDUs[0].Kind != pdu.KindData || out.PDUs[0].SEQ != 3 {
 		t.Fatalf("blocked submission did not drain: %v", out.PDUs)
 	}
-	if e0.PendingSubmits() != 0 {
+	if e0.Snapshot().PendingSubmits != 0 {
 		t.Error("pending submission remains")
 	}
 }

@@ -17,12 +17,7 @@ func loadedEntity(tb testing.TB, n int) *core.Entity {
 	tb.Helper()
 	ents := make([]*core.Entity, 2)
 	for i := range ents {
-		e, err := core.New(core.Config{ID: pdu.EntityID(i), N: n,
-			Window: 64, DisableDeferredConfirm: true})
-		if err != nil {
-			tb.Fatalf("New(%d): %v", i, err)
-		}
-		ents[i] = e
+		ents[i] = newScripted(tb, scriptConfig(pdu.EntityID(i), n))
 	}
 	now := time.Millisecond
 	for i := 0; i < 8; i++ {

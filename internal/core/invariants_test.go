@@ -65,9 +65,9 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 				}
 			}
 			// Everything still in RRL is at or above the PACK threshold.
-			if top := e.rrl[k].Top(); top.SEQ < e.MinAL(pdu.EntityID(k)) {
+			if top := e.rrl[k].Top(); top.SEQ < e.minAL[k] {
 				fail("rrl[%d] top %d below minAL %d (pack not drained)",
-					k, top.SEQ, e.MinAL(pdu.EntityID(k)))
+					k, top.SEQ, e.minAL[k])
 			}
 		}
 		// Parked PDUs are strictly beyond REQ.
@@ -89,7 +89,7 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 		}
 		alCnt, palCnt := 0, 0
 		for j := 0; j < e.n; j++ {
-			if e.evicted[j] {
+			if !e.alive.Test(j) {
 				continue
 			}
 			if e.al[k][j] == e.minAL[k] {
@@ -212,27 +212,24 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 	}
 	// The bitmaps always mirror the dense state they cache.
 	for k := 0; k < e.n; k++ {
-		if got, want := e.alive.Test(k), !e.evicted[k]; got != want {
-			fail("alive[%d]=%v, evicted=%v", k, got, e.evicted[k])
-		}
-		gap := k != int(e.me) && !e.evicted[k] && e.known[k] > e.req[k]
+		gap := k != int(e.me) && e.alive.Test(k) && e.known[k] > e.req[k]
 		if got := e.gapBits.Test(k); got != gap {
-			fail("gapBits[%d]=%v, known=%d req=%d evicted=%v",
-				k, got, e.known[k], e.req[k], e.evicted[k])
+			fail("gapBits[%d]=%v, known=%d req=%d alive=%v",
+				k, got, e.known[k], e.req[k], e.alive.Test(k))
 		}
 		if got, want := e.ackedBits.Test(k), e.ackedQ[k].Len() > 0; got != want {
 			fail("ackedBits[%d]=%v, ackedQ len %d", k, got, e.ackedQ[k].Len())
 		}
 		// unheard only ever marks live peers (never self, never evicted).
-		if e.unheard.Test(k) && (k == int(e.me) || e.evicted[k]) {
+		if e.unheard.Test(k) && (k == int(e.me) || !e.alive.Test(k)) {
 			fail("unheard[%d] set for self/evicted", k)
 		}
 		// uncovered marks exactly the live peers whose newest accepted
 		// vector trails the newest accepted DATA in some live column other
 		// than the peer's own, which that vector's PDU covers by itself.
 		uncovered := false
-		for c := 0; c < e.n && k != int(e.me) && !e.evicted[k]; c++ {
-			uncovered = uncovered || c != k && !e.evicted[c] && e.lastACK[k][c] <= e.dataHi[c]
+		for c := 0; c < e.n && k != int(e.me) && e.alive.Test(k); c++ {
+			uncovered = uncovered || c != k && e.alive.Test(c) && e.lastACK[k][c] <= e.dataHi[c]
 		}
 		if got := e.uncovered.Test(k); got != uncovered {
 			fail("uncovered[%d]=%v, want %v (lastACK %v, dataHi %v)", k, got, uncovered, e.lastACK[k], e.dataHi)
@@ -241,18 +238,26 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 	if e.rounds < 0 || e.rounds > 2 {
 		fail("rounds=%d", e.rounds)
 	}
-	// When the total-order head cache is armed it matches a fresh
-	// recomputation of the unsatisfied-source set for its key.
-	if e.to != nil && e.to.unsatValid {
-		s := e.to
-		for k := 0; k < e.n; k++ {
-			want := pdu.EntityID(k) != s.unsatFor.src && !e.evicted[k] &&
-				(!s.hasKey[k] || !s.unsatFor.less(s.lastKey[k]))
-			if got := s.unsat.Test(k); got != want {
-				fail("to.unsat[%d]=%v, want %v (head key %v)", k, got, want, s.unsatFor)
-			}
+	if !e.alive.Test(int(e.me)) {
+		fail("self evicted")
+	}
+}
+
+// quorumMin is the from-scratch minimum of row over the alive columns:
+// the reference the cached minima (minAL, minPAL) are checked against.
+func (e *Entity) quorumMin(row []pdu.Seq) pdu.Seq {
+	m := pdu.Seq(0)
+	first := true
+	for j := 0; j < e.n; j++ {
+		if !e.alive.Test(j) {
+			continue
+		}
+		if first || row[j] < m {
+			m = row[j]
+			first = false
 		}
 	}
+	return m
 }
 
 // checkPRLCausal asserts the PRL is causality-preserved under the
@@ -413,10 +418,11 @@ func randomWalk(t *testing.T, seed int64, batched bool) {
 func TestInvariantsUnderTargetedReplay(t *testing.T) {
 	ents := make([]*Entity, 2)
 	for i := range ents {
-		e, err := New(Config{ID: pdu.EntityID(i), N: 2, DisableDeferredConfirm: true})
+		e, err := New(Config{ID: pdu.EntityID(i), N: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.Hold() // no deferred confirmation: every PDU out is the script's
 		ents[i] = e
 	}
 	out := ents[0].Submit([]byte("m1"), 0)

@@ -269,10 +269,11 @@ func TestPackedBacklogDeliversEveryMessageOnceInOrder(t *testing.T) {
 // residency, not one of its messages delivered — and the same SEQ is
 // then accepted from the honest sender.
 func TestHostilePackRejectedBeforeAcceptance(t *testing.T) {
-	e, err := New(Config{ID: 0, N: 2, DisableDeferredConfirm: true})
+	e, err := New(Config{ID: 0, N: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Hold() // no deferred confirmation: every PDU out is the script's
 	good := pdu.AppendMessage(pdu.AppendMessage(nil, []byte("one")), []byte("two"))
 	hostile := [][]byte{
 		append(append([]byte(nil), good...), 0x09, 'x'), // overrun after two good messages

@@ -29,11 +29,7 @@ func retPair(t *testing.T) (*core.Entity, *core.Entity) {
 	for i := range ents {
 		cfg := scriptConfig(pdu.EntityID(i), 2)
 		cfg.DeferredAckInterval, cfg.RetransmitTimeout = retFloor, retCeiling
-		e, err := core.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ents[i] = e
+		ents[i] = newScripted(t, cfg)
 	}
 	return ents[0], ents[1]
 }

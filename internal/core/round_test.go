@@ -178,7 +178,7 @@ func TestFlowBlockedLateAfterFloor(t *testing.T) {
 	for i := 0; i < 20; i++ { // W = 16 own PDUs unacknowledged, then the rest queue
 		r.data(now)
 	}
-	if r.e.PendingSubmits() == 0 {
+	if r.e.Snapshot().PendingSubmits == 0 {
 		t.Fatal("nothing queued behind the window")
 	}
 	r.wantEstimate(4*ms, roundFloor)

@@ -106,7 +106,7 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 		// minAL[src] ≤ SEQ: find who is holding the minimum down.
 		var waiting []int
 		for k := 0; k < e.n; k++ {
-			if k != j && !e.evicted[k] && e.al[j][k] <= p.SEQ {
+			if k != j && e.alive.Test(k) && e.al[j][k] <= p.SEQ {
 				waiting = append(waiting, k)
 			}
 		}
@@ -126,7 +126,7 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 		j := int(p.Src)
 		var waiting []int
 		for k := 0; k < e.n; k++ {
-			if k != j && !e.evicted[k] && e.pal[j][k] <= p.SEQ {
+			if k != j && e.alive.Test(k) && e.pal[j][k] <= p.SEQ {
 				waiting = append(waiting, k)
 			}
 		}
@@ -171,13 +171,8 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 	if e.to != nil && e.to.pending.Len() > 0 && !full() {
 		head := e.to.pending[0]
 		var waiting []int
-		for k := 0; k < e.n; k++ {
-			if pdu.EntityID(k) == head.key.src || e.evicted[k] {
-				continue
-			}
-			if !e.to.hasKey[k] || !head.key.less(e.to.lastKey[k]) {
-				waiting = append(waiting, k)
-			}
+		for k := e.nextBlocker(head.key, 0); k < e.n; k = e.nextBlocker(head.key, k+1) {
+			waiting = append(waiting, k)
 		}
 		out = append(out, obsv.Stall{
 			Msg:   msgID(head.p.Src, head.p.SEQ),
@@ -199,7 +194,7 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 		if credit := e.flowCredit(); e.seq >= e.minAL[e.me]+credit {
 			var waiting []int
 			for k := 0; k < e.n; k++ {
-				if pdu.EntityID(k) != e.me && !e.evicted[k] &&
+				if pdu.EntityID(k) != e.me && e.alive.Test(k) &&
 					e.al[e.me][k] == e.minAL[e.me] {
 					waiting = append(waiting, k)
 				}

@@ -158,10 +158,7 @@ func TestStallAnalyzerParkedGap(t *testing.T) {
 // acknowledgments coming back, queued submits report flow-blocked and
 // name the peers holding minAL down.
 func TestStallAnalyzerFlowBlocked(t *testing.T) {
-	e0, err := core.New(core.Config{ID: 0, N: 2, Window: 1, DisableDeferredConfirm: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e0 := newScripted(t, core.Config{ID: 0, N: 2, Window: 1})
 	submit(t, e0, "m1")
 	if out := e0.Submit([]byte("m2"), 0); len(out.PDUs) != 0 {
 		t.Fatalf("second submit escaped a closed window: %d PDUs", len(out.PDUs))

@@ -28,8 +28,15 @@ type Table1Result struct {
 // Table1 replays Example 4.1 / Figure 7 and returns the regenerated
 // Table 1.
 func Table1() (*Table1Result, error) {
+	// Each entity holds one batch open for the whole exchange and never
+	// releases it, so it sends no deferred confirmation: the eight PDUs
+	// of Figure 7 are all there is on the wire.
 	newEnt := func(id pdu.EntityID) (*core.Entity, error) {
-		return core.New(core.Config{ID: id, N: 3, Window: 64, DisableDeferredConfirm: true})
+		e, err := core.New(core.Config{ID: id, N: 3, Window: 64})
+		if err == nil {
+			e.Hold()
+		}
+		return e, err
 	}
 	e1, err := newEnt(0)
 	if err != nil {
