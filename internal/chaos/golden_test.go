@@ -39,10 +39,9 @@ func goldenLine(seed int64, wire int) string {
 // harness change that shifts both runs alike (event order, RNG draw
 // order, which faults bite). After an intentional protocol change,
 // re-capture: the failure message prints each replacement line. The
-// last such change was the per-step confirmation (a shard holds each
-// engine's deferred confirmation until the end of its step and sends
-// one, decided on the state after the step's last input), which moves
-// 104 of the 128 lines: a simulated frame carries several PDUs.
+// last such change was Karn's rule on auto-suspicion (an eviction by the
+// suspicion timer voids the round probe, as a manual one always did),
+// which moves the two lines of seed 50, a stalled-peer run.
 func TestGoldenSweepDigests(t *testing.T) {
 	file, err := os.Open("testdata/golden_sweep_digests.txt")
 	if err != nil {
