@@ -21,6 +21,10 @@ const never = time.Duration(math.MinInt64 / 2)
 var (
 	ErrNilPDU       = errors.New("core: nil PDU")
 	ErrWrongCluster = errors.New("core: PDU for a different cluster")
+	// ErrACKRegressed refuses a sequenced PDU under clause 2 of the
+	// honest-sender contract (DESIGN.md §2): an entry of its ACK vector
+	// is below its predecessor's.
+	ErrACKRegressed = errors.New("core: ACK vector below its predecessor's")
 )
 
 // Entity is one system entity E_i of the cluster. It is a pure state
@@ -305,6 +309,11 @@ func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
 // must not reuse or write p or its ACK/Data afterwards. Control
 // PDUs (KindAckOnly/KindRet) are only read during the call and may live
 // in caller-owned scratch storage.
+//
+// A PDU that breaks the honest-sender contract is refused and counted
+// in InvalidPDUs: clause 1 by Validate, before anything else, and clause
+// 2 at acceptance, after its ACK vector has been folded like any
+// other's, so the returned output is still the entity's to send.
 func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	var out Output
 	if p == nil {
@@ -340,6 +349,7 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 		e.needRespond = true
 	}
 
+	var err error
 	switch p.Kind {
 	case pdu.KindRet:
 		if p.LSrc == e.me {
@@ -349,12 +359,14 @@ func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	case pdu.KindAckOnly:
 		// Knowledge already folded; nothing sequenced to do.
 	case pdu.KindData, pdu.KindSync:
-		e.receiveSequenced(p, now)
+		if err = e.receiveSequenced(p, now); err != nil {
+			err = fmt.Errorf("receive at %d: %w", e.me, err)
+		}
 	}
 
 	e.maybeRequestRetx(now, &out)
 	e.finish(now, &out)
-	return out, nil
+	return out, err
 }
 
 // Tick drives the entity's timers: RET retries and deferred confirmation.
@@ -536,8 +548,12 @@ func (e *Entity) noteGap(j int) {
 }
 
 // receiveSequenced applies the acceptance condition p.SEQ == REQ (§4.2),
-// parking out-of-order PDUs and draining repairs in order.
-func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
+// parking out-of-order PDUs and draining repairs in order. Clause 2 of
+// the contract needs the predecessor's vector, so it is checked as each
+// PDU is accepted: a violator arriving in order is refused with the
+// error, one unparked is dropped, and either leaves REQ where it was,
+// for a RET to ask again.
+func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) error {
 	src := p.Src
 	switch {
 	case p.SEQ < e.req[src]:
@@ -555,6 +571,9 @@ func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
 			e.noteResident()
 		}
 	default:
+		if err := e.checkMonotone(p); err != nil {
+			return err
+		}
 		e.accept(p, now)
 		for {
 			q, ok := e.parked[src][e.req[src]]
@@ -567,10 +586,28 @@ func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) {
 				e.parkedData--
 			}
 			e.releasePDU(q)
+			if e.checkMonotone(q) != nil {
+				break
+			}
 			e.fl(flight.EvUnpark, src, q.SEQ, q.Kind, pdu.NoEntity, now)
 			e.accept(q, now)
 		}
 	}
+	return nil
+}
+
+// checkMonotone checks clause 2 of the honest-sender contract for p, the
+// next PDU of its source: no entry of its ACK vector is below the one
+// its predecessor carried. A violator is counted in InvalidPDUs.
+func (e *Entity) checkMonotone(p *pdu.PDU) error {
+	last := e.lastACK[p.Src]
+	for k, v := range p.ACK {
+		if v < last[k] {
+			e.stats.InvalidPDUs++
+			return fmt.Errorf("%w: %v entry %d below %d", ErrACKRegressed, p, k, last[k])
+		}
+	}
+	return nil
 }
 
 // accept performs the acceptance action (§4.2): advance REQ, enqueue into
@@ -760,19 +797,19 @@ func (e *Entity) commitReady(now time.Duration, out *Output) {
 
 // depsCommitted reports whether every causal dependency of p has been
 // committed locally.
-func (e *Entity) depsCommitted(p *pdu.PDU) bool {
-	if e.committed[p.Src] != p.SEQ-1 {
-		return false
-	}
-	for k := 0; k < e.n; k++ {
-		if pdu.EntityID(k) == p.Src {
-			continue
+func (e *Entity) depsCommitted(p *pdu.PDU) bool { return e.missingDep(p) == e.n }
+
+// missingDep returns the first source k whose prefix named by p's ACK
+// vector has not committed here (committed[k]+1 < ACK[k]), or n when
+// every one has. p's own entry is its SEQ (clause 1), so it names p's
+// predecessor like any other.
+func (e *Entity) missingDep(p *pdu.PDU) int {
+	for k, a := range p.ACK {
+		if e.committed[k]+1 < a {
+			return k
 		}
-		if e.committed[k]+1 < p.ACK[k] {
-			return false
-		}
 	}
-	return true
+	return e.n
 }
 
 // drainSubmits broadcasts queued application data while the flow condition
@@ -970,7 +1007,7 @@ func (e *Entity) confirmDue() bool {
 		return e.unheard.Empty()
 	case e.rounds == 1:
 		return e.uncovered.Empty()
-	case e.needRespond || len(e.pendingSubmits) > 0 || e.to != nil && e.to.pending.Len() > 0:
+	case e.needRespond || len(e.pendingSubmits) > 0 || e.to != nil && e.to.npending > 0:
 		return e.unheard.Empty()
 	}
 	return false
@@ -1260,10 +1297,11 @@ func (e *Entity) trimSendLog(upTo pdu.Seq) {
 	}
 }
 
-// fifo is a queue with an amortized-O(1) head: the send log, and the
-// start times the latency histograms pair with their ends by position
-// (sentAt, acceptAt), which carry no sequence numbers because both ends
-// happen in the same order.
+// fifo is a queue with an amortized-O(1) head: the send log, the
+// total-order stage's logical times and pending releases, and the start
+// times the latency histograms pair with their ends by position (sentAt,
+// acceptAt), which carry no sequence numbers because both ends happen
+// in the same order.
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -1372,7 +1410,7 @@ func (e *Entity) REQ() []pdu.Seq {
 func (e *Entity) Resident() int {
 	r := e.parkedTotal + e.rrlTotal + e.prl.Len() + e.ackedTotal
 	if e.to != nil {
-		r += e.to.pending.Len()
+		r += e.to.npending
 	}
 	return r
 }

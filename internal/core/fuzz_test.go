@@ -58,9 +58,11 @@ func FuzzReceiveWire(f *testing.F) {
 // times, as a shared network does, and checks Receive never wrote it.
 //
 // Bit 4 of back follows the PDU with a second sequenced PDU from the
-// same source at SEQ+1 whose ACK entries picked by bits 0–2 are one
-// lower than the first's: a source's successive vectors need not be
-// monotone on the wire, and every fold must keep the larger value.
+// same source at SEQ+1, its own ACK entry SEQ+1, whose ACK entries
+// picked by bits 0–2 are one lower: a source's successive vectors need
+// not be monotone on the wire. The honest-sender contract refuses such a
+// successor at the door (its own entry lowered) or at acceptance (any
+// other), and every fold before that must keep the larger value.
 //
 // Bit 5 turns on TotalOrder, so the release stage sees the crafted
 // commits. Bit 6 sets SuspectAfter to 20 ms: the entity owes the
@@ -81,7 +83,7 @@ func FuzzReceiveCrafted(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint64(0), uint64(1), uint64(1), uint64(1), uint8(0), uint64(5), false, uint8(0), []byte{0x01, 0x01})
 	// A DATA far ahead of its source's stream and an ACK entry further
 	// still: the requester's RET must not size a held list on that span.
-	f.Add(uint8(1), uint8(0), uint64(1<<60), uint64(1), uint64(1<<62), uint64(1), uint8(0), uint64(0), false, uint8(0), []byte(nil))
+	f.Add(uint8(1), uint8(0), uint64(1<<60), uint64(1), uint64(1<<60|1), uint64(1<<62), uint8(0), uint64(0), false, uint8(0), []byte(nil))
 	// A DATA then a SYNC from source 1 whose entries for 0 and 2 fall
 	// back from 3 to 2.
 	f.Add(uint8(1), uint8(0), uint64(1), uint64(3), uint64(1), uint64(3), uint8(0), uint64(0), true, uint8(0x15), []byte(nil))
@@ -92,7 +94,7 @@ func FuzzReceiveCrafted(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint64(1), uint64(5), uint64(1), uint64(1), uint8(0), uint64(0), true, uint8(0x70), []byte(nil))
 	// Suspicion: a SYNC from source 2 far ahead of its stream, then the
 	// silence that gets both peers evicted with its gap still open.
-	f.Add(uint8(2), uint8(1), uint64(7), uint64(1), uint64(1), uint64(1), uint8(0), uint64(0), false, uint8(0x40), []byte(nil))
+	f.Add(uint8(2), uint8(1), uint64(7), uint64(1), uint64(1), uint64(7), uint8(0), uint64(0), false, uint8(0x40), []byte(nil))
 	f.Fuzz(func(t *testing.T, srcRaw, kindRaw uint8, seq, a0, a1, a2 uint64,
 		lsrcRaw uint8, lseq uint64, need bool, back uint8, held []byte) {
 		kinds := []pdu.Kind{pdu.KindData, pdu.KindSync, pdu.KindAckOnly, pdu.KindRet}
@@ -115,6 +117,7 @@ func FuzzReceiveCrafted(f *testing.F) {
 		if back&0x10 != 0 {
 			q := &pdu.PDU{Kind: pdu.KindSync, Src: p.Src, SEQ: p.SEQ + 1,
 				ACK: append([]pdu.Seq(nil), p.ACK...), NeedAck: need, LSrc: pdu.NoEntity}
+			q.ACK[q.Src] = q.SEQ
 			if p.Kind == pdu.KindData {
 				q.Kind, q.Data = pdu.KindData, []byte("next")
 			}

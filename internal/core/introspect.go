@@ -92,7 +92,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		}
 	}
 	if e.to != nil {
-		s.ReleasePending = e.to.pending.Len()
+		s.ReleasePending = e.to.npending
 	}
 	if l := e.cfg.Ledger; l != nil {
 		s.LedgerBytes = l.Bytes()

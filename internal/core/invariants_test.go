@@ -8,6 +8,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -151,14 +152,74 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 	if rrlTotal != e.rrlTotal {
 		fail("rrlTotal cache %d != %d", e.rrlTotal, rrlTotal)
 	}
+	// Each source's accepted vectors never decrease (clause 2 of the
+	// honest-sender contract): those still in the pipeline, in SEQ order,
+	// then the newest accepted one.
+	for k := 0; k < e.n; k++ {
+		var vecs []*pdu.PDU
+		for i := 0; i < e.rrl[k].Len(); i++ {
+			vecs = append(vecs, e.rrl[k].At(i))
+		}
+		for _, p := range e.prl.Slice() {
+			if p.Src == pdu.EntityID(k) {
+				vecs = append(vecs, p)
+			}
+		}
+		for i := 0; i < e.ackedQ[k].Len(); i++ {
+			vecs = append(vecs, e.ackedQ[k].At(i))
+		}
+		if e.to != nil {
+			for i := 0; i < e.to.pending[k].len(); i++ {
+				vecs = append(vecs, e.to.pending[k].at(i).p)
+			}
+		}
+		sort.Slice(vecs, func(a, b int) bool { return vecs[a].SEQ < vecs[b].SEQ })
+		for i, p := range vecs {
+			next := e.lastACK[k]
+			if i+1 < len(vecs) {
+				next = vecs[i+1].ACK
+			}
+			for c := range next {
+				if next[c] < p.ACK[c] {
+					fail("source %d's vectors decrease after %v: entry %d falls to %d", k, p, c, next[c])
+				}
+			}
+		}
+	}
 	toPending := 0
 	if e.to != nil {
-		toPending = e.to.pending.Len()
-		// Logical times per source are contiguous with commits.
 		for k := 0; k < e.n; k++ {
-			if got := e.to.base[k] + pdu.Seq(len(e.to.ltimes[k])); got != e.committed[k]+1 {
+			// Logical times per source are contiguous with commits.
+			if got := e.to.base[k] + pdu.Seq(e.to.ltimes[k].len()); got != e.committed[k]+1 {
 				fail("ltime history for %d covers to %d, committed %d", k, got-1, e.committed[k])
 			}
+			toPending += e.to.pending[k].len()
+		}
+		if toPending != e.to.npending {
+			fail("npending cache %d, the FIFOs hold %d", e.to.npending, toPending)
+		}
+		// The retained history covers every reference a future commit can
+		// make: (k, ACK[k]-1) for the vector of every PDU accepted and not
+		// yet committed, and of the newest accepted from each source,
+		// which bounds every later one from below.
+		covers := func(ack []pdu.Seq) {
+			for k, a := range ack {
+				if a >= 2 && a-1 < e.to.base[k] {
+					fail("ltime of s%d#%d is referable but pruned (base %d)", k, a-1, e.to.base[k])
+				}
+			}
+		}
+		for k := 0; k < e.n; k++ {
+			covers(e.lastACK[k])
+			for i := 0; i < e.rrl[k].Len(); i++ {
+				covers(e.rrl[k].At(i).ACK)
+			}
+			for i := 0; i < e.ackedQ[k].Len(); i++ {
+				covers(e.ackedQ[k].At(i).ACK)
+			}
+		}
+		for _, p := range e.prl.Slice() {
+			covers(p.ACK)
 		}
 	}
 	ackedTotal := 0
@@ -199,8 +260,10 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			add(p)
 		}
 		if e.to != nil {
-			for _, it := range e.to.pending {
-				add(it.p)
+			for k := range e.to.pending {
+				for i := 0; i < e.to.pending[k].len(); i++ {
+					add(e.to.pending[k].at(i).p)
+				}
 			}
 		}
 		for i := 0; i < e.sendlog.len(); i++ {

@@ -144,32 +144,25 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 	// Stage 4: commit-wait — acked heads with an uncommitted dependency.
 	for j := 0; j < e.n && !full(); j++ {
 		p := e.ackedQ[j].Top()
-		if p == nil || e.depsCommitted(p) {
+		if p == nil {
 			continue
 		}
-		dep := ""
-		if e.committed[j] != p.SEQ-1 {
-			dep = msgID(p.Src, e.committed[j]+1)
-		} else {
-			for k := 0; k < e.n; k++ {
-				if pdu.EntityID(k) != p.Src && e.committed[k]+1 < p.ACK[k] {
-					dep = msgID(pdu.EntityID(k), e.committed[k]+1)
-					break
-				}
-			}
+		k := e.missingDep(p)
+		if k == e.n {
+			continue
 		}
 		out = append(out, obsv.Stall{
 			Msg:   msgID(p.Src, p.SEQ),
 			Kind:  p.Kind.String(),
 			Stage: "commit-wait",
 			Reason: fmt.Sprintf(
-				"causal dependency %s is not committed locally yet", dep),
+				"causal dependency %s is not committed locally yet", msgID(pdu.EntityID(k), e.committed[k]+1)),
 		})
 	}
 
 	// Stage 5: total-order hold — the TO release head is unstable.
-	if e.to != nil && e.to.pending.Len() > 0 && !full() {
-		head := e.to.pending[0]
+	if e.to != nil && e.to.npending > 0 && !full() {
+		head := *e.to.pending[e.to.head()].at(0)
 		var waiting []int
 		for k := e.nextBlocker(head.key, 0); k < e.n; k = e.nextBlocker(head.key, k+1) {
 			waiting = append(waiting, k)

@@ -24,7 +24,6 @@ package core
 // causality-preserving (p ≺ q ⇒ ltime(p) < ltime(q)).
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -50,18 +49,35 @@ func (a toKey) less(b toKey) bool {
 }
 
 // toState is the per-entity total-order machinery, allocated only when
-// Config.TotalOrder is set.
+// Config.TotalOrder is set. It rests on the honest-sender contract
+// (DESIGN.md §2): a commit's own ACK entry names its predecessor, and one
+// source's vectors never decrease.
 type toState struct {
 	// ltimes[k] holds the logical times of committed PDUs from source k,
 	// starting at sequence base[k].
-	ltimes [][]uint64
+	ltimes []fifo[uint64]
 	base   []pdu.Seq
-	// lastKey[j] is the key of the newest committed PDU from source j:
-	// zero until j commits something here, which sorts below every real
-	// key (logical times start at 1), so j blocks every release until then.
+	// lastKey[j] and lastVec[j] are the key and the ACK vector of the
+	// newest committed PDU from j: a zero key and the all-ones vector
+	// until j commits something here. A zero key sorts below every real
+	// key (logical times start at 1), so j blocks every release until
+	// then, and the all-ones vector keeps every logical time.
 	lastKey []toKey
-	// pending holds committed DATA PDUs awaiting stable release.
-	pending toHeap
+	lastVec [][]pdu.Seq
+	// pending[k] holds k's committed DATA awaiting stable release, in
+	// commit order, which is key order: keys grow per source. npending
+	// counts them all.
+	pending  []fifo[toItem]
+	npending int
+	// due marks a release check owed: a key can only become stable when
+	// something commits or the quorum shrinks.
+	due bool
+}
+
+// toItem is one pending total-order release.
+type toItem struct {
+	key toKey
+	p   *pdu.PDU
 }
 
 // ltimePruneThreshold bounds the per-source logical-time history before a
@@ -71,12 +87,17 @@ var ltimePruneThreshold = 8192
 
 func newTOState(n int) *toState {
 	s := &toState{
-		ltimes:  make([][]uint64, n),
+		ltimes:  make([]fifo[uint64], n),
 		base:    make([]pdu.Seq, n),
 		lastKey: make([]toKey, n),
+		lastVec: make([][]pdu.Seq, n),
+		pending: make([]fifo[toItem], n),
 	}
+	ones := make([]pdu.Seq, n)
 	for k := range s.base {
+		ones[k] = 1
 		s.base[k] = 1
+		s.lastVec[k] = ones
 	}
 	return s
 }
@@ -88,59 +109,71 @@ func (s *toState) ltimeOf(k pdu.EntityID, seq pdu.Seq) uint64 {
 		// reaching here is an implementation bug, not a runtime input.
 		panic(fmt.Sprintf("core: ltime of s%d#%d pruned (base %d)", k, seq, s.base[k]))
 	}
-	idx := int(seq - s.base[k])
-	return s.ltimes[k][idx]
+	return *s.ltimes[k].at(int(seq - s.base[k]))
 }
 
 // onCommitTotal computes and records the logical time of a freshly
-// committed sequenced PDU, and queues DATA for stable release. Its own
-// source's dependency is its predecessor, SEQ-1, which is what the
-// ACK entry of an honest sender names and all the commit stage checks:
-// an entry claiming more would name a PDU that has not committed.
+// committed sequenced PDU, and queues DATA for stable release. Every
+// dependency ACK[k]-1 has committed (depsCommitted); the own entry is
+// the predecessor, SEQ-1, by clause 1 of the contract.
 func (e *Entity) onCommitTotal(p *pdu.PDU) {
 	s := e.to
 	var lt uint64
-	for k := 0; k < e.n; k++ {
-		dep := p.ACK[k]
-		if pdu.EntityID(k) == p.Src {
-			dep = p.SEQ
-		}
+	for k, dep := range p.ACK {
 		if dep >= 2 {
-			if v := s.ltimeOf(pdu.EntityID(k), dep-1); v > lt {
-				lt = v
-			}
+			lt = max(lt, s.ltimeOf(pdu.EntityID(k), dep-1))
 		}
 	}
 	lt++
-	if p.SEQ != s.base[p.Src]+pdu.Seq(len(s.ltimes[p.Src])) {
-		panic(fmt.Sprintf("core: out-of-order commit s%d#%d (next %d)",
-			p.Src, p.SEQ, s.base[p.Src]+pdu.Seq(len(s.ltimes[p.Src]))))
+	if next := s.base[p.Src] + pdu.Seq(s.ltimes[p.Src].len()); p.SEQ != next {
+		panic(fmt.Sprintf("core: out-of-order commit s%d#%d (next %d)", p.Src, p.SEQ, next))
 	}
-	s.ltimes[p.Src] = append(s.ltimes[p.Src], lt)
+	s.ltimes[p.Src].push(lt)
 	key := toKey{lt: lt, src: p.Src, seq: p.SEQ}
-	s.lastKey[p.Src] = key
+	s.lastKey[p.Src], s.lastVec[p.Src] = key, p.ACK
+	s.due = true
 	if p.Kind == pdu.KindData {
-		heap.Push(&s.pending, toItem{key: key, p: p})
+		s.pending[p.Src].push(toItem{key: key, p: p})
+		s.npending++
 		e.chargePDU(p)
 	}
-	if len(s.ltimes[p.Src]) > ltimePruneThreshold {
+	if s.ltimes[p.Src].len() > ltimePruneThreshold {
 		e.pruneLTimes()
 	}
 }
 
-// releaseTotal delivers every stable pending PDU in key order. A key is
-// stable once every other live source has committed beyond it.
+// releaseTotal delivers every stable pending PDU in key order: the least
+// of the per-source heads, as long as it is stable. A key is stable once
+// every other live source has committed beyond it, so the check runs only
+// when something committed or the quorum shrank since the last one.
 func (e *Entity) releaseTotal(now time.Duration, out *Output) {
 	s := e.to
-	for s.pending.Len() > 0 {
-		head := s.pending[0]
-		if e.nextBlocker(head.key, 0) < e.n {
+	if !s.due {
+		return
+	}
+	s.due = false
+	for k := s.head(); k >= 0; k = s.head() {
+		it := *s.pending[k].at(0)
+		if e.nextBlocker(it.key, 0) < e.n {
 			return
 		}
-		heap.Pop(&s.pending)
-		e.releasePDU(head.p)
-		e.deliver(head.p, head.key.lt, now, out)
+		s.pending[k].pop()
+		s.npending--
+		e.releasePDU(it.p)
+		e.deliver(it.p, it.key.lt, now, out)
 	}
+}
+
+// head returns the source whose pending head has the least key, or -1
+// when nothing is pending.
+func (s *toState) head() int {
+	best := -1
+	for k := range s.pending {
+		if s.pending[k].len() > 0 && (best < 0 || s.pending[k].at(0).key.less(s.pending[best].at(0).key)) {
+			best = k
+		}
+	}
+	return best
 }
 
 // nextBlocker returns the first live source from j on that blocks the
@@ -158,83 +191,21 @@ func (e *Entity) nextBlocker(key toKey, j int) int {
 }
 
 // pruneLTimes drops logical-time entries no future commit can reference.
-// A future commit is either a resident PDU (its ACK vector is known) or a
-// not-yet-accepted PDU from source j, whose ACK[k] is at least the ACK[k]
-// of the newest accepted PDU from j (ACK vectors are monotone per
-// source); the next commit from k references k's committed frontier,
-// and our own future submissions at least REQ, which is not below it.
-// The floor is the minimum over all of these, minus one (references are
-// ACK[k]-1).
+// A commit references (k, ACK[k]-1) for every k. Commits from one source
+// come in SEQ order and its vectors never decrease (clause 2), so every
+// future commit from j names a vector no lower than lastVec[j]; the
+// lowest referable entry of k is the minimum over j of lastVec[j][k],
+// minus one. For j = k that entry is committed[k] (clause 1), so the
+// floor never passes what has been recorded.
 func (e *Entity) pruneLTimes() {
 	s := e.to
-	floor := make([]pdu.Seq, e.n)
 	for k := 0; k < e.n; k++ {
-		floor[k] = e.committed[k] + 1
-	}
-	consider := func(ack []pdu.Seq) {
-		for k := 0; k < e.n; k++ {
-			if ack[k] < floor[k] {
-				floor[k] = ack[k]
-			}
+		floor := s.lastVec[0][k]
+		for _, v := range s.lastVec[1:] {
+			floor = min(floor, v[k])
+		}
+		for ; s.base[k]+1 < floor; s.base[k]++ {
+			s.ltimes[k].pop()
 		}
 	}
-	for j := 0; j < e.n; j++ {
-		// Nothing accepted from j yet leaves the all-ones vector: its
-		// future PDUs may reference anything, so everything is kept.
-		consider(e.lastACK[j])
-	}
-	for k := 0; k < e.n; k++ {
-		for i := 0; i < e.rrl[k].Len(); i++ {
-			consider(e.rrl[k].At(i).ACK)
-		}
-		for _, p := range e.parked[k] {
-			consider(p.ACK)
-		}
-	}
-	for _, p := range e.prl.Slice() {
-		consider(p.ACK)
-	}
-	for k := 0; k < e.n; k++ {
-		for i := 0; i < e.ackedQ[k].Len(); i++ {
-			consider(e.ackedQ[k].At(i).ACK)
-		}
-	}
-	for k := 0; k < e.n; k++ {
-		// Keep entries with seq >= floor[k]-1 (references are ACK-1),
-		// and never prune beyond what has been recorded.
-		keepFrom := floor[k]
-		if keepFrom >= 1 {
-			keepFrom--
-		}
-		if keepFrom <= s.base[k] {
-			continue
-		}
-		drop := int(keepFrom - s.base[k])
-		if drop > len(s.ltimes[k]) {
-			drop = len(s.ltimes[k])
-		}
-		s.ltimes[k] = append([]uint64(nil), s.ltimes[k][drop:]...)
-		s.base[k] += pdu.Seq(drop)
-	}
-}
-
-// toItem is one pending total-order release.
-type toItem struct {
-	key toKey
-	p   *pdu.PDU
-}
-
-type toHeap []toItem
-
-func (h toHeap) Len() int           { return len(h) }
-func (h toHeap) Less(i, j int) bool { return h[i].key.less(h[j].key) }
-func (h toHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *toHeap) Push(x any)        { *h = append(*h, x.(toItem)) }
-func (h *toHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = toItem{}
-	*h = old[:n-1]
-	return it
 }

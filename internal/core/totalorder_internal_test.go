@@ -3,7 +3,7 @@ package core
 // White-box tests for the total-order release stage internals.
 
 import (
-	"container/heap"
+	"errors"
 	"testing"
 	"time"
 
@@ -31,49 +31,41 @@ func TestToKeyOrdering(t *testing.T) {
 	}
 }
 
-func TestToHeapPopsInKeyOrder(t *testing.T) {
-	var h toHeap
-	keys := []toKey{
-		{lt: 3, src: 1, seq: 1},
-		{lt: 1, src: 2, seq: 1},
-		{lt: 2, src: 0, seq: 1},
-		{lt: 1, src: 0, seq: 1},
+// TestPendingHeadIsLeastKey fills per-source pending FIFOs, each in its
+// own key order as commits fill them, and checks that taking the least
+// head each time yields every key in global key order.
+func TestPendingHeadIsLeastKey(t *testing.T) {
+	s := newTOState(3)
+	for _, k := range []toKey{
+		{lt: 1, src: 0, seq: 1}, {lt: 2, src: 0, seq: 2}, {lt: 6, src: 0, seq: 3},
+		{lt: 1, src: 2, seq: 1}, {lt: 4, src: 2, seq: 2},
+		{lt: 3, src: 1, seq: 1}, {lt: 4, src: 1, seq: 2}, {lt: 5, src: 1, seq: 3},
+	} {
+		s.pending[k.src].push(toItem{key: k})
 	}
-	for _, k := range keys {
-		heap.Push(&h, toItem{key: k})
+	var got []toKey
+	for k := s.head(); k >= 0; k = s.head() {
+		it, _ := s.pending[k].pop()
+		got = append(got, it.key)
 	}
-	var prev *toKey
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(toItem)
-		if prev != nil && it.key.less(*prev) {
-			t.Fatalf("heap popped %v after %v", it.key, *prev)
+	if len(got) != 8 {
+		t.Fatalf("released %d keys, want 8", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if !got[i-1].less(got[i]) {
+			t.Fatalf("released %v after %v", got[i], got[i-1])
 		}
-		k := it.key
-		prev = &k
 	}
 }
 
-// TestLTimePruning forces the pruning pass with a tiny threshold and
-// verifies referenced entries survive while history shrinks.
-func TestLTimePruning(t *testing.T) {
-	old := ltimePruneThreshold
-	ltimePruneThreshold = 8
-	defer func() { ltimePruneThreshold = old }()
-
-	// Two entities exchanging continuously in TO mode.
-	mk := func(id pdu.EntityID) *Entity {
-		e, err := New(Config{ID: id, N: 2, TotalOrder: true,
-			DeferredAckInterval: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e0, e1 := mk(0), mk(1)
-	now := time.Duration(0)
-	pending := e0.Submit([]byte("kick"), now).PDUs
+// runTOPair runs two total-order entities exchanging PDUs for the given
+// rounds, entity 0 submitting every fourth round before round feed, and
+// returns the deliveries and the clock. Each round hands every PDU of the
+// last one to the other entity, then ticks both.
+func runTOPair(t *testing.T, e0, e1 *Entity, pending []*pdu.PDU, now time.Duration, rounds, feed int) (int, time.Duration) {
+	t.Helper()
 	deliveries := 0
-	for round := 0; round < 400; round++ {
+	for round := 0; round < rounds; round++ {
 		now += time.Millisecond
 		var next []*pdu.PDU
 		for _, p := range pending {
@@ -94,23 +86,128 @@ func TestLTimePruning(t *testing.T) {
 		next = append(next, o1.PDUs...)
 		pending = next
 		// Feed more data every few rounds to keep commits flowing.
-		if round%4 == 0 && round < 300 {
+		if round%4 == 0 && round < feed {
 			out := e0.Submit([]byte{byte(round)}, now)
 			pending = append(pending, out.PDUs...)
 			deliveries += len(out.Deliveries)
 		}
 	}
+	return deliveries, now
+}
+
+// newTOPair returns two total-order entities of a 2-entity cluster.
+func newTOPair(t *testing.T) (*Entity, *Entity) {
+	t.Helper()
+	mk := func(id pdu.EntityID) *Entity {
+		e, err := New(Config{ID: id, N: 2, TotalOrder: true,
+			DeferredAckInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	return mk(0), mk(1)
+}
+
+// TestLTimePruning forces the pruning pass with a tiny threshold and
+// verifies referenced entries survive while history shrinks.
+func TestLTimePruning(t *testing.T) {
+	old := ltimePruneThreshold
+	ltimePruneThreshold = 8
+	defer func() { ltimePruneThreshold = old }()
+
+	// Two entities exchanging continuously in TO mode.
+	e0, e1 := newTOPair(t)
+	deliveries, _ := runTOPair(t, e0, e1, e0.Submit([]byte("kick"), 0).PDUs, 0, 400, 300)
 	if deliveries == 0 {
 		t.Fatal("nothing delivered")
 	}
 	// Pruning must have moved the base forward on the busy source.
 	if e1.to.base[0] <= 1 {
 		t.Errorf("ltime history never pruned: base=%v len=%d",
-			e1.to.base[0], len(e1.to.ltimes[0]))
+			e1.to.base[0], e1.to.ltimes[0].len())
 	}
 	for k := 0; k < 2; k++ {
-		if len(e1.to.ltimes[k]) > 8*ltimePruneThreshold {
-			t.Errorf("source %d history %d entries despite pruning", k, len(e1.to.ltimes[k]))
+		if e1.to.ltimes[k].len() > 8*ltimePruneThreshold {
+			t.Errorf("source %d history %d entries despite pruning", k, e1.to.ltimes[k].len())
 		}
 	}
+}
+
+// regressedSync is a SYNC from source 0 at seq that honours clause 1
+// (ACK[0] == SEQ) but names entity 1's PDU 1 in ACK[1], far below what
+// source 0 has already acknowledged: once that logical time is pruned, a
+// commit of it would read history that is gone.
+func regressedSync(seq pdu.Seq) *pdu.PDU {
+	return &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: seq, ACK: []pdu.Seq{seq, 2}, LSrc: pdu.NoEntity}
+}
+
+// TestRegressedACKRefused feeds a total-order entity whose logical-time
+// history has been pruned a well-formed SYNC whose ACK entry for entity
+// 1 goes backwards. Clause 2 of the honest-sender contract refuses it at
+// acceptance, before it could reach the commit stage.
+func TestRegressedACKRefused(t *testing.T) {
+	old := ltimePruneThreshold
+	ltimePruneThreshold = 8
+	defer func() { ltimePruneThreshold = old }()
+
+	e0, e1 := newTOPair(t)
+	_, now := runTOPair(t, e0, e1, e0.Submit([]byte("kick"), 0).PDUs, 0, 400, 300)
+	if e1.to.base[1] <= 2 {
+		t.Fatalf("entity 1's own history never pruned: base %d", e1.to.base[1])
+	}
+	invalid, committed := e1.stats.InvalidPDUs, append([]pdu.Seq(nil), e1.committed...)
+	_, err := e1.Receive(regressedSync(e1.req[0]), now)
+	if !errors.Is(err, ErrACKRegressed) {
+		t.Fatalf("Receive = %v, want ErrACKRegressed", err)
+	}
+	if got := e1.stats.InvalidPDUs; got != invalid+1 {
+		t.Fatalf("InvalidPDUs = %d, want %d", got, invalid+1)
+	}
+	for k, c := range committed {
+		if e1.committed[k] != c {
+			t.Fatalf("committed[%d] = %d, was %d", k, e1.committed[k], c)
+		}
+	}
+	runTOPair(t, e0, e1, nil, now, 50, 0)
+	checkInvariants(t, e1, 0)
+}
+
+// TestRegressedACKDroppedAtUnpark parks the same violator behind the gap
+// of entity 0's next DATA, then delivers that DATA: the violator is
+// dropped as it is unparked, counted, and never accepted, and the pair
+// carries on delivering.
+func TestRegressedACKDroppedAtUnpark(t *testing.T) {
+	old := ltimePruneThreshold
+	ltimePruneThreshold = 8
+	defer func() { ltimePruneThreshold = old }()
+
+	e0, e1 := newTOPair(t)
+	_, now := runTOPair(t, e0, e1, e0.Submit([]byte("kick"), 0).PDUs, 0, 400, 300)
+	next := e0.Submit([]byte("next"), now).PDUs
+	if len(next) != 1 || next[0].SEQ != e1.req[0] {
+		t.Fatalf("entity 0 sent %v, want its next DATA at SEQ %d", next, e1.req[0])
+	}
+	invalid := e1.stats.InvalidPDUs
+	if _, err := e1.Receive(regressedSync(next[0].SEQ+1), now); err != nil {
+		t.Fatalf("parking the violator: %v", err)
+	}
+	if e1.parkedTotal != 1 {
+		t.Fatalf("parked %d PDUs, want the violator", e1.parkedTotal)
+	}
+	out, err := e1.Receive(next[0].Clone(), now)
+	if err != nil {
+		t.Fatalf("Receive of the honest DATA = %v", err)
+	}
+	if got := e1.stats.InvalidPDUs; got != invalid+1 {
+		t.Fatalf("InvalidPDUs = %d, want %d", got, invalid+1)
+	}
+	if e1.parkedTotal != 0 || e1.req[0] != next[0].SEQ+1 {
+		t.Fatalf("parked %d, REQ[0] %d: want the violator dropped and REQ %d", e1.parkedTotal, e1.req[0], next[0].SEQ+1)
+	}
+	deliveries, _ := runTOPair(t, e0, e1, out.PDUs, now, 50, 0)
+	if deliveries != 2 {
+		t.Fatalf("delivered %d messages after the drop, want the DATA at both", deliveries)
+	}
+	checkInvariants(t, e1, 0)
 }

@@ -242,11 +242,16 @@ var (
 	ErrBadSrc    = errors.New("pdu: source out of range")
 	ErrBadSeq    = errors.New("pdu: sequence number inconsistent with kind")
 	ErrBadACKLen = errors.New("pdu: ACK vector length does not match cluster size")
+	ErrBadOwnACK = errors.New("pdu: sequenced PDU's own ACK entry is not its SEQ")
 	ErrBadRet    = errors.New("pdu: RET fields inconsistent")
 )
 
 // Validate checks structural well-formedness of the PDU for a cluster of
-// n entities.
+// n entities, and clause 1 of the honest-sender contract: a sequenced
+// PDU's own ACK entry is its SEQ, because its source snapshots REQ just
+// before it self-accepts the PDU (§4.2, Table 1). Clause 2, that one
+// source's vectors never decrease, needs the predecessor, so the
+// receiving entity checks it where it accepts (core.ErrACKRegressed).
 func (p *PDU) Validate(n int) error {
 	switch p.Kind {
 	case KindData, KindSync, KindAckOnly, KindRet:
@@ -264,6 +269,9 @@ func (p *PDU) Validate(n int) error {
 	}
 	if len(p.ACK) != n {
 		return fmt.Errorf("%w: len=%d n=%d", ErrBadACKLen, len(p.ACK), n)
+	}
+	if p.Kind.Sequenced() && p.ACK[p.Src] != p.SEQ {
+		return fmt.Errorf("%w: SEQ=%d ACK[%d]=%d", ErrBadOwnACK, p.SEQ, p.Src, p.ACK[p.Src])
 	}
 	if p.Packed {
 		if err := p.validatePack(); err != nil {

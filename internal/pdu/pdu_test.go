@@ -102,7 +102,7 @@ func TestCompareUnsequencedPanics(t *testing.T) {
 func TestValidate(t *testing.T) {
 	const n = 3
 	valid := func() *PDU {
-		return &PDU{Kind: KindData, Src: 1, SEQ: 5, ACK: []Seq{1, 2, 3}, Data: []byte("x")}
+		return &PDU{Kind: KindData, Src: 1, SEQ: 5, ACK: []Seq{1, 5, 3}, Data: []byte("x")}
 	}
 	tests := []struct {
 		name    string
@@ -121,6 +121,8 @@ func TestValidate(t *testing.T) {
 		{"ackonly with seq", func(p *PDU) { p.Kind = KindAckOnly }, ErrBadSeq},
 		{"short ack", func(p *PDU) { p.ACK = p.ACK[:2] }, ErrBadACKLen},
 		{"long ack", func(p *PDU) { p.ACK = append(p.ACK, 4) }, ErrBadACKLen},
+		{"own ack entry below seq", func(p *PDU) { p.ACK[1] = 4 }, ErrBadOwnACK},
+		{"sync own ack entry past seq", func(p *PDU) { p.Kind = KindSync; p.Data = nil; p.ACK[1] = 6 }, ErrBadOwnACK},
 		{"ret bad lsrc", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 7; p.LSeq = 1 }, ErrBadRet},
 		{"ret zero lseq", func(p *PDU) { p.Kind = KindRet; p.SEQ = 0; p.LSrc = 0; p.LSeq = 0 }, ErrBadRet},
 		// The held list ("x", one byte) covers (ACK[LSrc], LSeq) = (3, LSeq).
