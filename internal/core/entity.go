@@ -25,6 +25,9 @@ var (
 	// honest-sender contract (DESIGN.md §2): an entry of its ACK vector
 	// is below its predecessor's.
 	ErrACKRegressed = errors.New("core: ACK vector below its predecessor's")
+	// ErrNotSent refuses a sequenced PDU naming this entity as its source
+	// with a SEQ it has not sent: it accepts its own PDUs as it sends them.
+	ErrNotSent = errors.New("core: own-source PDU this entity has not sent")
 )
 
 // Entity is one system entity E_i of the cluster. It is a pure state
@@ -312,8 +315,9 @@ func (e *Entity) SubmitOwned(data []byte, now time.Duration) Output {
 //
 // A PDU that breaks the honest-sender contract is refused and counted
 // in InvalidPDUs: clause 1 by Validate, before anything else, and clause
-// 2 at acceptance, after its ACK vector has been folded like any
-// other's, so the returned output is still the entity's to send.
+// 2 (or an own-source SEQ not yet sent) at acceptance, after its ACK
+// vector has been folded like any other's, so the returned output is
+// still the entity's to send.
 func (e *Entity) Receive(p *pdu.PDU, now time.Duration) (Output, error) {
 	var out Output
 	if p == nil {
@@ -552,12 +556,16 @@ func (e *Entity) noteGap(j int) {
 // the contract needs the predecessor's vector, so it is checked as each
 // PDU is accepted: a violator arriving in order is refused with the
 // error, one unparked is dropped, and either leaves REQ where it was,
-// for a RET to ask again.
+// for a RET to ask again. The own stream is accepted at send time, so a
+// PDU of it is an echo below REQ, or forged.
 func (e *Entity) receiveSequenced(p *pdu.PDU, now time.Duration) error {
 	src := p.Src
 	switch {
 	case p.SEQ < e.req[src]:
 		e.stats.Duplicates++
+	case src == e.me:
+		e.stats.InvalidPDUs++
+		return fmt.Errorf("%w: %v", ErrNotSent, p)
 	case p.SEQ > e.req[src]:
 		if _, dup := e.parked[src][p.SEQ]; !dup {
 			e.parked[src][p.SEQ] = p
@@ -759,7 +767,7 @@ func (e *Entity) commitReady(now time.Duration, out *Output) {
 				w &= w - 1
 				for {
 					p := e.ackedQ[k].Top()
-					if p == nil || !e.depsCommitted(p) {
+					if p == nil || e.missingDep(p) < e.n {
 						break
 					}
 					e.ackedQ[k].Dequeue()
@@ -794,10 +802,6 @@ func (e *Entity) commitReady(now time.Duration, out *Output) {
 		e.releaseTotal(now, out)
 	}
 }
-
-// depsCommitted reports whether every causal dependency of p has been
-// committed locally.
-func (e *Entity) depsCommitted(p *pdu.PDU) bool { return e.missingDep(p) == e.n }
 
 // missingDep returns the first source k whose prefix named by p's ACK
 // vector has not committed here (committed[k]+1 < ACK[k]), or n when

@@ -673,3 +673,38 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// TestReceiveRefusesContractViolators hands entity 1 of three one
+// sequenced PDU per way of breaking the honest-sender contract, after
+// an honest DATA from entity 0 (SEQ 1, ACK [1 1 2]) set the bar for
+// clause 2. Each is refused with its typed error and counted in
+// InvalidPDUs, and none is accepted.
+func TestReceiveRefusesContractViolators(t *testing.T) {
+	e := newScripted(t, scriptConfig(1, 3))
+	honest := &pdu.PDU{Kind: pdu.KindData, Src: 0, SEQ: 1, ACK: []pdu.Seq{1, 1, 2}, LSrc: pdu.NoEntity, Data: []byte("m")}
+	if _, err := e.Receive(honest, 0); err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name string
+		p    *pdu.PDU
+		want error
+	}{
+		{"clause 1: own entry past SEQ", &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 2, ACK: []pdu.Seq{3, 1, 2}}, pdu.ErrBadOwnACK},
+		{"clause 2: entry below the predecessor's", &pdu.PDU{Kind: pdu.KindSync, Src: 0, SEQ: 2, ACK: []pdu.Seq{2, 1, 1}}, core.ErrACKRegressed},
+		{"own source, SEQ not sent", &pdu.PDU{Kind: pdu.KindSync, Src: 1, SEQ: 1, ACK: []pdu.Seq{2, 1, 1}}, core.ErrNotSent},
+	}
+	for i, tt := range tests {
+		tt.p.LSrc = pdu.NoEntity
+		_, err := e.Receive(tt.p, time.Duration(i+1))
+		if !errors.Is(err, tt.want) {
+			t.Errorf("%s: Receive = %v, want %v", tt.name, err, tt.want)
+		}
+		if got := e.Stats().InvalidPDUs; got != uint64(i+1) {
+			t.Errorf("%s: InvalidPDUs = %d, want %d", tt.name, got, i+1)
+		}
+	}
+	if s := e.Stats(); s.Accepted != 1 || e.Seq() != 1 {
+		t.Errorf("accepted %d PDUs, SEQ %d: want only the honest DATA and SEQ 1", s.Accepted, e.Seq())
+	}
+}

@@ -114,7 +114,7 @@ func (s *toState) ltimeOf(k pdu.EntityID, seq pdu.Seq) uint64 {
 
 // onCommitTotal computes and records the logical time of a freshly
 // committed sequenced PDU, and queues DATA for stable release. Every
-// dependency ACK[k]-1 has committed (depsCommitted); the own entry is
+// dependency ACK[k]-1 has committed (missingDep); the own entry is
 // the predecessor, SEQ-1, by clause 1 of the contract.
 func (e *Entity) onCommitTotal(p *pdu.PDU) {
 	s := e.to

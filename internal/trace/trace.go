@@ -231,37 +231,17 @@ func (a *Analysis) DataSends() []MsgID {
 }
 
 // CheckInformationPreserved verifies every entity delivered every DATA
-// message exactly once (atomic, loss-free delivery).
+// message exactly once (atomic, loss-free delivery), and nothing else.
 func (a *Analysis) CheckInformationPreserved() error {
-	want := a.DataSends()
-	for e := pdu.EntityID(0); int(e) < a.n; e++ {
-		seen := make(map[MsgID]int, len(want))
-		for _, m := range a.deliveries[e] {
-			seen[m]++
-		}
-		for _, m := range want {
-			switch seen[m] {
-			case 0:
-				return fmt.Errorf("entity %d never delivered %v", e, m)
-			case 1:
-			default:
-				return fmt.Errorf("entity %d delivered %v %d times", e, m, seen[m])
-			}
-		}
-		if len(a.deliveries[e]) != len(want) {
-			return fmt.Errorf("entity %d delivered %d messages, want %d",
-				e, len(a.deliveries[e]), len(want))
-		}
-	}
-	return nil
+	return a.CheckInformationPreservedAmong(a.everyEntity())
 }
 
 // CheckInformationPreservedAmong is CheckInformationPreserved restricted
 // to a surviving subset: every alive entity must deliver every DATA
-// message an alive entity sent exactly once, and nothing twice. Messages
-// from non-alive sources are best-effort — a stalled source can never
-// serve retransmissions (source-only repair), so survivors may hold an
-// incomplete suffix of its stream.
+// message an alive entity sent exactly once, nothing twice, and nothing
+// no DATA send produced. Messages from non-alive sources are best-effort
+// — a stalled source can never serve retransmissions (source-only
+// repair), so survivors may hold an incomplete suffix of its stream.
 func (a *Analysis) CheckInformationPreservedAmong(alive []pdu.EntityID) error {
 	aliveSet := make(map[pdu.EntityID]bool, len(alive))
 	for _, e := range alive {
@@ -276,6 +256,9 @@ func (a *Analysis) CheckInformationPreservedAmong(alive []pdu.EntityID) error {
 	for _, e := range alive {
 		seen := make(map[MsgID]int, len(a.deliveries[e]))
 		for _, m := range a.deliveries[e] {
+			if a.kinds[m] != pdu.KindData {
+				return fmt.Errorf("entity %d delivered %v, which no DATA send produced", e, m)
+			}
 			seen[m]++
 			if seen[m] > 1 {
 				return fmt.Errorf("entity %d delivered %v %d times", e, m, seen[m])
@@ -288,6 +271,16 @@ func (a *Analysis) CheckInformationPreservedAmong(alive []pdu.EntityID) error {
 		}
 	}
 	return nil
+}
+
+// everyEntity lists the entities 0..n-1, the alive set of a run that
+// evicted nobody.
+func (a *Analysis) everyEntity() []pdu.EntityID {
+	all := make([]pdu.EntityID, a.n)
+	for i := range all {
+		all[i] = pdu.EntityID(i)
+	}
+	return all
 }
 
 // CheckTotalOrderPreservedAmong is CheckTotalOrderPreserved restricted to
@@ -374,26 +367,7 @@ func (a *Analysis) CheckCausalOrderPreserved() error {
 // CheckTotalOrderPreserved verifies all entities deliver in the identical
 // sequence (the TO service property; used for the total-order baseline).
 func (a *Analysis) CheckTotalOrderPreserved() error {
-	var ref []MsgID
-	var refEntity pdu.EntityID
-	for e := pdu.EntityID(0); int(e) < a.n; e++ {
-		ms := a.deliveries[e]
-		if ref == nil {
-			ref, refEntity = ms, e
-			continue
-		}
-		if len(ms) != len(ref) {
-			return fmt.Errorf("entities %d and %d delivered %d vs %d messages",
-				refEntity, e, len(ref), len(ms))
-		}
-		for i := range ms {
-			if ms[i] != ref[i] {
-				return fmt.Errorf("position %d: entity %d delivered %v, entity %d delivered %v",
-					i, refEntity, ref[i], e, ms[i])
-			}
-		}
-	}
-	return nil
+	return a.CheckTotalOrderPreservedAmong(a.everyEntity())
 }
 
 // Summary counts a run's checked events.

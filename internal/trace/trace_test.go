@@ -150,6 +150,27 @@ func TestCheckInformationPreserved(t *testing.T) {
 			t.Error(err)
 		}
 	})
+	t.Run("delivery no DATA send produced", func(t *testing.T) {
+		sync := ev(send, 0, 0, 2)
+		sync.Kind = uint8(pdu.KindSync)
+		for name, evs := range map[string][]flight.Event{
+			"a SYNC":         {ev(deliver, 1, 0, 1), sync, ev(deliver, 1, 0, 2)},
+			"an unsent DATA": {ev(deliver, 1, 0, 1), ev(deliver, 1, 0, 3)},
+		} {
+			a, err := Analyze(with(evs...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for form, check := range map[string]func() error{
+				"all":   a.CheckInformationPreserved,
+				"among": func() error { return a.CheckInformationPreservedAmong([]pdu.EntityID{1}) },
+			} {
+				if err := check(); err == nil || !strings.Contains(err.Error(), "no DATA send produced") {
+					t.Errorf("%s form, delivered %s: got %v", form, name, err)
+				}
+			}
+		}
+	})
 	t.Run("sync PDUs are exempt", func(t *testing.T) {
 		sync := ev(send, 0, 0, 2)
 		sync.Kind = uint8(pdu.KindSync)

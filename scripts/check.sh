@@ -27,10 +27,11 @@ go -C bench test -short ./...
 echo '>> benchmark smoke (BenchmarkFig8Tco, 100 iterations)'
 go test . -run '^$' -bench 'BenchmarkFig8Tco' -benchtime=100x -benchmem
 
-# The one root benchmark that drives RRL → PRL → commit queue and the
-# send log on entities that live across iterations.
-echo '>> benchmark smoke (BenchmarkHotPathPipeline, 20 iterations)'
-go test . -run '^$' -bench '^BenchmarkHotPathPipeline$' -benchtime=20x -benchmem
+# The root benchmarks that drive RRL → PRL → commit queue and the send
+# log on entities that live across iterations, the second with the
+# total-order release stage behind the commit queue.
+echo '>> benchmark smoke (BenchmarkHotPathPipeline and BenchmarkHotPathPipelineTotalOrder, 20 iterations)'
+go test . -run '^$' -bench '^BenchmarkHotPathPipeline(TotalOrder)?$' -benchtime=20x -benchmem
 
 # go test accepts only one -fuzz pattern per invocation, hence the loop.
 echo '>> fuzz smoke (1s per target)'
