@@ -1011,7 +1011,7 @@ func (e *Entity) confirmDue() bool {
 		return e.unheard.Empty()
 	case e.rounds == 1:
 		return e.uncovered.Empty()
-	case e.needRespond || len(e.pendingSubmits) > 0 || e.to != nil && e.to.npending > 0:
+	case e.needRespond || len(e.pendingSubmits) > 0 || e.to != nil && len(e.to.pending) > 0:
 		return e.unheard.Empty()
 	}
 	return false
@@ -1302,10 +1302,9 @@ func (e *Entity) trimSendLog(upTo pdu.Seq) {
 }
 
 // fifo is a queue with an amortized-O(1) head: the send log, the
-// total-order stage's logical times and pending releases, and the start
-// times the latency histograms pair with their ends by position (sentAt,
-// acceptAt), which carry no sequence numbers because both ends happen
-// in the same order.
+// total-order stage's logical times, and the start times the latency
+// histograms pair with their ends by position (sentAt, acceptAt), which
+// carry no sequence numbers because both ends happen in the same order.
 type fifo[T any] struct {
 	items []T
 	head  int
@@ -1414,7 +1413,7 @@ func (e *Entity) REQ() []pdu.Seq {
 func (e *Entity) Resident() int {
 	r := e.parkedTotal + e.rrlTotal + e.prl.Len() + e.ackedTotal
 	if e.to != nil {
-		r += e.to.npending
+		r += len(e.to.pending)
 	}
 	return r
 }

@@ -83,9 +83,6 @@ func (e *Entity) evict(k int, now time.Duration) {
 		}
 	}
 	e.refreshMinima()
-	if e.to != nil {
-		e.to.due = true // k no longer blocks a release
-	}
 }
 
 // suspectTimeout returns the effective silence threshold: SuspectAfter

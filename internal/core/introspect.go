@@ -92,7 +92,7 @@ func (e *Entity) SnapshotInto(s *obsv.StateSnapshot) {
 		}
 	}
 	if e.to != nil {
-		s.ReleasePending = e.to.npending
+		s.ReleasePending = len(e.to.pending)
 	}
 	if l := e.cfg.Ledger; l != nil {
 		s.LedgerBytes = l.Bytes()

@@ -169,8 +169,10 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			vecs = append(vecs, e.ackedQ[k].At(i))
 		}
 		if e.to != nil {
-			for i := 0; i < e.to.pending[k].len(); i++ {
-				vecs = append(vecs, e.to.pending[k].at(i).p)
+			for _, it := range e.to.pending {
+				if it.p.Src == pdu.EntityID(k) {
+					vecs = append(vecs, it.p)
+				}
 			}
 		}
 		sort.Slice(vecs, func(a, b int) bool { return vecs[a].SEQ < vecs[b].SEQ })
@@ -188,15 +190,17 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 	}
 	toPending := 0
 	if e.to != nil {
+		toPending = len(e.to.pending)
+		for i := 1; i < toPending; i++ {
+			if e.to.pending[i].key.less(e.to.pending[(i-1)/2].key) {
+				fail("pending heap out of order at %d", i)
+			}
+		}
+		// Logical times per source are contiguous with commits.
 		for k := 0; k < e.n; k++ {
-			// Logical times per source are contiguous with commits.
 			if got := e.to.base[k] + pdu.Seq(e.to.ltimes[k].len()); got != e.committed[k]+1 {
 				fail("ltime history for %d covers to %d, committed %d", k, got-1, e.committed[k])
 			}
-			toPending += e.to.pending[k].len()
-		}
-		if toPending != e.to.npending {
-			fail("npending cache %d, the FIFOs hold %d", e.to.npending, toPending)
 		}
 		// The retained history covers every reference a future commit can
 		// make: (k, ACK[k]-1) for the vector of every PDU accepted and not
@@ -260,10 +264,8 @@ func checkInvariants(t *testing.T, e *Entity, step int) {
 			add(p)
 		}
 		if e.to != nil {
-			for k := range e.to.pending {
-				for i := 0; i < e.to.pending[k].len(); i++ {
-					add(e.to.pending[k].at(i).p)
-				}
+			for _, it := range e.to.pending {
+				add(it.p)
 			}
 		}
 		for i := 0; i < e.sendlog.len(); i++ {

@@ -123,7 +123,7 @@ func (l *Ledger) Shed() uint64    { return l.shed.Load() }
 //	pendingSubmits  [][]byte          chargeSubmit (Submit) / releaseSubmit (drainSubmits)
 //	parked          map per source    chargePDU (park) / releasePDU (unpark or drop)
 //	rrl→prl→ackedQ  Queue→Log→Queue   chargePDU (accept) / releasePDU (commit dequeue)
-//	to.pending      fifo per source   chargePDU (onCommitTotal) / releasePDU (releaseTotal)
+//	to.pending      typed heap        chargePDU (onCommitTotal) / releasePDU (releaseTotal)
 //	sendlog         slice by SEQ      chargePDU (broadcastSequenced) / releasePDU (trimSendLog)
 //
 // Own PDUs sit in both the send log and the receive pipeline; they are

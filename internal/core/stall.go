@@ -161,8 +161,8 @@ func (e *Entity) Stalls(now time.Duration, max int) []obsv.Stall {
 	}
 
 	// Stage 5: total-order hold — the TO release head is unstable.
-	if e.to != nil && e.to.npending > 0 && !full() {
-		head := *e.to.pending[e.to.head()].at(0)
+	if e.to != nil && len(e.to.pending) > 0 && !full() {
+		head := e.to.pending[0]
 		var waiting []int
 		for k := e.nextBlocker(head.key, 0); k < e.n; k = e.nextBlocker(head.key, k+1) {
 			waiting = append(waiting, k)

@@ -64,14 +64,9 @@ type toState struct {
 	// then, and the all-ones vector keeps every logical time.
 	lastKey []toKey
 	lastVec [][]pdu.Seq
-	// pending[k] holds k's committed DATA awaiting stable release, in
-	// commit order, which is key order: keys grow per source. npending
-	// counts them all.
-	pending  []fifo[toItem]
-	npending int
-	// due marks a release check owed: a key can only become stable when
-	// something commits or the quorum shrinks.
-	due bool
+	// pending holds the committed DATA awaiting stable release, a binary
+	// min-heap by key.
+	pending []toItem
 }
 
 // toItem is one pending total-order release.
@@ -91,7 +86,6 @@ func newTOState(n int) *toState {
 		base:    make([]pdu.Seq, n),
 		lastKey: make([]toKey, n),
 		lastVec: make([][]pdu.Seq, n),
-		pending: make([]fifo[toItem], n),
 	}
 	ones := make([]pdu.Seq, n)
 	for k := range s.base {
@@ -131,10 +125,8 @@ func (e *Entity) onCommitTotal(p *pdu.PDU) {
 	s.ltimes[p.Src].push(lt)
 	key := toKey{lt: lt, src: p.Src, seq: p.SEQ}
 	s.lastKey[p.Src], s.lastVec[p.Src] = key, p.ACK
-	s.due = true
 	if p.Kind == pdu.KindData {
-		s.pending[p.Src].push(toItem{key: key, p: p})
-		s.npending++
+		s.push(toItem{key: key, p: p})
 		e.chargePDU(p)
 	}
 	if s.ltimes[p.Src].len() > ltimePruneThreshold {
@@ -142,38 +134,53 @@ func (e *Entity) onCommitTotal(p *pdu.PDU) {
 	}
 }
 
-// releaseTotal delivers every stable pending PDU in key order: the least
-// of the per-source heads, as long as it is stable. A key is stable once
-// every other live source has committed beyond it, so the check runs only
-// when something committed or the quorum shrank since the last one.
+// releaseTotal delivers every stable pending PDU in key order. A key is
+// stable once every other live source has committed beyond it.
 func (e *Entity) releaseTotal(now time.Duration, out *Output) {
 	s := e.to
-	if !s.due {
-		return
-	}
-	s.due = false
-	for k := s.head(); k >= 0; k = s.head() {
-		it := *s.pending[k].at(0)
-		if e.nextBlocker(it.key, 0) < e.n {
-			return
-		}
-		s.pending[k].pop()
-		s.npending--
+	for len(s.pending) > 0 && e.nextBlocker(s.pending[0].key, 0) == e.n {
+		it := s.pop()
 		e.releasePDU(it.p)
 		e.deliver(it.p, it.key.lt, now, out)
 	}
 }
 
-// head returns the source whose pending head has the least key, or -1
-// when nothing is pending.
-func (s *toState) head() int {
-	best := -1
-	for k := range s.pending {
-		if s.pending[k].len() > 0 && (best < 0 || s.pending[k].at(0).key.less(s.pending[best].at(0).key)) {
-			best = k
+// push adds it to the pending heap.
+func (s *toState) push(it toItem) {
+	h := append(s.pending, it)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].key.less(h[up].key) {
+			break
 		}
+		h[i], h[up] = h[up], h[i]
+		i = up
 	}
-	return best
+	s.pending = h
+}
+
+// pop removes and returns the least pending item.
+func (s *toState) pop() toItem {
+	h := s.pending
+	top, last := h[0], len(h)-1
+	h[0], h[last] = h[last], toItem{}
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].key.less(h[c].key) {
+			c++
+		}
+		if !h[c].key.less(h[i].key) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	s.pending = h
+	return top
 }
 
 // nextBlocker returns the first live source from j on that blocks the

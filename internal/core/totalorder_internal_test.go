@@ -31,30 +31,23 @@ func TestToKeyOrdering(t *testing.T) {
 	}
 }
 
-// TestPendingHeadIsLeastKey fills per-source pending FIFOs, each in its
-// own key order as commits fill them, and checks that taking the least
-// head each time yields every key in global key order.
-func TestPendingHeadIsLeastKey(t *testing.T) {
+func TestToHeapPopsInKeyOrder(t *testing.T) {
 	s := newTOState(3)
-	for _, k := range []toKey{
-		{lt: 1, src: 0, seq: 1}, {lt: 2, src: 0, seq: 2}, {lt: 6, src: 0, seq: 3},
-		{lt: 1, src: 2, seq: 1}, {lt: 4, src: 2, seq: 2},
-		{lt: 3, src: 1, seq: 1}, {lt: 4, src: 1, seq: 2}, {lt: 5, src: 1, seq: 3},
-	} {
-		s.pending[k.src].push(toItem{key: k})
+	keys := []toKey{
+		{lt: 3, src: 1, seq: 1}, {lt: 1, src: 2, seq: 1}, {lt: 2, src: 0, seq: 1},
+		{lt: 1, src: 0, seq: 1}, {lt: 4, src: 2, seq: 2}, {lt: 4, src: 1, seq: 2},
+		{lt: 6, src: 0, seq: 2}, {lt: 5, src: 1, seq: 3},
 	}
-	var got []toKey
-	for k := s.head(); k >= 0; k = s.head() {
-		it, _ := s.pending[k].pop()
-		got = append(got, it.key)
+	for _, k := range keys {
+		s.push(toItem{key: k})
 	}
-	if len(got) != 8 {
-		t.Fatalf("released %d keys, want 8", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if !got[i-1].less(got[i]) {
-			t.Fatalf("released %v after %v", got[i], got[i-1])
+	var prev *toKey
+	for len(s.pending) > 0 {
+		k := s.pop().key
+		if prev != nil && !prev.less(k) {
+			t.Fatalf("heap popped %v after %v", k, *prev)
 		}
+		prev = &k
 	}
 }
 
